@@ -336,19 +336,24 @@ class PowerLawFit:
 
 def envelope_points(times, values, period: float):
     """Per-period maxima of |values|: one (time-of-max, max) pair per full
-    rotor period covered by the samples."""
+    rotor period covered by the samples.
+
+    Each run of consecutive samples in the same period bin gives one pair;
+    within a run the first maximum wins (the first NaN, if any), as with
+    np.argmax.
+    """
     times = np.asarray(times, dtype=float)
     mags = np.abs(np.asarray(values, dtype=float))
     bins = np.floor(times / period).astype(np.int64)
-    t_out, v_out = [], []
-    start = 0
-    for k in range(1, times.size + 1):
-        if k == times.size or bins[k] != bins[start]:
-            j = start + int(np.argmax(mags[start:k]))
-            t_out.append(times[j])
-            v_out.append(mags[j])
-            start = k
-    return np.array(t_out), np.array(v_out)
+    new_bin = np.empty(bins.size, dtype=bool)
+    new_bin[:1] = True
+    np.not_equal(bins[1:], bins[:-1], out=new_bin[1:])
+    starts = np.flatnonzero(new_bin)
+    peaks = np.maximum.reduceat(mags, starts)
+    run = np.cumsum(new_bin) - 1  # run index of every sample
+    hits = np.flatnonzero((mags == peaks[run]) | np.isnan(mags))
+    first = hits[np.flatnonzero(np.diff(run[hits], prepend=-1))]
+    return times[first], mags[first]
 
 
 def fit_power_law(times, values, window, mode: str = "raw",
@@ -387,7 +392,13 @@ def fit_power_law(times, values, window, mode: str = "raw",
     resid = lv - (slope * lt + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return PowerLawFit(float(slope), float(math.exp(intercept)), r2, t.size)
+    try:
+        prefactor = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(
+            f"power-law prefactor exp({intercept:.6g}) overflows: window "
+            f"[{t_lo}, {t_hi}] is too narrow in log t for a fit") from None
+    return PowerLawFit(float(slope), prefactor, r2, t.size)
 
 
 # --- averaged speedup law -------------------------------------------------------
@@ -424,7 +435,7 @@ def averaged_law_check(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
 
     p0 = delta ** (-1.0 / 3.0) * t_start ** (-1.0 / 3.0)
     opts = IntegratorOptions(t_end=t_end, rtol=1e-12, atol=1e-16, h0=1.0)
-    sol = integrate(lambda t, y: -gain * y ** 4, [p0], opts, t0=t_start)
+    sol = integrate(lambda t, y: [-gain * y[0] ** 4], [p0], opts, t0=t_start)
     p_closed = delta ** (-1.0 / 3.0) * t_end ** (-1.0 / 3.0)
     ode_error = abs(float(sol.states[-1, 0]) - p_closed)
 

@@ -16,6 +16,9 @@ rejected everywhere):
                      "hmax": (inf), "sample_stride": (1)},
       "outputs":    {"directory": ("out"), "formats": (["csv","svg","report"])}
     }
+
+Every number must be finite: NaN and Infinity, which Python's json
+accepts, are rejected (an unbounded hmax is the default, not a value).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def _number(obj, key, where, default=None, required=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field '{key}' in {where} must be a number")
-    return float(v)
+    return _finite(v, f"field '{key}' in {where}")
 
 
 def _number_list(obj, key, where):
@@ -87,7 +90,20 @@ def _number_list(obj, key, where):
     if not isinstance(v, list) or any(
             isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
         raise ConfigError(f"field '{key}' in {where} must be a list of numbers")
-    return [float(x) for x in v]
+    return [_finite(x, f"entry {i} of field '{key}' in {where}")
+            for i, x in enumerate(v)]
+
+
+def _finite(v, what: str) -> float:
+    """v as a float; Python's json accepts NaN, Infinity and integers beyond
+    the float range, none of which is a usable parameter."""
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond the float range") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x}")
+    return x
 
 
 def _parse_vehicle(block) -> VehicleParams:

@@ -70,41 +70,41 @@ class PoseState:
 
 # --- core derivative kernels -------------------------------------------------
 #
-# The reduced kernels run in scalar arithmetic: they sit inside the stepper's
+# The reduced kernels run in scalar arithmetic on lists of floats, the
+# stepper's representation (see the integrator module): they sit inside its
 # innermost loop, where numpy overhead on length-N vectors dominates for the
 # small N of interest.  The angle recurrences match model.theta_from_phi up to
 # roundoff; a unit test keeps them consistent with model.angle_coeffs.
 
 
 def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, staggered, pose):
-    yl = y.tolist()
-    v1 = yl[0]
-    om = yl[1]
+    v1 = y[0]
+    om = y[1]
     n = len(c)
     m_eff = mass
     quad_v = 0.0
     quad_cross = 0.0
     acc = 0.0   # 2 * sum_{j<i} (-1)^(j+1) phi_j
     accw = 0.0  # sum_{j<i} sin(theta_j) / c_j
-    d_ang = [0.0] * n
+    d_ang = []
     s = 1.0
-    for i in range(n):
+    for ang, ci, mui in zip(y[2:n + 2], c, mu):
         if staggered:
-            th = yl[2 + i]
+            th = ang
         else:
-            alt = s * yl[2 + i]
+            alt = s * ang
             th = alt + acc
             acc += 2.0 * alt
         sin_t = math.sin(th)
-        w = sin_t / c[i]
-        mu_sc = mu[i] * sin_t * math.cos(th)
-        m_eff += mu[i] * sin_t * sin_t
+        w = sin_t / ci
+        mu_sc = mui * sin_t * math.cos(th)
+        m_eff += mui * sin_t * sin_t
         quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
         quad_cross += mu_sc
         if staggered:
-            d_ang[i] = -v1 * (w + 2.0 * accw) - om
+            d_ang.append(-v1 * (w + 2.0 * accw) - om)
         else:
-            d_ang[i] = -s * (v1 * w) - om
+            d_ang.append(-s * (v1 * w) - om)
         accw += w
         s = -s
     if not m_eff > 0.0:
@@ -116,21 +116,23 @@ def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, staggered, pose):
     ]
     out += d_ang
     if pose:
-        psi = yl[n + 4]
+        psi = y[n + 4]
         out += [v1 * math.cos(psi), v1 * math.sin(psi), om]
-    return np.array(out)
+    return out
 
 
 def reduced_rhs_phi(t, y, p: VehicleParams, d: DerivedParams,
                     rotor: RotorProfile) -> np.ndarray:
     """Time derivative of [v1, omega, phi...] (relative-angle chart)."""
-    return make_reduced_rhs(p, d, rotor)(t, np.asarray(y, dtype=float))
+    return np.array(make_reduced_rhs(p, d, rotor)(
+        t, np.asarray(y, dtype=float).tolist()))
 
 
 def reduced_rhs_theta(t, y, p: VehicleParams, d: DerivedParams,
                       rotor: RotorProfile) -> np.ndarray:
     """Time derivative of [v1, omega, theta...] (staggered-angle chart)."""
-    return make_theta_rhs(p, d, rotor)(t, np.asarray(y, dtype=float))
+    return np.array(make_theta_rhs(p, d, rotor)(
+        t, np.asarray(y, dtype=float).tolist()))
 
 
 def pose_rhs(pose, v1: float, omega: float) -> np.ndarray:
@@ -140,7 +142,8 @@ def pose_rhs(pose, v1: float, omega: float) -> np.ndarray:
 
 
 def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
-    """Vector field over [v1, omega, phi...] for the stepper."""
+    """Vector field over [v1, omega, phi...] for the stepper: a list of
+    floats in, a list out."""
     c, mu = p.c.tolist(), d.coupling.tolist()
     mass, inertia, b = d.mass, d.inertia, d.static_moment
     rate = rotor.rate
@@ -152,7 +155,8 @@ def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
 
 
 def make_theta_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
-    """Vector field over [v1, omega, theta...] for the stepper."""
+    """Vector field over [v1, omega, theta...] for the stepper: a list of
+    floats in, a list out."""
     c, mu = p.c.tolist(), d.coupling.tolist()
     mass, inertia, b = d.mass, d.inertia, d.static_moment
     rate = rotor.rate
@@ -164,7 +168,8 @@ def make_theta_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
 
 
 def make_full_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
-    """Vector field over [v1, omega, phi..., x, y, psi]."""
+    """Vector field over [v1, omega, phi..., x, y, psi]: a list of floats
+    in, a list out."""
     c, mu = p.c.tolist(), d.coupling.tolist()
     mass, inertia, b = d.mass, d.inertia, d.static_moment
     rate = rotor.rate

@@ -147,7 +147,7 @@ def chain_matrix(n: int) -> np.ndarray:
 def theta_from_phi(phi) -> np.ndarray:
     """Map relative platform angles to staggered angle coordinates."""
     phi = np.asarray(phi, dtype=float)
-    alt = _ALT_SIGNS[: phi.size] * phi
+    alt = alternating_signs(phi.size) * phi
     return 2.0 * np.cumsum(alt) - alt
 
 
@@ -163,12 +163,11 @@ def phi_from_theta(theta) -> np.ndarray:
     return phi
 
 
-_ALT_SIGNS = np.array([(-1.0) ** i for i in range(64)])  # (+1, -1, +1, ...)
-
-
 def alternating_signs(n: int) -> np.ndarray:
     """Signs (-1)^(i+1) for 1-based i = 1..n, i.e. (+1, -1, +1, ...)."""
-    return _ALT_SIGNS[:n]
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    return signs
 
 
 def shape_terms(theta, c, mu, mass):

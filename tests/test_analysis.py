@@ -269,6 +269,54 @@ def test_envelope_points():
     assert np.all(np.diff(ve) < 0.0)
 
 
+def envelope_points_loop(times, values, period):
+    """Reference: one np.argmax per run of samples in the same period bin."""
+    times = np.asarray(times, dtype=float)
+    mags = np.abs(np.asarray(values, dtype=float))
+    bins = np.floor(times / period).astype(np.int64)
+    t_out, v_out = [], []
+    start = 0
+    for k in range(1, times.size + 1):
+        if k == times.size or bins[k] != bins[start]:
+            j = start + int(np.argmax(mags[start:k]))
+            t_out.append(times[j])
+            v_out.append(mags[j])
+            start = k
+    return np.array(t_out), np.array(v_out)
+
+
+def test_envelope_points_matches_loop():
+    cases = [
+        # ties, including a tie between v and -v: the first sample wins
+        ([0.1, 0.2, 0.3, 0.4, 1.1, 1.5], [2.0, -2.0, 1.0, 2.0, 0.5, -0.5]),
+        # one-sample bins and negative values only
+        ([0.5, 1.5, 2.5, 3.7], [-1.0, -3.0, -0.25, -7.0]),
+        # trailing partial bin of one sample, a NaN, an empty input
+        ([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, np.nan, 3.0, np.nan, 4.0]),
+        ([], []),
+    ]
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n = int(rng.integers(1, 80))
+        t = np.sort(rng.uniform(0.0, 7.3, n))  # ends inside a period
+        cases.append((t, rng.integers(-3, 4, n).astype(float)))
+    t = np.linspace(1e3, 1.1e3, 20_001)
+    cases.append((t, np.cos(2 * math.pi * t) * t ** -0.3))
+    for t, v in cases:
+        fast, slow = envelope_points(t, v, 1.0), envelope_points_loop(t, v, 1.0)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_fit_power_law_prefactor_overflow_is_value_error():
+    # a slope of -300 over ten periods puts the intercept near
+    # 300 ln 1000 = 2072, beyond the largest exp argument (about 709)
+    t = np.linspace(1000.0, 1010.0, 200)
+    v = np.exp(-300.0 * np.log(t / 1000.0)) * (1.0 + 0.01 * np.cos(t))
+    with pytest.raises(ValueError, match=r"\[1000.0, 1010.0\]"):
+        fit_power_law(t, v, (1000.0, 1010.0))
+
+
 def test_fit_envelope_mode():
     t = np.linspace(1.0, 400.0, 40_000)
     v = 5.0 * t ** (-2.0 / 3.0) * np.cos(2 * math.pi * t)

@@ -160,3 +160,23 @@ def test_hmax_accepted():
                                             "h0": 0.1}))
     assert cfg.integrator.hmax == 0.5
     assert not math.isinf(cfg.integrator.hmax)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(bad):
+    # Python's json reads NaN and +-Infinity; each must name its field
+    with pytest.raises(ConfigError, match="'t_end'.*finite"):
+        parse_config(cfg_text(integrator={"t_end": bad}))
+    with pytest.raises(ConfigError, match="'rtol'.*finite"):
+        parse_config(cfg_text(integrator={"t_end": 1.0, "rtol": bad}))
+    with pytest.raises(ConfigError, match="'a0'.*finite"):
+        parse_config(cfg_text(vehicle=dict(BASE["vehicle"], a0=bad)))
+    with pytest.raises(ConfigError, match="entry 1 of field 'm'.*finite"):
+        parse_config(cfg_text(vehicle=dict(BASE["vehicle"],
+                                           m=[1.0, bad, 1.2])))
+
+
+def test_number_beyond_float_range_rejected():
+    text = cfg_text().replace('"t_end": 100.0', '"t_end": 1' + "0" * 400)
+    with pytest.raises(ConfigError, match="'t_end'.*float range"):
+        parse_config(text)

@@ -13,6 +13,7 @@ from multilink.dynamics import (
     attachment_positions,
     constraint_residuals,
     energy,
+    energy_series,
     make_angle_system_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
@@ -349,3 +350,28 @@ def test_simulate_diagnostics(reference_vehicle, reference_derived):
     assert st.v1 == traj.v1[3] and st.phi.shape == (2,)
     # pose actually moves
     assert abs(traj.x[-1]) > 0.5
+
+
+@pytest.mark.parametrize("n", [65, 100])
+def test_energy_and_residuals_many_links(n):
+    rng = np.random.default_rng(n)
+    p = random_vehicle(rng, n)
+    d = derive_params(p)
+    v1, om = rng.normal(0, 2, 8), rng.normal(0, 1, 8)
+    phi, psi = rng.uniform(-3, 3, (8, n)), rng.uniform(-4, 4, 8)
+    series = energy_series(v1, om, phi, p, d)
+    residuals = residual_max_series(v1, om, phi, psi, p)
+    for i in range(8):
+        theta = [(-1.0) ** k * phi[i, k]
+                 + 2.0 * sum((-1.0) ** j * phi[i, j] for j in range(k))
+                 for k in range(n)]
+        m_eff = d.mass + sum(d.coupling[k] * math.sin(theta[k]) ** 2
+                             for k in range(n))
+        expected = 0.5 * (m_eff * v1[i] ** 2 + d.inertia * om[i] ** 2)
+        state = ReducedState(v1[i], om[i], phi[i])
+        assert energy(state, p, d) == pytest.approx(expected, rel=1e-12)
+        assert series[i] == pytest.approx(expected, rel=1e-12)
+        scalar = constraint_residuals(PoseState(0, 0, psi[i]), state, p)
+        assert scalar.size == n + 1
+        assert residuals[i] == pytest.approx(np.max(np.abs(scalar)), abs=1e-13)
+    assert np.max(residuals) < 1e-11

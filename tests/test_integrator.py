@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -158,3 +159,45 @@ def test_scalar_rhs_accepts_lists():
     sol = integrate(lambda t, y: [-y[0]], 1.0,
                     IntegratorOptions(t_end=1.0, rtol=1e-10, atol=1e-12))
     assert sol.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4, 5, 6, 7])
+def test_nan_in_one_stage_and_component_rejects(stage):
+    # After the initial evaluation every attempt makes six calls, stages 2-7
+    # (stage 1 is the previous stage 7).  The NaN sits in the last component
+    # only, and that component ignores the state, so the NaN reaches the step
+    # only through the stage it is returned at.
+    calls = itertools.count()
+
+    def rhs(t, y):
+        k = next(calls)
+        last = math.nan if k > 0 and (k - 1) % 6 == stage - 2 else 1.0
+        return [-y[0], -y[1], last]
+
+    with pytest.raises(DivergenceError) as info:
+        integrate(rhs, [1.0, 2.0, 0.0], IntegratorOptions(t_end=1.0))
+    assert info.value.time == 0.0
+
+
+def test_rk4_overflow_to_inf_diverges():
+    # y' = y^2 from y(0) = 1 blows up at t = 1; the fixed steps overflow
+    # to Inf shortly after
+    with pytest.raises(DivergenceError) as info:
+        integrate(lambda t, y: [y[0] * y[0]], [1.0],
+                  IntegratorOptions(t_end=2.0, method=METHOD_RK4, h0=0.1))
+    assert 1.0 <= info.value.time < 2.0
+
+
+def test_rhs_contract():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(type(y))
+        return (-y[0], 0.5)  # any sequence of floats
+
+    sol = integrate(rhs, np.array([1.0, 0.0]),
+                    IntegratorOptions(t_end=1.0, rtol=1e-10, atol=1e-12))
+    assert set(seen) == {list}
+    assert sol.states[-1] == pytest.approx([math.exp(-1.0), 0.5], rel=1e-9)
+    with pytest.raises(ValueError, match="2 values"):
+        integrate(lambda t, y: [0.0], [1.0, 2.0], IntegratorOptions(t_end=1.0))

@@ -212,3 +212,11 @@ def test_random_vehicle_admissible():
         assert p.n_links == n
         d = derive_params(p)
         assert d.mass > 0 and d.inertia > 0 and d.static_moment > 0
+
+
+@pytest.mark.parametrize("n", [65, 100])
+def test_phi_theta_round_trip_many_links(n):
+    phi = np.random.default_rng(n).uniform(-math.pi, math.pi, n)
+    theta = theta_from_phi(phi)
+    assert theta == pytest.approx(chain_matrix(n) @ phi, abs=1e-12)
+    assert phi_from_theta(theta) == pytest.approx(phi, abs=1e-12)

@@ -239,3 +239,26 @@ def test_cli_integration_failure_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", str(path), "--output-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_overflow_is_handled(tmp_path, capsys):
+    # the shipped speedup config ending ten periods into the fit window: the
+    # phi_1 envelope fit's prefactor overflows a float
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "speedup.json")
+    with open(shipped) as f:
+        doc = json.load(f)
+    doc["integrator"]["t_end"] = 1010.0
+    doc["outputs"] = {"directory": str(tmp_path / "o"),
+                      "formats": ["csv", "report"]}
+    path = tmp_path / "speedup.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(path)]) == 0
+    report = (tmp_path / "o" / "speedup_report.txt").read_text()
+    assert "fit skipped: power-law prefactor" in report
+    capsys.readouterr()
+    rc = cli.main(["fit", str(tmp_path / "o" / "speedup_trajectory.csv"),
+                   "--column", "phi_1", "--window", "1e3:1010",
+                   "--mode", "envelope", "--period", "1"])
+    assert rc == 1
+    assert "[1000.0, 1010.0]" in capsys.readouterr().err
