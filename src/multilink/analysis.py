@@ -44,7 +44,7 @@ class FixedPoint:
     """One straight-line equilibrium of the angle system.
 
     v_sign is the sign of the longitudinal velocity (velocity_angle 0 or pi);
-    theta_signs are the cosines (+-1) of the staggered angles, i.e. whether
+    theta_signs are the cosines (+-1) of the theta angles, i.e. whether
     each platform is aligned with or folded onto its predecessor.
     """
 
@@ -75,32 +75,26 @@ class Classification:
 def enumerate_fixed_points(n: int) -> list[FixedPoint]:
     """All 2^(n+1) straight-line equilibria, angles reported in [0, 2pi).
 
-    The relative angles are recovered from the staggered ones by exact
-    integer back-substitution (the chart change is integer unimodular), so
-    every entry is exactly 0.0 or pi.
+    The relative angles are recovered from the theta angles in units of pi,
+    where the integer unimodular chart change is exact on the small integers
+    held in floats, so every entry is exactly 0.0 or pi.
     """
     if n < 0:
         raise ValueError("link count must be >= 0")
-    points = []
-    for pattern in itertools.product((1, -1), repeat=n + 1):
-        v_sign = pattern[0]
-        theta_signs = np.array(pattern[1:], dtype=int)
-        theta_units = (1 - theta_signs) // 2  # 0 or 1 units of pi
-        phi_units = np.empty(n, dtype=np.int64)
-        acc = 0
-        for i in range(n):
-            s = 1 if i % 2 == 0 else -1
-            phi_units[i] = s * (theta_units[i] - acc)
-            acc += 2 * s * phi_units[i]
-        phi_units %= 2
-        points.append(FixedPoint(
-            v_sign=v_sign,
-            theta_signs=theta_signs,
-            velocity_angle=0.0 if v_sign > 0 else math.pi,
-            theta=theta_units * math.pi,
-            phi=phi_units * math.pi,
-        ))
-    return points
+    patterns = np.array(list(itertools.product((1, -1), repeat=n + 1)),
+                        dtype=int).reshape(-1, n + 1)
+    theta_signs = patterns[:, 1:]
+    theta_units = (1 - theta_signs) // 2  # 0 or 1 units of pi
+    phi_units = phi_from_theta(theta_units) % 2
+    return [FixedPoint(
+        v_sign=v_sign,
+        theta_signs=signs,
+        velocity_angle=0.0 if v_sign > 0 else math.pi,
+        theta=theta,
+        phi=phi,
+    ) for v_sign, signs, theta, phi in zip(
+        patterns[:, 0].tolist(), theta_signs, theta_units * math.pi,
+        phi_units * math.pi)]
 
 
 def linearization_matrix(fp: FixedPoint, p: VehicleParams,
@@ -158,7 +152,7 @@ class AsymptoticPrediction:
     """Late-time envelopes of the rotor-driven accelerating trajectory.
 
     v1 grows as v1_coeff * t^(1/3) where v1_coeff = cube_rate^(1/3);
-    |omega| is enveloped by omega_coeff * t^(-1/3); the staggered and
+    |omega| is enveloped by omega_coeff * t^(-1/3); the theta and
     relative angles are enveloped by theta_coeffs / phi_coeffs times
     t^(-2/3).  Envelope coefficients use the rotor's peak momentum rate.
     """
@@ -219,7 +213,7 @@ class FiniteInertiaPrediction:
         drive = b <kdot^2> / m,
 
     with offset fixed by one anchor point (t, v1) of a trajectory.  The
-    staggered trailer angles follow omega through the linearized
+    theta angles of the trailers follow omega through the linearized
     lower-triangular system (i Omega + v1/c_i) Theta_i
     = -2 v1 sum_{j<i} Theta_j/c_j - W, W the complex omega amplitude; the
     relative angles follow by the exact integer phi <- theta map.
@@ -276,7 +270,7 @@ class FiniteInertiaPrediction:
                                         self.inertia_frequency)
 
     def _theta_response(self, t) -> np.ndarray:
-        """Complex staggered-angle amplitudes, shape t.shape + (N,)."""
+        """Complex theta-angle amplitudes, shape t.shape + (N,)."""
         v1 = self.v1(t)
         w = -self.max_rate / (self.static_moment * v1
                               + 1j * self.inertia_frequency)
@@ -289,15 +283,14 @@ class FiniteInertiaPrediction:
         return theta
 
     def theta_amplitudes(self, t) -> np.ndarray:
-        """Staggered-angle amplitudes, shape t.shape + (N,)."""
+        """Theta-angle amplitudes, shape t.shape + (N,)."""
         return np.abs(self._theta_response(t))
 
     def phi_amplitudes(self, t) -> np.ndarray:
         """Relative-angle amplitudes, shape t.shape + (N,)."""
         # phi_from_theta is linear with integer coefficients: its images of
         # the unit vectors give the exact matrix of the back-substitution
-        n = self.c.size
-        back = np.array([phi_from_theta(e) for e in np.eye(n)]).reshape(n, n)
+        back = phi_from_theta(np.eye(self.c.size))
         return np.abs(self._theta_response(t) @ back)
 
 

@@ -4,7 +4,6 @@ reconstruction, and nonholonomic constraint residuals.
 State conventions (all plain float64 arrays):
 
 * reduced chart:      y = [v1, omega, phi_1 .. phi_N]
-* staggered chart:    y = [v1, omega, theta_1 .. theta_N]
 * full chart:         y = [v1, omega, phi..., x, y, psi]
 * angle system:       y = [velocity_angle, phi...]   (rescaled time)
 * manifold flow:      y = [phi...]                   (rescaled time)
@@ -30,6 +29,7 @@ from .model import (
     angle_coeffs,
     shape_terms,
     theta_from_phi,
+    zero_rotor,
 )
 
 
@@ -68,16 +68,18 @@ class PoseState:
         return np.array([self.x, self.y, self.psi])
 
 
-# --- core derivative kernels -------------------------------------------------
+# --- core derivative kernel ---------------------------------------------------
 #
-# The reduced kernels run in scalar arithmetic on lists of floats, the
-# stepper's representation (see the integrator module): they sit inside its
-# innermost loop, where numpy overhead on length-N vectors dominates for the
-# small N of interest.  The angle recurrences match model.theta_from_phi up to
-# roundoff; a unit test keeps them consistent with model.angle_coeffs.
+# The kernel runs in scalar arithmetic on lists of floats, the stepper's
+# representation (see the integrator module): it sits inside its innermost
+# loop, where numpy overhead on length-N vectors dominates for the small N of
+# interest.  Its angle recurrence is the scalar form of model.theta_from_phi
+# (equal up to roundoff); a unit test keeps it consistent with
+# model.angle_coeffs.  Every vector field of the package is this kernel: the
+# reduced and full charts, and the manifold flow as its omega = 0 slice.
 
 
-def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, staggered, pose):
+def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose):
     v1 = y[0]
     om = y[1]
     n = len(c)
@@ -89,22 +91,16 @@ def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, staggered, pose):
     d_ang = []
     s = 1.0
     for ang, ci, mui in zip(y[2:n + 2], c, mu):
-        if staggered:
-            th = ang
-        else:
-            alt = s * ang
-            th = alt + acc
-            acc += 2.0 * alt
+        alt = s * ang
+        th = alt + acc
+        acc += 2.0 * alt
         sin_t = math.sin(th)
         w = sin_t / ci
         mu_sc = mui * sin_t * math.cos(th)
         m_eff += mui * sin_t * sin_t
         quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
         quad_cross += mu_sc
-        if staggered:
-            d_ang.append(-v1 * (w + 2.0 * accw) - om)
-        else:
-            d_ang.append(-s * (v1 * w) - om)
+        d_ang.append(-s * (v1 * w) - om)
         accw += w
         s = -s
     if not m_eff > 0.0:
@@ -121,61 +117,49 @@ def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, staggered, pose):
     return out
 
 
-def reduced_rhs_phi(t, y, p: VehicleParams, d: DerivedParams,
-                    rotor: RotorProfile) -> np.ndarray:
-    """Time derivative of [v1, omega, phi...] (relative-angle chart)."""
-    return np.array(make_reduced_rhs(p, d, rotor)(
-        t, np.asarray(y, dtype=float).tolist()))
+def _bind_kernel(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
+                 pose: bool):
+    c, mu = p.c.tolist(), d.coupling.tolist()
+    mass, inertia, b = d.mass, d.inertia, d.static_moment
+    rate = rotor.rate
 
+    def rhs(t, y):
+        return _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose)
 
-def reduced_rhs_theta(t, y, p: VehicleParams, d: DerivedParams,
-                      rotor: RotorProfile) -> np.ndarray:
-    """Time derivative of [v1, omega, theta...] (staggered-angle chart)."""
-    return np.array(make_theta_rhs(p, d, rotor)(
-        t, np.asarray(y, dtype=float).tolist()))
-
-
-def pose_rhs(pose, v1: float, omega: float) -> np.ndarray:
-    """Planar kinematics: (dx, dy, dpsi) = (v1 cos psi, v1 sin psi, omega)."""
-    psi = pose.psi if isinstance(pose, PoseState) else float(np.asarray(pose)[2])
-    return np.array([v1 * math.cos(psi), v1 * math.sin(psi), omega])
+    return rhs
 
 
 def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
     """Vector field over [v1, omega, phi...] for the stepper: a list of
     floats in, a list out."""
-    c, mu = p.c.tolist(), d.coupling.tolist()
-    mass, inertia, b = d.mass, d.inertia, d.static_moment
-    rate = rotor.rate
-
-    def rhs(t, y):
-        return _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, False, False)
-
-    return rhs
-
-
-def make_theta_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
-    """Vector field over [v1, omega, theta...] for the stepper: a list of
-    floats in, a list out."""
-    c, mu = p.c.tolist(), d.coupling.tolist()
-    mass, inertia, b = d.mass, d.inertia, d.static_moment
-    rate = rotor.rate
-
-    def rhs(t, y):
-        return _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, True, False)
-
-    return rhs
+    return _bind_kernel(p, d, rotor, False)
 
 
 def make_full_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
     """Vector field over [v1, omega, phi..., x, y, psi]: a list of floats
-    in, a list out."""
-    c, mu = p.c.tolist(), d.coupling.tolist()
-    mass, inertia, b = d.mass, d.inertia, d.static_moment
-    rate = rotor.rate
+    in, a list out.  The last three rates are the planar kinematics
+    (v1 cos psi, v1 sin psi, omega)."""
+    return _bind_kernel(p, d, rotor, True)
 
-    def rhs(t, y):
-        return _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, False, True)
+
+def make_manifold_rhs(p: VehicleParams, sign: int):
+    """Rescaled-time flow of the trailer angles on the invariant manifold
+    where the sleigh runs straight: the kernel's angle rates at v1 = sign,
+    omega = 0, i.e. -sign (-1)^(i+1) sin(theta_i) / c_i.  sign=+1 gives the
+    forward manifold, -1 the backward one (the two flows are time reversals
+    of each other).  A list of floats in, a list out."""
+    if sign not in (1, -1):
+        raise ValueError("manifold sign must be +1 or -1")
+    c = p.c.tolist()
+    # The couplings do not enter the angle rates; with none, the discarded
+    # velocity rates cannot raise DegenerateShapeError.
+    free = [0.0] * len(c)
+    v1 = float(sign)
+    rest = zero_rotor().rate
+
+    def rhs(tau, phi):
+        return _reduced_deriv(tau, [v1, 0.0, *phi], c, free, 1.0, 1.0, 0.0,
+                              rest, False)[2:]
 
     return rhs
 
@@ -205,7 +189,6 @@ class AngleSystemState:
     @classmethod
     def from_velocities(cls, v1, omega, phi, p: VehicleParams,
                         d: DerivedParams) -> "AngleSystemState":
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
         m_eff, _, _ = angle_coeffs_at_phi(phi, p, d)
         h = 0.5 * (m_eff * v1 * v1 + d.inertia * omega * omega)
         ang = math.atan2(omega * math.sqrt(d.inertia), v1 * math.sqrt(m_eff))
@@ -226,50 +209,22 @@ def angle_coeffs_at_phi(phi, p: VehicleParams, d: DerivedParams):
     return angle_coeffs(theta_from_phi(phi), d, p.c)
 
 
-def angle_system_rhs(tau, y, p: VehicleParams, d: DerivedParams) -> np.ndarray:
-    """Rescaled-time derivative of [velocity_angle, phi...] on a fixed energy
-    level.  The velocity-angle equation decouples; the energy value itself
-    never enters."""
-    return make_angle_system_rhs(p, d)(tau, np.asarray(y, dtype=float))
-
-
 def make_angle_system_rhs(p: VehicleParams, d: DerivedParams):
+    """Rescaled-time vector field over [velocity_angle, phi...] on a fixed
+    energy level.  The velocity-angle equation decouples; the energy value
+    itself never enters."""
     c, mu = p.c, d.coupling
     mass, inertia, b = d.mass, d.inertia, d.static_moment
     signs = alternating_signs(p.n_links)
 
     def rhs(tau, y):
         ang = y[0]
-        phi = y[1:]
-        alt = signs * phi
-        theta = 2.0 * np.cumsum(alt) - alt
-        _, w, m_eff, _, _ = shape_terms(theta, c, mu, mass)
+        _, w, m_eff, _, _ = shape_terms(theta_from_phi(y[1:]), c, mu, mass)
         sin_a = math.sin(ang)
         out = np.empty_like(y)
         out[0] = -(b / inertia) * sin_a
         out[1:] = -signs * w * math.cos(ang) - math.sqrt(m_eff / inertia) * sin_a
         return out
-
-    return rhs
-
-
-def manifold_rhs(tau, phi, sign: int, p: VehicleParams) -> np.ndarray:
-    """Rescaled-time flow of the trailer angles on the invariant manifold
-    where the sleigh runs straight; sign=+1 for the forward manifold, -1 for
-    the backward one (the two flows are time reversals of each other)."""
-    return make_manifold_rhs(p, sign)(tau, np.asarray(phi, dtype=float))
-
-
-def make_manifold_rhs(p: VehicleParams, sign: int):
-    if sign not in (1, -1):
-        raise ValueError("manifold sign must be +1 or -1")
-    c = p.c
-    signs = alternating_signs(p.n_links)
-
-    def rhs(tau, phi):
-        alt = signs * phi
-        theta = 2.0 * np.cumsum(alt) - alt
-        return (-sign) * signs * (np.sin(theta) / c)
 
     return rhs
 
@@ -287,8 +242,8 @@ def energy(state: ReducedState | np.ndarray, p: VehicleParams,
 
 
 def angle_rates(v1: float, omega: float, phi, p: VehicleParams) -> np.ndarray:
-    """dphi/dt of the reduced system (needs only the hinge distances)."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    """dphi/dt of the reduced system (needs only the hinge distances).  For a
+    (S, N) block of phi, pass v1 and omega as (S, 1) columns."""
     signs = alternating_signs(p.n_links)
     theta = theta_from_phi(phi)
     return -signs * (v1 * np.sin(theta) / p.c) - omega
@@ -299,21 +254,21 @@ def residuals_from_rates(psi, phi, xdot, ydot, psidot, phidot, c) -> np.ndarray:
 
     Entry 0 is the lateral sleigh-contact velocity; entry i is the lateral
     velocity of trailer wheel pair i.  Both vanish identically on motions of
-    the reduced system.
+    the reduced system.  Inputs may carry a leading sample axis (psi, xdot,
+    ydot, psidot of shape (S,), phi and phidot of shape (S, N)); the result
+    then has shape (S, N+1), else N+1.
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    phidot = np.atleast_1d(np.asarray(phidot, dtype=float))
-    c = np.asarray(c, dtype=float)
-    n = phi.size
-    res = np.empty(n + 1)
-    res[0] = -xdot * math.sin(psi) + ydot * math.cos(psi)
+    phi = np.asarray(phi, dtype=float)
+    rate = np.asarray(psidot, dtype=float)[..., None] + phidot  # psidot + phidot_j
+    n = phi.shape[-1]
+    res = np.empty(phi.shape[:-1] + (n + 1,))
+    res[..., 0] = -xdot * np.sin(psi) + ydot * np.cos(psi)
     for i in range(n):
-        head = psi + phi[i]
-        r = -xdot * math.sin(head) + ydot * math.cos(head)
+        head = psi + phi[..., i]
+        r = -xdot * np.sin(head) + ydot * np.cos(head) - c[i] * rate[..., i]
         for j in range(i):
-            r -= 2.0 * c[j] * (psidot + phidot[j]) * math.cos(phi[i] - phi[j])
-        r -= c[i] * (psidot + phidot[i])
-        res[i + 1] = r
+            r -= 2.0 * c[j] * rate[..., j] * np.cos(phi[..., i] - phi[..., j])
+        res[..., i + 1] = r
     return res
 
 
@@ -388,11 +343,7 @@ class Trajectory:
 
 def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndarray:
     """Vectorized energy integral over sample arrays."""
-    phi = np.atleast_2d(phi)
-    signs = alternating_signs(p.n_links)
-    alt = signs * phi
-    theta = 2.0 * np.cumsum(alt, axis=1) - alt
-    s = np.sin(theta)
+    s = np.sin(theta_from_phi(np.atleast_2d(phi)))
     m_eff = d.mass + (s * s) @ d.coupling
     return 0.5 * (m_eff * v1 * v1 + d.inertia * omega * omega)
 
@@ -401,31 +352,14 @@ def residual_max_series(v1, omega, phi, psi, p: VehicleParams,
                         block: int = 65536) -> np.ndarray:
     """Vectorized max |constraint residual| over sample arrays."""
     phi = np.atleast_2d(phi)
-    n_samples, n = phi.shape
-    out = np.empty(n_samples)
-    signs = alternating_signs(n)
-    c = p.c
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        ph = phi[lo:hi]
-        v = v1[lo:hi]
-        om = omega[lo:hi]
-        ps = psi[lo:hi]
-        alt = signs * ph
-        theta = 2.0 * np.cumsum(alt, axis=1) - alt
-        phid = -signs * (v[:, None] * np.sin(theta) / c) - om[:, None]
-        xd = v * np.cos(ps)
-        yd = v * np.sin(ps)
-        res = np.empty((hi - lo, n + 1))
-        res[:, 0] = -xd * np.sin(ps) + yd * np.cos(ps)
-        rate = om[:, None] + phid  # psidot + phidot_j
-        for i in range(n):
-            head = ps + ph[:, i]
-            r = -xd * np.sin(head) + yd * np.cos(head) - c[i] * rate[:, i]
-            for j in range(i):
-                r -= 2.0 * c[j] * rate[:, j] * np.cos(ph[:, i] - ph[:, j])
-            res[:, i + 1] = r
-        out[lo:hi] = np.max(np.abs(res), axis=1)
+    out = np.empty(phi.shape[0])
+    for lo in range(0, phi.shape[0], block):
+        rows = slice(lo, lo + block)
+        v, om, ps = v1[rows], omega[rows], psi[rows]
+        phid = angle_rates(v[:, None], om[:, None], phi[rows], p)
+        res = residuals_from_rates(ps, phi[rows], v * np.cos(ps),
+                                   v * np.sin(ps), om, phid, p.c)
+        out[rows] = np.max(np.abs(res), axis=1)
     return out
 
 

@@ -87,10 +87,15 @@ class IntegratorOptions:
         if self.method not in (METHOD_RK45, METHOD_RK4):
             raise ValueError(f"unknown method {self.method!r}; "
                              f"use {METHOD_RK45!r} or {METHOD_RK4!r}")
+        # a NaN would pass a failing comparison: a NaN t_end ends the run
+        # after 0 steps, a NaN h0 is rejected and shrunk forever
+        for name in ("t_end", "rtol", "atol", "h0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if self.h0 <= 0 or self.h0 > self.hmax:
-            raise ValueError("need 0 < h0 <= hmax")
+        if not 0 < self.h0 <= self.hmax:  # also rejects hmax = NaN
+            raise ValueError(f"need 0 < h0 <= hmax, got {self.h0} and {self.hmax}")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.sample_stride < 1:

@@ -4,7 +4,7 @@
 The vehicle is a leading platform ("sleigh", index 0) with a knife-edge
 wheel pair, towing N trailer platforms coupled by frictionless vertical
 hinges.  Everything downstream (dynamics, analysis) is written in terms of
-the reduced constants produced by :func:`derive_params` and the staggered
+the reduced constants produced by :func:`derive_params` and the theta
 angle coordinates produced by :func:`theta_from_phi`.
 """
 
@@ -61,6 +61,10 @@ class VehicleParams:
         if a.shape != (n,) or c.shape != (n,):
             raise InvalidParameterError(
                 f"trailer arrays must have length {n}: got a={a.size}, c={c.size}")
+        for name, values in (("masses", masses), ("inertias", inertias),
+                             ("a0", [self.a0]), ("a", a), ("c", c)):
+            if not all(map(math.isfinite, values)):
+                raise InvalidParameterError(f"{name} must be finite, got {values}")
         if np.any(masses <= 0):
             raise InvalidParameterError("all platform masses must be positive")
         if np.any(inertias < 0):
@@ -126,40 +130,30 @@ def zero_coupling_inertias(masses, a, c) -> np.ndarray:
     return masses * a * (2.0 * c - a)
 
 
-# --- staggered angle coordinates -------------------------------------------
+# --- theta angle coordinates -----------------------------------------------
 #
 # theta_i = (-1)^(i+1) phi_i + 2 sum_{j<i} (-1)^(j+1) phi_j  (1-based i).
 # The map is an integer unimodular lower-triangular matrix, so it is exactly
-# invertible.
-
-
-def chain_matrix(n: int) -> np.ndarray:
-    """Integer matrix of the phi -> theta change (lower triangular,
-    determinant +-1)."""
-    b = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        b[i, i] = (-1) ** i
-        for j in range(i):
-            b[i, j] = 2 * (-1) ** j
-    return b
+# invertible.  Both directions act along the last axis, so one state and a
+# (samples, N) block go through the same code.
 
 
 def theta_from_phi(phi) -> np.ndarray:
-    """Map relative platform angles to staggered angle coordinates."""
-    phi = np.asarray(phi, dtype=float)
-    alt = alternating_signs(phi.size) * phi
-    return 2.0 * np.cumsum(alt) - alt
+    """Map relative platform angles to theta angle coordinates."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    alt = alternating_signs(phi.shape[-1]) * phi
+    return 2.0 * np.cumsum(alt, axis=-1) - alt
 
 
 def phi_from_theta(theta) -> np.ndarray:
     """Exact inverse of :func:`theta_from_phi` (forward substitution)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.empty_like(theta)
-    acc = 0.0  # running 2 * sum_{j<i} (-1)^(j+1) phi_j
-    for i in range(theta.size):
+    acc = np.zeros(theta.shape[:-1])  # 2 * sum_{j<i} (-1)^(j+1) phi_j
+    for i in range(theta.shape[-1]):
         s = 1.0 if i % 2 == 0 else -1.0
-        phi[i] = s * (theta[i] - acc)
-        acc += 2.0 * s * phi[i]
+        phi[..., i] = s * (theta[..., i] - acc)
+        acc += 2.0 * s * phi[..., i]
     return phi
 
 
@@ -246,8 +240,10 @@ class RotorProfile:
 
 def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
     """Rotor momentum k(t) = amplitude * sin(2 pi t / period)."""
-    if period <= 0:
-        raise InvalidParameterError("rotor period must be positive")
+    if not math.isfinite(amplitude):
+        raise InvalidParameterError(f"rotor amplitude {amplitude} is not finite")
+    if not (period > 0 and math.isfinite(period)):
+        raise InvalidParameterError(f"rotor period {period} is not positive and finite")
     freq = 2.0 * math.pi / period
 
     def k(t: float) -> float:

@@ -20,6 +20,7 @@ from .dynamics import (
     Trajectory,
     angle_coeffs_at_phi,
     attachment_positions,
+    energy,
     make_manifold_rhs,
     residual_max_series,
     simulate,
@@ -196,7 +197,7 @@ def _run_speedup(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     traj = simulate(p, d, rotor, cfg.initial, cfg.pose, cfg.integrator)
     window = (DEFAULT_FIT_WINDOW[0],
               min(DEFAULT_FIT_WINDOW[1], cfg.integrator.t_end))
-    report, summary = speedup_report(traj, pred, rotor.period, window)
+    report, summary = speedup_report(traj, pred, p, d, rotor, window)
     pieces = {
         "speedup_velocities.svg": _series_plot(traj, pred),
         "speedup_angles.svg": _angles_plot(traj, pred),
@@ -207,15 +208,18 @@ def _run_speedup(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     return ScenarioResult("speedup", out_dir, tuple(files), summary)
 
 
-def speedup_report(traj: Trajectory, pred, period: float,
+def speedup_report(traj: Trajectory, pred, p, d, rotor,
                    window) -> tuple[str, str]:
     """Fit the speedup power laws on a trajectory and compare with the
-    predicted asymptotics."""
+    predicted asymptotics, stating where the finite-inertia law puts the
+    crossover into the asymptotic regime."""
+    period = rotor.period
     lines = ["speedup asymptotics report",
              "==========================",
              f"cube growth rate of v1: {pred.cube_rate:.6g} "
              f"(mean squared momentum rate {pred.mean_sq_rate:.6g})",
-             f"fit window: [{window[0]:g}, {window[1]:g}]", ""]
+             f"fit window: [{window[0]:g}, {window[1]:g}]",
+             _crossover_line(traj, p, d, rotor, window), ""]
 
     def one(name, fit, exp_expect, coeff_expect):
         lines.append(f"{name}: exponent {fit.exponent:+.4f} "
@@ -244,6 +248,25 @@ def speedup_report(traj: Trajectory, pred, period: float,
         "speedup run finished; fits not available"
     lines += ["", summary, ""]
     return "\n".join(lines), summary
+
+
+def _crossover_line(traj: Trajectory, p, d, rotor, window) -> str:
+    """Crossover time b v1 = J Omega of the finite-inertia law anchored on
+    the last sample at or before the window start."""
+    k = int(np.searchsorted(traj.times, window[0], side="right")) - 1
+    try:
+        law = analysis.finite_inertia_prediction(
+            p, d, rotor, float(traj.times[k]), float(traj.v1[k]))
+    except ValueError as e:
+        return f"crossover time not available: {e}"
+    if window[1] < law.crossover_time:
+        where = ('the window ends before it, so the "predicted" values are '
+                 "the t -> inf limit, not what this window should show")
+    else:
+        where = "the window ends after it"
+    return (f"crossover time (b v1 = J Omega) by the finite-inertia law "
+            f"anchored at t={traj.times[k]:g}: {law.crossover_time:.4g}; "
+            + where)
 
 
 def _run_manifold(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
@@ -279,20 +302,17 @@ def manifold_trajectory(times, phi_states, cfg: ScenarioConfig, p, d,
     contact point advances by +-1 per unit of rescaled time along the fixed
     heading.
     """
-    n = p.n_links
-    h = 0.5 * (angle_coeffs_at_phi(cfg.initial.phi, p, d)[0]
-               * cfg.initial.v1 ** 2 + d.inertia * cfg.initial.omega ** 2)
+    h = energy(cfg.initial, p, d)
     m_eff = np.array([angle_coeffs_at_phi(ph, p, d)[0] for ph in phi_states])
     v1 = float(sign) * np.sqrt(2.0 * h / m_eff)
     omega = np.zeros_like(v1)
     psi = np.full_like(v1, cfg.pose.psi)
     x = cfg.pose.x + float(sign) * times * math.cos(cfg.pose.psi)
     y = cfg.pose.y + float(sign) * times * math.sin(cfg.pose.psi)
-    energy = np.full_like(v1, h)
     resid = residual_max_series(v1, omega, phi_states, psi, p)
     k = np.zeros_like(v1)
     return Trajectory(times, v1, omega, phi_states.copy(), x, y, psi,
-                      energy, resid, k)
+                      np.full_like(v1, h), resid, k)
 
 
 def _portrait_svg(cfg: ScenarioConfig, p) -> str:

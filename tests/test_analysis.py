@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilink.analysis import (
     DegenerateSpectrumError,
@@ -56,6 +58,19 @@ def test_enumerate_distinct_angles():
         assert set(np.unique(fp.phi)) <= {0.0, math.pi}
         # relative and staggered angles describe the same configuration
         assert wrapped_distance(theta_from_phi(fp.phi), fp.theta) < 1e-12
+
+
+@settings(max_examples=11, deadline=None, derandomize=True)
+@given(st.integers(0, 10))
+def test_enumerate_census_property(n):
+    pts = enumerate_fixed_points(n)
+    assert len({(fp.v_sign, tuple(fp.phi)) for fp in pts}) == 2 ** (n + 1)
+    phi = np.array([fp.phi for fp in pts]).reshape(len(pts), n)
+    theta = np.array([fp.theta for fp in pts]).reshape(len(pts), n)
+    assert np.all((phi == 0.0) | (phi == math.pi))
+    # theta_from_phi(fp.phi) = fp.theta (mod 2 pi), on the whole block at once
+    gap = np.abs(theta_from_phi(phi) - theta) % (2.0 * math.pi)
+    assert np.all(np.minimum(gap, 2.0 * math.pi - gap) < 1e-12)
 
 
 def test_linearization_reference_eigenvalues(reference_vehicle,

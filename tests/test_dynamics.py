@@ -9,19 +9,14 @@ from multilink.dynamics import (
     ReducedState,
     angle_coeffs_at_phi,
     angle_rates,
-    angle_system_rhs,
     attachment_positions,
     constraint_residuals,
     energy,
     energy_series,
     make_angle_system_rhs,
+    make_full_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
-    make_theta_rhs,
-    manifold_rhs,
-    pose_rhs,
-    reduced_rhs_phi,
-    reduced_rhs_theta,
     residual_max_series,
     residuals_from_rates,
     simulate,
@@ -29,13 +24,36 @@ from multilink.dynamics import (
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
     VehicleParams,
-    chain_matrix,
     derive_params,
     random_vehicle,
     sine_rotor,
     theta_from_phi,
     zero_rotor,
 )
+
+
+def scalar_residuals(psi, phi, xdot, ydot, psidot, phidot, c):
+    """Wheel-constraint residuals of one state by an explicit double loop
+    (scalar oracle for the vectorized residuals_from_rates)."""
+    n = len(phi)
+    res = np.empty(n + 1)
+    res[0] = -xdot * math.sin(psi) + ydot * math.cos(psi)
+    for i in range(n):
+        head = psi + phi[i]
+        r = -xdot * math.sin(head) + ydot * math.cos(head)
+        for j in range(i):
+            r -= 2.0 * c[j] * (psidot + phidot[j]) * math.cos(phi[i] - phi[j])
+        r -= c[i] * (psidot + phidot[i])
+        res[i + 1] = r
+    return res
+
+
+def scalar_constraint_residuals(pose, state, p):
+    """constraint_residuals through the scalar oracle."""
+    phidot = angle_rates(state.v1, state.omega, state.phi, p)
+    return scalar_residuals(pose.psi, state.phi, state.v1 * math.cos(pose.psi),
+                            state.v1 * math.sin(pose.psi), state.omega, phidot,
+                            p.c)
 
 
 def brute_force_rhs(t, y, p, d, rotor):
@@ -64,9 +82,9 @@ def brute_force_rhs(t, y, p, d, rotor):
 
 def test_reduced_rhs_equilibrium(reference_vehicle, reference_derived):
     y = np.array([1.0, 0.0, 0.0, 0.0])
-    dy = reduced_rhs_phi(0.0, y, reference_vehicle, reference_derived,
-                         zero_rotor())
-    assert np.all(dy == 0.0)
+    dy = make_reduced_rhs(reference_vehicle, reference_derived,
+                          zero_rotor())(0.0, y.tolist())
+    assert np.all(np.array(dy) == 0.0)
 
 
 def test_reduced_rhs_decoupled_case():
@@ -79,8 +97,7 @@ def test_reduced_rhs_decoupled_case():
                       inertias=[1.5, *zero_coupling_inertias(m, a, c)],
                       a0=0.7, a=a, c=c)
     d = derive_params(p)
-    dy = reduced_rhs_phi(0.0, np.array([0.0, 1.0, 0.4, -0.2]), p, d,
-                         zero_rotor())
+    dy = make_reduced_rhs(p, d, zero_rotor())(0.0, [0.0, 1.0, 0.4, -0.2])
     assert dy[0] == pytest.approx(d.static_moment / d.mass, abs=1e-15)
     assert dy[1] == 0.0
 
@@ -94,8 +111,8 @@ def test_reduced_rhs_independent_oracle(reference_vehicle, reference_derived):
                for _ in range(100)]
     for t in (0.0, 0.37):
         for y in states:
-            mine = reduced_rhs_phi(t, y, reference_vehicle,
-                                   reference_derived, rotor)
+            mine = np.array(make_reduced_rhs(
+                reference_vehicle, reference_derived, rotor)(t, y.tolist()))
             ref = brute_force_rhs(t, y, reference_vehicle,
                                   reference_derived, rotor)
             assert mine == pytest.approx(ref, abs=1e-12)
@@ -109,47 +126,34 @@ def test_reduced_rhs_oracle_other_sizes():
         d = derive_params(p)
         for _ in range(20):
             y = np.concatenate((rng.normal(0, 2, 2), rng.uniform(-3, 3, n)))
-            assert reduced_rhs_phi(0.9, y, p, d, rotor) == pytest.approx(
-                brute_force_rhs(0.9, y, p, d, rotor), abs=1e-12)
-
-
-def test_theta_chart_consistency(reference_vehicle, reference_derived):
-    # staggered-chart angle rates equal the chain matrix applied to the
-    # relative-angle rates
-    rotor = sine_rotor(0.05, 1.0)
-    b = chain_matrix(2)
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        y = np.concatenate((rng.normal(0, 2, 2), rng.uniform(-3, 3, 2)))
-        dy = reduced_rhs_phi(0.2, y, reference_vehicle, reference_derived,
-                             rotor)
-        y_th = np.concatenate((y[:2], theta_from_phi(y[2:])))
-        dy_th = reduced_rhs_theta(0.2, y_th, reference_vehicle,
-                                  reference_derived, rotor)
-        assert dy_th[:2] == pytest.approx(dy[:2], abs=1e-12)
-        assert dy_th[2:] == pytest.approx(b @ dy[2:], abs=1e-12)
-
-
-def test_theta_chart_trivial(reference_vehicle, reference_derived):
-    dy = reduced_rhs_theta(0.0, np.array([2.0, 0.0, 0.0, 0.0]),
-                           reference_vehicle, reference_derived, zero_rotor())
-    assert np.all(dy[2:] == 0.0)
+            mine = np.array(make_reduced_rhs(p, d, rotor)(0.9, y.tolist()))
+            assert mine == pytest.approx(brute_force_rhs(0.9, y, p, d, rotor),
+                                         abs=1e-12)
 
 
 def test_theta_chart_single_link():
+    # for one link theta_1 = phi_1, so the phi chart gives the theta rate
     p = VehicleParams(masses=[1.0, 1.0], inertias=[1.0, 1.0], a0=0.5,
                       a=[0.2], c=[1.3])
     d = derive_params(p)
     v1, om, th = 1.7, -0.4, 0.8
-    dy = reduced_rhs_theta(0.0, np.array([v1, om, th]), p, d, zero_rotor())
+    dy = make_reduced_rhs(p, d, zero_rotor())(0.0, [v1, om, th])
     assert dy[2] == pytest.approx(-(v1 / 1.3) * math.sin(th) - om, abs=1e-14)
 
 
-def test_pose_rhs():
-    assert pose_rhs(PoseState(0, 0, math.pi / 2), 2.0, 0.3) == pytest.approx(
+def test_pose_rhs(reference_vehicle, reference_derived):
+    # the last three rates of the full chart are the planar kinematics
+    # (v1 cos psi, v1 sin psi, omega)
+    rhs = make_full_rhs(reference_vehicle, reference_derived, zero_rotor())
+
+    def pose_rates(pose, v1, omega):
+        return np.array(rhs(0.0, [v1, omega, 0.3, -0.4,
+                                  pose.x, pose.y, pose.psi])[-3:])
+
+    assert pose_rates(PoseState(0, 0, math.pi / 2), 2.0, 0.3) == pytest.approx(
         [0.0, 2.0, 0.3], abs=1e-15)
-    assert np.all(pose_rhs(PoseState(1, 2, 0.7), 0.0, 0.0) == 0.0)
-    assert pose_rhs(PoseState(0, 0, 0.0), 1.0, 0.0) == pytest.approx(
+    assert np.all(pose_rates(PoseState(1, 2, 0.7), 0.0, 0.0) == 0.0)
+    assert pose_rates(PoseState(0, 0, 0.0), 1.0, 0.0) == pytest.approx(
         [1.0, 0.0, 0.0], abs=0)
 
 
@@ -227,8 +231,8 @@ def test_energy_conservation_random_params():
 
 def test_angle_system_fixed_points(reference_vehicle, reference_derived):
     for ang in (0.0, math.pi):
-        dy = angle_system_rhs(0.0, np.array([ang, 0.0, 0.0]),
-                              reference_vehicle, reference_derived)
+        dy = make_angle_system_rhs(reference_vehicle, reference_derived)(
+            0.0, [ang, 0.0, 0.0])
         assert abs(dy[0]) < 1e-15
 
 
@@ -239,7 +243,8 @@ def test_angle_system_formula(reference_vehicle, reference_derived):
         ang = float(rng.uniform(0, 2 * math.pi))
         phi = rng.uniform(-3, 3, 2)
         y = np.concatenate(([ang], phi))
-        dy = angle_system_rhs(0.0, y, reference_vehicle, reference_derived)
+        dy = make_angle_system_rhs(reference_vehicle, reference_derived)(
+            0.0, y.tolist())
         d = reference_derived
         theta = theta_from_phi(phi)
         m_eff = d.mass + float(d.coupling @ np.sin(theta) ** 2)
@@ -270,8 +275,9 @@ def test_manifold_fixed_points():
     p = VehicleParams(masses=[1, 1, 1], inertias=[1, 1, 1], a0=0.5,
                       a=[0.1, 0.1], c=[1.0, 1.5])
     for sign in (1, -1):
-        assert np.all(manifold_rhs(0.0, np.zeros(2), sign, p) == 0.0)
-        dy = manifold_rhs(0.0, np.array([math.pi, math.pi]), sign, p)
+        rhs = make_manifold_rhs(p, sign)
+        assert np.all(np.array(rhs(0.0, [0.0, 0.0])) == 0.0)
+        dy = rhs(0.0, [math.pi, math.pi])
         assert np.max(np.abs(dy)) < 1e-15
 
 
@@ -281,8 +287,8 @@ def test_manifold_time_reversal():
     rng = np.random.default_rng(15)
     for _ in range(100):
         phi = rng.uniform(-math.pi, math.pi, 2)
-        fwd = manifold_rhs(0.0, phi, 1, p)
-        bwd = manifold_rhs(0.0, phi, -1, p)
+        fwd = np.array(make_manifold_rhs(p, 1)(0.0, phi.tolist()))
+        bwd = np.array(make_manifold_rhs(p, -1)(0.0, phi.tolist()))
         assert np.all(fwd == -bwd)
 
 
@@ -290,23 +296,6 @@ def test_manifold_sign_validation():
     p = VehicleParams(masses=[1, 1], inertias=[1, 1], a0=0.5, a=[0.1], c=[1.0])
     with pytest.raises(ValueError):
         make_manifold_rhs(p, 0)
-
-
-def test_chart_equivalence_trajectories(reference_vehicle, reference_derived):
-    # the two charts integrate to the same motion: map phi-chart samples
-    # through the angle change and compare against a theta-chart run
-    rotor = sine_rotor(0.05, 1.0)
-    y0 = np.array([1.5, 0.3, 0.4, -0.8])
-    t_eval = np.linspace(0.0, 50.0, 2501)
-    opts = IntegratorOptions(t_end=50.0, rtol=1e-10, atol=1e-12)
-    sol_phi = integrate(make_reduced_rhs(reference_vehicle, reference_derived,
-                                         rotor), y0, opts, t_eval=t_eval)
-    y0_th = np.concatenate((y0[:2], theta_from_phi(y0[2:])))
-    sol_th = integrate(make_theta_rhs(reference_vehicle, reference_derived,
-                                      rotor), y0_th, opts, t_eval=t_eval)
-    mapped = np.array([np.concatenate((s[:2], theta_from_phi(s[2:])))
-                       for s in sol_phi.states])
-    assert np.max(np.abs(mapped - sol_th.states)) < 1e-8
 
 
 def test_velocity_angle_monotone(reference_vehicle, reference_derived):
@@ -332,9 +321,9 @@ def test_residual_series_matches_scalar(reference_vehicle, reference_derived):
     psi = rng.uniform(-4, 4, 40)
     series = residual_max_series(v1, om, phi, psi, reference_vehicle)
     for i in range(40):
-        res = constraint_residuals(PoseState(0, 0, psi[i]),
-                                   ReducedState(v1[i], om[i], phi[i]),
-                                   reference_vehicle)
+        res = scalar_constraint_residuals(PoseState(0, 0, psi[i]),
+                                          ReducedState(v1[i], om[i], phi[i]),
+                                          reference_vehicle)
         assert series[i] == pytest.approx(np.max(np.abs(res)), abs=1e-13)
 
 
@@ -371,7 +360,7 @@ def test_energy_and_residuals_many_links(n):
         state = ReducedState(v1[i], om[i], phi[i])
         assert energy(state, p, d) == pytest.approx(expected, rel=1e-12)
         assert series[i] == pytest.approx(expected, rel=1e-12)
-        scalar = constraint_residuals(PoseState(0, 0, psi[i]), state, p)
+        scalar = scalar_constraint_residuals(PoseState(0, 0, psi[i]), state, p)
         assert scalar.size == n + 1
         assert residuals[i] == pytest.approx(np.max(np.abs(scalar)), abs=1e-13)
     assert np.max(residuals) < 1e-11

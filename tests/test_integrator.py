@@ -155,6 +155,28 @@ def test_options_validation():
         IntegratorOptions(t_end=1.0, sample_stride=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("t_end", dict(t_end=NAN)),
+    ("t_end", dict(t_end=INF)),
+    ("rtol", dict(t_end=1.0, rtol=NAN)),
+    ("atol", dict(t_end=1.0, atol=INF)),
+    ("h0", dict(t_end=1.0, h0=NAN)),
+    ("h0", dict(t_end=1.0, h0=INF)),
+    ("hmax", dict(t_end=1.0, hmax=NAN)),
+])
+def test_options_reject_non_finite(field, kwargs):
+    # raised at construction: with h0 = NaN, integrate would never return
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        IntegratorOptions(**kwargs)
+
+
+def test_options_default_hmax_unbounded():
+    assert IntegratorOptions(t_end=1.0).hmax == INF
+
+
 def test_scalar_rhs_accepts_lists():
     sol = integrate(lambda t, y: [-y[0]], 1.0,
                     IntegratorOptions(t_end=1.0, rtol=1e-10, atol=1e-12))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multilink.model import (
     DegenerateShapeError,
@@ -9,7 +12,6 @@ from multilink.model import (
     InvalidParameterError,
     VehicleParams,
     angle_coeffs,
-    chain_matrix,
     derive_params,
     phi_from_theta,
     random_vehicle,
@@ -65,6 +67,27 @@ def test_invalid_params_rejected(kwargs):
                          for k, v in kwargs.items()})
 
 
+@pytest.mark.parametrize("field", ["masses", "inertias", "a0", "a", "c"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_params_rejected(field, bad):
+    kwargs = dict(masses=[1.0, 1.2], inertias=[1.5, 2.0], a0=0.7, a=[0.1],
+                  c=[1.05])
+    kwargs[field] = bad if field == "a0" else [*kwargs[field][:-1], bad]
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+        VehicleParams(**kwargs)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((float("nan"),), "amplitude"),
+    ((float("inf"),), "amplitude"),
+    ((1.0, float("nan")), "period"),
+    ((1.0, float("inf")), "period"),
+])
+def test_sine_rotor_rejects_non_finite(args, field):
+    with pytest.raises(InvalidParameterError, match=rf"\b{field}\b"):
+        sine_rotor(*args)
+
+
 def test_theta_map_examples():
     assert theta_from_phi([0.5, 0.5]) == pytest.approx([0.5, 0.5], abs=0)
     assert np.all(theta_from_phi(np.zeros(4)) == 0.0)
@@ -72,10 +95,22 @@ def test_theta_map_examples():
     assert theta_from_phi([1.0, 1.0, 1.0]) == pytest.approx([1.0, 1.0, 1.0], abs=0)
 
 
+def chain_matrix(n: int) -> np.ndarray:
+    """Integer matrix of the phi -> theta change, entry by entry from its
+    definition (oracle for theta_from_phi)."""
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        b[i, i] = (-1) ** i
+        for j in range(i):
+            b[i, j] = 2 * (-1) ** j
+    return b
+
+
 def test_chain_matrix_unimodular():
     for n in range(1, 13):
-        b = chain_matrix(n)
-        assert b.dtype == np.int64
+        # columns: the images of the unit vectors
+        b = theta_from_phi(np.eye(n)).T
+        assert np.all(b == chain_matrix(n))
         assert np.all(np.triu(b, 1) == 0)
         # triangular determinant: product of the +-1 diagonal
         det = int(np.prod(np.diag(b)))
@@ -220,3 +255,33 @@ def test_phi_theta_round_trip_many_links(n):
     theta = theta_from_phi(phi)
     assert theta == pytest.approx(chain_matrix(n) @ phi, abs=1e-12)
     assert phi_from_theta(theta) == pytest.approx(phi, abs=1e-12)
+
+
+# --- properties of the two angle maps ------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+# 1-d angle vectors or (samples, N) blocks, N = 0..12
+ANGLE_BLOCKS = st.one_of(
+    st.integers(0, 12).map(lambda n: (n,)),
+    st.tuples(st.integers(1, 8), st.integers(0, 12)),
+).flatmap(lambda shape: arrays(float, shape,
+                               elements=st.floats(-math.pi, math.pi)))
+
+
+@PROPERTY
+@given(ANGLE_BLOCKS)
+def test_phi_theta_round_trip_property(phi):
+    theta = theta_from_phi(phi)
+    assert theta.shape == phi.shape
+    assert phi_from_theta(theta) == pytest.approx(phi, abs=1e-12)
+    assert theta_from_phi(phi_from_theta(phi)) == pytest.approx(phi, abs=1e-12)
+
+
+@PROPERTY
+@given(ANGLE_BLOCKS)
+def test_theta_block_rows_bit_equal(phi):
+    block = np.atleast_2d(phi)
+    theta, back = theta_from_phi(block), phi_from_theta(block)
+    for k, row in enumerate(block):
+        assert theta[k].tobytes() == theta_from_phi(row).tobytes()
+        assert back[k].tobytes() == phi_from_theta(row).tobytes()

@@ -145,6 +145,10 @@ def test_speedup_report_and_fit(tmp_path):
     assert "v1 (raw): exponent" in report
     assert "omega (envelope)" in report
     assert "phi_2 (envelope)" in report
+    # the strong rotor passes b v1 = J Omega long before the window ends
+    assert "crossover time (b v1 = J Omega) by the finite-inertia law " \
+        "anchored at t=" in report
+    assert "the window ends after it" in report
     names = {os.path.basename(f) for f in res.files}
     assert "speedup_velocities.svg" in names and "speedup_paths.svg" in names
 
@@ -256,6 +260,9 @@ def test_fit_overflow_is_handled(tmp_path, capsys):
     assert cli.main(["simulate", str(path)]) == 0
     report = (tmp_path / "o" / "speedup_report.txt").read_text()
     assert "fit skipped: power-law prefactor" in report
+    # the pinned rotor's crossover (t ~ 1.8e5) lies far past this window
+    assert 'the window ends before it, so the "predicted" values are the ' \
+        "t -> inf limit, not what this window should show" in report
     capsys.readouterr()
     rc = cli.main(["fit", str(tmp_path / "o" / "speedup_trajectory.csv"),
                    "--column", "phi_1", "--window", "1e3:1010",
