@@ -105,6 +105,15 @@ class DerivedParams:
         coupling = np.atleast_1d(np.asarray(self.coupling, dtype=float))
         coupling.flags.writeable = False
         object.__setattr__(self, "coupling", coupling)
+        # a NaN passes every comparison below silently
+        for name in ("mass", "inertia", "static_moment"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        for i, value in enumerate(coupling.tolist()):
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"coupling[{i}] must be finite, got {value}")
         if self.mass <= 0 or self.inertia <= 0:
             raise InvalidParameterError("total mass and sleigh inertia must be positive")
         if self.static_moment < 0:

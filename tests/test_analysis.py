@@ -22,7 +22,7 @@ from multilink.analysis import (
     wrapped_distance,
 )
 from multilink.dynamics import make_angle_system_rhs, make_reduced_rhs
-from multilink.integrator import IntegratorOptions, integrate
+from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
 from multilink.model import (
     VehicleParams,
     derive_params,
@@ -220,8 +220,8 @@ def test_finite_inertia_law_matches_pinned_run(reference_vehicle,
     rotor = sine_rotor(0.05, 1.0)
     sol = integrate(make_reduced_rhs(p, d, rotor),
                     np.array([10.0, 1.0, 0.5, 0.5]),
-                    IntegratorOptions(t_end=300.0, rtol=1e-8, atol=1e-8,
-                                      sample_stride=2))
+                    IntegratorOptions(t_end=300.0, method=METHOD_RK45,
+                                      rtol=1e-8, atol=1e-8, sample_stride=2))
     t, s = sol.times, sol.states
     k = int(np.flatnonzero(t <= 100.0)[-1])
     law = finite_inertia_prediction(p, d, rotor, float(t[k]), float(s[k, 0]))

@@ -30,10 +30,27 @@ def test_minimal_inertial_config():
     # defaults
     assert cfg.integrator.rtol == 1e-10
     assert cfg.integrator.atol == 1e-12
-    assert cfg.integrator.method == "adaptive-rk45"
+    assert cfg.integrator.method == "adaptive-dop853"
     assert cfg.outputs.directory == "out"
     assert set(cfg.outputs.formats) == {"csv", "svg", "report"}
     assert cfg.pose.x == 0.0 and cfg.pose.psi == 0.0
+
+
+@pytest.mark.parametrize("scenario, extra, method", [
+    ("inertial", {}, "adaptive-dop853"),
+    ("manifold", {"sign": "plus"}, "adaptive-dop853"),
+    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}},
+     "adaptive-rk45"),
+])
+def test_default_method_per_scenario(scenario, extra, method):
+    # the speedup scenario's envelope fits need the 5(4) pair's denser steps
+    cfg = parse_config(cfg_text(scenario=scenario, **extra))
+    assert cfg.integrator.method == method
+    # an explicit method wins
+    for explicit in ("adaptive-dop853", "adaptive-rk45", "fixed-rk4"):
+        cfg = parse_config(cfg_text(scenario=scenario, **extra, integrator={
+            "t_end": 1.0, "method": explicit}))
+        assert cfg.integrator.method == explicit
 
 
 def test_speedup_requires_rotor():

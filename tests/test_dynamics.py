@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilink.dynamics import (
     AngleSystemState,
@@ -364,3 +366,31 @@ def test_energy_and_residuals_many_links(n):
         assert scalar.size == n + 1
         assert residuals[i] == pytest.approx(np.max(np.abs(scalar)), abs=1e-13)
     assert np.max(residuals) < 1e-11
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       v1=st.floats(0.3, 2.0), forward=st.booleans(),
+       omega=st.floats(-1.5, 1.5),
+       phi=st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8))
+def test_invariants_of_random_vehicles_on_default_method(n, seed, v1, forward,
+                                                         omega, phi):
+    # criteria 1 and 2 over the parameter space: a random vehicle coasting
+    # from a random state, on the default integrator options
+    p = random_vehicle(np.random.default_rng(seed), n)
+    d = derive_params(p)
+    state = ReducedState(v1 if forward else -v1, omega, np.array(phi[:n]))
+    # the equations are homogeneous of degree two in the velocities, so
+    # scaling them to an energy bound of 1.5 on the angle rates only
+    # rescales time, and keeps every run short
+    h = energy(state, p, d)
+    m_low = d.mass + float(np.sum(np.minimum(d.coupling, 0.0)))
+    bound = (math.sqrt(2.0 * h / m_low) / float(np.min(p.c))
+             + math.sqrt(2.0 * h / d.inertia))
+    scale = 1.5 / bound
+    state = ReducedState(state.v1 * scale, state.omega * scale, state.phi)
+    opts = IntegratorOptions(t_end=20.0)
+    traj = simulate(p, d, zero_rotor(), state, PoseState(), opts)
+    e = traj.energy
+    assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-7
+    assert np.max(traj.residual_max) < 1e-10

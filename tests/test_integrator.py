@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from multilink import integrator
 from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import (
+    METHOD_DOP853,
     METHOD_RK4,
+    METHOD_RK45,
     DivergenceError,
     IntegratorOptions,
     StepUnderflowError,
@@ -183,21 +186,32 @@ def test_scalar_rhs_accepts_lists():
     assert sol.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
-@pytest.mark.parametrize("stage", [2, 3, 4, 5, 6, 7])
-def test_nan_in_one_stage_and_component_rejects(stage):
-    # After the initial evaluation every attempt makes six calls, stages 2-7
-    # (stage 1 is the previous stage 7).  The NaN sits in the last component
-    # only, and that component ignores the state, so the NaN reaches the step
-    # only through the stage it is returned at.
+# right-hand-side calls per attempted step of each adaptive pair
+CALLS_PER_ATTEMPT = {METHOD_RK45: 6, METHOD_DOP853: 12}
+
+
+@pytest.mark.parametrize("method, stage", [
+    *(pytest.param(METHOD_RK45, s, id=str(s)) for s in range(2, 8)),
+    *(pytest.param(METHOD_DOP853, s, id=f"dop853-{s}") for s in range(2, 14)),
+])
+def test_nan_in_one_stage_and_component_rejects(method, stage):
+    # After the initial evaluation every attempt makes one call per stage
+    # from stage 2 on (stage 1 is the previous step's last stage): 2-7 for
+    # the 5(4) pair, 2-13 for the 8(5,3) pair, whose stages 2-5 and 13 have
+    # zero error weight.  The NaN sits in the last component only, and that
+    # component ignores the state, so the NaN reaches the step only through
+    # the stage it is returned at.
     calls = itertools.count()
+    per_attempt = CALLS_PER_ATTEMPT[method]
 
     def rhs(t, y):
         k = next(calls)
-        last = math.nan if k > 0 and (k - 1) % 6 == stage - 2 else 1.0
-        return [-y[0], -y[1], last]
+        nan_here = k > 0 and (k - 1) % per_attempt == stage - 2
+        return [-y[0], -y[1], math.nan if nan_here else 1.0]
 
     with pytest.raises(DivergenceError) as info:
-        integrate(rhs, [1.0, 2.0, 0.0], IntegratorOptions(t_end=1.0))
+        integrate(rhs, [1.0, 2.0, 0.0],
+                  IntegratorOptions(t_end=1.0, method=method))
     assert info.value.time == 0.0
 
 
@@ -223,3 +237,64 @@ def test_rhs_contract():
     assert sol.states[-1] == pytest.approx([math.exp(-1.0), 0.5], rel=1e-9)
     with pytest.raises(ValueError, match="2 values"):
         integrate(lambda t, y: [0.0], [1.0, 2.0], IntegratorOptions(t_end=1.0))
+
+
+def test_default_method_is_dop853():
+    assert IntegratorOptions(t_end=1.0).method == METHOD_DOP853
+    assert set(integrator.METHODS) == {METHOD_DOP853, METHOD_RK45, METHOD_RK4}
+
+
+@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_DOP853])
+def test_adaptive_pairs_closed_form(method):
+    t_eval = np.linspace(0.0, 3.0, 7)
+    opts = IntegratorOptions(t_end=3.0, method=method, rtol=1e-10, atol=1e-12)
+    sol = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
+    assert np.array_equal(sol.times, t_eval)
+    exact = [decay_exact(math.pi / 2, t) for t in t_eval]
+    assert np.max(np.abs(sol.states[:, 0] - exact)) < 1e-9
+    again = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
+    assert np.array_equal(again.states, sol.states)
+    assert sol.n_evals == 1 + CALLS_PER_ATTEMPT[method] * (
+        sol.n_accepted + sol.n_rejected)
+
+
+def test_dop853_takes_fewer_steps_at_tight_tolerance(reference_vehicle,
+                                                     reference_derived):
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
+                           sine_rotor(0.05, 1.0))
+    y0 = [10.0, 1.0, 0.5, 0.5]
+    sols = {m: integrate(rhs, y0, IntegratorOptions(t_end=10.0, method=m,
+                                                     rtol=1e-10, atol=1e-12))
+            for m in (METHOD_RK45, METHOD_DOP853)}
+    assert sols[METHOD_DOP853].n_evals < sols[METHOD_RK45].n_evals / 2
+    diff = sols[METHOD_DOP853].states[-1] - sols[METHOD_RK45].states[-1]
+    assert np.max(np.abs(diff)) < 1e-8
+
+
+def test_dop853_coefficients_match_scipy():
+    # scipy is an oracle here only; the program never imports it
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = 12  # stages; stage 13 is the derivative at the new point
+    assert integrator._DOP853_C == tuple(ref.C[:n + 1].tolist())
+    assert len(integrator._DOP853_A) == n
+    for i, row in enumerate(integrator._DOP853_A):
+        assert row == tuple(ref.A[i, :i].tolist())
+        assert not ref.A[i, i:].any()
+    assert integrator._DOP853_B == tuple(ref.B.tolist())
+    assert integrator._DOP853_E5 == tuple(ref.E5.tolist())
+    assert integrator._DOP853_E3 == tuple(ref.E3.tolist())
+
+
+def test_dop853_order_conditions():
+    c = np.array(integrator._DOP853_C[:12])
+    b = np.array(integrator._DOP853_B)
+    for i, row in enumerate(integrator._DOP853_A):
+        assert math.fsum(row) == pytest.approx(c[i], abs=1e-14)
+    # quadrature conditions up to order 8, and not beyond
+    for k in range(8):
+        assert b @ c ** k == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0)
+    assert abs(b @ c ** 8 - 1.0 / 9) > 1e-6
+    # both error estimates vanish on a constant derivative
+    assert math.fsum(integrator._DOP853_E5) == pytest.approx(0.0, abs=1e-15)
+    assert math.fsum(integrator._DOP853_E3) == pytest.approx(0.0, abs=1e-15)
+    assert integrator._DOP853_C[12] == 1.0

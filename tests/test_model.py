@@ -77,6 +77,20 @@ def test_non_finite_params_rejected(field, bad):
         VehicleParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["mass", "inertia", "static_moment",
+                                   "coupling"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_derived_params_reject_non_finite(field, bad):
+    kwargs = dict(mass=3.4, inertia=1.99, static_moment=0.7,
+                  coupling=[1.6, 1.26])
+    if field == "coupling":
+        kwargs[field], field = [1.6, bad], r"coupling\[1\]"
+    else:
+        kwargs[field] = bad
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+        DerivedParams(**kwargs)
+
+
 @pytest.mark.parametrize("args, field", [
     ((float("nan"),), "amplitude"),
     ((float("inf"),), "amplitude"),

@@ -1,12 +1,18 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
+import pytest
 
 from multilink import cli
 from multilink.config import parse_config
+from multilink.dynamics import angle_coeffs_at_phi, energy
+from multilink.model import DegenerateShapeError, DerivedParams, derive_params
 from multilink.scenarios import (
     csv_header,
+    manifold_trajectory,
     read_trajectory_csv,
     run_scenario,
     write_trajectory_csv,
@@ -151,6 +157,42 @@ def test_speedup_report_and_fit(tmp_path):
     assert "the window ends after it" in report
     names = {os.path.basename(f) for f in res.files}
     assert "speedup_velocities.svg" in names and "speedup_paths.svg" in names
+    # the scenario's default method, and how densely its samples cover a
+    # rotor period in the window [1e3, 2000]
+    line = re.search(r"^sampling: adaptive-rk45, (\S+) samples per rotor "
+                     r"period in the fit window, so a per-period maximum can "
+                     r"read up to (\S+)% below the peak \(1 - cos\(pi/n\)\)$",
+                     report, re.M)
+    assert line, report
+    t = read_trajectory_csv(str(tmp_path / "o" / "speedup_trajectory.csv"))["t"]
+    n = np.count_nonzero((t >= 1e3) & (t <= 2000.0)) / 1000.0
+    assert float(line[1]) == pytest.approx(n, rel=1e-3)
+    assert float(line[2]) == pytest.approx(
+        100.0 * (1.0 - math.cos(math.pi / n)), rel=1e-2)
+
+
+def test_manifold_m_eff_block_matches_loop():
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "manifold.json")
+    with open(shipped) as f:
+        cfg = parse_config(f.read())
+    p = cfg.vehicle
+    d = derive_params(p)
+    phis = np.random.default_rng(7).uniform(-4.0, 4.0, (200, p.n_links))
+    times = np.linspace(0.0, 1.0, 200)
+    traj = manifold_trajectory(times, phis, cfg, p, d, 1)
+    m_eff = np.array([angle_coeffs_at_phi(ph, p, d)[0] for ph in phis])
+    h = energy(cfg.initial, p, d)
+    assert traj.v1 == pytest.approx(np.sqrt(2.0 * h / m_eff), rel=1e-15)
+    # a hand-built coupling that makes m_eff vanish at theta_1 = pi/2 but not
+    # at the initial state (theta_1 near pi)
+    bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                        coupling=[-2.0, 0.0])
+    phis[17] = [math.pi / 2, 0.0]
+    with pytest.raises(DegenerateShapeError):
+        angle_coeffs_at_phi(phis[17], p, bad)
+    with pytest.raises(DegenerateShapeError):
+        manifold_trajectory(times, phis, cfg, p, bad, 1)
 
 
 def test_speedup_short_run_skips_fit(tmp_path):
