@@ -440,15 +440,6 @@ def averaged_law_check(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
     return AveragedLawReport(substitution_residual, ode_error, final_ratio)
 
 
-def to_rescaled(v1, omega, times, period: float):
-    """Slow-chart series (p, q, phase) = (1/v1, omega/v1, t mod period);
-    defined only where v1 != 0."""
-    v1 = np.asarray(v1, dtype=float)
-    if np.any(v1 == 0.0):
-        raise ValueError("rescaled chart undefined where v1 == 0")
-    return 1.0 / v1, np.asarray(omega) / v1, np.mod(times, period)
-
-
 def wrap_angles(x) -> np.ndarray:
     """Wrap angles to (-pi, pi]."""
     x = np.asarray(x, dtype=float)

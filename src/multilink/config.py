@@ -64,7 +64,6 @@ class ScenarioConfig:
     scenario: str
     vehicle: VehicleParams
     rotor: RotorProfile | None
-    rotor_spec: dict | None
     initial: ReducedState
     pose: PoseState
     integrator: IntegratorOptions
@@ -137,7 +136,7 @@ def _parse_vehicle(block) -> VehicleParams:
         raise ConfigError(f"invalid 'vehicle' block: {e}") from e
 
 
-def _parse_rotor(block) -> tuple[RotorProfile, dict]:
+def _parse_rotor(block) -> RotorProfile:
     if not isinstance(block, dict):
         raise ConfigError("'rotor' must be an object")
     _check_keys(block, ("kind", "amplitude", "period"), "'rotor'")
@@ -149,9 +148,10 @@ def _parse_rotor(block) -> tuple[RotorProfile, dict]:
     period = _number(block, "period", "'rotor'", default=1.0)
     if period <= 0:
         raise ConfigError("'rotor.period' must be positive")
-    return sine_rotor(amplitude, period), {"kind": "sine",
-                                           "amplitude": amplitude,
-                                           "period": period}
+    try:
+        return sine_rotor(amplitude, period)
+    except InvalidParameterError as e:
+        raise ConfigError(f"invalid 'rotor' block: {e}") from e
 
 
 def _parse_initial(block, n: int) -> tuple[ReducedState, PoseState]:
@@ -239,9 +239,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing required field 'integrator'")
     integrator = _parse_integrator(doc["integrator"], scenario)
 
-    rotor = rotor_spec = None
-    if "rotor" in doc:
-        rotor, rotor_spec = _parse_rotor(doc["rotor"])
+    rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else None
     if scenario == "speedup" and rotor is None:
         raise ConfigError("scenario 'speedup' requires a 'rotor' block")
 
@@ -254,10 +252,13 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"'sign' must be 'plus' or 'minus', "
                               f"got {doc['sign']!r}")
         sign = 1 if doc["sign"] == "plus" else -1
+        if vehicle.n_links == 0:
+            raise ConfigError("scenario 'manifold' needs at least one trailer "
+                              "platform: 'vehicle' has N = 0")
     elif "sign" in doc:
         raise ConfigError("'sign' is only valid for scenario 'manifold'")
 
     initial, pose = _parse_initial(doc.get("initial", {}), vehicle.n_links)
     outputs = _parse_outputs(doc.get("outputs", {}))
-    return ScenarioConfig(scenario, vehicle, rotor, rotor_spec, initial, pose,
-                          integrator, outputs, sign)
+    return ScenarioConfig(scenario, vehicle, rotor, initial, pose, integrator,
+                          outputs, sign)

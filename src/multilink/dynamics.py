@@ -50,11 +50,6 @@ class ReducedState:
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.v1, self.omega], self.phi))
 
-    @classmethod
-    def from_array(cls, y) -> "ReducedState":
-        y = np.asarray(y, dtype=float)
-        return cls(float(y[0]), float(y[1]), y[2:].copy())
-
 
 @dataclass(frozen=True)
 class PoseState:
@@ -311,8 +306,6 @@ class Trajectory:
     """Dense record of a reduced + pose simulation.
 
     Column arrays all share the sample count; `phi` has shape (n, N).
-    `energy`, `residual_max` and `rotor_momentum` are filled when the run is
-    made with diagnostics enabled, else None.
     """
 
     times: np.ndarray
@@ -322,9 +315,9 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     psi: np.ndarray
-    energy: np.ndarray | None = None
-    residual_max: np.ndarray | None = None
-    rotor_momentum: np.ndarray | None = None
+    energy: np.ndarray
+    residual_max: np.ndarray
+    rotor_momentum: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -333,9 +326,6 @@ class Trajectory:
     @property
     def n_links(self) -> int:
         return self.phi.shape[1]
-
-    def state_at(self, i: int) -> ReducedState:
-        return ReducedState(float(self.v1[i]), float(self.omega[i]), self.phi[i])
 
     def pose_at(self, i: int) -> PoseState:
         return PoseState(float(self.x[i]), float(self.y[i]), float(self.psi[i]))
@@ -365,18 +355,17 @@ def residual_max_series(v1, omega, phi, psi, p: VehicleParams,
 
 def simulate(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
              initial: ReducedState, pose: PoseState, opts: IntegratorOptions,
-             t_eval=None, diagnostics: bool = True) -> Trajectory:
+             t_eval=None) -> Trajectory:
     """Integrate the reduced system together with the planar pose and collect
     per-sample diagnostics."""
     n = p.n_links
     y0 = np.concatenate((initial.as_array(), pose.as_array()))
     sol = integrate(make_full_rhs(p, d, rotor), y0, opts, t_eval=t_eval)
-    return trajectory_from_solution(sol, n, p, d, rotor, diagnostics)
+    return trajectory_from_solution(sol, n, p, d, rotor)
 
 
 def trajectory_from_solution(sol: Solution, n_links: int, p: VehicleParams,
-                             d: DerivedParams, rotor: RotorProfile,
-                             diagnostics: bool = True) -> Trajectory:
+                             d: DerivedParams, rotor: RotorProfile) -> Trajectory:
     """Repackage a full-chart integrator solution as a Trajectory."""
     n = n_links
     v1 = sol.states[:, 0].copy()
@@ -385,9 +374,7 @@ def trajectory_from_solution(sol: Solution, n_links: int, p: VehicleParams,
     x = sol.states[:, n + 2].copy()
     y = sol.states[:, n + 3].copy()
     psi = sol.states[:, n + 4].copy()
-    e = r = k = None
-    if diagnostics:
-        e = energy_series(v1, omega, phi, p, d)
-        r = residual_max_series(v1, omega, phi, psi, p)
-        k = np.array([rotor.momentum(t) for t in sol.times])
+    e = energy_series(v1, omega, phi, p, d)
+    r = residual_max_series(v1, omega, phi, psi, p)
+    k = np.array([rotor.momentum(t) for t in sol.times])
     return Trajectory(sol.times, v1, omega, phi, x, y, psi, e, r, k)

@@ -8,24 +8,28 @@ pairs control the local error per step against atol + rtol * |y| (max-norm
 scale) and land exactly on requested output times by clamping the step, so
 emitted samples need no interpolation and runs are bit-reproducible.
 
+The adaptive steps are emitted from their tableaux, which are data, and
+compiled once at import (:func:`_emit_step`); linecache holds their source
+under ``<adaptive-rk45 step>`` and ``<adaptive-dop853 step>``, so tracebacks
+and ``inspect.getsource`` show the code that runs.  RK4 is written by hand.
+
 The default is the 8(5,3) pair (``adaptive-dop853``): at the tight
 tolerances of the energy and constraint checks it takes far fewer steps
-than the 5(4) pair (``adaptive-rk45``).  Its long steps also mean fewer
-samples: a few per rotor period at rtol = atol = 1e-8, too few for
-envelope fits that take per-period maxima of the samples, which is why
-the speedup scenario defaults to the 5(4) pair (see :mod:`multilink.config`).
+than the 5(4) pair (``adaptive-rk45``), the default of the speedup scenario
+for the reason given in :mod:`multilink.config`.
 
 Right-hand-side contract: ``rhs(t, y)`` receives the state as a list of
 floats, which it must not modify, and returns a sequence of floats of the
-same length.  The steppers hold the state and the stages as plain float
-lists: for the few components of this model, numpy's per-operation overhead
-on small arrays costs more than the arithmetic.  A list returned by the
-right-hand side is used as it is; anything else (an ndarray, a tuple) is
-converted with ``np.asarray(..., dtype=float).tolist()`` on every call.
+same length: a list is used as it is, anything else (an ndarray, a tuple)
+is converted with ``np.asarray(..., dtype=float).tolist()`` on every call.
+The steppers hold the state and the stages as plain float lists: for the
+few components of this model, numpy's per-operation overhead on small
+arrays costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -37,31 +41,22 @@ METHOD_RK45 = "adaptive-rk45"
 METHOD_RK4 = "fixed-rk4"
 METHODS = (METHOD_DOP853, METHOD_RK45, METHOD_RK4)
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# section II.5) as float constants: _Aij is row i, column j of the stage
-# matrix, _Bj the 5th-order propagation weights, _Ej the weights of the
-# embedded 4th-order difference used for error control.  Stage 7 is
-# evaluated at the new point, so it is the first stage of the next step
-# (FSAL); rows 6 and 7 share the abscissa 1.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                                      -17253 / 339200, 22 / 525, -1 / 40)
+# Tableaux of the adaptive pairs (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5 and II.10), bit-equal to scipy's RK45 and DOP853 (scipy's RK45.E has
+# the opposite sign).  Index i is stage i + 1: abscissae _C, stage matrix _A,
+# weights _B and error rows _E (_E5, _E3), which also weigh the FSAL stage.
+_RK45_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_RK45_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_RK45_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_RK45_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+           22 / 525, -1 / 40)
 
-# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# section II.10), to the last bit the values scipy's DOP853 uses.  Index i
-# holds stage i + 1: _DOP853_C the abscissae, _DOP853_A the rows of the stage
-# matrix, _DOP853_B the 8th-order propagation weights over stages 1-12, and
-# _DOP853_E5/_DOP853_E3 the weights of the 5th- and 3rd-order error
-# estimates over stages 1-12 and stage 13, the derivative at the new point,
-# which is the first stage of the next step (FSAL).  Stages 12 and 13 share
-# the abscissa 1.
 _DOP853_C = (
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
@@ -101,25 +96,6 @@ _DOP853_E3 = (
     -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
     -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
-# the step function spells out the non-zero entries: _Di_j is row i, column
-# j of the stage matrix; _Dcj, _Dbj, _D5ej and _D3ej the abscissa, the
-# propagation weight and the two error weights of stage j
-(_, _Dc2, _Dc3, _Dc4, _Dc5, _Dc6, _Dc7, _Dc8, _Dc9, _Dc10, _Dc11, _,
- _) = _DOP853_C
-(_, (_D2_1,), (_D3_1, _D3_2), (_D4_1, _, _D4_3), (_D5_1, _, _D5_3, _D5_4),
- (_D6_1, _, _, _D6_4, _D6_5), (_D7_1, _, _, _D7_4, _D7_5, _D7_6),
- (_D8_1, _, _, _D8_4, _D8_5, _D8_6, _D8_7),
- (_D9_1, _, _, _D9_4, _D9_5, _D9_6, _D9_7, _D9_8),
- (_D10_1, _, _, _D10_4, _D10_5, _D10_6, _D10_7, _D10_8, _D10_9),
- (_D11_1, _, _, _D11_4, _D11_5, _D11_6, _D11_7, _D11_8, _D11_9, _D11_10),
- (_D12_1, _, _, _D12_4, _D12_5, _D12_6, _D12_7, _D12_8, _D12_9, _D12_10,
-  _D12_11)) = _DOP853_A
-(_Db1, _, _, _, _, _Db6, _Db7, _Db8, _Db9, _Db10, _Db11, _Db12) = _DOP853_B
-(_D5e1, _, _, _, _, _D5e6, _D5e7, _D5e8, _D5e9, _D5e10, _D5e11, _D5e12,
- _) = _DOP853_E5
-(_D3e1, _, _, _, _, _D3e6, _D3e7, _D3e8, _D3e9, _D3e10, _D3e11, _D3e12,
- _) = _DOP853_E3
-del _
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -227,7 +203,11 @@ def _prepare(rhs, y0, opts, t0, t_eval):
     initial state as a list, the output times still ahead as a list (or
     None), the derivative at t0 and the sample buffer holding the first
     sample."""
+    if not (math.isfinite(t0) and t0 < opts.t_end):
+        raise ValueError(f"t0 must be finite and below t_end, got {t0}")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y0.ndim != 1 or y0.size == 0:
+        raise ValueError(f"y0 must be non-empty and 1-d, got shape {y0.shape}")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or t_eval.size == 0:
@@ -343,104 +323,70 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
 # where the method computes it (FSAL) and err the error norm of the step: at
 # most 1 to accept it, NaN or Inf when a stage or the new state is not
 # finite.  A stage that is NaN in a component the others do not depend on
-# still has to reach err, also where its error weight is zero.
+# still has to reach err, also a stage that no error row weighs.
 
-
-def _step_rk45(rhs, t, h, y, k1, atol, rtol):
-    k2 = rhs(t + _C2 * h, [a + h * (_A21 * p)
-                           for a, p in zip(y, k1)])
-    k3 = rhs(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
-                           for a, p, q in zip(y, k1, k2)])
-    k4 = rhs(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
-                           for a, p, q, r in zip(y, k1, k2, k3)])
-    k5 = rhs(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r
-                                    + _A54 * s)
-                           for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s
-                              + _A65 * u)
-                     for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-    # the 5th-order solution is also the stage-7 abscissa
-    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-             for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-
-    # per-component scale, as in standard embedded RK codes; the zero
-    # weight of stage 2 keeps a NaN there in the estimate
-    ratios = [abs(h * (_E1 * p + _E2 * q + _E3 * r + _E4 * s + _E5 * u
-                       + _E6 * v + _E7 * w))
-              / (atol + rtol * max(abs(a), abs(b)))
-              for a, b, p, q, r, s, u, v, w
-              in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)]
+_RK45_NORM = """\
+    ratios = [abs(h * ({terms0})) / (atol + rtol * max(abs(a), abs(b)))
+              for a, b, {vars0} in zip(y, y_new, {stages0})]
     # max() passes over a NaN that is not first; the sum keeps it
-    err = math.nan if math.isnan(sum(ratios)) else max(ratios)
-    return y_new, k7, err
-
-
-def _step_dop853(rhs, t, h, y, k1, atol, rtol):
-    k2 = rhs(t + _Dc2 * h, [a + h * (_D2_1 * s1) for a, s1 in zip(y, k1)])
-    k3 = rhs(t + _Dc3 * h, [a + h * (_D3_1 * s1 + _D3_2 * s2)
-                            for a, s1, s2 in zip(y, k1, k2)])
-    k4 = rhs(t + _Dc4 * h, [a + h * (_D4_1 * s1 + _D4_3 * s3)
-                            for a, s1, s3 in zip(y, k1, k3)])
-    k5 = rhs(t + _Dc5 * h, [a + h * (_D5_1 * s1 + _D5_3 * s3 + _D5_4 * s4)
-                            for a, s1, s3, s4 in zip(y, k1, k3, k4)])
-    k6 = rhs(t + _Dc6 * h, [a + h * (_D6_1 * s1 + _D6_4 * s4 + _D6_5 * s5)
-                            for a, s1, s4, s5 in zip(y, k1, k4, k5)])
-    k7 = rhs(t + _Dc7 * h, [a + h * (_D7_1 * s1 + _D7_4 * s4 + _D7_5 * s5
-                                     + _D7_6 * s6)
-                            for a, s1, s4, s5, s6 in zip(y, k1, k4, k5, k6)])
-    k8 = rhs(t + _Dc8 * h, [a + h * (_D8_1 * s1 + _D8_4 * s4 + _D8_5 * s5
-                                     + _D8_6 * s6 + _D8_7 * s7)
-                            for a, s1, s4, s5, s6, s7
-                            in zip(y, k1, k4, k5, k6, k7)])
-    k9 = rhs(t + _Dc9 * h, [a + h * (_D9_1 * s1 + _D9_4 * s4 + _D9_5 * s5
-                                     + _D9_6 * s6 + _D9_7 * s7 + _D9_8 * s8)
-                            for a, s1, s4, s5, s6, s7, s8
-                            in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = rhs(t + _Dc10 * h, [a + h * (_D10_1 * s1 + _D10_4 * s4
-                                       + _D10_5 * s5 + _D10_6 * s6
-                                       + _D10_7 * s7 + _D10_8 * s8
-                                       + _D10_9 * s9)
-                              for a, s1, s4, s5, s6, s7, s8, s9
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = rhs(t + _Dc11 * h, [a + h * (_D11_1 * s1 + _D11_4 * s4
-                                       + _D11_5 * s5 + _D11_6 * s6
-                                       + _D11_7 * s7 + _D11_8 * s8
-                                       + _D11_9 * s9 + _D11_10 * s10)
-                              for a, s1, s4, s5, s6, s7, s8, s9, s10
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = rhs(t + h, [a + h * (_D12_1 * s1 + _D12_4 * s4 + _D12_5 * s5
-                               + _D12_6 * s6 + _D12_7 * s7 + _D12_8 * s8
-                               + _D12_9 * s9 + _D12_10 * s10 + _D12_11 * s11)
-                      for a, s1, s4, s5, s6, s7, s8, s9, s10, s11
-                      in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    y_new = [a + h * (_Db1 * s1 + _Db6 * s6 + _Db7 * s7 + _Db8 * s8
-                      + _Db9 * s9 + _Db10 * s10 + _Db11 * s11 + _Db12 * s12)
-             for a, s1, s6, s7, s8, s9, s10, s11, s12
-             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-    k13 = rhs(t + h, y_new)
-
-    # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2) over the same
-    # per-component scale as the 5(4) pair
+    if math.isnan(sum(ratios)) or not math.isfinite({silent}):
+        return y_new, {last}, math.nan
+    return y_new, {last}, max(ratios)
+"""
+_DOP853_NORM = """\
+    # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2)
     scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-    err5 = [abs(_D5e1 * s1 + _D5e6 * s6 + _D5e7 * s7 + _D5e8 * s8
-                + _D5e9 * s9 + _D5e10 * s10 + _D5e11 * s11 + _D5e12 * s12) / sc
-            for sc, s1, s6, s7, s8, s9, s10, s11, s12
-            in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
-    err3 = [abs(_D3e1 * s1 + _D3e6 * s6 + _D3e7 * s7 + _D3e8 * s8
-                + _D3e9 * s9 + _D3e10 * s10 + _D3e11 * s11 + _D3e12 * s12) / sc
-            for sc, s1, s6, s7, s8, s9, s10, s11, s12
-            in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
-    # stages 2-5 and 13 have zero weight in both estimates, so they are
-    # checked on their own
-    if math.isnan(sum(err5)) or not math.isfinite(
-            sum(k2) + sum(k3) + sum(k4) + sum(k5) + sum(k13)):
-        return y_new, k13, math.nan
+    err5 = [abs({terms0}) / sc for sc, {vars0} in zip(scale, {stages0})]
+    err3 = [abs({terms1}) / sc for sc, {vars1} in zip(scale, {stages1})]
+    if math.isnan(sum(err5)) or not math.isfinite({silent}):
+        return y_new, {last}, math.nan
     e5 = max(err5)
     if e5 == 0.0:
-        return y_new, k13, 0.0
+        return y_new, {last}, 0.0
     e3 = max(err3)
-    return y_new, k13, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    return y_new, {last}, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+"""
+
+
+def _emit_step(method, c, a, b, rows, norm):
+    """Compile the step function of the pair (c, a, b) with error rows `rows`:
+    one list comprehension per stage over the non-zero coefficients of its
+    row, as float literals in tableau order, then the error norm `norm` over
+    {termsN}, the non-zero terms of error row N, {varsN} and {stagesN}, the
+    stage values and lists they use, {silent}, the sum of the stages no
+    error row weighs, and {last}, the last stage."""
+    def terms(coeffs):
+        used = [j for j, x in enumerate(coeffs, 1) if x != 0.0]
+        return (" + ".join(f"{coeffs[j - 1]!r} * s{j}" for j in used),
+                ", ".join(f"s{j}" for j in used),
+                ", ".join(f"k{j}" for j in used))
+
+    def increment(coeffs):
+        return "[a + h * ({}) for a, {} in zip(y, {})]".format(*terms(coeffs))
+
+    last = len(a) + 1
+    name = "_step_" + method.split("-")[1]
+    lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):"]
+    lines += [f"    k{i + 1} = rhs(t + {c[i]!r} * h, {increment(a[i])})"
+              for i in range(1, len(a))]
+    lines += [f"    y_new = {increment(b)}", f"    k{last} = rhs(t + h, y_new)"]
+    fields = {"last": f"k{last}", "silent": " + ".join(
+        f"sum(k{j})" for j in range(1, last + 1)
+        if not any(row[j - 1] for row in rows))}
+    for n, row in enumerate(rows):
+        fields.update(zip((f"terms{n}", f"vars{n}", f"stages{n}"), terms(row)))
+    source = "\n".join(lines) + "\n" + norm.format(**fields)
+    filename = f"<{method} step>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "math": math}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_step_rk45 = _emit_step(METHOD_RK45, _RK45_C, _RK45_A, _RK45_B, (_RK45_E,),
+                        _RK45_NORM)
+_step_dop853 = _emit_step(METHOD_DOP853, _DOP853_C, _DOP853_A, _DOP853_B,
+                          (_DOP853_E5, _DOP853_E3), _DOP853_NORM)
 
 
 def _step_rk4(rhs, t, h, y, f, atol, rtol):

@@ -254,6 +254,10 @@ def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
     if not (period > 0 and math.isfinite(period)):
         raise InvalidParameterError(f"rotor period {period} is not positive and finite")
     freq = 2.0 * math.pi / period
+    if not math.isfinite(abs(amplitude) * freq):
+        raise InvalidParameterError(
+            f"rotor amplitude {amplitude} and period {period} give a peak "
+            f"rate |amplitude| * 2 pi / period beyond the float range")
 
     def k(t: float) -> float:
         return amplitude * math.sin(freq * t)

@@ -50,10 +50,7 @@ def csv_header(n_links: int) -> str:
 
 def write_trajectory_csv(path: str, traj: Trajectory):
     n = traj.n_links
-    zeros = np.zeros(traj.n_samples)
-    energy = traj.energy if traj.energy is not None else zeros
-    resid = traj.residual_max if traj.residual_max is not None else zeros
-    k = traj.rotor_momentum if traj.rotor_momentum is not None else zeros
+    energy, resid, k = traj.energy, traj.residual_max, traj.rotor_momentum
     with open(path, "w", newline="\n") as f:
         f.write(csv_header(n) + "\n")
         for i in range(traj.n_samples):
@@ -145,9 +142,9 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | None = None,
 
 
 def _emit(cfg: ScenarioConfig, out_dir, pieces: dict[str, str],
-          traj: Trajectory | None):
+          traj: Trajectory):
     files = []
-    if traj is not None and "csv" in cfg.outputs.formats:
+    if "csv" in cfg.outputs.formats:
         path = os.path.join(out_dir, f"{cfg.scenario}_trajectory.csv")
         write_trajectory_csv(path, traj)
         files.append(path)

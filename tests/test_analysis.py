@@ -17,7 +17,6 @@ from multilink.analysis import (
     finite_inertia_prediction,
     fit_power_law,
     linearization_matrix,
-    to_rescaled,
     wrap_angles,
     wrapped_distance,
 )
@@ -354,17 +353,6 @@ def test_averaged_law_errors(reference_vehicle, reference_derived):
         averaged_law_check(reference_vehicle, reference_derived, zero_rotor())
 
 
-def test_to_rescaled():
-    t = np.array([0.0, 0.4, 1.3])
-    p, q, phase = to_rescaled(np.array([2.0, 4.0, 5.0]),
-                              np.array([0.2, 0.2, -1.0]), t, 1.0)
-    assert p == pytest.approx([0.5, 0.25, 0.2], abs=0)
-    assert q == pytest.approx([0.1, 0.05, -0.2], abs=1e-15)
-    assert phase == pytest.approx([0.0, 0.4, 0.3], abs=1e-12)
-    with pytest.raises(ValueError):
-        to_rescaled(np.array([0.0]), np.array([1.0]), np.array([0.0]), 1.0)
-
-
 def test_wrap_helpers():
     assert wrap_angles(math.pi) == pytest.approx(math.pi, abs=0)
     assert wrap_angles(-math.pi) == pytest.approx(math.pi, abs=1e-15)
@@ -477,9 +465,10 @@ def test_averaged_ratio_on_simulation(reference_vehicle, reference_derived,
 
     run = strong_rotor_run
     t, s = run["times"], run["states"]
+    zero = np.zeros_like(t)  # the pose and diagnostics go unread
     traj = Trajectory(times=t, v1=s[:, 0], omega=s[:, 1], phi=s[:, 2:],
-                      x=np.zeros_like(t), y=np.zeros_like(t),
-                      psi=np.zeros_like(t))
+                      x=zero, y=zero, psi=zero, energy=zero,
+                      residual_max=zero, rotor_momentum=zero)
     report = averaged_law_check(reference_vehicle, reference_derived,
                                 run["rotor"], trajectory=traj)
     assert report.final_ratio == pytest.approx(1.0, abs=0.1)

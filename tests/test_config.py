@@ -64,7 +64,7 @@ def test_speedup_with_rotor():
                                        "period": 1.0}))
     assert cfg.rotor is not None
     assert cfg.rotor.momentum(0.25) == pytest.approx(0.05, abs=1e-15)
-    assert cfg.rotor_spec["amplitude"] == 0.05
+    assert cfg.rotor.period == 1.0
 
 
 def test_array_length_mismatch_names_lengths():
@@ -197,3 +197,28 @@ def test_number_beyond_float_range_rejected():
     text = cfg_text().replace('"t_end": 100.0', '"t_end": 1' + "0" * 400)
     with pytest.raises(ConfigError, match="'t_end'.*float range"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("rotor", [
+    {"kind": "sine", "amplitude": 0.05, "period": 1e-308},
+    {"kind": "sine", "amplitude": 1e308},
+])
+def test_rotor_peak_rate_overflow_rejected(rotor):
+    # these used to end in "math domain error" or a non-finite right-hand side
+    with pytest.raises(ConfigError, match="'rotor'.*peak rate"):
+        parse_config(cfg_text(scenario="speedup", rotor=rotor))
+
+
+N0_VEHICLE = {"m": [1.0], "I": [1.5], "a0": 0.7, "a": [], "c": []}
+
+
+def test_manifold_needs_a_trailer():
+    with pytest.raises(ConfigError, match="manifold.*N = 0"):
+        parse_config(cfg_text(scenario="manifold", sign="plus",
+                              vehicle=N0_VEHICLE, initial={}))
+    # the sleigh alone runs inertial and speedup scenarios
+    for extra in ({"scenario": "inertial"},
+                  {"scenario": "speedup",
+                   "rotor": {"kind": "sine", "amplitude": 0.05}}):
+        cfg = parse_config(cfg_text(vehicle=N0_VEHICLE, initial={}, **extra))
+        assert cfg.vehicle.n_links == 0

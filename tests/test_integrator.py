@@ -298,3 +298,43 @@ def test_dop853_order_conditions():
     assert math.fsum(integrator._DOP853_E5) == pytest.approx(0.0, abs=1e-15)
     assert math.fsum(integrator._DOP853_E3) == pytest.approx(0.0, abs=1e-15)
     assert integrator._DOP853_C[12] == 1.0
+
+
+def test_rk45_coefficients_match_scipy():
+    # scipy's E is the 4th- minus the 5th-order weights, the opposite sign
+    ref = pytest.importorskip("scipy.integrate").RK45
+    assert integrator._RK45_C == tuple(ref.C.tolist())
+    assert len(integrator._RK45_A) == ref.n_stages
+    for i, row in enumerate(integrator._RK45_A):
+        assert row == tuple(ref.A[i, :i].tolist())
+        assert not ref.A[i, i:].any()
+    assert integrator._RK45_B == tuple(ref.B.tolist())
+    assert integrator._RK45_E == tuple((-ref.E).tolist())
+
+
+def test_rk45_order_conditions():
+    c = np.array(integrator._RK45_C)
+    b = np.array(integrator._RK45_B)
+    for i, row in enumerate(integrator._RK45_A):
+        assert math.fsum(row) == pytest.approx(c[i], abs=1e-15)
+    # quadrature conditions up to order 5, and not beyond
+    for k in range(5):
+        assert b @ c ** k == pytest.approx(1.0 / (k + 1), rel=1e-15, abs=0)
+    assert abs(b @ c ** 5 - 1.0 / 6) > 1e-6
+    # the error estimate vanishes on a constant derivative
+    assert math.fsum(integrator._RK45_E) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("t0", [5.0, 1.0, NAN, -INF])
+def test_unusable_start_time_rejected(t0):
+    # t0 = 5 used to return the initial sample after 0 steps, t0 = NaN two
+    # samples at t = NaN
+    with pytest.raises(ValueError, match=r"\bt0\b"):
+        integrate(lambda t, y: [0.0], [0.0], IntegratorOptions(t_end=1.0),
+                  t0=t0)
+
+
+@pytest.mark.parametrize("y0", [[], [[1.0, 2.0]], np.zeros((2, 1))])
+def test_unusable_initial_state_rejected(y0):
+    with pytest.raises(ValueError, match=r"\by0\b"):
+        integrate(lambda t, y: y, y0, IntegratorOptions(t_end=1.0))

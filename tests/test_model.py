@@ -102,6 +102,13 @@ def test_sine_rotor_rejects_non_finite(args, field):
         sine_rotor(*args)
 
 
+@pytest.mark.parametrize("args", [(1e308,), (0.05, 1e-308)])
+def test_sine_rotor_rejects_overflowing_peak_rate(args):
+    with pytest.raises(InvalidParameterError,
+                       match=r"amplitude .* period .* peak rate"):
+        sine_rotor(*args)
+
+
 def test_theta_map_examples():
     assert theta_from_phi([0.5, 0.5]) == pytest.approx([0.5, 0.5], abs=0)
     assert np.all(theta_from_phi(np.zeros(4)) == 0.0)

@@ -257,6 +257,21 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"scenario": "manifold", "sign": "plus",
+     "vehicle": {"m": [1.0], "I": [1.5], "a0": 0.7, "a": [], "c": []}},
+    {"scenario": "speedup",
+     "rotor": {"kind": "sine", "amplitude": 0.05, "period": 1e-308}},
+    {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e308}},
+])
+def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
+    # each used to fail inside the run, with exit code 1
+    path = make_config(tmp_path, integrator={"t_end": 1.0},
+                       outputs={"directory": str(tmp_path / "o")}, **doc)
+    assert cli.main(["simulate", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_missing_file(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "nope.json")])
     assert rc == 2

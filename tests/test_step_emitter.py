@@ -1,0 +1,257 @@
+"""The emitted adaptive steps against the hand-written steps they replace.
+
+hand_rk45 and hand_dop853 below are the Dormand-Prince 5(4) and 8(5,3)
+steps as they were written out stage by stage before the integrator emitted
+them from its tableaux.  They are kept as bit-identity oracles: the emitted
+steps must give the same times, states and step counts to the last bit.
+The 5(4) coefficients here are spelled out independently of the
+integrator's tuples; the 8(5,3) ones are read from them, which the scipy
+test checks.
+"""
+
+import inspect
+import math
+import re
+import traceback
+
+import numpy as np
+import pytest
+
+from multilink import integrator
+from multilink.dynamics import make_full_rhs, make_reduced_rhs
+from multilink.integrator import (
+    METHOD_DOP853,
+    METHOD_RK45,
+    IntegratorOptions,
+    integrate,
+)
+from multilink.model import derive_params, random_vehicle, sine_rotor
+
+# --- hand-written oracles --------------------------------------------------------
+
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                                      -17253 / 339200, 22 / 525, -1 / 40)
+
+# _Di_j is row i, column j of the 8(5,3) stage matrix; _Dcj, _Dbj, _D5ej
+# and _D3ej the abscissa, the propagation weight and the two error weights
+# of stage j
+(_, _Dc2, _Dc3, _Dc4, _Dc5, _Dc6, _Dc7, _Dc8, _Dc9, _Dc10, _Dc11, _,
+ _) = integrator._DOP853_C
+(_, (_D2_1,), (_D3_1, _D3_2), (_D4_1, _, _D4_3), (_D5_1, _, _D5_3, _D5_4),
+ (_D6_1, _, _, _D6_4, _D6_5), (_D7_1, _, _, _D7_4, _D7_5, _D7_6),
+ (_D8_1, _, _, _D8_4, _D8_5, _D8_6, _D8_7),
+ (_D9_1, _, _, _D9_4, _D9_5, _D9_6, _D9_7, _D9_8),
+ (_D10_1, _, _, _D10_4, _D10_5, _D10_6, _D10_7, _D10_8, _D10_9),
+ (_D11_1, _, _, _D11_4, _D11_5, _D11_6, _D11_7, _D11_8, _D11_9, _D11_10),
+ (_D12_1, _, _, _D12_4, _D12_5, _D12_6, _D12_7, _D12_8, _D12_9, _D12_10,
+  _D12_11)) = integrator._DOP853_A
+(_Db1, _, _, _, _, _Db6, _Db7, _Db8, _Db9, _Db10, _Db11,
+ _Db12) = integrator._DOP853_B
+(_D5e1, _, _, _, _, _D5e6, _D5e7, _D5e8, _D5e9, _D5e10, _D5e11, _D5e12,
+ _) = integrator._DOP853_E5
+(_D3e1, _, _, _, _, _D3e6, _D3e7, _D3e8, _D3e9, _D3e10, _D3e11, _D3e12,
+ _) = integrator._DOP853_E3
+del _
+
+
+def hand_rk45(rhs, t, h, y, k1, atol, rtol):
+    k2 = rhs(t + _C2 * h, [a + h * (_A21 * p)
+                           for a, p in zip(y, k1)])
+    k3 = rhs(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
+                           for a, p, q in zip(y, k1, k2)])
+    k4 = rhs(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
+                           for a, p, q, r in zip(y, k1, k2, k3)])
+    k5 = rhs(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r
+                                    + _A54 * s)
+                           for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s
+                              + _A65 * u)
+                     for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+    # the 5th-order solution is also the stage-7 abscissa
+    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
+             for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+
+    # per-component scale, as in standard embedded RK codes; the zero
+    # weight of stage 2 keeps a NaN there in the estimate
+    ratios = [abs(h * (_E1 * p + _E2 * q + _E3 * r + _E4 * s + _E5 * u
+                       + _E6 * v + _E7 * w))
+              / (atol + rtol * max(abs(a), abs(b)))
+              for a, b, p, q, r, s, u, v, w
+              in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)]
+    # max() passes over a NaN that is not first; the sum keeps it
+    err = math.nan if math.isnan(sum(ratios)) else max(ratios)
+    return y_new, k7, err
+
+
+def hand_dop853(rhs, t, h, y, k1, atol, rtol):
+    k2 = rhs(t + _Dc2 * h, [a + h * (_D2_1 * s1) for a, s1 in zip(y, k1)])
+    k3 = rhs(t + _Dc3 * h, [a + h * (_D3_1 * s1 + _D3_2 * s2)
+                            for a, s1, s2 in zip(y, k1, k2)])
+    k4 = rhs(t + _Dc4 * h, [a + h * (_D4_1 * s1 + _D4_3 * s3)
+                            for a, s1, s3 in zip(y, k1, k3)])
+    k5 = rhs(t + _Dc5 * h, [a + h * (_D5_1 * s1 + _D5_3 * s3 + _D5_4 * s4)
+                            for a, s1, s3, s4 in zip(y, k1, k3, k4)])
+    k6 = rhs(t + _Dc6 * h, [a + h * (_D6_1 * s1 + _D6_4 * s4 + _D6_5 * s5)
+                            for a, s1, s4, s5 in zip(y, k1, k4, k5)])
+    k7 = rhs(t + _Dc7 * h, [a + h * (_D7_1 * s1 + _D7_4 * s4 + _D7_5 * s5
+                                     + _D7_6 * s6)
+                            for a, s1, s4, s5, s6 in zip(y, k1, k4, k5, k6)])
+    k8 = rhs(t + _Dc8 * h, [a + h * (_D8_1 * s1 + _D8_4 * s4 + _D8_5 * s5
+                                     + _D8_6 * s6 + _D8_7 * s7)
+                            for a, s1, s4, s5, s6, s7
+                            in zip(y, k1, k4, k5, k6, k7)])
+    k9 = rhs(t + _Dc9 * h, [a + h * (_D9_1 * s1 + _D9_4 * s4 + _D9_5 * s5
+                                     + _D9_6 * s6 + _D9_7 * s7 + _D9_8 * s8)
+                            for a, s1, s4, s5, s6, s7, s8
+                            in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = rhs(t + _Dc10 * h, [a + h * (_D10_1 * s1 + _D10_4 * s4
+                                       + _D10_5 * s5 + _D10_6 * s6
+                                       + _D10_7 * s7 + _D10_8 * s8
+                                       + _D10_9 * s9)
+                              for a, s1, s4, s5, s6, s7, s8, s9
+                              in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = rhs(t + _Dc11 * h, [a + h * (_D11_1 * s1 + _D11_4 * s4
+                                       + _D11_5 * s5 + _D11_6 * s6
+                                       + _D11_7 * s7 + _D11_8 * s8
+                                       + _D11_9 * s9 + _D11_10 * s10)
+                              for a, s1, s4, s5, s6, s7, s8, s9, s10
+                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = rhs(t + h, [a + h * (_D12_1 * s1 + _D12_4 * s4 + _D12_5 * s5
+                               + _D12_6 * s6 + _D12_7 * s7 + _D12_8 * s8
+                               + _D12_9 * s9 + _D12_10 * s10 + _D12_11 * s11)
+                      for a, s1, s4, s5, s6, s7, s8, s9, s10, s11
+                      in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    y_new = [a + h * (_Db1 * s1 + _Db6 * s6 + _Db7 * s7 + _Db8 * s8
+                      + _Db9 * s9 + _Db10 * s10 + _Db11 * s11 + _Db12 * s12)
+             for a, s1, s6, s7, s8, s9, s10, s11, s12
+             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    k13 = rhs(t + h, y_new)
+
+    # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2) over the same
+    # per-component scale as the 5(4) pair
+    scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+    err5 = [abs(_D5e1 * s1 + _D5e6 * s6 + _D5e7 * s7 + _D5e8 * s8
+                + _D5e9 * s9 + _D5e10 * s10 + _D5e11 * s11 + _D5e12 * s12) / sc
+            for sc, s1, s6, s7, s8, s9, s10, s11, s12
+            in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
+    err3 = [abs(_D3e1 * s1 + _D3e6 * s6 + _D3e7 * s7 + _D3e8 * s8
+                + _D3e9 * s9 + _D3e10 * s10 + _D3e11 * s11 + _D3e12 * s12) / sc
+            for sc, s1, s6, s7, s8, s9, s10, s11, s12
+            in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
+    # stages 2-5 and 13 have zero weight in both estimates, so they are
+    # checked on their own
+    if math.isnan(sum(err5)) or not math.isfinite(
+            sum(k2) + sum(k3) + sum(k4) + sum(k5) + sum(k13)):
+        return y_new, k13, math.nan
+    e5 = max(err5)
+    if e5 == 0.0:
+        return y_new, k13, 0.0
+    e3 = max(err3)
+    return y_new, k13, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+
+
+# --- the emitted steps against them --------------------------------------------
+
+HAND = {METHOD_RK45: hand_rk45, METHOD_DOP853: hand_dop853}
+PAIRS = (METHOD_RK45, METHOD_DOP853)
+
+
+def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
+    emitted = integrate(rhs, y0, opts, **kwargs)
+    _, evals, exponent = integrator._STEPPERS[opts.method]
+    with monkeypatch.context() as m:
+        m.setitem(integrator._STEPPERS, opts.method,
+                  (HAND[opts.method], evals, exponent))
+        hand = integrate(rhs, y0, opts, **kwargs)
+    assert np.array_equal(emitted.times, hand.times)
+    assert np.array_equal(emitted.states, hand.states)
+    assert (emitted.n_accepted, emitted.n_rejected, emitted.n_evals) == (
+        hand.n_accepted, hand.n_rejected, hand.n_evals)
+    return emitted
+
+
+@pytest.mark.parametrize("method", PAIRS)
+def test_emitted_step_matches_hand_written_pinned_run(
+        monkeypatch, method, reference_vehicle, reference_derived):
+    # the pinned speedup run of criterion 4, to t=50
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
+                           sine_rotor(0.05, 1.0))
+    opts = IntegratorOptions(t_end=50.0, method=method, rtol=1e-8, atol=1e-8,
+                             sample_stride=2)
+    sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts)
+    assert sol.n_rejected > 0
+
+
+@pytest.mark.parametrize("method", PAIRS)
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch,
+                                                           method, n):
+    rng = np.random.default_rng(600 + n)
+    p = random_vehicle(rng, n)
+    rhs = make_full_rhs(p, derive_params(p), sine_rotor(0.5, 1.0))
+    y0 = [1.0, *rng.uniform(-1.0, 1.0, n + 1), 0.0, 0.0, 0.0]
+    opts = IntegratorOptions(t_end=10.0, method=method, rtol=1e-10,
+                             atol=1e-12)
+    assert_bit_identical(monkeypatch, rhs, y0, opts)
+
+
+@pytest.mark.parametrize("method", PAIRS)
+def test_emitted_step_matches_hand_written_t_eval_and_hmax(
+        monkeypatch, method, reference_vehicle, reference_derived):
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
+                           sine_rotor(0.05, 1.0))
+    t_eval = np.linspace(0.0, 5.0, 37)
+    opts = IntegratorOptions(t_end=5.0, method=method, rtol=1e-9, atol=1e-11,
+                             hmax=0.05)
+    sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts,
+                               t_eval=t_eval)
+    assert np.array_equal(sol.times, t_eval)
+
+
+TABLEAUX = {
+    METHOD_RK45: (integrator._RK45_A, integrator._RK45_B,
+                  (integrator._RK45_E,)),
+    METHOD_DOP853: (integrator._DOP853_A, integrator._DOP853_B,
+                    (integrator._DOP853_E5, integrator._DOP853_E3)),
+}
+
+
+@pytest.mark.parametrize("method, silent", [
+    (METHOD_RK45, [2]),
+    (METHOD_DOP853, [2, 3, 4, 5, 13]),
+], ids=["rk45", "dop853"])
+def test_emitted_source(method, silent):
+    step = integrator._STEPPERS[method][0]
+    source = inspect.getsource(step)
+    assert source.startswith(f"def {step.__name__}(")
+    # one term per non-zero coefficient of the stage matrix, the weights and
+    # the error rows, and none for a zero one
+    a, b, rows = TABLEAUX[method]
+    coeffs = [float(x) for x in re.findall(r"(-?\d[\d.e+-]*) \* s\d+", source)]
+    assert 0.0 not in coeffs
+    assert len(coeffs) == sum(x != 0.0 for row in (*a, b, *rows) for x in row)
+    # the stages no error row weighs, checked on their own
+    (check,) = [line for line in source.splitlines() if "isfinite" in line]
+    assert [int(j) for j in re.findall(r"sum\(k(\d+)\)", check)] == silent
+
+
+def test_traceback_shows_emitted_line():
+    def rhs(t, y):
+        if t > 0.0:
+            raise ZeroDivisionError
+        return [0.0]
+
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(rhs, [1.0], IntegratorOptions(t_end=1.0, method=METHOD_RK45))
+    (frame,) = [f for f in traceback.extract_tb(info.tb)
+                if f.filename == "<adaptive-rk45 step>"]
+    assert frame.line.startswith("k2 = rhs(t + 0.2 * h, ")
