@@ -9,11 +9,16 @@ State conventions (all plain float64 arrays):
 * manifold flow:      y = [phi...]                   (rescaled time)
 
 The angle system and the manifold flow live in the rescaled time variable;
-they are integrated as-is, without remapping to physical time.
+they are integrated as-is, without remapping to physical time.  The reduced
+and full charts and the manifold flow are one scalar kernel, emitted per
+number of links N (see "the vehicle kernel" below), which the integrator's
+adaptive steps call inline.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -29,7 +34,6 @@ from .model import (
     angle_coeffs,
     shape_terms,
     theta_from_phi,
-    zero_rotor,
 )
 
 
@@ -63,78 +67,114 @@ class PoseState:
         return np.array([self.x, self.y, self.psi])
 
 
-# --- core derivative kernel ---------------------------------------------------
+# --- the vehicle kernel -------------------------------------------------------
 #
-# The kernel runs in scalar arithmetic on lists of floats, the stepper's
-# representation (see the integrator module): it sits inside its innermost
-# loop, where numpy overhead on length-N vectors dominates for the small N of
-# interest.  Its angle recurrence is the scalar form of model.theta_from_phi
-# (equal up to roundoff); a unit test keeps it consistent with
-# model.angle_coeffs.  Every vector field of the package is this kernel: the
-# reduced and full charts, and the manifold flow as its omega = 0 slice.
+# The kernel of the reduced and full charts, and of the manifold flow as its
+# omega = 0 slice, is emitted from the template below per N, chart and rotor
+# kind as kernel(t, v1, om, p1, ..., pN[, x, y, psi]) -> tuple, the links
+# unrolled: in the stepper's innermost loop, list and numpy overhead on
+# length-N vectors would dominate for the small N of interest.  A sine
+# rotor's rate is inline as af * cos(freq * t), af = amplitude * freq, the
+# bits of RotorProfile.rate.  The angle recurrence is the scalar form of
+# model.theta_from_phi (equal up to roundoff); a unit test keeps the kernel
+# consistent with model.angle_coeffs.
 
+_KERNEL = """\
+def bind(c, mu, mass, inertia, b, rotor):
+    [{c}] = c
+    [{mu}] = mu
+    {rotor} = rotor
 
-def _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose):
-    v1 = y[0]
-    om = y[1]
-    n = len(c)
-    m_eff = mass
-    quad_v = 0.0
-    quad_cross = 0.0
-    acc = 0.0   # 2 * sum_{j<i} (-1)^(j+1) phi_j
-    accw = 0.0  # sum_{j<i} sin(theta_j) / c_j
-    d_ang = []
-    s = 1.0
-    for ang, ci, mui in zip(y[2:n + 2], c, mu):
-        alt = s * ang
+    def kernel(t, {state}):
+        acc = 0.0   # 2 * sum_{{j<i}} (-1)^(j+1) phi_j
+        m_eff = mass
+        quad_v = 0.0
+        quad_cross = 0.0
+        accw = 0.0  # sum_{{j<i}} sin(theta_j) / c_j
+{links}\
+        if not m_eff > 0.0:
+            raise DegenerateShapeError(
+                f"effective longitudinal inertia {{m_eff}} <= 0 at t={{t}}")
+        return ({rates})
+
+    return kernel
+"""
+# link i, with alt = (-1)^(i+1) phi_i
+_KERNEL_LINK = """\
+        alt = {neg}p{i}
         th = alt + acc
         acc += 2.0 * alt
-        sin_t = math.sin(th)
-        w = sin_t / ci
-        mu_sc = mui * sin_t * math.cos(th)
-        m_eff += mui * sin_t * sin_t
+        sin_t = sin(th)
+        w = sin_t / c{i}
+        mu_sc = mu{i} * sin_t * cos(th)
+        m_eff += mu{i} * sin_t * sin_t
         quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
         quad_cross += mu_sc
-        d_ang.append(-s * (v1 * w) - om)
+        d{i} = {neg_rate}(v1 * w) - om
         accw += w
-        s = -s
-    if not m_eff > 0.0:
-        raise DegenerateShapeError(
-            f"effective longitudinal inertia {m_eff} <= 0 at t={t}")
-    out = [
-        (b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff,
-        (-b * om * v1 - rate(t)) / inertia,
-    ]
-    out += d_ang
-    if pose:
-        psi = y[n + 4]
-        out += [v1 * math.cos(psi), v1 * math.sin(psi), om]
-    return out
+"""
 
 
-def _bind_kernel(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
-                 pose: bool):
-    c, mu = p.c.tolist(), d.coupling.tolist()
-    mass, inertia, b = d.mass, d.inertia, d.static_moment
-    rate = rotor.rate
+@functools.cache
+def _kernel_binder(n: int, chart: str, sine: bool):
+    """Compile the kernel for n links on `chart` ("reduced", "full" or
+    "manifold"); return bind(c, mu, mass, inertia, b, rotor), which closes it
+    over one vehicle's constants.  rotor is (amplitude * freq, freq) if
+    `sine`, else the rate function; on the manifold it is (v1, omega), and
+    the kernel takes and returns the angles only."""
+    links = range(1, n + 1)
+    state = [f"p{i}" for i in links]
+    rates = [f"d{i}" for i in links]
+    rotor = "v1, om"
+    if chart != "manifold":
+        pose = chart == "full"
+        rotor = "af, freq" if sine else "rate"
+        state = ["v1", "om", *state] + ["x", "y", "psi"] * pose
+        rates = ["(b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff",
+                 f"(-b * om * v1 - {'af * cos(freq * t)' if sine else 'rate(t)'})"
+                 " / inertia", *rates, *["v1 * cos(psi)", "v1 * sin(psi)", "om"] * pose]
+    source = _KERNEL.format(
+        c=", ".join(f"c{i}" for i in links), mu=", ".join(f"mu{i}" for i in links),
+        rotor=rotor, state=", ".join(state), rates="".join(f"{r}, " for r in rates),
+        links="".join(_KERNEL_LINK.format(i=i, neg="-" * (1 - i % 2),
+                                          neg_rate="-" * (i % 2)) for i in links))
+    filename = f"<vehicle kernel, {chart} chart, N={n}{', sine rotor' * sine}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
+                 "DegenerateShapeError": DegenerateShapeError}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
 
+
+def _vehicle_rhs(kernel):
+    """The list-in, list-out rhs of a kernel; it carries the kernel along."""
     def rhs(t, y):
-        return _reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose)
+        return list(kernel(t, *y))
 
+    rhs.kernel = kernel
     return rhs
+
+
+def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
+                  chart: str):
+    sine = rotor.sine
+    bind = _kernel_binder(p.n_links, chart, sine is not None)
+    return _vehicle_rhs(bind(
+        p.c.tolist(), d.coupling.tolist(), d.mass, d.inertia, d.static_moment,
+        rotor.rate if sine is None else (sine[0] * sine[1], sine[1])))
 
 
 def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
     """Vector field over [v1, omega, phi...] for the stepper: a list of
     floats in, a list out."""
-    return _bind_kernel(p, d, rotor, False)
+    return _bind_vehicle(p, d, rotor, "reduced")
 
 
 def make_full_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
     """Vector field over [v1, omega, phi..., x, y, psi]: a list of floats
     in, a list out.  The last three rates are the planar kinematics
     (v1 cos psi, v1 sin psi, omega)."""
-    return _bind_kernel(p, d, rotor, True)
+    return _bind_vehicle(p, d, rotor, "full")
 
 
 def make_manifold_rhs(p: VehicleParams, sign: int):
@@ -145,18 +185,11 @@ def make_manifold_rhs(p: VehicleParams, sign: int):
     of each other).  A list of floats in, a list out."""
     if sign not in (1, -1):
         raise ValueError("manifold sign must be +1 or -1")
-    c = p.c.tolist()
     # The couplings do not enter the angle rates; with none, the discarded
     # velocity rates cannot raise DegenerateShapeError.
-    free = [0.0] * len(c)
-    v1 = float(sign)
-    rest = zero_rotor().rate
-
-    def rhs(tau, phi):
-        return _reduced_deriv(tau, [v1, 0.0, *phi], c, free, 1.0, 1.0, 0.0,
-                              rest, False)[2:]
-
-    return rhs
+    bind = _kernel_binder(p.n_links, "manifold", False)
+    return _vehicle_rhs(bind(p.c.tolist(), [0.0] * p.n_links, 1.0, 1.0, 0.0,
+                             (float(sign), 0.0)))
 
 
 # --- energy-sphere angle system and invariant manifolds ----------------------

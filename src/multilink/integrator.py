@@ -8,10 +8,12 @@ pairs control the local error per step against atol + rtol * |y| (max-norm
 scale) and land exactly on requested output times by clamping the step, so
 emitted samples need no interpolation and runs are bit-reproducible.
 
-The adaptive steps are emitted from their tableaux, which are data, and
-compiled once at import (:func:`_emit_step`); linecache holds their source
-under ``<adaptive-rk45 step>`` and ``<adaptive-dop853 step>``, so tracebacks
-and ``inspect.getsource`` show the code that runs.  RK4 is written by hand.
+The adaptive steps are emitted from their tableaux, which are data, one per
+pair and state dimension, with every component of the state and the stages
+a local float (:func:`_emit_step`).  Each is compiled on first use and
+cached; linecache holds its source under a name like ``<_step_rk45_4>``, so
+tracebacks and ``inspect.getsource`` show the code that runs.  RK4 is
+written by hand.
 
 The default is the 8(5,3) pair (``adaptive-dop853``): at the tight
 tolerances of the energy and constraint checks it takes far fewer steps
@@ -22,15 +24,21 @@ Right-hand-side contract: ``rhs(t, y)`` receives the state as a list of
 floats, which it must not modify, and returns a sequence of floats of the
 same length: a list is used as it is, anything else (an ndarray, a tuple)
 is converted with ``np.asarray(..., dtype=float).tolist()`` on every call.
-The steppers hold the state and the stages as plain float lists: for the
-few components of this model, numpy's per-operation overhead on small
-arrays costs more than the arithmetic.
+An rhs may carry a ``kernel`` attribute, kernel(t, y0, y1, ...) returning
+the same values as a tuple, as the vector fields of
+:mod:`multilink.dynamics` do; the adaptive steps then call the kernel with
+floats instead of building a list per stage.  Any other rhs, including a
+function wrapped around one of those fields, is called as ``rhs(t, list)``.
+For the few components of this model, numpy's per-operation overhead on
+small arrays would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -245,9 +253,10 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     the accepted-step grid decimated by opts.sample_stride is emitted,
     always including the first and last points.
     """
-    step, evals, exponent = _STEPPERS[opts.method]
+    evals, exponent, _ = _STEPPERS[opts.method]
     fixed = exponent is None
     rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
+    step, field = _stepper(opts.method, rhs, len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
@@ -278,7 +287,7 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
                 f"step size {h:.3e} underflowed at t={t!r} "
                 f"(tolerances unreachable here)", t)
 
-        y_new, f_new, err = step(rhs, t, h, y, f, atol, rtol)
+        y_new, f_new, err = step(field, t, h, y, f, atol, rtol)
         n_evals += evals
 
         if not math.isfinite(err):
@@ -324,69 +333,83 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
 # most 1 to accept it, NaN or Inf when a stage or the new state is not
 # finite.  A stage that is NaN in a component the others do not depend on
 # still has to reach err, also a stage that no error row weighs.
+#
+# The error norms below are templates over the locals of an emitted step:
+# y{i}, the new state n{i} and stage j, k{j}_{i}, at component i.  A line
+# naming {i} is written once per component, {row0} and {row1} being the error
+# rows' terms there; {x} lists x0, x1, ... of such a line's x, {silent} sums
+# the stages that no error row weighs and {last} is the last stage.
 
 _RK45_NORM = """\
-    ratios = [abs(h * ({terms0})) / (atol + rtol * max(abs(a), abs(b)))
-              for a, b, {vars0} in zip(y, y_new, {stages0})]
+    r{i} = abs(h * ({row0})) / (atol + rtol * max(abs(y{i}), abs(n{i})))
     # max() passes over a NaN that is not first; the sum keeps it
-    if math.isnan(sum(ratios)) or not math.isfinite({silent}):
+    if math.isnan(sum(({r}))) or not math.isfinite({silent}):
         return y_new, {last}, math.nan
-    return y_new, {last}, max(ratios)
+    return y_new, {last}, max(({r}))
 """
 _DOP853_NORM = """\
     # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2)
-    scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-    err5 = [abs({terms0}) / sc for sc, {vars0} in zip(scale, {stages0})]
-    err3 = [abs({terms1}) / sc for sc, {vars1} in zip(scale, {stages1})]
-    if math.isnan(sum(err5)) or not math.isfinite({silent}):
+    sc{i} = atol + rtol * max(abs(y{i}), abs(n{i}))
+    err5_{i} = abs({row0}) / sc{i}
+    err3_{i} = abs({row1}) / sc{i}
+    if math.isnan(sum(({err5_}))) or not math.isfinite({silent}):
         return y_new, {last}, math.nan
-    e5 = max(err5)
+    e5 = max(({err5_}))
     if e5 == 0.0:
         return y_new, {last}, 0.0
-    e3 = max(err3)
+    e3 = max(({err3_}))
     return y_new, {last}, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
 """
 
 
-def _emit_step(method, c, a, b, rows, norm):
-    """Compile the step function of the pair (c, a, b) with error rows `rows`:
-    one list comprehension per stage over the non-zero coefficients of its
-    row, as float literals in tableau order, then the error norm `norm` over
-    {termsN}, the non-zero terms of error row N, {varsN} and {stagesN}, the
-    stage values and lists they use, {silent}, the sum of the stages no
-    error row weighs, and {last}, the last stage."""
-    def terms(coeffs):
-        used = [j for j, x in enumerate(coeffs, 1) if x != 0.0]
-        return (" + ".join(f"{coeffs[j - 1]!r} * s{j}" for j in used),
-                ", ".join(f"s{j}" for j in used),
-                ", ".join(f"k{j}" for j in used))
-
-    def increment(coeffs):
-        return "[a + h * ({}) for a, {} in zip(y, {})]".format(*terms(coeffs))
-
+@functools.cache
+def _emit_step(method, dim, scalar):
+    """Compile the step of the pair `method` for `dim` components, each a
+    local float.  Stage s gets y{i} + h * (a_s1 * k1_{i} + ...) per component
+    over the non-zero coefficients of its row, float literals in tableau
+    order; then come the new state, the last stage and the error norm.  rhs
+    is called as rhs(t, y0, ...) -> tuple if `scalar`, else rhs(t, [y0, ...])."""
+    c, a, b, rows, norm = _STEPPERS[method][2]
+    comps = range(dim)
     last = len(a) + 1
-    name = "_step_" + method.split("-")[1]
-    lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):"]
-    lines += [f"    k{i + 1} = rhs(t + {c[i]!r} * h, {increment(a[i])})"
-              for i in range(1, len(a))]
-    lines += [f"    y_new = {increment(b)}", f"    k{last} = rhs(t + h, y_new)"]
-    fields = {"last": f"k{last}", "silent": " + ".join(
-        f"sum(k{j})" for j in range(1, last + 1)
-        if not any(row[j - 1] for row in rows))}
-    for n, row in enumerate(rows):
-        fields.update(zip((f"terms{n}", f"vars{n}", f"stages{n}"), terms(row)))
-    source = "\n".join(lines) + "\n" + norm.format(**fields)
-    filename = f"<{method} step>"
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in comps)
+
+    def terms(coeffs, i):
+        return " + ".join(f"{x!r} * k{j}_{i}"
+                          for j, x in enumerate(coeffs, 1) if x != 0.0)
+
+    pack = "{}" if scalar else "[{}]"  # the arguments after t
+    name = f"_step_{method.split('-')[1]}_{dim}" + ("_scalar" if scalar else "")
+    lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):",
+             f"    [{names('y')}] = y", f"    [{names('k1_')}] = k1"]
+    for s in range(1, len(a)):
+        args = ", ".join(f"y{i} + h * ({terms(a[s], i)})" for i in comps)
+        lines.append(f"    [{names(f'k{s + 1}_')}] = rhs(t + {c[s]!r} * h, "
+                     + pack.format(args) + ")")
+    lines += [f"    n{i} = y{i} + h * ({terms(b, i)})" for i in comps]
+    lines += [f"    y_new = [{names('n')}]",
+              f"    k{last} = rhs(t + h, {names('n') if scalar else 'y_new'})",
+              f"    [{names(f'k{last}_')}] = k{last}"]
+    fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", norm)}
+    fields["last"] = f"k{last}"
+    fields["silent"] = " + ".join(
+        f"sum(({names(f'k{j}_')},))" for j in range(1, last + 1)
+        if not any(row[j - 1] for row in rows))
+    for line in norm.splitlines():
+        if "{i}" in line:
+            lines += [line.format(i=i, **{f"row{n}": terms(row, i)
+                                          for n, row in enumerate(rows)})
+                      for i in comps]
+        else:
+            lines.append(line.format(**fields))
+    source = "\n".join(lines) + "\n"
+    filename = f"<{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "math": math}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
-
-
-_step_rk45 = _emit_step(METHOD_RK45, _RK45_C, _RK45_A, _RK45_B, (_RK45_E,),
-                        _RK45_NORM)
-_step_dop853 = _emit_step(METHOD_DOP853, _DOP853_C, _DOP853_A, _DOP853_B,
-                          (_DOP853_E5, _DOP853_E3), _DOP853_NORM)
 
 
 def _step_rk4(rhs, t, h, y, f, atol, rtol):
@@ -401,10 +424,22 @@ def _step_rk4(rhs, t, h, y, f, atol, rtol):
     return y_new, None, 0.0 if all(map(math.isfinite, y_new)) else math.nan
 
 
-# method -> (step function, right-hand-side calls per step, exponent of the
-# step-size controller, None for a fixed step)
+# method -> (right-hand-side calls per step, exponent of the step-size
+# controller, None for a fixed step, and for a pair (abscissae, stage matrix,
+# weights, error rows, error norm))
 _STEPPERS = {
-    METHOD_DOP853: (_step_dop853, 12, -1 / 8),
-    METHOD_RK45: (_step_rk45, 6, -0.2),
-    METHOD_RK4: (_step_rk4, 4, None),
+    METHOD_DOP853: (12, -1 / 8, (_DOP853_C, _DOP853_A, _DOP853_B,
+                                 (_DOP853_E5, _DOP853_E3), _DOP853_NORM)),
+    METHOD_RK45: (6, -0.2, (_RK45_C, _RK45_A, _RK45_B, (_RK45_E,), _RK45_NORM)),
+    METHOD_RK4: (4, None, None),
 }
+
+
+def _stepper(method, rhs, dim):
+    """The step function that integrate runs and the field it passes to it:
+    a pair calls the scalar kernel that rhs carries as ``kernel`` (the vector
+    fields of :mod:`multilink.dynamics`), if any, and RK4 calls rhs."""
+    if method == METHOD_RK4:
+        return _step_rk4, rhs
+    kernel = getattr(rhs, "kernel", None)
+    return _emit_step(method, dim, kernel is not None), kernel or rhs

@@ -221,12 +221,14 @@ class RotorProfile:
     """Prescribed periodic angular momentum of the sleigh rotor.
 
     momentum(t) and rate(t) must be a function/derivative pair with
-    period `period`.
+    period `period`.  sine is (amplitude, freq) of a momentum amplitude *
+    sin(freq * t), for the vehicle kernel to evaluate inline; else None.
     """
 
     momentum: Callable[[float], float]
     rate: Callable[[float], float]
     period: float
+    sine: tuple[float, float] | None = None
 
     def __call__(self, t: float) -> tuple[float, float]:
         """Rotor momentum and its time derivative at time t."""
@@ -254,10 +256,12 @@ def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
     if not (period > 0 and math.isfinite(period)):
         raise InvalidParameterError(f"rotor period {period} is not positive and finite")
     freq = 2.0 * math.pi / period
-    if not math.isfinite(abs(amplitude) * freq):
+    peak = abs(amplitude) * freq
+    # mean_sq_rate squares the rate
+    if not math.isfinite(peak * peak):
         raise InvalidParameterError(
-            f"rotor amplitude {amplitude} and period {period} give a peak "
-            f"rate |amplitude| * 2 pi / period beyond the float range")
+            f"rotor amplitude {amplitude} and period {period} give a squared "
+            f"peak rate (amplitude * 2 pi / period)^2 beyond the float range")
 
     def k(t: float) -> float:
         return amplitude * math.sin(freq * t)
@@ -265,7 +269,7 @@ def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
     def kdot(t: float) -> float:
         return amplitude * freq * math.cos(freq * t)
 
-    return RotorProfile(k, kdot, period)
+    return RotorProfile(k, kdot, period, (amplitude, freq))
 
 
 def zero_rotor() -> RotorProfile:

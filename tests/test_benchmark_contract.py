@@ -6,16 +6,23 @@ workloads call ``dynamics.make_reduced_rhs``.  A refactor that renames one
 of them, or stops looking it up through the module global, crashes the
 traced run or silently zeroes its per-layer RHS counters; this test runs a
 short traced simulation and manifold scenario to catch that.
+
+A traced right-hand side is a plain function without the vehicle kernel, so
+the integrator calls it under the list contract instead of calling the
+kernel inline: the traced per-layer RHS numbers describe that path.  It must
+give the untraced run's results and count every evaluation.
 """
 
 import importlib.util
 import os
 
+import numpy as np
+
 from multilink import dynamics, scenarios
 from multilink.config import parse_config
 from multilink.dynamics import PoseState, ReducedState
-from multilink.integrator import IntegratorOptions
-from multilink.model import zero_rotor
+from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
+from multilink.model import sine_rotor, zero_rotor
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -47,3 +54,22 @@ def test_traced_rhs_counters(reference_vehicle, reference_derived, tmp_path):
     assert stats.get("rhs.full.calls", 0) > 0
     assert stats.get("rhs.manifold.calls", 0) > 0
     assert callable(dynamics.make_reduced_rhs)
+
+
+def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
+                                                reference_derived):
+    # the speedup-pinned workload's run, shortened, traced as it traces it
+    rhs = dynamics.make_reduced_rhs(reference_vehicle, reference_derived,
+                                    sine_rotor(0.05, 1.0))
+    tracer = load_tracing().Tracer()
+    traced = tracer.timed_rhs("reduced", rhs)
+    y0 = [10.0, 1.0, 0.5, 0.5]
+    opts = IntegratorOptions(t_end=20.0, method=METHOD_RK45, rtol=1e-8,
+                             atol=1e-8, sample_stride=2)
+    inlined = integrate(rhs, y0, opts)
+    sol = integrate(traced, y0, opts)
+    assert np.array_equal(sol.times, inlined.times)
+    assert np.array_equal(sol.states, inlined.states)
+    assert (sol.n_accepted, sol.n_rejected, sol.n_evals) == (
+        inlined.n_accepted, inlined.n_rejected, inlined.n_evals)
+    assert tracer.take_stats()["rhs.reduced.calls"] == sol.n_evals

@@ -202,6 +202,7 @@ def test_number_beyond_float_range_rejected():
 @pytest.mark.parametrize("rotor", [
     {"kind": "sine", "amplitude": 0.05, "period": 1e-308},
     {"kind": "sine", "amplitude": 1e308},
+    {"kind": "sine", "amplitude": 1e200},
 ])
 def test_rotor_peak_rate_overflow_rejected(rotor):
     # these used to end in "math domain error" or a non-finite right-hand side

@@ -25,6 +25,8 @@ from multilink.dynamics import (
 )
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
+    DegenerateShapeError,
+    DerivedParams,
     VehicleParams,
     derive_params,
     random_vehicle,
@@ -80,6 +82,95 @@ def brute_force_rhs(t, y, p, d, rotor):
     out += [(-1.0) ** (i + 1) * (v1 / c[i]) * math.sin(theta[i]) - om
             for i in range(n)]
     return np.array(out)
+
+
+def reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose):
+    """The vehicle kernel as one loop over the links, as it was written
+    before it was emitted per N: the bit-identity oracle of the emitted
+    kernels, in the same floating-point operations."""
+    v1 = y[0]
+    om = y[1]
+    n = len(c)
+    m_eff = mass
+    quad_v = 0.0
+    quad_cross = 0.0
+    acc = 0.0   # 2 * sum_{j<i} (-1)^(j+1) phi_j
+    accw = 0.0  # sum_{j<i} sin(theta_j) / c_j
+    d_ang = []
+    s = 1.0
+    for ang, ci, mui in zip(y[2:n + 2], c, mu):
+        alt = s * ang
+        th = alt + acc
+        acc += 2.0 * alt
+        sin_t = math.sin(th)
+        w = sin_t / ci
+        mu_sc = mui * sin_t * math.cos(th)
+        m_eff += mui * sin_t * sin_t
+        quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
+        quad_cross += mu_sc
+        d_ang.append(-s * (v1 * w) - om)
+        accw += w
+        s = -s
+    if not m_eff > 0.0:
+        raise DegenerateShapeError(
+            f"effective longitudinal inertia {m_eff} <= 0 at t={t}")
+    out = [
+        (b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff,
+        (-b * om * v1 - rate(t)) / inertia,
+    ]
+    out += d_ang
+    if pose:
+        psi = y[n + 4]
+        out += [v1 * math.cos(psi), v1 * math.sin(psi), om]
+    return out
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       chart=st.sampled_from(["reduced", "full", "manifold"]),
+       sine=st.booleans(), t=st.floats(-50.0, 50.0),
+       y=st.lists(st.floats(-4.0, 4.0), min_size=17, max_size=17))
+def test_kernel_matches_loop_oracle(n, seed, chart, sine, t, y):
+    # the emitted kernel of every chart, rotor kind and N against the loop,
+    # bit for bit (signed zeros included), through the list wrapper and the
+    # kernel itself
+    p = random_vehicle(np.random.default_rng(seed), n)
+    d = derive_params(p)
+    rotor = sine_rotor(0.3, 0.7) if sine else zero_rotor()
+    c = p.c.tolist()
+    if chart == "manifold":
+        sign = 1 if seed % 2 else -1
+        state = y[:n]
+        rhs = make_manifold_rhs(p, sign)
+        expected = reduced_deriv(t, [float(sign), 0.0, *state], c, [0.0] * n,
+                                 1.0, 1.0, 0.0, zero_rotor().rate, False)[2:]
+    else:
+        full = chart == "full"
+        state = y[:n + 5] if full else y[:n + 2]
+        rhs = (make_full_rhs if full else make_reduced_rhs)(p, d, rotor)
+        expected = reduced_deriv(t, state, c, d.coupling.tolist(), d.mass,
+                                 d.inertia, d.static_moment, rotor.rate, full)
+    assert bits(rhs(t, state)) == bits(expected)
+    assert bits(rhs.kernel(t, *state)) == bits(expected)
+
+
+@pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
+def test_kernel_raises_degenerate_shape(reference_vehicle, chart):
+    # a hand-built coupling that makes m_eff vanish at theta_1 = pi/2
+    bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                        coupling=[-2.0, 0.0])
+    pose = chart is make_full_rhs
+    y = [1.0, 0.3, math.pi / 2, 0.0] + ([0.0, 0.0, 0.0] if pose else [])
+    with pytest.raises(DegenerateShapeError, match="effective longitudinal"):
+        reduced_deriv(0.5, y, reference_vehicle.c.tolist(), [-2.0, 0.0], 1.0,
+                      1.0, 0.5, zero_rotor().rate, pose)
+    rhs = chart(reference_vehicle, bad, sine_rotor(0.05, 1.0))
+    with pytest.raises(DegenerateShapeError, match="effective longitudinal"):
+        rhs(0.5, y)
 
 
 def test_reduced_rhs_equilibrium(reference_vehicle, reference_derived):

@@ -102,8 +102,9 @@ def test_sine_rotor_rejects_non_finite(args, field):
         sine_rotor(*args)
 
 
-@pytest.mark.parametrize("args", [(1e308,), (0.05, 1e-308)])
+@pytest.mark.parametrize("args", [(1e308,), (0.05, 1e-308), (1e200,)])
 def test_sine_rotor_rejects_overflowing_peak_rate(args):
+    # (1e200,) has a finite peak rate whose square overflows mean_sq_rate
     with pytest.raises(InvalidParameterError,
                        match=r"amplitude .* period .* peak rate"):
         sine_rotor(*args)

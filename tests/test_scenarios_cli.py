@@ -263,6 +263,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     {"scenario": "speedup",
      "rotor": {"kind": "sine", "amplitude": 0.05, "period": 1e-308}},
     {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e308}},
+    # a finite peak rate whose square, taken by mean_sq_rate, overflows
+    {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e200}},
 ])
 def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
     # each used to fail inside the run, with exit code 1

@@ -3,7 +3,9 @@
 hand_rk45 and hand_dop853 below are the Dormand-Prince 5(4) and 8(5,3)
 steps as they were written out stage by stage before the integrator emitted
 them from its tableaux.  They are kept as bit-identity oracles: the emitted
-steps must give the same times, states and step counts to the last bit.
+steps must give the same times, states and step counts to the last bit, both
+on the path that calls a vehicle kernel with scalar arguments and on the one
+that calls a right-hand side under the list contract.
 The 5(4) coefficients here are spelled out independently of the
 integrator's tuples; the 8(5,3) ones are read from them, which the scipy
 test checks.
@@ -11,21 +13,31 @@ test checks.
 
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import traceback
 
 import numpy as np
 import pytest
 
-from multilink import integrator
-from multilink.dynamics import make_full_rhs, make_reduced_rhs
+import multilink
+from multilink import dynamics, integrator
+from multilink.dynamics import (
+    PoseState,
+    ReducedState,
+    make_full_rhs,
+    make_reduced_rhs,
+    simulate,
+)
 from multilink.integrator import (
     METHOD_DOP853,
     METHOD_RK45,
     IntegratorOptions,
     integrate,
 )
-from multilink.model import derive_params, random_vehicle, sine_rotor
+from multilink.model import derive_params, random_vehicle, sine_rotor, zero_rotor
 
 # --- hand-written oracles --------------------------------------------------------
 
@@ -165,18 +177,40 @@ HAND = {METHOD_RK45: hand_rk45, METHOD_DOP853: hand_dop853}
 PAIRS = (METHOD_RK45, METHOD_DOP853)
 
 
-def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
-    emitted = integrate(rhs, y0, opts, **kwargs)
-    _, evals, exponent = integrator._STEPPERS[opts.method]
+def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
+    """integrate with the hand-written step of opts.method in place of the
+    emitted one, checking that it made every step."""
+    hand = HAND[opts.method]
+    calls = []
+
+    def step(*args):
+        calls.append(None)
+        return hand(*args)
+
     with monkeypatch.context() as m:
-        m.setitem(integrator._STEPPERS, opts.method,
-                  (HAND[opts.method], evals, exponent))
-        hand = integrate(rhs, y0, opts, **kwargs)
-    assert np.array_equal(emitted.times, hand.times)
-    assert np.array_equal(emitted.states, hand.states)
-    assert (emitted.n_accepted, emitted.n_rejected, emitted.n_evals) == (
-        hand.n_accepted, hand.n_rejected, hand.n_evals)
-    return emitted
+        m.setattr(integrator, "_stepper", lambda method, f, dim: (step, f))
+        sol = integrate(rhs, y0, opts, **kwargs)
+    assert len(calls) == sol.n_accepted + sol.n_rejected > 0
+    return sol
+
+
+def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
+    """The inlined run of a vehicle field and the call-path run of the same
+    field behind a plain function, against the hand-written step."""
+    def called(t, y):
+        return rhs(t, y)
+
+    dim = len(y0)
+    assert integrator._stepper(opts.method, rhs, dim)[1] is rhs.kernel
+    assert integrator._stepper(opts.method, called, dim)[1] is called
+    hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
+    for sol in (integrate(rhs, y0, opts, **kwargs),
+                integrate(called, y0, opts, **kwargs)):
+        assert np.array_equal(sol.times, hand.times)
+        assert np.array_equal(sol.states, hand.states)
+        assert (sol.n_accepted, sol.n_rejected, sol.n_evals) == (
+            hand.n_accepted, hand.n_rejected, hand.n_evals)
+    return hand
 
 
 @pytest.mark.parametrize("method", PAIRS)
@@ -230,28 +264,90 @@ TABLEAUX = {
     (METHOD_DOP853, [2, 3, 4, 5, 13]),
 ], ids=["rk45", "dop853"])
 def test_emitted_source(method, silent):
-    step = integrator._STEPPERS[method][0]
-    source = inspect.getsource(step)
-    assert source.startswith(f"def {step.__name__}(")
-    # one term per non-zero coefficient of the stage matrix, the weights and
-    # the error rows, and none for a zero one
+    dim = 3
     a, b, rows = TABLEAUX[method]
-    coeffs = [float(x) for x in re.findall(r"(-?\d[\d.e+-]*) \* s\d+", source)]
-    assert 0.0 not in coeffs
-    assert len(coeffs) == sum(x != 0.0 for row in (*a, b, *rows) for x in row)
-    # the stages no error row weighs, checked on their own
-    (check,) = [line for line in source.splitlines() if "isfinite" in line]
-    assert [int(j) for j in re.findall(r"sum\(k(\d+)\)", check)] == silent
+    nonzero = [x for row in (*a, b, *rows) for x in row if x != 0.0]
+    for scalar in (False, True):
+        step = integrator._emit_step(method, dim, scalar)
+        source = inspect.getsource(step)
+        assert source.startswith(f"def {step.__name__}(")
+        # per component, one term per non-zero coefficient of the stage
+        # matrix, the weights and the error rows, in that order, and none for
+        # a zero one
+        for i in range(dim):
+            coeffs = re.findall(rf"(-?\d[\d.e+-]*) \* k\d+_{i}\b", source)
+            assert [float(x) for x in coeffs] == nonzero
+        # the stages no error row weighs, checked on their own, every
+        # component
+        (check,) = [line for line in source.splitlines() if "isfinite" in line]
+        assert re.findall(r"k(\d+)_(\d+)", check) == [
+            (str(j), str(i)) for j in silent for i in range(dim)]
 
 
 def test_traceback_shows_emitted_line():
-    def rhs(t, y):
+    def kernel(t, y0):
         if t > 0.0:
             raise ZeroDivisionError
-        return [0.0]
+        return (0.0,)
 
-    with pytest.raises(ZeroDivisionError) as info:
-        integrate(rhs, [1.0], IntegratorOptions(t_end=1.0, method=METHOD_RK45))
-    (frame,) = [f for f in traceback.extract_tb(info.tb)
-                if f.filename == "<adaptive-rk45 step>"]
-    assert frame.line.startswith("k2 = rhs(t + 0.2 * h, ")
+    def called(t, y):
+        return list(kernel(t, *y))
+
+    def inlined(t, y):
+        return list(kernel(t, *y))
+
+    inlined.kernel = kernel
+    stage = "y0 + h * (0.2 * k1_0)"
+    for rhs, name, args in ((called, "_step_rk45_1", f"[{stage}]"),
+                            (inlined, "_step_rk45_1_scalar", stage)):
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(rhs, [1.0], IntegratorOptions(t_end=1.0,
+                                                    method=METHOD_RK45))
+        (frame,) = [f for f in traceback.extract_tb(info.tb)
+                    if f.filename == f"<{name}>"]
+        assert frame.line == f"[k2_0] = rhs(t + 0.2 * h, {args})"
+
+
+# --- compiled on first use, once --------------------------------------------------
+
+
+def test_import_compiles_no_step():
+    code = ("import multilink, linecache\n"
+            "from multilink import dynamics, integrator\n"
+            "assert integrator._emit_step.cache_info().currsize == 0\n"
+            "assert dynamics._kernel_binder.cache_info().currsize == 0\n"
+            "assert not [f for f in linecache.cache\n"
+            "            if f.startswith(('<_step', '<vehicle kernel'))]\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("method", PAIRS)
+def test_second_run_compiles_nothing(method):
+    rng = np.random.default_rng(31)
+    opts = IntegratorOptions(t_end=1.0, method=method)
+    runs = []
+    for _ in range(2):
+        p = random_vehicle(rng, 3)
+        rhs = make_full_rhs(p, derive_params(p), zero_rotor())
+        integrate(rhs, [1.0, 0.5, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0], opts)
+        runs.append((integrator._emit_step.cache_info(),
+                     dynamics._kernel_binder.cache_info()))
+    (steps, kernels), (steps_again, kernels_again) = runs
+    assert steps_again.misses == steps.misses
+    assert kernels_again.misses == kernels.misses
+
+
+def test_many_links_run_keeps_invariants():
+    # criteria 1 and 2 at N = 64 on the default 8(5,3) pair, full chart
+    n = 64
+    rng = np.random.default_rng(64)
+    p = random_vehicle(rng, n)
+    d = derive_params(p)
+    state = ReducedState(1.0, 0.4, rng.uniform(-math.pi, math.pi, n))
+    traj = simulate(p, d, zero_rotor(), state, PoseState(),
+                    IntegratorOptions(t_end=2.0))
+    drift = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]
+    assert drift < 1e-7
+    assert np.max(traj.residual_max) < 1e-10
