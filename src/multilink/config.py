@@ -12,8 +12,8 @@ rejected everywhere):
       "initial":    {"v1": (1.0), "omega": (0.0), "phi": ([0...]),
                      "x": (0.0), "y": (0.0), "psi": (0.0)},
       "integrator": {"t_end": x, "method": "adaptive-dop853" |
-                     "adaptive-rk45" | "fixed-rk4" (see below),
-                     "rtol": (1e-10), "atol": (1e-12), "h0": (1e-3),
+                     "adaptive-rk45" (see below), "rtol": (1e-10),
+                     "atol": (1e-12), "h0": (1e-3, the first trial step),
                      "hmax": (inf), "sample_stride": (1)},
       "outputs":    {"directory": ("out"), "formats": (["csv","svg","report"])}
     }

@@ -28,6 +28,7 @@ from .integrator import IntegratorOptions, Solution, integrate
 from .model import (
     DegenerateShapeError,
     DerivedParams,
+    InvalidParameterError,
     RotorProfile,
     VehicleParams,
     alternating_signs,
@@ -77,7 +78,9 @@ class PoseState:
 # rotor's rate is inline as af * cos(freq * t), af = amplitude * freq, the
 # bits of RotorProfile.rate.  The angle recurrence is the scalar form of
 # model.theta_from_phi (equal up to roundoff); a unit test keeps the kernel
-# consistent with model.angle_coeffs.
+# consistent with model.angle_coeffs.  A stage that is not finite gives
+# non-finite rates, which the stepper rejects; only a finite m_eff <= 0 is
+# a degenerate shape.
 
 _KERNEL = """\
 def bind(c, mu, mass, inertia, b, rotor):
@@ -86,32 +89,35 @@ def bind(c, mu, mass, inertia, b, rotor):
     {rotor} = rotor
 
     def kernel(t, {state}):
-        acc = 0.0   # 2 * sum_{{j<i}} (-1)^(j+1) phi_j
-        m_eff = mass
-        quad_v = 0.0
-        quad_cross = 0.0
-        accw = 0.0  # sum_{{j<i}} sin(theta_j) / c_j
+        try:
+            acc = 0.0   # 2 * sum_{{j<i}} (-1)^(j+1) phi_j
+            m_eff = mass
+            quad_v = 0.0
+            quad_cross = 0.0
+            accw = 0.0  # sum_{{j<i}} sin(theta_j) / c_j
 {links}\
-        if not m_eff > 0.0:
-            raise DegenerateShapeError(
-                f"effective longitudinal inertia {{m_eff}} <= 0 at t={{t}}")
-        return ({rates})
+            if not m_eff <= 0.0:  # a NaN too: the step rejects the stage
+                return ({rates})
+        except ValueError:  # sin or cos of an infinite stage
+            return (nan,) * {dim}
+        raise DegenerateShapeError(
+            f"effective longitudinal inertia {{m_eff}} <= 0 at t={{t}}")
 
     return kernel
 """
 # link i, with alt = (-1)^(i+1) phi_i
 _KERNEL_LINK = """\
-        alt = {neg}p{i}
-        th = alt + acc
-        acc += 2.0 * alt
-        sin_t = sin(th)
-        w = sin_t / c{i}
-        mu_sc = mu{i} * sin_t * cos(th)
-        m_eff += mu{i} * sin_t * sin_t
-        quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
-        quad_cross += mu_sc
-        d{i} = {neg_rate}(v1 * w) - om
-        accw += w
+            alt = {neg}p{i}
+            th = alt + acc
+            acc += 2.0 * alt
+            sin_t = sin(th)
+            w = sin_t / c{i}
+            mu_sc = mu{i} * sin_t * cos(th)
+            m_eff += mu{i} * sin_t * sin_t
+            quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
+            quad_cross += mu_sc
+            d{i} = {neg_rate}(v1 * w) - om
+            accw += w
 """
 
 
@@ -136,12 +142,13 @@ def _kernel_binder(n: int, chart: str, sine: bool):
     source = _KERNEL.format(
         c=", ".join(f"c{i}" for i in links), mu=", ".join(f"mu{i}" for i in links),
         rotor=rotor, state=", ".join(state), rates="".join(f"{r}, " for r in rates),
+        dim=len(state),
         links="".join(_KERNEL_LINK.format(i=i, neg="-" * (1 - i % 2),
                                           neg_rate="-" * (i % 2)) for i in links))
     filename = f"<vehicle kernel, {chart} chart, N={n}{', sine rotor' * sine}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
-                 "DegenerateShapeError": DegenerateShapeError}
+                 "nan": math.nan, "DegenerateShapeError": DegenerateShapeError}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["bind"]
 
@@ -157,6 +164,9 @@ def _vehicle_rhs(kernel):
 
 def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
                   chart: str):
+    if len(d.coupling) != p.n_links:
+        raise InvalidParameterError(f"coupling has {len(d.coupling)} entries, "
+                                    f"expected one per link, N = {p.n_links}")
     sine = rotor.sine
     bind = _kernel_binder(p.n_links, chart, sine is not None)
     return _vehicle_rhs(bind(

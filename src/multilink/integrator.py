@@ -1,19 +1,18 @@
-"""Time stepping: adaptive Dormand-Prince 8(5,3) and 5(4), fixed-step RK4.
+"""Time stepping: the adaptive Dormand-Prince pairs 8(5,3) and 5(4).
 
-One driver loop serves the three methods.  Each method is a step function
-that advances the state by one step of a given size and returns an error
-norm; the driver owns everything else: landing on output times, sample
-emission, the step-size controller and the typed errors.  The adaptive
-pairs control the local error per step against atol + rtol * |y| (max-norm
-scale) and land exactly on requested output times by clamping the step, so
-emitted samples need no interpolation and runs are bit-reproducible.
+One driver loop serves both pairs.  Each pair is a step function that
+advances the state by one step of a given size and returns an error norm;
+the driver owns everything else: landing on output times, sample emission,
+the step-size controller and the typed errors.  The local error per step is
+controlled against atol + rtol * |y| (max-norm scale), and requested output
+times are hit exactly by clamping the step, so emitted samples need no
+interpolation and runs are bit-reproducible.
 
-The adaptive steps are emitted from their tableaux, which are data, one per
-pair and state dimension, with every component of the state and the stages
-a local float (:func:`_emit_step`).  Each is compiled on first use and
-cached; linecache holds its source under a name like ``<_step_rk45_4>``, so
-tracebacks and ``inspect.getsource`` show the code that runs.  RK4 is
-written by hand.
+The steps are emitted from their tableaux, which are data, one per pair and
+state dimension, with every component of the state and the stages a local
+float (:func:`_emit_step`).  Each is compiled on first use and cached;
+linecache holds its source under a name like ``<_step_rk45_4>``, so
+tracebacks and ``inspect.getsource`` show the code that runs.
 
 The default is the 8(5,3) pair (``adaptive-dop853``): at the tight
 tolerances of the energy and constraint checks it takes far fewer steps
@@ -26,9 +25,9 @@ same length: a list is used as it is, anything else (an ndarray, a tuple)
 is converted with ``np.asarray(..., dtype=float).tolist()`` on every call.
 An rhs may carry a ``kernel`` attribute, kernel(t, y0, y1, ...) returning
 the same values as a tuple, as the vector fields of
-:mod:`multilink.dynamics` do; the adaptive steps then call the kernel with
-floats instead of building a list per stage.  Any other rhs, including a
-function wrapped around one of those fields, is called as ``rhs(t, list)``.
+:mod:`multilink.dynamics` do; the steps call it with floats instead of
+building a list per stage.  Any other rhs, including a function wrapped
+around one of those fields, is called through a kernel that makes the list.
 For the few components of this model, numpy's per-operation overhead on
 small arrays would cost more than the arithmetic.
 """
@@ -46,8 +45,7 @@ import numpy as np
 
 METHOD_DOP853 = "adaptive-dop853"
 METHOD_RK45 = "adaptive-rk45"
-METHOD_RK4 = "fixed-rk4"
-METHODS = (METHOD_DOP853, METHOD_RK45, METHOD_RK4)
+METHODS = (METHOD_DOP853, METHOD_RK45)
 
 # Tableaux of the adaptive pairs (Hairer, Norsett & Wanner, Solving ODEs I,
 # II.5 and II.10), bit-equal to scipy's RK45 and DOP853 (scipy's RK45.E has
@@ -134,9 +132,8 @@ class IntegratorOptions:
     t_end is the integration horizon (integration starts at t0 passed to
     :func:`integrate`, 0 by default).  method is one of METHODS.
     sample_stride decimates the emitted samples: every k-th accepted step is
-    recorded (first and last always are).  h0 is the fixed step of the RK4
-    method and the initial trial step of the adaptive pairs, whose steps
-    never exceed hmax.
+    recorded (first and last always are).  h0 is the first trial step;
+    steps never exceed hmax.
     """
 
     t_end: float
@@ -253,31 +250,27 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     the accepted-step grid decimated by opts.sample_stride is emitted,
     always including the first and last points.
     """
-    evals, exponent, _ = _STEPPERS[opts.method]
-    fixed = exponent is None
+    exponent, _, stages, *_ = _STEPPERS[opts.method]
+    evals = len(stages)  # each stage but the first, the last step's FSAL
     rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
-    step, field = _stepper(opts.method, rhs, len(y))
+    step, kernel = _stepper(opts.method, rhs, len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
-    # a fixed step is never shrunk, and reaches a target only by shortening
-    h_floor = 0.0 if fixed else 1e-14 * abs(t_end)
-    reach = 1.0 if fixed else 0.9
+    h_floor = 1e-14 * abs(t_end)
     n_targets = 0 if targets is None else len(targets)
     next_target = 0
 
     t = t0
     h_prop = min(opts.h0, hmax, t_end - t0)
     n_acc = n_rej = 0
-    # the derivative at t0 is the first stage of an adaptive pair's first
-    # step; the fixed step evaluates its own
-    n_evals = 0 if fixed else 1
+    n_evals = 1  # the derivative at t0, the first stage of the first step
 
     while t < t_end:
         target = targets[next_target] if next_target < n_targets else t_end
         gap = target - t
         h = min(h_prop, hmax)
-        if gap <= h / reach and gap <= hmax:
+        if gap <= h / 0.9 and gap <= hmax:
             # stretch/truncate to land exactly; avoids creeping up to the
             # target in vanishing increments
             h = gap
@@ -287,13 +280,13 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
                 f"step size {h:.3e} underflowed at t={t!r} "
                 f"(tolerances unreachable here)", t)
 
-        y_new, f_new, err = step(field, t, h, y, f, atol, rtol)
+        y_new, f_new, err = step(kernel, t, h, y, f, atol, rtol)
         n_evals += evals
 
         if not math.isfinite(err):
             n_rej += 1
             h_prop = h * 0.25
-            if fixed or h_prop < h_floor:
+            if h_prop < h_floor:
                 raise DivergenceError(
                     f"right-hand side or state not finite near t={t!r}", t)
             continue
@@ -307,10 +300,9 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
         y = y_new
         f = f_new
 
-        if not fixed:
-            factor = _MAX_FACTOR if err == 0.0 else \
-                min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** exponent))
-            h_prop = max(h_prop, h * factor) if clamped else h * factor
+        factor = _MAX_FACTOR if err == 0.0 else \
+            min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** exponent))
+        h_prop = max(h_prop, h * factor) if clamped else h * factor
 
         if targets is not None:
             if next_target < n_targets and t == targets[next_target]:
@@ -327,12 +319,12 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
 
 # --- step functions ------------------------------------------------------------
 #
-# step(rhs, t, h, y, f, atol, rtol) -> (y_new, f_new, err) advances y, whose
-# derivative is f, from t to t + h.  f_new is the derivative at the new point
-# where the method computes it (FSAL) and err the error norm of the step: at
-# most 1 to accept it, NaN or Inf when a stage or the new state is not
-# finite.  A stage that is NaN in a component the others do not depend on
-# still has to reach err, also a stage that no error row weighs.
+# step(kernel, t, h, y, f, atol, rtol) -> (y_new, f_new, err) advances y,
+# whose derivative is f, from t to t + h, calling kernel(t, y0, y1, ...).
+# f_new is the derivative at the new point (FSAL) and err the error norm of
+# the step: at most 1 to accept it, NaN or Inf when a stage or the new state
+# is not finite.  A stage that is NaN in a component the others do not
+# depend on still has to reach err, also a stage that no error row weighs.
 #
 # The error norms below are templates over the locals of an emitted step:
 # y{i}, the new state n{i} and stage j, k{j}_{i}, at component i.  A line
@@ -363,13 +355,12 @@ _DOP853_NORM = """\
 
 
 @functools.cache
-def _emit_step(method, dim, scalar):
+def _emit_step(method, dim):
     """Compile the step of the pair `method` for `dim` components, each a
     local float.  Stage s gets y{i} + h * (a_s1 * k1_{i} + ...) per component
     over the non-zero coefficients of its row, float literals in tableau
-    order; then come the new state, the last stage and the error norm.  rhs
-    is called as rhs(t, y0, ...) -> tuple if `scalar`, else rhs(t, [y0, ...])."""
-    c, a, b, rows, norm = _STEPPERS[method][2]
+    order; then come the new state, the last stage and the error norm."""
+    _, c, a, b, rows, norm = _STEPPERS[method]
     comps = range(dim)
     last = len(a) + 1
 
@@ -380,17 +371,15 @@ def _emit_step(method, dim, scalar):
         return " + ".join(f"{x!r} * k{j}_{i}"
                           for j, x in enumerate(coeffs, 1) if x != 0.0)
 
-    pack = "{}" if scalar else "[{}]"  # the arguments after t
-    name = f"_step_{method.split('-')[1]}_{dim}" + ("_scalar" if scalar else "")
+    name = f"_step_{method.split('-')[1]}_{dim}"
     lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):",
              f"    [{names('y')}] = y", f"    [{names('k1_')}] = k1"]
     for s in range(1, len(a)):
         args = ", ".join(f"y{i} + h * ({terms(a[s], i)})" for i in comps)
-        lines.append(f"    [{names(f'k{s + 1}_')}] = rhs(t + {c[s]!r} * h, "
-                     + pack.format(args) + ")")
+        lines.append(f"    [{names(f'k{s + 1}_')}] = rhs(t + {c[s]!r} * h, {args})")
     lines += [f"    n{i} = y{i} + h * ({terms(b, i)})" for i in comps]
     lines += [f"    y_new = [{names('n')}]",
-              f"    k{last} = rhs(t + h, {names('n') if scalar else 'y_new'})",
+              f"    k{last} = rhs(t + h, {names('n')})",
               f"    [{names(f'k{last}_')}] = k{last}"]
     fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", norm)}
     fields["last"] = f"k{last}"
@@ -412,34 +401,21 @@ def _emit_step(method, dim, scalar):
     return namespace[name]
 
 
-def _step_rk4(rhs, t, h, y, f, atol, rtol):
-    half = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, [a + half * p for a, p in zip(y, k1)])
-    k3 = rhs(t + half, [a + half * q for a, q in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * r for a, r in zip(y, k3)])
-    sixth = h / 6.0
-    y_new = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-    return y_new, None, 0.0 if all(map(math.isfinite, y_new)) else math.nan
-
-
-# method -> (right-hand-side calls per step, exponent of the step-size
-# controller, None for a fixed step, and for a pair (abscissae, stage matrix,
-# weights, error rows, error norm))
+# method -> (exponent of the step-size controller, abscissae, stage matrix,
+# weights, error rows, error norm)
 _STEPPERS = {
-    METHOD_DOP853: (12, -1 / 8, (_DOP853_C, _DOP853_A, _DOP853_B,
-                                 (_DOP853_E5, _DOP853_E3), _DOP853_NORM)),
-    METHOD_RK45: (6, -0.2, (_RK45_C, _RK45_A, _RK45_B, (_RK45_E,), _RK45_NORM)),
-    METHOD_RK4: (4, None, None),
+    METHOD_DOP853: (-1 / 8, _DOP853_C, _DOP853_A, _DOP853_B,
+                    (_DOP853_E5, _DOP853_E3), _DOP853_NORM),
+    METHOD_RK45: (-0.2, _RK45_C, _RK45_A, _RK45_B, (_RK45_E,), _RK45_NORM),
 }
 
 
 def _stepper(method, rhs, dim):
-    """The step function that integrate runs and the field it passes to it:
-    a pair calls the scalar kernel that rhs carries as ``kernel`` (the vector
-    fields of :mod:`multilink.dynamics`), if any, and RK4 calls rhs."""
-    if method == METHOD_RK4:
-        return _step_rk4, rhs
+    """The step function that integrate runs and the kernel it passes to it:
+    the one rhs carries as ``kernel`` (the vector fields of
+    :mod:`multilink.dynamics`), else a call of rhs with a list."""
     kernel = getattr(rhs, "kernel", None)
-    return _emit_step(method, dim, kernel is not None), kernel or rhs
+    if kernel is None:
+        def kernel(t, *y):
+            return rhs(t, list(y))
+    return _emit_step(method, dim), kernel

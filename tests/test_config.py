@@ -2,8 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilink.config import ConfigError, parse_config
+from multilink.integrator import METHODS
 
 BASE = {
     "scenario": "inertial",
@@ -47,7 +50,7 @@ def test_default_method_per_scenario(scenario, extra, method):
     cfg = parse_config(cfg_text(scenario=scenario, **extra))
     assert cfg.integrator.method == method
     # an explicit method wins
-    for explicit in ("adaptive-dop853", "adaptive-rk45", "fixed-rk4"):
+    for explicit in ("adaptive-dop853", "adaptive-rk45"):
         cfg = parse_config(cfg_text(scenario=scenario, **extra, integrator={
             "t_end": 1.0, "method": explicit}))
         assert cfg.integrator.method == explicit
@@ -136,6 +139,10 @@ def test_invalid_integrator_values():
         parse_config(cfg_text(integrator={"t_end": -5.0}))
     with pytest.raises(ConfigError, match="method"):
         parse_config(cfg_text(integrator={"t_end": 1.0, "method": "euler"}))
+    # the fixed-step RK4 method was removed
+    with pytest.raises(ConfigError, match="'integrator.method'.*'fixed-rk4'"):
+        parse_config(cfg_text(integrator={"t_end": 1.0, "method": "fixed-rk4",
+                                          "h0": 0.01}))
     with pytest.raises(ConfigError, match="sample_stride"):
         parse_config(cfg_text(integrator={"t_end": 1.0, "sample_stride": 0}))
 
@@ -223,3 +230,63 @@ def test_manifold_needs_a_trailer():
                    "rotor": {"kind": "sine", "amplitude": 0.05}}):
         cfg = parse_config(cfg_text(vehicle=N0_VEHICLE, initial={}, **extra))
         assert cfg.vehicle.n_links == 0
+
+
+# --- any document: a config or a ConfigError --------------------------------------
+
+# a valid document with every block, which the strategy below mutates
+FULL = {
+    "scenario": "speedup",
+    "vehicle": dict(BASE["vehicle"], N=2),
+    "rotor": {"kind": "sine", "amplitude": 0.05, "period": 1.0},
+    "initial": {"v1": 1.0, "omega": 0.0, "phi": [0.1, -0.2], "x": 0.0,
+                "y": 0.0, "psi": 0.0},
+    "integrator": {"t_end": 1.0, "method": "adaptive-rk45", "rtol": 1e-8,
+                   "atol": 1e-8, "h0": 1e-3, "hmax": 0.5, "sample_stride": 2},
+    "outputs": {"directory": "out", "formats": ["csv", "report"]},
+}
+# a whole block, or a field of one, as often
+FIELDS = st.sampled_from([(key,) for key in (*FULL, "sign")]) | st.sampled_from([
+    (key, name) for key, block in FULL.items() if isinstance(block, dict)
+    for name in block])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["inertial", "manifold", "sine", "plus", "minus", "csv",
+                       "svg"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+methods = st.sampled_from([*METHODS, "fixed-rk4"]) | json_values
+# a number as often as anything else, so that range checks are reached
+values = st.floats() | st.integers(-2, 2) | json_values
+
+
+@st.composite
+def documents(draw):
+    """Any text or JSON value two times in five; else FULL with any method
+    and up to two fields (or blocks) deleted or replaced by any value."""
+    kind = draw(st.integers(0, 4))
+    if kind < 2:
+        return draw(st.text(max_size=30) if kind else json_values.map(json.dumps))
+    doc = json.loads(json.dumps(FULL))
+    doc["integrator"]["method"] = draw(methods)
+    for *outer, key in draw(st.lists(FIELDS, max_size=2, unique=True)):
+        parent = doc.get(outer[0]) if outer else doc
+        if not isinstance(parent, dict):
+            continue
+        if draw(st.booleans()):
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(documents())
+def test_any_document_parses_or_raises_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert cfg.integrator.method in METHODS

@@ -27,6 +27,7 @@ from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
+    InvalidParameterError,
     VehicleParams,
     derive_params,
     random_vehicle,
@@ -111,7 +112,7 @@ def reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose):
         d_ang.append(-s * (v1 * w) - om)
         accw += w
         s = -s
-    if not m_eff > 0.0:
+    if m_eff <= 0.0:
         raise DegenerateShapeError(
             f"effective longitudinal inertia {m_eff} <= 0 at t={t}")
     out = [
@@ -171,6 +172,32 @@ def test_kernel_raises_degenerate_shape(reference_vehicle, chart):
     rhs = chart(reference_vehicle, bad, sine_rotor(0.05, 1.0))
     with pytest.raises(DegenerateShapeError, match="effective longitudinal"):
         rhs(0.5, y)
+
+
+@pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_non_finite_state_gives_non_finite_rates(reference_vehicle,
+                                                        reference_derived,
+                                                        chart, bad):
+    # not a degenerate shape: the step rejects the stage, and a run that
+    # keeps producing such stages ends in DivergenceError
+    rhs = chart(reference_vehicle, reference_derived, sine_rotor(0.05, 1.0))
+    pose = [0.0, 0.0, 0.0] if chart is make_full_rhs else []
+    for at in [0, 1, 2, 3] + [6] * bool(pose):  # x and y enter no rate
+        y = [1.0, 0.3, 0.5, -0.2, *pose]
+        y[at] = bad
+        rates = rhs.kernel(0.5, *y)
+        assert len(rates) == len(y) and not all(map(math.isfinite, rates))
+
+
+@pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
+@pytest.mark.parametrize("coupling", [[], [0.5], [0.5, 0.5, 0.5]])
+def test_coupling_length_checked(reference_vehicle, chart, coupling):
+    # the kernel's binder used to fail with "not enough values to unpack"
+    d = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                      coupling=coupling)
+    with pytest.raises(InvalidParameterError, match=r"coupling.*N = 2"):
+        chart(reference_vehicle, d, zero_rotor())
 
 
 def test_reduced_rhs_equilibrium(reference_vehicle, reference_derived):

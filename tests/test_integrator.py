@@ -8,9 +8,9 @@ from multilink import integrator
 from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import (
     METHOD_DOP853,
-    METHOD_RK4,
     METHOD_RK45,
     DivergenceError,
+    IntegrationError,
     IntegratorOptions,
     StepUnderflowError,
     integrate,
@@ -48,30 +48,18 @@ def test_equilibrium_stays_constant(reference_vehicle, reference_derived):
 
 
 def test_cross_method_agreement(reference_vehicle, reference_derived):
+    # against an independent integrator; scipy is an oracle here only
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     rotor = sine_rotor(0.05, 1.0)
     rhs = make_reduced_rhs(reference_vehicle, reference_derived, rotor)
     y0 = np.array([10.0, 1.0, 0.5, 0.5])
     t_eval = np.linspace(0.0, 10.0, 501)
     adaptive = integrate(rhs, y0, IntegratorOptions(t_end=10.0, rtol=1e-10,
                                                     atol=1e-12), t_eval=t_eval)
-    fixed = integrate(rhs, y0, IntegratorOptions(t_end=10.0, method=METHOD_RK4,
-                                                 h0=1e-3), t_eval=t_eval)
-    assert np.max(np.abs(adaptive.states - fixed.states)) < 1e-6
-
-
-def test_fixed_step_fourth_order():
-    # halving the step cuts the terminal error by about 2^4 against the
-    # adaptive reference
-    ref = integrate(decay_rhs, [math.pi / 2],
-                    IntegratorOptions(t_end=2.0, rtol=1e-12, atol=1e-14))
-    ref_val = ref.states[-1, 0]
-    errs = []
-    for h in (0.2, 0.1, 0.05):
-        sol = integrate(decay_rhs, [math.pi / 2],
-                        IntegratorOptions(t_end=2.0, method=METHOD_RK4, h0=h))
-        errs.append(abs(sol.states[-1, 0] - ref_val))
-    for a, b in zip(errs, errs[1:]):
-        assert 12.0 < a / b < 20.0
+    ref = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", t_eval=t_eval,
+                    rtol=1e-12, atol=1e-12)
+    assert ref.success
+    assert np.max(np.abs(adaptive.states - ref.y.T)) < 1e-6
 
 
 def test_determinism(reference_vehicle, reference_derived):
@@ -103,7 +91,7 @@ def test_divergence_error():
                   IntegratorOptions(t_end=1.0))
     with pytest.raises(DivergenceError):
         integrate(lambda t, y: np.array([math.inf]), [0.0],
-                  IntegratorOptions(t_end=1.0, method=METHOD_RK4, h0=0.1))
+                  IntegratorOptions(t_end=1.0))
 
 
 def test_t_eval_hit_exactly():
@@ -112,10 +100,6 @@ def test_t_eval_hit_exactly():
                                                         atol=1e-12),
                     t_eval=t_eval)
     assert np.array_equal(sol.times, t_eval)
-    sol4 = integrate(decay_rhs, [1.0],
-                     IntegratorOptions(t_end=1.0, method=METHOD_RK4, h0=0.01),
-                     t_eval=t_eval)
-    assert np.array_equal(sol4.times, t_eval)
 
 
 def test_t_eval_validation():
@@ -137,12 +121,18 @@ def test_nonzero_start_time():
 
 
 def test_sample_stride():
-    opts = IntegratorOptions(t_end=1.0, method=METHOD_RK4, h0=0.01,
-                             sample_stride=10)
-    sol = integrate(decay_rhs, [1.0], opts)
-    # 100 steps -> every 10th plus the initial point
-    assert sol.times.size == 11
-    assert sol.times[0] == 0.0 and sol.times[-1] == 1.0
+    # every 10th accepted step, the initial point and the last one
+    for method in integrator.METHODS:
+        opts = dict(t_end=1.0, method=method, rtol=1e-12, atol=1e-14,
+                    hmax=0.013)
+        every = integrate(decay_rhs, [1.0], IntegratorOptions(**opts))
+        tenth = integrate(decay_rhs, [1.0],
+                          IntegratorOptions(**opts, sample_stride=10))
+        assert every.n_accepted % 10 != 0 and every.times.size > 20
+        keep = [*range(0, every.times.size, 10), every.times.size - 1]
+        assert np.array_equal(tenth.times, every.times[keep])
+        assert np.array_equal(tenth.states, every.states[keep])
+        assert tenth.times[0] == 0.0 and tenth.times[-1] == 1.0
 
 
 def test_options_validation():
@@ -215,13 +205,13 @@ def test_nan_in_one_stage_and_component_rejects(method, stage):
     assert info.value.time == 0.0
 
 
-def test_rk4_overflow_to_inf_diverges():
-    # y' = y^2 from y(0) = 1 blows up at t = 1; the fixed steps overflow
-    # to Inf shortly after
-    with pytest.raises(DivergenceError) as info:
-        integrate(lambda t, y: [y[0] * y[0]], [1.0],
-                  IntegratorOptions(t_end=2.0, method=METHOD_RK4, h0=0.1))
-    assert 1.0 <= info.value.time < 2.0
+def test_blow_up_ends_in_typed_error():
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    for method in integrator.METHODS:
+        with pytest.raises(IntegrationError) as info:
+            integrate(lambda t, y: [y[0] * y[0]], [1.0],
+                      IntegratorOptions(t_end=2.0, method=method))
+        assert info.value.time == pytest.approx(1.0, abs=1e-3)
 
 
 def test_rhs_contract():
@@ -241,7 +231,7 @@ def test_rhs_contract():
 
 def test_default_method_is_dop853():
     assert IntegratorOptions(t_end=1.0).method == METHOD_DOP853
-    assert set(integrator.METHODS) == {METHOD_DOP853, METHOD_RK45, METHOD_RK4}
+    assert integrator.METHODS == (METHOD_DOP853, METHOD_RK45)
 
 
 @pytest.mark.parametrize("method", [METHOD_RK45, METHOD_DOP853])

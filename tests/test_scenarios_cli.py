@@ -5,10 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multilink import cli
 from multilink.config import parse_config
-from multilink.dynamics import angle_coeffs_at_phi, energy
+from multilink.dynamics import Trajectory, angle_coeffs_at_phi, energy
 from multilink.model import DegenerateShapeError, DerivedParams, derive_params
 from multilink.scenarios import (
     csv_header,
@@ -71,6 +74,21 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(data["phi_2"], traj.phi[:, 1])
     assert np.array_equal(data["energy"], traj.energy)
     assert np.array_equal(data["k"], traj.rotor_momentum)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), rows=st.integers(1, 6), data=st.data())
+def test_csv_round_trip_bit_exact_random(tmp_path_factory, n, rows, data):
+    # any finite values, signed zeros and subnormals included, at N = 0..12
+    table = data.draw(arrays(np.float64, (rows, n + 9), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    t, v1, omega, *rest = table.T
+    traj = Trajectory(t, v1, omega, table[:, 3:n + 3], *rest[n:])
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    write_trajectory_csv(str(path), traj)
+    read = read_trajectory_csv(str(path))
+    assert list(read) == csv_header(n).split(",")
+    assert np.stack(list(read.values()), axis=1).tobytes() == table.tobytes()
 
 
 def test_deterministic_output_bytes(tmp_path):
@@ -272,6 +290,31 @@ def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
                        outputs={"directory": str(tmp_path / "o")}, **doc)
     assert cli.main(["simulate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_removed_method_exit_code(tmp_path, capsys):
+    # the fixed-step RK4 method is gone; a config naming it is rejected
+    path = make_config(tmp_path, scenario="inertial",
+                       integrator={"t_end": 1.0, "method": "fixed-rk4"},
+                       outputs={"directory": str(tmp_path / "o")})
+    assert cli.main(["simulate", str(path)]) == 2
+    assert "'fixed-rk4'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vehicle", [VEHICLE, {"m": [1.0], "I": [1.5],
+                                               "a0": 0.7, "a": [], "c": []}],
+                         ids=["N=2", "N=0"])
+def test_cli_non_finite_state_exit_code(tmp_path, capsys, vehicle):
+    # a rotor this strong drives the stages to Inf and NaN within the first
+    # steps; that used to end in "effective longitudinal inertia nan <= 0"
+    # (N = 2) or "math domain error" (N = 0)
+    path = make_config(tmp_path, scenario="speedup", vehicle=vehicle,
+                       rotor={"kind": "sine", "amplitude": 1e150},
+                       integrator={"t_end": 1.0},
+                       outputs={"directory": str(tmp_path / "o")})
+    assert cli.main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: right-hand side or state not finite near t=0.0\n")
 
 
 def test_cli_missing_file(tmp_path, capsys):

@@ -4,8 +4,8 @@ hand_rk45 and hand_dop853 below are the Dormand-Prince 5(4) and 8(5,3)
 steps as they were written out stage by stage before the integrator emitted
 them from its tableaux.  They are kept as bit-identity oracles: the emitted
 steps must give the same times, states and step counts to the last bit, both
-on the path that calls a vehicle kernel with scalar arguments and on the one
-that calls a right-hand side under the list contract.
+when they call a vehicle kernel with scalar arguments and when they call a
+right-hand side under the list contract, through the kernel that wraps it.
 The 5(4) coefficients here are spelled out independently of the
 integrator's tuples; the 8(5,3) ones are read from them, which the scipy
 test checks.
@@ -195,14 +195,16 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
 
 
 def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
-    """The inlined run of a vehicle field and the call-path run of the same
-    field behind a plain function, against the hand-written step."""
+    """The run of a vehicle field, which calls its kernel, and the run of the
+    same field behind a plain function, against the hand-written step."""
     def called(t, y):
         return rhs(t, y)
 
     dim = len(y0)
-    assert integrator._stepper(opts.method, rhs, dim)[1] is rhs.kernel
-    assert integrator._stepper(opts.method, called, dim)[1] is called
+    step, kernel = integrator._stepper(opts.method, rhs, dim)
+    assert kernel is rhs.kernel
+    wrapped_step, adapter = integrator._stepper(opts.method, called, dim)
+    assert wrapped_step is step and adapter is not called
     hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
     for sol in (integrate(rhs, y0, opts, **kwargs),
                 integrate(called, y0, opts, **kwargs)):
@@ -267,21 +269,22 @@ def test_emitted_source(method, silent):
     dim = 3
     a, b, rows = TABLEAUX[method]
     nonzero = [x for row in (*a, b, *rows) for x in row if x != 0.0]
-    for scalar in (False, True):
-        step = integrator._emit_step(method, dim, scalar)
-        source = inspect.getsource(step)
-        assert source.startswith(f"def {step.__name__}(")
-        # per component, one term per non-zero coefficient of the stage
-        # matrix, the weights and the error rows, in that order, and none for
-        # a zero one
-        for i in range(dim):
-            coeffs = re.findall(rf"(-?\d[\d.e+-]*) \* k\d+_{i}\b", source)
-            assert [float(x) for x in coeffs] == nonzero
-        # the stages no error row weighs, checked on their own, every
-        # component
-        (check,) = [line for line in source.splitlines() if "isfinite" in line]
-        assert re.findall(r"k(\d+)_(\d+)", check) == [
-            (str(j), str(i)) for j in silent for i in range(dim)]
+    step = integrator._emit_step(method, dim)
+    source = inspect.getsource(step)
+    assert source.startswith(f"def {step.__name__}(")
+    # per component, one term per non-zero coefficient of the stage matrix,
+    # the weights and the error rows, in that order, and none for a zero one
+    for i in range(dim):
+        coeffs = re.findall(rf"(-?\d[\d.e+-]*) \* k\d+_{i}\b", source)
+        assert [float(x) for x in coeffs] == nonzero
+    # every stage calls the kernel with one float per component
+    calls = re.findall(r"= rhs\(t(?: \+ [^,]*)?, (.*)\)$", source, re.M)
+    assert len(calls) == len(a)
+    assert all(len(re.findall(r"(?:^|, )[yn]\d", c)) == dim for c in calls)
+    # the stages no error row weighs, checked on their own, every component
+    (check,) = [line for line in source.splitlines() if "isfinite" in line]
+    assert re.findall(r"k(\d+)_(\d+)", check) == [
+        (str(j), str(i)) for j in silent for i in range(dim)]
 
 
 def test_traceback_shows_emitted_line():
@@ -297,15 +300,13 @@ def test_traceback_shows_emitted_line():
         return list(kernel(t, *y))
 
     inlined.kernel = kernel
-    stage = "y0 + h * (0.2 * k1_0)"
-    for rhs, name, args in ((called, "_step_rk45_1", f"[{stage}]"),
-                            (inlined, "_step_rk45_1_scalar", stage)):
+    for rhs in (called, inlined):
         with pytest.raises(ZeroDivisionError) as info:
             integrate(rhs, [1.0], IntegratorOptions(t_end=1.0,
                                                     method=METHOD_RK45))
         (frame,) = [f for f in traceback.extract_tb(info.tb)
-                    if f.filename == f"<{name}>"]
-        assert frame.line == f"[k2_0] = rhs(t + 0.2 * h, {args})"
+                    if f.filename == "<_step_rk45_1>"]
+        assert frame.line == "[k2_0] = rhs(t + 0.2 * h, y0 + h * (0.2 * k1_0))"
 
 
 # --- compiled on first use, once --------------------------------------------------
@@ -325,12 +326,16 @@ def test_import_compiles_no_step():
 
 @pytest.mark.parametrize("method", PAIRS)
 def test_second_run_compiles_nothing(method):
+    # the second run wraps its field in a plain function: one step per pair
+    # and dimension serves both
     rng = np.random.default_rng(31)
     opts = IntegratorOptions(t_end=1.0, method=method)
     runs = []
-    for _ in range(2):
+    for wrapped in (False, True):
         p = random_vehicle(rng, 3)
         rhs = make_full_rhs(p, derive_params(p), zero_rotor())
+        if wrapped:
+            rhs = (lambda field: lambda t, y: field(t, y))(rhs)
         integrate(rhs, [1.0, 0.5, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0], opts)
         runs.append((integrator._emit_step.cache_info(),
                      dynamics._kernel_binder.cache_info()))
