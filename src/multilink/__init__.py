@@ -8,6 +8,7 @@ from .analysis import (
     DegenerateSpectrumError,
     FiniteInertiaPrediction,
     FixedPoint,
+    FixedPointBlock,
     FixedPointKind,
     NoSpeedupError,
     PowerLawFit,

@@ -13,7 +13,6 @@ extracts from simulated trajectories.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,13 +66,63 @@ class FixedPoint:
 
 
 @dataclass(frozen=True)
+class FixedPointBlock:
+    """The 2^(N+1) straight-line equilibria of one link count, as arrays
+    along a leading point axis (the fields of :class:`FixedPoint`, stacked).
+
+    Sized, indexable and iterable: item i is the i-th :class:`FixedPoint`.
+    """
+
+    v_sign: np.ndarray
+    theta_signs: np.ndarray
+    velocity_angle: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        for name in ("v_sign", "theta_signs", "velocity_angle", "theta", "phi"):
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.v_sign.size
+
+    def __getitem__(self, i: int) -> FixedPoint:
+        i = range(len(self))[i]
+        return FixedPoint(int(self.v_sign[i]), self.theta_signs[i],
+                          float(self.velocity_angle[i]), self.theta[i],
+                          self.phi[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def describe(self) -> list[str]:
+        """:meth:`FixedPoint.describe` of every point."""
+        heads = np.where(self.v_sign > 0, "forward", "backward").tolist()
+        if not self.phi.shape[1]:
+            return heads
+        angles = np.where(self.phi != 0.0, "pi", "0").tolist()
+        return [f"{d}, phi=({', '.join(a)})" for d, a in zip(heads, angles)]
+
+
+@dataclass(frozen=True)
 class Classification:
-    kind: FixedPointKind
+    """Node/saddle type and spectrum of one equilibrium, or of a block:
+    then kind is an object array of :class:`FixedPointKind` and
+    eigenvalues has one row per point."""
+
+    kind: FixedPointKind | np.ndarray
     eigenvalues: np.ndarray
 
 
-def enumerate_fixed_points(n: int) -> list[FixedPoint]:
-    """All 2^(n+1) straight-line equilibria, angles reported in [0, 2pi).
+# kind codes 0, 1, 2 of classify_fixed_point
+_KINDS = np.array([FixedPointKind.STABLE_NODE, FixedPointKind.UNSTABLE_NODE,
+                   FixedPointKind.SADDLE], dtype=object)
+
+
+def enumerate_fixed_points(n: int) -> FixedPointBlock:
+    """All 2^(n+1) straight-line equilibria, angles reported in [0, 2pi),
+    in the order of itertools.product((1, -1), repeat=n + 1) over
+    (v_sign, theta_signs...).
 
     The relative angles are recovered from the theta angles in units of pi,
     where the integer unimodular chart change is exact on the small integers
@@ -81,20 +130,16 @@ def enumerate_fixed_points(n: int) -> list[FixedPoint]:
     """
     if n < 0:
         raise ValueError("link count must be >= 0")
-    patterns = np.array(list(itertools.product((1, -1), repeat=n + 1)),
-                        dtype=int).reshape(-1, n + 1)
+    # bit n - j of the point index selects the sign of column j
+    index = np.arange(2 ** (n + 1))[:, None]
+    patterns = 1 - 2 * ((index >> np.arange(n, -1, -1)) & 1)
+    v_sign = patterns[:, 0]
     theta_signs = patterns[:, 1:]
     theta_units = (1 - theta_signs) // 2  # 0 or 1 units of pi
     phi_units = phi_from_theta(theta_units) % 2
-    return [FixedPoint(
-        v_sign=v_sign,
-        theta_signs=signs,
-        velocity_angle=0.0 if v_sign > 0 else math.pi,
-        theta=theta,
-        phi=phi,
-    ) for v_sign, signs, theta, phi in zip(
-        patterns[:, 0].tolist(), theta_signs, theta_units * math.pi,
-        phi_units * math.pi)]
+    return FixedPointBlock(v_sign, theta_signs,
+                           np.where(v_sign > 0, 0.0, math.pi),
+                           theta_units * math.pi, phi_units * math.pi)
 
 
 def linearization_matrix(fp: FixedPoint, p: VehicleParams,
@@ -119,9 +164,10 @@ def linearization_matrix(fp: FixedPoint, p: VehicleParams,
     return a
 
 
-def classify_fixed_point(fp: FixedPoint, p: VehicleParams,
+def classify_fixed_point(fp: FixedPoint | FixedPointBlock, p: VehicleParams,
                          d: DerivedParams) -> Classification:
-    """Node/saddle type from the triangular spectrum.
+    """Node/saddle type from the triangular spectrum, of one equilibrium or
+    of a whole block along its leading axis.
 
     The forward-aligned point is the unique stable node, the
     backward-aligned one the unique unstable node; every other sign pattern
@@ -131,17 +177,12 @@ def classify_fixed_point(fp: FixedPoint, p: VehicleParams,
         raise DegenerateSpectrumError(
             "balanced sleigh (static moment 0) has a zero eigenvalue; "
             "node/saddle classification does not apply")
-    s0 = float(fp.v_sign)
-    eig = np.empty(p.n_links + 1)
-    eig[0] = -(d.static_moment / d.inertia) * s0
-    eig[1:] = -(s0 / p.c) * fp.theta_signs
-    if np.all(eig < 0):
-        kind = FixedPointKind.STABLE_NODE
-    elif np.all(eig > 0):
-        kind = FixedPointKind.UNSTABLE_NODE
-    else:
-        kind = FixedPointKind.SADDLE
-    return Classification(kind, eig)
+    s0 = np.asarray(fp.v_sign, dtype=float)[..., None]
+    eig = np.concatenate((-(d.static_moment / d.inertia) * s0,
+                          -(s0 / p.c) * fp.theta_signs), axis=-1)
+    code = np.where((eig < 0).all(axis=-1), 0,
+                    np.where((eig > 0).all(axis=-1), 1, 2))
+    return Classification(_KINDS[code], eig)
 
 
 # --- speedup asymptotics ------------------------------------------------------

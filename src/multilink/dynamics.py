@@ -33,7 +33,6 @@ from .model import (
     VehicleParams,
     alternating_signs,
     angle_coeffs,
-    shape_terms,
     theta_from_phi,
 )
 
@@ -162,11 +161,15 @@ def _vehicle_rhs(kernel):
     return rhs
 
 
-def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
-                  chart: str):
+def _check_coupling(p: VehicleParams, d: DerivedParams):
     if len(d.coupling) != p.n_links:
         raise InvalidParameterError(f"coupling has {len(d.coupling)} entries, "
                                     f"expected one per link, N = {p.n_links}")
+
+
+def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
+                  chart: str):
+    _check_coupling(p, d)
     sine = rotor.sine
     bind = _kernel_binder(p.n_links, chart, sine is not None)
     return _vehicle_rhs(bind(
@@ -249,20 +252,32 @@ def angle_coeffs_at_phi(phi, p: VehicleParams, d: DerivedParams):
 
 def make_angle_system_rhs(p: VehicleParams, d: DerivedParams):
     """Rescaled-time vector field over [velocity_angle, phi...] on a fixed
-    energy level.  The velocity-angle equation decouples; the energy value
-    itself never enters."""
-    c, mu = p.c, d.coupling
+    energy level: a list of floats in, a list out.  The velocity-angle
+    equation decouples; the energy value itself never enters."""
+    _check_coupling(p, d)
+    links = list(zip(p.c.tolist(), d.coupling.tolist()))
     mass, inertia, b = d.mass, d.inertia, d.static_moment
-    signs = alternating_signs(p.n_links)
 
     def rhs(tau, y):
         ang = y[0]
-        _, w, m_eff, _, _ = shape_terms(theta_from_phi(y[1:]), c, mu, mass)
-        sin_a = math.sin(ang)
-        out = np.empty_like(y)
-        out[0] = -(b / inertia) * sin_a
-        out[1:] = -signs * w * math.cos(ang) - math.sqrt(m_eff / inertia) * sin_a
-        return out
+        sin_a, cos_a = math.sin(ang), math.cos(ang)
+        m_eff = mass
+        acc = 0.0  # 2 * sum_{j<i} (-1)^(j+1) phi_j
+        sign = 1.0  # (-1)^(i+1)
+        rates = []
+        for (ci, mui), phi in zip(links, y[1:]):
+            alt = sign * phi
+            th = alt + acc
+            acc += 2.0 * alt
+            sin_t = math.sin(th)
+            m_eff += mui * sin_t * sin_t
+            rates.append(-sign * (sin_t / ci) * cos_a)
+            sign = -sign
+        if not m_eff > 0.0:
+            raise DegenerateShapeError(
+                f"effective longitudinal inertia {m_eff} <= 0 at phi={y[1:]}")
+        drift = math.sqrt(m_eff / inertia) * sin_a
+        return [-(b / inertia) * sin_a, *[r - drift for r in rates]]
 
     return rhs
 
@@ -323,21 +338,27 @@ def constraint_residuals(pose: PoseState, state: ReducedState,
 
 
 def attachment_positions(pose: PoseState, phi, p: VehicleParams) -> np.ndarray:
-    """Plane positions of the N+1 wheel-pair centers (sleigh first).
+    """Plane positions of the N+1 wheel-pair centers (sleigh first), shape
+    (N+1, 2).
 
     Each trailer wheel pair sits a hinge-to-wheel distance behind its front
-    hinge; consecutive hinges are 2 c_j apart along platform j's axis.
+    hinge; consecutive hinges are 2 c_j apart along platform j's axis.  For
+    S samples at once, give the pose fields as (S,) arrays and phi as an
+    (S, N) block; the result then has shape (S, N+1, 2).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    pts = np.empty((phi.size + 1, 2))
-    pts[0] = pose.x, pose.y
-    acc_x, acc_y = pose.x, pose.y
-    for i in range(phi.size):
-        head = pose.psi + phi[i]
-        tx, ty = math.cos(head), math.sin(head)
-        pts[i + 1] = acc_x - p.c[i] * tx, acc_y - p.c[i] * ty
-        acc_x -= 2.0 * p.c[i] * tx
-        acc_y -= 2.0 * p.c[i] * ty
+    x, y, psi = (np.asarray(v, dtype=float) for v in (pose.x, pose.y, pose.psi))
+    n = phi.shape[-1]
+    pts = np.empty(phi.shape[:-1] + (n + 1, 2))
+    pts[..., 0, 0], pts[..., 0, 1] = x, y
+    acc_x, acc_y = x, y
+    for i in range(n):
+        head = psi + phi[..., i]
+        tx, ty = np.cos(head), np.sin(head)
+        pts[..., i + 1, 0] = acc_x - p.c[i] * tx
+        pts[..., i + 1, 1] = acc_y - p.c[i] * ty
+        acc_x = acc_x - 2.0 * p.c[i] * tx
+        acc_y = acc_y - 2.0 * p.c[i] * ty
     return pts
 
 
@@ -369,9 +390,6 @@ class Trajectory:
     @property
     def n_links(self) -> int:
         return self.phi.shape[1]
-
-    def pose_at(self, i: int) -> PoseState:
-        return PoseState(float(self.x[i]), float(self.y[i]), float(self.psi[i]))
 
 
 def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndarray:

@@ -60,7 +60,8 @@ class VehicleParams:
                 f"inertias has length {inertias.size}, expected {n + 1} (one per platform)")
         if a.shape != (n,) or c.shape != (n,):
             raise InvalidParameterError(
-                f"trailer arrays must have length {n}: got a={a.size}, c={c.size}")
+                f"trailer arrays must be 1-d of length {n}: got shapes "
+                f"a={'x'.join(map(str, a.shape))}, c={'x'.join(map(str, c.shape))}")
         for name, values in (("masses", masses), ("inertias", inertias),
                              ("a0", [self.a0]), ("a", a), ("c", c)):
             if not all(map(math.isfinite, values)):
@@ -103,6 +104,9 @@ class DerivedParams:
 
     def __post_init__(self):
         coupling = np.atleast_1d(np.asarray(self.coupling, dtype=float))
+        if coupling.ndim != 1:
+            raise InvalidParameterError(
+                f"coupling must be 1-d, got shape {coupling.shape}")
         coupling.flags.writeable = False
         object.__setattr__(self, "coupling", coupling)
         # a NaN passes every comparison below silently
@@ -173,26 +177,6 @@ def alternating_signs(n: int) -> np.ndarray:
     return signs
 
 
-def shape_terms(theta, c, mu, mass):
-    """Shared kernel for the angle-dependent terms of the reduced equations.
-
-    Returns (sin_t, w, m_eff, quad_v, quad_cross) where w_i = sin(theta_i)/c_i
-    and the last three are the coefficients described in :func:`angle_coeffs`.
-    """
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
-    sin_cos = sin_t * cos_t
-    m_eff = mass + float(np.dot(mu, sin_t * sin_t))
-    if not m_eff > 0.0:
-        raise DegenerateShapeError(
-            f"effective longitudinal inertia {m_eff} <= 0 at theta={theta}")
-    w = sin_t / c
-    inner = np.cumsum(w) - 0.5 * w  # sin(theta_i)/(2 c_i) + sum_{j<i} sin(theta_j)/c_j
-    quad_v = 2.0 * float(np.dot(mu * sin_cos, inner))
-    quad_cross = float(np.dot(mu, sin_cos))
-    return sin_t, w, m_eff, quad_v, quad_cross
-
-
 def angle_coeffs(theta, d: DerivedParams, c) -> tuple[float, float, float]:
     """Angle-dependent coefficients of the longitudinal equation.
 
@@ -209,7 +193,17 @@ def angle_coeffs(theta, d: DerivedParams, c) -> tuple[float, float, float]:
     """
     theta = np.asarray(theta, dtype=float)
     c = np.asarray(c, dtype=float)
-    _, _, m_eff, quad_v, quad_cross = shape_terms(theta, c, d.coupling, d.mass)
+    mu = d.coupling
+    sin_t = np.sin(theta)
+    sin_cos = sin_t * np.cos(theta)
+    m_eff = d.mass + float(np.dot(mu, sin_t * sin_t))
+    if not m_eff > 0.0:
+        raise DegenerateShapeError(
+            f"effective longitudinal inertia {m_eff} <= 0 at theta={theta}")
+    w = sin_t / c
+    inner = np.cumsum(w) - 0.5 * w  # sin(theta_i)/(2 c_i) + sum_{j<i} sin(theta_j)/c_j
+    quad_v = 2.0 * float(np.dot(mu * sin_cos, inner))
+    quad_cross = float(np.dot(mu, sin_cos))
     return m_eff, quad_v, quad_cross
 
 

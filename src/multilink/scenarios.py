@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis, svgplot
 from .config import ScenarioConfig
 from .dynamics import (
+    PoseState,
     Trajectory,
     attachment_positions,
     energy,
@@ -29,6 +30,7 @@ from .model import DegenerateShapeError, derive_params, theta_from_phi, zero_rot
 
 DEFAULT_FIT_WINDOW = (1e3, 1e5)
 OUTPUT_DIR_ENV = "MULTILINK_OUTPUT_DIR"
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,16 @@ def csv_header(n_links: int) -> str:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
-    n = traj.n_links
-    energy, resid, k = traj.energy, traj.residual_max, traj.rotor_momentum
+    table = np.column_stack((traj.times, traj.v1, traj.omega, traj.phi, traj.x,
+                             traj.y, traj.psi, traj.energy, traj.residual_max,
+                             traj.rotor_momentum))
+    # "%.17g" % v is f"{v:.17g}"; chunks keep the text off the memory peak
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write(csv_header(n) + "\n")
-        for i in range(traj.n_samples):
-            row = [traj.times[i], traj.v1[i], traj.omega[i]]
-            row += list(traj.phi[i])
-            row += [traj.x[i], traj.y[i], traj.psi[i],
-                    energy[i], resid[i], k[i]]
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        f.write(csv_header(traj.n_links) + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            f.write("".join([row % tuple(values) for values in
+                             table[start:start + _CSV_CHUNK_ROWS].tolist()]))
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
@@ -83,9 +85,8 @@ def _attachment_plot(traj: Trajectory, p, max_points: int = 4000) -> str:
     if idx.size > max_points:
         idx = np.unique(np.concatenate(
             (idx[:: idx.size // max_points + 1], idx[-1:])))
-    paths = np.empty((idx.size, n + 1, 2))
-    for k, i in enumerate(idx):
-        paths[k] = attachment_positions(traj.pose_at(i), traj.phi[i], p)
+    paths = attachment_positions(
+        PoseState(traj.x[idx], traj.y[idx], traj.psi[idx]), traj.phi[idx], p)
     labels = ["sleigh"] + [f"trailer {i + 1}" for i in range(n)]
     for j in range(n + 1):
         plot.add_series(paths[:, j, 0], paths[:, j, 1], label=labels[j])
@@ -364,28 +365,25 @@ def _run_fixed_points(cfg: ScenarioConfig, out_dir, seed=None,
     p = cfg.vehicle
     d = derive_params(p)
     points = analysis.enumerate_fixed_points(p.n_links)
-    rows = []
-    counts = {k: 0 for k in analysis.FixedPointKind}
-    for fp in points:
-        cls = analysis.classify_fixed_point(fp, p, d)
-        counts[cls.kind] += 1
-        eig = ", ".join(f"{e:+.6f}" for e in cls.eigenvalues)
-        rows.append(f"{fp.describe():<40} {cls.kind.value:<14} [{eig}]")
+    cls = analysis.classify_fixed_point(points, p, d)
+    kinds = cls.kind.tolist()
+    row = "%-40s %-14s [" + ", ".join(["%+.6f"] * (p.n_links + 1)) + "]"
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
-    lines += rows
+    lines += [row % (where, kind.value, *eig) for where, kind, eig
+              in zip(points.describe(), kinds, cls.eigenvalues.tolist())]
     lines.append("-" * 72)
-    lines.append("counts: " + ", ".join(f"{k.value}={v}"
-                                        for k, v in counts.items()))
+    lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
+                                        for k in analysis.FixedPointKind))
 
     if draws > 0:
         rng = np.random.default_rng(seed)
         ok = 0
         for _ in range(draws):
             rp = random_vehicle(rng, p.n_links)
-            rd = derive_params(rp)
-            kinds = [analysis.classify_fixed_point(fp2, rp, rd).kind
-                     for fp2 in analysis.enumerate_fixed_points(rp.n_links)]
+            kinds = analysis.classify_fixed_point(
+                analysis.enumerate_fixed_points(rp.n_links), rp,
+                derive_params(rp)).kind.tolist()
             stable = kinds.count(analysis.FixedPointKind.STABLE_NODE)
             unstable = kinds.count(analysis.FixedPointKind.UNSTABLE_NODE)
             if stable == 1 and unstable == 1:

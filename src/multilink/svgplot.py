@@ -118,7 +118,8 @@ class LinePlot:
 
         legend_y = mt + 14
         for x, y, color, width, dashed, label in self._series:
-            pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
+            pts = " ".join([f"{_fmt(a)},{_fmt(b)}" for a, b
+                            in zip(px(x).tolist(), py(y).tolist())])
             dash = ' stroke-dasharray="6 4"' if dashed else ""
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="{width}"{dash}/>')

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
 from multilink.model import (
     VehicleParams,
     derive_params,
+    phi_from_theta,
     random_vehicle,
     sine_rotor,
     theta_from_phi,
@@ -142,6 +144,56 @@ def test_classification_balanced_sleigh_rejected():
     d = derive_params(p)
     with pytest.raises(DegenerateSpectrumError):
         classify_fixed_point(enumerate_fixed_points(1)[0], p, d)
+    with pytest.raises(DegenerateSpectrumError):
+        classify_fixed_point(enumerate_fixed_points(1), p, d)
+
+
+def census_oracle(n, p, d):
+    """The census one point at a time: the equilibria in
+    itertools.product order and the triangular spectrum of each."""
+    rows = []
+    for pattern in itertools.product((1, -1), repeat=n + 1):
+        v_sign, signs = pattern[0], np.array(pattern[1:], dtype=int)
+        theta_units = (1 - signs) // 2
+        phi_units = phi_from_theta(theta_units) % 2
+        s0 = float(v_sign)
+        eig = np.empty(n + 1)
+        eig[0] = -(d.static_moment / d.inertia) * s0
+        eig[1:] = -(s0 / p.c) * signs
+        if np.all(eig < 0):
+            kind = FixedPointKind.STABLE_NODE
+        elif np.all(eig > 0):
+            kind = FixedPointKind.UNSTABLE_NODE
+        else:
+            kind = FixedPointKind.SADDLE
+        rows.append((v_sign, signs, 0.0 if v_sign > 0 else math.pi,
+                     theta_units * math.pi, phi_units * math.pi, eig, kind))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(11))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_block_census_matches_point_oracle(n, seed):
+    p = random_vehicle(np.random.default_rng(seed), n)
+    d = derive_params(p)
+    block = enumerate_fixed_points(n)
+    cls = classify_fixed_point(block, p, d)
+    oracle = census_oracle(n, p, d)
+    assert len(block) == len(oracle) == 2 ** (n + 1)
+    assert cls.eigenvalues.shape == (len(oracle), n + 1)
+    assert cls.kind.tolist() == [row[6] for row in oracle]
+    assert cls.eigenvalues.tobytes() == np.array(
+        [row[5] for row in oracle]).reshape(-1, n + 1).tobytes()
+    for k, (fp, row) in enumerate(zip(block, oracle)):
+        v_sign, signs, angle, theta, phi, eig, kind = row
+        assert (fp.v_sign, fp.velocity_angle) == (v_sign, angle)
+        assert fp.theta_signs.tobytes() == signs.tobytes()
+        assert fp.theta.tobytes() == theta.tobytes()
+        assert fp.phi.tobytes() == phi.tobytes()
+        one = classify_fixed_point(block[k], p, d)
+        assert one.kind is kind and one.eigenvalues.tobytes() == eig.tobytes()
+    assert block.describe() == [fp.describe() for fp in block]
 
 
 def test_asymptotic_prediction_values(reference_vehicle, reference_derived):

@@ -1,0 +1,98 @@
+"""Pinned SHA-256 digests of written artifacts.
+
+The fixed-point report, the trajectory CSV and the SVG figures are meant to
+be byte-identical for identical inputs; these digests pin the exact bytes, so
+a faster writer must reproduce them.  The speedup run is long enough for the
+CSV to span several write chunks and for the plots to thin their series.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from multilink import cli
+from multilink.model import random_vehicle
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+FIXED_POINTS_REPORT_SHA256 = {
+    0: "79e3c3db58fb5658335ea68faa7ece2787ca46e6bd68bc7762c31d461e0abb6a",
+    1: "a3a0dd5f290b8d187a32f4808e6a61c664262bdf0baf5b0a3a2625e08463431d",
+    2: "d56ac44f40c38af2a72e2f04fe8c487191fb818e58a56fbec32250fb79115983",
+    3: "ef47c32c1ef004c9330ef844e4e1cf4f86bf218805403f64bd4d7f6719cb2f05",
+    4: "4d74633caaf545024ececfa502e654c9b264bb41b88f5304edde2e1570877368",
+    5: "1cde678200b0d32ac9cf2e73179a57b8176083fd3ab858162767d6d5a1fd0fc2",
+    6: "e75c2b33a041e3b37e362bfc261c18c6e3aac31f1a2665d7b240ddf49d84e4f3",
+    7: "5829ed2921c82918142d1cd9c3e7474788f55b88e16e214dd84208b039f9912d",
+    8: "0e1c3f8639eb19d0fc027b0ae327db563891abb4fb1bbd4cf785081ce25770a3",
+    9: "39bc4c0c615ae883d97ce63b5d281a0174f07790f1842377f0e29749f1edf93a",
+    10: "a67d821fa2e65919b84b11bce4b2b0b803dc0996218bde3eba6a3340357d5f76",
+}
+
+SPEEDUP_ARTIFACT_SHA256 = {
+    "speedup_trajectory.csv":
+        "a40bbb43ffbe63cbc3e3556ca8c845399ea3bfd2a77a6423a07d5d18df5e647a",
+    "speedup_velocities.svg":
+        "e1ffb17992b4511cc84a95c0b083448dcb859a4073c111f6f8b78270e0faa40e",
+    "speedup_angles.svg":
+        "02a3012e57e99e7ece3864f3af4185560db2478fe43be8dd3101edca419a3e3a",
+    "speedup_paths.svg":
+        "cb1b53197243d985bb378d2646cef16ca75f2a0e33a46da6226948aa1f6f760f",
+    "speedup_report.txt":
+        "4b8b4c8714e484161f0de80eb5d0ee3935fcc72f74b7d95ad6dfbbe2feb4f246",
+}
+
+MANIFOLD_PORTRAIT_SHA256 = \
+    "aa8b8364c5536c079f197b964e9572598245263e3e83da6b4dcdb7fcf705ab75"
+
+
+def sha256(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def run_cli(argv, capsys):
+    assert cli.main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", sorted(FIXED_POINTS_REPORT_SHA256))
+def test_fixed_points_report_bytes(tmp_path, capsys, n):
+    p = random_vehicle(np.random.default_rng([409, n]), n)
+    doc = {"scenario": "fixed_points",
+           "vehicle": {"m": p.masses.tolist(), "I": p.inertias.tolist(),
+                       "a0": p.a0, "a": p.a.tolist(), "c": p.c.tolist()},
+           "integrator": {"t_end": 1.0}, "outputs": {"formats": ["report"]}}
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(doc))
+    run_cli(["fixed-points", path, "--draws", 2, "--seed", 410 + n,
+             "--output-dir", tmp_path / "o"], capsys)
+    digest = sha256(tmp_path / "o" / "fixed_points_report.txt")
+    assert digest == FIXED_POINTS_REPORT_SHA256[n]
+
+
+def test_speedup_artifact_bytes(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "speedup.json")) as f:
+        doc = json.load(f)
+    # about 5,200 samples: six CSV chunks, and every plot thins its series
+    doc["integrator"].update(t_end=200.0, sample_stride=1)
+    path = tmp_path / "speedup.json"
+    path.write_text(json.dumps(doc))
+    run_cli(["simulate", path, "--output-dir", tmp_path / "o"], capsys)
+    digests = {name: sha256(tmp_path / "o" / name)
+               for name in SPEEDUP_ARTIFACT_SHA256}
+    assert digests == SPEEDUP_ARTIFACT_SHA256
+
+
+def test_manifold_portrait_bytes(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "manifold.json")) as f:
+        doc = json.load(f)
+    doc["outputs"]["formats"] = ["svg"]
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(doc))
+    run_cli(["simulate", path, "--output-dir", tmp_path / "o"], capsys)
+    assert sha256(tmp_path / "o" / "manifold_portrait.svg") \
+        == MANIFOLD_PORTRAIT_SHA256

@@ -11,14 +11,20 @@ A traced right-hand side is a plain function without the vehicle kernel, so
 the integrator calls it under the list contract instead of calling the
 kernel inline: the traced per-layer RHS numbers describe that path.  It must
 give the untraced run's results and count every evaluation.
+
+The tracer also wraps ``analysis.enumerate_fixed_points`` (it counts the
+points it returns), ``analysis.classify_fixed_point``,
+``scenarios.write_trajectory_csv`` and ``svgplot.LinePlot.render``; a traced
+CLI census and simulate run check that those layers still report.
 """
 
 import importlib.util
+import json
 import os
 
 import numpy as np
 
-from multilink import dynamics, scenarios
+from multilink import cli, dynamics, scenarios
 from multilink.config import parse_config
 from multilink.dynamics import PoseState, ReducedState
 from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
@@ -73,3 +79,41 @@ def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
     assert (sol.n_accepted, sol.n_rejected, sol.n_evals) == (
         inlined.n_accepted, inlined.n_rejected, inlined.n_evals)
     assert tracer.take_stats()["rhs.reduced.calls"] == sol.n_evals
+
+
+def test_traced_census_and_artifact_writers(tmp_path, capsys):
+    vehicle = {"m": [1.0, 1.2, 1.2, 0.8], "I": [1.5, 2.0, 2.0, 1.0],
+               "a0": 0.7, "a": [0.1, 0.2, 0.3], "c": [1.05, 1.10, 0.9]}
+    census = tmp_path / "census.json"
+    census.write_text(json.dumps({
+        "scenario": "fixed_points", "vehicle": vehicle,
+        "integrator": {"t_end": 1.0}, "outputs": {"formats": ["report"]}}))
+    run = tmp_path / "inertial.json"
+    run.write_text(json.dumps({
+        "scenario": "inertial", "vehicle": vehicle,
+        "initial": {"v1": 1.0, "omega": 0.5, "phi": [0.3, -0.4, 0.2]},
+        "integrator": {"t_end": 5.0}}))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    draws = 2
+    tracer.install()
+    try:
+        assert cli.main(["fixed-points", str(census), "--draws", str(draws),
+                         "--seed", "1", "--output-dir", str(tmp_path)]) == 0
+        census_stats = tracer.take_stats()
+        assert cli.main(["simulate", str(run), "--output-dir",
+                         str(tmp_path)]) == 0
+        run_stats = tracer.take_stats()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    m = tracing.layer_metrics(census_stats, {}, 1.0)
+    assert m["analysis.census_points"] == 2 ** (3 + 1) * (1 + draws)
+    assert census_stats["analysis.census_classify.calls"] > 0
+    assert m["analysis.census_us_per_point"] > 0.0
+    m = tracing.layer_metrics(run_stats, {}, 1.0)
+    assert run_stats["scenarios.csv_write.calls"] == 1
+    assert m["scenarios.csv_write_us_per_sample"] > 0.0
+    assert m["scenarios.csv_bytes"] == os.path.getsize(
+        tmp_path / "inertial_trajectory.csv")
+    assert m["svgplot.render_calls"] == 3 and m["svgplot.render_s"] > 0.0

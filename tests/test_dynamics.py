@@ -29,6 +29,8 @@ from multilink.model import (
     DerivedParams,
     InvalidParameterError,
     VehicleParams,
+    alternating_signs,
+    angle_coeffs,
     derive_params,
     random_vehicle,
     sine_rotor,
@@ -375,6 +377,54 @@ def test_angle_system_formula(reference_vehicle, reference_derived):
                       * math.cos(ang) * math.sin(theta[i])
                       - math.sqrt(m_eff / d.inertia) * math.sin(ang))
             assert dy[1 + i] == pytest.approx(expect, abs=1e-13)
+
+
+def numpy_angle_system_rhs(p, d):
+    """The angle system's vector field on numpy arrays: the oracle of the
+    scalar loop."""
+    c = p.c
+    inertia, b = d.inertia, d.static_moment
+    signs = alternating_signs(p.n_links)
+
+    def rhs(tau, y):
+        y = np.asarray(y, dtype=float)
+        ang = y[0]
+        theta = theta_from_phi(y[1:])
+        w = np.sin(theta) / c
+        m_eff, _, _ = angle_coeffs(theta, d, c)
+        sin_a = math.sin(ang)
+        out = np.empty_like(y)
+        out[0] = -(b / inertia) * sin_a
+        out[1:] = -signs * w * math.cos(ang) - math.sqrt(m_eff / inertia) * sin_a
+        return out
+
+    return rhs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+def test_angle_system_matches_numpy_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    p = random_vehicle(rng, n)
+    d = derive_params(p)
+    y = [float(rng.uniform(0.0, 2.0 * math.pi)), *rng.uniform(-4.0, 4.0, n)]
+    dy = make_angle_system_rhs(p, d)(0.0, y)
+    assert type(dy) is list and len(dy) == n + 1
+    assert dy == pytest.approx(numpy_angle_system_rhs(p, d)(0.0, y).tolist(),
+                               rel=1e-12, abs=1e-12)
+
+
+def test_angle_system_degenerate_and_coupling_checked(reference_vehicle):
+    bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                        coupling=[-2.0, 0.0])
+    y = [0.3, math.pi / 2, 0.0]
+    for rhs in (numpy_angle_system_rhs, make_angle_system_rhs):
+        with pytest.raises(DegenerateShapeError, match="effective longitudinal"):
+            rhs(reference_vehicle, bad)(0.0, y)
+    short = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                          coupling=[0.5])
+    with pytest.raises(InvalidParameterError, match=r"coupling.*N = 2"):
+        make_angle_system_rhs(reference_vehicle, short)
 
 
 def test_angle_state_energy_identity(reference_vehicle, reference_derived):

@@ -91,6 +91,20 @@ def test_derived_params_reject_non_finite(field, bad):
         DerivedParams(**kwargs)
 
 
+def test_derived_params_reject_2d_coupling():
+    with pytest.raises(InvalidParameterError,
+                       match=r"^coupling must be 1-d, got shape \(1, 2\)"):
+        DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                      coupling=[[0.5, 0.5]])
+
+
+def test_trailer_array_shapes_reported():
+    with pytest.raises(InvalidParameterError,
+                       match=r"must be 1-d of length 2: got shapes a=2, c=1x2$"):
+        VehicleParams(masses=[1.0, 1.2, 1.2], inertias=[1.5, 2.0, 2.0],
+                      a0=0.7, a=[0.1, 0.2], c=[[1.05, 1.10]])
+
+
 @pytest.mark.parametrize("args, field", [
     ((float("nan"),), "amplitude"),
     ((float("inf"),), "amplitude"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multilink import cli
+from multilink.analysis import DegenerateSpectrumError
 from multilink.config import parse_config
 from multilink.dynamics import Trajectory, angle_coeffs_at_phi, energy
 from multilink.model import DegenerateShapeError, DerivedParams, derive_params
@@ -119,6 +120,26 @@ def test_fixed_points_report(tmp_path):
         and "saddle=6" in report
     # one row per equilibrium
     assert report.count("forward") == 4 and report.count("backward") == 4
+
+
+BALANCED = {"m": [1, 1], "I": [1, 1], "a0": 0.0, "a": [0.1], "c": [1.0]}
+
+
+def test_fixed_points_balanced_sleigh_rejected(tmp_path, monkeypatch):
+    cfg = parse_config(make_config(
+        tmp_path, scenario="fixed_points", vehicle=BALANCED,
+        integrator={"t_end": 1.0}).read_text())
+    with pytest.raises(DegenerateSpectrumError):
+        run_scenario(cfg, output_dir=str(tmp_path / "o"))
+    # the random-parameter draws classify their own vehicles
+    balanced = cfg.vehicle
+    cfg = parse_config(make_config(
+        tmp_path, scenario="fixed_points", vehicle=dict(BALANCED, a0=0.5),
+        integrator={"t_end": 1.0}).read_text())
+    monkeypatch.setattr("multilink.model.random_vehicle",
+                        lambda rng, n: balanced)
+    with pytest.raises(DegenerateSpectrumError):
+        run_scenario(cfg, output_dir=str(tmp_path / "o"), seed=1, draws=1)
 
 
 def test_manifold_portrait(tmp_path):
