@@ -1,0 +1,172 @@
+"""The adaptive loop and the vehicle kernel as compiled C (``_loop.c``).
+
+:func:`multilink.integrator.integrate` runs this loop on the vector fields
+of :mod:`multilink.dynamics` with a sine or zero rotor; every other
+right-hand side takes the emitted Python steps.  :func:`load` compiles the
+C file with the compiler Python was built with (sysconfig ``CC``), into a
+private temporary directory that is removed at exit, and loads it with
+ctypes.  It returns None where that fails, and the integrator then keeps to
+its Python loop, which gives the same bits.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import functools
+import importlib.resources
+import os
+import shlex
+import shutil
+import signal
+import subprocess
+import sysconfig
+import tempfile
+from ctypes import POINTER, c_double, c_int, c_long, c_void_p
+from itertools import accumulate
+
+import numpy as np
+
+from . import integrator
+
+# No fused multiply-adds, and no sincos in place of a sin and a cos of one
+# argument: each operation rounds as the Python one does.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin-sin",
+         "-fno-builtin-cos")
+COMPILE_TIMEOUT_S = 120.0
+# A call returns to Python after this many step attempts at most, so that
+# Ctrl-C stops a long run, and after filling a buffer of CHUNK samples.
+STEPS_PER_CALL = 100_000
+CHUNK = 4096
+
+# the statuses and charts of _loop.c
+DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE, ZERO_DIVISION = range(6)
+CHARTS = ("reduced", "full", "manifold")
+
+
+class Vehicle(ctypes.Structure):
+    _fields_ = [("n", c_int), ("chart", c_int),
+                ("c", POINTER(c_double)), ("mu", POINTER(c_double)),
+                ("mass", c_double), ("inertia", c_double), ("b", c_double),
+                ("af", c_double), ("freq", c_double)]
+
+
+class Pair(ctypes.Structure):
+    _fields_ = [("stages", c_int), ("n_err", c_int), ("n_silent", c_int),
+                ("exponent", c_double), ("c", POINTER(c_double)),
+                ("row_start", POINTER(c_int)), ("col", POINTER(c_int)),
+                ("val", POINTER(c_double)), ("silent", POINTER(c_int))]
+
+
+class Run(ctypes.Structure):
+    _fields_ = [("dim", c_int), ("landing", c_int),
+                *[(name, c_long) for name in
+                  ("stride", "n_targets", "next_target", "max_steps")],
+                ("targets", POINTER(c_double)),
+                *[(name, c_double) for name in
+                  ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol",
+                   "last_t")],
+                *[(name, c_long) for name in
+                  ("n_acc", "n_rej", "n_evals", "n_out")],
+                *[(name, c_double) for name in ("h", "m_eff", "stage_t")]]
+
+
+def _array(ctype, values):
+    return (ctype * len(values))(*values)
+
+
+def _compile(cmd):
+    """Run the compiler in its own process group, which is killed if the
+    call does not end in time or is interrupted."""
+    proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        if proc.wait(timeout=COMPILE_TIMEOUT_S):
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def load():
+    """Compile and load the loop; return the runner for integrate, or None
+    without a working compiler."""
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    tmp = tempfile.mkdtemp(prefix="multilink-")
+    atexit.register(shutil.rmtree, tmp, ignore_errors=True)
+    library = os.path.join(tmp, "_loop.so")
+    try:
+        source = importlib.resources.files(__package__) / "_loop.c"
+        with importlib.resources.as_file(source) as path:
+            _compile([*shlex.split(cc), *FLAGS, str(path), "-o", library, "-lm"])
+        entry = ctypes.CDLL(library).ml_run
+    except (OSError, subprocess.SubprocessError):
+        return None
+    entry.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
+                      c_void_p, c_void_p, c_void_p, c_long]
+    entry.restype = c_int
+    return functools.partial(_run, entry)
+
+
+@functools.cache
+def _pair(method):
+    """The pair `method` of integrator._STEPPERS in the sparse form of
+    _loop.c: the stage rows, the weights and the error rows, non-zero
+    coefficients only."""
+    exponent, c, a, b, err_rows, _ = integrator._STEPPERS[method]
+    stages = len(a) + 1
+    rows = [[(j, x) for j, x in enumerate(row) if x != 0.0]
+            for row in (*a[1:], b, *err_rows)]
+    silent = [j for j in range(stages) if not any(row[j] for row in err_rows)]
+    return Pair(stages, len(err_rows), len(silent), exponent,
+                _array(c_double, [*c[:len(a)], 1.0]),
+                _array(c_int, list(accumulate(map(len, rows), initial=0))),
+                _array(c_int, [j for row in rows for j, _ in row]),
+                _array(c_double, [x for row in rows for _, x in row]),
+                _array(c_int, silent))
+
+
+def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
+    """integrate's loop for a vehicle field: appends the samples to buf and
+    returns the accepted, rejected and evaluation counts.  integrate has
+    called the field's kernel on y, whose arity is the chart's dimension,
+    and the field's couplings have one entry per link."""
+    dim = len(y)
+    pair = _pair(opts.method)
+    chart, c, mu, *constants = rhs.vehicle
+    vehicle = Vehicle(len(c), CHARTS.index(chart), _array(c_double, c),
+                      _array(c_double, mu), *constants)
+    work = np.empty((pair.stages + 2) * dim)  # y, the stages, the new state
+    work[:dim] = y
+    work[dim:2 * dim] = f
+    t_out = np.empty(CHUNK)
+    y_out = np.empty(CHUNK * dim)
+    landing = targets is not None
+    stops = np.array(targets if landing else [], dtype=float)
+    run = Run(dim=dim, landing=landing, stride=opts.sample_stride,
+              n_targets=stops.size, max_steps=STEPS_PER_CALL,
+              targets=stops.ctypes.data_as(POINTER(c_double)), t=t0,
+              t_end=opts.t_end, h_prop=h_prop, hmax=opts.hmax,
+              h_floor=h_floor, rtol=opts.rtol, atol=opts.atol, last_t=t0,
+              n_evals=1)
+    status = MORE
+    while status == MORE:
+        status = entry(pair, vehicle, run, work.ctypes.data, t_out.ctypes.data,
+                       y_out.ctypes.data, CHUNK)
+        buf.extend(t_out[:run.n_out], y_out[:run.n_out * dim])
+    if status == UNDERFLOW:
+        raise integrator._underflow(run.h, run.t)
+    if status == DIVERGED:
+        raise integrator._diverged(run.t)
+    if status == DEGENERATE:
+        # the Python kernel raises the same error on the same stage
+        rhs.kernel(run.stage_t, *work[-dim:].tolist())
+        raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
+                           f"t={run.stage_t}, the Python kernel disagrees")
+    if status == ZERO_DIVISION:  # the 8(5,3) norm's divisor, as in Python
+        raise ZeroDivisionError("float division by zero")
+    return run.n_acc, run.n_rej, run.n_evals

@@ -1,0 +1,247 @@
+/* The adaptive loop of multilink.integrator and the vehicle kernel of
+ * multilink.dynamics, as C.
+ *
+ * multilink._compiled builds this file once per process with -O2
+ * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
+ * fused multiply-add, no sincos) and calls ml_run through ctypes.
+ * Every floating-point operation is the one the emitted Python step and
+ * kernel perform, in the same order and through the same libm sin, cos, pow
+ * and sqrt, so both give the same bits: zero tableau coefficients are
+ * skipped, a linear combination starts from its first non-zero term, sums
+ * run left to right, and max(a, b) keeps a unless b > a, as Python's
+ * builtins do.  Where Python raises, the same case is caught here: sin or
+ * cos of an infinity gives NaN rates, as the kernel's except clause does,
+ * and a zero divisor in the 8(5,3) norm or a degenerate shape ends the run
+ * with a status.
+ *
+ * ml_run keeps no state of its own: everything lives in the caller's Run
+ * and work memory, and a call returns after filling the sample buffer or
+ * after max_steps step attempts, to be called again to go on.
+ */
+#include <math.h>
+#include <string.h>
+
+enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE,
+       RUN_ZERO_DIVISION };
+enum { CHART_REDUCED, CHART_FULL, CHART_MANIFOLD };
+
+/* A vehicle field: n links on a chart, hinge distances c and couplings mu,
+ * and the rotor rate af * cos(freq * t).  On the manifold chart af and freq
+ * are the fixed v1 and omega, and the state is the angles alone. */
+typedef struct {
+    int n, chart;
+    const double *c, *mu;
+    double mass, inertia, b, af, freq;
+} Vehicle;
+
+/* An embedded pair as sparse rows of (column, coefficient): rows 0 ..
+ * stages - 2 build the inputs of stages 1 .. stages - 1 (the last of them is
+ * the new state), then come the error rows.  c holds the stage abscissae,
+ * silent the stages that no error row weighs. */
+typedef struct {
+    int stages, n_err, n_silent;
+    double exponent;
+    const double *c;
+    const int *row_start, *col;
+    const double *val;
+    const int *silent;
+} Pair;
+
+/* The loop's settings and its state between calls. */
+typedef struct {
+    int dim, landing;               /* landing: emit at targets only */
+    long stride, n_targets, next_target, max_steps;
+    const double *targets;
+    double t, t_end, h_prop, hmax, h_floor, rtol, atol, last_t;
+    long n_acc, n_rej, n_evals, n_out;
+    double h, m_eff, stage_t;       /* the failing step or stage */
+} Run;
+
+/* The rates at (t, y) into f; 1 for a finite m_eff <= 0. */
+static int rates(const Vehicle *v, double t, const double *y, double *f,
+                 double *m_eff_out)
+{
+    const int manifold = v->chart == CHART_MANIFOLD, n = v->n;
+    const double *p = manifold ? y : y + 2;
+    const double v1 = manifold ? v->af : y[0], om = manifold ? v->freq : y[1];
+    double *d = manifold ? f : f + 2;
+    double acc = 0.0, m_eff = v->mass, quad_v = 0.0, quad_cross = 0.0,
+           accw = 0.0;
+    for (int i = 0; i < n; i++) {
+        const double alt = i % 2 ? -p[i] : p[i];
+        const double th = alt + acc;
+        if (isinf(th))
+            goto nan;
+        acc += 2.0 * alt;
+        const double sin_t = sin(th);
+        const double w = sin_t / v->c[i];
+        const double mu_sc = v->mu[i] * sin_t * cos(th);
+        m_eff += v->mu[i] * sin_t * sin_t;
+        quad_v += 2.0 * mu_sc * (accw + 0.5 * w);
+        quad_cross += mu_sc;
+        d[i] = (i % 2 ? v1 * w : -(v1 * w)) - om;
+        accw += w;
+    }
+    if (m_eff <= 0.0) {
+        *m_eff_out = m_eff;
+        return 1;
+    }
+    if (manifold)
+        return 0;
+    if (isinf(v->freq * t) || (v->chart == CHART_FULL && isinf(y[n + 4])))
+        goto nan;
+    f[0] = (v->b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff;
+    f[1] = (-v->b * om * v1 - v->af * cos(v->freq * t)) / v->inertia;
+    if (v->chart == CHART_FULL) {
+        f[n + 2] = v1 * cos(y[n + 4]);
+        f[n + 3] = v1 * sin(y[n + 4]);
+        f[n + 4] = om;
+    }
+    return 0;
+nan:  /* Python's sin and cos raise on an infinity; the kernel returns NaN */
+    for (int i = 0; i < (manifold ? n : n + 2 + 3 * (v->chart == CHART_FULL)); i++)
+        f[i] = NAN;
+    return 0;
+}
+
+/* Component i of the combination of the stages k by sparse row `row`. */
+static double comb(const Pair *p, int row, const double *k, int dim, int i)
+{
+    int q = p->row_start[row];
+    const int end = p->row_start[row + 1];
+    double acc = p->val[q] * k[p->col[q] * dim + i];
+    while (++q < end)
+        acc += p->val[q] * k[p->col[q] * dim + i];
+    return acc;
+}
+
+static double max2(double a, double b) { return b > a ? b : a; }
+
+/* One step of size h from (t, y), whose derivative is k[0]: fills the
+ * stages k[1 ..] and the new state yn, and sets *err to the error norm, NaN
+ * where a stage or the new state is not finite.  Returns 0, or the status
+ * of a failed step. */
+static int step(const Pair *p, const Vehicle *v, Run *r, double h,
+                const double *y, double *k, double *yn, double *err)
+{
+    const int dim = r->dim, s_end = p->stages;
+    for (int s = 1; s < s_end; s++) {
+        for (int i = 0; i < dim; i++)
+            yn[i] = y[i] + h * comb(p, s - 1, k, dim, i);
+        const double ts = r->t + p->c[s] * h;
+        if (rates(v, ts, yn, k + s * dim, &r->m_eff)) {
+            r->stage_t = ts;
+            return RUN_DEGENERATE;
+        }
+    }
+    double silent = 0.0;
+    for (int q = 0; q < p->n_silent; q++) {
+        double sum = 0.0;
+        for (int i = 0; i < dim; i++)
+            sum += k[p->silent[q] * dim + i];
+        silent += sum;
+    }
+    const int e = s_end - 1;  /* the first error row */
+    double sum = 0.0, e5 = 0.0, e3 = 0.0;
+    for (int i = 0; i < dim; i++) {
+        const double sc = r->atol + r->rtol * max2(fabs(y[i]), fabs(yn[i]));
+        double x5, x3 = 0.0;
+        if (p->n_err == 1) {           /* 5(4) */
+            x5 = fabs(h * comb(p, e, k, dim, i)) / sc;
+        } else {                       /* 8(5,3) */
+            x5 = fabs(comb(p, e, k, dim, i)) / sc;
+            x3 = fabs(comb(p, e + 1, k, dim, i)) / sc;
+        }
+        sum += x5;
+        e5 = i == 0 ? x5 : max2(e5, x5);
+        e3 = i == 0 ? x3 : max2(e3, x3);
+    }
+    if (isnan(sum) || !isfinite(silent))
+        *err = NAN;
+    else if (p->n_err == 1 || e5 == 0.0)
+        *err = e5;
+    else {
+        const double root = sqrt(e5 * e5 + 0.01 * e3 * e3);
+        if (root == 0.0)
+            return RUN_ZERO_DIVISION;
+        *err = h * e5 * e5 / root;
+    }
+    return 0;
+}
+
+static void emit(Run *r, const double *y, double *t_out, double *y_out)
+{
+    t_out[r->n_out] = r->t;
+    memcpy(y_out + r->n_out * r->dim, y, r->dim * sizeof *y);
+    r->n_out++;
+    r->last_t = r->t;
+}
+
+/* work: the state y, the stages k (k[0] its derivative) and the new state,
+ * dim doubles each; t_out and y_out hold cap samples. */
+int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
+           double *t_out, double *y_out, long cap)
+{
+    const int dim = r->dim, last = p->stages - 1;
+    double *y = work, *k = work + dim, *yn = k + p->stages * dim;
+    r->n_out = 0;
+    for (long attempts = 0; r->t < r->t_end; attempts++) {
+        if (attempts == r->max_steps)
+            return RUN_MORE;
+        const double target = r->next_target < r->n_targets
+            ? r->targets[r->next_target] : r->t_end;
+        const double gap = target - r->t;
+        double h = r->hmax < r->h_prop ? r->hmax : r->h_prop;
+        if (gap <= h / 0.9 && gap <= r->hmax)
+            h = gap;
+        const int clamped = h < r->h_prop;
+        if (h < r->h_floor) {
+            r->h = h;
+            return RUN_UNDERFLOW;
+        }
+        double err;
+        const int status = step(p, v, r, h, y, k, yn, &err);
+        if (status)
+            return status;
+        r->n_evals += last;
+
+        if (!isfinite(err)) {
+            r->n_rej++;
+            r->h_prop = h * 0.25;
+            if (r->h_prop < r->h_floor)
+                return RUN_DIVERGED;
+            continue;
+        }
+        if (err > 1.0) {
+            r->n_rej++;
+            r->h_prop = h * max2(0.2, 0.9 * pow(err, p->exponent));
+            continue;
+        }
+
+        r->n_acc++;
+        r->t = h == gap ? target : r->t + h;
+        memcpy(y, yn, dim * sizeof *y);
+        memcpy(k, k + last * dim, dim * sizeof *k);
+        double factor = 5.0;
+        if (err != 0.0) {
+            factor = max2(0.2, 0.9 * pow(err, p->exponent));
+            factor = factor < 5.0 ? factor : 5.0;
+        }
+        r->h_prop = clamped ? max2(r->h_prop, h * factor) : h * factor;
+
+        if (r->landing) {
+            if (r->next_target < r->n_targets
+                    && r->t == r->targets[r->next_target]) {
+                emit(r, y, t_out, y_out);
+                r->next_target++;
+            }
+        } else if (r->n_acc % r->stride == 0 || r->t >= r->t_end) {
+            emit(r, y, t_out, y_out);
+        }
+        if (r->n_out == cap)
+            return RUN_MORE;
+    }
+    if (!r->landing && r->last_t != r->t)
+        emit(r, y, t_out, y_out);
+    return RUN_DONE;
+}

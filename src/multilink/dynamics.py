@@ -152,12 +152,16 @@ def _kernel_binder(n: int, chart: str, sine: bool):
     return namespace["bind"]
 
 
-def _vehicle_rhs(kernel):
-    """The list-in, list-out rhs of a kernel; it carries the kernel along."""
+def _vehicle_rhs(kernel, vehicle):
+    """The list-in, list-out rhs of a kernel; it carries the kernel along,
+    and as ``vehicle`` the arguments of the compiled kernel (the chart, the
+    bound constants and the rotor's (af, freq)), or None for a rotor that
+    is not a sine."""
     def rhs(t, y):
         return list(kernel(t, *y))
 
     rhs.kernel = kernel
+    rhs.vehicle = vehicle
     return rhs
 
 
@@ -172,9 +176,12 @@ def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
     _check_coupling(p, d)
     sine = rotor.sine
     bind = _kernel_binder(p.n_links, chart, sine is not None)
-    return _vehicle_rhs(bind(
-        p.c.tolist(), d.coupling.tolist(), d.mass, d.inertia, d.static_moment,
-        rotor.rate if sine is None else (sine[0] * sine[1], sine[1])))
+    constants = (p.c.tolist(), d.coupling.tolist(), d.mass, d.inertia,
+                 d.static_moment)
+    if sine is None:
+        return _vehicle_rhs(bind(*constants, rotor.rate), None)
+    af_freq = (sine[0] * sine[1], sine[1])
+    return _vehicle_rhs(bind(*constants, af_freq), (chart, *constants, *af_freq))
 
 
 def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
@@ -201,8 +208,10 @@ def make_manifold_rhs(p: VehicleParams, sign: int):
     # The couplings do not enter the angle rates; with none, the discarded
     # velocity rates cannot raise DegenerateShapeError.
     bind = _kernel_binder(p.n_links, "manifold", False)
-    return _vehicle_rhs(bind(p.c.tolist(), [0.0] * p.n_links, 1.0, 1.0, 0.0,
-                             (float(sign), 0.0)))
+    constants = (p.c.tolist(), [0.0] * p.n_links, 1.0, 1.0, 0.0)
+    v1_omega = (float(sign), 0.0)
+    return _vehicle_rhs(bind(*constants, v1_omega),
+                        ("manifold", *constants, *v1_omega))
 
 
 # --- energy-sphere angle system and invariant manifolds ----------------------

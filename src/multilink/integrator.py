@@ -30,6 +30,19 @@ building a list per stage.  Any other rhs, including a function wrapped
 around one of those fields, is called through a kernel that makes the list.
 For the few components of this model, numpy's per-operation overhead on
 small arrays would cost more than the arithmetic.
+
+A built-in vehicle field with a sine or zero rotor, one that carries a
+``vehicle`` attribute (:func:`multilink.dynamics.make_reduced_rhs`,
+``make_full_rhs``, ``make_manifold_rhs``), runs on the compiled loop instead
+(:mod:`multilink._compiled`): the driver loop and the vehicle kernel in C,
+built from ``_loop.c`` by the first such run in a process with the compiler
+Python was built with and ``-O2 -fPIC -shared -ffp-contract=off
+-fno-builtin-sin -fno-builtin-cos``, once, in about 0.25 s.  It reads the
+tableaux below and performs the emitted steps' operations in their order,
+so it gives the same times, states, counts and typed errors to the bit.
+Without a working compiler every run takes the Python loop, which stays the
+portable fallback and the oracle of the compiled one; setting ``_loop`` to
+False forces it.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import numbers
 import re
 from array import array
 from dataclasses import dataclass
@@ -159,7 +173,10 @@ class IntegratorOptions:
             raise ValueError(f"need 0 < h0 <= hmax, got {self.h0} and {self.hmax}")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.sample_stride < 1:
+        stride = self.sample_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral):
+            raise ValueError(f"sample_stride must be an integer, got {stride!r}")
+        if stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
 
@@ -185,6 +202,11 @@ class _Buffer:
     def append(self, t: float, y):
         self._t.append(t)
         self._y.extend(y)
+
+    def extend(self, times, states):
+        """Append samples from float64 arrays: times, and the states flat."""
+        self._t.frombytes(times.tobytes())
+        self._y.frombytes(states.tobytes())
 
     @property
     def last_time(self) -> float:
@@ -241,6 +263,29 @@ def _prepare(rhs, y0, opts, t0, t_eval):
     return rhs, y, t_eval, f0, buf
 
 
+def _underflow(h, t):
+    return StepUnderflowError(f"step size {h:.3e} underflowed at t={t!r} "
+                              f"(tolerances unreachable here)", t)
+
+
+def _diverged(t):
+    return DivergenceError(f"right-hand side or state not finite near t={t!r}", t)
+
+
+# The compiled loop (multilink._compiled): None until the first run of a
+# vehicle field builds it, then its runner, or False where it cannot be
+# built.
+_loop = None
+
+
+def _compiled_loop():
+    global _loop
+    if _loop is None:
+        from . import _compiled
+        _loop = _compiled.load() or False
+    return _loop
+
+
 def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
               t_eval=None) -> Solution:
     """Integrate dy/dt = rhs(t, y) from t0 to opts.t_end.
@@ -250,19 +295,28 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     the accepted-step grid decimated by opts.sample_stride is emitted,
     always including the first and last points.
     """
+    rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
+    h_prop = min(opts.h0, opts.hmax, opts.t_end - t0)
+    h_floor = 1e-14 * abs(opts.t_end)
+    loop = _python_loop
+    if getattr(rhs, "vehicle", None) is not None and _compiled_loop():
+        loop = _loop
+    counts = loop(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf)
+    return Solution(*buf.arrays(), *counts)
+
+
+def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
+    """The driver loop over the emitted step of opts.method: appends the
+    samples after the first to buf and returns the accepted, rejected and
+    evaluation counts."""
     exponent, _, stages, *_ = _STEPPERS[opts.method]
     evals = len(stages)  # each stage but the first, the last step's FSAL
-    rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
     step, kernel = _stepper(opts.method, rhs, len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
-    h_floor = 1e-14 * abs(t_end)
     n_targets = 0 if targets is None else len(targets)
     next_target = 0
-
-    t = t0
-    h_prop = min(opts.h0, hmax, t_end - t0)
     n_acc = n_rej = 0
     n_evals = 1  # the derivative at t0, the first stage of the first step
 
@@ -276,9 +330,7 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
             h = gap
         clamped = h < h_prop
         if h < h_floor:
-            raise StepUnderflowError(
-                f"step size {h:.3e} underflowed at t={t!r} "
-                f"(tolerances unreachable here)", t)
+            raise _underflow(h, t)
 
         y_new, f_new, err = step(kernel, t, h, y, f, atol, rtol)
         n_evals += evals
@@ -287,8 +339,7 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
             n_rej += 1
             h_prop = h * 0.25
             if h_prop < h_floor:
-                raise DivergenceError(
-                    f"right-hand side or state not finite near t={t!r}", t)
+                raise _diverged(t)
             continue
         if err > 1.0:
             n_rej += 1
@@ -313,8 +364,7 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
 
     if targets is None and buf.last_time != t:
         buf.append(t, y)
-    times, states = buf.arrays()
-    return Solution(times, states, n_acc, n_rej, n_evals)
+    return n_acc, n_rej, n_evals
 
 
 # --- step functions ------------------------------------------------------------

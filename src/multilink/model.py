@@ -267,8 +267,9 @@ def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
 
 
 def zero_rotor() -> RotorProfile:
-    """Rotor at rest: k = 0 identically."""
-    return RotorProfile(lambda t: 0.0, lambda t: 0.0, 1.0)
+    """Rotor at rest: k = 0 identically, the sine of amplitude and
+    frequency 0, whose rate 0 * cos(0 * t) is 0.0 exactly."""
+    return RotorProfile(lambda t: 0.0, lambda t: 0.0, 1.0, (0.0, 0.0))
 
 
 # --- random admissible parameters -------------------------------------------

@@ -148,6 +148,25 @@ def test_options_validation():
         IntegratorOptions(t_end=1.0, sample_stride=0)
 
 
+@pytest.mark.parametrize("stride", [1.5, 2.0, True, "2", None])
+def test_sample_stride_must_be_an_integer(stride):
+    # 1.5 used to emit every 3rd step (n_acc % 1.5 == 0) and True every one
+    with pytest.raises(ValueError, match="sample_stride must be an integer"):
+        IntegratorOptions(t_end=1.0, sample_stride=stride)
+
+
+def test_numpy_integer_stride(reference_vehicle, reference_derived):
+    # on the compiled loop of a vehicle field and on the Python loop
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
+                           sine_rotor(0.05, 1.0))
+    for field in (rhs, lambda t, y: rhs(t, y)):
+        runs = [integrate(field, [10.0, 1.0, 0.5, 0.5],
+                          IntegratorOptions(t_end=2.0, sample_stride=stride))
+                for stride in (3, np.int64(3))]
+        assert np.array_equal(runs[0].times, runs[1].times)
+        assert np.array_equal(runs[0].states, runs[1].states)
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -179,7 +179,7 @@ PAIRS = (METHOD_RK45, METHOD_DOP853)
 
 def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
     """integrate with the hand-written step of opts.method in place of the
-    emitted one, checking that it made every step."""
+    emitted one, on the Python loop, checking that it made every step."""
     hand = HAND[opts.method]
     calls = []
 
@@ -188,6 +188,7 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
         return hand(*args)
 
     with monkeypatch.context() as m:
+        m.setattr(integrator, "_loop", False)
         m.setattr(integrator, "_stepper", lambda method, f, dim: (step, f))
         sol = integrate(rhs, y0, opts, **kwargs)
     assert len(calls) == sol.n_accepted + sol.n_rejected > 0
@@ -195,8 +196,10 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
 
 
 def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
-    """The run of a vehicle field, which calls its kernel, and the run of the
-    same field behind a plain function, against the hand-written step."""
+    """The runs of a vehicle field on the compiled loop (where it builds)
+    and on the emitted step, which calls its kernel inline, and the run of
+    the same field behind a plain function, against the hand-written
+    step."""
     def called(t, y):
         return rhs(t, y)
 
@@ -206,8 +209,12 @@ def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
     wrapped_step, adapter = integrator._stepper(opts.method, called, dim)
     assert wrapped_step is step and adapter is not called
     hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
-    for sol in (integrate(rhs, y0, opts, **kwargs),
-                integrate(called, y0, opts, **kwargs)):
+    runs = [integrate(rhs, y0, opts, **kwargs),
+            integrate(called, y0, opts, **kwargs)]
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_loop", False)  # the emitted step, kernel inline
+        runs.append(integrate(rhs, y0, opts, **kwargs))
+    for sol in runs:
         assert np.array_equal(sol.times, hand.times)
         assert np.array_equal(sol.states, hand.states)
         assert (sol.n_accepted, sol.n_rejected, sol.n_evals) == (
@@ -325,9 +332,10 @@ def test_import_compiles_no_step():
 
 
 @pytest.mark.parametrize("method", PAIRS)
-def test_second_run_compiles_nothing(method):
+def test_second_run_compiles_nothing(monkeypatch, method):
     # the second run wraps its field in a plain function: one step per pair
-    # and dimension serves both
+    # and dimension serves both, on the Python loop
+    monkeypatch.setattr(integrator, "_loop", False)
     rng = np.random.default_rng(31)
     opts = IntegratorOptions(t_end=1.0, method=method)
     runs = []
