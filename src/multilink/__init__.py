@@ -11,6 +11,7 @@ from .analysis import (
     FixedPointBlock,
     FixedPointKind,
     NoSpeedupError,
+    PeriodError,
     PowerLawFit,
     asymptotic_prediction,
     averaged_law_check,

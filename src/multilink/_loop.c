@@ -11,8 +11,7 @@
  * run left to right, and max(a, b) keeps a unless b > a, as Python's
  * builtins do.  Where Python raises, the same case is caught here: sin or
  * cos of an infinity gives NaN rates, as the kernel's except clause does,
- * and a zero divisor in the 8(5,3) norm or a degenerate shape ends the run
- * with a status.
+ * and a degenerate shape ends the run with a status.
  *
  * ml_run keeps no state of its own: everything lives in the caller's Run
  * and work memory, and a call returns after filling the sample buffer or
@@ -21,8 +20,7 @@
 #include <math.h>
 #include <string.h>
 
-enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE,
-       RUN_ZERO_DIVISION };
+enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE };
 enum { CHART_REDUCED, CHART_FULL, CHART_MANIFOLD };
 
 /* A vehicle field: n links on a chart, hinge distances c and couplings mu,
@@ -162,9 +160,12 @@ static int step(const Pair *p, const Vehicle *v, Run *r, double h,
         *err = e5;
     else {
         const double root = sqrt(e5 * e5 + 0.01 * e3 * e3);
-        if (root == 0.0)
-            return RUN_ZERO_DIVISION;
-        *err = h * e5 * e5 / root;
+        if (root == 0.0) {  /* both squares underflow: divide through by e5 */
+            const double q = e3 / e5;
+            *err = h * e5 / sqrt(1.0 + 0.01 * q * q);
+        } else {
+            *err = h * e5 * e5 / root;
+        }
     }
     return 0;
 }

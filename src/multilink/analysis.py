@@ -32,6 +32,11 @@ class NoSpeedupError(ValueError):
     rotor with constant momentum)."""
 
 
+class PeriodError(ValueError):
+    """Raised for the rotor period of an envelope reduction: missing, not
+    positive and finite, or too long to leave two per-period maxima."""
+
+
 class FixedPointKind(enum.Enum):
     STABLE_NODE = "stable_node"
     UNSTABLE_NODE = "unstable_node"
@@ -374,11 +379,13 @@ def envelope_points(times, values, period: float):
 
     Each run of consecutive samples in the same period bin gives one pair;
     within a run the first maximum wins (the first NaN, if any), as with
-    np.argmax.
+    np.argmax.  The period must be positive and finite (PeriodError).
     """
+    if not (period > 0.0 and math.isfinite(period)):
+        raise PeriodError(f"period must be positive and finite, got {period!r}")
     times = np.asarray(times, dtype=float)
     mags = np.abs(np.asarray(values, dtype=float))
-    bins = np.floor(times / period).astype(np.int64)
+    bins = np.floor(times / period)  # as floats: int64 wraps past 2**63
     new_bin = np.empty(bins.size, dtype=bool)
     new_bin[:1] = True
     np.not_equal(bins[1:], bins[:-1], out=new_bin[1:])
@@ -395,9 +402,10 @@ def fit_power_law(times, values, window, mode: str = "raw",
     """Least-squares fit of log|value| against log t over a time window.
 
     mode "raw" fits the samples as-is and requires them positive; mode
-    "envelope" first reduces to per-period maxima of |value| (period
-    required).  The window must start at positive time and contain at least
-    30 samples.
+    "envelope" first reduces to per-period maxima of |value|, which needs a
+    period that leaves at least 2 of them (PeriodError otherwise).  The
+    window must start at positive time and contain at least 30 samples, all
+    finite.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -412,8 +420,12 @@ def fit_power_law(times, values, window, mode: str = "raw",
     t, v = times[mask], values[mask]
     if mode == "envelope":
         if period is None:
-            raise ValueError("envelope mode needs the rotor period")
+            raise PeriodError("envelope mode needs the rotor period")
         t, v = envelope_points(t, v, period)
+        if t.size < 2:
+            raise PeriodError(
+                f"period {period!r} leaves {t.size} per-period maximum in "
+                f"window [{t_lo}, {t_hi}]; an envelope fit needs at least 2")
     elif mode == "raw":
         pass
     else:
@@ -421,8 +433,14 @@ def fit_power_law(times, values, window, mode: str = "raw",
     if np.any(v <= 0):
         raise ValueError("power-law fit needs positive values "
                          "(zero or negative sample in window)")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(t))):
+        raise ValueError("power-law fit needs finite times and values "
+                         "(NaN or infinite sample in window)")
     lt, lv = np.log(t), np.log(v)
-    slope, intercept = np.polyfit(lt, lv, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(lt, lv, 1, full=True)
+    if rank < 2:
+        raise ValueError(f"window [{t_lo}, {t_hi}] spans too little of log t "
+                         f"for a fit")
     resid = lv - (slope * lt + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot

@@ -49,14 +49,17 @@ def _cmd_fixed_points(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = scenarios.read_trajectory_csv(args.trajectory)
-    if args.column not in data:
-        raise ConfigError(f"column {args.column!r} not in "
-                          f"{sorted(data)} of {args.trajectory}")
-    lo, hi = args.window.split(":")
-    fit = analysis.fit_power_law(data["t"], data[args.column],
-                                 (float(lo), float(hi)), mode=args.mode,
-                                 period=args.period)
+    try:
+        lo, hi = map(float, args.window.split(":"))
+    except ValueError:
+        raise ConfigError(f"--window must be 'lo:hi', got {args.window!r}") \
+            from None
+    data = scenarios.read_trajectory_csv(args.trajectory, (args.column,))
+    try:
+        fit = analysis.fit_power_law(data["t"], data[args.column], (lo, hi),
+                                     mode=args.mode, period=args.period)
+    except analysis.PeriodError as e:
+        raise ConfigError(f"--period: {e}") from None
     print(f"{args.column} ~ {fit.prefactor:.6g} * t^{fit.exponent:+.5f} "
           f"(r^2 {fit.r_squared:.6f}, {fit.n_points} points, mode {args.mode})")
     return 0

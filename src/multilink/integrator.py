@@ -239,6 +239,8 @@ def _prepare(rhs, y0, opts, t0, t_eval):
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or t_eval.size == 0:
             raise ValueError("t_eval must be a non-empty 1-d array")
+        if not np.all(np.isfinite(t_eval)):
+            raise ValueError("t_eval must be finite")
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("t_eval must be strictly increasing")
         if t_eval[0] < t0 or t_eval[-1] > opts.t_end:
@@ -400,7 +402,11 @@ _DOP853_NORM = """\
     if e5 == 0.0:
         return y_new, {last}, 0.0
     e3 = max(({err3_}))
-    return y_new, {last}, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    if root == 0.0:  # both squares underflow: divide through by e5
+        q = e3 / e5
+        return y_new, {last}, h * e5 / math.sqrt(1.0 + 0.01 * q * q)
+    return y_new, {last}, h * e5 * e5 / root
 """
 
 

@@ -8,14 +8,16 @@ re-read reproduces the samples bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, svgplot
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .dynamics import (
     PoseState,
     Trajectory,
@@ -63,15 +65,49 @@ def write_trajectory_csv(path: str, traj: Trajectory):
                              table[start:start + _CSV_CHUNK_ROWS].tolist()]))
 
 
-def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back as a column-name -> array mapping."""
+def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
+    """Read a trajectory CSV back as a column-name -> array mapping.
+
+    Given `columns`, names from the header, only those and ``t`` are parsed,
+    in header order; a name the header lacks is a ConfigError.  The fields
+    of the other columns are counted, not parsed.  Either way every row must
+    have one field per header name, and a file without rows is an error.
+    """
     with open(path) as f:
         header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: {data.shape[1]} columns, "
-                         f"header names {len(header)}")
-    return {name: data[:, i] for i, name in enumerate(header)}
+        index = {name: i for i, name in enumerate(header)}  # last one wins
+        usecols = None
+        if columns is not None:
+            columns = (*columns, "t")
+            for name in columns:
+                if name not in index:
+                    raise ConfigError(f"column {name!r} not in "
+                                      f"{sorted(index)} of {path}")
+            keep = {index[name] for name in columns}
+            # the last column makes loadtxt reject a row with fewer fields;
+            # the comma count then rejects one with more
+            usecols = sorted(keep | {len(header) - 1})
+            start = f.tell()
+            commas = sum(chunk.count(",") for chunk
+                         in iter(functools.partial(f.read, 1 << 16), ""))
+            f.seek(start)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: below
+                data = np.loadtxt(f, delimiter=",", ndmin=2, usecols=usecols)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no rows under the header")
+    if usecols is None:
+        if data.shape[1] != len(header):
+            raise ValueError(f"{path}: {data.shape[1]} columns, "
+                             f"header names {len(header)}")
+        return {name: data[:, i] for name, i in index.items()}
+    if commas != data.shape[0] * (len(header) - 1):
+        raise ValueError(f"{path}: {commas} commas in {data.shape[0]} rows, "
+                         f"not {len(header) - 1} per row as in the header")
+    return {header[i]: data[:, k] for k, i in enumerate(usecols) if i in keep}
 
 
 # --- shared plotting helpers ----------------------------------------------------

@@ -12,10 +12,39 @@ import math
 import numpy as np
 
 _PALETTE = ("#c0392b", "#2956b2", "#222222", "#1e8449", "#8e44ad", "#b9770e")
+_SPACE, _ZERO = ord(" "), ord("0")
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The points attribute of a polyline: "x,y x,y ...", each value as
+    _fmt writes it.
+
+    All values are formatted in one pass, right-aligned in fields of one
+    width and each followed by its separator, so that the text is a byte
+    matrix with one row per value: the pad spaces and the zeros that _fmt
+    strips (the last one or two digits, with the point) sit in known
+    columns and are dropped at once.
+    """
+    xy = np.empty(2 * xs.size)
+    xy[0::2] = xs
+    xy[1::2] = ys
+    finite = np.abs(xy[np.isfinite(xy)])
+    # room for the widest number, or for -inf
+    w = len("%.2f" % -finite.max()) if finite.size else 4
+    field = f"%{w}.2f"
+    text = ((field + "," + field + " ") * xs.size) % tuple(xy.tolist())
+    m = np.frombuffer(text.encode(), np.uint8).reshape(-1, w + 1)
+    keep = m != _SPACE
+    keep[:, w] = True  # the separators
+    zero = m[:, w - 1] == _ZERO
+    zeros = zero & (m[:, w - 2] == _ZERO)  # and the point before them
+    keep[zero, w - 1] = False
+    keep[zeros, w - 3:w - 1] = False
+    return m[keep].tobytes().decode()[:-1]
 
 
 def _tick_label(v: float) -> str:
@@ -118,8 +147,7 @@ class LinePlot:
 
         legend_y = mt + 14
         for x, y, color, width, dashed, label in self._series:
-            pts = " ".join([f"{_fmt(a)},{_fmt(b)}" for a, b
-                            in zip(px(x).tolist(), py(y).tolist())])
+            pts = _points(px(x), py(y))
             dash = ' stroke-dasharray="6 4"' if dashed else ""
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="{width}"{dash}/>')

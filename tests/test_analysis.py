@@ -10,6 +10,7 @@ from multilink.analysis import (
     DegenerateSpectrumError,
     FixedPointKind,
     NoSpeedupError,
+    PeriodError,
     asymptotic_prediction,
     averaged_law_check,
     classify_fixed_point,
@@ -323,6 +324,22 @@ def test_fit_power_law_domain_errors():
         fit_power_law(t[:10], t[:10], (1.0, 100.0))  # too few samples
     with pytest.raises(ValueError):
         fit_power_law(t, t, (1.0, 100.0), mode="envelope")  # missing period
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, 1e3])
+def test_fit_envelope_period_errors(period):
+    # each used to return a one-point fit with r^2 1 (or raise LinAlgError)
+    t = np.linspace(0.0, 10.0, 5000)
+    v = np.cos(2 * math.pi * t) / (1.0 + t)
+    with pytest.raises(PeriodError, match="period"):
+        fit_power_law(t, v, (1.0, 10.0), mode="envelope", period=period)
+    if period != 1e3:
+        with pytest.raises(PeriodError, match="period"):
+            envelope_points(t, v, period)
+    # raw mode takes no period; one time repeated spans no log t
+    fit_power_law(t, t, (1.0, 10.0), period=period)
+    with pytest.raises(ValueError, match="spans too little of log t"):
+        fit_power_law(np.full(40, 5.0), np.ones(40), (1.0, 10.0))
 
 
 def test_envelope_points():

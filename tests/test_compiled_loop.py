@@ -184,12 +184,15 @@ def test_degenerate_shape_matches(compiled, method, chart, reference_vehicle):
 
 def test_zero_divisor_in_853_norm_matches(compiled, reference_vehicle,
                                           reference_derived):
-    # squares of error ratios near 1e-180 underflow to a zero divisor, which
-    # the Python norm raises on
+    # squares of error ratios near 1e-180 underflow to a zero divisor; both
+    # norms then divide through by the 5th-order ratio, and the run ends
     rhs = make_reduced_rhs(reference_vehicle, reference_derived, zero_rotor())
     fast, slow = both_loops(rhs, [0.0, 1e-180, 0.0, 0.0],
                             IntegratorOptions(t_end=1.0))
-    assert fast == slow == (ZeroDivisionError, "float division by zero", None)
+    assert fast == slow
+    states = np.frombuffer(fast[1]).reshape(fast[3])
+    assert isinstance(fast[0], bytes) and fast[5] == 0
+    assert np.all(np.isfinite(states)) and states[-1, 1] != 0.0
 
 
 def test_cli_rotor_overflow_exits_1(compiled, tmp_path, capsys):

@@ -111,6 +111,18 @@ def test_t_eval_validation():
                   t_eval=[0.5, 2.0])
 
 
+@pytest.mark.parametrize("t_eval", [[math.nan], [0.5, math.nan],
+                                    [-math.inf, 0.5], [0.5, math.inf]])
+def test_t_eval_must_be_finite(t_eval, reference_vehicle, reference_derived):
+    # a NaN passes the order and range checks and used to give no samples;
+    # both loops share the check
+    field = make_reduced_rhs(reference_vehicle, reference_derived,
+                             sine_rotor(0.05, 1.0))
+    for rhs, y0 in ((decay_rhs, [1.0]), (field, [10.0, 1.0, 0.5, 0.5])):
+        with pytest.raises(ValueError, match="t_eval must be finite"):
+            integrate(rhs, y0, IntegratorOptions(t_end=1.0), t_eval=t_eval)
+
+
 def test_nonzero_start_time():
     sol = integrate(lambda t, y: np.array([2.0 * t]), [100.0],
                     IntegratorOptions(t_end=20.0, rtol=1e-10, atol=1e-12),

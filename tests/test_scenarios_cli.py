@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multilink import cli
-from multilink.analysis import DegenerateSpectrumError
-from multilink.config import parse_config
+from multilink.analysis import DegenerateSpectrumError, PeriodError, fit_power_law
+from multilink.config import ConfigError, parse_config
 from multilink.dynamics import Trajectory, angle_coeffs_at_phi, energy
 from multilink.model import DegenerateShapeError, DerivedParams, derive_params
 from multilink.scenarios import (
@@ -90,6 +92,68 @@ def test_csv_round_trip_bit_exact_random(tmp_path_factory, n, rows, data):
     read = read_trajectory_csv(str(path))
     assert list(read) == csv_header(n).split(",")
     assert np.stack(list(read.values()), axis=1).tobytes() == table.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), rows=st.integers(1, 6), data=st.data())
+def test_csv_column_read_bit_exact_random(tmp_path_factory, n, rows, data):
+    # any subset of the columns reads the bits of the full read, in header
+    # order and with t always
+    table = data.draw(arrays(np.float64, (rows, n + 9), elements=st.floats()))
+    t, v1, omega, *rest = table.T
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    write_trajectory_csv(str(path), Trajectory(t, v1, omega, table[:, 3:n + 3],
+                                               *rest[n:]))
+    names = csv_header(n).split(",")
+    wanted = data.draw(st.lists(st.sampled_from(names), unique=True))
+    full = read_trajectory_csv(str(path))
+    read = read_trajectory_csv(str(path), wanted)
+    assert list(read) == [name for name in names
+                          if name == "t" or name in wanted]
+    for name, column in read.items():
+        assert column.tobytes() == full[name].tobytes()
+
+
+def csv_text(rows):
+    """A trajectory CSV of the sleigh alone (9 columns) with the given rows
+    of fields."""
+    return "\n".join([csv_header(0),
+                      *(",".join(map(str, r)) for r in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("rows, full, part", [
+    ([], "no rows under the header", "no rows under the header"),
+    # a field short, a field over, and one of each: no change in the total
+    ([range(9), range(8)], "from 9 to 8 at row 2", "index 8 at row 2"),
+    ([range(9), range(10)], "from 9 to 10 at row 2", "17 commas in 2 rows"),
+    ([range(8), range(10)], "from 8 to 10 at row 2", "index 8 at row 1"),
+    ([range(9), [1] * 8 + ["x"]], "could not convert", "could not convert"),
+])
+def test_csv_reader_rejects_ragged_rows(tmp_path, capsys, rows, full, part):
+    path = tmp_path / "bad.csv"
+    path.write_text(csv_text(rows))
+    for columns, message in ((None, full), (["v1"], part), (["k"], part)):
+        with pytest.raises(ValueError, match=message) as e:
+            read_trajectory_csv(str(path), columns)
+        assert str(e.value).startswith(f"{path}: ")
+    # the fit command parses t and its column: an error exits 1
+    assert cli.main(["fit", str(path), "--column", "v1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_csv_reader_rejects_unknown_column(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    path.write_text(csv_text([range(9)]))
+    with pytest.raises(ConfigError) as e:
+        read_trajectory_csv(str(path), ["v1", "warp"])
+    names = sorted(csv_header(0).split(","))
+    assert str(e.value) == f"column 'warp' not in {names} of {path}"
+    assert cli.main(["fit", str(path), "--column", "warp"]) == 2
+    assert capsys.readouterr().err == f"error: {e.value}\n"
+    # a header without t
+    path.write_text("time,v1\n1,2\n")
+    assert cli.main(["fit", str(path), "--column", "v1"]) == 2
+    assert "column 't' not in ['time', 'v1']" in capsys.readouterr().err
 
 
 def test_deterministic_output_bytes(tmp_path):
@@ -366,6 +430,74 @@ def test_cli_integration_failure_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", str(path), "--output-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@st.composite
+def fit_inputs(draw):
+    """A series (any, or a sampled power law that may oscillate and hold
+    one odd value), a window (its span, between two of its times, or any),
+    a mode and a period (any, or up to about 30 sample spacings)."""
+    edge = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324])
+    if draw(st.integers(0, 2)) == 2:
+        n = draw(st.integers(0, 60))
+        t = np.sort(draw(arrays(np.float64, n, elements=st.floats(
+            -10.0, 1e6, allow_nan=False))))
+        v = draw(arrays(np.float64, n, elements=st.floats()))
+        dt = 1.0
+    else:
+        n = draw(st.integers(30, 60))
+        dt = draw(st.floats(1e-3, 10.0))
+        t = draw(st.floats(1e-3, 1e4)) + dt * np.arange(n)
+        v = draw(st.floats(1e-3, 1e3)) * t ** draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):
+            v *= np.cos(t)
+        if draw(st.booleans()):
+            v[draw(st.integers(0, n - 1))] = draw(edge)
+    pick = draw(st.sampled_from(["span", "span", "samples", "any"]))
+    if n and pick == "span":
+        window = (float(t[0]), float(t[-1]))
+    elif n and pick == "samples":
+        window = tuple(sorted(draw(st.sampled_from(t.tolist()))
+                              for _ in range(2)))
+    else:
+        window = (draw(st.floats() | edge), draw(st.floats() | edge))
+    mode = draw(st.sampled_from(["raw", "envelope"]))
+    period = draw(st.none() | edge | st.floats()
+                  | st.floats(0.1, 30.0).map(lambda k: k * dt))
+    return t, v, window, mode, period
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=fit_inputs())
+def test_fit_is_finite_or_names_the_argument(tmp_path_factory, args):
+    t, v, window, mode, period = args
+    try:
+        fit = fit_power_law(t, v, window, mode=mode, period=period)
+    except PeriodError as e:
+        expect = 2, "", f"error: --period: {e}\n"
+        assert "period" in str(e)
+    except ValueError as e:
+        expect = 1, "", f"error: {e}\n"
+        assert re.search(r"\b(window|values)\b", str(e)), e
+    else:
+        assert fit.n_points >= 2
+        assert math.isfinite(fit.exponent) and math.isfinite(fit.prefactor)
+        expect = 0, (f"v1 ~ {fit.prefactor:.6g} * t^{fit.exponent:+.5f} (r^2 "
+                     f"{fit.r_squared:.6f}, {fit.n_points} points, mode {mode})"
+                     f"\n"), ""
+    # the command line, on the series written out and read back bit-exactly
+    path = tmp_path_factory.mktemp("fit") / "series.csv"
+    path.write_text("t,v1\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                       for a, b in zip(t, v)))
+    argv = ["fit", str(path), "--column", "v1", f"--window={window[0]!r}:"
+            f"{window[1]!r}", "--mode", mode]
+    argv += [] if period is None else [f"--period={period!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    if not t.size:
+        expect = 1, "", f"error: {path}: no rows under the header\n"
+    assert (rc, out.getvalue(), err.getvalue()) == expect
 
 
 def test_fit_overflow_is_handled(tmp_path, capsys):

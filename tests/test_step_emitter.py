@@ -168,7 +168,11 @@ def hand_dop853(rhs, t, h, y, k1, atol, rtol):
     if e5 == 0.0:
         return y_new, k13, 0.0
     e3 = max(err3)
-    return y_new, k13, h * e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    if root == 0.0:  # both squares underflow: divide through by e5
+        q = e3 / e5
+        return y_new, k13, h * e5 / math.sqrt(1.0 + 0.01 * q * q)
+    return y_new, k13, h * e5 * e5 / root
 
 
 # --- the emitted steps against them --------------------------------------------
@@ -258,6 +262,18 @@ def test_emitted_step_matches_hand_written_t_eval_and_hmax(
     sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts,
                                t_eval=t_eval)
     assert np.array_equal(sol.times, t_eval)
+
+
+def test_emitted_step_matches_hand_written_underflowing_norm(
+        monkeypatch, reference_vehicle, reference_derived):
+    # error ratios near 1e-180, whose squares in the 8(5,3) norm underflow
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived, zero_rotor())
+    sol = assert_bit_identical(monkeypatch, rhs, [0.0, 1e-180, 0.0, 0.0],
+                               IntegratorOptions(t_end=1.0))
+    assert sol.times[-1] == 1.0 and sol.n_rejected == 0
+    # a plain right-hand side, through the kernel adapter
+    sol = integrate(lambda t, y: [-y[0]], [1e-180], IntegratorOptions(t_end=1.0))
+    assert sol.states[-1, 0] / 1e-180 == pytest.approx(math.exp(-1.0), rel=1e-8)
 
 
 TABLEAUX = {
