@@ -34,7 +34,8 @@ class NoSpeedupError(ValueError):
 
 class PeriodError(ValueError):
     """Raised for the rotor period of an envelope reduction: missing, not
-    positive and finite, or too long to leave two per-period maxima."""
+    positive and finite, so small that t / period overflows, or too long to
+    leave two per-period maxima."""
 
 
 class FixedPointKind(enum.Enum):
@@ -342,14 +343,18 @@ class FiniteInertiaPrediction:
 
 def finite_inertia_prediction(p: VehicleParams, d: DerivedParams,
                               rotor: RotorProfile, t_anchor: float,
-                              v1_anchor: float) -> FiniteInertiaPrediction:
+                              v1_anchor: float,
+                              pred: AsymptoticPrediction | None = None
+                              ) -> FiniteInertiaPrediction:
     """The finite-inertia averaged law through (t_anchor, v1_anchor).
 
     Anchor on a simulated sample after the start-up transient of omega has
     decayed (a few multiples of J / (b v1)); anchoring at t = 0 puts that
-    transient's energy into the offset.
+    transient's energy into the offset.  pred, if given, is
+    asymptotic_prediction(p, d, rotor), which is not computed again.
     """
-    pred = asymptotic_prediction(p, d, rotor)
+    if pred is None:
+        pred = asymptotic_prediction(p, d, rotor)
     if not v1_anchor > 0.0:
         raise ValueError(f"anchor speed must be positive, got {v1_anchor}")
     b = d.static_moment
@@ -379,11 +384,16 @@ def envelope_points(times, values, period: float):
 
     Each run of consecutive samples in the same period bin gives one pair;
     within a run the first maximum wins (the first NaN, if any), as with
-    np.argmax.  The period must be positive and finite (PeriodError).
+    np.argmax.  The period must be positive and finite, and large enough
+    that t / period is finite for every finite t (PeriodError).
     """
     if not (period > 0.0 and math.isfinite(period)):
         raise PeriodError(f"period must be positive and finite, got {period!r}")
     times = np.asarray(times, dtype=float)
+    latest = float(np.max(np.abs(times), where=np.isfinite(times), initial=0.0))
+    if latest / period == math.inf:
+        raise PeriodError(f"period {period!r} is too small: t / period "
+                          f"overflows at |t| = {latest!r}")
     mags = np.abs(np.asarray(values, dtype=float))
     bins = np.floor(times / period)  # as floats: int64 wraps past 2**63
     new_bin = np.empty(bins.size, dtype=bool)
@@ -503,8 +513,3 @@ def wrap_angles(x) -> np.ndarray:
     """Wrap angles to (-pi, pi]."""
     x = np.asarray(x, dtype=float)
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
-
-
-def wrapped_distance(phi, target) -> float:
-    """Euclidean distance between angle vectors on the torus."""
-    return float(np.linalg.norm(wrap_angles(np.asarray(phi) - np.asarray(target))))

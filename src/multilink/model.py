@@ -10,6 +10,7 @@ angle coordinates produced by :func:`theta_from_phi`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -134,15 +135,6 @@ def derive_params(p: VehicleParams) -> DerivedParams:
     return DerivedParams(mass, inertia, static_moment, coupling)
 
 
-def zero_coupling_inertias(masses, a, c) -> np.ndarray:
-    """Trailer inertias I_i = m_i a_i (2 c_i - a_i) that make every coupling
-    coefficient vanish, decoupling the velocity subsystem from the angles."""
-    masses = np.asarray(masses, dtype=float)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return masses * a * (2.0 * c - a)
-
-
 # --- theta angle coordinates -----------------------------------------------
 #
 # theta_i = (-1)^(i+1) phi_i + 2 sum_{j<i} (-1)^(j+1) phi_j  (1-based i).
@@ -231,7 +223,7 @@ class RotorProfile:
     def mean_sq_rate(self) -> float:
         """Period average of rate(t)^2 by 64-node Gauss-Legendre quadrature
         (machine precision for smooth profiles)."""
-        nodes, weights = np.polynomial.legendre.leggauss(64)
+        nodes, weights = _gauss_legendre(64)
         half = 0.5 * self.period
         ts = half * (nodes + 1.0)
         vals = np.array([self.rate(t) ** 2 for t in ts])
@@ -241,6 +233,15 @@ class RotorProfile:
         """Max of |rate| over one period (dense sampling)."""
         ts = np.linspace(0.0, self.period, samples, endpoint=False)
         return float(max(abs(self.rate(t)) for t in ts))
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1],
+    computed once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:

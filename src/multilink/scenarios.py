@@ -255,7 +255,7 @@ def speedup_report(traj: Trajectory, pred, p, d, rotor, window,
              f"(mean squared momentum rate {pred.mean_sq_rate:.6g})",
              f"fit window: [{window[0]:g}, {window[1]:g}]",
              _sampling_line(traj.times, method, period, window),
-             _crossover_line(traj, p, d, rotor, window), ""]
+             _crossover_line(traj, pred, p, d, rotor, window), ""]
 
     def one(name, fit, exp_expect, coeff_expect):
         lines.append(f"{name}: exponent {fit.exponent:+.4f} "
@@ -300,13 +300,13 @@ def _sampling_line(times, method: str, period: float, window) -> str:
             f"{100.0 * undershoot:.3g}% below the peak (1 - cos(pi/n))")
 
 
-def _crossover_line(traj: Trajectory, p, d, rotor, window) -> str:
+def _crossover_line(traj: Trajectory, pred, p, d, rotor, window) -> str:
     """Crossover time b v1 = J Omega of the finite-inertia law anchored on
     the last sample at or before the window start."""
     k = int(np.searchsorted(traj.times, window[0], side="right")) - 1
     try:
         law = analysis.finite_inertia_prediction(
-            p, d, rotor, float(traj.times[k]), float(traj.v1[k]))
+            p, d, rotor, float(traj.times[k]), float(traj.v1[k]), pred)
     except ValueError as e:
         return f"crossover time not available: {e}"
     if window[1] < law.crossover_time:
@@ -403,11 +403,20 @@ def _run_fixed_points(cfg: ScenarioConfig, out_dir, seed=None,
     points = analysis.enumerate_fixed_points(p.n_links)
     cls = analysis.classify_fixed_point(points, p, d)
     kinds = cls.kind.tolist()
-    row = "%-40s %-14s [" + ", ".join(["%+.6f"] * (p.n_links + 1)) + "]"
+    # each row is "%-40s %-14s [%+.6f, ...]" of (where, kind, *eigenvalues);
+    # a column's distinct values, told apart by their bits, and the kind
+    # names are formatted once
+    padded = {k: "%-14s" % k.value for k in analysis.FixedPointKind}
+    columns = []
+    for column in cls.eigenvalues.T:
+        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+        text = ["%+.6f" % v for v in bits.view(float).tolist()]
+        columns.append(np.array(text, dtype=object)[index].tolist())
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
-    lines += [row % (where, kind.value, *eig) for where, kind, eig
-              in zip(points.describe(), kinds, cls.eigenvalues.tolist())]
+    lines += map("%-40s %s [%s]".__mod__, zip(
+        points.describe(), map(padded.__getitem__, kinds),
+        map(", ".join, zip(*columns))))
     lines.append("-" * 72)
     lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
                                         for k in analysis.FixedPointKind))
@@ -418,8 +427,7 @@ def _run_fixed_points(cfg: ScenarioConfig, out_dir, seed=None,
         for _ in range(draws):
             rp = random_vehicle(rng, p.n_links)
             kinds = analysis.classify_fixed_point(
-                analysis.enumerate_fixed_points(rp.n_links), rp,
-                derive_params(rp)).kind.tolist()
+                points, rp, derive_params(rp)).kind.tolist()
             stable = kinds.count(analysis.FixedPointKind.STABLE_NODE)
             unstable = kinds.count(analysis.FixedPointKind.UNSTABLE_NODE)
             if stable == 1 and unstable == 1:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 _PALETTE = ("#c0392b", "#2956b2", "#222222", "#1e8449", "#8e44ad", "#b9770e")
-_SPACE, _ZERO = ord(" "), ord("0")
+_ZERO = ord("0")
 
 
 def _fmt(v: float) -> str:
@@ -23,28 +23,57 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points attribute of a polyline: "x,y x,y ...", each value as
     _fmt writes it.
 
-    All values are formatted in one pass, right-aligned in fields of one
-    width and each followed by its separator, so that the text is a byte
-    matrix with one row per value: the pad spaces and the zeros that _fmt
-    strips (the last one or two digits, with the point) sit in known
-    columns and are dropped at once.
+    Each value is written from its count of hundredths, rint(|v| * 100),
+    computed for the whole series and laid out as a byte matrix with one
+    row per value: sign, integer digits, point, two decimals, separator.
+    The sign (from signbit), the leading zeros and the zeros that _fmt
+    strips (the last one or two decimals, with the point) are dropped by
+    column masks.  Rounding is monotonic and, below 2**52, every half
+    integer is a float, so fl(100 |v|) lies on the same side of each half
+    as 100 |v| and rounds to the same count, unless it is a half itself.
+    Those values, non-finite ones and |v| >= 1e12 go through _fmt one by
+    one.
     """
     xy = np.empty(2 * xs.size)
     xy[0::2] = xs
     xy[1::2] = ys
-    finite = np.abs(xy[np.isfinite(xy)])
-    # room for the widest number, or for -inf
-    w = len("%.2f" % -finite.max()) if finite.size else 4
-    field = f"%{w}.2f"
-    text = ((field + "," + field + " ") * xs.size) % tuple(xy.tolist())
-    m = np.frombuffer(text.encode(), np.uint8).reshape(-1, w + 1)
-    keep = m != _SPACE
-    keep[:, w] = True  # the separators
-    zero = m[:, w - 1] == _ZERO
-    zeros = zero & (m[:, w - 2] == _ZERO)  # and the point before them
-    keep[zero, w - 1] = False
-    keep[zeros, w - 3:w - 1] = False
-    return m[keep].tobytes().decode()[:-1]
+    mag = np.abs(xy)
+    exact = mag < 1e12  # False for nan
+    scaled = np.where(exact, mag, 0.0) * 100.0
+    exact &= scaled - np.floor(scaled) != 0.5
+    units, cents = np.divmod(np.rint(scaled).astype(np.int64), 100)
+    digits = len(str(units.max())) if units.size else 1
+    # columns: sign, integer digits, point, two decimals, separator
+    m = np.empty((units.size, digits + 5), np.uint8)
+    keep = np.ones(m.shape, bool)
+    m[:, 0] = ord("-")
+    keep[:, 0] = np.signbit(xy)
+    rest = units
+    for j in range(digits, 0, -1):  # units digit first
+        rest, m[:, j] = np.divmod(rest, 10)
+        if j < digits:
+            keep[:, j] = units >= 10 ** (digits - j)  # no leading zeros
+    m[:, digits + 1] = ord(".")
+    m[:, digits + 2], m[:, digits + 3] = np.divmod(cents, 10)
+    keep[:, digits + 1] = keep[:, digits + 2] = cents != 0
+    keep[:, digits + 3] = m[:, digits + 3] != 0
+    m[:, 1:digits + 1] += _ZERO
+    m[:, digits + 2:digits + 4] += _ZERO
+    m[0::2, digits + 4] = ord(",")
+    m[1::2, digits + 4] = ord(" ")
+    inexact = np.flatnonzero(~exact)
+    keep[inexact, :digits + 4] = False
+    text = m[keep].tobytes().decode()
+    if inexact.size:
+        # each such row left only its separator, at the row's last byte
+        at = np.cumsum(np.count_nonzero(keep, axis=1))[inexact] - 1
+        pieces, prev = [], 0
+        for i, v in zip(at.tolist(), xy[inexact].tolist()):
+            pieces += (text[prev:i], _fmt(v))
+            prev = i
+        pieces.append(text[prev:])
+        text = "".join(pieces)
+    return text[:-1]
 
 
 def _tick_label(v: float) -> str:

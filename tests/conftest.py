@@ -20,6 +20,19 @@ def reference_derived(reference_vehicle):
 
 
 @pytest.fixture(scope="session")
+def decoupled_vehicle():
+    """The reference vehicle with trailer inertias I_i = m_i a_i (2 c_i - a_i),
+    which make every coupling coefficient vanish and so decouple the
+    velocity subsystem from the angles."""
+    m = np.array([1.2, 1.2])
+    a = np.array([0.1, 0.2])
+    c = np.array([1.05, 1.10])
+    return VehicleParams(masses=[1.0, *m],
+                         inertias=[1.5, *(m * a * (2.0 * c - a))],
+                         a0=0.7, a=a, c=c)
+
+
+@pytest.fixture(scope="session")
 def strong_rotor_run(reference_vehicle, reference_derived):
     """One accelerating trajectory deep in the asymptotic regime (strong
     rotor so the transients die well before the fit window).  Session-scoped:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multilink import analysis, cli
 from multilink.analysis import (
     DegenerateSpectrumError,
     FixedPointKind,
@@ -20,7 +21,6 @@ from multilink.analysis import (
     fit_power_law,
     linearization_matrix,
     wrap_angles,
-    wrapped_distance,
 )
 from multilink.dynamics import make_angle_system_rhs, make_reduced_rhs
 from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
@@ -59,7 +59,8 @@ def test_enumerate_distinct_angles():
     for fp in pts:
         assert set(np.unique(fp.phi)) <= {0.0, math.pi}
         # relative and staggered angles describe the same configuration
-        assert wrapped_distance(theta_from_phi(fp.phi), fp.theta) < 1e-12
+        assert np.linalg.norm(wrap_angles(theta_from_phi(fp.phi) - fp.theta)) \
+            < 1e-12
 
 
 @settings(max_examples=11, deadline=None, derandomize=True)
@@ -342,6 +343,33 @@ def test_fit_envelope_period_errors(period):
         fit_power_law(np.full(40, 5.0), np.ones(40), (1.0, 10.0))
 
 
+@pytest.mark.parametrize("period", [5e-324, 1e-308])
+def test_envelope_period_whose_quotient_overflows(period, tmp_path, capsys):
+    # t / period past the float range: rejected by name before the divide
+    # (a numpy overflow warning fails the test, see pyproject.toml)
+    t = np.linspace(1.0, 10.0, 100)
+    v = np.cos(2 * math.pi * t)
+    with pytest.raises(PeriodError, match=rf"period {period!r} is too small"):
+        envelope_points(t, v, period)
+    with pytest.raises(PeriodError, match="period"):
+        fit_power_law(t, v, (1.0, 10.0), mode="envelope", period=period)
+    # a quotient that stays finite is no error: one sample per bin
+    te, _ = envelope_points(t, v, 1e-300)
+    assert np.array_equal(te, t)
+    path = tmp_path / "series.csv"
+    path.write_text("t,v1\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                       for a, b in zip(t, v)))
+    assert cli.main(["fit", str(path), "--window", "1:10", "--mode",
+                     "envelope", f"--period={period!r}"]) == 2
+    assert capsys.readouterr().err.startswith("error: --period: period ")
+
+
+def test_runtime_warning_in_program_code_is_an_error():
+    # pyproject.toml's filterwarnings applies to every multilink module
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        exec("np.divide(np.ones(1), 5e-324)", vars(analysis))
+
+
 def test_envelope_points():
     t = np.linspace(0.0, 10.0, 5000)
     v = np.cos(2 * math.pi * t) / (1.0 + t)
@@ -426,7 +454,7 @@ def test_wrap_helpers():
     assert wrap_angles(math.pi) == pytest.approx(math.pi, abs=0)
     assert wrap_angles(-math.pi) == pytest.approx(math.pi, abs=1e-15)
     assert wrap_angles(2 * math.pi + 0.3) == pytest.approx(0.3, abs=1e-12)
-    assert wrapped_distance([2 * math.pi, 0.0], [0.0, 0.0]) < 1e-12
+    assert np.linalg.norm(wrap_angles([2 * math.pi, 0.0])) < 1e-12
 
 
 def sequential_exponential(a, z0, tau):

@@ -209,15 +209,8 @@ def test_reduced_rhs_equilibrium(reference_vehicle, reference_derived):
     assert np.all(np.array(dy) == 0.0)
 
 
-def test_reduced_rhs_decoupled_case():
-    from multilink.model import zero_coupling_inertias
-
-    m = np.array([1.2, 1.2])
-    a = np.array([0.1, 0.2])
-    c = np.array([1.05, 1.10])
-    p = VehicleParams(masses=[1.0, *m],
-                      inertias=[1.5, *zero_coupling_inertias(m, a, c)],
-                      a0=0.7, a=a, c=c)
+def test_reduced_rhs_decoupled_case(decoupled_vehicle):
+    p = decoupled_vehicle
     d = derive_params(p)
     dy = make_reduced_rhs(p, d, zero_rotor())(0.0, [0.0, 1.0, 0.4, -0.2])
     assert dy[0] == pytest.approx(d.static_moment / d.mass, abs=1e-15)

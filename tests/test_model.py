@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multilink import model
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
@@ -17,7 +18,6 @@ from multilink.model import (
     random_vehicle,
     sine_rotor,
     theta_from_phi,
-    zero_coupling_inertias,
     zero_rotor,
 )
 
@@ -48,7 +48,7 @@ def test_zero_coupling_condition():
     m = np.array([1.2, 0.7, 3.0])
     a = np.array([0.1, 0.9, 1.4])
     c = np.array([1.05, 1.3, 0.8])
-    p = VehicleParams(masses=[1.0, *m], inertias=[1.5, *zero_coupling_inertias(m, a, c)],
+    p = VehicleParams(masses=[1.0, *m], inertias=[1.5, *(m * a * (2.0 * c - a))],
                       a0=0.7, a=a, c=c)
     assert np.all(derive_params(p).coupling == 0.0)
 
@@ -221,13 +221,10 @@ def test_shape_lower_bound():
             assert m_eff >= floor - 1e-12
 
 
-def test_zero_coupling_shape_identities():
-    m = np.array([1.2, 1.2])
-    a = np.array([0.1, 0.2])
-    c = np.array([1.05, 1.10])
-    p = VehicleParams(masses=[1.0, *m], inertias=[1.5, *zero_coupling_inertias(m, a, c)],
-                      a0=0.7, a=a, c=c)
+def test_zero_coupling_shape_identities(decoupled_vehicle):
+    p = decoupled_vehicle
     d = derive_params(p)
+    assert np.all(d.coupling == 0.0)
     rng = np.random.default_rng(3)
     theta = rng.uniform(-math.pi, math.pi, (10_000, 2))
     for row in theta:
@@ -266,6 +263,21 @@ def test_rotor_mean_sq_rate_closed_form():
     r = sine_rotor(0.05, 1.0)
     assert r.mean_sq_rate() == pytest.approx((0.1 * math.pi) ** 2 / 2,
                                              rel=1e-13)
+
+
+def test_rotor_quadrature_nodes_computed_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    model._gauss_legendre.cache_clear()
+    first = sine_rotor(0.05, 1.0).mean_sq_rate()
+    assert sine_rotor(0.05, 1.0).mean_sq_rate() == first
+    sine_rotor(0.3, 2.0).mean_sq_rate()
+    assert calls == [64]
+    nodes, weights = leggauss(64)
+    assert model._gauss_legendre(64)[0].tobytes() == nodes.tobytes()
+    assert model._gauss_legendre(64)[1].tobytes() == weights.tobytes()
 
 
 def test_rotor_rate_is_derivative():

@@ -11,11 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multilink import cli
-from multilink.analysis import DegenerateSpectrumError, PeriodError, fit_power_law
+from multilink import analysis, cli
+from multilink.analysis import (
+    DegenerateSpectrumError,
+    FixedPointKind,
+    PeriodError,
+    classify_fixed_point,
+    enumerate_fixed_points,
+    fit_power_law,
+)
 from multilink.config import ConfigError, parse_config
 from multilink.dynamics import Trajectory, angle_coeffs_at_phi, energy
-from multilink.model import DegenerateShapeError, DerivedParams, derive_params
+from multilink.model import (
+    DegenerateShapeError,
+    DerivedParams,
+    VehicleParams,
+    derive_params,
+    random_vehicle,
+)
 from multilink.scenarios import (
     csv_header,
     manifold_trajectory,
@@ -186,6 +199,64 @@ def test_fixed_points_report(tmp_path):
     assert report.count("forward") == 4 and report.count("backward") == 4
 
 
+def census_report_oracle(p, seed, draws):
+    """The fixed-point report written row by row with one format per row,
+    every draw enumerating its own equilibria."""
+    d = derive_params(p)
+    points = enumerate_fixed_points(p.n_links)
+    cls = classify_fixed_point(points, p, d)
+    kinds = cls.kind.tolist()
+    row = "%-40s %-14s [" + ", ".join(["%+.6f"] * (p.n_links + 1)) + "]"
+    lines = [f"straight-line equilibria for N={p.n_links} "
+             f"({len(points)} points)", "-" * 72]
+    lines += [row % (where, kind.value, *eig) for where, kind, eig
+              in zip(points.describe(), kinds, cls.eigenvalues.tolist())]
+    lines.append("-" * 72)
+    lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
+                                        for k in FixedPointKind))
+    if draws > 0:
+        rng = np.random.default_rng(seed)
+        ok = 0
+        for _ in range(draws):
+            rp = random_vehicle(rng, p.n_links)
+            kinds = classify_fixed_point(enumerate_fixed_points(rp.n_links), rp,
+                                         derive_params(rp)).kind.tolist()
+            ok += (kinds.count(FixedPointKind.STABLE_NODE) == 1
+                   and kinds.count(FixedPointKind.UNSTABLE_NODE) == 1)
+        lines.append(f"random-parameter suite (seed={seed}): {ok}/{draws} "
+                     f"draws with exactly one stable and one unstable node")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 10), vehicle_seed=st.integers(0, 2 ** 32 - 1),
+       tiny_moment=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       draws=st.integers(0, 3))
+def test_census_report_matches_row_oracle(tmp_path_factory, n, vehicle_seed,
+                                          tiny_moment, seed, draws):
+    p = random_vehicle(np.random.default_rng(vehicle_seed), n)
+    if tiny_moment:
+        # b / J underflows: the first eigenvalue column holds -0.0 and 0.0
+        p = VehicleParams(masses=[1.0, *p.masses[1:]],
+                          inertias=[4.0, *p.inertias[1:]], a0=5e-324,
+                          a=p.a, c=p.c)
+        assert derive_params(p).static_moment / derive_params(p).inertia == 0.0
+    doc = {"scenario": "fixed_points",
+           "vehicle": {"m": p.masses.tolist(), "I": p.inertias.tolist(),
+                       "a0": p.a0, "a": p.a.tolist(), "c": p.c.tolist()},
+           "integrator": {"t_end": 1.0}, "outputs": {"formats": ["report"]}}
+    out = tmp_path_factory.mktemp("census")
+    res = run_scenario(parse_config(json.dumps(doc)), output_dir=str(out),
+                       seed=seed, draws=draws)
+    expect = census_report_oracle(p, seed, draws)
+    # line by line: a diff of the whole report would take pytest minutes
+    got = res.summary.split("\n")
+    assert len(got) == len(expect.split("\n"))
+    for k, (line, want) in enumerate(zip(got, expect.split("\n"))):
+        assert line == want, f"line {k}"
+    assert (out / "fixed_points_report.txt").read_bytes() == expect.encode()
+
+
 BALANCED = {"m": [1, 1], "I": [1, 1], "a0": 0.0, "a": [0.1], "c": [1.0]}
 
 
@@ -274,6 +345,24 @@ def test_speedup_report_and_fit(tmp_path):
         100.0 * (1.0 - math.cos(math.pi / n)), rel=1e-2)
 
 
+def test_speedup_run_predicts_once(tmp_path, monkeypatch):
+    # the report's crossover line reuses the run's asymptotic prediction
+    calls = []
+    predict = analysis.asymptotic_prediction
+    monkeypatch.setattr(analysis, "asymptotic_prediction",
+                        lambda *a: calls.append(a) or predict(*a))
+    cfg = parse_config(make_config(
+        tmp_path, scenario="speedup",
+        rotor={"kind": "sine", "amplitude": 0.05, "period": 1.0},
+        initial={"v1": 10.0, "omega": 1.0, "phi": [0.5, 0.5]},
+        integrator={"t_end": 5.0}, outputs={"formats": ["report"]},
+    ).read_text())
+    run_scenario(cfg, output_dir=str(tmp_path / "o"))
+    report = (tmp_path / "o" / "speedup_report.txt").read_text()
+    assert "crossover time (b v1 = J Omega) by the finite-inertia law" in report
+    assert len(calls) == 1
+
+
 def test_manifold_m_eff_block_matches_loop():
     shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                            "manifold.json")
@@ -339,6 +428,42 @@ def test_cli_simulate_and_fit(tmp_path, capsys):
                    "--window", "1:20"])
     assert rc == 0
     assert "v1 ~" in capsys.readouterr().out
+
+
+def test_cli_calls_in_one_process_repeat(tmp_path, capsys):
+    # main's parser is built once per process: every call, a rejected one
+    # among them, leaves the next call its first run's output
+    path = make_config(
+        tmp_path, scenario="inertial",
+        initial={"v1": 1.0, "omega": 0.5, "phi": [0.3, -0.4]},
+        integrator={"t_end": 20.0})
+    out_dir = tmp_path / "o"
+    simulate = ["simulate", str(path), "--output-dir", str(out_dir)]
+    fit = ["fit", str(out_dir / "inertial_trajectory.csv"), "--column",
+           "energy", "--window", "1:20"]
+    bad_fit = fit[:-1] + ["1-20"]
+
+    def run(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # rejected by argparse itself
+            rc = e.code
+        out, err = capsys.readouterr()
+        files = {name: (out_dir / name).read_bytes()
+                 for name in sorted(os.listdir(out_dir))}
+        return rc, out, err, files
+
+    first = {}
+    calls = [("simulate", simulate), ("fit", fit), ("bad_fit", bad_fit),
+             ("no_config", ["simulate"])]
+    for name, argv in calls + calls:
+        result = run(argv)
+        assert result == first.setdefault(name, result)
+    assert first["simulate"][0] == first["fit"][0] == 0
+    assert len(first["simulate"][3]) == 5 and "energy ~" in first["fit"][1]
+    assert first["bad_fit"][:3] == (
+        2, "", "error: --window must be 'lo:hi', got '1-20'\n")
+    assert first["no_config"][0] == 2 and "config" in first["no_config"][2]
 
 
 def test_cli_fixed_points(tmp_path, capsys):

@@ -9,13 +9,23 @@ from hypothesis import strategies as st
 from multilink.svgplot import _fmt, _points
 
 # values whose two decimals end in 0 or 00, signed zeros, values that round
-# to them, pixel-range values and any float, large magnitudes included
+# to them, pixel-range values and any float, large magnitudes included;
+# exact half-hundredth ties (multiples of 1/8) and multiples of 0.005, which
+# lie within an ulp of a tie; tiny negatives, which print as -0; values at
+# and beyond 1e12, and non-finite ones
 VALUES = st.one_of(
     st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 100),
     st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: k / 8),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: k * 0.005),
     st.sampled_from([0.0, -0.0, 0.004, -0.004, 0.005, -0.005, 0.995, -0.995,
-                     9.995, 99.996, 1e22, -1e22, 1e300, -1e300, 5e-324,
-                     math.inf, -math.inf, math.nan]),
+                     9.995, 99.996, 0.125, -0.375, 2.5e-3, 1e22, -1e22, 1e300,
+                     -1e300, 5e-324, -5e-324, -1e-300, -0.00499999,
+                     1e12, -1e12, math.nextafter(1e12, 0.0),
+                     math.nextafter(1e12, math.inf), 999999999999.995,
+                     math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(-0.006, 0.0),
+    st.floats(1e12, 1e16).map(lambda v: v * (-1) ** int(v)),
     st.floats(-1000.0, 1000.0),
     st.floats(),
 )
@@ -32,6 +42,29 @@ def test_points_match_per_value_format(pairs):
     xs = np.array([a for a, _ in pairs], dtype=float)
     ys = np.array([b for _, b in pairs], dtype=float)
     assert _points(xs, ys) == points_oracle(xs, ys)
+
+
+def test_points_match_per_value_format_bulk():
+    rng = np.random.default_rng(412)
+    n = 40_000
+    halves = (rng.integers(0, 10 ** 13, n) + 0.5) / 100.0
+    values = np.concatenate([
+        halves, np.nextafter(halves, math.inf), -np.nextafter(halves, 0.0),
+        rng.uniform(-800.0, 800.0, n),
+        rng.integers(-10 ** 8, 10 ** 8, n) / 8,
+        rng.integers(-10 ** 8, 10 ** 8, n) * 0.005,
+        rng.integers(-10 ** 8, 10 ** 8, n) / 200,
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, 16.0, n),
+        rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(float),
+    ])
+    rng.shuffle(values)
+    xs, ys = values[0::2], values[1::2]
+    # pair by pair: a diff of the whole text would take pytest minutes
+    got = _points(xs, ys).split(" ")
+    want = points_oracle(xs, ys).split(" ")
+    assert len(got) == len(want) == xs.size
+    bad = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert not bad, [(xs[k], ys[k], got[k], want[k]) for k in bad[:5]]
 
 
 def test_points_examples():
