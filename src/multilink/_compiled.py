@@ -52,7 +52,7 @@ class Vehicle(ctypes.Structure):
 
 
 class Pair(ctypes.Structure):
-    _fields_ = [("stages", c_int), ("n_err", c_int), ("n_silent", c_int),
+    _fields_ = [("stages", c_int), ("n_silent", c_int),
                 ("exponent", c_double), ("c", POINTER(c_double)),
                 ("row_start", POINTER(c_int)), ("col", POINTER(c_int)),
                 ("val", POINTER(c_double)), ("silent", POINTER(c_int))]
@@ -113,16 +113,16 @@ def load():
 
 
 @functools.cache
-def _pair(method):
-    """The pair `method` of integrator._STEPPERS in the sparse form of
-    _loop.c: the stage rows, the weights and the error rows, non-zero
-    coefficients only."""
-    exponent, c, a, b, err_rows, _ = integrator._STEPPERS[method]
+def _pair():
+    """The integrator's pair in the sparse form of _loop.c: the stage rows,
+    the weights and the error rows, non-zero coefficients only."""
+    c, a, b = integrator._DOP853_C, integrator._DOP853_A, integrator._DOP853_B
+    err_rows = integrator._ERROR_ROWS
     stages = len(a) + 1
     rows = [[(j, x) for j, x in enumerate(row) if x != 0.0]
             for row in (*a[1:], b, *err_rows)]
     silent = [j for j in range(stages) if not any(row[j] for row in err_rows)]
-    return Pair(stages, len(err_rows), len(silent), exponent,
+    return Pair(stages, len(silent), integrator._EXPONENT,
                 _array(c_double, [*c[:len(a)], 1.0]),
                 _array(c_int, list(accumulate(map(len, rows), initial=0))),
                 _array(c_int, [j for row in rows for j, _ in row]),
@@ -136,7 +136,7 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     called the field's kernel on y, whose arity is the chart's dimension,
     and the field's couplings have one entry per link."""
     dim = len(y)
-    pair = _pair(opts.method)
+    pair = _pair()
     chart, c, mu, *constants = rhs.vehicle
     vehicle = Vehicle(len(c), CHARTS.index(chart), _array(c_double, c),
                       _array(c_double, mu), *constants)

@@ -32,12 +32,12 @@ typedef struct {
     double mass, inertia, b, af, freq;
 } Vehicle;
 
-/* An embedded pair as sparse rows of (column, coefficient): rows 0 ..
- * stages - 2 build the inputs of stages 1 .. stages - 1 (the last of them is
- * the new state), then come the error rows.  c holds the stage abscissae,
- * silent the stages that no error row weighs. */
+/* The embedded 8(5,3) pair as sparse rows of (column, coefficient): rows 0
+ * .. stages - 2 build the inputs of stages 1 .. stages - 1 (the last of them
+ * is the new state), then come the 5th- and 3rd-order error rows.  c holds
+ * the stage abscissae, silent the stages that no error row weighs. */
 typedef struct {
-    int stages, n_err, n_silent;
+    int stages, n_silent;
     double exponent;
     const double *c;
     const int *row_start, *col;
@@ -143,21 +143,16 @@ static int step(const Pair *p, const Vehicle *v, Run *r, double h,
     double sum = 0.0, e5 = 0.0, e3 = 0.0;
     for (int i = 0; i < dim; i++) {
         const double sc = r->atol + r->rtol * max2(fabs(y[i]), fabs(yn[i]));
-        double x5, x3 = 0.0;
-        if (p->n_err == 1) {           /* 5(4) */
-            x5 = fabs(h * comb(p, e, k, dim, i)) / sc;
-        } else {                       /* 8(5,3) */
-            x5 = fabs(comb(p, e, k, dim, i)) / sc;
-            x3 = fabs(comb(p, e + 1, k, dim, i)) / sc;
-        }
+        const double x5 = fabs(comb(p, e, k, dim, i)) / sc;
+        const double x3 = fabs(comb(p, e + 1, k, dim, i)) / sc;
         sum += x5;
         e5 = i == 0 ? x5 : max2(e5, x5);
         e3 = i == 0 ? x3 : max2(e3, x3);
     }
     if (isnan(sum) || !isfinite(silent))
         *err = NAN;
-    else if (p->n_err == 1 || e5 == 0.0)
-        *err = e5;
+    else if (e5 == 0.0)
+        *err = 0.0;
     else {
         const double root = sqrt(e5 * e5 + 0.01 * e3 * e3);
         if (root == 0.0) {  /* both squares underflow: divide through by e5 */

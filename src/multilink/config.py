@@ -11,18 +11,18 @@ rejected everywhere):
       "rotor":      {"kind": "sine", "amplitude": x, "period": x (1.0)},
       "initial":    {"v1": (1.0), "omega": (0.0), "phi": ([0...]),
                      "x": (0.0), "y": (0.0), "psi": (0.0)},
-      "integrator": {"t_end": x, "method": "adaptive-dop853" |
-                     "adaptive-rk45" (see below), "rtol": (1e-10),
-                     "atol": (1e-12), "h0": (1e-3, the first trial step),
-                     "hmax": (inf), "sample_stride": (1)},
+      "integrator": {"t_end": x, "rtol": (1e-10), "atol": (1e-12),
+                     "h0": (min(1e-3, hmax), the first trial step),
+                     "hmax": (inf, see below), "sample_stride": (1)},
       "outputs":    {"directory": ("out"), "formats": (["csv","svg","report"])}
     }
 
-The method defaults to the Dormand-Prince 8(5,3) pair, except in the
-"speedup" scenario, which defaults to the 5(4) pair: its envelope fits take
-per-period maxima of the emitted samples, and at the tolerances that
-scenario needs the 8(5,3) pair steps too few times per rotor period for
-those maxima (at rtol = atol = 1e-8 about 7 steps, against 26 for 5(4)).
+The step cap hmax is unbounded, except in the "speedup" scenario, where it
+defaults to rotor.period / 13: its envelope fits take per-period maxima of
+the emitted samples, and at the tolerances that scenario needs the
+Dormand-Prince 8(5,3) pair's own steps come too few per rotor period for
+those maxima (at rtol = atol = 1e-8 about 7).  The cap makes it 13, at
+which a per-period maximum reads at most 1 - cos(pi/13) ~ 3% low.
 
 Every number must be finite: NaN and Infinity, which Python's json
 accepts, are rejected (an unbounded hmax is the default, not a value).
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PoseState, ReducedState
-from .integrator import METHOD_DOP853, METHOD_RK45, METHODS, IntegratorOptions
+from .integrator import IntegratorOptions
 from .model import (
     InvalidParameterError,
     RotorProfile,
@@ -173,28 +173,22 @@ def _parse_initial(block, n: int) -> tuple[ReducedState, PoseState]:
     return ReducedState(v1, omega, np.array(phi)), pose
 
 
-def _parse_integrator(block, scenario: str) -> IntegratorOptions:
+def _parse_integrator(block, default_hmax: float) -> IntegratorOptions:
     if not isinstance(block, dict):
         raise ConfigError("'integrator' must be an object")
-    allowed = ("method", "rtol", "atol", "h0", "hmax", "t_end", "sample_stride")
+    allowed = ("rtol", "atol", "h0", "hmax", "t_end", "sample_stride")
     _check_keys(block, allowed, "'integrator'")
-    # the speedup scenario's default: see the module docstring
-    method = block.get("method", METHOD_RK45 if scenario == "speedup"
-                       else METHOD_DOP853)
-    if method not in METHODS:
-        raise ConfigError(f"'integrator.method' must be one of {list(METHODS)}, "
-                          f"got {method!r}")
+    hmax = _number(block, "hmax", "'integrator'", default=default_hmax)
     stride = block.get("sample_stride", 1)
     if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
         raise ConfigError("'integrator.sample_stride' must be a positive integer")
     try:
         return IntegratorOptions(
             t_end=_number(block, "t_end", "'integrator'", required=True),
-            method=method,
             rtol=_number(block, "rtol", "'integrator'", default=1e-10),
             atol=_number(block, "atol", "'integrator'", default=1e-12),
-            h0=_number(block, "h0", "'integrator'", default=1e-3),
-            hmax=_number(block, "hmax", "'integrator'", default=math.inf),
+            h0=_number(block, "h0", "'integrator'", default=min(1e-3, hmax)),
+            hmax=hmax,
             sample_stride=stride,
         )
     except ValueError as e:
@@ -235,13 +229,15 @@ def parse_config(text: str) -> ScenarioConfig:
     if "vehicle" not in doc:
         raise ConfigError("missing required field 'vehicle'")
     vehicle = _parse_vehicle(doc["vehicle"])
-    if "integrator" not in doc:
-        raise ConfigError("missing required field 'integrator'")
-    integrator = _parse_integrator(doc["integrator"], scenario)
-
     rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else None
     if scenario == "speedup" and rotor is None:
         raise ConfigError("scenario 'speedup' requires a 'rotor' block")
+    if "integrator" not in doc:
+        raise ConfigError("missing required field 'integrator'")
+    # the speedup scenario's step cap: see the module docstring
+    integrator = _parse_integrator(
+        doc["integrator"],
+        rotor.period / 13 if scenario == "speedup" else math.inf)
 
     sign = None
     if scenario == "manifold":

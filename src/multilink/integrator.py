@@ -1,23 +1,22 @@
-"""Time stepping: the adaptive Dormand-Prince pairs 8(5,3) and 5(4).
+"""Time stepping: the adaptive Dormand-Prince 8(5,3) pair.
 
-One driver loop serves both pairs.  Each pair is a step function that
-advances the state by one step of a given size and returns an error norm;
-the driver owns everything else: landing on output times, sample emission,
-the step-size controller and the typed errors.  The local error per step is
-controlled against atol + rtol * |y| (max-norm scale), and requested output
-times are hit exactly by clamping the step, so emitted samples need no
-interpolation and runs are bit-reproducible.
+A driver loop runs the pair's step, a function that advances the state by
+one step of a given size and returns an error norm; the driver owns
+everything else: landing on output times, sample emission, the step-size
+controller and the typed errors.  The local error per step is controlled
+against atol + rtol * |y| (max-norm scale), and requested output times are
+hit exactly by clamping the step, so emitted samples need no interpolation
+and runs are bit-reproducible.
 
-The steps are emitted from their tableaux, which are data, one per pair and
-state dimension, with every component of the state and the stages a local
-float (:func:`_emit_step`).  Each is compiled on first use and cached;
-linecache holds its source under a name like ``<_step_rk45_4>``, so
-tracebacks and ``inspect.getsource`` show the code that runs.
+The step is emitted from the tableau, which is data, once per state
+dimension, with every component of the state and the stages a local float
+(:func:`_emit_step`).  Each is compiled on first use and cached; linecache
+holds its source under a name like ``<_step_dop853_4>``, so tracebacks and
+``inspect.getsource`` show the code that runs.
 
-The default is the 8(5,3) pair (``adaptive-dop853``): at the tight
-tolerances of the energy and constraint checks it takes far fewer steps
-than the 5(4) pair (``adaptive-rk45``), the default of the speedup scenario
-for the reason given in :mod:`multilink.config`.
+The pair's long steps can sample a periodic forcing thinly; a run that
+needs samples throughout a period caps the step with ``hmax``, as the
+speedup scenario does by default (:mod:`multilink.config`).
 
 Right-hand-side contract: ``rhs(t, y)`` receives the state as a list of
 floats, which it must not modify, and returns a sequence of floats of the
@@ -38,7 +37,7 @@ A built-in vehicle field with a sine or zero rotor, one that carries a
 built from ``_loop.c`` by the first such run in a process with the compiler
 Python was built with and ``-O2 -fPIC -shared -ffp-contract=off
 -fno-builtin-sin -fno-builtin-cos``, once, in about 0.25 s.  It reads the
-tableaux below and performs the emitted steps' operations in their order,
+tableau below and performs the emitted steps' operations in their order,
 so it gives the same times, states, counts and typed errors to the bit.
 Without a working compiler every run takes the Python loop, which stays the
 portable fallback and the oracle of the compiled one; setting ``_loop`` to
@@ -57,26 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METHOD_DOP853 = "adaptive-dop853"
-METHOD_RK45 = "adaptive-rk45"
-METHODS = (METHOD_DOP853, METHOD_RK45)
-
-# Tableaux of the adaptive pairs (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.5 and II.10), bit-equal to scipy's RK45 and DOP853 (scipy's RK45.E has
-# the opposite sign).  Index i is stage i + 1: abscissae _C, stage matrix _A,
-# weights _B and error rows _E (_E5, _E3), which also weigh the FSAL stage.
-_RK45_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_RK45_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_RK45_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_RK45_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-           22 / 525, -1 / 40)
-
+# Tableau of the pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
+# bit-equal to scipy's DOP853.  Index i is stage i + 1: abscissae _C, stage
+# matrix _A, weights _B and error rows _E5, _E3, which also weigh the FSAL
+# stage.
 _DOP853_C = (
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
@@ -116,7 +99,11 @@ _DOP853_E3 = (
     -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
     -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+_ERROR_ROWS = (_DOP853_E5, _DOP853_E3)
 
+# the step-size controller: the error norm's exponent, the bounds of the
+# factor a step size changes by, and the safety factor
+_EXPONENT = -1 / 8
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -144,14 +131,12 @@ class IntegratorOptions:
     """Stepper configuration.
 
     t_end is the integration horizon (integration starts at t0 passed to
-    :func:`integrate`, 0 by default).  method is one of METHODS.
-    sample_stride decimates the emitted samples: every k-th accepted step is
+    :func:`integrate`, 0 by default).  sample_stride decimates the emitted samples: every k-th accepted step is
     recorded (first and last always are).  h0 is the first trial step;
     steps never exceed hmax.
     """
 
     t_end: float
-    method: str = METHOD_DOP853
     rtol: float = 1e-10
     atol: float = 1e-12
     h0: float = 1e-3
@@ -159,9 +144,6 @@ class IntegratorOptions:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; "
-                             f"use one of {list(METHODS)}")
         # a NaN would pass a failing comparison: a NaN t_end ends the run
         # after 0 steps, a NaN h0 is rejected and shrunk forever
         for name in ("t_end", "rtol", "atol", "h0"):
@@ -308,12 +290,10 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
 
 
 def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
-    """The driver loop over the emitted step of opts.method: appends the
-    samples after the first to buf and returns the accepted, rejected and
-    evaluation counts."""
-    exponent, _, stages, *_ = _STEPPERS[opts.method]
-    evals = len(stages)  # each stage but the first, the last step's FSAL
-    step, kernel = _stepper(opts.method, rhs, len(y))
+    """The driver loop over the emitted step: appends the samples after the
+    first to buf and returns the accepted, rejected and evaluation counts."""
+    evals = len(_DOP853_A)  # each stage but the first, the last step's FSAL
+    step, kernel = _stepper(rhs, len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
@@ -345,7 +325,7 @@ def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
             continue
         if err > 1.0:
             n_rej += 1
-            h_prop = h * max(_MIN_FACTOR, _SAFETY * err ** exponent)
+            h_prop = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             continue
 
         n_acc += 1
@@ -354,7 +334,7 @@ def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
         f = f_new
 
         factor = _MAX_FACTOR if err == 0.0 else \
-            min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** exponent))
+            min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT))
         h_prop = max(h_prop, h * factor) if clamped else h * factor
 
         if targets is not None:
@@ -378,19 +358,12 @@ def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
 # is not finite.  A stage that is NaN in a component the others do not
 # depend on still has to reach err, also a stage that no error row weighs.
 #
-# The error norms below are templates over the locals of an emitted step:
+# The error norm below is a template over the locals of an emitted step:
 # y{i}, the new state n{i} and stage j, k{j}_{i}, at component i.  A line
 # naming {i} is written once per component, {row0} and {row1} being the error
 # rows' terms there; {x} lists x0, x1, ... of such a line's x, {silent} sums
 # the stages that no error row weighs and {last} is the last stage.
 
-_RK45_NORM = """\
-    r{i} = abs(h * ({row0})) / (atol + rtol * max(abs(y{i}), abs(n{i})))
-    # max() passes over a NaN that is not first; the sum keeps it
-    if math.isnan(sum(({r}))) or not math.isfinite({silent}):
-        return y_new, {last}, math.nan
-    return y_new, {last}, max(({r}))
-"""
 _DOP853_NORM = """\
     # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2)
     sc{i} = atol + rtol * max(abs(y{i}), abs(n{i}))
@@ -411,12 +384,12 @@ _DOP853_NORM = """\
 
 
 @functools.cache
-def _emit_step(method, dim):
-    """Compile the step of the pair `method` for `dim` components, each a
-    local float.  Stage s gets y{i} + h * (a_s1 * k1_{i} + ...) per component
-    over the non-zero coefficients of its row, float literals in tableau
-    order; then come the new state, the last stage and the error norm."""
-    _, c, a, b, rows, norm = _STEPPERS[method]
+def _emit_step(dim):
+    """Compile the step for `dim` components, each a local float.  Stage s
+    gets y{i} + h * (a_s1 * k1_{i} + ...) per component over the non-zero
+    coefficients of its row, float literals in tableau order; then come the
+    new state, the last stage and the error norm."""
+    c, a, b, rows = _DOP853_C, _DOP853_A, _DOP853_B, _ERROR_ROWS
     comps = range(dim)
     last = len(a) + 1
 
@@ -427,7 +400,7 @@ def _emit_step(method, dim):
         return " + ".join(f"{x!r} * k{j}_{i}"
                           for j, x in enumerate(coeffs, 1) if x != 0.0)
 
-    name = f"_step_{method.split('-')[1]}_{dim}"
+    name = f"_step_dop853_{dim}"
     lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):",
              f"    [{names('y')}] = y", f"    [{names('k1_')}] = k1"]
     for s in range(1, len(a)):
@@ -437,12 +410,12 @@ def _emit_step(method, dim):
     lines += [f"    y_new = [{names('n')}]",
               f"    k{last} = rhs(t + h, {names('n')})",
               f"    [{names(f'k{last}_')}] = k{last}"]
-    fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", norm)}
+    fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", _DOP853_NORM)}
     fields["last"] = f"k{last}"
     fields["silent"] = " + ".join(
         f"sum(({names(f'k{j}_')},))" for j in range(1, last + 1)
         if not any(row[j - 1] for row in rows))
-    for line in norm.splitlines():
+    for line in _DOP853_NORM.splitlines():
         if "{i}" in line:
             lines += [line.format(i=i, **{f"row{n}": terms(row, i)
                                           for n, row in enumerate(rows)})
@@ -457,16 +430,7 @@ def _emit_step(method, dim):
     return namespace[name]
 
 
-# method -> (exponent of the step-size controller, abscissae, stage matrix,
-# weights, error rows, error norm)
-_STEPPERS = {
-    METHOD_DOP853: (-1 / 8, _DOP853_C, _DOP853_A, _DOP853_B,
-                    (_DOP853_E5, _DOP853_E3), _DOP853_NORM),
-    METHOD_RK45: (-0.2, _RK45_C, _RK45_A, _RK45_B, (_RK45_E,), _RK45_NORM),
-}
-
-
-def _stepper(method, rhs, dim):
+def _stepper(rhs, dim):
     """The step function that integrate runs and the kernel it passes to it:
     the one rhs carries as ``kernel`` (the vector fields of
     :mod:`multilink.dynamics`), else a call of rhs with a list."""
@@ -474,4 +438,4 @@ def _stepper(method, rhs, dim):
     if kernel is None:
         def kernel(t, *y):
             return rhs(t, list(y))
-    return _emit_step(method, dim), kernel
+    return _emit_step(dim), kernel

@@ -229,10 +229,12 @@ class RotorProfile:
         vals = np.array([self.rate(t) ** 2 for t in ts])
         return float(np.dot(weights, vals) * half / self.period)
 
-    def max_abs_rate(self, samples: int = 4096) -> float:
-        """Max of |rate| over one period (dense sampling)."""
-        ts = np.linspace(0.0, self.period, samples, endpoint=False)
-        return float(max(abs(self.rate(t)) for t in ts))
+    def max_abs_rate(self) -> float:
+        """Max of |rate| over one period of a sine profile, whose rate
+        amplitude * freq * cos(freq * t) peaks at t = 0."""
+        if self.sine is None:
+            raise ValueError("max_abs_rate needs a sine profile")
+        return abs(self.rate(0.0))
 
 
 @functools.cache

@@ -230,8 +230,7 @@ def _run_speedup(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     traj = simulate(p, d, rotor, cfg.initial, cfg.pose, cfg.integrator)
     window = (DEFAULT_FIT_WINDOW[0],
               min(DEFAULT_FIT_WINDOW[1], cfg.integrator.t_end))
-    report, summary = speedup_report(traj, pred, p, d, rotor, window,
-                                     cfg.integrator.method)
+    report, summary = speedup_report(traj, pred, p, d, rotor, window)
     pieces = {
         "speedup_velocities.svg": _series_plot(traj, pred),
         "speedup_angles.svg": _angles_plot(traj, pred),
@@ -242,19 +241,19 @@ def _run_speedup(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     return ScenarioResult("speedup", out_dir, tuple(files), summary)
 
 
-def speedup_report(traj: Trajectory, pred, p, d, rotor, window,
-                   method: str) -> tuple[str, str]:
+def speedup_report(traj: Trajectory, pred, p, d, rotor,
+                   window) -> tuple[str, str]:
     """Fit the speedup power laws on a trajectory and compare with the
-    predicted asymptotics, stating how densely the samples of the given
-    integration method cover a rotor period and where the finite-inertia
-    law puts the crossover into the asymptotic regime."""
+    predicted asymptotics, stating how densely the samples cover a rotor
+    period and where the finite-inertia law puts the crossover into the
+    asymptotic regime."""
     period = rotor.period
     lines = ["speedup asymptotics report",
              "==========================",
              f"cube growth rate of v1: {pred.cube_rate:.6g} "
              f"(mean squared momentum rate {pred.mean_sq_rate:.6g})",
              f"fit window: [{window[0]:g}, {window[1]:g}]",
-             _sampling_line(traj.times, method, period, window),
+             _sampling_line(traj.times, period, window),
              _crossover_line(traj, pred, p, d, rotor, window), ""]
 
     def one(name, fit, exp_expect, coeff_expect):
@@ -286,16 +285,16 @@ def speedup_report(traj: Trajectory, pred, p, d, rotor, window,
     return "\n".join(lines), summary
 
 
-def _sampling_line(times, method: str, period: float, window) -> str:
+def _sampling_line(times, period: float, window) -> str:
     """Samples per rotor period in the fit window, and the most by which the
     largest of n equally spaced samples of a sinusoid period can fall below
     its peak: 1 - cos(pi/n), the peak lying at most half a spacing away."""
     inside = np.count_nonzero((times >= window[0]) & (times <= window[1]))
     if window[1] <= window[0] or inside == 0:
-        return f"sampling: {method}, no samples in the fit window"
+        return "sampling: no samples in the fit window"
     n = inside * period / (window[1] - window[0])
     undershoot = 1.0 - math.cos(math.pi / n) if n >= 2.0 else 1.0
-    return (f"sampling: {method}, {n:.4g} samples per rotor period in the "
+    return (f"sampling: {n:.4g} samples per rotor period in the "
             f"fit window, so a per-period maximum can read up to "
             f"{100.0 * undershoot:.3g}% below the peak (1 - cos(pi/n))")
 

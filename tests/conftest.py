@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multilink.dynamics import make_reduced_rhs
-from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
+from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import VehicleParams, derive_params, sine_rotor
 
 
@@ -41,9 +41,9 @@ def strong_rotor_run(reference_vehicle, reference_derived):
     rhs = make_reduced_rhs(reference_vehicle, reference_derived, rotor)
     y0 = np.array([10.0, 1.0, 0.5, 0.5])
     # atol 1e-8: absolute floor well under the angle/omega envelopes, keeps
-    # the error control from chasing their zero crossings; the 5(4) pair, as
-    # in the speedup scenario, for its per-period maxima of step samples
-    opts = IntegratorOptions(t_end=1e4, method=METHOD_RK45, rtol=1e-8,
-                             atol=1e-8, sample_stride=2)
+    # the error control from chasing their zero crossings; steps capped at
+    # period / 13, as in the speedup scenario, for per-period maxima of
+    # step samples
+    opts = IntegratorOptions(t_end=1e4, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     sol = integrate(rhs, y0, opts)
     return {"rotor": rotor, "times": sol.times, "states": sol.states}

@@ -37,7 +37,7 @@ from multilink.dynamics import (
     make_reduced_rhs,
     simulate,
 )
-from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
+from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
     VehicleParams,
     angle_coeffs,
@@ -157,16 +157,16 @@ def faithful_speedup_run():
 
     rtol 1e-8 per the long-run default; atol 1e-8 keeps the per-component
     error floor well below the omega/angle envelopes (~1e-2) without
-    chasing their zero crossings.  The 5(4) pair, as in the speedup
-    scenario: the envelopes are per-period maxima of the step samples.
+    chasing their zero crossings.  Steps capped at period / 13, as in the
+    speedup scenario: the envelopes are per-period maxima of the step
+    samples.
     """
     p = vehicle_with_links(2)
     d = derive_params(p)
     rotor = sine_rotor(0.05, 1.0)
     rhs = make_reduced_rhs(p, d, rotor)
     y0 = np.array([10.0, 1.0, 0.5, 0.5])
-    opts = IntegratorOptions(t_end=1e5, method=METHOD_RK45, rtol=1e-8,
-                             atol=1e-8, sample_stride=2)
+    opts = IntegratorOptions(t_end=1e5, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     start = time.perf_counter()
     sol = integrate(rhs, y0, opts)
     runtime = time.perf_counter() - start

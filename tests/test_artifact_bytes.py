@@ -34,15 +34,15 @@ FIXED_POINTS_REPORT_SHA256 = {
 
 SPEEDUP_ARTIFACT_SHA256 = {
     "speedup_trajectory.csv":
-        "a40bbb43ffbe63cbc3e3556ca8c845399ea3bfd2a77a6423a07d5d18df5e647a",
+        "45dd7cb715c26c02dabe8e231f247060e502ba72192fada0f7ce9130885cfc67",
     "speedup_velocities.svg":
-        "e1ffb17992b4511cc84a95c0b083448dcb859a4073c111f6f8b78270e0faa40e",
+        "d7e85368dd211315c2c5e331067a9c0840ab8354634a28574d2af093e32e53ca",
     "speedup_angles.svg":
-        "02a3012e57e99e7ece3864f3af4185560db2478fe43be8dd3101edca419a3e3a",
+        "3c63d0724b9eeafd1b2bd7006063ff72a8079f30a6ade8440c803abbffe20d0e",
     "speedup_paths.svg":
-        "cb1b53197243d985bb378d2646cef16ca75f2a0e33a46da6226948aa1f6f760f",
+        "7dea663a644fe788e147c62e3cd198a409516feb57d5410cf7824542cf154eb5",
     "speedup_report.txt":
-        "4b8b4c8714e484161f0de80eb5d0ee3935fcc72f74b7d95ad6dfbbe2feb4f246",
+        "16c426944ef61239005af370c82691faf77986bff149847ebbc5305affed426f",
 }
 
 MANIFOLD_PORTRAIT_SHA256 = \
@@ -77,8 +77,9 @@ def test_fixed_points_report_bytes(tmp_path, capsys, n):
 def test_speedup_artifact_bytes(tmp_path, capsys):
     with open(os.path.join(CONFIGS, "speedup.json")) as f:
         doc = json.load(f)
-    # about 5,200 samples: six CSV chunks, and every plot thins its series
-    doc["integrator"].update(t_end=200.0, sample_stride=1)
+    # about 5,200 samples at 13 steps per rotor period: six CSV chunks, and
+    # every plot thins its series
+    doc["integrator"].update(t_end=400.0, sample_stride=1)
     path = tmp_path / "speedup.json"
     path.write_text(json.dumps(doc))
     run_cli(["simulate", path, "--output-dir", tmp_path / "o"], capsys)

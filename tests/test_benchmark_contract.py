@@ -27,7 +27,7 @@ import numpy as np
 from multilink import cli, dynamics, scenarios
 from multilink.config import parse_config
 from multilink.dynamics import PoseState, ReducedState
-from multilink.integrator import METHOD_RK45, IntegratorOptions, integrate
+from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import sine_rotor, zero_rotor
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -70,8 +70,7 @@ def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
     tracer = load_tracing().Tracer()
     traced = tracer.timed_rhs("reduced", rhs)
     y0 = [10.0, 1.0, 0.5, 0.5]
-    opts = IntegratorOptions(t_end=20.0, method=METHOD_RK45, rtol=1e-8,
-                             atol=1e-8, sample_stride=2)
+    opts = IntegratorOptions(t_end=20.0, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     inlined = integrate(rhs, y0, opts)
     sol = integrate(traced, y0, opts)
     assert np.array_equal(sol.times, inlined.times)

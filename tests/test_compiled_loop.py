@@ -28,7 +28,6 @@ import multilink
 from multilink import _compiled, cli, integrator
 from multilink.dynamics import make_full_rhs, make_manifold_rhs, make_reduced_rhs
 from multilink.integrator import (
-    METHODS,
     DivergenceError,
     IntegratorOptions,
     StepUnderflowError,
@@ -86,15 +85,15 @@ def both_loops(rhs, y0, opts, **kwargs):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
        chart=st.sampled_from(["reduced", "full", "manifold"]),
-       method=st.sampled_from(METHODS), sine=st.booleans(),
+       sine=st.booleans(),
        stride=st.integers(1, 3), landing=st.booleans(),
        hmax=st.sampled_from([math.inf, 0.05, 0.3]),
        t0=st.sampled_from([0.0, -1.5, 2.25]),
        chunk=st.sampled_from([3, _compiled.CHUNK]),
        budget=st.sampled_from([5, _compiled.STEPS_PER_CALL]))
-def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, method,
-                                           sine, stride, landing, hmax, t0,
-                                           chunk, budget):
+def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, sine,
+                                           stride, landing, hmax, t0, chunk,
+                                           budget):
     rng = np.random.default_rng(seed)
     p = random_vehicle(rng, n)
     d = derive_params(p)
@@ -109,7 +108,7 @@ def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, method,
         y0 = [rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0), *phi]
         y0 += list(rng.uniform(-1.0, 1.0, 3)) * (chart == "full")
     t_end = t0 + 3.0
-    opts = IntegratorOptions(t_end=t_end, method=method, rtol=1e-9, atol=1e-11,
+    opts = IntegratorOptions(t_end=t_end, rtol=1e-9, atol=1e-11,
                              hmax=hmax, h0=min(1e-3, hmax), sample_stride=stride)
     kwargs = {}
     if landing:
@@ -127,14 +126,12 @@ def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, method,
     assert isinstance(fast[0], bytes)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_pinned_run_matches_python_loop(compiled, method, reference_vehicle,
+def test_pinned_run_matches_python_loop(compiled, reference_vehicle,
                                         reference_derived):
     # the pinned speedup run of criterion 4, to t=50
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
-    opts = IntegratorOptions(t_end=50.0, method=method, rtol=1e-8, atol=1e-8,
-                             sample_stride=2)
+    opts = IntegratorOptions(t_end=50.0, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     fast, slow = both_loops(rhs, [10.0, 1.0, 0.5, 0.5], opts)
     assert fast == slow and fast[5] > 0
 
@@ -142,40 +139,36 @@ def test_pinned_run_matches_python_loop(compiled, method, reference_vehicle,
 # --- typed errors ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_step_underflow_matches(compiled, method, reference_vehicle,
+def test_step_underflow_matches(compiled, reference_vehicle,
                                 reference_derived):
     # tolerances under the roundoff of every step
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
-    opts = IntegratorOptions(t_end=10.0, method=method, rtol=1e-30, atol=1e-30)
+    opts = IntegratorOptions(t_end=10.0, rtol=1e-30, atol=1e-30)
     fast, slow = both_loops(rhs, [10.0, 1.0, 0.5, 0.5], opts)
     assert fast == slow
     assert fast[0] is StepUnderflowError and fast[2] == 0.0
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_divergence_matches(compiled, method, reference_vehicle,
-                            reference_derived):
+def test_divergence_matches(compiled, reference_vehicle, reference_derived):
     # a rotor rate of ~1e150 overflows the stages
     rhs = make_full_rhs(reference_vehicle, reference_derived, sine_rotor(1e150))
-    opts = IntegratorOptions(t_end=1.0, method=method)
+    opts = IntegratorOptions(t_end=1.0)
     fast, slow = both_loops(rhs, [10.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0],
                             opts, t0=0.5)
     assert fast == slow == (DivergenceError,
                             "right-hand side or state not finite near t=0.5", 0.5)
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
-def test_degenerate_shape_matches(compiled, method, chart, reference_vehicle):
+def test_degenerate_shape_matches(compiled, chart, reference_vehicle):
     # a hand-built coupling with m_eff = 1 - 3 sin^2(theta_1), > 0 at the
     # start; the first trial step's stages swing theta_1 past the zero
     bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
                         coupling=[-3.0, 0.0])
     rhs = chart(reference_vehicle, bad, sine_rotor(0.3, 1.0))
     y0 = [0.1, -10.0, 0.3, 0.0] + [0.0, 0.0, 0.0] * (chart is make_full_rhs)
-    opts = IntegratorOptions(t_end=1.0, method=method, h0=0.5)
+    opts = IntegratorOptions(t_end=1.0, h0=0.5)
     fast, slow = both_loops(rhs, y0, opts, t0=0.25)
     assert fast == slow
     assert fast[0] is DegenerateShapeError
@@ -320,14 +313,13 @@ def test_interrupt_stops_a_long_compiled_run(compiled):
     assert "KeyboardInterrupt" in err
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
-def test_signed_zeros_match(compiled, method, chart, reference_vehicle,
+def test_signed_zeros_match(compiled, chart, reference_vehicle,
                             reference_derived):
     # at rest with exact and negative zeros, every stage sum is a signed
     # zero, whose sign depends on where the sum starts
     rhs = chart(reference_vehicle, reference_derived, zero_rotor())
     y0 = [-0.0, 0.0, -0.0, 0.0] + [-0.0, 0.0, -0.0] * (chart is make_full_rhs)
-    fast, slow = both_loops(rhs, y0, IntegratorOptions(t_end=1.0, method=method))
+    fast, slow = both_loops(rhs, y0, IntegratorOptions(t_end=1.0))
     assert fast == slow
     assert np.signbit(np.frombuffer(fast[1])).any()

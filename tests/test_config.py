@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multilink.config import ConfigError, parse_config
-from multilink.integrator import METHODS
 
 BASE = {
     "scenario": "inertial",
@@ -33,27 +32,32 @@ def test_minimal_inertial_config():
     # defaults
     assert cfg.integrator.rtol == 1e-10
     assert cfg.integrator.atol == 1e-12
-    assert cfg.integrator.method == "adaptive-dop853"
     assert cfg.outputs.directory == "out"
     assert set(cfg.outputs.formats) == {"csv", "svg", "report"}
     assert cfg.pose.x == 0.0 and cfg.pose.psi == 0.0
 
 
-@pytest.mark.parametrize("scenario, extra, method", [
-    ("inertial", {}, "adaptive-dop853"),
-    ("manifold", {"sign": "plus"}, "adaptive-dop853"),
-    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}},
-     "adaptive-rk45"),
+@pytest.mark.parametrize("scenario, extra, hmax", [
+    ("inertial", {}, math.inf),
+    ("manifold", {"sign": "plus"}, math.inf),
+    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}}, 1.0 / 13),
+    # a step cap under the default first step lowers that too
+    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05, "period": 0.01}},
+     0.01 / 13),
 ])
-def test_default_method_per_scenario(scenario, extra, method):
-    # the speedup scenario's envelope fits need the 5(4) pair's denser steps
+def test_default_hmax_per_scenario(scenario, extra, hmax):
+    # the speedup scenario's envelope fits need 13 steps per rotor period
     cfg = parse_config(cfg_text(scenario=scenario, **extra))
-    assert cfg.integrator.method == method
-    # an explicit method wins
-    for explicit in ("adaptive-dop853", "adaptive-rk45"):
-        cfg = parse_config(cfg_text(scenario=scenario, **extra, integrator={
-            "t_end": 1.0, "method": explicit}))
-        assert cfg.integrator.method == explicit
+    assert cfg.integrator.hmax == hmax
+    assert cfg.integrator.h0 == min(1e-3, hmax)
+    # an explicit value wins
+    cfg = parse_config(cfg_text(scenario=scenario, **extra, integrator={
+        "t_end": 1.0, "hmax": 0.5}))
+    assert cfg.integrator.hmax == 0.5
+    # the pair is not an option: naming one is an unknown key
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['method'\]"):
+        parse_config(cfg_text(scenario=scenario, **extra, integrator={
+            "t_end": 1.0, "method": "adaptive-dop853"}))
 
 
 def test_speedup_requires_rotor():
@@ -137,10 +141,8 @@ def test_invalid_vehicle_values():
 def test_invalid_integrator_values():
     with pytest.raises(ConfigError, match="t_end"):
         parse_config(cfg_text(integrator={"t_end": -5.0}))
-    with pytest.raises(ConfigError, match="method"):
-        parse_config(cfg_text(integrator={"t_end": 1.0, "method": "euler"}))
-    # the fixed-step RK4 method was removed
-    with pytest.raises(ConfigError, match="'integrator.method'.*'fixed-rk4'"):
+    # no method option: naming one is an unknown key
+    with pytest.raises(ConfigError, match="unknown key.*'method'"):
         parse_config(cfg_text(integrator={"t_end": 1.0, "method": "fixed-rk4",
                                           "h0": 0.01}))
     with pytest.raises(ConfigError, match="sample_stride"):
@@ -241,8 +243,8 @@ FULL = {
     "rotor": {"kind": "sine", "amplitude": 0.05, "period": 1.0},
     "initial": {"v1": 1.0, "omega": 0.0, "phi": [0.1, -0.2], "x": 0.0,
                 "y": 0.0, "psi": 0.0},
-    "integrator": {"t_end": 1.0, "method": "adaptive-rk45", "rtol": 1e-8,
-                   "atol": 1e-8, "h0": 1e-3, "hmax": 0.5, "sample_stride": 2},
+    "integrator": {"t_end": 1.0, "rtol": 1e-8, "atol": 1e-8, "h0": 1e-3,
+                   "hmax": 0.5, "sample_stride": 2},
     "outputs": {"directory": "out", "formats": ["csv", "report"]},
 }
 # a whole block, or a field of one, as often
@@ -257,20 +259,18 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8)
-methods = st.sampled_from([*METHODS, "fixed-rk4"]) | json_values
 # a number as often as anything else, so that range checks are reached
 values = st.floats() | st.integers(-2, 2) | json_values
 
 
 @st.composite
 def documents(draw):
-    """Any text or JSON value two times in five; else FULL with any method
-    and up to two fields (or blocks) deleted or replaced by any value."""
+    """Any text or JSON value two times in five; else FULL with up to two
+    fields (or blocks) deleted or replaced by any value."""
     kind = draw(st.integers(0, 4))
     if kind < 2:
         return draw(st.text(max_size=30) if kind else json_values.map(json.dumps))
     doc = json.loads(json.dumps(FULL))
-    doc["integrator"]["method"] = draw(methods)
     for *outer, key in draw(st.lists(FIELDS, max_size=2, unique=True)):
         parent = doc.get(outer[0]) if outer else doc
         if not isinstance(parent, dict):
@@ -289,4 +289,4 @@ def test_any_document_parses_or_raises_config_error(text):
         cfg = parse_config(text)
     except ConfigError:
         return
-    assert cfg.integrator.method in METHODS
+    assert 0 < cfg.integrator.h0 <= cfg.integrator.hmax

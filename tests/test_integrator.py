@@ -7,8 +7,6 @@ import pytest
 from multilink import integrator
 from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import (
-    METHOD_DOP853,
-    METHOD_RK45,
     DivergenceError,
     IntegrationError,
     IntegratorOptions,
@@ -134,17 +132,15 @@ def test_nonzero_start_time():
 
 def test_sample_stride():
     # every 10th accepted step, the initial point and the last one
-    for method in integrator.METHODS:
-        opts = dict(t_end=1.0, method=method, rtol=1e-12, atol=1e-14,
-                    hmax=0.013)
-        every = integrate(decay_rhs, [1.0], IntegratorOptions(**opts))
-        tenth = integrate(decay_rhs, [1.0],
-                          IntegratorOptions(**opts, sample_stride=10))
-        assert every.n_accepted % 10 != 0 and every.times.size > 20
-        keep = [*range(0, every.times.size, 10), every.times.size - 1]
-        assert np.array_equal(tenth.times, every.times[keep])
-        assert np.array_equal(tenth.states, every.states[keep])
-        assert tenth.times[0] == 0.0 and tenth.times[-1] == 1.0
+    opts = dict(t_end=1.0, rtol=1e-12, atol=1e-14, hmax=0.013)
+    every = integrate(decay_rhs, [1.0], IntegratorOptions(**opts))
+    tenth = integrate(decay_rhs, [1.0],
+                      IntegratorOptions(**opts, sample_stride=10))
+    assert every.n_accepted % 10 != 0 and every.times.size > 20
+    keep = [*range(0, every.times.size, 10), every.times.size - 1]
+    assert np.array_equal(tenth.times, every.times[keep])
+    assert np.array_equal(tenth.states, every.states[keep])
+    assert tenth.times[0] == 0.0 and tenth.times[-1] == 1.0
 
 
 def test_options_validation():
@@ -154,8 +150,6 @@ def test_options_validation():
         IntegratorOptions(t_end=1.0, rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorOptions(t_end=1.0, h0=2.0, hmax=1.0)
-    with pytest.raises(ValueError):
-        IntegratorOptions(t_end=1.0, method="leapfrog")
     with pytest.raises(ValueError):
         IntegratorOptions(t_end=1.0, sample_stride=0)
 
@@ -207,42 +201,36 @@ def test_scalar_rhs_accepts_lists():
     assert sol.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
-# right-hand-side calls per attempted step of each adaptive pair
-CALLS_PER_ATTEMPT = {METHOD_RK45: 6, METHOD_DOP853: 12}
+# right-hand-side calls per attempted step
+CALLS_PER_ATTEMPT = 12
 
 
-@pytest.mark.parametrize("method, stage", [
-    *(pytest.param(METHOD_RK45, s, id=str(s)) for s in range(2, 8)),
-    *(pytest.param(METHOD_DOP853, s, id=f"dop853-{s}") for s in range(2, 14)),
-])
-def test_nan_in_one_stage_and_component_rejects(method, stage):
+@pytest.mark.parametrize("stage", [
+    pytest.param(s, id=f"dop853-{s}") for s in range(2, 14)])
+def test_nan_in_one_stage_and_component_rejects(stage):
     # After the initial evaluation every attempt makes one call per stage
-    # from stage 2 on (stage 1 is the previous step's last stage): 2-7 for
-    # the 5(4) pair, 2-13 for the 8(5,3) pair, whose stages 2-5 and 13 have
-    # zero error weight.  The NaN sits in the last component only, and that
-    # component ignores the state, so the NaN reaches the step only through
-    # the stage it is returned at.
+    # from stage 2 on (stage 1 is the previous step's last stage): 2-13, of
+    # which stages 2-5 and 13 have zero error weight.  The NaN sits in the
+    # last component only, and that component ignores the state, so the NaN
+    # reaches the step only through the stage it is returned at.
     calls = itertools.count()
-    per_attempt = CALLS_PER_ATTEMPT[method]
 
     def rhs(t, y):
         k = next(calls)
-        nan_here = k > 0 and (k - 1) % per_attempt == stage - 2
+        nan_here = k > 0 and (k - 1) % CALLS_PER_ATTEMPT == stage - 2
         return [-y[0], -y[1], math.nan if nan_here else 1.0]
 
     with pytest.raises(DivergenceError) as info:
-        integrate(rhs, [1.0, 2.0, 0.0],
-                  IntegratorOptions(t_end=1.0, method=method))
+        integrate(rhs, [1.0, 2.0, 0.0], IntegratorOptions(t_end=1.0))
     assert info.value.time == 0.0
 
 
 def test_blow_up_ends_in_typed_error():
     # y' = y^2 from y(0) = 1 blows up at t = 1
-    for method in integrator.METHODS:
-        with pytest.raises(IntegrationError) as info:
-            integrate(lambda t, y: [y[0] * y[0]], [1.0],
-                      IntegratorOptions(t_end=2.0, method=method))
-        assert info.value.time == pytest.approx(1.0, abs=1e-3)
+    with pytest.raises(IntegrationError) as info:
+        integrate(lambda t, y: [y[0] * y[0]], [1.0],
+                  IntegratorOptions(t_end=2.0))
+    assert info.value.time == pytest.approx(1.0, abs=1e-3)
 
 
 def test_rhs_contract():
@@ -260,36 +248,17 @@ def test_rhs_contract():
         integrate(lambda t, y: [0.0], [1.0, 2.0], IntegratorOptions(t_end=1.0))
 
 
-def test_default_method_is_dop853():
-    assert IntegratorOptions(t_end=1.0).method == METHOD_DOP853
-    assert integrator.METHODS == (METHOD_DOP853, METHOD_RK45)
-
-
-@pytest.mark.parametrize("method", [METHOD_RK45, METHOD_DOP853])
-def test_adaptive_pairs_closed_form(method):
+def test_adaptive_pair_closed_form():
     t_eval = np.linspace(0.0, 3.0, 7)
-    opts = IntegratorOptions(t_end=3.0, method=method, rtol=1e-10, atol=1e-12)
+    opts = IntegratorOptions(t_end=3.0, rtol=1e-10, atol=1e-12)
     sol = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
     assert np.array_equal(sol.times, t_eval)
     exact = [decay_exact(math.pi / 2, t) for t in t_eval]
     assert np.max(np.abs(sol.states[:, 0] - exact)) < 1e-9
     again = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
     assert np.array_equal(again.states, sol.states)
-    assert sol.n_evals == 1 + CALLS_PER_ATTEMPT[method] * (
+    assert sol.n_evals == 1 + CALLS_PER_ATTEMPT * (
         sol.n_accepted + sol.n_rejected)
-
-
-def test_dop853_takes_fewer_steps_at_tight_tolerance(reference_vehicle,
-                                                     reference_derived):
-    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
-                           sine_rotor(0.05, 1.0))
-    y0 = [10.0, 1.0, 0.5, 0.5]
-    sols = {m: integrate(rhs, y0, IntegratorOptions(t_end=10.0, method=m,
-                                                     rtol=1e-10, atol=1e-12))
-            for m in (METHOD_RK45, METHOD_DOP853)}
-    assert sols[METHOD_DOP853].n_evals < sols[METHOD_RK45].n_evals / 2
-    diff = sols[METHOD_DOP853].states[-1] - sols[METHOD_RK45].states[-1]
-    assert np.max(np.abs(diff)) < 1e-8
 
 
 def test_dop853_coefficients_match_scipy():
@@ -319,31 +288,6 @@ def test_dop853_order_conditions():
     assert math.fsum(integrator._DOP853_E5) == pytest.approx(0.0, abs=1e-15)
     assert math.fsum(integrator._DOP853_E3) == pytest.approx(0.0, abs=1e-15)
     assert integrator._DOP853_C[12] == 1.0
-
-
-def test_rk45_coefficients_match_scipy():
-    # scipy's E is the 4th- minus the 5th-order weights, the opposite sign
-    ref = pytest.importorskip("scipy.integrate").RK45
-    assert integrator._RK45_C == tuple(ref.C.tolist())
-    assert len(integrator._RK45_A) == ref.n_stages
-    for i, row in enumerate(integrator._RK45_A):
-        assert row == tuple(ref.A[i, :i].tolist())
-        assert not ref.A[i, i:].any()
-    assert integrator._RK45_B == tuple(ref.B.tolist())
-    assert integrator._RK45_E == tuple((-ref.E).tolist())
-
-
-def test_rk45_order_conditions():
-    c = np.array(integrator._RK45_C)
-    b = np.array(integrator._RK45_B)
-    for i, row in enumerate(integrator._RK45_A):
-        assert math.fsum(row) == pytest.approx(c[i], abs=1e-15)
-    # quadrature conditions up to order 5, and not beyond
-    for k in range(5):
-        assert b @ c ** k == pytest.approx(1.0 / (k + 1), rel=1e-15, abs=0)
-    assert abs(b @ c ** 5 - 1.0 / 6) > 1e-6
-    # the error estimate vanishes on a constant derivative
-    assert math.fsum(integrator._RK45_E) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("t0", [5.0, 1.0, NAN, -INF])

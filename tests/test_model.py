@@ -11,6 +11,7 @@ from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
     InvalidParameterError,
+    RotorProfile,
     VehicleParams,
     angle_coeffs,
     derive_params,
@@ -286,6 +287,25 @@ def test_rotor_rate_is_derivative():
     for t in np.linspace(0.0, 2.3, 17):
         fd = (r.momentum(t + eps) - r.momentum(t - eps)) / (2 * eps)
         assert fd == pytest.approx(r.rate(t), rel=1e-6, abs=1e-9)
+
+
+def dense_max_abs_rate(rotor, samples=4096):
+    """The largest |rate| over equally spaced samples of one period."""
+    ts = np.linspace(0.0, rotor.period, samples, endpoint=False)
+    return float(max(abs(rotor.rate(t)) for t in ts))
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+@settings(max_examples=50, deadline=None)
+def test_max_abs_rate_is_the_sampled_max(amplitude, period):
+    rotor = sine_rotor(amplitude, period)
+    assert rotor.max_abs_rate() == dense_max_abs_rate(rotor)
+
+
+def test_max_abs_rate_needs_a_sine():
+    assert zero_rotor().max_abs_rate() == dense_max_abs_rate(zero_rotor()) == 0.0
+    with pytest.raises(ValueError, match="sine"):
+        RotorProfile(math.sin, math.cos, 2.0 * math.pi).max_abs_rate()
 
 
 def test_random_vehicle_admissible():

@@ -331,9 +331,8 @@ def test_speedup_report_and_fit(tmp_path):
     assert "the window ends after it" in report
     names = {os.path.basename(f) for f in res.files}
     assert "speedup_velocities.svg" in names and "speedup_paths.svg" in names
-    # the scenario's default method, and how densely its samples cover a
-    # rotor period in the window [1e3, 2000]
-    line = re.search(r"^sampling: adaptive-rk45, (\S+) samples per rotor "
+    # how densely the samples cover a rotor period in the window [1e3, 2000]
+    line = re.search(r"^sampling: (\S+) samples per rotor "
                      r"period in the fit window, so a per-period maximum can "
                      r"read up to (\S+)% below the peak \(1 - cos\(pi/n\)\)$",
                      report, re.M)
@@ -503,12 +502,13 @@ def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
 
 
 def test_cli_removed_method_exit_code(tmp_path, capsys):
-    # the fixed-step RK4 method is gone; a config naming it is rejected
+    # there is one pair and no method option; a config naming one is
+    # rejected
     path = make_config(tmp_path, scenario="inertial",
                        integrator={"t_end": 1.0, "method": "fixed-rk4"},
                        outputs={"directory": str(tmp_path / "o")})
     assert cli.main(["simulate", str(path)]) == 2
-    assert "'fixed-rk4'" in capsys.readouterr().err
+    assert "unknown key(s) ['method']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("vehicle", [VEHICLE, {"m": [1.0], "I": [1.5],

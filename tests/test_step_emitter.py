@@ -1,14 +1,12 @@
-"""The emitted adaptive steps against the hand-written steps they replace.
+"""The emitted adaptive step against the hand-written step it replaces.
 
-hand_rk45 and hand_dop853 below are the Dormand-Prince 5(4) and 8(5,3)
-steps as they were written out stage by stage before the integrator emitted
-them from its tableaux.  They are kept as bit-identity oracles: the emitted
-steps must give the same times, states and step counts to the last bit, both
-when they call a vehicle kernel with scalar arguments and when they call a
-right-hand side under the list contract, through the kernel that wraps it.
-The 5(4) coefficients here are spelled out independently of the
-integrator's tuples; the 8(5,3) ones are read from them, which the scipy
-test checks.
+hand_dop853 below is the Dormand-Prince 8(5,3) step as it was written out
+stage by stage before the integrator emitted it from its tableau.  It is
+kept as a bit-identity oracle: the emitted steps must give the same times,
+states and step counts to the last bit, both when they call a vehicle
+kernel with scalar arguments and when they call a right-hand side under the
+list contract, through the kernel that wraps it.  Its coefficients are read
+from the integrator's tuples, which the scipy test checks.
 """
 
 import inspect
@@ -31,26 +29,10 @@ from multilink.dynamics import (
     make_reduced_rhs,
     simulate,
 )
-from multilink.integrator import (
-    METHOD_DOP853,
-    METHOD_RK45,
-    IntegratorOptions,
-    integrate,
-)
+from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import derive_params, random_vehicle, sine_rotor, zero_rotor
 
-# --- hand-written oracles --------------------------------------------------------
-
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                                      -17253 / 339200, 22 / 525, -1 / 40)
+# --- the hand-written oracle ------------------------------------------------------
 
 # _Di_j is row i, column j of the 8(5,3) stage matrix; _Dcj, _Dbj, _D5ej
 # and _D3ej the abscissa, the propagation weight and the two error weights
@@ -72,36 +54,6 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 (_D3e1, _, _, _, _, _D3e6, _D3e7, _D3e8, _D3e9, _D3e10, _D3e11, _D3e12,
  _) = integrator._DOP853_E3
 del _
-
-
-def hand_rk45(rhs, t, h, y, k1, atol, rtol):
-    k2 = rhs(t + _C2 * h, [a + h * (_A21 * p)
-                           for a, p in zip(y, k1)])
-    k3 = rhs(t + _C3 * h, [a + h * (_A31 * p + _A32 * q)
-                           for a, p, q in zip(y, k1, k2)])
-    k4 = rhs(t + _C4 * h, [a + h * (_A41 * p + _A42 * q + _A43 * r)
-                           for a, p, q, r in zip(y, k1, k2, k3)])
-    k5 = rhs(t + _C5 * h, [a + h * (_A51 * p + _A52 * q + _A53 * r
-                                    + _A54 * s)
-                           for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s
-                              + _A65 * u)
-                     for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-    # the 5th-order solution is also the stage-7 abscissa
-    y_new = [a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-             for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-
-    # per-component scale, as in standard embedded RK codes; the zero
-    # weight of stage 2 keeps a NaN there in the estimate
-    ratios = [abs(h * (_E1 * p + _E2 * q + _E3 * r + _E4 * s + _E5 * u
-                       + _E6 * v + _E7 * w))
-              / (atol + rtol * max(abs(a), abs(b)))
-              for a, b, p, q, r, s, u, v, w
-              in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)]
-    # max() passes over a NaN that is not first; the sum keeps it
-    err = math.nan if math.isnan(sum(ratios)) else max(ratios)
-    return y_new, k7, err
 
 
 def hand_dop853(rhs, t, h, y, k1, atol, rtol):
@@ -148,8 +100,8 @@ def hand_dop853(rhs, t, h, y, k1, atol, rtol):
              in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
     k13 = rhs(t + h, y_new)
 
-    # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2) over the same
-    # per-component scale as the 5(4) pair
+    # max-norm form of err5^2 / sqrt(err5^2 + 0.01 err3^2) over a
+    # per-component scale
     scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
     err5 = [abs(_D5e1 * s1 + _D5e6 * s6 + _D5e7 * s7 + _D5e8 * s8
                 + _D5e9 * s9 + _D5e10 * s10 + _D5e11 * s11 + _D5e12 * s12) / sc
@@ -175,25 +127,20 @@ def hand_dop853(rhs, t, h, y, k1, atol, rtol):
     return y_new, k13, h * e5 * e5 / root
 
 
-# --- the emitted steps against them --------------------------------------------
-
-HAND = {METHOD_RK45: hand_rk45, METHOD_DOP853: hand_dop853}
-PAIRS = (METHOD_RK45, METHOD_DOP853)
-
+# --- the emitted step against it --------------------------------------------
 
 def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
-    """integrate with the hand-written step of opts.method in place of the
-    emitted one, on the Python loop, checking that it made every step."""
-    hand = HAND[opts.method]
+    """integrate with the hand-written step in place of the emitted one, on
+    the Python loop, checking that it made every step."""
     calls = []
 
     def step(*args):
         calls.append(None)
-        return hand(*args)
+        return hand_dop853(*args)
 
     with monkeypatch.context() as m:
         m.setattr(integrator, "_loop", False)
-        m.setattr(integrator, "_stepper", lambda method, f, dim: (step, f))
+        m.setattr(integrator, "_stepper", lambda f, dim: (step, f))
         sol = integrate(rhs, y0, opts, **kwargs)
     assert len(calls) == sol.n_accepted + sol.n_rejected > 0
     return sol
@@ -208,9 +155,9 @@ def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
         return rhs(t, y)
 
     dim = len(y0)
-    step, kernel = integrator._stepper(opts.method, rhs, dim)
+    step, kernel = integrator._stepper(rhs, dim)
     assert kernel is rhs.kernel
-    wrapped_step, adapter = integrator._stepper(opts.method, called, dim)
+    wrapped_step, adapter = integrator._stepper(called, dim)
     assert wrapped_step is step and adapter is not called
     hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
     runs = [integrate(rhs, y0, opts, **kwargs),
@@ -226,39 +173,32 @@ def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
     return hand
 
 
-@pytest.mark.parametrize("method", PAIRS)
 def test_emitted_step_matches_hand_written_pinned_run(
-        monkeypatch, method, reference_vehicle, reference_derived):
+        monkeypatch, reference_vehicle, reference_derived):
     # the pinned speedup run of criterion 4, to t=50
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
-    opts = IntegratorOptions(t_end=50.0, method=method, rtol=1e-8, atol=1e-8,
-                             sample_stride=2)
+    opts = IntegratorOptions(t_end=50.0, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts)
     assert sol.n_rejected > 0
 
 
-@pytest.mark.parametrize("method", PAIRS)
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch,
-                                                           method, n):
+def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch, n):
     rng = np.random.default_rng(600 + n)
     p = random_vehicle(rng, n)
     rhs = make_full_rhs(p, derive_params(p), sine_rotor(0.5, 1.0))
     y0 = [1.0, *rng.uniform(-1.0, 1.0, n + 1), 0.0, 0.0, 0.0]
-    opts = IntegratorOptions(t_end=10.0, method=method, rtol=1e-10,
-                             atol=1e-12)
+    opts = IntegratorOptions(t_end=10.0, rtol=1e-10, atol=1e-12)
     assert_bit_identical(monkeypatch, rhs, y0, opts)
 
 
-@pytest.mark.parametrize("method", PAIRS)
 def test_emitted_step_matches_hand_written_t_eval_and_hmax(
-        monkeypatch, method, reference_vehicle, reference_derived):
+        monkeypatch, reference_vehicle, reference_derived):
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
     t_eval = np.linspace(0.0, 5.0, 37)
-    opts = IntegratorOptions(t_end=5.0, method=method, rtol=1e-9, atol=1e-11,
-                             hmax=0.05)
+    opts = IntegratorOptions(t_end=5.0, rtol=1e-9, atol=1e-11, hmax=0.05)
     sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts,
                                t_eval=t_eval)
     assert np.array_equal(sol.times, t_eval)
@@ -276,23 +216,12 @@ def test_emitted_step_matches_hand_written_underflowing_norm(
     assert sol.states[-1, 0] / 1e-180 == pytest.approx(math.exp(-1.0), rel=1e-8)
 
 
-TABLEAUX = {
-    METHOD_RK45: (integrator._RK45_A, integrator._RK45_B,
-                  (integrator._RK45_E,)),
-    METHOD_DOP853: (integrator._DOP853_A, integrator._DOP853_B,
-                    (integrator._DOP853_E5, integrator._DOP853_E3)),
-}
-
-
-@pytest.mark.parametrize("method, silent", [
-    (METHOD_RK45, [2]),
-    (METHOD_DOP853, [2, 3, 4, 5, 13]),
-], ids=["rk45", "dop853"])
-def test_emitted_source(method, silent):
+def test_emitted_source():
     dim = 3
-    a, b, rows = TABLEAUX[method]
+    a, b = integrator._DOP853_A, integrator._DOP853_B
+    rows = (integrator._DOP853_E5, integrator._DOP853_E3)
     nonzero = [x for row in (*a, b, *rows) for x in row if x != 0.0]
-    step = integrator._emit_step(method, dim)
+    step = integrator._emit_step(dim)
     source = inspect.getsource(step)
     assert source.startswith(f"def {step.__name__}(")
     # per component, one term per non-zero coefficient of the stage matrix,
@@ -307,7 +236,7 @@ def test_emitted_source(method, silent):
     # the stages no error row weighs, checked on their own, every component
     (check,) = [line for line in source.splitlines() if "isfinite" in line]
     assert re.findall(r"k(\d+)_(\d+)", check) == [
-        (str(j), str(i)) for j in silent for i in range(dim)]
+        (str(j), str(i)) for j in (2, 3, 4, 5, 13) for i in range(dim)]
 
 
 def test_traceback_shows_emitted_line():
@@ -325,11 +254,11 @@ def test_traceback_shows_emitted_line():
     inlined.kernel = kernel
     for rhs in (called, inlined):
         with pytest.raises(ZeroDivisionError) as info:
-            integrate(rhs, [1.0], IntegratorOptions(t_end=1.0,
-                                                    method=METHOD_RK45))
+            integrate(rhs, [1.0], IntegratorOptions(t_end=1.0))
         (frame,) = [f for f in traceback.extract_tb(info.tb)
-                    if f.filename == "<_step_rk45_1>"]
-        assert frame.line == "[k2_0] = rhs(t + 0.2 * h, y0 + h * (0.2 * k1_0))"
+                    if f.filename == "<_step_dop853_1>"]
+        c2 = integrator._DOP853_C[1]
+        assert frame.line == f"[k2_0] = rhs(t + {c2!r} * h, y0 + h * ({c2!r} * k1_0))"
 
 
 # --- compiled on first use, once --------------------------------------------------
@@ -347,13 +276,12 @@ def test_import_compiles_no_step():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-@pytest.mark.parametrize("method", PAIRS)
-def test_second_run_compiles_nothing(monkeypatch, method):
-    # the second run wraps its field in a plain function: one step per pair
-    # and dimension serves both, on the Python loop
+def test_second_run_compiles_nothing(monkeypatch):
+    # the second run wraps its field in a plain function: one step per
+    # dimension serves both, on the Python loop
     monkeypatch.setattr(integrator, "_loop", False)
     rng = np.random.default_rng(31)
-    opts = IntegratorOptions(t_end=1.0, method=method)
+    opts = IntegratorOptions(t_end=1.0)
     runs = []
     for wrapped in (False, True):
         p = random_vehicle(rng, 3)
@@ -369,7 +297,7 @@ def test_second_run_compiles_nothing(monkeypatch, method):
 
 
 def test_many_links_run_keeps_invariants():
-    # criteria 1 and 2 at N = 64 on the default 8(5,3) pair, full chart
+    # criteria 1 and 2 at N = 64, full chart
     n = 64
     rng = np.random.default_rng(64)
     p = random_vehicle(rng, n)
