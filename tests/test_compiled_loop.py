@@ -43,6 +43,11 @@ from multilink.model import (
 )
 
 
+# The one adaptive pair, the Dormand-Prince 8(5,3).  The runs below take it
+# as a parameter so that their ids name the pair they step with.
+one_pair = pytest.mark.parametrize("pair", ["adaptive-dop853"])
+
+
 @pytest.fixture(scope="module")
 def compiled():
     """The compiled loop; skipped where no compiler is installed, failing
@@ -126,7 +131,8 @@ def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, sine,
     assert isinstance(fast[0], bytes)
 
 
-def test_pinned_run_matches_python_loop(compiled, reference_vehicle,
+@one_pair
+def test_pinned_run_matches_python_loop(compiled, pair, reference_vehicle,
                                         reference_derived):
     # the pinned speedup run of criterion 4, to t=50
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
@@ -139,7 +145,8 @@ def test_pinned_run_matches_python_loop(compiled, reference_vehicle,
 # --- typed errors ----------------------------------------------------------------
 
 
-def test_step_underflow_matches(compiled, reference_vehicle,
+@one_pair
+def test_step_underflow_matches(compiled, pair, reference_vehicle,
                                 reference_derived):
     # tolerances under the roundoff of every step
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
@@ -150,7 +157,9 @@ def test_step_underflow_matches(compiled, reference_vehicle,
     assert fast[0] is StepUnderflowError and fast[2] == 0.0
 
 
-def test_divergence_matches(compiled, reference_vehicle, reference_derived):
+@one_pair
+def test_divergence_matches(compiled, pair, reference_vehicle,
+                            reference_derived):
     # a rotor rate of ~1e150 overflows the stages
     rhs = make_full_rhs(reference_vehicle, reference_derived, sine_rotor(1e150))
     opts = IntegratorOptions(t_end=1.0)
@@ -160,8 +169,9 @@ def test_divergence_matches(compiled, reference_vehicle, reference_derived):
                             "right-hand side or state not finite near t=0.5", 0.5)
 
 
+@one_pair
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
-def test_degenerate_shape_matches(compiled, chart, reference_vehicle):
+def test_degenerate_shape_matches(compiled, pair, chart, reference_vehicle):
     # a hand-built coupling with m_eff = 1 - 3 sin^2(theta_1), > 0 at the
     # start; the first trial step's stages swing theta_1 past the zero
     bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
@@ -313,8 +323,9 @@ def test_interrupt_stops_a_long_compiled_run(compiled):
     assert "KeyboardInterrupt" in err
 
 
+@one_pair
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
-def test_signed_zeros_match(compiled, chart, reference_vehicle,
+def test_signed_zeros_match(compiled, pair, chart, reference_vehicle,
                             reference_derived):
     # at rest with exact and negative zeros, every stage sum is a signed
     # zero, whose sign depends on where the sum starts

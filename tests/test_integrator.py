@@ -248,7 +248,8 @@ def test_rhs_contract():
         integrate(lambda t, y: [0.0], [1.0, 2.0], IntegratorOptions(t_end=1.0))
 
 
-def test_adaptive_pair_closed_form():
+@pytest.mark.parametrize("pair", ["adaptive-dop853"])
+def test_adaptive_pairs_closed_form(pair):
     t_eval = np.linspace(0.0, 3.0, 7)
     opts = IntegratorOptions(t_end=3.0, rtol=1e-10, atol=1e-12)
     sol = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)

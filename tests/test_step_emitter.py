@@ -129,6 +129,11 @@ def hand_dop853(rhs, t, h, y, k1, atol, rtol):
 
 # --- the emitted step against it --------------------------------------------
 
+# The one adaptive pair, the Dormand-Prince 8(5,3).  The runs below take it
+# as a parameter so that their ids name the pair they step with.
+one_pair = pytest.mark.parametrize("pair", ["adaptive-dop853"])
+
+
 def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
     """integrate with the hand-written step in place of the emitted one, on
     the Python loop, checking that it made every step."""
@@ -173,8 +178,9 @@ def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
     return hand
 
 
+@one_pair
 def test_emitted_step_matches_hand_written_pinned_run(
-        monkeypatch, reference_vehicle, reference_derived):
+        monkeypatch, pair, reference_vehicle, reference_derived):
     # the pinned speedup run of criterion 4, to t=50
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
@@ -183,8 +189,10 @@ def test_emitted_step_matches_hand_written_pinned_run(
     assert sol.n_rejected > 0
 
 
+@one_pair
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch, n):
+def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch, pair,
+                                                           n):
     rng = np.random.default_rng(600 + n)
     p = random_vehicle(rng, n)
     rhs = make_full_rhs(p, derive_params(p), sine_rotor(0.5, 1.0))
@@ -193,8 +201,9 @@ def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch, n):
     assert_bit_identical(monkeypatch, rhs, y0, opts)
 
 
+@one_pair
 def test_emitted_step_matches_hand_written_t_eval_and_hmax(
-        monkeypatch, reference_vehicle, reference_derived):
+        monkeypatch, pair, reference_vehicle, reference_derived):
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
     t_eval = np.linspace(0.0, 5.0, 37)
@@ -216,7 +225,8 @@ def test_emitted_step_matches_hand_written_underflowing_norm(
     assert sol.states[-1, 0] / 1e-180 == pytest.approx(math.exp(-1.0), rel=1e-8)
 
 
-def test_emitted_source():
+@pytest.mark.parametrize("silent", [(2, 3, 4, 5, 13)], ids=["dop853"])
+def test_emitted_source(silent):
     dim = 3
     a, b = integrator._DOP853_A, integrator._DOP853_B
     rows = (integrator._DOP853_E5, integrator._DOP853_E3)
@@ -236,7 +246,7 @@ def test_emitted_source():
     # the stages no error row weighs, checked on their own, every component
     (check,) = [line for line in source.splitlines() if "isfinite" in line]
     assert re.findall(r"k(\d+)_(\d+)", check) == [
-        (str(j), str(i)) for j in (2, 3, 4, 5, 13) for i in range(dim)]
+        (str(j), str(i)) for j in silent for i in range(dim)]
 
 
 def test_traceback_shows_emitted_line():
@@ -276,7 +286,8 @@ def test_import_compiles_no_step():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_second_run_compiles_nothing(monkeypatch):
+@one_pair
+def test_second_run_compiles_nothing(monkeypatch, pair):
     # the second run wraps its field in a plain function: one step per
     # dimension serves both, on the Python loop
     monkeypatch.setattr(integrator, "_loop", False)
