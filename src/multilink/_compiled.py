@@ -1,8 +1,8 @@
 """The adaptive loop and the vehicle kernel as compiled C (``_loop.c``).
 
 :func:`multilink.integrator.integrate` runs this loop on the vector fields
-of :mod:`multilink.dynamics` with a sine or zero rotor; every other
-right-hand side takes the emitted Python steps.  :func:`load` compiles the
+of :mod:`multilink.dynamics`; every other right-hand side takes the emitted
+Python steps.  :func:`load` compiles the
 C file with the compiler Python was built with (sysconfig ``CC``), into a
 private temporary directory that is removed at exit, and loads it with
 ctypes.  It returns None where that fails, and the integrator then keeps to

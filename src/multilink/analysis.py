@@ -265,8 +265,8 @@ class FiniteInertiaPrediction:
     = -2 v1 sum_{j<i} Theta_j/c_j - W, W the complex omega amplitude; the
     relative angles follow by the exact integer phi <- theta map.
 
-    The rotor rate is taken as one harmonic of amplitude max|kdot| at
-    frequency Omega, which is exact for :func:`sine_rotor`.  While
+    The rotor rate, amplitude * Omega * cos(Omega t), is the one harmonic
+    of amplitude max|kdot| at frequency Omega that the law takes.  While
     b v1 < J Omega (before crossover_time) the response is inertia-limited
     and v1 grows more slowly than t^(1/3); as t -> inf every amplitude tends
     to the corresponding envelope of :func:`asymptotic_prediction`.
@@ -358,7 +358,7 @@ def finite_inertia_prediction(p: VehicleParams, d: DerivedParams,
     if not v1_anchor > 0.0:
         raise ValueError(f"anchor speed must be positive, got {v1_anchor}")
     b = d.static_moment
-    frequency = 2.0 * math.pi / rotor.period
+    frequency = rotor.freq
     inertia_frequency = d.inertia * frequency
     drive = b * pred.mean_sq_rate / d.mass
     offset = b * b * v1_anchor ** 3 / 3.0 \

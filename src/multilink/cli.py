@@ -37,6 +37,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fixed_points(args) -> int:
+    if args.draws < 0:
+        raise ConfigError(f"--draws must be a non-negative integer, "
+                          f"got {args.draws}")
     cfg = _load_config(args.config)
     if cfg.scenario != "fixed_points":
         raise ConfigError(

@@ -43,6 +43,7 @@ from .model import (
     RotorProfile,
     VehicleParams,
     sine_rotor,
+    zero_rotor,
 )
 
 SCENARIOS = ("inertial", "manifold", "speedup", "fixed_points")
@@ -63,7 +64,7 @@ class OutputOptions:
 class ScenarioConfig:
     scenario: str
     vehicle: VehicleParams
-    rotor: RotorProfile | None
+    rotor: RotorProfile  # zero_rotor() where the document has no rotor block
     initial: ReducedState
     pose: PoseState
     integrator: IntegratorOptions
@@ -229,8 +230,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if "vehicle" not in doc:
         raise ConfigError("missing required field 'vehicle'")
     vehicle = _parse_vehicle(doc["vehicle"])
-    rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else None
-    if scenario == "speedup" and rotor is None:
+    rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else zero_rotor()
+    if scenario == "speedup" and "rotor" not in doc:
         raise ConfigError("scenario 'speedup' requires a 'rotor' block")
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")

@@ -70,12 +70,12 @@ class PoseState:
 # --- the vehicle kernel -------------------------------------------------------
 #
 # The kernel of the reduced and full charts, and of the manifold flow as its
-# omega = 0 slice, is emitted from the template below per N, chart and rotor
-# kind as kernel(t, v1, om, p1, ..., pN[, x, y, psi]) -> tuple, the links
-# unrolled: in the stepper's innermost loop, list and numpy overhead on
-# length-N vectors would dominate for the small N of interest.  A sine
-# rotor's rate is inline as af * cos(freq * t), af = amplitude * freq, the
-# bits of RotorProfile.rate.  The angle recurrence is the scalar form of
+# omega = 0 slice, is emitted from the template below per N and chart as
+# kernel(t, v1, om, p1, ..., pN[, x, y, psi]) -> tuple, the links unrolled:
+# in the stepper's innermost loop, list and numpy overhead on length-N
+# vectors would dominate for the small N of interest.  The rotor's rate is
+# inline as af * cos(freq * t), af = amplitude * freq, the bits of
+# RotorProfile.rate.  The angle recurrence is the scalar form of
 # model.theta_from_phi (equal up to roundoff); a unit test keeps the kernel
 # consistent with model.angle_coeffs.  A stage that is not finite gives
 # non-finite rates, which the stepper rejects; only a finite m_eff <= 0 is
@@ -121,30 +121,30 @@ _KERNEL_LINK = """\
 
 
 @functools.cache
-def _kernel_binder(n: int, chart: str, sine: bool):
+def _kernel_binder(n: int, chart: str):
     """Compile the kernel for n links on `chart` ("reduced", "full" or
     "manifold"); return bind(c, mu, mass, inertia, b, rotor), which closes it
-    over one vehicle's constants.  rotor is (amplitude * freq, freq) if
-    `sine`, else the rate function; on the manifold it is (v1, omega), and
-    the kernel takes and returns the angles only."""
+    over one vehicle's constants.  rotor is (amplitude * freq, freq); on the
+    manifold it is (v1, omega), and the kernel takes and returns the angles
+    only."""
     links = range(1, n + 1)
     state = [f"p{i}" for i in links]
     rates = [f"d{i}" for i in links]
     rotor = "v1, om"
     if chart != "manifold":
         pose = chart == "full"
-        rotor = "af, freq" if sine else "rate"
+        rotor = "af, freq"
         state = ["v1", "om", *state] + ["x", "y", "psi"] * pose
         rates = ["(b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff",
-                 f"(-b * om * v1 - {'af * cos(freq * t)' if sine else 'rate(t)'})"
-                 " / inertia", *rates, *["v1 * cos(psi)", "v1 * sin(psi)", "om"] * pose]
+                 "(-b * om * v1 - af * cos(freq * t)) / inertia", *rates,
+                 *["v1 * cos(psi)", "v1 * sin(psi)", "om"] * pose]
     source = _KERNEL.format(
         c=", ".join(f"c{i}" for i in links), mu=", ".join(f"mu{i}" for i in links),
         rotor=rotor, state=", ".join(state), rates="".join(f"{r}, " for r in rates),
         dim=len(state),
         links="".join(_KERNEL_LINK.format(i=i, neg="-" * (1 - i % 2),
                                           neg_rate="-" * (i % 2)) for i in links))
-    filename = f"<vehicle kernel, {chart} chart, N={n}{', sine rotor' * sine}>"
+    filename = f"<vehicle kernel, {chart} chart, N={n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
                  "nan": math.nan, "DegenerateShapeError": DegenerateShapeError}
@@ -154,9 +154,9 @@ def _kernel_binder(n: int, chart: str, sine: bool):
 
 def _vehicle_rhs(kernel, vehicle):
     """The list-in, list-out rhs of a kernel; it carries the kernel along,
-    and as ``vehicle`` the arguments of the compiled kernel (the chart, the
-    bound constants and the rotor's (af, freq)), or None for a rotor that
-    is not a sine."""
+    and as ``vehicle`` the arguments of the compiled kernel: the chart, the
+    bound constants and the rotor's (af, freq), or (v1, omega) on the
+    manifold."""
     def rhs(t, y):
         return list(kernel(t, *y))
 
@@ -174,13 +174,10 @@ def _check_coupling(p: VehicleParams, d: DerivedParams):
 def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
                   chart: str):
     _check_coupling(p, d)
-    sine = rotor.sine
-    bind = _kernel_binder(p.n_links, chart, sine is not None)
+    bind = _kernel_binder(p.n_links, chart)
     constants = (p.c.tolist(), d.coupling.tolist(), d.mass, d.inertia,
                  d.static_moment)
-    if sine is None:
-        return _vehicle_rhs(bind(*constants, rotor.rate), None)
-    af_freq = (sine[0] * sine[1], sine[1])
+    af_freq = (rotor.amplitude * rotor.freq, rotor.freq)
     return _vehicle_rhs(bind(*constants, af_freq), (chart, *constants, *af_freq))
 
 
@@ -207,7 +204,7 @@ def make_manifold_rhs(p: VehicleParams, sign: int):
         raise ValueError("manifold sign must be +1 or -1")
     # The couplings do not enter the angle rates; with none, the discarded
     # velocity rates cannot raise DegenerateShapeError.
-    bind = _kernel_binder(p.n_links, "manifold", False)
+    bind = _kernel_binder(p.n_links, "manifold")
     constants = (p.c.tolist(), [0.0] * p.n_links, 1.0, 1.0, 0.0)
     v1_omega = (float(sign), 0.0)
     return _vehicle_rhs(bind(*constants, v1_omega),
@@ -428,16 +425,15 @@ def simulate(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
              t_eval=None) -> Trajectory:
     """Integrate the reduced system together with the planar pose and collect
     per-sample diagnostics."""
-    n = p.n_links
     y0 = np.concatenate((initial.as_array(), pose.as_array()))
     sol = integrate(make_full_rhs(p, d, rotor), y0, opts, t_eval=t_eval)
-    return trajectory_from_solution(sol, n, p, d, rotor)
+    return trajectory_from_solution(sol, p, d, rotor)
 
 
-def trajectory_from_solution(sol: Solution, n_links: int, p: VehicleParams,
-                             d: DerivedParams, rotor: RotorProfile) -> Trajectory:
+def trajectory_from_solution(sol: Solution, p: VehicleParams, d: DerivedParams,
+                             rotor: RotorProfile) -> Trajectory:
     """Repackage a full-chart integrator solution as a Trajectory."""
-    n = n_links
+    n = p.n_links
     v1 = sol.states[:, 0].copy()
     omega = sol.states[:, 1].copy()
     phi = sol.states[:, 2: n + 2].copy()

@@ -30,9 +30,9 @@ around one of those fields, is called through a kernel that makes the list.
 For the few components of this model, numpy's per-operation overhead on
 small arrays would cost more than the arithmetic.
 
-A built-in vehicle field with a sine or zero rotor, one that carries a
-``vehicle`` attribute (:func:`multilink.dynamics.make_reduced_rhs`,
-``make_full_rhs``, ``make_manifold_rhs``), runs on the compiled loop instead
+A built-in vehicle field, one that carries a ``vehicle`` attribute
+(:func:`multilink.dynamics.make_reduced_rhs`, ``make_full_rhs``,
+``make_manifold_rhs``), runs on the compiled loop instead
 (:mod:`multilink._compiled`): the driver loop and the vehicle kernel in C,
 built from ``_loop.c`` by the first such run in a process with the compiler
 Python was built with and ``-O2 -fPIC -shared -ffp-contract=off

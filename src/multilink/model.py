@@ -10,10 +10,8 @@ angle coordinates produced by :func:`theta_from_phi`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -204,46 +202,35 @@ def angle_coeffs(theta, d: DerivedParams, c) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class RotorProfile:
-    """Prescribed periodic angular momentum of the sleigh rotor.
+    """Prescribed angular momentum of the sleigh rotor,
+    k(t) = amplitude * sin(freq * t) with freq = 2 pi / period.
 
-    momentum(t) and rate(t) must be a function/derivative pair with
-    period `period`.  sine is (amplitude, freq) of a momentum amplitude *
-    sin(freq * t), for the vehicle kernel to evaluate inline; else None.
+    freq is computed once per rotor; the zero rotor's infinite period gives
+    freq 0.0, and so k = kdot = 0.0 exactly for t >= 0.
     """
 
-    momentum: Callable[[float], float]
-    rate: Callable[[float], float]
+    amplitude: float
     period: float
-    sine: tuple[float, float] | None = None
+    freq: float = field(init=False, repr=False, compare=False)
 
-    def __call__(self, t: float) -> tuple[float, float]:
-        """Rotor momentum and its time derivative at time t."""
-        return self.momentum(t), self.rate(t)
+    def __post_init__(self):
+        object.__setattr__(self, "freq", 2.0 * math.pi / self.period)
+
+    def momentum(self, t: float) -> float:
+        """Rotor momentum k(t)."""
+        return self.amplitude * math.sin(self.freq * t)
+
+    def rate(self, t: float) -> float:
+        """Its time derivative kdot(t) = amplitude * freq * cos(freq * t)."""
+        return self.amplitude * self.freq * math.cos(self.freq * t)
 
     def mean_sq_rate(self) -> float:
-        """Period average of rate(t)^2 by 64-node Gauss-Legendre quadrature
-        (machine precision for smooth profiles)."""
-        nodes, weights = _gauss_legendre(64)
-        half = 0.5 * self.period
-        ts = half * (nodes + 1.0)
-        vals = np.array([self.rate(t) ** 2 for t in ts])
-        return float(np.dot(weights, vals) * half / self.period)
+        """Period average of rate(t)^2, (amplitude * freq)^2 / 2."""
+        return 0.5 * (self.amplitude * self.freq) ** 2
 
     def max_abs_rate(self) -> float:
-        """Max of |rate| over one period of a sine profile, whose rate
-        amplitude * freq * cos(freq * t) peaks at t = 0."""
-        if self.sine is None:
-            raise ValueError("max_abs_rate needs a sine profile")
-        return abs(self.rate(0.0))
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1],
-    computed once per n."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+        """Max of |rate|, reached at t = 0."""
+        return abs(self.amplitude * self.freq)
 
 
 def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
@@ -252,27 +239,19 @@ def sine_rotor(amplitude: float, period: float = 1.0) -> RotorProfile:
         raise InvalidParameterError(f"rotor amplitude {amplitude} is not finite")
     if not (period > 0 and math.isfinite(period)):
         raise InvalidParameterError(f"rotor period {period} is not positive and finite")
-    freq = 2.0 * math.pi / period
-    peak = abs(amplitude) * freq
+    rotor = RotorProfile(amplitude, period)
+    peak = rotor.max_abs_rate()
     # mean_sq_rate squares the rate
     if not math.isfinite(peak * peak):
         raise InvalidParameterError(
             f"rotor amplitude {amplitude} and period {period} give a squared "
             f"peak rate (amplitude * 2 pi / period)^2 beyond the float range")
-
-    def k(t: float) -> float:
-        return amplitude * math.sin(freq * t)
-
-    def kdot(t: float) -> float:
-        return amplitude * freq * math.cos(freq * t)
-
-    return RotorProfile(k, kdot, period, (amplitude, freq))
+    return rotor
 
 
 def zero_rotor() -> RotorProfile:
-    """Rotor at rest: k = 0 identically, the sine of amplitude and
-    frequency 0, whose rate 0 * cos(0 * t) is 0.0 exactly."""
-    return RotorProfile(lambda t: 0.0, lambda t: 0.0, 1.0, (0.0, 0.0))
+    """Rotor at rest: amplitude 0 and an infinite period, so frequency 0."""
+    return RotorProfile(0.0, math.inf)
 
 
 # --- random admissible parameters -------------------------------------------

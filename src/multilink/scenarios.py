@@ -28,7 +28,7 @@ from .dynamics import (
     simulate,
 )
 from .integrator import IntegratorOptions, integrate
-from .model import DegenerateShapeError, derive_params, theta_from_phi, zero_rotor
+from .model import DegenerateShapeError, derive_params, theta_from_phi
 
 DEFAULT_FIT_WINDOW = (1e3, 1e5)
 OUTPUT_DIR_ENV = "MULTILINK_OUTPUT_DIR"
@@ -205,8 +205,7 @@ def _emit(cfg: ScenarioConfig, out_dir, pieces: dict[str, str],
 def _run_inertial(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
     p = cfg.vehicle
     d = derive_params(p)
-    rotor = cfg.rotor or zero_rotor()
-    traj = simulate(p, d, rotor, cfg.initial, cfg.pose, cfg.integrator)
+    traj = simulate(p, d, cfg.rotor, cfg.initial, cfg.pose, cfg.integrator)
     e = traj.energy
     drift = float(np.max(np.abs(e - e[0])) / abs(e[0])) if e[0] != 0 else 0.0
     summary = (f"inertial run to t={cfg.integrator.t_end:g}: "

@@ -16,13 +16,21 @@ The tracer also wraps ``analysis.enumerate_fixed_points`` (it counts the
 points it returns), ``analysis.classify_fixed_point``,
 ``scenarios.write_trajectory_csv`` and ``svgplot.LinePlot.render``; a traced
 CLI census and simulate run check that those layers still report.
+
+perfbench/workloads.py calls further program names (``RotorProfile.rate``
+in its DOP853 oracle, ``model.zero_rotor``, ``dynamics.energy``,
+``model.angle_coeffs``); the first item of two workloads, run through their
+checks, fails here on a rename of one of them.  Both perfbench files are
+loaded from their paths without writing bytecode next to them.
 """
 
 import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
+import pytest
 
 from multilink import cli, dynamics, scenarios
 from multilink.config import parse_config
@@ -30,14 +38,20 @@ from multilink.dynamics import PoseState, ReducedState
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import sine_rotor, zero_rotor
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
     return module
 
 
@@ -47,7 +61,7 @@ def test_traced_rhs_counters(reference_vehicle, reference_derived, tmp_path):
         "vehicle": {"m": [1, 1], "I": [1, 1], "a0": 0.5, "a": [0.1], "c": [1.0]},
         "initial": {"phi": [2.5]}, "integrator": {"t_end": 5.0},
         "outputs": {"formats": ["csv", "report"]}}""")
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     tracer.install()
     try:
         dynamics.simulate(reference_vehicle, reference_derived, zero_rotor(),
@@ -67,7 +81,7 @@ def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
     # the speedup-pinned workload's run, shortened, traced as it traces it
     rhs = dynamics.make_reduced_rhs(reference_vehicle, reference_derived,
                                     sine_rotor(0.05, 1.0))
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     traced = tracer.timed_rhs("reduced", rhs)
     y0 = [10.0, 1.0, 0.5, 0.5]
     opts = IntegratorOptions(t_end=20.0, rtol=1e-8, atol=1e-8, hmax=1 / 13)
@@ -92,7 +106,7 @@ def test_traced_census_and_artifact_writers(tmp_path, capsys):
         "scenario": "inertial", "vehicle": vehicle,
         "initial": {"v1": 1.0, "omega": 0.5, "phi": [0.3, -0.4, 0.2]},
         "integrator": {"t_end": 5.0}}))
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     draws = 2
     tracer.install()
@@ -117,3 +131,17 @@ def test_traced_census_and_artifact_writers(tmp_path, capsys):
     assert m["scenarios.csv_bytes"] == os.path.getsize(
         tmp_path / "inertial_trajectory.csv")
     assert m["svgplot.render_calls"] == 3 and m["svgplot.render_s"] > 0.0
+
+
+def test_speedup_pinned_first_item_passes_its_checks(tmp_path):
+    # item 0 at the benchmark's seed, its check and its DOP853 oracle
+    pytest.importorskip("scipy")
+    workload = load_perfbench("workloads").SpeedupPinned(410, str(tmp_path))
+    result = workload.items[0].run(None)
+    assert workload.check(0, result) is None
+    assert workload.check_after({0: result}) == {}
+
+
+def test_conservation_sweep_first_item_passes_its_check(tmp_path):
+    workload = load_perfbench("workloads").ConservationSweep(410, str(tmp_path))
+    assert workload.check(0, workload.items[0].run(None)) is None

@@ -1,11 +1,11 @@
 """The compiled loop against the emitted Python steps.
 
-integrate runs the vector fields of multilink.dynamics with a sine or zero
-rotor through the C loop of multilink/_loop.c, built once per process, and
-every other right-hand side through the emitted Python steps.  Both must give
-the same times, states and counts to the last bit, and the same typed errors;
-without a compiler every run takes the Python loop.  Setting
-``integrator._loop`` to False forces the Python loop.
+integrate runs the vector fields of multilink.dynamics through the C loop of
+multilink/_loop.c, built once per process, and every other right-hand side
+through the emitted Python steps.  Both must give the same times, states and
+counts to the last bit, and the same typed errors; without a compiler every
+run takes the Python loop.  Setting ``integrator._loop`` to False forces the
+Python loop.
 """
 
 import importlib.resources

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multilink.config import ConfigError, parse_config
+from multilink.model import sine_rotor, zero_rotor
 
 BASE = {
     "scenario": "inertial",
@@ -28,7 +29,7 @@ def test_minimal_inertial_config():
     assert cfg.vehicle.n_links == 2
     assert cfg.initial.v1 == 10.0
     assert cfg.initial.phi == pytest.approx([0.5, 0.5], abs=0)
-    assert cfg.rotor is None
+    assert cfg.rotor == zero_rotor()
     # defaults
     assert cfg.integrator.rtol == 1e-10
     assert cfg.integrator.atol == 1e-12
@@ -69,7 +70,7 @@ def test_speedup_with_rotor():
     cfg = parse_config(cfg_text(scenario="speedup",
                                 rotor={"kind": "sine", "amplitude": 0.05,
                                        "period": 1.0}))
-    assert cfg.rotor is not None
+    assert cfg.rotor == sine_rotor(0.05, 1.0)
     assert cfg.rotor.momentum(0.25) == pytest.approx(0.05, abs=1e-15)
     assert cfg.rotor.period == 1.0
 

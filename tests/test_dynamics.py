@@ -138,9 +138,9 @@ def bits(values):
        sine=st.booleans(), t=st.floats(-50.0, 50.0),
        y=st.lists(st.floats(-4.0, 4.0), min_size=17, max_size=17))
 def test_kernel_matches_loop_oracle(n, seed, chart, sine, t, y):
-    # the emitted kernel of every chart, rotor kind and N against the loop,
-    # bit for bit (signed zeros included), through the list wrapper and the
-    # kernel itself
+    # the emitted kernel of every chart and N, with a sine or the zero
+    # rotor, against the loop, bit for bit (signed zeros included), through
+    # the list wrapper and the kernel itself
     p = random_vehicle(np.random.default_rng(seed), n)
     d = derive_params(p)
     rotor = sine_rotor(0.3, 0.7) if sine else zero_rotor()

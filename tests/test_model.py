@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multilink import model
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
@@ -245,12 +244,11 @@ def test_degenerate_shape_error():
 
 def test_rotor_momentum_examples():
     r = sine_rotor(0.05, 1.0)
-    k, kdot = r(0.25)
-    assert k == pytest.approx(0.05, abs=1e-15)
-    assert kdot == pytest.approx(0.0, abs=1e-15)
+    assert r.momentum(0.25) == pytest.approx(0.05, abs=1e-15)
+    assert r.rate(0.25) == pytest.approx(0.0, abs=1e-15)
     z = zero_rotor()
     for t in (0.0, 0.3, 17.2):
-        assert z(t) == (0.0, 0.0)
+        assert (z.momentum(t), z.rate(t)) == (0.0, 0.0)
 
 
 def test_rotor_periodicity():
@@ -264,21 +262,6 @@ def test_rotor_mean_sq_rate_closed_form():
     r = sine_rotor(0.05, 1.0)
     assert r.mean_sq_rate() == pytest.approx((0.1 * math.pi) ** 2 / 2,
                                              rel=1e-13)
-
-
-def test_rotor_quadrature_nodes_computed_once(monkeypatch):
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda n: calls.append(n) or leggauss(n))
-    model._gauss_legendre.cache_clear()
-    first = sine_rotor(0.05, 1.0).mean_sq_rate()
-    assert sine_rotor(0.05, 1.0).mean_sq_rate() == first
-    sine_rotor(0.3, 2.0).mean_sq_rate()
-    assert calls == [64]
-    nodes, weights = leggauss(64)
-    assert model._gauss_legendre(64)[0].tobytes() == nodes.tobytes()
-    assert model._gauss_legendre(64)[1].tobytes() == weights.tobytes()
 
 
 def test_rotor_rate_is_derivative():
@@ -303,9 +286,41 @@ def test_max_abs_rate_is_the_sampled_max(amplitude, period):
 
 
 def test_max_abs_rate_needs_a_sine():
-    assert zero_rotor().max_abs_rate() == dense_max_abs_rate(zero_rotor()) == 0.0
-    with pytest.raises(ValueError, match="sine"):
-        RotorProfile(math.sin, math.cos, 2.0 * math.pi).max_abs_rate()
+    # the zero rotor's period is infinite, so sample it over [0, 1)
+    z = zero_rotor()
+    ts = np.linspace(0.0, 1.0, 4096, endpoint=False)
+    assert z.max_abs_rate() == max(abs(z.rate(t)) for t in ts) == 0.0
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@given(amplitude=st.floats(-1e3, 1e3), period=st.floats(1e-3, 1e3),
+       t=st.floats(-1e4, 1e4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_rotor_value_matches_closures(amplitude, period, t):
+    rotor = RotorProfile(amplitude, period)
+    assert rotor == sine_rotor(amplitude, period)
+    # the closures that RotorProfile held before it became a value
+    freq = 2.0 * math.pi / period
+    assert float_bits(rotor.momentum(t)) == float_bits(amplitude * math.sin(freq * t))
+    assert float_bits(rotor.rate(t)) == float_bits(
+        amplitude * freq * math.cos(freq * t))
+    # the 64-node Gauss-Legendre period average it computed
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * period
+    rates_sq = np.array([rotor.rate(s) ** 2 for s in half * (nodes + 1.0)])
+    quadrature = float(np.dot(weights, rates_sq) * half / period)
+    assert rotor.mean_sq_rate() == pytest.approx(quadrature, rel=1e-13)
+
+
+@given(t=st.floats(0.0, allow_infinity=False))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_zero_rotor_is_exactly_zero(t):
+    z = zero_rotor()
+    assert float_bits(z.momentum(t)) == float_bits(z.rate(t)) == float_bits(0.0)
+    assert z.max_abs_rate() == 0.0
 
 
 def test_random_vehicle_admissible():

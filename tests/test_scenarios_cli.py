@@ -476,6 +476,18 @@ def test_cli_fixed_points(tmp_path, capsys):
     assert "3/3 draws" in out
 
 
+def test_cli_negative_draws_exit_code(tmp_path, capsys):
+    # used to exit 0 after running no draws
+    path = make_config(tmp_path, scenario="fixed_points",
+                       integrator={"t_end": 1.0},
+                       outputs={"directory": str(tmp_path / "o")})
+    assert cli.main(["fixed-points", str(path), "--draws", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --draws must be a non-negative integer, got -3\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"scenario": "speedup"}')
