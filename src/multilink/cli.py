@@ -27,26 +27,20 @@ def _load_config(path: str):
     return parse_config(text)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    result = scenarios.run_scenario(cfg, output_dir=args.output_dir)
-    print(result.summary)
-    for f in result.files:
-        print(f"wrote {f}")
-    return 0
-
-
-def _cmd_fixed_points(args) -> int:
+def _cmd_run(args) -> int:
+    """simulate and fixed-points: run the scenario, print its summary and the
+    files written; fixed-points runs only a fixed_points config."""
+    census = args.command == "fixed-points"
     if args.draws < 0:
         raise ConfigError(f"--draws must be a non-negative integer, "
                           f"got {args.draws}")
     cfg = _load_config(args.config)
-    if cfg.scenario != "fixed_points":
+    if census and cfg.scenario != "fixed_points":
         raise ConfigError(
             f"config declares scenario {cfg.scenario!r}; expected 'fixed_points'")
     result = scenarios.run_scenario(cfg, output_dir=args.output_dir,
                                     seed=args.seed, draws=args.draws)
-    print(result.summary, end="")
+    print(result.summary, end="" if census else "\n")
     for f in result.files:
         print(f"wrote {f}")
     return 0
@@ -77,22 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a scenario from a JSON config")
-    sim.add_argument("config")
-    sim.add_argument("--output-dir", default=None,
-                     help="override output directory (also: "
-                          f"{scenarios.OUTPUT_DIR_ENV} env var)")
-    sim.set_defaults(func=_cmd_simulate)
-
     fp = sub.add_parser("fixed-points",
                         help="enumerate and classify straight-line equilibria")
-    fp.add_argument("config")
-    fp.add_argument("--output-dir", default=None)
+    for cmd in (sim, fp):
+        cmd.add_argument("config")
+        cmd.add_argument("--output-dir", default=None,
+                         help="override output directory (also: "
+                              f"{scenarios.OUTPUT_DIR_ENV} env var)")
+        cmd.set_defaults(func=_cmd_run, draws=0, seed=None)
     fp.add_argument("--draws", type=int, default=0,
                     help="additionally classify this many random parameter "
                          "draws")
     fp.add_argument("--seed", type=int, default=None,
                     help="seed for the random-parameter suite")
-    fp.set_defaults(func=_cmd_fixed_points)
 
     fit = sub.add_parser("fit", help="fit a power law to a CSV column")
     fit.add_argument("trajectory")

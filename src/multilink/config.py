@@ -26,6 +26,7 @@ which a per-period maximum reads at most 1 - cos(pi/13) ~ 3% low.
 
 Every number must be finite: NaN and Infinity, which Python's json
 accepts, are rejected (an unbounded hmax is the default, not a value).
+So are a "speedup" rotor whose mean squared rate is 0 and a balanced sleigh.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     InvalidParameterError,
     RotorProfile,
     VehicleParams,
+    derive_params,
     sine_rotor,
     zero_rotor,
 )
@@ -231,8 +233,20 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing required field 'vehicle'")
     vehicle = _parse_vehicle(doc["vehicle"])
     rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else zero_rotor()
-    if scenario == "speedup" and "rotor" not in doc:
-        raise ConfigError("scenario 'speedup' requires a 'rotor' block")
+    if scenario == "speedup":
+        if "rotor" not in doc:
+            raise ConfigError("scenario 'speedup' requires a 'rotor' block")
+        # the predicates of analysis.asymptotic_prediction
+        if rotor.mean_sq_rate() <= 0.0:
+            raise ConfigError(f"'rotor.amplitude' {rotor.amplitude:g} leaves "
+                              f"the rotor momentum constant: no speedup")
+        try:
+            static_moment = derive_params(vehicle).static_moment
+        except InvalidParameterError as e:
+            raise ConfigError(f"invalid 'vehicle' block: {e}") from e
+        if static_moment == 0.0:
+            raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the "
+                              f"sleigh (static moment m0 a0 = 0): no speedup")
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
     # the speedup scenario's step cap: see the module docstring

@@ -33,6 +33,8 @@ from .model import DegenerateShapeError, derive_params, theta_from_phi
 DEFAULT_FIT_WINDOW = (1e3, 1e5)
 OUTPUT_DIR_ENV = "MULTILINK_OUTPUT_DIR"
 _CSV_CHUNK_ROWS = 1024
+# About the most samples of one path that the attachment-path figure draws
+_PATH_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -113,14 +115,14 @@ def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
 # --- shared plotting helpers ----------------------------------------------------
 
 
-def _attachment_plot(traj: Trajectory, p, max_points: int = 4000) -> str:
+def _attachment_plot(traj: Trajectory, p) -> str:
     plot = svgplot.LinePlot(title="wheel-pair attachment paths", xlabel="x",
                             ylabel="y", equal_aspect=True)
     n = traj.n_links
     idx = np.arange(traj.n_samples)
-    if idx.size > max_points:
+    if idx.size > _PATH_POINTS:
         idx = np.unique(np.concatenate(
-            (idx[:: idx.size // max_points + 1], idx[-1:])))
+            (idx[:: idx.size // _PATH_POINTS + 1], idx[-1:])))
     paths = attachment_positions(
         PoseState(traj.x[idx], traj.y[idx], traj.psi[idx]), traj.phi[idx], p)
     labels = ["sleigh"] + [f"trailer {i + 1}" for i in range(n)]
@@ -158,86 +160,82 @@ def _angles_plot(traj: Trajectory, pred=None) -> str:
 
 # --- scenario runners -----------------------------------------------------------
 
+_FORMAT_OF_SUFFIX = {".csv": "csv", ".svg": "svg", ".txt": "report"}
+
 
 def run_scenario(cfg: ScenarioConfig, output_dir: str | None = None,
                  seed: int | None = None, draws: int = 0) -> ScenarioResult:
     """Execute one scenario and write the requested artifacts.
 
-    Output directory precedence: explicit argument, then the
-    MULTILINK_OUTPUT_DIR environment variable, then the config value.
+    A runner returns the summary and the artifacts: file names in writing
+    order, each mapped to a function that makes the file's content (the
+    text of a report or figure, the Trajectory of a CSV), or to why the
+    scenario cannot make it (warned after the files).  Only the requested
+    formats are made, all of them before the output directory is made and
+    the first file written.  Output directory precedence: explicit
+    argument, then the MULTILINK_OUTPUT_DIR environment variable, then the
+    config value.
     """
+    if cfg.scenario == "manifold":
+        summary, artifacts = _run_manifold(cfg)
+    elif cfg.scenario == "fixed_points":
+        summary, artifacts = _run_fixed_points(cfg, seed, draws)
+    else:
+        summary, artifacts = _run_trajectory(cfg)
     out_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV) \
         or cfg.outputs.directory
+    formats = cfg.outputs.formats
+    made, skipped = [], []
+    for name, make in artifacts.items():
+        if _FORMAT_OF_SUFFIX[os.path.splitext(name)[1]] not in formats:
+            continue
+        if isinstance(make, str):
+            skipped.append(make)
+        else:
+            made.append((os.path.join(out_dir, name), make()))
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.scenario == "inertial":
-        return _run_inertial(cfg, out_dir)
-    if cfg.scenario == "speedup":
-        return _run_speedup(cfg, out_dir)
-    if cfg.scenario == "manifold":
-        return _run_manifold(cfg, out_dir)
-    return _run_fixed_points(cfg, out_dir, seed=seed, draws=draws)
+    for path, content in made:
+        if isinstance(content, Trajectory):
+            write_trajectory_csv(path, content)
+        else:
+            with open(path, "w") as f:
+                f.write(content)
+    for reason in skipped:
+        print(f"warning: {reason}")
+    return ScenarioResult(cfg.scenario, out_dir,
+                          tuple(path for path, _ in made), summary)
 
 
-def _emit(cfg: ScenarioConfig, out_dir, pieces: dict[str, str],
-          traj: Trajectory):
-    files = []
-    if "csv" in cfg.outputs.formats:
-        path = os.path.join(out_dir, f"{cfg.scenario}_trajectory.csv")
-        write_trajectory_csv(path, traj)
-        files.append(path)
-    if "svg" in cfg.outputs.formats:
-        for name, svg in pieces.items():
-            if name.endswith(".svg"):
-                path = os.path.join(out_dir, name)
-                with open(path, "w") as f:
-                    f.write(svg)
-                files.append(path)
-    if "report" in cfg.outputs.formats:
-        for name, text in pieces.items():
-            if name.endswith(".txt"):
-                path = os.path.join(out_dir, name)
-                with open(path, "w") as f:
-                    f.write(text)
-                files.append(path)
-    return files
-
-
-def _run_inertial(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
+def _run_trajectory(cfg: ScenarioConfig):
+    """The inertial and speedup scenarios: one simulated trajectory, its CSV,
+    three figures and a report.  A speedup run adds the predicted
+    asymptotics, the fits of its report and the envelopes of its figures."""
     p = cfg.vehicle
     d = derive_params(p)
+    pred = analysis.asymptotic_prediction(p, d, cfg.rotor) \
+        if cfg.scenario == "speedup" else None
     traj = simulate(p, d, cfg.rotor, cfg.initial, cfg.pose, cfg.integrator)
-    e = traj.energy
-    drift = float(np.max(np.abs(e - e[0])) / abs(e[0])) if e[0] != 0 else 0.0
-    summary = (f"inertial run to t={cfg.integrator.t_end:g}: "
-               f"{traj.n_samples} samples, relative energy drift {drift:.3e}, "
-               f"max constraint residual {float(traj.residual_max.max()):.3e}")
-    pieces = {
-        "inertial_velocities.svg": _series_plot(traj),
-        "inertial_angles.svg": _angles_plot(traj),
-        "inertial_paths.svg": _attachment_plot(traj, p),
-        "inertial_report.txt": summary + "\n",
+    if pred is None:
+        e = traj.energy
+        drift = float(np.max(np.abs(e - e[0])) / abs(e[0])) if e[0] != 0 \
+            else 0.0
+        summary = (f"inertial run to t={cfg.integrator.t_end:g}: "
+                   f"{traj.n_samples} samples, relative energy drift "
+                   f"{drift:.3e}, max constraint residual "
+                   f"{float(traj.residual_max.max()):.3e}")
+        report = summary + "\n"
+    else:
+        window = (DEFAULT_FIT_WINDOW[0],
+                  min(DEFAULT_FIT_WINDOW[1], cfg.integrator.t_end))
+        report, summary = speedup_report(traj, pred, p, d, cfg.rotor, window)
+    name = cfg.scenario
+    return summary, {
+        f"{name}_trajectory.csv": lambda: traj,
+        f"{name}_velocities.svg": lambda: _series_plot(traj, pred),
+        f"{name}_angles.svg": lambda: _angles_plot(traj, pred),
+        f"{name}_paths.svg": lambda: _attachment_plot(traj, p),
+        f"{name}_report.txt": lambda: report,
     }
-    files = _emit(cfg, out_dir, pieces, traj)
-    return ScenarioResult("inertial", out_dir, tuple(files), summary)
-
-
-def _run_speedup(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
-    p = cfg.vehicle
-    d = derive_params(p)
-    rotor = cfg.rotor
-    pred = analysis.asymptotic_prediction(p, d, rotor)
-    traj = simulate(p, d, rotor, cfg.initial, cfg.pose, cfg.integrator)
-    window = (DEFAULT_FIT_WINDOW[0],
-              min(DEFAULT_FIT_WINDOW[1], cfg.integrator.t_end))
-    report, summary = speedup_report(traj, pred, p, d, rotor, window)
-    pieces = {
-        "speedup_velocities.svg": _series_plot(traj, pred),
-        "speedup_angles.svg": _angles_plot(traj, pred),
-        "speedup_paths.svg": _attachment_plot(traj, p),
-        "speedup_report.txt": report,
-    }
-    files = _emit(cfg, out_dir, pieces, traj)
-    return ScenarioResult("speedup", out_dir, tuple(files), summary)
 
 
 def speedup_report(traj: Trajectory, pred, p, d, rotor,
@@ -317,32 +315,30 @@ def _crossover_line(traj: Trajectory, pred, p, d, rotor, window) -> str:
             + where)
 
 
-def _run_manifold(cfg: ScenarioConfig, out_dir) -> ScenarioResult:
+def _run_manifold(cfg: ScenarioConfig):
     p = cfg.vehicle
     d = derive_params(p)
-    n = p.n_links
-    sign = cfg.sign
-    rhs = make_manifold_rhs(p, sign)
-    sol = integrate(rhs, cfg.initial.phi, cfg.integrator)
-    traj = manifold_trajectory(sol.times, sol.states, cfg, p, d, sign)
-
-    pieces = {}
-    summary = (f"manifold flow ({'forward' if sign > 0 else 'backward'}) to "
-               f"tau={cfg.integrator.t_end:g}: final angles "
+    sol = integrate(make_manifold_rhs(p, cfg.sign), cfg.initial.phi,
+                    cfg.integrator)
+    traj = manifold_trajectory(sol.times, sol.states, cfg, d)
+    summary = (f"manifold flow ({'forward' if cfg.sign > 0 else 'backward'}) "
+               f"to tau={cfg.integrator.t_end:g}: final angles "
                f"{np.array2string(sol.states[-1], precision=6)}")
-    pieces["manifold_report.txt"] = summary + "\n"
-    if n == 2:
-        pieces["manifold_portrait.svg"] = _portrait_svg(cfg, p)
+    report = summary + "\n"  # without the note on a skipped portrait
+    if p.n_links == 2:
+        portrait = functools.partial(_portrait_svg, cfg, p)
     else:
+        portrait = "phase portrait skipped (N != 2)"
         summary += " (phase portrait skipped: needs exactly 2 trailer links)"
-    files = _emit(cfg, out_dir, pieces, traj)
-    if n != 2 and "svg" in cfg.outputs.formats:
-        print("warning: phase portrait skipped (N != 2)")
-    return ScenarioResult("manifold", out_dir, tuple(files), summary)
+    return summary, {
+        "manifold_trajectory.csv": lambda: traj,
+        "manifold_portrait.svg": portrait,
+        "manifold_report.txt": lambda: report,
+    }
 
 
-def manifold_trajectory(times, phi_states, cfg: ScenarioConfig, p, d,
-                        sign: int) -> Trajectory:
+def manifold_trajectory(times, phi_states, cfg: ScenarioConfig,
+                        d) -> Trajectory:
     """Package a manifold flow as a full trajectory record.
 
     On the manifold the sleigh heading is frozen (omega = 0) and the speed
@@ -350,6 +346,7 @@ def manifold_trajectory(times, phi_states, cfg: ScenarioConfig, p, d,
     contact point advances by +-1 per unit of rescaled time along the fixed
     heading.
     """
+    p, sign = cfg.vehicle, cfg.sign
     h = energy(cfg.initial, p, d)
     s = np.sin(theta_from_phi(phi_states))
     m_eff = d.mass + (s * s) @ d.coupling
@@ -392,8 +389,7 @@ def _portrait_svg(cfg: ScenarioConfig, p) -> str:
     return plot.render()
 
 
-def _run_fixed_points(cfg: ScenarioConfig, out_dir, seed=None,
-                      draws: int = 0) -> ScenarioResult:
+def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     from .model import random_vehicle
 
     p = cfg.vehicle
@@ -434,10 +430,4 @@ def _run_fixed_points(cfg: ScenarioConfig, out_dir, seed=None,
                      f"draws with exactly one stable and one unstable node")
 
     report = "\n".join(lines) + "\n"
-    files = []
-    if "report" in cfg.outputs.formats:
-        path = os.path.join(out_dir, "fixed_points_report.txt")
-        with open(path, "w") as f:
-            f.write(report)
-        files.append(path)
-    return ScenarioResult("fixed_points", out_dir, tuple(files), report)
+    return report, {"fixed_points_report.txt": lambda: report}

@@ -13,6 +13,9 @@ import numpy as np
 
 _PALETTE = ("#c0392b", "#2956b2", "#222222", "#1e8449", "#8e44ad", "#b9770e")
 _ZERO = ord("0")
+# viewBox size in pixels, and about the most points a series keeps
+WIDTH, HEIGHT = 760, 480
+MAX_POINTS = 4000
 
 
 def _fmt(v: float) -> str:
@@ -84,12 +87,9 @@ class LinePlot:
     """Collects series/markers, then renders one SVG document."""
 
     def __init__(self, title: str = "", xlabel: str = "", ylabel: str = "",
-                 width: int = 760, height: int = 480, equal_aspect: bool = False,
-                 max_points: int = 4000):
+                 equal_aspect: bool = False):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.width, self.height = width, height
         self.equal_aspect = equal_aspect
-        self.max_points = max_points
         self._series: list[tuple[np.ndarray, np.ndarray, str, float, bool, str]] = []
         self._markers: list[tuple[float, float, str, float]] = []
 
@@ -99,8 +99,8 @@ class LinePlot:
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
-        if x.size > self.max_points:
-            stride = int(math.ceil(x.size / self.max_points))
+        if x.size > MAX_POINTS:
+            stride = int(math.ceil(x.size / MAX_POINTS))
             x = np.concatenate((x[::stride], x[-1:]))
             y = np.concatenate((y[::stride], y[-1:]))
         if color is None:
@@ -132,7 +132,7 @@ class LinePlot:
 
     def render(self) -> str:
         ml, mr, mt, mb = 64, 16, 34, 46
-        pw, ph = self.width - ml - mr, self.height - mt - mb
+        pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
         x_lo, x_hi, y_lo, y_hi = self._limits()
         if self.equal_aspect:
             sx, sy = pw / (x_hi - x_lo), ph / (y_hi - y_lo)
@@ -148,17 +148,17 @@ class LinePlot:
             return mt + (y_hi - y) / (y_hi - y_lo) * ph
 
         out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'viewBox="0 0 {self.width} {self.height}" '
+               f'viewBox="0 0 {WIDTH} {HEIGHT}" '
                f'font-family="sans-serif" font-size="12">',
                f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                f'fill="#ffffff" stroke="#555555" stroke-width="1"/>']
         if self.title:
-            out.append(f'<text x="{self.width // 2}" y="20" '
+            out.append(f'<text x="{WIDTH // 2}" y="20" '
                        f'text-anchor="middle" font-size="14">{self.title}</text>')
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             xv = x_lo + frac * (x_hi - x_lo)
             yv = y_lo + frac * (y_hi - y_lo)
-            out.append(f'<text x="{_fmt(px(xv))}" y="{self.height - mb + 16}" '
+            out.append(f'<text x="{_fmt(px(xv))}" y="{HEIGHT - mb + 16}" '
                        f'text-anchor="middle">{_tick_label(xv)}</text>')
             out.append(f'<text x="{ml - 6}" y="{_fmt(py(yv) + 4)}" '
                        f'text-anchor="end">{_tick_label(yv)}</text>')
@@ -167,11 +167,11 @@ class LinePlot:
             out.append(f'<line x1="{ml - 4}" y1="{_fmt(py(yv))}" '
                        f'x2="{ml}" y2="{_fmt(py(yv))}" stroke="#555555"/>')
         if self.xlabel:
-            out.append(f'<text x="{self.width // 2}" y="{self.height - 10}" '
+            out.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" '
                        f'text-anchor="middle">{self.xlabel}</text>')
         if self.ylabel:
-            out.append(f'<text x="16" y="{self.height // 2}" text-anchor="middle" '
-                       f'transform="rotate(-90 16 {self.height // 2})">'
+            out.append(f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
+                       f'transform="rotate(-90 16 {HEIGHT // 2})">'
                        f'{self.ylabel}</text>')
 
         legend_y = mt + 14

@@ -20,8 +20,11 @@ CLI census and simulate run check that those layers still report.
 perfbench/workloads.py calls further program names (``RotorProfile.rate``
 in its DOP853 oracle, ``model.zero_rotor``, ``dynamics.energy``,
 ``model.angle_coeffs``); the first item of two workloads, run through their
-checks, fails here on a rename of one of them.  Both perfbench files are
-loaded from their paths without writing bytecode next to them.
+checks, fails here on a rename of one of them.  The scenario-pipeline items
+that write files and read them back pass their checks with equal
+fingerprints twice, as the benchmark requires of every round.  Both
+perfbench files are loaded from their paths without writing bytecode next
+to them.
 """
 
 import importlib.util
@@ -145,3 +148,23 @@ def test_speedup_pinned_first_item_passes_its_checks(tmp_path):
 def test_conservation_sweep_first_item_passes_its_check(tmp_path):
     workload = load_perfbench("workloads").ConservationSweep(410, str(tmp_path))
     assert workload.check(0, workload.items[0].run(None)) is None
+
+
+def test_scenario_pipeline_items_pass_their_checks(tmp_path):
+    # the simulate, census and fit commands the workload runs, each checked
+    # and fingerprinted (stdout and every written file) twice: a change to
+    # the wrote lines or the files fails here, not only in the benchmark
+    workload = load_perfbench("workloads").ScenarioPipeline(410, str(tmp_path))
+    names = ["inertial", "manifold", "census1", "fit:inertial:energy",
+             "fit:manifold:energy"]
+    index = {item.name: i for i, item in enumerate(workload.items)}
+    prints = []
+    for _ in range(2):
+        run = {}
+        for name in names:
+            i = index[name]
+            result = workload.items[i].run(None)
+            assert workload.check(i, result) is None, name
+            run[name] = workload.fingerprint(i, result)
+        prints.append(run)
+    assert prints[0] == prints[1]

@@ -209,6 +209,7 @@ def test_cli_rotor_overflow_exits_1(compiled, tmp_path, capsys):
                      str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "error: right-hand side or state not finite near t=0.0\n")
+    assert not (tmp_path / "o").exists()
 
 
 # --- fallback, packaging, processes ---------------------------------------------

@@ -220,6 +220,19 @@ def test_rotor_peak_rate_overflow_rejected(rotor):
         parse_config(cfg_text(scenario="speedup", rotor=rotor))
 
 
+@pytest.mark.parametrize("extra, field", [
+    ({"rotor": {"kind": "sine", "amplitude": 0.0}}, "'rotor.amplitude'"),
+    # the squared rate underflows to 0
+    ({"rotor": {"kind": "sine", "amplitude": 1e-200}}, "'rotor.amplitude'"),
+    ({"rotor": {"kind": "sine", "amplitude": 0.05},
+      "vehicle": dict(BASE["vehicle"], a0=0.0)}, "'vehicle.a0'"),
+], ids=["amplitude-0", "amplitude-1e-200", "a0-0"])
+def test_speedup_without_speedup_rejected(extra, field):
+    # each used to pass here and end the run in NoSpeedupError
+    with pytest.raises(ConfigError, match=f"{field}.*no speedup"):
+        parse_config(cfg_text(scenario="speedup", **extra))
+
+
 N0_VEHICLE = {"m": [1.0], "I": [1.5], "a0": 0.7, "a": [], "c": []}
 
 

@@ -371,7 +371,7 @@ def test_manifold_m_eff_block_matches_loop():
     d = derive_params(p)
     phis = np.random.default_rng(7).uniform(-4.0, 4.0, (200, p.n_links))
     times = np.linspace(0.0, 1.0, 200)
-    traj = manifold_trajectory(times, phis, cfg, p, d, 1)
+    traj = manifold_trajectory(times, phis, cfg, d)
     m_eff = np.array([angle_coeffs_at_phi(ph, p, d)[0] for ph in phis])
     h = energy(cfg.initial, p, d)
     assert traj.v1 == pytest.approx(np.sqrt(2.0 * h / m_eff), rel=1e-15)
@@ -383,7 +383,7 @@ def test_manifold_m_eff_block_matches_loop():
     with pytest.raises(DegenerateShapeError):
         angle_coeffs_at_phi(phis[17], p, bad)
     with pytest.raises(DegenerateShapeError):
-        manifold_trajectory(times, phis, cfg, p, bad, 1)
+        manifold_trajectory(times, phis, cfg, bad)
 
 
 def test_speedup_short_run_skips_fit(tmp_path):
@@ -504,6 +504,12 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e308}},
     # a finite peak rate whose square, taken by mean_sq_rate, overflows
     {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e200}},
+    # no speedup: a constant rotor momentum (the squared rate of 1e-200
+    # underflows), or a balanced sleigh
+    {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 0.0}},
+    {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e-200}},
+    {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 0.05},
+     "vehicle": dict(VEHICLE, a0=0.0)},
 ])
 def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
     # each used to fail inside the run, with exit code 1
@@ -511,6 +517,7 @@ def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
                        outputs={"directory": str(tmp_path / "o")}, **doc)
     assert cli.main(["simulate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_removed_method_exit_code(tmp_path, capsys):
@@ -537,6 +544,8 @@ def test_cli_non_finite_state_exit_code(tmp_path, capsys, vehicle):
     assert cli.main(["simulate", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: right-hand side or state not finite near t=0.0\n")
+    # the directory is made only after the run succeeds
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_file(tmp_path, capsys):
