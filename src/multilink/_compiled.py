@@ -1,12 +1,15 @@
-"""The adaptive loop and the vehicle kernel as compiled C (``_loop.c``).
+"""The adaptive loop, the vehicle kernel and the CSV row formatter as
+compiled C (``_loop.c``).
 
 :func:`multilink.integrator.integrate` runs this loop on the vector fields
 of :mod:`multilink.dynamics`; every other right-hand side takes the emitted
-Python steps.  :func:`load` compiles the
-C file with the compiler Python was built with (sysconfig ``CC``), into a
-private temporary directory that is removed at exit, and loads it with
-ctypes.  It returns None where that fails, and the integrator then keeps to
-its Python loop, which gives the same bits.
+Python steps.  :func:`multilink.scenarios.write_trajectory_csv` writes its
+rows through the formatter once the library is loaded (:func:`_write_rows`).
+:func:`load` compiles the C file, once, with the compiler Python was built
+with (sysconfig ``CC``), into a private temporary directory that is removed
+at exit, and loads it with ctypes.  It returns None where that fails, and
+the integrator then keeps to its Python loop and the writer to its Python
+rows, which give the same bits and bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import signal
 import subprocess
 import sysconfig
 import tempfile
-from ctypes import POINTER, c_double, c_int, c_long, c_void_p
+from ctypes import POINTER, c_char_p, c_double, c_int, c_long, c_void_p
 from itertools import accumulate
 
 import numpy as np
@@ -38,6 +41,9 @@ COMPILE_TIMEOUT_S = 120.0
 # Ctrl-C stops a long run, and after filling a buffer of CHUNK samples.
 STEPS_PER_CALL = 100_000
 CHUNK = 4096
+# The longest "%.17g" of a double with its separator:
+# "-1.2345678901234567e-308,"
+VALUE_BYTES = 25
 
 # the statuses and charts of _loop.c
 DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE = range(5)
@@ -91,8 +97,10 @@ def _compile(cmd):
 
 
 def load():
-    """Compile and load the loop; return the runner for integrate, or None
-    without a working compiler."""
+    """Compile and load the library; return the runner for integrate, or
+    None without a working compiler.  The runner's ``write_rows`` writes CSV
+    rows (:func:`_write_rows`), or is None where the compiler has no 128-bit
+    integers."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None
@@ -103,13 +111,21 @@ def load():
         source = importlib.resources.files(__package__) / "_loop.c"
         with importlib.resources.as_file(source) as path:
             _compile([*shlex.split(cc), *FLAGS, str(path), "-o", library, "-lm"])
-        entry = ctypes.CDLL(library).ml_run
+        lib = ctypes.CDLL(library)
     except (OSError, subprocess.SubprocessError):
         return None
-    entry.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
-                      c_void_p, c_void_p, c_void_p, c_long]
-    entry.restype = c_int
-    return functools.partial(_run, entry)
+    lib.ml_run.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
+                           c_void_p, c_void_p, c_void_p, c_long]
+    lib.ml_run.restype = c_int
+    runner = functools.partial(_run, lib.ml_run)
+    runner.write_rows = None
+    if hasattr(lib, "ml_format_rows"):
+        lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
+                                       POINTER(c_long)]
+        lib.ml_format_rows.restype = c_long
+        runner.write_rows = functools.partial(_write_rows,
+                                              lib.ml_format_rows)
+    return runner
 
 
 @functools.cache
@@ -168,3 +184,25 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
         raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
                            f"t={run.stage_t}, the Python kernel disagrees")
     return run.n_acc, run.n_rej, run.n_evals
+
+
+def _write_rows(entry, f, table, chunk, python_rows):
+    """Write the rows of the C-ordered float array table to the binary file
+    f as CSV lines, each value the bytes of "%.17g" % v, chunk rows at a
+    time through one buffer.  A row holding a value that ml_format_rows
+    leaves to the caller is written as python_rows(rows) -> bytes."""
+    table = np.ascontiguousarray(table, dtype=float)
+    n_rows, cols = table.shape
+    out = ctypes.create_string_buffer(chunk * cols * VALUE_BYTES)
+    view = memoryview(out)
+    done = c_long()
+    address, stride = table.ctypes.data, table.strides[0]
+    start = 0
+    while start < n_rows:
+        count = min(chunk, n_rows - start)
+        size = entry(address + start * stride, count, cols, out, done)
+        f.write(view[:size])
+        start += done.value
+        if done.value < count:
+            f.write(python_rows(table[start:start + 1]))
+            start += 1

@@ -1,9 +1,11 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
- * multilink.dynamics, as C.
+ * multilink.dynamics, as C, and the row formatter of the trajectory CSV of
+ * multilink.scenarios.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
- * fused multiply-add, no sincos) and calls ml_run through ctypes.
+ * fused multiply-add, no sincos) and calls ml_run and ml_format_rows
+ * through ctypes.
  * Every floating-point operation is the one the emitted Python step and
  * kernel perform, in the same order and through the same libm sin, cos, pow
  * and sqrt, so both give the same bits: zero tableau coefficients are
@@ -18,6 +20,7 @@
  * after max_steps step attempts, to be called again to go on.
  */
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE };
@@ -241,3 +244,147 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
         emit(r, y, t_out, y_out);
     return RUN_DONE;
 }
+
+
+/* The trajectory CSV: each value as the bytes of Python's "%.17g" % v.
+ *
+ * The digits come from exact integer arithmetic, not from printf, whose
+ * decimal point follows LC_NUMERIC and which prints a NaN's sign.  A finite
+ * nonzero |x| = m 2^e in [10^-16, 10^17) has k = floor(log10 |x|) in
+ * [-16, 16], and its 17 digits are round(|x| 10^p) with p = 16 - k in
+ * [0, 32], half to even: m 5^p < 2^53 5^32 < 2^128 is exact, and a shift by
+ * e + p leaves the integer part and the remainder.  Other finite values are
+ * left to the caller.  A compiler without 128-bit integers builds no
+ * ml_format_rows, and the caller formats every row. */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define E16 UINT64_C(10000000000000000)
+
+/* "%.17g" % x into out; returns its length, or 0 for a finite nonzero x
+ * outside [10^-16, 10^17).  pow5[p] is 5^p. */
+static int format17(double x, char *out, const u128 *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    char *o = out;
+    if (biased == 0x7ff && frac) {  /* Python drops the sign of a NaN */
+        memcpy(o, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *o++ = '-';
+    if (biased == 0x7ff || (biased == 0 && frac == 0)) {
+        const int len = biased ? 3 : 1;
+        memcpy(o, biased ? "inf" : "0", len);
+        return (int)(o - out) + len;
+    }
+    const double a = fabs(x);
+    /* the double 1e-16 lies below 10^-16: the loop below declines it */
+    if (!(a >= 1e-16 && a < 1e17))
+        return 0;
+    const uint64_t m = frac | UINT64_C(1) << 52;  /* a is normal */
+    const int e = biased - 1075;
+    /* log10 can be off by one next to a power of ten: the truncated
+     * digits, which lie in [10^16, 10^17) for the right k, correct it */
+    int k = (int)floor(log10(a));
+    k = k < -16 ? -16 : k > 16 ? 16 : k;
+    uint64_t digits;
+    u128 rest, half;
+    for (;;) {
+        const int p = 16 - k, s = e + p;
+        const u128 n = (u128)m * pow5[p];
+        rest = 0;
+        half = 1;  /* above any rest of an exact product */
+        if (s >= 0) {
+            digits = (uint64_t)(n << s);
+        } else {
+            digits = (uint64_t)(n >> -s);
+            rest = n & (((u128)1 << -s) - 1);
+            half = (u128)1 << (-s - 1);
+        }
+        if (digits < E16) {
+            if (k == -16)
+                return 0;
+            k--;
+        } else if (digits >= 10 * E16) {
+            k++;
+        } else {
+            break;
+        }
+    }
+    if (rest > half || (rest == half && digits & 1))
+        digits++;
+    if (digits == 10 * E16) {
+        digits = E16;
+        k++;
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + digits % 10);
+        digits /= 10;
+    }
+    int last = 16;  /* the last digit kept: %g strips trailing zeros */
+    while (last > 0 && d[last] == '0')
+        last--;
+    if (k < -4 || k >= 17) {
+        *o++ = d[0];
+        if (last > 0) {
+            *o++ = '.';
+            memcpy(o, d + 1, last);
+            o += last;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        const int ak = k < 0 ? -k : k;  /* at most 17: two digits */
+        *o++ = (char)('0' + ak / 10);
+        *o++ = (char)('0' + ak % 10);
+    } else if (k < 0) {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = -1; i > k; i--)
+            *o++ = '0';
+        memcpy(o, d, last + 1);
+        o += last + 1;
+    } else {
+        memcpy(o, d, k + 1);
+        o += k + 1;
+        if (last > k) {
+            *o++ = '.';
+            memcpy(o, d + k + 1, last - k);
+            o += last - k;
+        }
+    }
+    return (int)(o - out);
+}
+
+/* The rows x cols doubles of table (row by row) as CSV lines into out, 25
+ * bytes per value at most.  Stops before the first row holding a value
+ * that format17 leaves to the caller; sets *done to the rows written and
+ * returns their bytes. */
+long ml_format_rows(const double *table, long rows, int cols, char *out,
+                    long *done)
+{
+    u128 pow5[33] = {1};
+    for (int p = 1; p < 33; p++)
+        pow5[p] = 5 * pow5[p - 1];
+    char *o = out;
+    long r = 0;
+    for (; r < rows; r++) {
+        char *const row = o;
+        for (int j = 0; j < cols; j++) {
+            const int len = format17(table[r * cols + j], o, pow5);
+            if (!len) {
+                *done = r;
+                return (long)(row - out);
+            }
+            o += len;
+            *o++ = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    *done = r;
+    return (long)(o - out);
+}
+#endif

@@ -106,7 +106,8 @@ class FixedPointBlock:
         heads = np.where(self.v_sign > 0, "forward", "backward").tolist()
         if not self.phi.shape[1]:
             return heads
-        angles = np.where(self.phi != 0.0, "pi", "0").tolist()
+        # every angle is one of two shared strings, picked by index
+        angles = _ANGLE_TEXT[(self.phi != 0.0).view(np.uint8)].tolist()
         return [f"{d}, phi=({', '.join(a)})" for d, a in zip(heads, angles)]
 
 
@@ -123,6 +124,8 @@ class Classification:
 # kind codes 0, 1, 2 of classify_fixed_point
 _KINDS = np.array([FixedPointKind.STABLE_NODE, FixedPointKind.UNSTABLE_NODE,
                    FixedPointKind.SADDLE], dtype=object)
+# the text of an angle 0 and pi in FixedPointBlock.describe
+_ANGLE_TEXT = np.array(["0", "pi"], dtype=object)
 
 
 def enumerate_fixed_points(n: int) -> FixedPointBlock:

@@ -30,16 +30,17 @@ def _load_config(path: str):
 def _cmd_run(args) -> int:
     """simulate and fixed-points: run the scenario, print its summary and the
     files written; fixed-points runs only a fixed_points config."""
-    census = args.command == "fixed-points"
     if args.draws < 0:
         raise ConfigError(f"--draws must be a non-negative integer, "
                           f"got {args.draws}")
     cfg = _load_config(args.config)
-    if census and cfg.scenario != "fixed_points":
+    if args.command == "fixed-points" and cfg.scenario != "fixed_points":
         raise ConfigError(
             f"config declares scenario {cfg.scenario!r}; expected 'fixed_points'")
     result = scenarios.run_scenario(cfg, output_dir=args.output_dir,
                                     seed=args.seed, draws=args.draws)
+    # the census summary is its report, which ends in a newline
+    census = cfg.scenario == "fixed_points"
     print(result.summary, end="" if census else "\n")
     for f in result.files:
         print(f"wrote {f}")

@@ -40,6 +40,7 @@ import numpy as np
 from .dynamics import PoseState, ReducedState
 from .integrator import IntegratorOptions
 from .model import (
+    DerivedParams,
     InvalidParameterError,
     RotorProfile,
     VehicleParams,
@@ -115,7 +116,9 @@ def _finite(v, what: str) -> float:
     return x
 
 
-def _parse_vehicle(block) -> VehicleParams:
+def _parse_vehicle(block) -> tuple[VehicleParams, DerivedParams]:
+    """The vehicle and its derived constants, whose sums can overflow where
+    the parameters do not."""
     if not isinstance(block, dict):
         raise ConfigError("'vehicle' must be an object")
     _check_keys(block, ("N", "m", "I", "a0", "a", "c"), "'vehicle'")
@@ -133,8 +136,12 @@ def _parse_vehicle(block) -> VehicleParams:
                 f"'vehicle.N' = {block['N']} contradicts array lengths: "
                 f"m has {len(masses)} entries (N+1), so N = {n}")
     try:
-        return VehicleParams(masses=np.array(masses), inertias=np.array(inertias),
-                             a0=a0, a=np.array(a), c=np.array(c))
+        vehicle = VehicleParams(masses=np.array(masses),
+                                inertias=np.array(inertias), a0=a0,
+                                a=np.array(a), c=np.array(c))
+        # DerivedParams names a non-finite constant; numpy need not warn
+        with np.errstate(all="ignore"):
+            return vehicle, derive_params(vehicle)
     except InvalidParameterError as e:
         raise ConfigError(f"invalid 'vehicle' block: {e}") from e
 
@@ -231,7 +238,7 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"got {scenario!r}")
     if "vehicle" not in doc:
         raise ConfigError("missing required field 'vehicle'")
-    vehicle = _parse_vehicle(doc["vehicle"])
+    vehicle, derived = _parse_vehicle(doc["vehicle"])
     rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else zero_rotor()
     if scenario == "speedup":
         if "rotor" not in doc:
@@ -240,11 +247,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if rotor.mean_sq_rate() <= 0.0:
             raise ConfigError(f"'rotor.amplitude' {rotor.amplitude:g} leaves "
                               f"the rotor momentum constant: no speedup")
-        try:
-            static_moment = derive_params(vehicle).static_moment
-        except InvalidParameterError as e:
-            raise ConfigError(f"invalid 'vehicle' block: {e}") from e
-        if static_moment == 0.0:
+        if derived.static_moment == 0.0:
             raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the "
                               f"sleigh (static moment m0 a0 = 0): no speedup")
     if "integrator" not in doc:

@@ -442,5 +442,7 @@ def trajectory_from_solution(sol: Solution, p: VehicleParams, d: DerivedParams,
     psi = sol.states[:, n + 4].copy()
     e = energy_series(v1, omega, phi, p, d)
     r = residual_max_series(v1, omega, phi, psi, p)
-    k = np.array([rotor.momentum(t) for t in sol.times])
+    # RotorProfile.momentum on the whole array: numpy's sin gives math.sin's
+    # bits (tests/test_dynamics.py checks it on the shipped speedup samples)
+    k = rotor.amplitude * np.sin(rotor.freq * sol.times)
     return Trajectory(sol.times, v1, omega, phi, x, y, psi, e, r, k)

@@ -41,7 +41,10 @@ tableau below and performs the emitted steps' operations in their order,
 so it gives the same times, states, counts and typed errors to the bit.
 Without a working compiler every run takes the Python loop, which stays the
 portable fallback and the oracle of the compiled one; setting ``_loop`` to
-False forces it.
+False forces it.  The same build holds the row formatter of the trajectory
+CSV, which :func:`multilink.scenarios.write_trajectory_csv` takes from
+``_loop`` once it is loaded: with ``_loop`` False the CSV rows are Python's
+too, with the same bytes.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 write CSV trajectories, plain-text reports, and SVG figures.
 
 CSV schema (fixed): t, v1, omega, phi_1..phi_N, x, y, psi, energy,
-residual_max, k.  Values are serialized with 17 significant digits, so a
-re-read reproduces the samples bit-exactly.
+residual_max, k.  Each value is written as the bytes of ``"%.17g" % v``, so
+a re-read reproduces the samples bit-exactly.  Once the compiled library is
+loaded (:mod:`multilink._compiled`, built by the first run of a vehicle
+field), its formatter writes the rows; the Python formatter writes them
+elsewhere, and the rows the compiled one leaves to it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, svgplot
+from . import analysis, integrator, svgplot
 from .config import ConfigError, ScenarioConfig
 from .dynamics import (
     PoseState,
@@ -55,16 +58,26 @@ def csv_header(n_links: int) -> str:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
+    """Write traj as CSV, _CSV_CHUNK_ROWS rows at a time, which keeps the
+    text off the memory peak; the compiled and the Python formatter give
+    the same bytes."""
     table = np.column_stack((traj.times, traj.v1, traj.omega, traj.phi, traj.x,
                              traj.y, traj.psi, traj.energy, traj.residual_max,
                              traj.rotor_momentum))
-    # "%.17g" % v is f"{v:.17g}"; chunks keep the text off the memory peak
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(csv_header(traj.n_links) + "\n")
+
+    def python_rows(rows):
+        return "".join([row % tuple(values)
+                        for values in rows.tolist()]).encode()
+
+    write_rows = getattr(integrator._loop, "write_rows", None)
+    with open(path, "wb") as f:
+        f.write(f"{csv_header(traj.n_links)}\n".encode())
+        if write_rows is not None:
+            write_rows(f, table, _CSV_CHUNK_ROWS, python_rows)
+            return
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            f.write("".join([row % tuple(values) for values in
-                             table[start:start + _CSV_CHUNK_ROWS].tolist()]))
+            f.write(python_rows(table[start:start + _CSV_CHUNK_ROWS]))
 
 
 def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:

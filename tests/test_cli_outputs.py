@@ -50,6 +50,7 @@ TABLE = [
     ("speedup", ["svg", "report"], ["speedup_velocities.svg",
                                     "speedup_angles.svg", "speedup_paths.svg",
                                     "speedup_report.txt"]),
+    ("fixed_points", None, ["fixed_points_report.txt"]),
 ]
 
 # the shipped manifold run with three trailers: no portrait
@@ -74,6 +75,9 @@ backward, phi=(pi, pi)                   saddle         [+0.351759, -0.952381, -
 counts: stable_node=1, unstable_node=1, saddle=6
 random-parameter suite (seed=7): 2/2 draws with exactly one stable and one unstable node
 """
+# simulate draws no random vehicles, and the census summary is its report,
+# which simulate prints as fixed-points does, with no empty line after it
+SUMMARY["fixed_points"] = FIXED_POINTS_STDOUT.rsplit("\n", 2)[0]
 
 
 def shipped(scenario, formats):

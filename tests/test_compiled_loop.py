@@ -1,17 +1,21 @@
-"""The compiled loop against the emitted Python steps.
+"""The compiled loop against the emitted Python steps, and the compiled CSV
+row formatter against Python's "%.17g".
 
 integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
 through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
 run takes the Python loop.  Setting ``integrator._loop`` to False forces the
-Python loop.
+Python loop, and the Python rows of the trajectory CSV.
 """
 
 import importlib.resources
+import io
+import json
 import math
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -25,8 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multilink
-from multilink import _compiled, cli, integrator
-from multilink.dynamics import make_full_rhs, make_manifold_rhs, make_reduced_rhs
+from multilink import _compiled, cli, config, integrator, scenarios
+from multilink.dynamics import (
+    make_full_rhs,
+    make_manifold_rhs,
+    make_reduced_rhs,
+    simulate,
+)
 from multilink.integrator import (
     DivergenceError,
     IntegratorOptions,
@@ -335,3 +344,118 @@ def test_signed_zeros_match(compiled, pair, chart, reference_vehicle,
     fast, slow = both_loops(rhs, y0, IntegratorOptions(t_end=1.0))
     assert fast == slow
     assert np.signbit(np.frombuffer(fast[1])).any()
+
+
+# --- the CSV row formatter --------------------------------------------------------
+
+
+def python_text(table):
+    return "".join(",".join(["%.17g" % v for v in row]) + "\n"
+                   for row in table.tolist())
+
+
+def compiled_text(compiled, table, chunk=1024):
+    """The CSV rows of table through the compiled formatter, and the rows
+    it left to the Python one."""
+    handed = []
+
+    def python_rows(rows):
+        handed.extend(rows.tolist())
+        return python_text(rows).encode()
+
+    f = io.BytesIO()
+    compiled.write_rows(f, np.asarray(table, dtype=float), chunk, python_rows)
+    return f.getvalue().decode(), handed
+
+
+def _bits(n, exponents=(0, 2048)):
+    """Random bit patterns, their exponent field in the given range."""
+    rng = np.random.default_rng([416, *exponents])
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64, endpoint=False)
+    field = rng.integers(*exponents, n).astype(np.uint64) << np.uint64(52)
+    return (bits & ~np.uint64(0x7FF << 52) | field).view(float)
+
+
+_POWERS = [float(f"1e{k}") for k in range(-20, 21)]
+
+FORMAT_INPUTS = {
+    "random-bits": _bits(10_000),
+    # 2^-54 to 2^57: about the exact range, where the C digits are used
+    "random-bits-in-range": _bits(100_000, (969, 1081)),
+    "zeros-and-nans": [0.0, -0.0, math.nan, -math.nan,
+                       np.uint64(0x7FF0000000000001).view(float),
+                       np.uint64(0xFFF8000000000123).view(float)],
+    "inf-subnormal-max": [math.inf, -math.inf, 5e-324, -5e-324,
+                          2.2250738585072009e-308, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308],
+    # 1e-14 lies below 10^-14, and its 17 digits round up to 10^17
+    "powers-of-ten": [y for x in _POWERS for y in
+                      (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))],
+    # on [2^50, 2^51) the spacing is 1/4: x.25 and x.75 are exact ties at
+    # 17 digits, broken to the even digit
+    "ties": [0.5, 2.5, 1.5, -2.5, 0.125,
+             *[2.0 ** 50 + i + f for i in (0, 1, 12345) for f in (0.25, 0.75)]],
+    "near-2^53": [float(2 ** 53 + i) for i in range(-4, 5)]
+                 + [float(2 ** 54 + i) for i in (-2, 0, 4)],
+    "range-edges": [y for x in (1e-16, 1e17) for y in
+                    (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+                   + [99999999999999984.0, 9.9999999999999998e-17],
+}
+
+
+@pytest.mark.parametrize("values", FORMAT_INPUTS.values(),
+                         ids=FORMAT_INPUTS.keys())
+def test_formatter_matches_python(compiled, values):
+    table = np.reshape(values, (-1, 1))
+    text, handed = compiled_text(compiled, table)
+    assert text == python_text(table)
+    # only finite nonzero values outside [10^-16, 10^17) are left to Python;
+    # the double 1e-16 lies below 10^-16, the next one above it
+    a = np.abs(table[:, 0])
+    kept = ~np.isfinite(a) | (a == 0.0) | ((a > 1e-16) & (a < 1e17))
+    assert len(handed) == np.count_nonzero(~kept)
+
+
+def test_formatter_hands_rows_across_chunks(compiled):
+    table = np.arange(30.0).reshape(10, 3) + 0.1
+    table[[0, 4, 5, 9], [1, 0, 2, 2]] = [1e-300, -1e300, 5e-324, 1e17]
+    text, handed = compiled_text(compiled, table, chunk=3)
+    assert text == python_text(table)
+    assert handed == table[[0, 4, 5, 9]].tolist()
+
+
+def test_speedup_csv_same_bytes_without_library(compiled, tmp_path,
+                                                monkeypatch):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "speedup.json")) as f:
+        doc = json.load(f)
+    doc["integrator"]["t_end"] = 100.0
+    cfg = config.parse_config(json.dumps(doc))
+    p = cfg.vehicle
+    traj = simulate(p, derive_params(p), cfg.rotor, cfg.initial, cfg.pose,
+                    cfg.integrator)
+    tiny = traj.residual_max[traj.residual_max != 0.0]
+    assert np.count_nonzero(tiny < 1e-16) > 5
+    monkeypatch.setattr(scenarios, "_CSV_CHUNK_ROWS", 64)  # several chunks
+    scenarios.write_trajectory_csv(tmp_path / "fast.csv", traj)
+    monkeypatch.setattr(integrator, "_loop", False)
+    scenarios.write_trajectory_csv(tmp_path / "slow.csv", traj)
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("define", [[], ["-U__SIZEOF_INT128__"]],
+                         ids=["int128", "no-int128"])
+def test_c_source_compiles_without_warnings(define):
+    # the one flag set must stay warning-free; without 128-bit integers the
+    # loop still builds, and the writer takes the Python rows
+    cc = sysconfig.get_config_var("CC")
+    if not cc or not shutil.which(shlex.split(cc)[0]):
+        pytest.skip("no C compiler")
+    source = importlib.resources.files("multilink") / "_loop.c"
+    with importlib.resources.as_file(source) as path:
+        proc = subprocess.run(
+            [*shlex.split(cc), *_compiled.FLAGS, "-fsyntax-only", "-Wall",
+             "-Wextra", "-Werror", *define, str(path)],
+            capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multilink import cli
 from multilink.config import ConfigError, parse_config
 from multilink.model import sine_rotor, zero_rotor
 
@@ -231,6 +233,34 @@ def test_speedup_without_speedup_rejected(extra, field):
     # each used to pass here and end the run in NoSpeedupError
     with pytest.raises(ConfigError, match=f"{field}.*no speedup"):
         parse_config(cfg_text(scenario="speedup", **extra))
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("inertial", {}),
+    ("manifold", {"sign": "plus"}),
+    ("fixed_points", {}),
+    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}}),
+], ids=["inertial", "manifold", "fixed_points", "speedup"])
+@pytest.mark.parametrize("vehicle, message", [
+    ({"m": [1e308, 1e308, 1.2]}, "mass must be finite, got inf"),
+    # c_1 squared underflows to zero
+    ({"a": [1e-201, 0.2], "c": [1e-200, 1.1]},
+     "coupling[0] must be finite, got inf"),
+], ids=["mass-overflows", "coupling-divides-by-0"])
+def test_non_finite_derived_constants_exit_2(tmp_path, capsys, scenario,
+                                             extra, vehicle, message):
+    # every parameter is valid, a derived constant is not; the run used to
+    # print numpy's warning and fail at run time with exit 1
+    path = tmp_path / "run.json"
+    path.write_text(cfg_text(scenario=scenario,
+                             vehicle=dict(BASE["vehicle"], **vehicle), **extra))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", str(path), "--output-dir",
+                         str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: invalid 'vehicle' block: {message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 N0_VEHICLE = {"m": [1.0], "I": [1.5], "a0": 0.7, "a": [], "c": []}

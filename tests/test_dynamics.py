@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multilink.config import parse_config
 from multilink.dynamics import (
     AngleSystemState,
     PoseState,
@@ -22,8 +25,9 @@ from multilink.dynamics import (
     residual_max_series,
     residuals_from_rates,
     simulate,
+    trajectory_from_solution,
 )
-from multilink.integrator import IntegratorOptions, integrate
+from multilink.integrator import IntegratorOptions, Solution, integrate
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
@@ -501,6 +505,30 @@ def test_simulate_diagnostics(reference_vehicle, reference_derived):
     assert isinstance(traj.v1[3], float) and traj.phi[3].shape == (2,)
     # pose actually moves
     assert abs(traj.x[-1]) > 0.5
+
+
+def test_momentum_column_is_rotor_momentum():
+    # numpy's sin on the whole column gives math.sin's bits: on the shipped
+    # speedup run's first tenth of samples (the same steps, to t = 2000), and
+    # on a grid as dense as all its 130,005 samples over its whole span; the
+    # whole run would add about 0.5 s to the suite
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "speedup.json")) as f:
+        cfg = parse_config(f.read())
+    p, rotor = cfg.vehicle, cfg.rotor
+    d = derive_params(p)
+    traj = simulate(p, d, rotor, cfg.initial, cfg.pose,
+                    dataclasses.replace(cfg.integrator, t_end=2000.0))
+    grid = np.linspace(0.0, cfg.integrator.t_end, 130_005)
+    on_grid = trajectory_from_solution(
+        Solution(grid, np.zeros((grid.size, 7)), 0, 0, 0), p, d, rotor)
+    for run in (traj, on_grid):
+        expected = [rotor.momentum(t) for t in run.times.tolist()]
+        assert run.rotor_momentum.tobytes() == np.array(expected).tobytes()
+    # and exactly +0.0 for the resting rotor
+    traj = simulate(p, d, zero_rotor(), cfg.initial, cfg.pose,
+                    IntegratorOptions(t_end=5.0))
+    assert traj.rotor_momentum.tobytes() == bytes(8 * traj.n_samples)
 
 
 @pytest.mark.parametrize("n", [65, 100])
