@@ -1,15 +1,19 @@
-"""The adaptive loop, the vehicle kernel and the CSV row formatter as
-compiled C (``_loop.c``).
+"""The adaptive loop, the vehicle kernel and the CSV row formatter and
+parser as compiled C (``_loop.c``).
 
 :func:`multilink.integrator.integrate` runs this loop on the vector fields
 of :mod:`multilink.dynamics`; every other right-hand side takes the emitted
-Python steps.  :func:`multilink.scenarios.write_trajectory_csv` writes its
-rows through the formatter once the library is loaded (:func:`_write_rows`).
+Python steps.  Once the library is loaded,
+:func:`multilink.scenarios.write_trajectory_csv` writes its rows through the
+formatter (:func:`_write_rows`), and
+:func:`multilink.scenarios.read_trajectory_csv` reads a file in the
+writer's own grammar and shape through the parser (:func:`_parse_rows`),
+leaving every other file to numpy.loadtxt.
 :func:`load` compiles the C file, once, with the compiler Python was built
 with (sysconfig ``CC``), into a private temporary directory that is removed
 at exit, and loads it with ctypes.  It returns None where that fails, and
-the integrator then keeps to its Python loop and the writer to its Python
-rows, which give the same bits and bytes.
+the integrator then keeps to its Python loop, the writer to its Python rows
+and the reader to numpy.loadtxt, which give the same bits and bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ CHUNK = 4096
 # The longest "%.17g" of a double with its separator:
 # "-1.2345678901234567e-308,"
 VALUE_BYTES = 25
+# The trajectory CSV is parsed this many bytes at a time; a file with a
+# longer line is left to numpy.loadtxt.
+READ_BLOCK = 1 << 16
 
 # the statuses and charts of _loop.c
 DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE = range(5)
@@ -100,7 +107,7 @@ def load():
     """Compile and load the library; return the runner for integrate, or
     None without a working compiler.  The runner's ``write_rows`` writes CSV
     rows (:func:`_write_rows`), or is None where the compiler has no 128-bit
-    integers."""
+    integers, and its ``parse_rows`` reads them (:func:`_parse_rows`)."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None
@@ -125,6 +132,10 @@ def load():
         lib.ml_format_rows.restype = c_long
         runner.write_rows = functools.partial(_write_rows,
                                               lib.ml_format_rows)
+    lib.ml_parse_rows.argtypes = [c_void_p, c_long, c_int, POINTER(c_int),
+                                  c_int, c_void_p, c_long, POINTER(c_long)]
+    lib.ml_parse_rows.restype = c_long
+    runner.parse_rows = functools.partial(_parse_rows, lib.ml_parse_rows)
     return runner
 
 
@@ -206,3 +217,38 @@ def _write_rows(entry, f, table, chunk, python_rows):
         if done.value < count:
             f.write(python_rows(table[start:start + 1]))
             start += 1
+
+
+def _parse_rows(entry, f, fields, keep):
+    """The lines after the header of the binary file f, fields values each,
+    as a (rows, len(keep)) float array of the columns keep (ascending), read
+    READ_BLOCK bytes at a time; None where ml_parse_rows declines the text,
+    a line is longer than a block, the last line has no newline or there is
+    no line."""
+    slot = [-1] * fields
+    for k, j in enumerate(keep):
+        slot[j] = k
+    slots = _array(c_int, slot)
+    # a line takes at least two bytes per field: a digit and a delimiter
+    cap = (os.fstat(f.fileno()).st_size - f.tell()) // (2 * fields)
+    out = np.empty((cap, len(keep)))  # the pages never written stay unused
+    address, row_bytes = out.ctypes.data, out.strides[0]
+    block = bytearray(READ_BLOCK)
+    view = memoryview(block)
+    text = ctypes.addressof(ctypes.c_char.from_buffer(block))
+    rows = carry = 0
+    used = c_long()
+    while n := f.readinto(view[carry:]):
+        got = entry(text, carry + n, fields, slots, len(keep),
+                    address + rows * row_bytes, cap - rows, used)
+        if got < 0:
+            return None
+        rows += got
+        carry += n - used.value
+        if carry == READ_BLOCK:
+            return None
+        ctypes.memmove(text, text + used.value, carry)  # the partial line
+    if carry or not rows:
+        return None
+    out.resize((rows, len(keep)), refcheck=False)
+    return out

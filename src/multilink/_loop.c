@@ -1,11 +1,11 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
- * multilink.dynamics, as C, and the row formatter of the trajectory CSV of
- * multilink.scenarios.
+ * multilink.dynamics, as C, and the row formatter and row parser of the
+ * trajectory CSV of multilink.scenarios.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
- * fused multiply-add, no sincos) and calls ml_run and ml_format_rows
- * through ctypes.
+ * fused multiply-add, no sincos) and calls ml_run, ml_format_rows and
+ * ml_parse_rows through ctypes.
  * Every floating-point operation is the one the emitted Python step and
  * kernel perform, in the same order and through the same libm sin, cos, pow
  * and sqrt, so both give the same bits: zero tableau coefficients are
@@ -21,6 +21,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE };
@@ -388,3 +389,87 @@ long ml_format_rows(const double *table, long rows, int cols, char *out,
     return (long)(o - out);
 }
 #endif
+
+
+/* The trajectory CSV read back: the writer's own lines only.
+ *
+ * A field is -?digits(.digits)?(e[+-]digits)?, inf, -inf or nan, the forms
+ * "%.17g" writes; a line holds one field per header name, separated by
+ * commas, and ends in a newline.  On any other byte or shape ml_parse_rows
+ * declines, and the caller reads the file by numpy.loadtxt, whose errors
+ * and accepted inputs stay the only ones.  A kept field is converted by
+ * strtod, which rounds correctly as Python's float parser does, and the end
+ * of its number must land on the delimiter: under an LC_NUMERIC whose
+ * decimal point is not '.' it does not, and the file is declined. */
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* The end of the writer's number that starts at s, or s where none does.
+ * Reads no further than the next byte outside the grammar. */
+static const char *number_end(const char *s)
+{
+    const char *p = s + (*s == '-'), *d;
+    if (p[0] == 'i' && p[1] == 'n' && p[2] == 'f')
+        return p + 3;
+    if (p == s && p[0] == 'n' && p[1] == 'a' && p[2] == 'n')
+        return p + 3;
+    for (d = p; is_digit(*p); p++)
+        ;
+    if (p == d)
+        return s;
+    if (*p == '.') {
+        for (d = ++p; is_digit(*p); p++)
+            ;
+        if (p == d)
+            return s;
+    }
+    if (*p == 'e') {
+        if (*++p != '+' && *p != '-')
+            return s;
+        for (d = ++p; is_digit(*p); p++)
+            ;
+        if (p == d)
+            return s;
+    }
+    return p;
+}
+
+/* The complete lines of text[0 .. len) as rows of out, each line `fields`
+ * values, of which field j goes to out[row * kept + slot[j]] where slot[j]
+ * >= 0; at most cap rows.  Sets *used to the bytes of those lines and
+ * returns their number, or returns -1 to decline the text. */
+long ml_parse_rows(const char *text, long len, int fields, const int *slot,
+                   int kept, double *out, long cap, long *used)
+{
+    long end = len;  /* after the last newline: every line below ends in one */
+    while (end > 0 && text[end - 1] != '\n')
+        end--;
+    const char *p = text, *const stop = text + end;
+    long r = 0;
+    for (; p < stop; r++) {
+        if (r == cap)
+            return -1;
+        for (int j = 0; j < fields; j++) {
+            const char *q = number_end(p);
+            if (q == p || *q != (j + 1 < fields ? ',' : '\n'))
+                return -1;
+            if (slot[j] >= 0) {
+                double x;
+                if (q[-1] == 'f') {
+                    x = *p == '-' ? -HUGE_VAL : HUGE_VAL;
+                } else if (q[-1] == 'n') {
+                    x = NAN;
+                } else {
+                    char *e;
+                    x = strtod(p, &e);
+                    if (e != q)
+                        return -1;
+                }
+                out[r * kept + slot[j]] = x;
+            }
+            p = q + 1;
+        }
+    }
+    *used = end;
+    return r;
+}

@@ -67,6 +67,7 @@ class OutputOptions:
 class ScenarioConfig:
     scenario: str
     vehicle: VehicleParams
+    derived: DerivedParams  # derive_params(vehicle)
     rotor: RotorProfile  # zero_rotor() where the document has no rotor block
     initial: ReducedState
     pose: PoseState
@@ -274,5 +275,5 @@ def parse_config(text: str) -> ScenarioConfig:
 
     initial, pose = _parse_initial(doc.get("initial", {}), vehicle.n_links)
     outputs = _parse_outputs(doc.get("outputs", {}))
-    return ScenarioConfig(scenario, vehicle, rotor, initial, pose, integrator,
-                          outputs, sign)
+    return ScenarioConfig(scenario, vehicle, derived, rotor, initial, pose,
+                          integrator, outputs, sign)

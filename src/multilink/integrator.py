@@ -41,10 +41,11 @@ tableau below and performs the emitted steps' operations in their order,
 so it gives the same times, states, counts and typed errors to the bit.
 Without a working compiler every run takes the Python loop, which stays the
 portable fallback and the oracle of the compiled one; setting ``_loop`` to
-False forces it.  The same build holds the row formatter of the trajectory
-CSV, which :func:`multilink.scenarios.write_trajectory_csv` takes from
-``_loop`` once it is loaded: with ``_loop`` False the CSV rows are Python's
-too, with the same bytes.
+False forces it.  The same build holds the row formatter and the row parser
+of the trajectory CSV, which :func:`multilink.scenarios.write_trajectory_csv`
+and :func:`~multilink.scenarios.read_trajectory_csv` take from ``_loop``
+once it is loaded: with ``_loop`` False the CSV rows are Python's too, with
+the same bytes, and the reader's numpy.loadtxt, with the same bits.
 """
 
 from __future__ import annotations

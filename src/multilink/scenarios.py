@@ -5,8 +5,11 @@ CSV schema (fixed): t, v1, omega, phi_1..phi_N, x, y, psi, energy,
 residual_max, k.  Each value is written as the bytes of ``"%.17g" % v``, so
 a re-read reproduces the samples bit-exactly.  Once the compiled library is
 loaded (:mod:`multilink._compiled`, built by the first run of a vehicle
-field), its formatter writes the rows; the Python formatter writes them
-elsewhere, and the rows the compiled one leaves to it.
+field), its formatter writes the rows and its parser reads back a file in
+the writer's own grammar and shape; the Python formatter writes the rows
+elsewhere, and the rows the compiled one leaves to it, and numpy.loadtxt
+reads every other file, with the same bits and the same errors.  Neither
+the writer nor the reader builds the library.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -84,23 +88,35 @@ def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back as a column-name -> array mapping.
 
     Given `columns`, names from the header, only those and ``t`` are parsed,
-    in header order; a name the header lacks is a ConfigError.  The fields
-    of the other columns are counted, not parsed.  Either way every row must
-    have one field per header name, and a file without rows is an error.
+    in header order; a name the header lacks is a ConfigError.  Either way
+    every row must have one field per header name, and a file without rows
+    is an error.
+
+    Once the compiled library is loaded, its parser reads a regular file in
+    the writer's own grammar and shape (:func:`_read_compiled`) to the same
+    bits; it declines every other file, which numpy.loadtxt reads, so the
+    accepted files and the errors are loadtxt's alone.
     """
+    if columns is not None:
+        columns = (*columns, "t")
+    parse_rows = getattr(integrator._loop, "parse_rows", None)
+    if parse_rows is not None:
+        data = _read_compiled(path, columns, parse_rows)
+        if data is not None:
+            return data
     with open(path) as f:
         header = f.readline().strip().split(",")
         index = {name: i for i, name in enumerate(header)}  # last one wins
         usecols = None
         if columns is not None:
-            columns = (*columns, "t")
             for name in columns:
                 if name not in index:
                     raise ConfigError(f"column {name!r} not in "
                                       f"{sorted(index)} of {path}")
             keep = {index[name] for name in columns}
             # the last column makes loadtxt reject a row with fewer fields;
-            # the comma count then rejects one with more
+            # the comma count then rejects one with more, and the fields of
+            # the other columns are counted, not parsed
             usecols = sorted(keep | {len(header) - 1})
             start = f.tell()
             commas = sum(chunk.count(",") for chunk
@@ -123,6 +139,34 @@ def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
         raise ValueError(f"{path}: {commas} commas in {data.shape[0]} rows, "
                          f"not {len(header) - 1} per row as in the header")
     return {header[i]: data[:, k] for k, i in enumerate(usecols) if i in keep}
+
+
+def _read_compiled(path: str, columns, parse_rows):
+    """read_trajectory_csv by the compiled parser, or None where it declines:
+    a file that is not regular (a pipe reads once), a header line that is
+    not ASCII or holds a carriage return (which the text-mode read above
+    would take for a newline), a column the header lacks, or rows that
+    ``parse_rows`` declines.  The loadtxt path then reads the file."""
+    with open(path, "rb") as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            return None
+        line = f.readline()
+        if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
+            return None
+        header = line.decode().strip().split(",")
+        index = {name: i for i, name in enumerate(header)}
+        if columns is None:
+            keep = range(len(header))
+        elif all(name in index for name in columns):
+            keep = sorted({index[name] for name in columns})
+        else:
+            return None
+        data = parse_rows(f, len(header), keep)
+    if data is None:
+        return None
+    if columns is None:
+        return {name: data[:, i] for name, i in index.items()}
+    return {header[i]: data[:, k] for k, i in enumerate(keep)}
 
 
 # --- shared plotting helpers ----------------------------------------------------
@@ -223,8 +267,7 @@ def _run_trajectory(cfg: ScenarioConfig):
     """The inertial and speedup scenarios: one simulated trajectory, its CSV,
     three figures and a report.  A speedup run adds the predicted
     asymptotics, the fits of its report and the envelopes of its figures."""
-    p = cfg.vehicle
-    d = derive_params(p)
+    p, d = cfg.vehicle, cfg.derived
     pred = analysis.asymptotic_prediction(p, d, cfg.rotor) \
         if cfg.scenario == "speedup" else None
     traj = simulate(p, d, cfg.rotor, cfg.initial, cfg.pose, cfg.integrator)
@@ -329,8 +372,7 @@ def _crossover_line(traj: Trajectory, pred, p, d, rotor, window) -> str:
 
 
 def _run_manifold(cfg: ScenarioConfig):
-    p = cfg.vehicle
-    d = derive_params(p)
+    p, d = cfg.vehicle, cfg.derived
     sol = integrate(make_manifold_rhs(p, cfg.sign), cfg.initial.phi,
                     cfg.integrator)
     traj = manifold_trajectory(sol.times, sol.states, cfg, d)
@@ -405,8 +447,7 @@ def _portrait_svg(cfg: ScenarioConfig, p) -> str:
 def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     from .model import random_vehicle
 
-    p = cfg.vehicle
-    d = derive_params(p)
+    p, d = cfg.vehicle, cfg.derived
     points = analysis.enumerate_fixed_points(p.n_links)
     cls = analysis.classify_fixed_point(points, p, d)
     kinds = cls.kind.tolist()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multilink import integrator
 from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import VehicleParams, derive_params, sine_rotor
@@ -47,3 +48,33 @@ def strong_rotor_run(reference_vehicle, reference_derived):
     opts = IntegratorOptions(t_end=1e4, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     sol = integrate(rhs, y0, opts)
     return {"rotor": rotor, "times": sol.times, "states": sol.states}
+
+
+@pytest.fixture(scope="session")
+def both_readers():
+    """both(fn) -> (compiled, loadtxt): what fn gives with the compiled CSV
+    parser loaded, where a compiler is, and with integrator._loop False,
+    where scenarios.read_trajectory_csv reads by numpy.loadtxt.  That is the
+    type and message of fn's error, the name, dtype, shape and bytes of each
+    array of a mapping fn returns, or else its value."""
+    loaded = integrator._compiled_loop()
+
+    def outcome(fn):
+        try:
+            value = fn()
+        except Exception as e:
+            return type(e), str(e)
+        if isinstance(value, dict):
+            return [(name, a.dtype, a.shape, a.tobytes())
+                    for name, a in value.items()]
+        return value
+
+    def both(fn):
+        results = []
+        for loop in (loaded, False):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(integrator, "_loop", loop)
+                results.append(outcome(fn))
+        return tuple(results)
+
+    return both

@@ -1,17 +1,20 @@
-"""The compiled loop against the emitted Python steps, and the compiled CSV
-row formatter against Python's "%.17g".
+"""The compiled loop against the emitted Python steps, the compiled CSV row
+formatter against Python's "%.17g", and the compiled CSV row parser against
+numpy.loadtxt.
 
 integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
 through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
 run takes the Python loop.  Setting ``integrator._loop`` to False forces the
-Python loop, and the Python rows of the trajectory CSV.
+Python loop, the Python rows of the trajectory CSV and its numpy.loadtxt
+read.
 """
 
 import importlib.resources
 import io
 import json
+import locale
 import math
 import os
 import shlex
@@ -27,10 +30,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import multilink
 from multilink import _compiled, cli, config, integrator, scenarios
 from multilink.dynamics import (
+    Trajectory,
     make_full_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
@@ -446,16 +451,270 @@ def test_speedup_csv_same_bytes_without_library(compiled, tmp_path,
 
 @pytest.mark.parametrize("define", [[], ["-U__SIZEOF_INT128__"]],
                          ids=["int128", "no-int128"])
-def test_c_source_compiles_without_warnings(define):
-    # the one flag set must stay warning-free; without 128-bit integers the
-    # loop still builds, and the writer takes the Python rows
+def test_c_source_compiles_without_warnings(define, tmp_path):
+    # the one flag set must stay warning-free through the optimizer, whose
+    # passes give some warnings; without 128-bit integers the loop and the
+    # parser still build, and the writer takes the Python rows
     cc = sysconfig.get_config_var("CC")
     if not cc or not shutil.which(shlex.split(cc)[0]):
         pytest.skip("no C compiler")
     source = importlib.resources.files("multilink") / "_loop.c"
     with importlib.resources.as_file(source) as path:
         proc = subprocess.run(
-            [*shlex.split(cc), *_compiled.FLAGS, "-fsyntax-only", "-Wall",
-             "-Wextra", "-Werror", *define, str(path)],
+            [*shlex.split(cc), *_compiled.FLAGS, "-Wall", "-Wextra", "-Werror",
+             *define, str(path), "-o", str(tmp_path / "_loop.so"), "-lm"],
             capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the CSV row parser -----------------------------------------------------------
+
+
+def parsed(compiled, path, keep):
+    """The compiled parser's rows of the CSV at path, columns keep, or None
+    where it declines them."""
+    with open(path, "rb") as f:
+        fields = len(f.readline().split(b","))
+        return compiled.parse_rows(f, fields, keep)
+
+
+def csv_file(tmp_path, body, header=b"t,v1,k\n"):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(header + body)
+    return path
+
+
+# a body that the parser declines: the odd field is the first, which every
+# read converts, a middle one or the last, which loadtxt converts where it
+# reads a subset
+DECLINED = {
+    "crlf": b"1,2,3\r\n",
+    "cr-inside": b"1,2\r,3\n",
+    "cr-alone": b"1,2,3\r4,5,6\n",
+    "comment-line": b"1,2,3\n#c\n",
+    "comment-after": b"1,2,3#c\n",
+    "blank-line": b"1,2,3\n\n4,5,6\n",
+    "plus": b"1,+2,3\n",
+    "leading-dot": b"1,2,.5\n",
+    "trailing-dot": b"1.,2,3\n",
+    "hex": b"1,2,0x10\n",
+    "hex-float": b"0x1p3,2,3\n",
+    "infinity": b"1,infinity,3\n",
+    "capital-inf": b"Inf,2,3\n",
+    "capital-nan": b"1,2,NaN\n",
+    "minus-nan": b"-nan,2,3\n",
+    "nan-payload": b"1,2,nan(1)\n",
+    "capital-e": b"1E+05,2,3\n",
+    "unsigned-exponent": b"1,2,1e5\n",
+    "empty-exponent": b"1,1e+,3\n",
+    "underscore": b"1_0,2,3\n",
+    "space-before": b"1, 2,3\n",
+    "space-after": b"1,2,3 \n",
+    "empty-field": b"1,,3\n",
+    "too-few": b"1,2,3\n1,2\n",
+    "too-many": b"1,2,3,4\n",
+    "no-final-newline": b"1,2,3\n4,5,6",
+    "no-rows": b"",
+    "non-ascii": b"1,2,\xc3\xa9\n",
+    "nul": b"1,2\x00,3\n",
+}
+
+
+@pytest.mark.parametrize("body", DECLINED.values(), ids=DECLINED.keys())
+def test_parser_declines_other_text(compiled, both_readers, tmp_path, body):
+    path = csv_file(tmp_path, body)
+    for keep in ([0, 1, 2], [0]):
+        assert parsed(compiled, path, keep) is None
+    # loadtxt then reads the file, whatever it makes of it
+    for columns in (None, ["v1"], []):
+        fast, slow = both_readers(
+            lambda: scenarios.read_trajectory_csv(str(path), columns))
+        assert fast == slow
+
+
+@pytest.mark.parametrize("text", [b"t,v1,k\r\n1,2,3\n", b"t,v1,\xc3\xa9\n1,2,3\n",
+                                  b"t,v1,\xff\n1,2,3\n", b"t,v1,k"],
+                         ids=["crlf", "utf-8", "not-utf-8", "header-only"])
+def test_reader_declines_other_headers(compiled, both_readers, tmp_path, text):
+    # the text-mode read takes a carriage return for a newline and decodes
+    # by the locale: the compiled path leaves such a header to it
+    path = tmp_path / "traj.csv"
+    path.write_bytes(text)
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compiled, "parse_rows", lambda *args: calls.append(args))
+        fast, slow = both_readers(
+            lambda: scenarios.read_trajectory_csv(str(path)))
+    assert calls == [] and fast == slow
+
+
+# each value in every column, as the writer writes it or in its grammar
+ACCEPTED = ["0", "-0", "1", "-17", "00012", "-00.000e-0", "0.5", "inf", "-inf",
+            "nan", "1e+400", "-1e+400", "1e-400", "1.7976931348623157e+308",
+            # half an ulp above the largest double, and half the smallest
+            # subnormal: ties, to even
+            "1.797693134862315807937289714053e+308",
+            "2.4703282292062327208828439643e-324", "2.4703282292062328e-324",
+            "4.9406564584124654e-324", "2.2250738585072011e-308",
+            "9007199254740993", "0.1000000000000000055511151231257827021181583404541015625",
+            "123456789012345678901234567890e-10", "1e+00000000000000000000001",
+            "1e+99999999999999999999", "0e+99999999999999999999",
+            "1e-99999999999999999999"]
+
+
+def test_parser_matches_loadtxt(compiled, both_readers, tmp_path):
+    body = "".join(f"{x},{x},{x}\n" for x in ACCEPTED).encode()
+    path = csv_file(tmp_path, body)
+    assert parsed(compiled, path, [0, 1, 2]) is not None
+    fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("form", ["%.17g", "%.16g", "%.15g", "%.3g", "%.20e",
+                                  "%.40f", "%r"])
+def test_parser_matches_loadtxt_on_random_doubles(compiled, both_readers,
+                                                  tmp_path, form):
+    values = np.concatenate((_bits(4_000), _bits(16_000, (969, 1081))))
+    text = [form % x for x in values.tolist()]
+    body = "".join(f"{a},{b}\n" for a, b in zip(text[::2], text[1::2]))
+    path = csv_file(tmp_path, body.encode(), b"t,v1\n")
+    assert parsed(compiled, path, [0, 1]) is not None
+    fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
+    assert fast == slow
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_reader_reads_a_pipe(compiled, both_readers, tmp_path):
+    # a pipe can be read once: the compiled path leaves it to loadtxt
+    # before reading a byte
+    text = b"t,v1,k\n" + b"1,2,3\n" * 100
+    path = csv_file(tmp_path, text[7:])
+
+    def read_pipe():
+        r, w = os.pipe()
+        try:
+            os.write(w, text)
+            os.close(w)
+            return scenarios.read_trajectory_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    fast, slow = both_readers(read_pipe)
+    assert fast == slow \
+        == both_readers(lambda: scenarios.read_trajectory_csv(str(path)))[0]
+
+
+LOCALE_SOURCE = """LC_NUMERIC
+decimal_point "<U002C>"
+thousands_sep ""
+grouping -1
+END LC_NUMERIC
+"""
+
+
+def test_parser_declines_a_comma_decimal_point(compiled, both_readers,
+                                               tmp_path, monkeypatch):
+    # strtod follows LC_NUMERIC: under a comma decimal point it ends 0.5 at
+    # the '.' and takes 1,2 for one number, so its end misses the delimiter
+    # and the file is declined; loadtxt ignores the locale
+    localedef = shutil.which("localedef")
+    if localedef is None:
+        pytest.skip("no localedef")
+    (tmp_path / "comma.src").write_text(LOCALE_SOURCE)
+    subprocess.run([localedef, "-c", "-i", str(tmp_path / "comma.src"), "-f",
+                    "UTF-8", str(tmp_path / "comma")], capture_output=True)
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    before = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        locale.setlocale(locale.LC_NUMERIC, "comma")
+    except locale.Error:
+        pytest.skip("no locale with a comma decimal point")
+    try:
+        for body in (b"0.5,1,2\n", b"1,2,3\n"):
+            path = csv_file(tmp_path, body)
+            assert parsed(compiled, path, [0, 1, 2]) is None
+            fast, slow = both_readers(
+                lambda: scenarios.read_trajectory_csv(str(path)))
+            assert fast == slow and isinstance(fast, list)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, before)
+
+
+def one_byte(data):
+    """One byte of the CSV's own or of a neighbouring grammar."""
+    return data.draw(st.sampled_from(list(b",\n\r# +.ex0123456789"))
+                     | st.integers(128, 255))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), rows=st.integers(1, 4), data=st.data(),
+       edit=st.sampled_from(["none", "insert", "delete", "replace",
+                             "drop-newline"]),
+       block=st.sampled_from([64, 512, _compiled.READ_BLOCK]))
+def test_parser_matches_loadtxt_on_edited_files(compiled, both_readers,
+                                                tmp_path_factory, n, rows,
+                                                data, edit, block):
+    # the writer's output of any floats, one byte inserted, deleted or
+    # replaced, or the last newline dropped: the same arrays or the same
+    # error from both readers, with lines carried across blocks of READ_BLOCK
+    # bytes and declined where one is longer
+    table = data.draw(arrays(np.float64, (rows, n + 9), elements=st.floats()))
+    t, v1, omega, *rest = table.T
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    scenarios.write_trajectory_csv(str(path), Trajectory(
+        t, v1, omega, table[:, 3:n + 3], *rest[n:]))
+    text = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(text) - 1))
+    if edit == "insert":
+        text[at:at] = [one_byte(data)]
+    elif edit == "delete":
+        del text[at]
+    elif edit == "replace":
+        text[at] = one_byte(data)
+    elif edit == "drop-newline":
+        del text[-1]
+    path.write_bytes(text)
+    names = scenarios.csv_header(n).split(",")
+    columns = data.draw(st.none()
+                        | st.lists(st.sampled_from(names), unique=True))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "READ_BLOCK", block)
+        fast, slow = both_readers(
+            lambda: scenarios.read_trajectory_csv(str(path), columns))
+        if edit == "none":
+            longest = max(map(len, text.splitlines(keepends=True)[1:]))
+            keep = list(range(len(names)))
+            assert (parsed(compiled, path, keep) is not None) \
+                == (longest <= block)
+    assert fast == slow
+
+
+def test_fresh_fit_builds_nothing(compiled, tmp_path, capsys):
+    # a read takes the parser only where the library is already loaded: a
+    # fit in a fresh process starts no compiler and prints what a process
+    # with the library prints
+    t = np.linspace(0.5, 40.0, 400)
+    zeros = np.zeros_like(t)
+    path = tmp_path / "traj.csv"
+    scenarios.write_trajectory_csv(str(path), Trajectory(
+        t, 1.5 * t ** 0.4, np.sin(t), zeros[:, None], *[zeros] * 6))
+    assert parsed(compiled, path, [0, 1]) is not None
+    argv = ["fit", str(path), "--column", "v1", "--window", "1:30"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    code = ("import subprocess, sys\n"
+            "from multilink import cli, integrator\n"
+            "def no_process(*args, **kwargs):\n"
+            "    raise AssertionError(f'a process was started: {args}')\n"
+            "subprocess.Popen = no_process\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert integrator._loop is None\n"
+            "assert 'multilink._compiled' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    (tmp_path / "tmp").mkdir()
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path / "tmp")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert os.listdir(tmp_path / "tmp") == []

@@ -94,24 +94,29 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(0, 12), rows=st.integers(1, 6), data=st.data())
-def test_csv_round_trip_bit_exact_random(tmp_path_factory, n, rows, data):
-    # any finite values, signed zeros and subnormals included, at N = 0..12
+def test_csv_round_trip_bit_exact_random(tmp_path_factory, both_readers, n,
+                                         rows, data):
+    # any finite values, signed zeros and subnormals included, at N = 0..12;
+    # the compiled parser and numpy.loadtxt read the same bits
     table = data.draw(arrays(np.float64, (rows, n + 9), elements=st.floats(
         allow_nan=False, allow_infinity=False)))
     t, v1, omega, *rest = table.T
     traj = Trajectory(t, v1, omega, table[:, 3:n + 3], *rest[n:])
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     write_trajectory_csv(str(path), traj)
-    read = read_trajectory_csv(str(path))
-    assert list(read) == csv_header(n).split(",")
-    assert np.stack(list(read.values()), axis=1).tobytes() == table.tobytes()
+    fast, slow = both_readers(lambda: read_trajectory_csv(str(path)))
+    assert fast == slow
+    assert [name for name, *_ in fast] == csv_header(n).split(",")
+    assert np.stack([np.frombuffer(b) for *_, b in fast],
+                    axis=1).tobytes() == table.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(0, 12), rows=st.integers(1, 6), data=st.data())
-def test_csv_column_read_bit_exact_random(tmp_path_factory, n, rows, data):
+def test_csv_column_read_bit_exact_random(tmp_path_factory, both_readers, n,
+                                          rows, data):
     # any subset of the columns reads the bits of the full read, in header
-    # order and with t always
+    # order and with t always, on both readers
     table = data.draw(arrays(np.float64, (rows, n + 9), elements=st.floats()))
     t, v1, omega, *rest = table.T
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
@@ -119,12 +124,15 @@ def test_csv_column_read_bit_exact_random(tmp_path_factory, n, rows, data):
                                                *rest[n:]))
     names = csv_header(n).split(",")
     wanted = data.draw(st.lists(st.sampled_from(names), unique=True))
-    full = read_trajectory_csv(str(path))
-    read = read_trajectory_csv(str(path), wanted)
-    assert list(read) == [name for name in names
-                          if name == "t" or name in wanted]
-    for name, column in read.items():
-        assert column.tobytes() == full[name].tobytes()
+    full, full_slow = both_readers(lambda: read_trajectory_csv(str(path)))
+    read, read_slow = both_readers(
+        lambda: read_trajectory_csv(str(path), wanted))
+    assert full == full_slow and read == read_slow
+    assert [name for name, *_ in read] == [name for name in names
+                                           if name == "t" or name in wanted]
+    whole = {name: column for name, *column in full}
+    for name, *column in read:
+        assert column == whole[name]
 
 
 def csv_text(rows):
@@ -142,31 +150,49 @@ def csv_text(rows):
     ([range(8), range(10)], "from 8 to 10 at row 2", "index 8 at row 1"),
     ([range(9), [1] * 8 + ["x"]], "could not convert", "could not convert"),
 ])
-def test_csv_reader_rejects_ragged_rows(tmp_path, capsys, rows, full, part):
+def test_csv_reader_rejects_ragged_rows(tmp_path, capsys, both_readers, rows,
+                                        full, part):
+    # the same error with the compiled parser loaded and without
     path = tmp_path / "bad.csv"
     path.write_text(csv_text(rows))
     for columns, message in ((None, full), (["v1"], part), (["k"], part)):
-        with pytest.raises(ValueError, match=message) as e:
-            read_trajectory_csv(str(path), columns)
-        assert str(e.value).startswith(f"{path}: ")
+        fast, slow = both_readers(
+            lambda: read_trajectory_csv(str(path), columns))
+        assert fast == slow
+        assert fast[0] is ValueError and re.search(message, fast[1])
+        assert fast[1].startswith(f"{path}: ")
+
     # the fit command parses t and its column: an error exits 1
-    assert cli.main(["fit", str(path), "--column", "v1"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    def fit():
+        return cli.main(["fit", str(path), "--column", "v1"]), \
+            capsys.readouterr()
+
+    fast, slow = both_readers(fit)
+    assert fast == slow
+    assert fast[0] == 1 and fast[1].err.startswith(f"error: {path}: ")
 
 
-def test_csv_reader_rejects_unknown_column(tmp_path, capsys):
+def test_csv_reader_rejects_unknown_column(tmp_path, capsys, both_readers):
     path = tmp_path / "a.csv"
     path.write_text(csv_text([range(9)]))
-    with pytest.raises(ConfigError) as e:
-        read_trajectory_csv(str(path), ["v1", "warp"])
+    fast, slow = both_readers(
+        lambda: read_trajectory_csv(str(path), ["v1", "warp"]))
     names = sorted(csv_header(0).split(","))
-    assert str(e.value) == f"column 'warp' not in {names} of {path}"
-    assert cli.main(["fit", str(path), "--column", "warp"]) == 2
-    assert capsys.readouterr().err == f"error: {e.value}\n"
+    assert fast == slow == (ConfigError,
+                            f"column 'warp' not in {names} of {path}")
+
+    def fit(column):
+        return cli.main(["fit", str(path), "--column", column]), \
+            capsys.readouterr().err
+
+    fast, slow = both_readers(lambda: fit("warp"))
+    assert fast == slow == (2, f"error: column 'warp' not in {names} of "
+                               f"{path}\n")
     # a header without t
     path.write_text("time,v1\n1,2\n")
-    assert cli.main(["fit", str(path), "--column", "v1"]) == 2
-    assert "column 't' not in ['time', 'v1']" in capsys.readouterr().err
+    fast, slow = both_readers(lambda: fit("v1"))
+    assert fast == slow
+    assert fast[0] == 2 and "column 't' not in ['time', 'v1']" in fast[1]
 
 
 def test_deterministic_output_bytes(tmp_path):
