@@ -23,12 +23,10 @@ from .analysis import (
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .dynamics import (
-    AngleSystemState,
     PoseState,
     ReducedState,
     Trajectory,
     attachment_positions,
-    constraint_residuals,
     energy,
     simulate,
 )

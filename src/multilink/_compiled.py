@@ -1,9 +1,11 @@
-"""The adaptive loop, the vehicle kernel and the CSV row formatter and
-parser as compiled C (``_loop.c``).
+"""The adaptive loop, the vehicle kernel, the constraint-residual maximum
+and the CSV row formatter and parser as compiled C (``_loop.c``).
 
 :func:`multilink.integrator.integrate` runs this loop on the vector fields
 of :mod:`multilink.dynamics`; every other right-hand side takes the emitted
 Python steps.  Once the library is loaded,
+:func:`multilink.dynamics.residual_max_series` computes its float64 samples
+through ml_residual_max (:func:`_residual_max`),
 :func:`multilink.scenarios.write_trajectory_csv` writes its rows through the
 formatter (:func:`_write_rows`), and
 :func:`multilink.scenarios.read_trajectory_csv` reads a file in the
@@ -12,8 +14,9 @@ leaving every other file to numpy.loadtxt.
 :func:`load` compiles the C file, once, with the compiler Python was built
 with (sysconfig ``CC``), into a private temporary directory that is removed
 at exit, and loads it with ctypes.  It returns None where that fails, and
-the integrator then keeps to its Python loop, the writer to its Python rows
-and the reader to numpy.loadtxt, which give the same bits and bytes.
+the integrator then keeps to its Python loop, the diagnostics to numpy, the
+writer to its Python rows and the reader to numpy.loadtxt, which give the
+same bits and bytes.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ import numpy as np
 
 from . import integrator
 
-# No fused multiply-adds, and no sincos in place of a sin and a cos of one
-# argument: each operation rounds as the Python one does.
+# No fused multiply-adds, and no sin or cos that the compiler folds or fuses:
+# each operation rounds as the Python one does.  _loop.c calls sincos itself
+# where the Python code takes the sin and the cos of one argument; glibc
+# gives their bits (tests/test_compiled_loop.py::
+# test_sincos_matches_sin_and_cos).
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin-sin",
          "-fno-builtin-cos")
 COMPILE_TIMEOUT_S = 120.0
@@ -105,9 +111,11 @@ def _compile(cmd):
 
 def load():
     """Compile and load the library; return the runner for integrate, or
-    None without a working compiler.  The runner's ``write_rows`` writes CSV
-    rows (:func:`_write_rows`), or is None where the compiler has no 128-bit
-    integers, and its ``parse_rows`` reads them (:func:`_parse_rows`)."""
+    None without a working compiler.  The runner's ``residual_max`` gives
+    the constraint-residual maximum per sample (:func:`_residual_max`), its
+    ``write_rows`` writes CSV rows (:func:`_write_rows`), or is None where
+    the compiler has no 128-bit integers, and its ``parse_rows`` reads them
+    (:func:`_parse_rows`)."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None
@@ -125,6 +133,10 @@ def load():
                            c_void_p, c_void_p, c_void_p, c_long]
     lib.ml_run.restype = c_int
     runner = functools.partial(_run, lib.ml_run)
+    lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 7]
+    lib.ml_residual_max.restype = None
+    runner.residual_max = functools.partial(_residual_max,
+                                            lib.ml_residual_max)
     runner.write_rows = None
     if hasattr(lib, "ml_format_rows"):
         lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
@@ -167,19 +179,21 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     chart, c, mu, *constants = rhs.vehicle
     vehicle = Vehicle(len(c), CHARTS.index(chart), _array(c_double, c),
                       _array(c_double, mu), *constants)
-    work = np.empty((pair.stages + 2) * dim)  # y, the stages, the new state
+    # y, the stages, the two error rows, the new state
+    work = np.empty((pair.stages + 4) * dim)
     work[:dim] = y
     work[dim:2 * dim] = f
     t_out = np.empty(CHUNK)
     y_out = np.empty(CHUNK * dim)
     landing = targets is not None
-    stops = np.array(targets if landing else [], dtype=float)
     run = Run(dim=dim, landing=landing, stride=opts.sample_stride,
-              n_targets=stops.size, max_steps=STEPS_PER_CALL,
-              targets=stops.ctypes.data_as(POINTER(c_double)), t=t0,
-              t_end=opts.t_end, h_prop=h_prop, hmax=opts.hmax,
-              h_floor=h_floor, rtol=opts.rtol, atol=opts.atol, last_t=t0,
-              n_evals=1)
+              max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
+              h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
+              atol=opts.atol, last_t=t0, n_evals=1)
+    if landing:
+        stops = np.array(targets, dtype=float)
+        run.n_targets = stops.size
+        run.targets = stops.ctypes.data_as(POINTER(c_double))
     status = MORE
     while status == MORE:
         status = entry(pair, vehicle, run, work.ctypes.data, t_out.ctypes.data,
@@ -195,6 +209,23 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
         raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
                            f"t={run.stage_t}, the Python kernel disagrees")
     return run.n_acc, run.n_rej, run.n_evals
+
+
+def _residual_max(entry, v1, omega, phi, psi, c):
+    """The max |constraint residual| of each row of the float64 (rows, N)
+    array phi, where v1, omega and psi are float64 vectors of one value or
+    one per row and c holds the N hinge distances."""
+    rows, n = phi.shape
+    v1, omega, psi = (np.ascontiguousarray(x if x.size == rows
+                                           else np.broadcast_to(x, rows))
+                      for x in (v1, omega, psi))
+    phi = np.ascontiguousarray(phi)
+    c = np.ascontiguousarray(c, dtype=float)
+    rate = np.empty(n)
+    out = np.empty(rows)
+    entry(rows, n, v1.ctypes.data, omega.ctypes.data, phi.ctypes.data,
+          psi.ctypes.data, c.ctypes.data, rate.ctypes.data, out.ctypes.data)
+    return out
 
 
 def _write_rows(entry, f, table, chunk, python_rows):

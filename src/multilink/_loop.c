@@ -1,17 +1,23 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
- * multilink.dynamics, as C, and the row formatter and row parser of the
- * trajectory CSV of multilink.scenarios.
+ * multilink.dynamics, as C, the per-sample constraint-residual maximum of
+ * multilink.dynamics.residual_max_series, and the row formatter and row
+ * parser of the trajectory CSV of multilink.scenarios.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
- * fused multiply-add, no sincos) and calls ml_run, ml_format_rows and
- * ml_parse_rows through ctypes.
+ * fused multiply-add, no sin or cos that the compiler folds or fuses) and
+ * calls ml_run, ml_residual_max, ml_format_rows and ml_parse_rows through
+ * ctypes.
  * Every floating-point operation is the one the emitted Python step and
- * kernel perform, in the same order and through the same libm sin, cos, pow
- * and sqrt, so both give the same bits: zero tableau coefficients are
- * skipped, a linear combination starts from its first non-zero term, sums
- * run left to right, and max(a, b) keeps a unless b > a, as Python's
- * builtins do.  Where Python raises, the same case is caught here: sin or
+ * kernel, or the numpy diagnostics, perform, in the same order and through
+ * the same libm sin, cos, pow and sqrt, so both give the same bits: zero
+ * tableau coefficients are skipped, a linear combination starts from its
+ * first non-zero term, sums run left to right, and max(a, b) keeps a unless
+ * b > a, as Python's builtins do.  Where the Python code takes the sin and
+ * the cos of one argument, this file calls glibc's sincos once, which
+ * computes both with the routines of sin and cos and so gives their bits
+ * (tests/test_compiled_loop.py::test_sincos_matches_sin_and_cos checks the
+ * libm at hand).  Where Python raises, the same case is caught here: sin or
  * cos of an infinity gives NaN rates, as the kernel's except clause does,
  * and a degenerate shape ends the run with a status.
  *
@@ -19,6 +25,7 @@
  * and work memory, and a call returns after filling the sample buffer or
  * after max_steps step attempts, to be called again to go on.
  */
+#define _GNU_SOURCE  /* sincos */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -75,9 +82,10 @@ static int rates(const Vehicle *v, double t, const double *y, double *f,
         if (isinf(th))
             goto nan;
         acc += 2.0 * alt;
-        const double sin_t = sin(th);
+        double sin_t, cos_t;
+        sincos(th, &sin_t, &cos_t);
         const double w = sin_t / v->c[i];
-        const double mu_sc = v->mu[i] * sin_t * cos(th);
+        const double mu_sc = v->mu[i] * sin_t * cos_t;
         m_eff += v->mu[i] * sin_t * sin_t;
         quad_v += 2.0 * mu_sc * (accw + 0.5 * w);
         quad_cross += mu_sc;
@@ -95,8 +103,10 @@ static int rates(const Vehicle *v, double t, const double *y, double *f,
     f[0] = (v->b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff;
     f[1] = (-v->b * om * v1 - v->af * cos(v->freq * t)) / v->inertia;
     if (v->chart == CHART_FULL) {
-        f[n + 2] = v1 * cos(y[n + 4]);
-        f[n + 3] = v1 * sin(y[n + 4]);
+        double sin_psi, cos_psi;
+        sincos(y[n + 4], &sin_psi, &cos_psi);
+        f[n + 2] = v1 * cos_psi;
+        f[n + 3] = v1 * sin_psi;
         f[n + 4] = om;
     }
     return 0;
@@ -106,30 +116,41 @@ nan:  /* Python's sin and cos raise on an infinity; the kernel returns NaN */
     return 0;
 }
 
-/* Component i of the combination of the stages k by sparse row `row`. */
-static double comb(const Pair *p, int row, const double *k, int dim, int i)
+/* The combination of the stages k by sparse row `row` into out, one
+ * coefficient at a time over all components: each component still sums its
+ * terms left to right, from the first non-zero one. */
+static void comb(const Pair *p, int row, const double *restrict k, int dim,
+                 double *restrict out)
 {
     int q = p->row_start[row];
     const int end = p->row_start[row + 1];
-    double acc = p->val[q] * k[p->col[q] * dim + i];
-    while (++q < end)
-        acc += p->val[q] * k[p->col[q] * dim + i];
-    return acc;
+    const double *kq = k + p->col[q] * dim;
+    double a = p->val[q];
+    for (int i = 0; i < dim; i++)
+        out[i] = a * kq[i];
+    while (++q < end) {
+        kq = k + p->col[q] * dim;
+        a = p->val[q];
+        for (int i = 0; i < dim; i++)
+            out[i] += a * kq[i];
+    }
 }
 
 static double max2(double a, double b) { return b > a ? b : a; }
 
 /* One step of size h from (t, y), whose derivative is k[0]: fills the
- * stages k[1 ..] and the new state yn, and sets *err to the error norm, NaN
- * where a stage or the new state is not finite.  Returns 0, or the status
- * of a failed step. */
+ * stages k[1 ..], the two error rows e and the new state yn, and sets *err
+ * to the error norm, NaN where a stage or the new state is not finite.
+ * Returns 0, or the status of a failed step. */
 static int step(const Pair *p, const Vehicle *v, Run *r, double h,
-                const double *y, double *k, double *yn, double *err)
+                const double *y, double *k, double *e, double *yn,
+                double *err)
 {
     const int dim = r->dim, s_end = p->stages;
     for (int s = 1; s < s_end; s++) {
+        comb(p, s - 1, k, dim, yn);
         for (int i = 0; i < dim; i++)
-            yn[i] = y[i] + h * comb(p, s - 1, k, dim, i);
+            yn[i] = y[i] + h * yn[i];
         const double ts = r->t + p->c[s] * h;
         if (rates(v, ts, yn, k + s * dim, &r->m_eff)) {
             r->stage_t = ts;
@@ -143,12 +164,13 @@ static int step(const Pair *p, const Vehicle *v, Run *r, double h,
             sum += k[p->silent[q] * dim + i];
         silent += sum;
     }
-    const int e = s_end - 1;  /* the first error row */
+    comb(p, s_end - 1, k, dim, e);  /* the 5th- and 3rd-order error rows */
+    comb(p, s_end, k, dim, e + dim);
     double sum = 0.0, e5 = 0.0, e3 = 0.0;
     for (int i = 0; i < dim; i++) {
         const double sc = r->atol + r->rtol * max2(fabs(y[i]), fabs(yn[i]));
-        const double x5 = fabs(comb(p, e, k, dim, i)) / sc;
-        const double x3 = fabs(comb(p, e + 1, k, dim, i)) / sc;
+        const double x5 = fabs(e[i]) / sc;
+        const double x3 = fabs(e[dim + i]) / sc;
         sum += x5;
         e5 = i == 0 ? x5 : max2(e5, x5);
         e3 = i == 0 ? x3 : max2(e3, x3);
@@ -177,13 +199,15 @@ static void emit(Run *r, const double *y, double *t_out, double *y_out)
     r->last_t = r->t;
 }
 
-/* work: the state y, the stages k (k[0] its derivative) and the new state,
- * dim doubles each; t_out and y_out hold cap samples. */
+/* work: the state y, the stages k (k[0] its derivative), the two error
+ * rows e and the new state, dim doubles each; t_out and y_out hold cap
+ * samples. */
 int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
            double *t_out, double *y_out, long cap)
 {
     const int dim = r->dim, last = p->stages - 1;
-    double *y = work, *k = work + dim, *yn = k + p->stages * dim;
+    double *y = work, *k = work + dim, *e = k + p->stages * dim,
+           *yn = e + 2 * dim;
     r->n_out = 0;
     for (long attempts = 0; r->t < r->t_end; attempts++) {
         if (attempts == r->max_steps)
@@ -200,7 +224,7 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
             return RUN_UNDERFLOW;
         }
         double err;
-        const int status = step(p, v, r, h, y, k, yn, &err);
+        const int status = step(p, v, r, h, y, k, e, yn, &err);
         if (status)
             return status;
         r->n_evals += last;
@@ -244,6 +268,45 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
     if (!r->landing && r->last_t != r->t)
         emit(r, y, t_out, y_out);
     return RUN_DONE;
+}
+
+
+/* The largest |residual| of the n + 1 wheel constraints at each of rows
+ * samples, as dynamics.residual_max_series computes it with numpy: theta
+ * as model.theta_from_phi does (a cumulative sum, not the kernel's
+ * recurrence), the angle rates of dynamics.angle_rates, the residuals of
+ * dynamics.residuals_from_rates, whose link i subtracts its terms for j = 0
+ * .. i - 1 in that order, and np.max of their absolute values, where a NaN
+ * wins.  v1, om and psi hold one value per sample, phi n per sample (row by
+ * row) and c n; rate is n doubles of work. */
+void ml_residual_max(long rows, int n, const double *v1, const double *om,
+                     const double *phi, const double *psi, const double *c,
+                     double *rate, double *out)
+{
+    for (long r = 0; r < rows; r++) {
+        const double *ph = phi + r * n, v = v1[r], w = om[r];
+        double cs = 0.0, sin_psi, cos_psi;
+        for (int i = 0; i < n; i++) {
+            const double alt = (i % 2 ? -1.0 : 1.0) * ph[i];
+            cs = i ? cs + alt : alt;
+            const double th = 2.0 * cs - alt;
+            rate[i] = w + ((i % 2 ? 1.0 : -1.0) * (v * sin(th) / c[i]) - w);
+        }
+        sincos(psi[r], &sin_psi, &cos_psi);
+        const double xdot = v * cos_psi, ydot = v * sin_psi;
+        double max = fabs(-xdot * sin_psi + ydot * cos_psi);
+        for (int i = 0; i < n; i++) {
+            double sin_h, cos_h;
+            sincos(psi[r] + ph[i], &sin_h, &cos_h);
+            double res = -xdot * sin_h + ydot * cos_h - c[i] * rate[i];
+            for (int j = 0; j < i; j++)
+                res -= 2.0 * c[j] * rate[j] * cos(ph[i] - ph[j]);
+            const double a = fabs(res);
+            if (a > max || isnan(a))
+                max = a;
+        }
+        out[r] = max;
+    }
 }
 
 

@@ -5,14 +5,13 @@ State conventions (all plain float64 arrays):
 
 * reduced chart:      y = [v1, omega, phi_1 .. phi_N]
 * full chart:         y = [v1, omega, phi..., x, y, psi]
-* angle system:       y = [velocity_angle, phi...]   (rescaled time)
 * manifold flow:      y = [phi...]                   (rescaled time)
 
-The angle system and the manifold flow live in the rescaled time variable;
-they are integrated as-is, without remapping to physical time.  The reduced
-and full charts and the manifold flow are one scalar kernel, emitted per
-number of links N (see "the vehicle kernel" below), which the integrator's
-adaptive steps call inline.
+The manifold flow lives in the rescaled time variable; it is integrated
+as-is, without remapping to physical time.  The reduced and full charts and
+the manifold flow are one scalar kernel, emitted per number of links N (see
+"the vehicle kernel" below), which the integrator's adaptive steps call
+inline.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrator
 from .integrator import IntegratorOptions, Solution, integrate
 from .model import (
     DegenerateShapeError,
@@ -211,84 +211,12 @@ def make_manifold_rhs(p: VehicleParams, sign: int):
                         ("manifold", *constants, *v1_omega))
 
 
-# --- energy-sphere angle system and invariant manifolds ----------------------
-
-
-@dataclass(frozen=True)
-class AngleSystemState:
-    """State of the fixed-energy angle system, in rescaled time.
-
-    velocity_angle parameterizes the velocities on the energy level h:
-    v1 = sqrt(2h/m_eff) cos, omega = sqrt(2h/J) sin.
-    """
-
-    velocity_angle: float
-    phi: np.ndarray
-    energy: float
-
-    def __post_init__(self):
-        phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-        if not self.energy > 0:
-            raise ValueError("energy level must be positive")
-
-    @classmethod
-    def from_velocities(cls, v1, omega, phi, p: VehicleParams,
-                        d: DerivedParams) -> "AngleSystemState":
-        m_eff, _, _ = angle_coeffs_at_phi(phi, p, d)
-        h = 0.5 * (m_eff * v1 * v1 + d.inertia * omega * omega)
-        ang = math.atan2(omega * math.sqrt(d.inertia), v1 * math.sqrt(m_eff))
-        return cls(ang % (2.0 * math.pi), phi, h)
-
-    def velocities(self, p: VehicleParams, d: DerivedParams) -> tuple[float, float]:
-        m_eff, _, _ = angle_coeffs_at_phi(self.phi, p, d)
-        v1 = math.sqrt(2.0 * self.energy / m_eff) * math.cos(self.velocity_angle)
-        omega = math.sqrt(2.0 * self.energy / d.inertia) * math.sin(self.velocity_angle)
-        return v1, omega
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.velocity_angle], self.phi))
+# --- conserved energy, constraints, plane geometry ---------------------------
 
 
 def angle_coeffs_at_phi(phi, p: VehicleParams, d: DerivedParams):
     """Longitudinal-equation coefficients evaluated at relative angles."""
     return angle_coeffs(theta_from_phi(phi), d, p.c)
-
-
-def make_angle_system_rhs(p: VehicleParams, d: DerivedParams):
-    """Rescaled-time vector field over [velocity_angle, phi...] on a fixed
-    energy level: a list of floats in, a list out.  The velocity-angle
-    equation decouples; the energy value itself never enters."""
-    _check_coupling(p, d)
-    links = list(zip(p.c.tolist(), d.coupling.tolist()))
-    mass, inertia, b = d.mass, d.inertia, d.static_moment
-
-    def rhs(tau, y):
-        ang = y[0]
-        sin_a, cos_a = math.sin(ang), math.cos(ang)
-        m_eff = mass
-        acc = 0.0  # 2 * sum_{j<i} (-1)^(j+1) phi_j
-        sign = 1.0  # (-1)^(i+1)
-        rates = []
-        for (ci, mui), phi in zip(links, y[1:]):
-            alt = sign * phi
-            th = alt + acc
-            acc += 2.0 * alt
-            sin_t = math.sin(th)
-            m_eff += mui * sin_t * sin_t
-            rates.append(-sign * (sin_t / ci) * cos_a)
-            sign = -sign
-        if not m_eff > 0.0:
-            raise DegenerateShapeError(
-                f"effective longitudinal inertia {m_eff} <= 0 at phi={y[1:]}")
-        drift = math.sqrt(m_eff / inertia) * sin_a
-        return [-(b / inertia) * sin_a, *[r - drift for r in rates]]
-
-    return rhs
-
-
-# --- conserved energy, constraints, plane geometry ---------------------------
 
 
 def energy(state: ReducedState | np.ndarray, p: VehicleParams,
@@ -329,18 +257,6 @@ def residuals_from_rates(psi, phi, xdot, ydot, psidot, phidot, c) -> np.ndarray:
             r -= 2.0 * c[j] * rate[..., j] * np.cos(phi[..., i] - phi[..., j])
         res[..., i + 1] = r
     return res
-
-
-def constraint_residuals(pose: PoseState, state: ReducedState,
-                         p: VehicleParams) -> np.ndarray:
-    """Residuals of the N+1 no-side-slip constraints, with the generalized
-    rates reconstructed from the reduced equations themselves (so nonzero
-    values indicate formula errors, not integrator error)."""
-    xdot = state.v1 * math.cos(pose.psi)
-    ydot = state.v1 * math.sin(pose.psi)
-    phidot = angle_rates(state.v1, state.omega, state.phi, p)
-    return residuals_from_rates(pose.psi, state.phi, xdot, ydot, state.omega,
-                                phidot, p.c)
 
 
 def attachment_positions(pose: PoseState, phi, p: VehicleParams) -> np.ndarray:
@@ -407,8 +323,25 @@ def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndar
 
 def residual_max_series(v1, omega, phi, psi, p: VehicleParams,
                         block: int = 65536) -> np.ndarray:
-    """Vectorized max |constraint residual| over sample arrays."""
+    """Vectorized max |constraint residual| over sample arrays.
+
+    Once the compiled library is loaded (``integrator._loop``), float64
+    samples whose v1, omega and psi hold one value per row of phi, or one
+    value that numpy broadcasts over a single block, go through its
+    ml_residual_max, which performs the numpy code's operations per sample
+    in their order and so gives the same bits; the numpy code below stays
+    the fallback and the oracle.  A call never builds the library.
+    """
     phi = np.atleast_2d(phi)
+    residual_max = getattr(integrator._loop, "residual_max", None)
+    samples = phi.shape[0]
+    if (residual_max is not None and block > 0 and phi.ndim == 2
+            and phi.dtype == float and p.c.shape == phi.shape[1:]
+            and all(isinstance(x, np.ndarray) and x.dtype == float
+                    and (x.shape == (samples,)
+                         or x.shape == (1,) and samples <= block)
+                    for x in (v1, omega, psi))):
+        return residual_max(v1, omega, phi, psi, p.c)
     out = np.empty(phi.shape[0])
     for lo in range(0, phi.shape[0], block):
         rows = slice(lo, lo + block)

@@ -38,14 +38,20 @@ built from ``_loop.c`` by the first such run in a process with the compiler
 Python was built with and ``-O2 -fPIC -shared -ffp-contract=off
 -fno-builtin-sin -fno-builtin-cos``, once, in about 0.25 s.  It reads the
 tableau below and performs the emitted steps' operations in their order,
-so it gives the same times, states, counts and typed errors to the bit.
+calling one sincos where a step takes the sin and the cos of one argument
+(glibc gives their bits; tests/test_compiled_loop.py::
+test_sincos_matches_sin_and_cos), so it gives the same times, states,
+counts and typed errors to the bit.
 Without a working compiler every run takes the Python loop, which stays the
 portable fallback and the oracle of the compiled one; setting ``_loop`` to
-False forces it.  The same build holds the row formatter and the row parser
-of the trajectory CSV, which :func:`multilink.scenarios.write_trajectory_csv`
-and :func:`~multilink.scenarios.read_trajectory_csv` take from ``_loop``
-once it is loaded: with ``_loop`` False the CSV rows are Python's too, with
-the same bytes, and the reader's numpy.loadtxt, with the same bits.
+False forces it.  The same build holds the constraint-residual maximum and
+the row formatter and the row parser of the trajectory CSV, which
+:func:`multilink.dynamics.residual_max_series`,
+:func:`multilink.scenarios.write_trajectory_csv` and
+:func:`~multilink.scenarios.read_trajectory_csv` take from ``_loop`` once
+it is loaded: with ``_loop`` False the residuals are numpy's too and the
+CSV rows Python's, with the same bits and bytes, and the reader's
+numpy.loadtxt, with the same bits.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from multilink.analysis import (
     linearization_matrix,
     wrap_angles,
 )
-from multilink.dynamics import make_angle_system_rhs, make_reduced_rhs
+from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
     VehicleParams,
@@ -33,6 +33,7 @@ from multilink.model import (
     theta_from_phi,
     zero_rotor,
 )
+from oracles import make_angle_system_rhs
 
 MEAN_SQ_RATE = (0.1 * math.pi) ** 2 / 2  # <kdot^2> of 0.05 sin(2 pi t)
 

@@ -4,6 +4,8 @@ The fixed-point report, the trajectory CSV and the SVG figures are meant to
 be byte-identical for identical inputs; these digests pin the exact bytes, so
 a faster writer must reproduce them.  The speedup run is long enough for the
 CSV to span several write chunks and for the plots to thin their series.
+The speedup and manifold runs are checked with the compiled library loaded
+and on the Python paths.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from multilink import cli
+from multilink import cli, integrator
 from multilink.model import random_vehicle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -74,6 +76,17 @@ def test_fixed_points_report_bytes(tmp_path, capsys, n):
     assert digest == FIXED_POINTS_REPORT_SHA256[n]
 
 
+def on_both_paths(run):
+    """run(out_dir) with the compiled library loaded, where a compiler is,
+    and with integrator._loop False, where the loop, the residuals and the
+    CSV rows are Python's."""
+    for name, loop in (("loaded", integrator._compiled_loop()),
+                       ("python", False)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(integrator, "_loop", loop)
+            run(name)
+
+
 def test_speedup_artifact_bytes(tmp_path, capsys):
     with open(os.path.join(CONFIGS, "speedup.json")) as f:
         doc = json.load(f)
@@ -82,10 +95,14 @@ def test_speedup_artifact_bytes(tmp_path, capsys):
     doc["integrator"].update(t_end=400.0, sample_stride=1)
     path = tmp_path / "speedup.json"
     path.write_text(json.dumps(doc))
-    run_cli(["simulate", path, "--output-dir", tmp_path / "o"], capsys)
-    digests = {name: sha256(tmp_path / "o" / name)
-               for name in SPEEDUP_ARTIFACT_SHA256}
-    assert digests == SPEEDUP_ARTIFACT_SHA256
+
+    def run(name):
+        run_cli(["simulate", path, "--output-dir", tmp_path / name], capsys)
+        digests = {artifact: sha256(tmp_path / name / artifact)
+                   for artifact in SPEEDUP_ARTIFACT_SHA256}
+        assert digests == SPEEDUP_ARTIFACT_SHA256
+
+    on_both_paths(run)
 
 
 def test_manifold_portrait_bytes(tmp_path, capsys):
@@ -94,6 +111,10 @@ def test_manifold_portrait_bytes(tmp_path, capsys):
     doc["outputs"]["formats"] = ["svg"]
     path = tmp_path / "manifold.json"
     path.write_text(json.dumps(doc))
-    run_cli(["simulate", path, "--output-dir", tmp_path / "o"], capsys)
-    assert sha256(tmp_path / "o" / "manifold_portrait.svg") \
-        == MANIFOLD_PORTRAIT_SHA256
+
+    def run(name):
+        run_cli(["simulate", path, "--output-dir", tmp_path / name], capsys)
+        assert sha256(tmp_path / name / "manifold_portrait.svg") \
+            == MANIFOLD_PORTRAIT_SHA256
+
+    on_both_paths(run)

@@ -1,16 +1,18 @@
-"""The compiled loop against the emitted Python steps, the compiled CSV row
-formatter against Python's "%.17g", and the compiled CSV row parser against
-numpy.loadtxt.
+"""The compiled loop against the emitted Python steps, the compiled
+constraint residuals against numpy, the compiled CSV row formatter against
+Python's "%.17g", and the compiled CSV row parser against numpy.loadtxt.
 
 integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
 through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
 run takes the Python loop.  Setting ``integrator._loop`` to False forces the
-Python loop, the Python rows of the trajectory CSV and its numpy.loadtxt
-read.
+Python loop, the numpy residuals, the Python rows of the trajectory CSV and
+its numpy.loadtxt read.
 """
 
+import ctypes
+import ctypes.util
 import importlib.resources
 import io
 import json
@@ -39,6 +41,7 @@ from multilink.dynamics import (
     make_full_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
+    residual_max_series,
     simulate,
 )
 from multilink.integrator import (
@@ -717,4 +720,158 @@ def test_fresh_fit_builds_nothing(compiled, tmp_path, capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+    assert os.listdir(tmp_path / "tmp") == []
+
+
+# --- the constraint residuals and sincos --------------------------------------------
+
+
+def both_residuals(compiled, v1, omega, phi, psi, p):
+    """The dtype, shape and bytes of residual_max_series with the library
+    loaded, where it must take ml_residual_max, and with integrator._loop
+    False, where it takes numpy."""
+    calls = []
+    fast = compiled.residual_max
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compiled, "residual_max",
+                  lambda *args: calls.append(None) or fast(*args))
+        m.setattr(integrator, "_loop", compiled)
+        loaded = residual_max_series(v1, omega, phi, psi, p)
+        assert calls == [None]
+        m.setattr(integrator, "_loop", False)
+        with np.errstate(all="ignore"):  # numpy warns on sin(inf)
+            unloaded = residual_max_series(v1, omega, phi, psi, p)
+    return [(r.dtype, r.shape, r.tobytes()) for r in (loaded, unloaded)]
+
+
+def random_samples(rng, rows, n, angle):
+    """v1, omega, phi and psi of rows samples: angles up to +-angle, speeds
+    from 1e-3 to 1e6."""
+    def speed():
+        return rng.normal(size=rows) * 10.0 ** rng.uniform(-3.0, 6.0, rows)
+
+    return (speed(), speed(), rng.uniform(-angle, angle, (rows, n)),
+            rng.uniform(-angle, angle, rows))
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 70])
+def test_compiled_residuals_match_numpy(compiled, n):
+    rng = np.random.default_rng([417, n])
+    p = random_vehicle(rng, n)
+    for angle in (math.pi, 1e3):
+        fast, slow = both_residuals(compiled,
+                                    *random_samples(rng, 100, n, angle), p)
+        assert fast == slow
+
+
+def test_compiled_residuals_take_numpy_shapes(compiled, reference_vehicle,
+                                              reference_derived):
+    p = reference_vehicle
+    # columns of a solution, none of them contiguous
+    sol = integrate(make_full_rhs(p, reference_derived, zero_rotor()),
+                    [1.0, 0.5, 0.3, -0.4, 0.2, -0.1, 0.7],
+                    IntegratorOptions(t_end=5.0))
+    s = sol.states
+    assert not s[:, 2:4].flags.c_contiguous
+    fast, slow = both_residuals(compiled, s[:, 0], s[:, 1], s[:, 2:4],
+                                s[:, 6], p)
+    assert fast == slow and fast[1] == (len(sol.times),)
+    # one sample as a vector of angles, or as a scalar for one link; one
+    # v1, omega or psi broadcast over every sample
+    one = np.array([0.8])
+    rng = np.random.default_rng(418)
+    v1, om, phi, psi = random_samples(rng, 20, 2, math.pi)
+    single = random_vehicle(rng, 1)
+    for args, vehicle in [((one, -one, phi[0], one), p),
+                          ((one, one, 0.3, -one), single),
+                          ((one, om, phi, psi), p), ((v1, one, phi, psi), p),
+                          ((v1, om, phi, one), p), ((one, one, phi, one), p)]:
+        fast, slow = both_residuals(compiled, *args, vehicle)
+        assert fast == slow
+
+
+def test_compiled_residuals_special_samples(compiled):
+    rng = np.random.default_rng(419)
+    p = random_vehicle(rng, 4)
+    v1, om, phi, psi = random_samples(rng, 12, 4, math.pi)
+    phi[1, 2] = math.nan  # the sleigh's residual is finite, link 3's NaN
+    v1[2] = math.nan
+    phi[3, 1] = math.inf
+    phi[4, 3] = -math.inf
+    psi[5] = math.inf
+    om[6] = -math.inf
+    v1[7] = 1e300
+    for row, zero in ((8, 0.0), (9, -0.0)):
+        v1[row] = om[row] = psi[row] = zero
+        phi[row] = zero
+    fast, slow = both_residuals(compiled, v1, om, phi, psi, p)
+    assert fast == slow
+    r = np.frombuffer(fast[2])
+    assert np.all(np.isnan(r[1:7])) and np.all(r[8:10] == 0.0)
+    assert np.all(np.isfinite(r[[0, 10, 11]]))
+    empty = both_residuals(compiled, np.empty(0), np.empty(0),
+                           np.empty((0, 4)), np.empty(0), p)
+    assert empty[0] == empty[1] == (np.dtype(float), (0,), b"")
+
+
+def test_sincos_matches_sin_and_cos():
+    # _loop.c calls sincos where the Python code takes math.sin and math.cos
+    # of one argument, so libm's sincos must give their bits
+    path = ctypes.util.find_library("m")
+    sincos = getattr(ctypes.CDLL(path), "sincos", None) if path else None
+    if sincos is None:
+        pytest.skip("no sincos in libm")
+    sincos.argtypes = [ctypes.c_double, ctypes.POINTER(ctypes.c_double),
+                       ctypes.POINTER(ctypes.c_double)]
+    sincos.restype = None
+    quarter_turns = [k * math.pi / 2 for k in
+                     (*range(-64, 65), 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 15)]
+    xs = [*_bits(1 << 15).tolist(), *_bits(512, (0, 1)).tolist(),
+          *[y for x in quarter_turns for y in
+            (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))],
+          0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+          2.2250738585072014e-308, 1e22, -1e22, 1.7976931348623157e308,
+          -1.7976931348623157e308]
+    xs = [x for x in xs if math.isfinite(x)]
+    s, c = ctypes.c_double(), ctypes.c_double()
+    got = []
+    for x in xs:
+        sincos(x, ctypes.byref(s), ctypes.byref(c))
+        got.append((s.value, c.value))
+    expected = [(math.sin(x), math.cos(x)) for x in xs]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
+    # residual_max_series takes the compiled residuals only where the
+    # library is already loaded: in a fresh process it starts no compiler
+    # and gives the loaded process's bits
+    code = ("import subprocess, sys\n"
+            "import numpy as np\n"
+            "from multilink import dynamics, integrator\n"
+            "from multilink.model import random_vehicle\n"
+            "def no_process(*args, **kwargs):\n"
+            "    raise AssertionError(f'a process was started: {args}')\n"
+            "subprocess.Popen = no_process\n"
+            "rng = np.random.default_rng(420)\n"
+            "p = random_vehicle(rng, 3)\n"
+            "v1, om, psi = rng.normal(size=(3, 40))\n"
+            "phi = rng.uniform(-3.0, 3.0, (40, 3))\n"
+            "r = dynamics.residual_max_series(v1, om, phi, psi, p)\n"
+            "assert integrator._loop is None\n"
+            "assert 'multilink._compiled' not in sys.modules\n"
+            "print(r.tobytes().hex())\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    (tmp_path / "tmp").mkdir()
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path / "tmp")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rng = np.random.default_rng(420)
+    p = random_vehicle(rng, 3)
+    v1, om, psi = rng.normal(size=(3, 40))
+    phi = rng.uniform(-3.0, 3.0, (40, 3))
+    assert integrator._loop is compiled
+    expected = residual_max_series(v1, om, phi, psi, p)
+    assert proc.stdout == expected.tobytes().hex() + "\n"
     assert os.listdir(tmp_path / "tmp") == []

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from multilink.config import parse_config
 from multilink.dynamics import (
-    AngleSystemState,
     PoseState,
     ReducedState,
     angle_coeffs_at_phi,
     angle_rates,
     attachment_positions,
-    constraint_residuals,
     energy,
     energy_series,
-    make_angle_system_rhs,
     make_full_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
@@ -40,6 +37,11 @@ from multilink.model import (
     sine_rotor,
     theta_from_phi,
     zero_rotor,
+)
+from oracles import (
+    AngleSystemState,
+    constraint_residuals,
+    make_angle_system_rhs,
 )
 
 
