@@ -1,22 +1,26 @@
-"""The adaptive loop, the vehicle kernel, the constraint-residual maximum
-and the CSV row formatter and parser as compiled C (``_loop.c``).
+"""The compiled C of ``_loop.c``: the adaptive loop with the vehicle
+kernel, the constraint-residual maximum, and the trajectory CSV's row
+formatter and parser.  This module alone owns the library: whether it is
+loaded, who may build it, and which inputs each of its functions takes.
 
-:func:`multilink.integrator.integrate` runs this loop on the vector fields
-of :mod:`multilink.dynamics`; every other right-hand side takes the emitted
-Python steps.  Once the library is loaded,
-:func:`multilink.dynamics.residual_max_series` computes its float64 samples
-through ml_residual_max (:func:`_residual_max`),
-:func:`multilink.scenarios.write_trajectory_csv` writes its rows through the
-formatter (:func:`_write_rows`), and
-:func:`multilink.scenarios.read_trajectory_csv` reads a file in the
-writer's own grammar and shape through the parser (:func:`_parse_rows`),
-leaving every other file to numpy.loadtxt.
-:func:`load` compiles the C file, once, with the compiler Python was built
-with (sysconfig ``CC``), into a private temporary directory that is removed
-at exit, and loads it with ctypes.  It returns None where that fails, and
-the integrator then keeps to its Python loop, the diagnostics to numpy, the
-writer to its Python rows and the reader to numpy.loadtxt, which give the
-same bits and bytes.
+Each consumer makes one call here, which returns a result, or None where
+the consumer does the work in Python, to the same bits and bytes:
+:func:`multilink.integrator.integrate` calls :func:`integrate` (which runs
+only a vehicle field, one that carries ``vehicle``),
+:func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
+and :func:`multilink.scenarios.write_trajectory_csv` and
+``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`.  The
+C code performs the Python code's operations in their order, calling one
+sincos where Python takes the sin and the cos of one argument (glibc gives
+their bits; test_sincos_matches_sin_and_cos), and the parser declines every
+file outside the writer's grammar and shape, which numpy.loadtxt reads.
+
+Only :func:`integrate` builds the library (:func:`load`): once per process,
+with the compiler Python was built with (sysconfig ``CC``), into a
+temporary directory removed at exit, in about 0.25 s.  Without a working
+compiler every call here returns None, and the Python paths, which stay the
+oracle of the C ones, do the work.  Setting ``_lib`` to False forces every
+Python path.
 """
 
 from __future__ import annotations
@@ -26,24 +30,18 @@ import ctypes
 import functools
 import importlib.resources
 import os
-import shlex
 import shutil
-import signal
-import subprocess
-import sysconfig
+import stat
 import tempfile
 from ctypes import POINTER, c_char_p, c_double, c_int, c_long, c_void_p
 from itertools import accumulate
 
 import numpy as np
 
-from . import integrator
-
 # No fused multiply-adds, and no sin or cos that the compiler folds or fuses:
 # each operation rounds as the Python one does.  _loop.c calls sincos itself
 # where the Python code takes the sin and the cos of one argument; glibc
-# gives their bits (tests/test_compiled_loop.py::
-# test_sincos_matches_sin_and_cos).
+# gives their bits (test_sincos_matches_sin_and_cos).
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin-sin",
          "-fno-builtin-cos")
 COMPILE_TIMEOUT_S = 120.0
@@ -61,6 +59,14 @@ READ_BLOCK = 1 << 16
 # the statuses and charts of _loop.c
 DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE = range(5)
 CHARTS = ("reduced", "full", "manifold")
+# The largest C long.  A ctypes long field keeps a larger integer modulo
+# 2**bits, so a larger sample stride is passed as this one; no run takes
+# that many steps, so either stride emits the first and last sample only.
+LONG_MAX = 2 ** (8 * ctypes.sizeof(c_long) - 1) - 1
+
+# The library: None until the first call of load in a process, then the
+# loaded CDLL, or False where it cannot be built.
+_lib = None
 
 
 class Vehicle(ctypes.Structure):
@@ -97,6 +103,9 @@ def _array(ctype, values):
 def _compile(cmd):
     """Run the compiler in its own process group, which is killed if the
     call does not end in time or is interrupted."""
+    import signal
+    import subprocess
+
     proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
@@ -110,18 +119,28 @@ def _compile(cmd):
 
 
 def load():
-    """Compile and load the library; return the runner for integrate, or
-    None without a working compiler.  The runner's ``residual_max`` gives
-    the constraint-residual maximum per sample (:func:`_residual_max`), its
-    ``write_rows`` writes CSV rows (:func:`_write_rows`), or is None where
-    the compiler has no 128-bit integers, and its ``parse_rows`` reads them
-    (:func:`_parse_rows`)."""
+    """The library, built and loaded by the first call in a process; None
+    where that fails.  Only :func:`integrate` calls this."""
+    global _lib
+    if _lib is None:
+        _lib = _build() or False
+    return _lib or None
+
+
+def _build():
+    """Compile the C file and load it, or None without a working compiler.
+    The modules only a build needs are imported here, which keeps them out
+    of ``import multilink``."""
+    import shlex
+    import subprocess
+    import sysconfig
+
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None
     tmp = tempfile.mkdtemp(prefix="multilink-")
     atexit.register(shutil.rmtree, tmp, ignore_errors=True)
-    library = os.path.join(tmp, "_loop.so")
+    library = os.path.join(tmp, "multilink.so")
     try:
         source = importlib.resources.files(__package__) / "_loop.c"
         with importlib.resources.as_file(source) as path:
@@ -132,48 +151,45 @@ def load():
     lib.ml_run.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
                            c_void_p, c_void_p, c_void_p, c_long]
     lib.ml_run.restype = c_int
-    runner = functools.partial(_run, lib.ml_run)
     lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 7]
     lib.ml_residual_max.restype = None
-    runner.residual_max = functools.partial(_residual_max,
-                                            lib.ml_residual_max)
-    runner.write_rows = None
     if hasattr(lib, "ml_format_rows"):
         lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
                                        POINTER(c_long)]
         lib.ml_format_rows.restype = c_long
-        runner.write_rows = functools.partial(_write_rows,
-                                              lib.ml_format_rows)
     lib.ml_parse_rows.argtypes = [c_void_p, c_long, c_int, POINTER(c_int),
                                   c_int, c_void_p, c_long, POINTER(c_long)]
     lib.ml_parse_rows.restype = c_long
-    runner.parse_rows = functools.partial(_parse_rows, lib.ml_parse_rows)
-    return runner
+    return lib
 
 
 @functools.cache
 def _pair():
-    """The integrator's pair in the sparse form of _loop.c: the stage rows,
-    the weights and the error rows, non-zero coefficients only."""
-    c, a, b = integrator._DOP853_C, integrator._DOP853_A, integrator._DOP853_B
-    err_rows = integrator._ERROR_ROWS
-    stages = len(a) + 1
-    rows = [[(j, x) for j, x in enumerate(row) if x != 0.0]
-            for row in (*a[1:], b, *err_rows)]
-    silent = [j for j in range(stages) if not any(row[j] for row in err_rows)]
-    return Pair(stages, len(silent), integrator._EXPONENT,
-                _array(c_double, [*c[:len(a)], 1.0]),
+    """The integrator's pair in the sparse form of _loop.c: the abscissae,
+    the non-zero coefficients of the stage rows, the weights and the error
+    rows, and the stages that no error row weighs."""
+    from . import integrator  # which imports this module
+
+    rows, silent = integrator._SPARSE_ROWS, integrator._SILENT_STAGES
+    c = integrator._DOP853_C
+    return Pair(len(c), len(silent), integrator._EXPONENT, _array(c_double, c),
                 _array(c_int, list(accumulate(map(len, rows), initial=0))),
                 _array(c_int, [j for row in rows for j, _ in row]),
                 _array(c_double, [x for row in rows for _, x in row]),
                 _array(c_int, silent))
 
 
-def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
-    """integrate's loop for a vehicle field: appends the samples to buf and
-    returns the accepted, rejected and evaluation counts.  integrate has
-    called the field's kernel on y, whose arity is the chart's dimension,
-    and the field's couplings have one entry per link."""
+def integrate(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
+    """integrate's loop for a vehicle field, building the library on the
+    first call: appends the samples to buf and returns the accepted,
+    rejected and evaluation counts; None where rhs carries no ``vehicle``
+    or the library cannot be built.  integrate has called the field's
+    kernel on y, whose arity is the chart's dimension, and the field's
+    couplings have one entry per link."""
+    if getattr(rhs, "vehicle", None) is None or not load():
+        return None
+    from . import integrator  # which imports this module
+
     dim = len(y)
     pair = _pair()
     chart, c, mu, *constants = rhs.vehicle
@@ -186,7 +202,8 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     t_out = np.empty(CHUNK)
     y_out = np.empty(CHUNK * dim)
     landing = targets is not None
-    run = Run(dim=dim, landing=landing, stride=opts.sample_stride,
+    run = Run(dim=dim, landing=landing,
+              stride=min(opts.sample_stride, LONG_MAX),
               max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
               h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
               atol=opts.atol, last_t=t0, n_evals=1)
@@ -196,8 +213,8 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
         run.targets = stops.ctypes.data_as(POINTER(c_double))
     status = MORE
     while status == MORE:
-        status = entry(pair, vehicle, run, work.ctypes.data, t_out.ctypes.data,
-                       y_out.ctypes.data, CHUNK)
+        status = _lib.ml_run(pair, vehicle, run, work.ctypes.data,
+                             t_out.ctypes.data, y_out.ctypes.data, CHUNK)
         buf.extend(t_out[:run.n_out], y_out[:run.n_out * dim])
     if status == UNDERFLOW:
         raise integrator._underflow(run.h, run.t)
@@ -211,28 +228,33 @@ def _run(entry, rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     return run.n_acc, run.n_rej, run.n_evals
 
 
-def _residual_max(entry, v1, omega, phi, psi, c):
-    """The max |constraint residual| of each row of the float64 (rows, N)
-    array phi, where v1, omega and psi are float64 vectors of one value or
-    one per row and c holds the N hinge distances."""
+def residual_max(v1, omega, phi, psi, c):
+    """The max |constraint residual| of each row of the float64 (S, N)
+    block phi, where v1, omega and psi are float64 vectors of length S and
+    c holds the N hinge distances; None where the library is not loaded.
+    Contiguous inputs are passed as they are."""
+    if not _lib:
+        return None
     rows, n = phi.shape
-    v1, omega, psi = (np.ascontiguousarray(x if x.size == rows
-                                           else np.broadcast_to(x, rows))
-                      for x in (v1, omega, psi))
-    phi = np.ascontiguousarray(phi)
+    v1, omega, phi, psi = map(np.ascontiguousarray, (v1, omega, phi, psi))
     c = np.ascontiguousarray(c, dtype=float)
     rate = np.empty(n)
     out = np.empty(rows)
-    entry(rows, n, v1.ctypes.data, omega.ctypes.data, phi.ctypes.data,
-          psi.ctypes.data, c.ctypes.data, rate.ctypes.data, out.ctypes.data)
+    _lib.ml_residual_max(rows, n, v1.ctypes.data, omega.ctypes.data,
+                         phi.ctypes.data, psi.ctypes.data, c.ctypes.data,
+                         rate.ctypes.data, out.ctypes.data)
     return out
 
 
-def _write_rows(entry, f, table, chunk, python_rows):
-    """Write the rows of the C-ordered float array table to the binary file
-    f as CSV lines, each value the bytes of "%.17g" % v, chunk rows at a
-    time through one buffer.  A row holding a value that ml_format_rows
-    leaves to the caller is written as python_rows(rows) -> bytes."""
+def write_rows(f, table, chunk, python_rows):
+    """Write the rows of the float array table to the binary file f as CSV
+    lines, each value the bytes of "%.17g" % v, chunk rows at a time through
+    one buffer, and return True; None, writing nothing, where the library
+    is not loaded or has no formatter.  A row holding a value that
+    ml_format_rows leaves to the caller is written as python_rows(rows) ->
+    bytes."""
+    if not _lib or not hasattr(_lib, "ml_format_rows"):
+        return None
     table = np.ascontiguousarray(table, dtype=float)
     n_rows, cols = table.shape
     out = ctypes.create_string_buffer(chunk * cols * VALUE_BYTES)
@@ -242,15 +264,48 @@ def _write_rows(entry, f, table, chunk, python_rows):
     start = 0
     while start < n_rows:
         count = min(chunk, n_rows - start)
-        size = entry(address + start * stride, count, cols, out, done)
+        size = _lib.ml_format_rows(address + start * stride, count, cols, out,
+                                   done)
         f.write(view[:size])
         start += done.value
         if done.value < count:
             f.write(python_rows(table[start:start + 1]))
             start += 1
+    return True
 
 
-def _parse_rows(entry, f, fields, keep):
+def read_csv(path, columns):
+    """read_trajectory_csv by the compiled parser, all columns or those
+    named; None where the library is not loaded or the file is not in the
+    writer's own grammar and shape: not regular (a pipe reads once), a
+    header that is not ASCII or holds a carriage return (which a text-mode
+    read takes for a newline), a column the header lacks, or rows that
+    :func:`_parse_rows` declines."""
+    if not _lib:
+        return None
+    with open(path, "rb") as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            return None
+        line = f.readline()
+        if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
+            return None
+        header = line.decode().strip().split(",")
+        index = {name: i for i, name in enumerate(header)}  # last one wins
+        if columns is None:
+            keep = range(len(header))
+        elif all(name in index for name in columns):
+            keep = sorted({index[name] for name in columns})
+        else:
+            return None
+        data = _parse_rows(f, len(header), keep)
+    if data is None:
+        return None
+    if columns is None:
+        return {name: data[:, i] for name, i in index.items()}
+    return {header[i]: data[:, k] for k, i in enumerate(keep)}
+
+
+def _parse_rows(f, fields, keep):
     """The lines after the header of the binary file f, fields values each,
     as a (rows, len(keep)) float array of the columns keep (ascending), read
     READ_BLOCK bytes at a time; None where ml_parse_rows declines the text,
@@ -270,8 +325,8 @@ def _parse_rows(entry, f, fields, keep):
     rows = carry = 0
     used = c_long()
     while n := f.readinto(view[carry:]):
-        got = entry(text, carry + n, fields, slots, len(keep),
-                    address + rows * row_bytes, cap - rows, used)
+        got = _lib.ml_parse_rows(text, carry + n, fields, slots, len(keep),
+                                 address + rows * row_bytes, cap - rows, used)
         if got < 0:
             return None
         rows += got

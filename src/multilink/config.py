@@ -157,8 +157,6 @@ def _parse_rotor(block) -> RotorProfile:
                           f"(omit the rotor block for a resting rotor)")
     amplitude = _number(block, "amplitude", "'rotor'", required=True)
     period = _number(block, "period", "'rotor'", default=1.0)
-    if period <= 0:
-        raise ConfigError("'rotor.period' must be positive")
     try:
         return sine_rotor(amplitude, period)
     except InvalidParameterError as e:
@@ -190,9 +188,6 @@ def _parse_integrator(block, default_hmax: float) -> IntegratorOptions:
     allowed = ("rtol", "atol", "h0", "hmax", "t_end", "sample_stride")
     _check_keys(block, allowed, "'integrator'")
     hmax = _number(block, "hmax", "'integrator'", default=default_hmax)
-    stride = block.get("sample_stride", 1)
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
-        raise ConfigError("'integrator.sample_stride' must be a positive integer")
     try:
         return IntegratorOptions(
             t_end=_number(block, "t_end", "'integrator'", required=True),
@@ -200,7 +195,7 @@ def _parse_integrator(block, default_hmax: float) -> IntegratorOptions:
             atol=_number(block, "atol", "'integrator'", default=1e-12),
             h0=_number(block, "h0", "'integrator'", default=min(1e-3, hmax)),
             hmax=hmax,
-            sample_stride=stride,
+            sample_stride=block.get("sample_stride", 1),
         )
     except ValueError as e:
         raise ConfigError(f"invalid 'integrator' block: {e}") from e

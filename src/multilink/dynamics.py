@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrator
+from . import _compiled
 from .integrator import IntegratorOptions, Solution, integrate
 from .model import (
     DegenerateShapeError,
@@ -314,6 +314,10 @@ class Trajectory:
         return self.phi.shape[1]
 
 
+# samples per block of the numpy residuals, which bounds their temporaries
+_RESIDUAL_BLOCK = 65536
+
+
 def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndarray:
     """Vectorized energy integral over sample arrays."""
     s = np.sin(theta_from_phi(np.atleast_2d(phi)))
@@ -321,35 +325,40 @@ def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndar
     return 0.5 * (m_eff * v1 * v1 + d.inertia * omega * omega)
 
 
-def residual_max_series(v1, omega, phi, psi, p: VehicleParams,
-                        block: int = 65536) -> np.ndarray:
+def _column(x, samples: int) -> np.ndarray:
+    """x as a float64 vector of length samples; one value is broadcast."""
+    x = np.asarray(x, dtype=float)
+    return x if x.shape == (samples,) else np.broadcast_to(x, samples)
+
+
+def residual_max_series(v1, omega, phi, psi, p: VehicleParams) -> np.ndarray:
     """Vectorized max |constraint residual| over sample arrays.
 
-    Once the compiled library is loaded (``integrator._loop``), float64
-    samples whose v1, omega and psi hold one value per row of phi, or one
-    value that numpy broadcasts over a single block, go through its
-    ml_residual_max, which performs the numpy code's operations per sample
-    in their order and so gives the same bits; the numpy code below stays
-    the fallback and the oracle.  A call never builds the library.
+    phi is an (S, N) block, or one sample's N angles; v1, omega and psi hold
+    one value per sample, or one value for all of them.  Both paths take
+    them as float64, v1, omega and psi as columns of length S.  Where the
+    library is loaded (:mod:`multilink._compiled`) the compiled maximum
+    gives the bits of the numpy code below, which stays the fallback and the
+    oracle.  A non-finite sample gives NaN on both, without a warning.
     """
-    phi = np.atleast_2d(phi)
-    residual_max = getattr(integrator._loop, "residual_max", None)
+    phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    if phi.ndim != 2 or phi.shape[1] != p.n_links:
+        raise ValueError(f"phi has shape {phi.shape}, expected (samples, "
+                         f"{p.n_links}) for N = {p.n_links}")
     samples = phi.shape[0]
-    if (residual_max is not None and block > 0 and phi.ndim == 2
-            and phi.dtype == float and p.c.shape == phi.shape[1:]
-            and all(isinstance(x, np.ndarray) and x.dtype == float
-                    and (x.shape == (samples,)
-                         or x.shape == (1,) and samples <= block)
-                    for x in (v1, omega, psi))):
-        return residual_max(v1, omega, phi, psi, p.c)
-    out = np.empty(phi.shape[0])
-    for lo in range(0, phi.shape[0], block):
-        rows = slice(lo, lo + block)
-        v, om, ps = v1[rows], omega[rows], psi[rows]
-        phid = angle_rates(v[:, None], om[:, None], phi[rows], p)
-        res = residuals_from_rates(ps, phi[rows], v * np.cos(ps),
-                                   v * np.sin(ps), om, phid, p.c)
-        out[rows] = np.max(np.abs(res), axis=1)
+    v1, omega, psi = [_column(x, samples) for x in (v1, omega, psi)]
+    out = _compiled.residual_max(v1, omega, phi, psi, p.c)
+    if out is not None:
+        return out
+    out = np.empty(samples)
+    with np.errstate(all="ignore"):  # sin(inf) is NaN, as in C
+        for lo in range(0, samples, _RESIDUAL_BLOCK):
+            rows = slice(lo, lo + _RESIDUAL_BLOCK)
+            v, om, ps = v1[rows], omega[rows], psi[rows]
+            phid = angle_rates(v[:, None], om[:, None], phi[rows], p)
+            res = residuals_from_rates(ps, phi[rows], v * np.cos(ps),
+                                       v * np.sin(ps), om, phid, p.c)
+            out[rows] = np.max(np.abs(res), axis=1)
     return out
 
 

@@ -32,26 +32,9 @@ small arrays would cost more than the arithmetic.
 
 A built-in vehicle field, one that carries a ``vehicle`` attribute
 (:func:`multilink.dynamics.make_reduced_rhs`, ``make_full_rhs``,
-``make_manifold_rhs``), runs on the compiled loop instead
-(:mod:`multilink._compiled`): the driver loop and the vehicle kernel in C,
-built from ``_loop.c`` by the first such run in a process with the compiler
-Python was built with and ``-O2 -fPIC -shared -ffp-contract=off
--fno-builtin-sin -fno-builtin-cos``, once, in about 0.25 s.  It reads the
-tableau below and performs the emitted steps' operations in their order,
-calling one sincos where a step takes the sin and the cos of one argument
-(glibc gives their bits; tests/test_compiled_loop.py::
-test_sincos_matches_sin_and_cos), so it gives the same times, states,
-counts and typed errors to the bit.
-Without a working compiler every run takes the Python loop, which stays the
-portable fallback and the oracle of the compiled one; setting ``_loop`` to
-False forces it.  The same build holds the constraint-residual maximum and
-the row formatter and the row parser of the trajectory CSV, which
-:func:`multilink.dynamics.residual_max_series`,
-:func:`multilink.scenarios.write_trajectory_csv` and
-:func:`~multilink.scenarios.read_trajectory_csv` take from ``_loop`` once
-it is loaded: with ``_loop`` False the residuals are numpy's too and the
-CSV rows Python's, with the same bits and bytes, and the reader's
-numpy.loadtxt, with the same bits.
+``make_manifold_rhs``), runs on the compiled loop instead, with the same
+times, states, counts and typed errors to the bit, where it builds:
+:mod:`multilink._compiled` gives the full account.
 """
 
 from __future__ import annotations
@@ -65,6 +48,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _compiled
 
 # Tableau of the pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
 # bit-equal to scipy's DOP853.  Index i is stage i + 1: abscissae _C, stage
@@ -110,6 +95,14 @@ _DOP853_E3 = (
     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
     -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
 _ERROR_ROWS = (_DOP853_E5, _DOP853_E3)
+# The pair's non-zero coefficients, (stage index, coefficient) from index 0,
+# per row of the stage matrix after the first, of the weights and of the
+# error rows; and the stages that no error row weighs.  The emitted steps
+# and the compiled loop both read them.
+_SPARSE_ROWS = tuple(tuple((j, x) for j, x in enumerate(row) if x != 0.0)
+                     for row in (*_DOP853_A[1:], _DOP853_B, *_ERROR_ROWS))
+_SILENT_STAGES = tuple(j for j in range(len(_DOP853_C))
+                       if not any(row[j] for row in _ERROR_ROWS))
 
 # the step-size controller: the error norm's exponent, the bounds of the
 # factor a step size changes by, and the safety factor
@@ -266,20 +259,6 @@ def _diverged(t):
     return DivergenceError(f"right-hand side or state not finite near t={t!r}", t)
 
 
-# The compiled loop (multilink._compiled): None until the first run of a
-# vehicle field builds it, then its runner, or False where it cannot be
-# built.
-_loop = None
-
-
-def _compiled_loop():
-    global _loop
-    if _loop is None:
-        from . import _compiled
-        _loop = _compiled.load() or False
-    return _loop
-
-
 def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
               t_eval=None) -> Solution:
     """Integrate dy/dt = rhs(t, y) from t0 to opts.t_end.
@@ -292,14 +271,15 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
     h_prop = min(opts.h0, opts.hmax, opts.t_end - t0)
     h_floor = 1e-14 * abs(opts.t_end)
-    loop = _python_loop
-    if getattr(rhs, "vehicle", None) is not None and _compiled_loop():
-        loop = _loop
-    counts = loop(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf)
+    counts = _compiled.integrate(rhs, y, f, targets, opts, t0, h_prop,
+                                 h_floor, buf)
+    if counts is None:
+        counts = _python_steps(rhs, y, f, targets, opts, t0, h_prop,
+                               h_floor, buf)
     return Solution(*buf.arrays(), *counts)
 
 
-def _python_loop(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
+def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
     """The driver loop over the emitted step: appends the samples after the
     first to buf and returns the accepted, rejected and evaluation counts."""
     evals = len(_DOP853_A)  # each stage but the first, the last step's FSAL
@@ -397,38 +377,36 @@ _DOP853_NORM = """\
 def _emit_step(dim):
     """Compile the step for `dim` components, each a local float.  Stage s
     gets y{i} + h * (a_s1 * k1_{i} + ...) per component over the non-zero
-    coefficients of its row, float literals in tableau order; then come the
-    new state, the last stage and the error norm."""
-    c, a, b, rows = _DOP853_C, _DOP853_A, _DOP853_B, _ERROR_ROWS
+    coefficients of its row (_SPARSE_ROWS), float literals in tableau order;
+    then come the new state, the last stage and the error norm."""
+    *stage_rows, weights, err5, err3 = _SPARSE_ROWS
     comps = range(dim)
-    last = len(a) + 1
+    last = len(_DOP853_C)
 
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in comps)
 
-    def terms(coeffs, i):
-        return " + ".join(f"{x!r} * k{j}_{i}"
-                          for j, x in enumerate(coeffs, 1) if x != 0.0)
+    def terms(row, i):
+        return " + ".join(f"{x!r} * k{j + 1}_{i}" for j, x in row)
 
     name = f"_step_dop853_{dim}"
     lines = [f"def {name}(rhs, t, h, y, k1, atol, rtol):",
              f"    [{names('y')}] = y", f"    [{names('k1_')}] = k1"]
-    for s in range(1, len(a)):
-        args = ", ".join(f"y{i} + h * ({terms(a[s], i)})" for i in comps)
-        lines.append(f"    [{names(f'k{s + 1}_')}] = rhs(t + {c[s]!r} * h, {args})")
-    lines += [f"    n{i} = y{i} + h * ({terms(b, i)})" for i in comps]
+    for s, row in enumerate(stage_rows, 1):
+        args = ", ".join(f"y{i} + h * ({terms(row, i)})" for i in comps)
+        lines.append(f"    [{names(f'k{s + 1}_')}] = "
+                     f"rhs(t + {_DOP853_C[s]!r} * h, {args})")
+    lines += [f"    n{i} = y{i} + h * ({terms(weights, i)})" for i in comps]
     lines += [f"    y_new = [{names('n')}]",
               f"    k{last} = rhs(t + h, {names('n')})",
               f"    [{names(f'k{last}_')}] = k{last}"]
     fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", _DOP853_NORM)}
     fields["last"] = f"k{last}"
-    fields["silent"] = " + ".join(
-        f"sum(({names(f'k{j}_')},))" for j in range(1, last + 1)
-        if not any(row[j - 1] for row in rows))
+    fields["silent"] = " + ".join(f"sum(({names(f'k{j + 1}_')},))"
+                                  for j in _SILENT_STAGES)
     for line in _DOP853_NORM.splitlines():
         if "{i}" in line:
-            lines += [line.format(i=i, **{f"row{n}": terms(row, i)
-                                          for n, row in enumerate(rows)})
+            lines += [line.format(i=i, row0=terms(err5, i), row1=terms(err3, i))
                       for i in comps]
         else:
             lines.append(line.format(**fields))

@@ -3,13 +3,9 @@ write CSV trajectories, plain-text reports, and SVG figures.
 
 CSV schema (fixed): t, v1, omega, phi_1..phi_N, x, y, psi, energy,
 residual_max, k.  Each value is written as the bytes of ``"%.17g" % v``, so
-a re-read reproduces the samples bit-exactly.  Once the compiled library is
-loaded (:mod:`multilink._compiled`, built by the first run of a vehicle
-field), its formatter writes the rows and its parser reads back a file in
-the writer's own grammar and shape; the Python formatter writes the rows
-elsewhere, and the rows the compiled one leaves to it, and numpy.loadtxt
-reads every other file, with the same bits and the same errors.  Neither
-the writer nor the reader builds the library.
+a re-read reproduces the samples bit-exactly.  Where the compiled library
+is loaded, the writer and the reader go through it with the same bytes and
+bits (:mod:`multilink._compiled`); neither builds it.
 """
 
 from __future__ import annotations
@@ -17,13 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-import stat
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, integrator, svgplot
+from . import _compiled, analysis, svgplot
 from .config import ConfigError, ScenarioConfig
 from .dynamics import (
     PoseState,
@@ -40,8 +35,6 @@ from .model import DegenerateShapeError, derive_params, theta_from_phi
 DEFAULT_FIT_WINDOW = (1e3, 1e5)
 OUTPUT_DIR_ENV = "MULTILINK_OUTPUT_DIR"
 _CSV_CHUNK_ROWS = 1024
-# About the most samples of one path that the attachment-path figure draws
-_PATH_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -74,11 +67,9 @@ def write_trajectory_csv(path: str, traj: Trajectory):
         return "".join([row % tuple(values)
                         for values in rows.tolist()]).encode()
 
-    write_rows = getattr(integrator._loop, "write_rows", None)
     with open(path, "wb") as f:
         f.write(f"{csv_header(traj.n_links)}\n".encode())
-        if write_rows is not None:
-            write_rows(f, table, _CSV_CHUNK_ROWS, python_rows)
+        if _compiled.write_rows(f, table, _CSV_CHUNK_ROWS, python_rows):
             return
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
             f.write(python_rows(table[start:start + _CSV_CHUNK_ROWS]))
@@ -90,20 +81,15 @@ def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
     Given `columns`, names from the header, only those and ``t`` are parsed,
     in header order; a name the header lacks is a ConfigError.  Either way
     every row must have one field per header name, and a file without rows
-    is an error.
-
-    Once the compiled library is loaded, its parser reads a regular file in
-    the writer's own grammar and shape (:func:`_read_compiled`) to the same
-    bits; it declines every other file, which numpy.loadtxt reads, so the
-    accepted files and the errors are loadtxt's alone.
+    is an error.  A file that the compiled parser declines, and every file
+    where the library is not loaded, is read by numpy.loadtxt, whose
+    accepted files and errors these are.
     """
     if columns is not None:
         columns = (*columns, "t")
-    parse_rows = getattr(integrator._loop, "parse_rows", None)
-    if parse_rows is not None:
-        data = _read_compiled(path, columns, parse_rows)
-        if data is not None:
-            return data
+    data = _compiled.read_csv(path, columns)
+    if data is not None:
+        return data
     with open(path) as f:
         header = f.readline().strip().split(",")
         index = {name: i for i, name in enumerate(header)}  # last one wins
@@ -141,34 +127,6 @@ def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
     return {header[i]: data[:, k] for k, i in enumerate(usecols) if i in keep}
 
 
-def _read_compiled(path: str, columns, parse_rows):
-    """read_trajectory_csv by the compiled parser, or None where it declines:
-    a file that is not regular (a pipe reads once), a header line that is
-    not ASCII or holds a carriage return (which the text-mode read above
-    would take for a newline), a column the header lacks, or rows that
-    ``parse_rows`` declines.  The loadtxt path then reads the file."""
-    with open(path, "rb") as f:
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            return None
-        line = f.readline()
-        if not line.endswith(b"\n") or not line.isascii() or b"\r" in line:
-            return None
-        header = line.decode().strip().split(",")
-        index = {name: i for i, name in enumerate(header)}
-        if columns is None:
-            keep = range(len(header))
-        elif all(name in index for name in columns):
-            keep = sorted({index[name] for name in columns})
-        else:
-            return None
-        data = parse_rows(f, len(header), keep)
-    if data is None:
-        return None
-    if columns is None:
-        return {name: data[:, i] for name, i in index.items()}
-    return {header[i]: data[:, k] for k, i in enumerate(keep)}
-
-
 # --- shared plotting helpers ----------------------------------------------------
 
 
@@ -176,12 +134,8 @@ def _attachment_plot(traj: Trajectory, p) -> str:
     plot = svgplot.LinePlot(title="wheel-pair attachment paths", xlabel="x",
                             ylabel="y", equal_aspect=True)
     n = traj.n_links
-    idx = np.arange(traj.n_samples)
-    if idx.size > _PATH_POINTS:
-        idx = np.unique(np.concatenate(
-            (idx[:: idx.size // _PATH_POINTS + 1], idx[-1:])))
-    paths = attachment_positions(
-        PoseState(traj.x[idx], traj.y[idx], traj.psi[idx]), traj.phi[idx], p)
+    paths = attachment_positions(PoseState(traj.x, traj.y, traj.psi),
+                                 traj.phi, p)
     labels = ["sleigh"] + [f"trailer {i + 1}" for i in range(n)]
     for j in range(n + 1):
         plot.add_series(paths[:, j, 0], paths[:, j, 1], label=labels[j])

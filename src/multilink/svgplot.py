@@ -100,9 +100,10 @@ class LinePlot:
         keep = np.isfinite(x) & np.isfinite(y)
         x, y = x[keep], y[keep]
         if x.size > MAX_POINTS:
+            # every stride-th point, and the last one once
             stride = int(math.ceil(x.size / MAX_POINTS))
-            x = np.concatenate((x[::stride], x[-1:]))
-            y = np.concatenate((y[::stride], y[-1:]))
+            x = np.append(x[:-1:stride], x[-1])
+            y = np.append(y[:-1:stride], y[-1])
         if color is None:
             color = _PALETTE[len(self._series) % len(_PALETTE)]
         self._series.append((x, y, color, width, dashed, label))

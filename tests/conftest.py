@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multilink import integrator
+from multilink import _compiled
 from multilink.dynamics import make_reduced_rhs
 from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import VehicleParams, derive_params, sine_rotor
@@ -53,11 +53,11 @@ def strong_rotor_run(reference_vehicle, reference_derived):
 @pytest.fixture(scope="session")
 def both_readers():
     """both(fn) -> (compiled, loadtxt): what fn gives with the compiled CSV
-    parser loaded, where a compiler is, and with integrator._loop False,
-    where scenarios.read_trajectory_csv reads by numpy.loadtxt.  That is the
+    parser loaded, where a compiler is, and with _compiled._lib False, where
+    scenarios.read_trajectory_csv reads by numpy.loadtxt.  That is the
     type and message of fn's error, the name, dtype, shape and bytes of each
     array of a mapping fn returns, or else its value."""
-    loaded = integrator._compiled_loop()
+    loaded = _compiled.load() or False
 
     def outcome(fn):
         try:
@@ -71,9 +71,9 @@ def both_readers():
 
     def both(fn):
         results = []
-        for loop in (loaded, False):
+        for lib in (loaded, False):
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(integrator, "_loop", loop)
+                m.setattr(_compiled, "_lib", lib)
                 results.append(outcome(fn))
         return tuple(results)
 

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from multilink import cli, integrator
+from multilink import _compiled, cli
 from multilink.model import random_vehicle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -38,9 +38,9 @@ SPEEDUP_ARTIFACT_SHA256 = {
     "speedup_trajectory.csv":
         "45dd7cb715c26c02dabe8e231f247060e502ba72192fada0f7ce9130885cfc67",
     "speedup_velocities.svg":
-        "d7e85368dd211315c2c5e331067a9c0840ab8354634a28574d2af093e32e53ca",
+        "ab077f5190e101e8699ad1d2449e05cb3d5cc4d8a3c57304f9e90655251d1525",
     "speedup_angles.svg":
-        "3c63d0724b9eeafd1b2bd7006063ff72a8079f30a6ade8440c803abbffe20d0e",
+        "6be05b1da829317113d80f54c2288cbc4839a400f412d5ef4b2471e673b0ff25",
     "speedup_paths.svg":
         "7dea663a644fe788e147c62e3cd198a409516feb57d5410cf7824542cf154eb5",
     "speedup_report.txt":
@@ -78,12 +78,12 @@ def test_fixed_points_report_bytes(tmp_path, capsys, n):
 
 def on_both_paths(run):
     """run(out_dir) with the compiled library loaded, where a compiler is,
-    and with integrator._loop False, where the loop, the residuals and the
+    and with _compiled._lib False, where the loop, the residuals and the
     CSV rows are Python's."""
-    for name, loop in (("loaded", integrator._compiled_loop()),
-                       ("python", False)):
+    for name, lib in (("loaded", _compiled.load() or False),
+                      ("python", False)):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(integrator, "_loop", loop)
+            m.setattr(_compiled, "_lib", lib)
             run(name)
 
 

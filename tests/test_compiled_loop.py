@@ -6,7 +6,7 @@ integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
 through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
-run takes the Python loop.  Setting ``integrator._loop`` to False forces the
+run takes the Python loop.  Setting ``_compiled._lib`` to False forces the
 Python loop, the numpy residuals, the Python rows of the trajectory CSV and
 its numpy.loadtxt read.
 """
@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multilink
-from multilink import _compiled, cli, config, integrator, scenarios
+from multilink import _compiled, cli, config, scenarios
 from multilink.dynamics import (
     Trajectory,
     make_full_rhs,
@@ -69,13 +69,13 @@ one_pair = pytest.mark.parametrize("pair", ["adaptive-dop853"])
 def compiled():
     """The compiled loop; skipped where no compiler is installed, failing
     where one is and the loop does not build."""
-    if not integrator._compiled_loop():
+    if not _compiled.load():
         cc = sysconfig.get_config_var("CC")
         if not cc or not any(os.access(os.path.join(d, shlex.split(cc)[0]), os.X_OK)
                              for d in os.environ.get("PATH", "").split(os.pathsep)):
             pytest.skip("no C compiler")
         pytest.fail(f"the compiled loop did not build with {cc}")
-    return integrator._loop
+    return _compiled.load()
 
 
 def outcome(run):
@@ -91,15 +91,15 @@ def outcome(run):
 
 def both_loops(rhs, y0, opts, **kwargs):
     """The outcome of the compiled and of the Python loop, checking that
-    each ran."""
+    each ran: the C loop is entered once per chunk of samples."""
     calls = []
-    loop = integrator._loop
+    lib = _compiled._lib
+    run = lib.ml_run
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(integrator, "_loop",
-                  lambda *args: calls.append(None) or loop(*args))
+        m.setattr(lib, "ml_run", lambda *args: calls.append(None) or run(*args))
         fast = outcome(lambda: integrate(rhs, y0, opts, **kwargs))
-        assert calls == [None]
-        m.setattr(integrator, "_loop", False)
+        assert calls
+        m.setattr(_compiled, "_lib", False)
         slow = outcome(lambda: integrate(rhs, y0, opts, **kwargs))
     return fast, slow
 
@@ -157,6 +157,18 @@ def test_pinned_run_matches_python_loop(compiled, pair, reference_vehicle,
     opts = IntegratorOptions(t_end=50.0, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     fast, slow = both_loops(rhs, [10.0, 1.0, 0.5, 0.5], opts)
     assert fast == slow and fast[5] > 0
+
+
+@pytest.mark.parametrize("stride", [2 ** 63 - 1, 2 ** 63, 2 ** 70 + 3])
+def test_stride_beyond_c_long_matches(compiled, stride, reference_vehicle,
+                                      reference_derived):
+    # a stride no run reaches emits the first and the last sample only; a C
+    # long kept 2**70 + 3 as 3
+    rhs = make_reduced_rhs(reference_vehicle, reference_derived,
+                           sine_rotor(0.05, 1.0))
+    opts = IntegratorOptions(t_end=5.0, sample_stride=stride)
+    fast, slow = both_loops(rhs, [10.0, 1.0, 0.5, 0.5], opts)
+    assert fast == slow and fast[2] == (2,)
 
 
 # --- typed errors ----------------------------------------------------------------
@@ -242,11 +254,11 @@ def test_missing_compiler_takes_python_loop(monkeypatch, compiled,
     expected = outcome(lambda: integrate(rhs, y0, opts))
     vars_ = sysconfig.get_config_vars()
     monkeypatch.setitem(vars_, "CC", "no-such-compiler-for-multilink")
-    monkeypatch.setattr(integrator, "_loop", None)
+    monkeypatch.setattr(_compiled, "_lib", None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(lambda: integrate(rhs, y0, opts)) == expected
-    assert integrator._loop is False
+    assert _compiled._lib is False
 
 
 def test_c_source_is_package_data():
@@ -256,16 +268,19 @@ def test_c_source_is_package_data():
 
 
 def test_import_and_fields_start_no_compiler(tmp_path):
-    # a compiler run would leave its temporary directory until exit
+    # a compiler run would leave its temporary directory until exit; the
+    # modules only a build needs stay unloaded
     code = ("import multilink, sys\n"
-            "from multilink import dynamics, integrator, model\n"
+            "build = {'subprocess', 'sysconfig', 'shlex', 'signal'}\n"
+            "assert not build & set(sys.modules), build & set(sys.modules)\n"
+            "from multilink import _compiled, dynamics, model\n"
             "p = model.VehicleParams([1.0, 1.0], [1.0, 1.0], 0.5, [0.1], [1.0])\n"
             "d = model.derive_params(p)\n"
             "dynamics.make_full_rhs(p, d, model.sine_rotor(0.1))\n"
             "dynamics.make_reduced_rhs(p, d, model.zero_rotor())\n"
             "dynamics.make_manifold_rhs(p, 1)\n"
-            "assert integrator._loop is None\n"
-            "assert 'multilink._compiled' not in sys.modules\n")
+            "assert _compiled._lib is None\n"
+            "assert not build & set(sys.modules), build & set(sys.modules)\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -274,8 +289,8 @@ def test_import_and_fields_start_no_compiler(tmp_path):
 
 def test_build_directory_removed_at_exit(compiled, tmp_path):
     code = ("import os, tempfile\n"
-            "from multilink import integrator\n"
-            "assert integrator._compiled_loop()\n"
+            "from multilink import _compiled\n"
+            "assert _compiled.load()\n"
             "assert os.listdir(tempfile.gettempdir())\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
@@ -315,12 +330,12 @@ def test_compiler_timeout_kills_its_process_group(monkeypatch, tmp_path):
 def test_interrupt_stops_a_long_compiled_run(compiled):
     # to t = 1e7 with two output times: no sample fills the buffer, so only
     # the step budget of a call returns control to Python
-    code = ("from multilink import dynamics, integrator, model\n"
+    code = ("from multilink import _compiled, dynamics, integrator, model\n"
             "p = model.VehicleParams([1.0, 1.2, 1.2], [1.5, 2.0, 2.0], 0.7,\n"
             "                        [0.1, 0.2], [1.05, 1.10])\n"
             "rhs = dynamics.make_reduced_rhs(p, model.derive_params(p),\n"
             "                                model.sine_rotor(0.05))\n"
-            "assert integrator._compiled_loop()\n"
+            "assert _compiled.load()\n"
             "print('running', flush=True)\n"
             "integrator.integrate(rhs, [10.0, 1.0, 0.5, 0.5],\n"
             "                     integrator.IntegratorOptions(t_end=1e7),\n"
@@ -362,7 +377,7 @@ def python_text(table):
                    for row in table.tolist())
 
 
-def compiled_text(compiled, table, chunk=1024):
+def compiled_text(table, chunk=1024):
     """The CSV rows of table through the compiled formatter, and the rows
     it left to the Python one."""
     handed = []
@@ -372,7 +387,8 @@ def compiled_text(compiled, table, chunk=1024):
         return python_text(rows).encode()
 
     f = io.BytesIO()
-    compiled.write_rows(f, np.asarray(table, dtype=float), chunk, python_rows)
+    assert _compiled.write_rows(f, np.asarray(table, dtype=float), chunk,
+                                python_rows)
     return f.getvalue().decode(), handed
 
 
@@ -415,7 +431,7 @@ FORMAT_INPUTS = {
                          ids=FORMAT_INPUTS.keys())
 def test_formatter_matches_python(compiled, values):
     table = np.reshape(values, (-1, 1))
-    text, handed = compiled_text(compiled, table)
+    text, handed = compiled_text(table)
     assert text == python_text(table)
     # only finite nonzero values outside [10^-16, 10^17) are left to Python;
     # the double 1e-16 lies below 10^-16, the next one above it
@@ -427,7 +443,7 @@ def test_formatter_matches_python(compiled, values):
 def test_formatter_hands_rows_across_chunks(compiled):
     table = np.arange(30.0).reshape(10, 3) + 0.1
     table[[0, 4, 5, 9], [1, 0, 2, 2]] = [1e-300, -1e300, 5e-324, 1e17]
-    text, handed = compiled_text(compiled, table, chunk=3)
+    text, handed = compiled_text(table, chunk=3)
     assert text == python_text(table)
     assert handed == table[[0, 4, 5, 9]].tolist()
 
@@ -446,7 +462,7 @@ def test_speedup_csv_same_bytes_without_library(compiled, tmp_path,
     assert np.count_nonzero(tiny < 1e-16) > 5
     monkeypatch.setattr(scenarios, "_CSV_CHUNK_ROWS", 64)  # several chunks
     scenarios.write_trajectory_csv(tmp_path / "fast.csv", traj)
-    monkeypatch.setattr(integrator, "_loop", False)
+    monkeypatch.setattr(_compiled, "_lib", False)
     scenarios.write_trajectory_csv(tmp_path / "slow.csv", traj)
     assert (tmp_path / "fast.csv").read_bytes() \
         == (tmp_path / "slow.csv").read_bytes()
@@ -473,12 +489,12 @@ def test_c_source_compiles_without_warnings(define, tmp_path):
 # --- the CSV row parser -----------------------------------------------------------
 
 
-def parsed(compiled, path, keep):
+def parsed(path, keep):
     """The compiled parser's rows of the CSV at path, columns keep, or None
     where it declines them."""
     with open(path, "rb") as f:
         fields = len(f.readline().split(b","))
-        return compiled.parse_rows(f, fields, keep)
+        return _compiled._parse_rows(f, fields, keep)
 
 
 def csv_file(tmp_path, body, header=b"t,v1,k\n"):
@@ -527,7 +543,7 @@ DECLINED = {
 def test_parser_declines_other_text(compiled, both_readers, tmp_path, body):
     path = csv_file(tmp_path, body)
     for keep in ([0, 1, 2], [0]):
-        assert parsed(compiled, path, keep) is None
+        assert parsed(path, keep) is None
     # loadtxt then reads the file, whatever it makes of it
     for columns in (None, ["v1"], []):
         fast, slow = both_readers(
@@ -545,7 +561,7 @@ def test_reader_declines_other_headers(compiled, both_readers, tmp_path, text):
     path.write_bytes(text)
     calls = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(compiled, "parse_rows", lambda *args: calls.append(args))
+        m.setattr(_compiled, "_parse_rows", lambda *args: calls.append(args))
         fast, slow = both_readers(
             lambda: scenarios.read_trajectory_csv(str(path)))
     assert calls == [] and fast == slow
@@ -568,7 +584,7 @@ ACCEPTED = ["0", "-0", "1", "-17", "00012", "-00.000e-0", "0.5", "inf", "-inf",
 def test_parser_matches_loadtxt(compiled, both_readers, tmp_path):
     body = "".join(f"{x},{x},{x}\n" for x in ACCEPTED).encode()
     path = csv_file(tmp_path, body)
-    assert parsed(compiled, path, [0, 1, 2]) is not None
+    assert parsed(path, [0, 1, 2]) is not None
     fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
     assert fast == slow
 
@@ -581,7 +597,7 @@ def test_parser_matches_loadtxt_on_random_doubles(compiled, both_readers,
     text = [form % x for x in values.tolist()]
     body = "".join(f"{a},{b}\n" for a, b in zip(text[::2], text[1::2]))
     path = csv_file(tmp_path, body.encode(), b"t,v1\n")
-    assert parsed(compiled, path, [0, 1]) is not None
+    assert parsed(path, [0, 1]) is not None
     fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
     assert fast == slow
 
@@ -635,7 +651,7 @@ def test_parser_declines_a_comma_decimal_point(compiled, both_readers,
     try:
         for body in (b"0.5,1,2\n", b"1,2,3\n"):
             path = csv_file(tmp_path, body)
-            assert parsed(compiled, path, [0, 1, 2]) is None
+            assert parsed(path, [0, 1, 2]) is None
             fast, slow = both_readers(
                 lambda: scenarios.read_trajectory_csv(str(path)))
             assert fast == slow and isinstance(fast, list)
@@ -687,7 +703,7 @@ def test_parser_matches_loadtxt_on_edited_files(compiled, both_readers,
         if edit == "none":
             longest = max(map(len, text.splitlines(keepends=True)[1:]))
             keep = list(range(len(names)))
-            assert (parsed(compiled, path, keep) is not None) \
+            assert (parsed(path, keep) is not None) \
                 == (longest <= block)
     assert fast == slow
 
@@ -701,18 +717,17 @@ def test_fresh_fit_builds_nothing(compiled, tmp_path, capsys):
     path = tmp_path / "traj.csv"
     scenarios.write_trajectory_csv(str(path), Trajectory(
         t, 1.5 * t ** 0.4, np.sin(t), zeros[:, None], *[zeros] * 6))
-    assert parsed(compiled, path, [0, 1]) is not None
+    assert parsed(path, [0, 1]) is not None
     argv = ["fit", str(path), "--column", "v1", "--window", "1:30"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
-    code = ("import subprocess, sys\n"
-            "from multilink import cli, integrator\n"
+    code = ("import subprocess\n"
+            "from multilink import _compiled, cli\n"
             "def no_process(*args, **kwargs):\n"
             "    raise AssertionError(f'a process was started: {args}')\n"
             "subprocess.Popen = no_process\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "assert integrator._loop is None\n"
-            "assert 'multilink._compiled' not in sys.modules\n")
+            "assert _compiled._lib is None\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     (tmp_path / "tmp").mkdir()
     env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path / "tmp")}
@@ -728,19 +743,18 @@ def test_fresh_fit_builds_nothing(compiled, tmp_path, capsys):
 
 def both_residuals(compiled, v1, omega, phi, psi, p):
     """The dtype, shape and bytes of residual_max_series with the library
-    loaded, where it must take ml_residual_max, and with integrator._loop
+    loaded, where it must take ml_residual_max, and with _compiled._lib
     False, where it takes numpy."""
     calls = []
-    fast = compiled.residual_max
+    fast = compiled.ml_residual_max
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(compiled, "residual_max",
+        m.setattr(compiled, "ml_residual_max",
                   lambda *args: calls.append(None) or fast(*args))
-        m.setattr(integrator, "_loop", compiled)
+        m.setattr(_compiled, "_lib", compiled)
         loaded = residual_max_series(v1, omega, phi, psi, p)
         assert calls == [None]
-        m.setattr(integrator, "_loop", False)
-        with np.errstate(all="ignore"):  # numpy warns on sin(inf)
-            unloaded = residual_max_series(v1, omega, phi, psi, p)
+        m.setattr(_compiled, "_lib", False)
+        unloaded = residual_max_series(v1, omega, phi, psi, p)
     return [(r.dtype, r.shape, r.tobytes()) for r in (loaded, unloaded)]
 
 
@@ -814,6 +828,29 @@ def test_compiled_residuals_special_samples(compiled):
     assert empty[0] == empty[1] == (np.dtype(float), (0,), b"")
 
 
+def test_residuals_normalize_their_inputs(compiled, reference_vehicle):
+    # one v1 for 70,000 samples, more than one block of the numpy path, and
+    # a phi whose N is not the vehicle's, on both paths
+    p = reference_vehicle
+    rng = np.random.default_rng(421)
+    _, om, phi, psi = random_samples(rng, 70_000, 2, math.pi)
+    fast, slow = both_residuals(compiled, np.array([0.8]), om, phi, psi, p)
+    assert fast == slow and fast[1] == (70_000,)
+    for lib in (compiled, False):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_compiled, "_lib", lib)
+            with pytest.raises(ValueError, match="N = 2"):
+                residual_max_series(om[:5], om[:5], phi[:5, :1], psi[:5], p)
+    # contiguous float64 columns and blocks reach the library uncopied
+    args = []
+    fast = compiled.ml_residual_max
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compiled, "ml_residual_max",
+                  lambda *a: args.extend(a) or fast(*a))
+        residual_max_series(om, om, phi, psi, p)
+    assert args[2:6] == [x.ctypes.data for x in (om, om, phi, psi)]
+
+
 def test_sincos_matches_sin_and_cos():
     # _loop.c calls sincos where the Python code takes math.sin and math.cos
     # of one argument, so libm's sincos must give their bits
@@ -846,9 +883,9 @@ def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
     # residual_max_series takes the compiled residuals only where the
     # library is already loaded: in a fresh process it starts no compiler
     # and gives the loaded process's bits
-    code = ("import subprocess, sys\n"
+    code = ("import subprocess\n"
             "import numpy as np\n"
-            "from multilink import dynamics, integrator\n"
+            "from multilink import _compiled, dynamics\n"
             "from multilink.model import random_vehicle\n"
             "def no_process(*args, **kwargs):\n"
             "    raise AssertionError(f'a process was started: {args}')\n"
@@ -858,8 +895,7 @@ def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
             "v1, om, psi = rng.normal(size=(3, 40))\n"
             "phi = rng.uniform(-3.0, 3.0, (40, 3))\n"
             "r = dynamics.residual_max_series(v1, om, phi, psi, p)\n"
-            "assert integrator._loop is None\n"
-            "assert 'multilink._compiled' not in sys.modules\n"
+            "assert _compiled._lib is None\n"
             "print(r.tobytes().hex())\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     (tmp_path / "tmp").mkdir()
@@ -871,7 +907,7 @@ def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
     p = random_vehicle(rng, 3)
     v1, om, psi = rng.normal(size=(3, 40))
     phi = rng.uniform(-3.0, 3.0, (40, 3))
-    assert integrator._loop is compiled
+    assert _compiled._lib is compiled
     expected = residual_max_series(v1, om, phi, psi, p)
     assert proc.stdout == expected.tobytes().hex() + "\n"
     assert os.listdir(tmp_path / "tmp") == []

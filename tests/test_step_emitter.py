@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import multilink
-from multilink import dynamics, integrator
+from multilink import _compiled, dynamics, integrator
 from multilink.dynamics import (
     PoseState,
     ReducedState,
@@ -144,7 +144,7 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
         return hand_dop853(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(integrator, "_loop", False)
+        m.setattr(_compiled, "_lib", False)
         m.setattr(integrator, "_stepper", lambda f, dim: (step, f))
         sol = integrate(rhs, y0, opts, **kwargs)
     assert len(calls) == sol.n_accepted + sol.n_rejected > 0
@@ -168,7 +168,7 @@ def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
     runs = [integrate(rhs, y0, opts, **kwargs),
             integrate(called, y0, opts, **kwargs)]
     with monkeypatch.context() as m:
-        m.setattr(integrator, "_loop", False)  # the emitted step, kernel inline
+        m.setattr(_compiled, "_lib", False)  # the emitted step, kernel inline
         runs.append(integrate(rhs, y0, opts, **kwargs))
     for sol in runs:
         assert np.array_equal(sol.times, hand.times)
@@ -290,7 +290,7 @@ def test_import_compiles_no_step():
 def test_second_run_compiles_nothing(monkeypatch, pair):
     # the second run wraps its field in a plain function: one step per
     # dimension serves both, on the Python loop
-    monkeypatch.setattr(integrator, "_loop", False)
+    monkeypatch.setattr(_compiled, "_lib", False)
     rng = np.random.default_rng(31)
     opts = IntegratorOptions(t_end=1.0)
     runs = []

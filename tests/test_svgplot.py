@@ -1,12 +1,18 @@
-"""The polyline formatter against the per-value one it replaces."""
+"""The polyline formatter against the per-value one it replaces, and the
+one rule by which a series is thinned."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multilink.svgplot import _fmt, _points
+from multilink.dynamics import Trajectory
+from multilink.model import random_vehicle
+from multilink.scenarios import _attachment_plot, _series_plot
+from multilink.svgplot import MAX_POINTS, LinePlot, _fmt, _points
 
 # values whose two decimals end in 0 or 00, signed zeros, values that round
 # to them, pixel-range values and any float, large magnitudes included;
@@ -76,3 +82,39 @@ def test_points_examples():
     assert _points(np.array([-math.inf]), np.array([math.nan])) == "-inf,nan"
     assert _points(np.array([1e5, -math.inf]), np.array([0.5, 2.0])) == \
         "100000,0.5 -inf,2"
+
+
+# series lengths around one and two and three times MAX_POINTS, and the
+# points each keeps
+THINNED = {4000: 4000, 4001: 2001, 7689: 3845, 8000: 4001, 11999: 4001}
+
+
+@pytest.mark.parametrize("n", sorted(THINNED))
+def test_thinning_keeps_every_stride_and_the_last_point_once(n):
+    plot = LinePlot()
+    plot.add_series(np.arange(n, dtype=float), np.zeros(n))
+    kept = plot._series[0][0]
+    stride = math.ceil(n / MAX_POINTS)
+    assert kept.size == THINNED[n]
+    assert kept[0] == 0.0 and kept[-1] == n - 1
+    assert np.all(np.diff(kept[:-1]) == stride)
+    assert 0 < kept[-1] - kept[-2] <= stride
+
+
+@pytest.mark.parametrize("n", [7689, 8000, 11999])
+def test_attachment_paths_thin_as_a_series_does(n):
+    # each path of wheel-pair positions is thinned by the same rule as a
+    # direct series of as many samples
+    rng = np.random.default_rng([422, n])
+    p = random_vehicle(rng, 2)
+    t = np.linspace(0.0, 10.0, n)
+    zeros = np.zeros(n)
+    traj = Trajectory(t, np.cos(t), np.sin(t), rng.uniform(-1.0, 1.0, (n, 2)),
+                      t, np.sin(t), 0.1 * t, zeros, zeros, zeros)
+
+    def counts(svg):
+        return [len(pts.split(" "))
+                for pts in re.findall(r'points="([^"]*)"', svg)]
+
+    assert counts(_attachment_plot(traj, p)) == [THINNED[n]] * 3
+    assert counts(_series_plot(traj)) == [THINNED[n]] * 2
