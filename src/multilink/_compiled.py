@@ -183,8 +183,8 @@ def integrate(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     """integrate's loop for a vehicle field, building the library on the
     first call: appends the samples to buf and returns the accepted,
     rejected and evaluation counts; None where rhs carries no ``vehicle``
-    or the library cannot be built.  integrate has called the field's
-    kernel on y, whose arity is the chart's dimension, and the field's
+    or the library cannot be built.  integrate has called the field on y,
+    which checks that y has the chart's dimension, and the field's
     couplings have one entry per link."""
     if getattr(rhs, "vehicle", None) is None or not load():
         return None
@@ -221,10 +221,10 @@ def integrate(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
     if status == DIVERGED:
         raise integrator._diverged(run.t)
     if status == DEGENERATE:
-        # the Python kernel raises the same error on the same stage
-        rhs.kernel(run.stage_t, *work[-dim:].tolist())
+        # the Python field raises the same error on the same stage
+        rhs(run.stage_t, work[-dim:].tolist())
         raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
-                           f"t={run.stage_t}, the Python kernel disagrees")
+                           f"t={run.stage_t}, the Python field disagrees")
     return run.n_acc, run.n_rej, run.n_evals
 
 

@@ -206,8 +206,8 @@ def _parse_outputs(block) -> OutputOptions:
         raise ConfigError("'outputs' must be an object")
     _check_keys(block, ("directory", "formats"), "'outputs'")
     directory = block.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError("'outputs.directory' must be a string")
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError("'outputs.directory' must be a non-empty string")
     formats = block.get("formats", list(FORMATS))
     if (not isinstance(formats, list) or not formats
             or any(f not in FORMATS for f in formats)):

@@ -9,17 +9,15 @@ State conventions (all plain float64 arrays):
 
 The manifold flow lives in the rescaled time variable; it is integrated
 as-is, without remapping to physical time.  The reduced and full charts and
-the manifold flow are one scalar kernel, emitted per number of links N (see
-"the vehicle kernel" below), which the integrator's adaptive steps call
-inline.
+the manifold flow are one vector field, a loop over the links on plain
+floats (see "the vehicle kernel" below), which the compiled loop repeats in
+C.
 """
 
 from __future__ import annotations
 
-import functools
-import linecache
-import math
 from dataclasses import dataclass
+from math import cos, nan, sin
 
 import numpy as np
 
@@ -69,98 +67,72 @@ class PoseState:
 
 # --- the vehicle kernel -------------------------------------------------------
 #
-# The kernel of the reduced and full charts, and of the manifold flow as its
-# omega = 0 slice, is emitted from the template below per N and chart as
-# kernel(t, v1, om, p1, ..., pN[, x, y, psi]) -> tuple, the links unrolled:
-# in the stepper's innermost loop, list and numpy overhead on length-N
-# vectors would dominate for the small N of interest.  The rotor's rate is
-# inline as af * cos(freq * t), af = amplitude * freq, the bits of
+# The reduced and full charts, and the manifold flow as their omega = 0
+# slice, are one scalar loop over the links on plain floats: list and numpy
+# overhead on length-N vectors would dominate for the small N of interest.
+# The rotor's rate is af * cos(freq * t), af = amplitude * freq, the bits of
 # RotorProfile.rate.  The angle recurrence is the scalar form of
-# model.theta_from_phi (equal up to roundoff); a unit test keeps the kernel
+# model.theta_from_phi (equal up to roundoff); a unit test keeps the loop
 # consistent with model.angle_coeffs.  A stage that is not finite gives
-# non-finite rates, which the stepper rejects; only a finite m_eff <= 0 is
-# a degenerate shape.
+# non-finite rates, which the step rejects; only a finite m_eff <= 0 is a
+# degenerate shape.
 
-_KERNEL = """\
-def bind(c, mu, mass, inertia, b, rotor):
-    [{c}] = c
-    [{mu}] = mu
-    {rotor} = rotor
 
-    def kernel(t, {state}):
+def _vehicle_field(vehicle):
+    """The vector field rhs(t, y) -> list of one vehicle, which carries as
+    ``vehicle`` the arguments of the compiled kernel: the chart ("reduced",
+    "full" or "manifold"), the hinge distances c, the couplings mu, mass,
+    inertia and static moment b, and the rotor's (af, freq).  On the
+    manifold the last two are the fixed (v1, omega), and the field takes
+    and returns the angles only."""
+    chart, c, mu, mass, inertia, b, af, freq = vehicle
+    n = len(c)
+    manifold = chart == "manifold"
+    pose = chart == "full"
+    dim = n + (0 if manifold else 5 if pose else 2)
+    # link i + 1 with its parity: alt = (-1)^i phi_(i+1)
+    links = tuple(zip(c, mu, [i % 2 == 1 for i in range(n)]))
+
+    def rhs(t, y):
+        if len(y) != dim:
+            raise ValueError(f"state has {len(y)} components, the {chart} "
+                             f"chart of N = {n} links takes {dim}")
+        if manifold:
+            v1, om, rates, phi = af, freq, [], y
+        else:
+            v1, om, rates, phi = y[0], y[1], [0.0, 0.0], y[2:]
         try:
-            acc = 0.0   # 2 * sum_{{j<i}} (-1)^(j+1) phi_j
+            acc = 0.0   # 2 * sum_{j<i} (-1)^(j+1) phi_j
             m_eff = mass
             quad_v = 0.0
             quad_cross = 0.0
-            accw = 0.0  # sum_{{j<i}} sin(theta_j) / c_j
-{links}\
+            accw = 0.0  # sum_{j<i} sin(theta_j) / c_j
+            for p, (ci, mui, odd) in zip(phi, links):
+                alt = -p if odd else p
+                th = alt + acc
+                acc += 2.0 * alt
+                sin_t = sin(th)
+                w = sin_t / ci
+                mu_sc = mui * sin_t * cos(th)
+                m_eff += mui * sin_t * sin_t
+                quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
+                quad_cross += mu_sc
+                rates.append(v1 * w - om if odd else -(v1 * w) - om)
+                accw += w
             if not m_eff <= 0.0:  # a NaN too: the step rejects the stage
-                return ({rates})
+                if not manifold:
+                    rates[0] = (b * om * om + quad_v * v1 * v1
+                                + quad_cross * om * v1) / m_eff
+                    rates[1] = (-b * om * v1 - af * cos(freq * t)) / inertia
+                    if pose:
+                        psi = y[-1]
+                        rates += (v1 * cos(psi), v1 * sin(psi), om)
+                return rates
         except ValueError:  # sin or cos of an infinite stage
-            return (nan,) * {dim}
+            return [nan] * dim
         raise DegenerateShapeError(
-            f"effective longitudinal inertia {{m_eff}} <= 0 at t={{t}}")
+            f"effective longitudinal inertia {m_eff} <= 0 at t={t}")
 
-    return kernel
-"""
-# link i, with alt = (-1)^(i+1) phi_i
-_KERNEL_LINK = """\
-            alt = {neg}p{i}
-            th = alt + acc
-            acc += 2.0 * alt
-            sin_t = sin(th)
-            w = sin_t / c{i}
-            mu_sc = mu{i} * sin_t * cos(th)
-            m_eff += mu{i} * sin_t * sin_t
-            quad_v += 2.0 * mu_sc * (accw + 0.5 * w)
-            quad_cross += mu_sc
-            d{i} = {neg_rate}(v1 * w) - om
-            accw += w
-"""
-
-
-@functools.cache
-def _kernel_binder(n: int, chart: str):
-    """Compile the kernel for n links on `chart` ("reduced", "full" or
-    "manifold"); return bind(c, mu, mass, inertia, b, rotor), which closes it
-    over one vehicle's constants.  rotor is (amplitude * freq, freq); on the
-    manifold it is (v1, omega), and the kernel takes and returns the angles
-    only."""
-    links = range(1, n + 1)
-    state = [f"p{i}" for i in links]
-    rates = [f"d{i}" for i in links]
-    rotor = "v1, om"
-    if chart != "manifold":
-        pose = chart == "full"
-        rotor = "af, freq"
-        state = ["v1", "om", *state] + ["x", "y", "psi"] * pose
-        rates = ["(b * om * om + quad_v * v1 * v1 + quad_cross * om * v1) / m_eff",
-                 "(-b * om * v1 - af * cos(freq * t)) / inertia", *rates,
-                 *["v1 * cos(psi)", "v1 * sin(psi)", "om"] * pose]
-    source = _KERNEL.format(
-        c=", ".join(f"c{i}" for i in links), mu=", ".join(f"mu{i}" for i in links),
-        rotor=rotor, state=", ".join(state), rates="".join(f"{r}, " for r in rates),
-        dim=len(state),
-        links="".join(_KERNEL_LINK.format(i=i, neg="-" * (1 - i % 2),
-                                          neg_rate="-" * (i % 2)) for i in links))
-    filename = f"<vehicle kernel, {chart} chart, N={n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
-                 "nan": math.nan, "DegenerateShapeError": DegenerateShapeError}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["bind"]
-
-
-def _vehicle_rhs(kernel, vehicle):
-    """The list-in, list-out rhs of a kernel; it carries the kernel along,
-    and as ``vehicle`` the arguments of the compiled kernel: the chart, the
-    bound constants and the rotor's (af, freq), or (v1, omega) on the
-    manifold."""
-    def rhs(t, y):
-        return list(kernel(t, *y))
-
-    rhs.kernel = kernel
     rhs.vehicle = vehicle
     return rhs
 
@@ -174,11 +146,9 @@ def _check_coupling(p: VehicleParams, d: DerivedParams):
 def _bind_vehicle(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
                   chart: str):
     _check_coupling(p, d)
-    bind = _kernel_binder(p.n_links, chart)
-    constants = (p.c.tolist(), d.coupling.tolist(), d.mass, d.inertia,
-                 d.static_moment)
-    af_freq = (rotor.amplitude * rotor.freq, rotor.freq)
-    return _vehicle_rhs(bind(*constants, af_freq), (chart, *constants, *af_freq))
+    return _vehicle_field((chart, p.c.tolist(), d.coupling.tolist(), d.mass,
+                           d.inertia, d.static_moment,
+                           rotor.amplitude * rotor.freq, rotor.freq))
 
 
 def make_reduced_rhs(p: VehicleParams, d: DerivedParams, rotor: RotorProfile):
@@ -202,13 +172,10 @@ def make_manifold_rhs(p: VehicleParams, sign: int):
     of each other).  A list of floats in, a list out."""
     if sign not in (1, -1):
         raise ValueError("manifold sign must be +1 or -1")
-    # The couplings do not enter the angle rates; with none, the discarded
-    # velocity rates cannot raise DegenerateShapeError.
-    bind = _kernel_binder(p.n_links, "manifold")
-    constants = (p.c.tolist(), [0.0] * p.n_links, 1.0, 1.0, 0.0)
-    v1_omega = (float(sign), 0.0)
-    return _vehicle_rhs(bind(*constants, v1_omega),
-                        ("manifold", *constants, *v1_omega))
+    # The couplings do not enter the angle rates; with none, m_eff stays 1
+    # and cannot raise DegenerateShapeError.
+    return _vehicle_field(("manifold", p.c.tolist(), [0.0] * p.n_links, 1.0,
+                           1.0, 0.0, float(sign), 0.0))
 
 
 # --- conserved energy, constraints, plane geometry ---------------------------

@@ -22,13 +22,10 @@ Right-hand-side contract: ``rhs(t, y)`` receives the state as a list of
 floats, which it must not modify, and returns a sequence of floats of the
 same length: a list is used as it is, anything else (an ndarray, a tuple)
 is converted with ``np.asarray(..., dtype=float).tolist()`` on every call.
-An rhs may carry a ``kernel`` attribute, kernel(t, y0, y1, ...) returning
-the same values as a tuple, as the vector fields of
-:mod:`multilink.dynamics` do; the steps call it with floats instead of
-building a list per stage.  Any other rhs, including a function wrapped
-around one of those fields, is called through a kernel that makes the list.
-For the few components of this model, numpy's per-operation overhead on
-small arrays would cost more than the arithmetic.
+The emitted step calls rhs once per stage with a new list of the stage's
+input; the last stage gets the list of the new state that the step
+returns.  For the few components of this model, numpy's per-operation
+overhead on small arrays would cost more than the arithmetic.
 
 A built-in vehicle field, one that carries a ``vehicle`` attribute
 (:func:`multilink.dynamics.make_reduced_rhs`, ``make_full_rhs``,
@@ -110,6 +107,9 @@ _EXPONENT = -1 / 8
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+# A step shorter than this fraction of t_end underflows.  The first trial
+# step is raised to it, and an hmax below it is rejected.
+_STEP_FLOOR = 1e-14
 
 
 class IntegrationError(RuntimeError):
@@ -135,8 +135,9 @@ class IntegratorOptions:
 
     t_end is the integration horizon (integration starts at t0 passed to
     :func:`integrate`, 0 by default).  sample_stride decimates the emitted samples: every k-th accepted step is
-    recorded (first and last always are).  h0 is the first trial step;
-    steps never exceed hmax.
+    recorded (first and last always are).  h0 is the first trial step,
+    raised to the step floor 1e-14 * t_end on long horizons; steps never
+    exceed hmax, which must not lie below that floor.
     """
 
     t_end: float
@@ -154,10 +155,13 @@ class IntegratorOptions:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if not 0 < self.h0 <= self.hmax:  # also rejects hmax = NaN
-            raise ValueError(f"need 0 < h0 <= hmax, got {self.h0} and {self.hmax}")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        if self.hmax < _STEP_FLOOR * self.t_end:
+            raise ValueError(f"hmax {self.hmax} is below the step floor "
+                             f"{_STEP_FLOOR} * t_end = {_STEP_FLOOR * self.t_end}")
+        if not 0 < self.h0 <= self.hmax:  # also rejects hmax = NaN
+            raise ValueError(f"need 0 < h0 <= hmax, got {self.h0} and {self.hmax}")
         stride = self.sample_stride
         if isinstance(stride, bool) or not isinstance(stride, numbers.Integral):
             raise ValueError(f"sample_stride must be an integer, got {stride!r}")
@@ -269,8 +273,8 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     always including the first and last points.
     """
     rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
-    h_prop = min(opts.h0, opts.hmax, opts.t_end - t0)
-    h_floor = 1e-14 * abs(opts.t_end)
+    h_floor = _STEP_FLOOR * opts.t_end
+    h_prop = max(min(opts.h0, opts.hmax, opts.t_end - t0), h_floor)
     counts = _compiled.integrate(rhs, y, f, targets, opts, t0, h_prop,
                                  h_floor, buf)
     if counts is None:
@@ -283,7 +287,7 @@ def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
     """The driver loop over the emitted step: appends the samples after the
     first to buf and returns the accepted, rejected and evaluation counts."""
     evals = len(_DOP853_A)  # each stage but the first, the last step's FSAL
-    step, kernel = _stepper(rhs, len(y))
+    step = _emit_step(len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
@@ -304,7 +308,7 @@ def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
         if h < h_floor:
             raise _underflow(h, t)
 
-        y_new, f_new, err = step(kernel, t, h, y, f, atol, rtol)
+        y_new, f_new, err = step(rhs, t, h, y, f, atol, rtol)
         n_evals += evals
 
         if not math.isfinite(err):
@@ -341,8 +345,8 @@ def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
 
 # --- step functions ------------------------------------------------------------
 #
-# step(kernel, t, h, y, f, atol, rtol) -> (y_new, f_new, err) advances y,
-# whose derivative is f, from t to t + h, calling kernel(t, y0, y1, ...).
+# step(rhs, t, h, y, f, atol, rtol) -> (y_new, f_new, err) advances y,
+# whose derivative is f, from t to t + h, calling rhs(t, [y0, y1, ...]).
 # f_new is the derivative at the new point (FSAL) and err the error norm of
 # the step: at most 1 to accept it, NaN or Inf when a stage or the new state
 # is not finite.  A stage that is NaN in a component the others do not
@@ -395,10 +399,10 @@ def _emit_step(dim):
     for s, row in enumerate(stage_rows, 1):
         args = ", ".join(f"y{i} + h * ({terms(row, i)})" for i in comps)
         lines.append(f"    [{names(f'k{s + 1}_')}] = "
-                     f"rhs(t + {_DOP853_C[s]!r} * h, {args})")
+                     f"rhs(t + {_DOP853_C[s]!r} * h, [{args}])")
     lines += [f"    n{i} = y{i} + h * ({terms(weights, i)})" for i in comps]
     lines += [f"    y_new = [{names('n')}]",
-              f"    k{last} = rhs(t + h, {names('n')})",
+              f"    k{last} = rhs(t + h, y_new)",
               f"    [{names(f'k{last}_')}] = k{last}"]
     fields = {x: names(x) + "," for x in re.findall(r"(\w+)\{i\} =", _DOP853_NORM)}
     fields["last"] = f"k{last}"
@@ -417,13 +421,3 @@ def _emit_step(dim):
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
-
-def _stepper(rhs, dim):
-    """The step function that integrate runs and the kernel it passes to it:
-    the one rhs carries as ``kernel`` (the vector fields of
-    :mod:`multilink.dynamics`), else a call of rhs with a list."""
-    kernel = getattr(rhs, "kernel", None)
-    if kernel is None:
-        def kernel(t, *y):
-            return rhs(t, list(y))
-    return _emit_step(dim), kernel

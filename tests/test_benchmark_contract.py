@@ -7,10 +7,10 @@ of them, or stops looking it up through the module global, crashes the
 traced run or silently zeroes its per-layer RHS counters; this test runs a
 short traced simulation and manifold scenario to catch that.
 
-A traced right-hand side is a plain function without the vehicle kernel, so
-the integrator calls it under the list contract instead of calling the
-kernel inline: the traced per-layer RHS numbers describe that path.  It must
-give the untraced run's results and count every evaluation.
+A traced right-hand side is a plain function without ``vehicle``, so the
+integrator runs it on the Python loop instead of the compiled one: the
+traced per-layer RHS numbers describe that path.  It must give the untraced
+run's results and count every evaluation.
 
 The tracer also wraps ``analysis.enumerate_fixed_points`` (it counts the
 points it returns), ``analysis.classify_fixed_point``,

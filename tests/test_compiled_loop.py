@@ -214,6 +214,20 @@ def test_degenerate_shape_matches(compiled, pair, chart, reference_vehicle):
     assert fast[1].startswith("effective longitudinal inertia -")
 
 
+@pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
+def test_long_horizon_matches(compiled, chart, reference_vehicle,
+                              reference_derived):
+    # a vehicle at rest to t = 2e11, where h0 = 1e-3 lies below the step
+    # floor 1e-14 * t_end: both loops used to underflow at t = 0
+    rhs = chart(reference_vehicle, reference_derived, zero_rotor())
+    y0 = [0.0, 0.0, 0.5, -0.3] + [1.0, 2.0, 0.4] * (chart is make_full_rhs)
+    fast, slow = both_loops(rhs, y0, IntegratorOptions(t_end=2e11))
+    assert fast == slow
+    times = np.frombuffer(fast[0])
+    states = np.frombuffer(fast[1]).reshape(fast[3])
+    assert times[-1] == 2e11 and np.all(states == y0)
+
+
 def test_zero_divisor_in_853_norm_matches(compiled, reference_vehicle,
                                           reference_derived):
     # squares of error ratios near 1e-180 underflow to a zero divisor; both

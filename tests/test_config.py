@@ -150,6 +150,9 @@ def test_invalid_integrator_values():
                                           "h0": 0.01}))
     with pytest.raises(ConfigError, match="sample_stride"):
         parse_config(cfg_text(integrator={"t_end": 1.0, "sample_stride": 0}))
+    # below the step floor 1e-14 * t_end: no step could be taken
+    with pytest.raises(ConfigError, match="hmax 1e-13 is below the step floor"):
+        parse_config(cfg_text(integrator={"t_end": 100.0, "hmax": 1e-13}))
 
 
 def test_initial_phi_length_checked():
@@ -170,6 +173,11 @@ def test_rotor_validation():
 def test_outputs_validation():
     with pytest.raises(ConfigError, match="formats"):
         parse_config(cfg_text(outputs={"formats": ["csv", "pdf"]}))
+    # used to fail when the run made its directory
+    for directory in ("", 3):
+        with pytest.raises(ConfigError, match=r"'outputs\.directory' must be "
+                                              r"a non-empty string"):
+            parse_config(cfg_text(outputs={"directory": directory}))
     cfg = parse_config(cfg_text(outputs={"directory": "results",
                                          "formats": ["csv"]}))
     assert cfg.outputs.directory == "results"

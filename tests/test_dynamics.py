@@ -94,9 +94,9 @@ def brute_force_rhs(t, y, p, d, rotor):
 
 
 def reduced_deriv(t, y, c, mu, mass, inertia, b, rate, pose):
-    """The vehicle kernel as one loop over the links, as it was written
-    before it was emitted per N: the bit-identity oracle of the emitted
-    kernels, in the same floating-point operations."""
+    """The vehicle kernel as one loop over the links, written independently
+    of the fields of multilink.dynamics: their bit-identity oracle, in the
+    same floating-point operations."""
     v1 = y[0]
     om = y[1]
     n = len(c)
@@ -144,9 +144,8 @@ def bits(values):
        sine=st.booleans(), t=st.floats(-50.0, 50.0),
        y=st.lists(st.floats(-4.0, 4.0), min_size=17, max_size=17))
 def test_kernel_matches_loop_oracle(n, seed, chart, sine, t, y):
-    # the emitted kernel of every chart and N, with a sine or the zero
-    # rotor, against the loop, bit for bit (signed zeros included), through
-    # the list wrapper and the kernel itself
+    # the field of every chart and N, with a sine or the zero rotor, against
+    # the loop, bit for bit (signed zeros included)
     p = random_vehicle(np.random.default_rng(seed), n)
     d = derive_params(p)
     rotor = sine_rotor(0.3, 0.7) if sine else zero_rotor()
@@ -163,8 +162,8 @@ def test_kernel_matches_loop_oracle(n, seed, chart, sine, t, y):
         rhs = (make_full_rhs if full else make_reduced_rhs)(p, d, rotor)
         expected = reduced_deriv(t, state, c, d.coupling.tolist(), d.mass,
                                  d.inertia, d.static_moment, rotor.rate, full)
-    assert bits(rhs(t, state)) == bits(expected)
-    assert bits(rhs.kernel(t, *state)) == bits(expected)
+    rates = rhs(t, state)
+    assert type(rates) is list and bits(rates) == bits(expected)
 
 
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
@@ -194,18 +193,37 @@ def test_kernel_non_finite_state_gives_non_finite_rates(reference_vehicle,
     for at in [0, 1, 2, 3] + [6] * bool(pose):  # x and y enter no rate
         y = [1.0, 0.3, 0.5, -0.2, *pose]
         y[at] = bad
-        rates = rhs.kernel(0.5, *y)
+        rates = rhs(0.5, y)
         assert len(rates) == len(y) and not all(map(math.isfinite, rates))
 
 
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
 @pytest.mark.parametrize("coupling", [[], [0.5], [0.5, 0.5, 0.5]])
 def test_coupling_length_checked(reference_vehicle, chart, coupling):
-    # the kernel's binder used to fail with "not enough values to unpack"
+    # the loop over the links would silently drop or ignore a coupling
     d = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
                       coupling=coupling)
     with pytest.raises(InvalidParameterError, match=r"coupling.*N = 2"):
         chart(reference_vehicle, d, zero_rotor())
+
+
+@pytest.mark.parametrize("chart, dim", [("reduced", 4), ("full", 7),
+                                        ("manifold", 2)])
+def test_state_length_checked(reference_vehicle, reference_derived, chart,
+                              dim):
+    # a state of another length than the chart's would run on the compiled
+    # loop with the wrong number of links
+    if chart == "manifold":
+        rhs = make_manifold_rhs(reference_vehicle, 1)
+    else:
+        rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(
+            reference_vehicle, reference_derived, zero_rotor())
+    assert len(rhs(0.0, [0.1] * dim)) == dim
+    for wrong in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=rf"{wrong} components.*takes {dim}"):
+            rhs(0.0, [0.1] * wrong)
+        with pytest.raises(ValueError, match=rf"{wrong} components"):
+            integrate(rhs, [0.1] * wrong, IntegratorOptions(t_end=1.0))
 
 
 def test_reduced_rhs_equilibrium(reference_vehicle, reference_derived):

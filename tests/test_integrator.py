@@ -191,6 +191,21 @@ def test_options_reject_non_finite(field, kwargs):
         IntegratorOptions(**kwargs)
 
 
+def test_long_horizon_starts_at_the_step_floor():
+    # h0 = 1e-3 lies below the step floor 1e-14 * t_end past t_end = 1e11;
+    # such runs used to underflow at t = 0 (a vehicle field on both loops:
+    # test_compiled_loop.py::test_long_horizon_matches)
+    sol = integrate(lambda t, y: [1.0], [0.0], IntegratorOptions(t_end=2e11))
+    assert sol.times[-1] == 2e11
+    assert sol.states[-1, 0] == pytest.approx(2e11, rel=1e-12)
+
+
+def test_hmax_below_the_step_floor_rejected():
+    with pytest.raises(ValueError, match=r"hmax 1e-13 is below the step floor"):
+        IntegratorOptions(t_end=100.0, hmax=1e-13)
+    assert IntegratorOptions(t_end=1.0, h0=1e-14, hmax=1e-14).hmax == 1e-14
+
+
 def test_options_default_hmax_unbounded():
     assert IntegratorOptions(t_end=1.0).hmax == INF
 

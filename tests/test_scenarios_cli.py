@@ -536,11 +536,16 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 1e-200}},
     {"scenario": "speedup", "rotor": {"kind": "sine", "amplitude": 0.05},
      "vehicle": dict(VEHICLE, a0=0.0)},
+    # a step cap below the step floor 1e-14 * t_end
+    {"scenario": "inertial", "integrator": {"t_end": 100.0, "hmax": 1e-13}},
+    # no directory to make
+    {"scenario": "inertial", "outputs": {"directory": ""}},
 ])
 def test_cli_unusable_config_exit_code(tmp_path, capsys, doc):
     # each used to fail inside the run, with exit code 1
-    path = make_config(tmp_path, integrator={"t_end": 1.0},
-                       outputs={"directory": str(tmp_path / "o")}, **doc)
+    path = make_config(tmp_path, **{"integrator": {"t_end": 1.0},
+                                    "outputs": {"directory": str(tmp_path / "o")},
+                                    **doc})
     assert cli.main(["simulate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

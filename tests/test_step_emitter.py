@@ -3,9 +3,8 @@
 hand_dop853 below is the Dormand-Prince 8(5,3) step as it was written out
 stage by stage before the integrator emitted it from its tableau.  It is
 kept as a bit-identity oracle: the emitted steps must give the same times,
-states and step counts to the last bit, both when they call a vehicle
-kernel with scalar arguments and when they call a right-hand side under the
-list contract, through the kernel that wraps it.  Its coefficients are read
+states and step counts to the last bit, both when they call a vehicle field
+and when they call a plain function around it.  Its coefficients are read
 from the integrator's tuples, which the scipy test checks.
 """
 
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 import multilink
-from multilink import _compiled, dynamics, integrator
+from multilink import _compiled, integrator
 from multilink.dynamics import (
     PoseState,
     ReducedState,
@@ -145,7 +144,7 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(_compiled, "_lib", False)
-        m.setattr(integrator, "_stepper", lambda f, dim: (step, f))
+        m.setattr(integrator, "_emit_step", lambda dim: step)
         sol = integrate(rhs, y0, opts, **kwargs)
     assert len(calls) == sol.n_accepted + sol.n_rejected > 0
     return sol
@@ -153,22 +152,16 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
 
 def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
     """The runs of a vehicle field on the compiled loop (where it builds)
-    and on the emitted step, which calls its kernel inline, and the run of
-    the same field behind a plain function, against the hand-written
-    step."""
+    and on the emitted step, and the run of the same field behind a plain
+    function, against the hand-written step."""
     def called(t, y):
         return rhs(t, y)
 
-    dim = len(y0)
-    step, kernel = integrator._stepper(rhs, dim)
-    assert kernel is rhs.kernel
-    wrapped_step, adapter = integrator._stepper(called, dim)
-    assert wrapped_step is step and adapter is not called
     hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
     runs = [integrate(rhs, y0, opts, **kwargs),
             integrate(called, y0, opts, **kwargs)]
     with monkeypatch.context() as m:
-        m.setattr(_compiled, "_lib", False)  # the emitted step, kernel inline
+        m.setattr(_compiled, "_lib", False)  # the emitted step
         runs.append(integrate(rhs, y0, opts, **kwargs))
     for sol in runs:
         assert np.array_equal(sol.times, hand.times)
@@ -220,7 +213,7 @@ def test_emitted_step_matches_hand_written_underflowing_norm(
     sol = assert_bit_identical(monkeypatch, rhs, [0.0, 1e-180, 0.0, 0.0],
                                IntegratorOptions(t_end=1.0))
     assert sol.times[-1] == 1.0 and sol.n_rejected == 0
-    # a plain right-hand side, through the kernel adapter
+    # a plain right-hand side
     sol = integrate(lambda t, y: [-y[0]], [1e-180], IntegratorOptions(t_end=1.0))
     assert sol.states[-1, 0] / 1e-180 == pytest.approx(math.exp(-1.0), rel=1e-8)
 
@@ -239,10 +232,15 @@ def test_emitted_source(silent):
     for i in range(dim):
         coeffs = re.findall(rf"(-?\d[\d.e+-]*) \* k\d+_{i}\b", source)
         assert [float(x) for x in coeffs] == nonzero
-    # every stage calls the kernel with one float per component
+    # every stage but the last calls rhs with a list of one float per
+    # component; the last gets the new state, the list y_new of n0, n1, ...
     calls = re.findall(r"= rhs\(t(?: \+ [^,]*)?, (.*)\)$", source, re.M)
     assert len(calls) == len(a)
-    assert all(len(re.findall(r"(?:^|, )[yn]\d", c)) == dim for c in calls)
+    *stages, last = calls
+    assert all(c.startswith("[") and c.endswith("]") for c in stages)
+    assert all(len(re.findall(r"(?:^\[|, )y\d", c)) == dim for c in stages)
+    assert last == "y_new"
+    assert f"    y_new = [{', '.join(f'n{i}' for i in range(dim))}]" in source
     # the stages no error row weighs, checked on their own, every component
     (check,) = [line for line in source.splitlines() if "isfinite" in line]
     assert re.findall(r"k(\d+)_(\d+)", check) == [
@@ -250,25 +248,17 @@ def test_emitted_source(silent):
 
 
 def test_traceback_shows_emitted_line():
-    def kernel(t, y0):
+    def rhs(t, y):
         if t > 0.0:
             raise ZeroDivisionError
-        return (0.0,)
+        return [0.0]
 
-    def called(t, y):
-        return list(kernel(t, *y))
-
-    def inlined(t, y):
-        return list(kernel(t, *y))
-
-    inlined.kernel = kernel
-    for rhs in (called, inlined):
-        with pytest.raises(ZeroDivisionError) as info:
-            integrate(rhs, [1.0], IntegratorOptions(t_end=1.0))
-        (frame,) = [f for f in traceback.extract_tb(info.tb)
-                    if f.filename == "<_step_dop853_1>"]
-        c2 = integrator._DOP853_C[1]
-        assert frame.line == f"[k2_0] = rhs(t + {c2!r} * h, y0 + h * ({c2!r} * k1_0))"
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(rhs, [1.0], IntegratorOptions(t_end=1.0))
+    (frame,) = [f for f in traceback.extract_tb(info.tb)
+                if f.filename == "<_step_dop853_1>"]
+    c2 = integrator._DOP853_C[1]
+    assert frame.line == f"[k2_0] = rhs(t + {c2!r} * h, [y0 + h * ({c2!r} * k1_0)])"
 
 
 # --- compiled on first use, once --------------------------------------------------
@@ -276,11 +266,34 @@ def test_traceback_shows_emitted_line():
 
 def test_import_compiles_no_step():
     code = ("import multilink, linecache\n"
-            "from multilink import dynamics, integrator\n"
+            "from multilink import integrator\n"
             "assert integrator._emit_step.cache_info().currsize == 0\n"
-            "assert dynamics._kernel_binder.cache_info().currsize == 0\n"
-            "assert not [f for f in linecache.cache\n"
-            "            if f.startswith(('<_step', '<vehicle kernel'))]\n")
+            "assert not [f for f in linecache.cache if f.startswith('<_step')]\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_only_steps_are_generated():
+    # every chart and a plain function on the Python loop: the emitted steps
+    # are the only generated code, so no second generator grows back
+    code = ("import linecache\n"
+            "import numpy as np\n"
+            "from multilink import _compiled, dynamics, integrator, model\n"
+            "_compiled._lib = False\n"
+            "p = model.random_vehicle(np.random.default_rng(5), 2)\n"
+            "d = model.derive_params(p)\n"
+            "rotor = model.sine_rotor(0.5, 1.0)\n"
+            "opts = integrator.IntegratorOptions(t_end=1.0)\n"
+            "runs = [(dynamics.make_reduced_rhs(p, d, rotor), 4),\n"
+            "        (dynamics.make_full_rhs(p, d, rotor), 7),\n"
+            "        (dynamics.make_manifold_rhs(p, -1), 2),\n"
+            "        (lambda t, y: [-y[0], y[1]], 2)]\n"
+            "for rhs, dim in runs:\n"
+            "    integrator.integrate(rhs, [0.3] * dim, opts)\n"
+            "names = sorted(linecache.cache)\n"
+            "assert names == ['<_step_dop853_2>', '<_step_dop853_4>',\n"
+            "                 '<_step_dop853_7>'], names\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -300,11 +313,9 @@ def test_second_run_compiles_nothing(monkeypatch, pair):
         if wrapped:
             rhs = (lambda field: lambda t, y: field(t, y))(rhs)
         integrate(rhs, [1.0, 0.5, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0], opts)
-        runs.append((integrator._emit_step.cache_info(),
-                     dynamics._kernel_binder.cache_info()))
-    (steps, kernels), (steps_again, kernels_again) = runs
+        runs.append(integrator._emit_step.cache_info())
+    steps, steps_again = runs
     assert steps_again.misses == steps.misses
-    assert kernels_again.misses == kernels.misses
 
 
 def test_many_links_run_keeps_invariants():
