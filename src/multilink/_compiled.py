@@ -8,7 +8,8 @@ the consumer does the work in Python, to the same bits and bytes:
 :func:`multilink.integrator.integrate` calls :func:`integrate` (which runs
 only a vehicle field, one that carries ``vehicle``),
 :func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
-and :func:`multilink.scenarios.write_trajectory_csv` and
+:func:`multilink.dynamics.trajectory_from_solution` calls
+:func:`diagnostics`, and :func:`multilink.scenarios.write_trajectory_csv` and
 ``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`.  The
 C code performs the Python code's operations in their order, calling one
 sincos where Python takes the sin and the cos of one argument (glibc gives
@@ -17,10 +18,10 @@ file outside the writer's grammar and shape, which numpy.loadtxt reads.
 
 Only :func:`integrate` builds the library (:func:`load`): once per process,
 with the compiler Python was built with (sysconfig ``CC``), into a
-temporary directory removed at exit, in about 0.25 s.  Without a working
-compiler every call here returns None, and the Python paths, which stay the
-oracle of the C ones, do the work.  Setting ``_lib`` to False forces every
-Python path.
+temporary directory removed at exit, in 0.3 to 0.4 s (gcc 12 on a 2-core
+x86 VM).  Without a working compiler every call here returns None, and the
+Python paths, which stay the oracle of the C ones, do the work.  Setting
+``_lib`` to False forces every Python path.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ VALUE_BYTES = 25
 READ_BLOCK = 1 << 16
 
 # the statuses and charts of _loop.c
-DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE = range(5)
+DONE, MORE, UNDERFLOW, DIVERGED, DEGENERATE, START = range(6)
 CHARTS = ("reduced", "full", "manifold")
 # The largest C long.  A ctypes long field keeps a larger integer modulo
 # 2**bits, so a larger sample stride is passed as this one; no run takes
@@ -70,10 +71,9 @@ _lib = None
 
 
 class Vehicle(ctypes.Structure):
-    _fields_ = [("n", c_int), ("chart", c_int),
-                ("c", POINTER(c_double)), ("mu", POINTER(c_double)),
-                ("mass", c_double), ("inertia", c_double), ("b", c_double),
-                ("af", c_double), ("freq", c_double)]
+    _fields_ = [("n", c_int), ("chart", c_int), ("c", c_void_p),
+                ("mu", c_void_p), ("mass", c_double), ("inertia", c_double),
+                ("b", c_double), ("af", c_double), ("freq", c_double)]
 
 
 class Pair(ctypes.Structure):
@@ -84,10 +84,10 @@ class Pair(ctypes.Structure):
 
 
 class Run(ctypes.Structure):
-    _fields_ = [("dim", c_int), ("landing", c_int),
+    _fields_ = [("dim", c_int), ("landing", c_int), ("first", c_int),
                 *[(name, c_long) for name in
                   ("stride", "n_targets", "next_target", "max_steps")],
-                ("targets", POINTER(c_double)),
+                ("targets", c_void_p),
                 *[(name, c_double) for name in
                   ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol",
                    "last_t")],
@@ -98,6 +98,16 @@ class Run(ctypes.Structure):
 
 def _array(ctype, values):
     return (ctype * len(values))(*values)
+
+
+def _address(a):
+    """The address of the numpy array a's first element: through ctypes
+    where a is a non-empty, writable, C-contiguous buffer (about 0.4 us),
+    else through a.ctypes.data (about 1.5 us)."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError, BufferError):
+        return a.ctypes.data
 
 
 def _compile(cmd):
@@ -151,7 +161,8 @@ def _build():
     lib.ml_run.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
                            c_void_p, c_void_p, c_void_p, c_long]
     lib.ml_run.restype = c_int
-    lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 7]
+    lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 4, c_long,
+                                    c_long, *[c_void_p] * 4]
     lib.ml_residual_max.restype = None
     if hasattr(lib, "ml_format_rows"):
         lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
@@ -179,53 +190,71 @@ def _pair():
                 _array(c_int, silent))
 
 
-def integrate(rhs, y, f, targets, opts, t0, h_prop, h_floor, buf):
+def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
     """integrate's loop for a vehicle field, building the library on the
-    first call: appends the samples to buf and returns the accepted,
-    rejected and evaluation counts; None where rhs carries no ``vehicle``
-    or the library cannot be built.  integrate has called the field on y,
-    which checks that y has the chart's dimension, and the field's
-    couplings have one entry per link."""
+    first call: the sample times and states (the first sample at t0 where
+    first is true) and the accepted, rejected and evaluation counts; None
+    where rhs carries no ``vehicle``, the library cannot be built, or the
+    start fails: a state of another dimension than the chart's, or a
+    derivative at t0 that is not finite or meets a degenerate shape, whose
+    error the Python loop raises.  The field's couplings have one entry per
+    link."""
     if getattr(rhs, "vehicle", None) is None or not load():
         return None
-    from . import integrator  # which imports this module
-
     dim = len(y)
     pair = _pair()
     chart, c, mu, *constants = rhs.vehicle
-    vehicle = Vehicle(len(c), CHARTS.index(chart), _array(c_double, c),
-                      _array(c_double, mu), *constants)
-    # y, the stages, the two error rows, the new state
-    work = np.empty((pair.stages + 4) * dim)
-    work[:dim] = y
-    work[dim:2 * dim] = f
-    t_out = np.empty(CHUNK)
-    y_out = np.empty(CHUNK * dim)
-    landing = targets is not None
-    run = Run(dim=dim, landing=landing,
+    n = len(c)
+    stops = [] if targets is None else targets
+    # One block: c, mu and the targets; y, the stages, the two error rows
+    # and the new state; then CHUNK sample times and CHUNK states.
+    head = 2 * n + len(stops)
+    size = head + (pair.stages + 4) * dim
+    block = np.empty(size + CHUNK * (1 + dim))
+    block[:head + dim] = c + mu + stops + y
+    base = _address(block)
+    vehicle = Vehicle(n, CHARTS.index(chart), base, base + 8 * n, *constants)
+    work = base + 8 * head
+    run = Run(dim=dim, landing=targets is not None, first=first,
               stride=min(opts.sample_stride, LONG_MAX),
+              n_targets=len(stops), targets=base + 16 * n,
               max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
               h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
-              atol=opts.atol, last_t=t0, n_evals=1)
-    if landing:
-        stops = np.array(targets, dtype=float)
-        run.n_targets = stops.size
-        run.targets = stops.ctypes.data_as(POINTER(c_double))
+              atol=opts.atol, last_t=t0)
+    t_out, y_out = size, size + CHUNK
+    times, states = [], []
     status = MORE
     while status == MORE:
-        status = _lib.ml_run(pair, vehicle, run, work.ctypes.data,
-                             t_out.ctypes.data, y_out.ctypes.data, CHUNK)
-        buf.extend(t_out[:run.n_out], y_out[:run.n_out * dim])
+        status = _lib.ml_run(pair, vehicle, run, work, base + 8 * t_out,
+                             base + 8 * y_out, CHUNK)
+        # copies: the next call overwrites the chunk
+        times.append(block[t_out:t_out + run.n_out].copy())
+        states.append(block[y_out:y_out + run.n_out * dim].copy())
+    if status == START:
+        return None
+    if status != DONE:
+        _fail(status, run, rhs, block[size - dim:size])
+    if len(times) > 1:
+        times, states = np.concatenate(times), np.concatenate(states)
+    else:
+        times, states = times[0], states[0]
+    return (times, states.reshape(times.size, dim), run.n_acc, run.n_rej,
+            run.n_evals)
+
+
+def _fail(status, run, rhs, stage):
+    """Raise the error of a run of the field rhs that ended in status, the
+    failing stage's input being stage."""
+    from . import integrator  # which imports this module
+
     if status == UNDERFLOW:
         raise integrator._underflow(run.h, run.t)
     if status == DIVERGED:
         raise integrator._diverged(run.t)
-    if status == DEGENERATE:
-        # the Python field raises the same error on the same stage
-        rhs(run.stage_t, work[-dim:].tolist())
-        raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
-                           f"t={run.stage_t}, the Python field disagrees")
-    return run.n_acc, run.n_rej, run.n_evals
+    # DEGENERATE: the Python field raises the same error on the same stage
+    rhs(run.stage_t, stage.tolist())
+    raise RuntimeError(f"compiled kernel: m_eff {run.m_eff} <= 0 at "
+                       f"t={run.stage_t}, the Python field disagrees")
 
 
 def residual_max(v1, omega, phi, psi, c):
@@ -236,14 +265,37 @@ def residual_max(v1, omega, phi, psi, c):
     if not _lib:
         return None
     rows, n = phi.shape
-    v1, omega, phi, psi = map(np.ascontiguousarray, (v1, omega, phi, psi))
-    c = np.ascontiguousarray(c, dtype=float)
-    rate = np.empty(n)
-    out = np.empty(rows)
-    _lib.ml_residual_max(rows, n, v1.ctypes.data, omega.ctypes.data,
-                         phi.ctypes.data, psi.ctypes.data, c.ctypes.data,
-                         rate.ctypes.data, out.ctypes.data)
-    return out
+    # the list holds the copies of non-contiguous inputs during the call
+    columns = [np.ascontiguousarray(x) for x in (v1, omega, phi, psi)]
+    return _residual_max(rows, n, *map(_address, columns), 1, n, c, None)
+
+
+def diagnostics(states, c):
+    """The residual maxima of :func:`residual_max` and the float64 (S, N)
+    block of sin(theta)^2 for the full-chart float64 (S, N + 5) state block
+    states, where c holds the N hinge distances; None where the library is
+    not loaded."""
+    if not _lib:
+        return None
+    states = np.ascontiguousarray(states, dtype=float)
+    rows, dim = states.shape
+    n = len(c)
+    sin2 = np.empty((rows, n))
+    base = _address(states)
+    out = _residual_max(rows, n, base, base + 8, base + 16, base + 8 * (n + 4),
+                        dim, dim, c, _address(sin2))
+    return out, sin2
+
+
+def _residual_max(rows, n, v1, omega, phi, psi, stride, phi_stride, c, sin2):
+    """ml_residual_max on the addresses v1, omega, phi, psi and sin2 (or
+    None); the maxima are a float64 vector of length rows."""
+    block = np.empty(rows + 2 * n)  # the maxima, c, and the rates' work
+    block[rows:rows + n] = c
+    out = _address(block)
+    _lib.ml_residual_max(rows, n, v1, omega, phi, psi, stride, phi_stride,
+                         out + 8 * rows, out + 8 * (rows + n), out, sin2)
+    return block[:rows]
 
 
 def write_rows(f, table, chunk, python_rows):

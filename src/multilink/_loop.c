@@ -1,7 +1,8 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
  * multilink.dynamics, as C, the per-sample constraint-residual maximum of
- * multilink.dynamics.residual_max_series, and the row formatter and row
- * parser of the trajectory CSV of multilink.scenarios.
+ * multilink.dynamics.residual_max_series with the sin(theta)^2 of its
+ * energy_series, and the row formatter and row parser of the trajectory CSV
+ * of multilink.scenarios.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
@@ -31,7 +32,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE };
+/* RUN_START: the state has another dimension than the chart's, or the
+ * derivative at the start is not finite or meets a degenerate shape; the
+ * caller's Python loop raises the error. */
+enum { RUN_DONE, RUN_MORE, RUN_UNDERFLOW, RUN_DIVERGED, RUN_DEGENERATE,
+       RUN_START };
 enum { CHART_REDUCED, CHART_FULL, CHART_MANIFOLD };
 
 /* A vehicle field: n links on a chart, hinge distances c and couplings mu,
@@ -58,13 +63,21 @@ typedef struct {
 
 /* The loop's settings and its state between calls. */
 typedef struct {
-    int dim, landing;               /* landing: emit at targets only */
+    int dim, landing, first;        /* landing: emit at targets only;
+                                       first: emit the start */
     long stride, n_targets, next_target, max_steps;
     const double *targets;
     double t, t_end, h_prop, hmax, h_floor, rtol, atol, last_t;
     long n_acc, n_rej, n_evals, n_out;
     double h, m_eff, stage_t;       /* the failing step or stage */
 } Run;
+
+/* The dimension of the vehicle's state on its chart. */
+static int dim_of(const Vehicle *v)
+{
+    return v->n + (v->chart == CHART_MANIFOLD ? 0
+                   : v->chart == CHART_FULL ? 5 : 2);
+}
 
 /* The rates at (t, y) into f; 1 for a finite m_eff <= 0. */
 static int rates(const Vehicle *v, double t, const double *y, double *f,
@@ -111,7 +124,7 @@ static int rates(const Vehicle *v, double t, const double *y, double *f,
     }
     return 0;
 nan:  /* Python's sin and cos raise on an infinity; the kernel returns NaN */
-    for (int i = 0; i < (manifold ? n : n + 2 + 3 * (v->chart == CHART_FULL)); i++)
+    for (int i = 0; i < dim_of(v); i++)
         f[i] = NAN;
     return 0;
 }
@@ -199,9 +212,9 @@ static void emit(Run *r, const double *y, double *t_out, double *y_out)
     r->last_t = r->t;
 }
 
-/* work: the state y, the stages k (k[0] its derivative), the two error
- * rows e and the new state, dim doubles each; t_out and y_out hold cap
- * samples. */
+/* work: the state y, the stages k (k[0] its derivative, which the first
+ * call takes, n_evals being 0), the two error rows e and the new state, dim
+ * doubles each; t_out and y_out hold cap samples. */
 int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
            double *t_out, double *y_out, long cap)
 {
@@ -209,6 +222,18 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
     double *y = work, *k = work + dim, *e = k + p->stages * dim,
            *yn = e + 2 * dim;
     r->n_out = 0;
+    if (r->n_evals == 0) {
+        if (r->dim != dim_of(v) || rates(v, r->t, y, k, &r->m_eff))
+            return RUN_START;
+        for (int i = 0; i < dim; i++)
+            if (!isfinite(k[i]))
+                return RUN_START;
+        r->n_evals = 1;
+        if (r->first)
+            emit(r, y, t_out, y_out);
+        if (r->n_out == cap)
+            return RUN_MORE;
+    }
     for (long attempts = 0; r->t < r->t_end; attempts++) {
         if (attempts == r->max_steps)
             return RUN_MORE;
@@ -219,7 +244,7 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
         if (gap <= h / 0.9 && gap <= r->hmax)
             h = gap;
         const int clamped = h < r->h_prop;
-        if (h < r->h_floor) {
+        if (h < r->h_floor && h != gap) {  /* a landing step ends on target */
             r->h = h;
             return RUN_UNDERFLOW;
         }
@@ -277,27 +302,35 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
  * recurrence), the angle rates of dynamics.angle_rates, the residuals of
  * dynamics.residuals_from_rates, whose link i subtracts its terms for j = 0
  * .. i - 1 in that order, and np.max of their absolute values, where a NaN
- * wins.  v1, om and psi hold one value per sample, phi n per sample (row by
- * row) and c n; rate is n doubles of work. */
+ * wins.  Sample r reads v1[r * stride], om[r * stride], psi[r * stride]
+ * and the n angles phi[r * phi_stride ..]: separate contiguous columns take
+ * strides 1 and n, the full chart's (rows, n + 5) state block takes its row
+ * length for both.  c holds n doubles and rate is n doubles of work.  Where
+ * sin2 is not NULL it receives sin(theta)^2 at each sample and link (row by
+ * row, n per sample), the factor of dynamics.energy_series's s * s. */
 void ml_residual_max(long rows, int n, const double *v1, const double *om,
-                     const double *phi, const double *psi, const double *c,
-                     double *rate, double *out)
+                     const double *phi, const double *psi, long stride,
+                     long phi_stride, const double *c, double *rate,
+                     double *out, double *sin2)
 {
     for (long r = 0; r < rows; r++) {
-        const double *ph = phi + r * n, v = v1[r], w = om[r];
+        const double *ph = phi + r * phi_stride, v = v1[r * stride],
+                     w = om[r * stride], ps = psi[r * stride];
         double cs = 0.0, sin_psi, cos_psi;
         for (int i = 0; i < n; i++) {
             const double alt = (i % 2 ? -1.0 : 1.0) * ph[i];
             cs = i ? cs + alt : alt;
-            const double th = 2.0 * cs - alt;
-            rate[i] = w + ((i % 2 ? 1.0 : -1.0) * (v * sin(th) / c[i]) - w);
+            const double th = 2.0 * cs - alt, s = sin(th);
+            rate[i] = w + ((i % 2 ? 1.0 : -1.0) * (v * s / c[i]) - w);
+            if (sin2)
+                sin2[r * n + i] = s * s;
         }
-        sincos(psi[r], &sin_psi, &cos_psi);
+        sincos(ps, &sin_psi, &cos_psi);
         const double xdot = v * cos_psi, ydot = v * sin_psi;
         double max = fabs(-xdot * sin_psi + ydot * cos_psi);
         for (int i = 0; i < n; i++) {
             double sin_h, cos_h;
-            sincos(psi[r] + ph[i], &sin_h, &cos_h);
+            sincos(ps + ph[i], &sin_h, &cos_h);
             double res = -xdot * sin_h + ydot * cos_h - c[i] * rate[i];
             for (int j = 0; j < i; j++)
                 res -= 2.0 * c[j] * rate[j] * cos(ph[i] - ph[j]);

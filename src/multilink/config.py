@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PoseState, ReducedState
+from .dynamics import PoseState, ReducedState, energy
 from .integrator import IntegratorOptions
 from .model import (
     DerivedParams,
@@ -243,9 +243,13 @@ def parse_config(text: str) -> ScenarioConfig:
         if rotor.mean_sq_rate() <= 0.0:
             raise ConfigError(f"'rotor.amplitude' {rotor.amplitude:g} leaves "
                               f"the rotor momentum constant: no speedup")
-        if derived.static_moment == 0.0:
-            raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the "
-                              f"sleigh (static moment m0 a0 = 0): no speedup")
+    if scenario in ("speedup", "fixed_points") and derived.static_moment == 0.0:
+        # a predicate of analysis.asymptotic_prediction and of
+        # analysis.classify_fixed_point
+        outcome = "no speedup" if scenario == "speedup" else \
+            "no node/saddle classification"
+        raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the sleigh "
+                          f"(static moment m0 a0 = 0): {outcome}")
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
     # the speedup scenario's step cap: see the module docstring
@@ -269,6 +273,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("'sign' is only valid for scenario 'manifold'")
 
     initial, pose = _parse_initial(doc.get("initial", {}), vehicle.n_links)
+    if scenario == "manifold":
+        # the level set of the manifold's speed
+        with np.errstate(over="ignore"):
+            h = float(energy(initial, vehicle, derived))
+        if not math.isfinite(h):
+            raise ConfigError(f"'initial' has energy {h}: the manifold "
+                              f"scenario needs a finite one")
     outputs = _parse_outputs(doc.get("outputs", {}))
     return ScenarioConfig(scenario, vehicle, derived, rotor, initial, pose,
                           integrator, outputs, sign)

@@ -285,11 +285,21 @@ class Trajectory:
 _RESIDUAL_BLOCK = 65536
 
 
+def effective_inertia(sin2, d: DerivedParams) -> np.ndarray:
+    """m_eff of each row of an (S, N) block of sin(theta)^2."""
+    return d.mass + sin2 @ d.coupling
+
+
 def energy_series(v1, omega, phi, p: VehicleParams, d: DerivedParams) -> np.ndarray:
     """Vectorized energy integral over sample arrays."""
     s = np.sin(theta_from_phi(np.atleast_2d(phi)))
-    m_eff = d.mass + (s * s) @ d.coupling
-    return 0.5 * (m_eff * v1 * v1 + d.inertia * omega * omega)
+    return _energy(v1, omega, s * s, d)
+
+
+def _energy(v1, omega, sin2, d: DerivedParams) -> np.ndarray:
+    """energy_series from the (S, N) block sin2 of sin(theta)^2."""
+    return 0.5 * (effective_inertia(sin2, d) * v1 * v1
+                  + d.inertia * omega * omega)
 
 
 def _column(x, samples: int) -> np.ndarray:
@@ -334,23 +344,33 @@ def simulate(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
              t_eval=None) -> Trajectory:
     """Integrate the reduced system together with the planar pose and collect
     per-sample diagnostics."""
-    y0 = np.concatenate((initial.as_array(), pose.as_array()))
+    y0 = [initial.v1, initial.omega, *initial.phi.tolist(), pose.x, pose.y,
+          pose.psi]
     sol = integrate(make_full_rhs(p, d, rotor), y0, opts, t_eval=t_eval)
     return trajectory_from_solution(sol, p, d, rotor)
 
 
 def trajectory_from_solution(sol: Solution, p: VehicleParams, d: DerivedParams,
                              rotor: RotorProfile) -> Trajectory:
-    """Repackage a full-chart integrator solution as a Trajectory."""
+    """Repackage a full-chart integrator solution as a Trajectory, whose
+    state columns are views of sol.states.  Where the library is loaded
+    (:mod:`multilink._compiled`), one compiled pass gives the residual
+    maxima and the sin(theta)^2 of the energy, to the bits of
+    :func:`residual_max_series` and :func:`energy_series`."""
     n = p.n_links
-    v1 = sol.states[:, 0].copy()
-    omega = sol.states[:, 1].copy()
-    phi = sol.states[:, 2: n + 2].copy()
-    x = sol.states[:, n + 2].copy()
-    y = sol.states[:, n + 3].copy()
-    psi = sol.states[:, n + 4].copy()
-    e = energy_series(v1, omega, phi, p, d)
-    r = residual_max_series(v1, omega, phi, psi, p)
+    s = sol.states
+    if s.ndim != 2 or s.shape[1] != n + 5:
+        raise ValueError(f"states have shape {s.shape}, expected (samples, "
+                         f"{n + 5}) for the full chart of N = {n}")
+    v1, omega, phi = s[:, 0], s[:, 1], s[:, 2:n + 2]
+    x, y, psi = s[:, n + 2], s[:, n + 3], s[:, n + 4]
+    diag = _compiled.diagnostics(s, p.c)
+    if diag is None:
+        e = energy_series(v1, omega, phi, p, d)
+        r = residual_max_series(v1, omega, phi, psi, p)
+    else:
+        r, sin2 = diag
+        e = _energy(v1, omega, sin2, d)
     # RotorProfile.momentum on the whole array: numpy's sin gives math.sin's
     # bits (tests/test_dynamics.py checks it on the shipped speedup samples)
     k = rotor.amplitude * np.sin(rotor.freq * sol.times)

@@ -192,11 +192,6 @@ class _Buffer:
         self._t.append(t)
         self._y.extend(y)
 
-    def extend(self, times, states):
-        """Append samples from float64 arrays: times, and the states flat."""
-        self._t.frombytes(times.tobytes())
-        self._y.frombytes(states.tobytes())
-
     @property
     def last_time(self) -> float:
         return self._t[-1]
@@ -214,16 +209,20 @@ def _listed(rhs):
     return f
 
 
-def _prepare(rhs, y0, opts, t0, t_eval):
-    """Validate the inputs; return the list-valued right-hand side, the
-    initial state as a list, the output times still ahead as a list (or
-    None), the derivative at t0 and the sample buffer holding the first
-    sample."""
+def _prepare(y0, opts, t0, t_eval):
+    """Validate the inputs; return the initial state as a list, the output
+    times still ahead as a list (or None), and whether the first sample, at
+    t0, is emitted."""
     if not (math.isfinite(t0) and t0 < opts.t_end):
         raise ValueError(f"t0 must be finite and below t_end, got {t0}")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if y0.ndim != 1 or y0.size == 0:
-        raise ValueError(f"y0 must be non-empty and 1-d, got shape {y0.shape}")
+    if type(y0) is list and y0 and all(type(v) is float for v in y0):
+        y = y0.copy()  # the common case: already the state the loops take
+    else:
+        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        if y0.ndim != 1 or y0.size == 0:
+            raise ValueError(f"y0 must be non-empty and 1-d, got shape "
+                             f"{y0.shape}")
+        y = y0.tolist()
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or t_eval.size == 0:
@@ -235,23 +234,11 @@ def _prepare(rhs, y0, opts, t0, t_eval):
         if t_eval[0] < t0 or t_eval[-1] > opts.t_end:
             raise ValueError("t_eval must lie within [t0, t_end]")
         t_eval = t_eval.tolist()
-    y = y0.tolist()
-    f0 = rhs(t0, y)
-    if not isinstance(f0, list):
-        rhs = _listed(rhs)
-        f0 = np.asarray(f0, dtype=float).tolist()
-    if not isinstance(f0, list) or len(f0) != len(y):
-        raise ValueError(f"right-hand side must return {len(y)} values, "
-                         f"one per state component")
-    if not all(map(math.isfinite, f0)):
-        raise DivergenceError(f"right-hand side not finite at t={t0}", t0)
-    buf = _Buffer(len(y))
     if t_eval is None:
-        buf.append(t0, y)
-    elif t_eval[0] == t0:
-        buf.append(t0, y)
-        t_eval = t_eval[1:]
-    return rhs, y, t_eval, f0, buf
+        return y, None, True
+    if t_eval[0] == t0:
+        return y, t_eval[1:], True
+    return y, t_eval, False
 
 
 def _underflow(h, t):
@@ -272,20 +259,31 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     the accepted-step grid decimated by opts.sample_stride is emitted,
     always including the first and last points.
     """
-    rhs, y, targets, f, buf = _prepare(rhs, y0, opts, t0, t_eval)
+    y, targets, first = _prepare(y0, opts, t0, t_eval)
     h_floor = _STEP_FLOOR * opts.t_end
     h_prop = max(min(opts.h0, opts.hmax, opts.t_end - t0), h_floor)
-    counts = _compiled.integrate(rhs, y, f, targets, opts, t0, h_prop,
-                                 h_floor, buf)
-    if counts is None:
-        counts = _python_steps(rhs, y, f, targets, opts, t0, h_prop,
-                               h_floor, buf)
-    return Solution(*buf.arrays(), *counts)
+    out = _compiled.integrate(rhs, y, targets, first, opts, t0, h_prop,
+                              h_floor)
+    if out is None:
+        out = _python_steps(rhs, y, targets, first, opts, t0, h_prop, h_floor)
+    return Solution(*out)
 
 
-def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
-    """The driver loop over the emitted step: appends the samples after the
-    first to buf and returns the accepted, rejected and evaluation counts."""
+def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
+    """The driver loop over the emitted step: the sample times and states
+    and the accepted, rejected and evaluation counts."""
+    f = rhs(t, y)
+    if not isinstance(f, list):
+        rhs = _listed(rhs)
+        f = np.asarray(f, dtype=float).tolist()
+    if not isinstance(f, list) or len(f) != len(y):
+        raise ValueError(f"right-hand side must return {len(y)} values, "
+                         f"one per state component")
+    if not all(map(math.isfinite, f)):
+        raise DivergenceError(f"right-hand side not finite at t={t}", t)
+    buf = _Buffer(len(y))
+    if first:
+        buf.append(t, y)
     evals = len(_DOP853_A)  # each stage but the first, the last step's FSAL
     step = _emit_step(len(y))
     t_end, hmax = opts.t_end, opts.hmax
@@ -305,7 +303,7 @@ def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
             # target in vanishing increments
             h = gap
         clamped = h < h_prop
-        if h < h_floor:
+        if h < h_floor and h != gap:  # a landing step ends on the target
             raise _underflow(h, t)
 
         y_new, f_new, err = step(rhs, t, h, y, f, atol, rtol)
@@ -340,7 +338,7 @@ def _python_steps(rhs, y, f, targets, opts, t, h_prop, h_floor, buf):
 
     if targets is None and buf.last_time != t:
         buf.append(t, y)
-    return n_acc, n_rej, n_evals
+    return (*buf.arrays(), n_acc, n_rej, n_evals)
 
 
 # --- step functions ------------------------------------------------------------

@@ -24,6 +24,7 @@ from .dynamics import (
     PoseState,
     Trajectory,
     attachment_positions,
+    effective_inertia,
     energy,
     make_manifold_rhs,
     residual_max_series,
@@ -358,7 +359,7 @@ def manifold_trajectory(times, phi_states, cfg: ScenarioConfig,
     p, sign = cfg.vehicle, cfg.sign
     h = energy(cfg.initial, p, d)
     s = np.sin(theta_from_phi(phi_states))
-    m_eff = d.mass + (s * s) @ d.coupling
+    m_eff = effective_inertia(s * s, d)
     if not np.all(m_eff > 0.0):
         raise DegenerateShapeError(
             f"effective longitudinal inertia {np.min(m_eff)} <= 0 on the "

@@ -83,6 +83,18 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _span(lo, hi):
+    """The axis range of data from lo to hi: a single value v is widened to
+    v -+ 1, or at |v| >= 2**53, where v - 1 can be v, by the spacing of
+    doubles at v, inward where outward would overflow."""
+    if hi != lo:
+        return lo, hi
+    step = max(1.0, math.ulp(lo))
+    if math.isinf(abs(lo) + step):
+        return (lo - 2.0 * step, hi) if lo > 0.0 else (lo, hi + 2.0 * step)
+    return lo - step, hi + step
+
+
 class LinePlot:
     """Collects series/markers, then renders one SVG document."""
 
@@ -123,10 +135,8 @@ class LinePlot:
         x_hi = max(float(a.max()) for a in xs)
         y_lo = min(float(a.min()) for a in ys)
         y_hi = max(float(a.max()) for a in ys)
-        if x_hi == x_lo:
-            x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        x_lo, x_hi = _span(x_lo, x_hi)
+        y_lo, y_hi = _span(y_lo, y_hi)
         pad_x = 0.04 * (x_hi - x_lo)
         pad_y = 0.04 * (y_hi - y_lo)
         return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y

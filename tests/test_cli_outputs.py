@@ -9,6 +9,7 @@ scenario runners were merged behind one writer, which must reproduce them.
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -78,6 +79,18 @@ random-parameter suite (seed=7): 2/2 draws with exactly one stable and one unsta
 # simulate draws no random vehicles, and the census summary is its report,
 # which simulate prints as fixed-points does, with no empty line after it
 SUMMARY["fixed_points"] = FIXED_POINTS_STDOUT.rsplit("\n", 2)[0]
+
+
+# shipped configs with edited fields at the edges of the float range: each
+# runs (exit 0), or its config fails with an error naming the field (exit 2)
+EDGES = [
+    # a y so large that y - 1 == y: the paths plot's y range had no span
+    ("inertial", {"initial": {"y": 8.84e37}}, 0, None),
+    # a balanced sleigh has a zero eigenvalue: no node/saddle classification
+    ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
+    # the manifold's energy level overflows
+    ("manifold", {"initial": {"omega": 3.6e168}}, 2, "'initial'"),
+]
 
 
 def shipped(scenario, formats):
@@ -158,3 +171,26 @@ def test_no_svg_format_renders_nothing(tmp_path, capsys, monkeypatch,
     doc["outputs"]["formats"] = ["svg"]
     assert run_cli(tmp_path, capsys, "simulate", doc)[0] == 0
     assert len(calls) == (1 if scenario == "manifold" else 3)
+
+
+@pytest.mark.parametrize("scenario, edits, code, named", EDGES,
+                         ids=[f"{s}-{'+'.join(k for b in e.values() for k in b)}"
+                              for s, e, _, _ in EDGES])
+def test_edge_documents_run_or_fail_typed(tmp_path, capsys, scenario, edits,
+                                          code, named):
+    doc = shipped(scenario, None)
+    for block, fields in edits.items():
+        doc[block] = {**doc.get(block, {}), **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", str(path), "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code:
+        assert err.startswith(f"error: {named} ") and not out.exists()
+    else:
+        assert err == ""
+        assert sorted(os.listdir(out)) == sorted(TABLE[0][2])

@@ -38,15 +38,18 @@ import multilink
 from multilink import _compiled, cli, config, scenarios
 from multilink.dynamics import (
     Trajectory,
+    energy_series,
     make_full_rhs,
     make_manifold_rhs,
     make_reduced_rhs,
     residual_max_series,
     simulate,
+    trajectory_from_solution,
 )
 from multilink.integrator import (
     DivergenceError,
     IntegratorOptions,
+    Solution,
     StepUnderflowError,
     integrate,
 )
@@ -56,6 +59,7 @@ from multilink.model import (
     derive_params,
     random_vehicle,
     sine_rotor,
+    theta_from_phi,
     zero_rotor,
 )
 
@@ -186,6 +190,22 @@ def test_step_underflow_matches(compiled, pair, reference_vehicle,
     assert fast[0] is StepUnderflowError and fast[2] == 0.0
 
 
+@pytest.mark.parametrize("chart", ["reduced", "full"])
+def test_landing_step_below_the_floor_matches(compiled, chart,
+                                              reference_vehicle,
+                                              reference_derived):
+    # landing steps shorter than the step floor 1e-14 * t_end: to t_end, and
+    # between two output times; both loops used to underflow
+    rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(
+        reference_vehicle, reference_derived, sine_rotor(0.05, 1.0))
+    y0 = [10.0, 1.0, 0.5, 0.5] + [0.1, 0.2, 0.3] * (chart == "full")
+    opts = IntegratorOptions(t_end=1.0)
+    fast, slow = both_loops(rhs, y0, opts, t0=1.0 - 1e-15)
+    assert fast == slow and fast[2] == (2,)
+    fast, slow = both_loops(rhs, y0, opts, t_eval=[0.5, 0.5 + 2e-15, 1.0])
+    assert fast == slow and fast[2] == (3,)
+
+
 @one_pair
 def test_divergence_matches(compiled, pair, reference_vehicle,
                             reference_derived):
@@ -212,6 +232,26 @@ def test_degenerate_shape_matches(compiled, pair, chart, reference_vehicle):
     assert fast == slow
     assert fast[0] is DegenerateShapeError
     assert fast[1].startswith("effective longitudinal inertia -")
+
+
+@pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
+def test_start_failures_match(compiled, chart, reference_vehicle,
+                              reference_derived):
+    # the compiled loop takes the derivative at t0 and leaves a failing
+    # start to the Python loop: a state of another length, a non-finite
+    # derivative, and m_eff = 1 - 3 sin^2(theta_1) <= 0 at t0
+    rhs = chart(reference_vehicle, reference_derived, sine_rotor(0.3, 1.0))
+    y0 = [0.1, -10.0, 0.3, 0.0] + [0.0, 0.0, 0.0] * (chart is make_full_rhs)
+    opts = IntegratorOptions(t_end=1.0)
+    bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                        coupling=[-3.0, 0.0])
+    for field, y, error in [(rhs, y0[:-1], ValueError),
+                            (rhs, [*y0[:2], math.inf, *y0[3:]],
+                             DivergenceError),
+                            (chart(reference_vehicle, bad, zero_rotor()),
+                             [0.1, 0.0, 1.5, *y0[3:]], DegenerateShapeError)]:
+        fast, slow = both_loops(field, y, opts, t0=0.25)
+        assert fast == slow and fast[0] is error
 
 
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])
@@ -855,14 +895,73 @@ def test_residuals_normalize_their_inputs(compiled, reference_vehicle):
             m.setattr(_compiled, "_lib", lib)
             with pytest.raises(ValueError, match="N = 2"):
                 residual_max_series(om[:5], om[:5], phi[:5, :1], psi[:5], p)
-    # contiguous float64 columns and blocks reach the library uncopied
+    # contiguous float64 columns and blocks reach the library uncopied, the
+    # columns with strides 1 and N and no sin^2 output, a full-chart state
+    # block with its row length as both strides
     args = []
     fast = compiled.ml_residual_max
+    states = np.column_stack((om, om, phi, om, om, psi))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(compiled, "ml_residual_max",
-                  lambda *a: args.extend(a) or fast(*a))
+                  lambda *a: args.append(a) or fast(*a))
         residual_max_series(om, om, phi, psi, p)
-    assert args[2:6] == [x.ctypes.data for x in (om, om, phi, psi)]
+        _compiled.diagnostics(states, p.c)
+    columns, block = args
+    assert columns[2:8] == (*[x.ctypes.data for x in (om, om, phi, psi)], 1, 2)
+    assert columns[11] is None
+    base = states.ctypes.data
+    assert block[2:8] == (base, base + 8, base + 16, base + 48, 7, 7)
+    assert block[11] is not None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), rows=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1), every=st.integers(1, 2),
+       special=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 16),
+                                  st.sampled_from([math.nan, math.inf,
+                                                   -math.inf])), max_size=3))
+def test_fused_diagnostics_match_numpy(compiled, n, rows, seed, every,
+                                       special):
+    # one compiled pass over a full-chart state block, contiguous or every
+    # other row of a larger one, gives the residual maxima and sin(theta)^2
+    # of the numpy code, and the Trajectory's energy that of energy_series
+    rng = np.random.default_rng(seed)
+    p = random_vehicle(rng, n)
+    d = derive_params(p)
+    v1, om, phi, psi = random_samples(rng, rows * every, n, math.pi)
+    pose = rng.uniform(-1.0, 1.0, (rows * every, 2))
+    block = np.column_stack((v1, om, phi, pose, psi))[::every]
+    for row, col, x in special:
+        if row < rows:
+            block[row, col % (n + 5)] = x
+    v1, om, phi, psi = block[:, 0], block[:, 1], block[:, 2:n + 2], block[:, -1]
+    sol = Solution(np.arange(float(rows)), block, 0, 0, 0)
+    with np.errstate(all="ignore"):  # sin(inf), inf - inf, inf * 0
+        fused = trajectory_from_solution(sol, p, d, zero_rotor())
+        residuals, sin2 = _compiled.diagnostics(block, p.c)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_compiled, "_lib", False)
+            plain = trajectory_from_solution(sol, p, d, zero_rotor())
+            expected = residual_max_series(v1, om, phi, psi, p)
+        energies = energy_series(v1, om, phi, p, d)
+        squares = np.sin(theta_from_phi(phi)) ** 2
+    assert sin2.shape == squares.shape and sin2.tobytes() == squares.tobytes()
+    assert (residuals.tobytes() == expected.tobytes()
+            == fused.residual_max.tobytes() == plain.residual_max.tobytes())
+    assert (fused.energy.tobytes() == energies.tobytes()
+            == plain.energy.tobytes())
+    assert residuals.shape == fused.energy.shape == (rows,)
+
+
+def test_address_matches_ctypes_data():
+    # ctypes takes the address of a writable, C-contiguous, non-empty array;
+    # every other one falls back to .ctypes.data
+    a = np.arange(6.0)
+    frozen = a.copy()
+    frozen.flags.writeable = False
+    for x in (a, a[2:], a.reshape(2, 3), np.empty(0), np.empty((0, 3)),
+              frozen, a[::2], a.reshape(2, 3).T, a.reshape(2, 3)[:, :2]):
+        assert _compiled._address(x) == x.ctypes.data
 
 
 def test_sincos_matches_sin_and_cos():

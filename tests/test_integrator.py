@@ -200,6 +200,26 @@ def test_long_horizon_starts_at_the_step_floor():
     assert sol.states[-1, 0] == pytest.approx(2e11, rel=1e-12)
 
 
+def test_landing_step_below_the_step_floor():
+    # t_end - t0 lies below the step floor 1e-14 * t_end, and so does the
+    # gap between two output times, but one step lands on each exactly;
+    # such runs used to underflow (a vehicle field on both loops:
+    # test_compiled_loop.py::test_landing_step_below_the_floor_matches)
+    t0 = 1.0 - 1e-15
+    sol = integrate(lambda t, y: [1.0], [0.0], IntegratorOptions(t_end=1.0),
+                    t0=t0)
+    assert sol.times.tolist() == [t0, 1.0] and sol.n_accepted == 1
+    assert sol.states[-1, 0] == pytest.approx(1.0 - t0, rel=1e-12)
+    t_eval = [0.5, 0.5 + 2e-15, 1.0]
+    sol = integrate(lambda t, y: [1.0], [0.0], IntegratorOptions(t_end=1.0),
+                    t_eval=t_eval)
+    assert sol.times.tolist() == t_eval
+    # a step that would not land still underflows
+    with pytest.raises(StepUnderflowError):
+        integrate(lambda t, y: [1.0 / (0.5 - t)], [0.0],
+                  IntegratorOptions(t_end=1.0), t0=0.5 - 1e-12)
+
+
 def test_hmax_below_the_step_floor_rejected():
     with pytest.raises(ValueError, match=r"hmax 1e-13 is below the step floor"):
         IntegratorOptions(t_end=100.0, hmax=1e-13)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -287,16 +288,21 @@ BALANCED = {"m": [1, 1], "I": [1, 1], "a0": 0.0, "a": [0.1], "c": [1.0]}
 
 
 def test_fixed_points_balanced_sleigh_rejected(tmp_path, monkeypatch):
-    cfg = parse_config(make_config(
-        tmp_path, scenario="fixed_points", vehicle=BALANCED,
-        integrator={"t_end": 1.0}).read_text())
-    with pytest.raises(DegenerateSpectrumError):
-        run_scenario(cfg, output_dir=str(tmp_path / "o"))
-    # the random-parameter draws classify their own vehicles
-    balanced = cfg.vehicle
+    # the config names the field, as the speedup scenario's does
+    with pytest.raises(ConfigError, match="'vehicle.a0' 0 balances"):
+        parse_config(make_config(
+            tmp_path, scenario="fixed_points", vehicle=BALANCED,
+            integrator={"t_end": 1.0}).read_text())
     cfg = parse_config(make_config(
         tmp_path, scenario="fixed_points", vehicle=dict(BALANCED, a0=0.5),
         integrator={"t_end": 1.0}).read_text())
+    # the run of a config built without the parser
+    balanced = dataclasses.replace(cfg.vehicle, a0=0.0)
+    with pytest.raises(DegenerateSpectrumError):
+        run_scenario(dataclasses.replace(cfg, vehicle=balanced,
+                                         derived=derive_params(balanced)),
+                     output_dir=str(tmp_path / "o"))
+    # the random-parameter draws classify their own vehicles
     monkeypatch.setattr("multilink.model.random_vehicle",
                         lambda rng, n: balanced)
     with pytest.raises(DegenerateSpectrumError):
