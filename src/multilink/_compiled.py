@@ -1,7 +1,8 @@
 """The compiled C of ``_loop.c``: the adaptive loop with the vehicle
-kernel, the constraint-residual maximum, and the trajectory CSV's row
-formatter and parser.  This module alone owns the library: whether it is
-loaded, who may build it, and which inputs each of its functions takes.
+kernel, the constraint-residual maximum, the trajectory CSV's row
+formatter and parser, and the SVG polyline points.  This module alone owns
+the library: whether it is loaded, who may build it, and which inputs each
+of its functions takes.
 
 Each consumer makes one call here, which returns a result, or None where
 the consumer does the work in Python, to the same bits and bytes:
@@ -9,12 +10,16 @@ the consumer does the work in Python, to the same bits and bytes:
 only a vehicle field, one that carries ``vehicle``),
 :func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
 :func:`multilink.dynamics.trajectory_from_solution` calls
-:func:`diagnostics`, and :func:`multilink.scenarios.write_trajectory_csv` and
-``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`.  The
-C code performs the Python code's operations in their order, calling one
-sincos where Python takes the sin and the cos of one argument (glibc gives
-their bits; test_sincos_matches_sin_and_cos), and the parser declines every
-file outside the writer's grammar and shape, which numpy.loadtxt reads.
+:func:`diagnostics`, :func:`multilink.scenarios.write_trajectory_csv` and
+``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`, and
+``multilink.svgplot._points`` calls :func:`points`.  The C code performs
+the Python code's operations in their order, calling one sincos where
+Python takes the sin and the cos of one argument (glibc gives their bits;
+test_sincos_matches_sin_and_cos).  Its text comes from integer arithmetic:
+the formatters write the bytes of "%.17g" and of svgplot's two decimals,
+and the parser converts a field by an exact fast path (checked against the
+digits that "%.17g" gives) or else by strtod, and declines every file
+outside the writer's grammar and shape, which numpy.loadtxt reads.
 
 Only :func:`integrate` builds the library (:func:`load`): once per process,
 with the compiler Python was built with (sysconfig ``CC``), into a
@@ -53,6 +58,9 @@ CHUNK = 4096
 # The longest "%.17g" of a double with its separator:
 # "-1.2345678901234567e-308,"
 VALUE_BYTES = 25
+# The longest value of a polyline's points with its separator:
+# "-999999999999.99 "
+POINT_BYTES = 17
 # The trajectory CSV is parsed this many bytes at a time; a file with a
 # longer line is left to numpy.loadtxt.
 READ_BLOCK = 1 << 16
@@ -164,6 +172,9 @@ def _build():
     lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 4, c_long,
                                     c_long, *[c_void_p] * 4]
     lib.ml_residual_max.restype = None
+    lib.ml_format_points.argtypes = [c_void_p, c_void_p, c_long, c_void_p,
+                                     c_void_p, POINTER(c_long)]
+    lib.ml_format_points.restype = c_long
     if hasattr(lib, "ml_format_rows"):
         lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
                                        POINTER(c_long)]
@@ -324,6 +335,35 @@ def write_rows(f, table, chunk, python_rows):
             f.write(python_rows(table[start:start + 1]))
             start += 1
     return True
+
+
+def points(xs, ys):
+    """The points attribute of ``multilink.svgplot._points`` for the
+    vectors xs and ys of one length; None where the library is not loaded
+    or they are not two such vectors.  The values that ml_format_points
+    leaves to svgplot are formatted by its ``_fmt``."""
+    if not _lib:
+        return None
+    xy = [np.ascontiguousarray(a, dtype=float) for a in (xs, ys)]
+    if xy[0].ndim != 1 or xy[0].shape != xy[1].shape:
+        return None
+    n = xy[0].size
+    if n == 0:
+        return ""
+    out = np.empty(2 * n * POINT_BYTES, dtype=np.uint8)
+    handed = np.empty(2 * n, dtype=c_long)
+    count = c_long()
+    size = _lib.ml_format_points(*map(_address, xy), n, _address(out),
+                                 _address(handed), count)
+    text = str(memoryview(out)[:size], "ascii")
+    if not count.value:
+        return text
+    from .svgplot import _fmt  # which imports this module
+
+    pieces = text.split("\0")
+    for j, i in enumerate(handed[:count.value].tolist()):
+        pieces[j] += _fmt(float(xy[i % 2][i // 2]))
+    return "".join(pieces)
 
 
 def read_csv(path, columns):

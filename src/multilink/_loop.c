@@ -1,14 +1,16 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
  * multilink.dynamics, as C, the per-sample constraint-residual maximum of
  * multilink.dynamics.residual_max_series with the sin(theta)^2 of its
- * energy_series, and the row formatter and row parser of the trajectory CSV
- * of multilink.scenarios.
+ * energy_series, the row formatter and row parser of the trajectory CSV of
+ * multilink.scenarios, and the polyline points of multilink.svgplot.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
  * fused multiply-add, no sin or cos that the compiler folds or fuses) and
- * calls ml_run, ml_residual_max, ml_format_rows and ml_parse_rows through
- * ctypes.
+ * calls ml_run, ml_residual_max, ml_format_points, ml_format_rows and
+ * ml_parse_rows through ctypes.  The text functions give the bytes of
+ * Python's formatting and the bits of its float parser: the parser takes
+ * strtod only where its exact fast path cannot decide.
  * Every floating-point operation is the one the emitted Python step and
  * kernel, or the numpy diagnostics, perform, in the same order and through
  * the same libm sin, cos, pow and sqrt, so both give the same bits: zero
@@ -27,6 +29,7 @@
  * after max_steps step attempts, to be called again to go on.
  */
 #define _GNU_SOURCE  /* sincos */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -343,24 +346,208 @@ void ml_residual_max(long rows, int n, const double *v1, const double *om,
 }
 
 
-/* The trajectory CSV: each value as the bytes of Python's "%.17g" % v.
- *
- * The digits come from exact integer arithmetic, not from printf, whose
- * decimal point follows LC_NUMERIC and which prints a NaN's sign.  A finite
- * nonzero |x| = m 2^e in [10^-16, 10^17) has k = floor(log10 |x|) in
- * [-16, 16], and its 17 digits are round(|x| 10^p) with p = 16 - k in
- * [0, 32], half to even: m 5^p < 2^53 5^32 < 2^128 is exact, and a shift by
- * e + p leaves the integer part and the remainder.  Other finite values are
- * left to the caller.  A compiler without 128-bit integers builds no
- * ml_format_rows, and the caller formats every row. */
+/* The artifacts' numbers as text, and back: each value of the trajectory
+ * CSV as the bytes of Python's "%.17g" % v (multilink.scenarios), a CSV
+ * field read back to the bits of Python's float(), and the points of an SVG
+ * polyline with two decimals, as multilink.svgplot._points writes them.
+ * The digits come from integer arithmetic rather than from printf or
+ * strtod, whose decimal point follows LC_NUMERIC (and printf prints a NaN's
+ * sign). */
+
+/* "00" .. "99" */
+static const char PAIRS[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of v, two at a time, ending just before end; returns
+ * where they start. */
+static char *digits_before(char *end, uint64_t v)
+{
+    for (; v >= 100; v /= 100) {
+        end -= 2;
+        memcpy(end, PAIRS + 2 * (v % 100), 2);
+    }
+    if (v >= 10) {
+        end -= 2;
+        memcpy(end, PAIRS + 2 * v, 2);
+    } else {
+        *--end = (char)('0' + v);
+    }
+    return end;
+}
+
+/* One value of a polyline's points at o, as svgplot._fmt writes it: the
+ * sign (of signbit), then the units and two decimals of rint(|v| 100), its
+ * trailing zeros and a bare point dropped.  Returns the end, or NULL for a
+ * value that svgplot formats on its own: a non-finite one, one of 1e12 or
+ * more, or one whose fl(100 |v|) is a half integer, which rint(fl(100 |v|))
+ * need not round as "%.2f" rounds v. */
+static char *put_point(char *o, double v)
+{
+    const double a = fabs(v), s = a * 100.0;
+    if (!(a < 1e12))
+        return NULL;
+    const int64_t whole = (int64_t)s;  /* floor: 0 <= s < 2^52 */
+    const double frac = s - (double)whole;
+    if (frac == 0.5)
+        return NULL;
+    const int64_t count = whole + (frac > 0.5);
+    const int cents = (int)(count % 100);
+    /* the units, at most 10^12 (fl(100 |v|) can round up to 10^14), right-
+     * aligned at units + 13 and copied 16 bytes at once: the caller's 17
+     * bytes hold the sign and those */
+    char units[29];
+    const char *start = digits_before(units + 13, (uint64_t)(count / 100));
+    *o = '-';
+    o += signbit(v) != 0;
+    memcpy(o, start, 16);
+    o += units + 13 - start;
+    o[0] = '.';
+    o[1] = (char)('0' + cents / 10);
+    o[2] = (char)('0' + cents % 10);
+    return o + (cents ? cents % 10 ? 3 : 2 : 0);
+}
+
+/* The points attribute "x,y x,y ..." of the polyline through the n points
+ * (xs[i], ys[i]) into out, which holds 17 bytes per value.  A value that
+ * put_point leaves to svgplot is written as one NUL byte, and its index, 2i
+ * for xs[i] and 2i + 1 for ys[i], goes to handed; sets *n_handed to their
+ * number and returns the bytes written. */
+long ml_format_points(const double *xs, const double *ys, long n, char *out,
+                      long *handed, long *n_handed)
+{
+    char *o = out;
+    long h = 0;
+    for (long i = 0; i < 2 * n; i++) {
+        char *const end = put_point(o, i % 2 ? ys[i / 2] : xs[i / 2]);
+        if (end) {
+            o = end;
+        } else {
+            handed[h++] = i;
+            *o++ = '\0';
+        }
+        *o++ = i % 2 ? ' ' : ',';
+    }
+    *n_handed = h;
+    return n ? (long)(o - out) - 1 : 0;
+}
+
+
+/* A finite nonzero |x| = m 2^e (m < 2^53) in [10^K_MIN, 10^17) has k =
+ * floor(log10 |x|) in [K_MIN, 16], and its 17 digits are round(|x| 10^p)
+ * with p = 16 - k in [0, 55], half to even: m 5^p < 2^53 5^55 < 2^181 is
+ * exact in 192 bits, and a shift by e + p leaves the integer part and the
+ * remainder.  A compiler without 128-bit integers builds none of this: no
+ * ml_format_rows, whose caller then formats every row, and a parser that
+ * converts every field by strtod. */
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
 #define E16 UINT64_C(10000000000000000)
+enum { K_MIN = -39, K_MAX = 16 };
+
+/* 5^p for p in [0, K_MAX - K_MIN], and 10^k to within an ulp or two for k
+ * in [K_MIN, K_MAX + 1], filled when the library is loaded */
+static u128 pow5[K_MAX - K_MIN + 1];
+static double near_pow10[K_MAX - K_MIN + 2];
+
+__attribute__((constructor)) static void fill_powers(void)
+{
+    pow5[0] = 1;
+    for (int p = 1; p <= K_MAX - K_MIN; p++)
+        pow5[p] = 5 * pow5[p - 1];
+    for (int k = K_MIN; k <= K_MAX + 1; k++)
+        near_pow10[k - K_MIN] = k < 0 ? ldexp(1.0 / (double)pow5[-k], k)
+                                      : ldexp((double)pow5[k], k);
+}
+
+/* floor(x log10 2), exact for |x| < 1650 */
+static int floor_log10_pow2(int x)
+{
+    return x >= 0 ? x * 78913 >> 18 : -((-x * 78913 + (1 << 18) - 1) >> 18);
+}
+
+/* The 17 significant digits of a double a > 0, rounded as "%.17g" rounds
+ * them: sets *digits in [10^16, 10^17) and *k to the decimal exponent of
+ * the first, and returns 1; returns 0 where a lies outside [10^K_MIN,
+ * 10^17). */
+static int digits17(double a, uint64_t *digits, int *k_out)
+{
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    const int biased = (int)(bits >> 52);
+    if (biased == 0 || !(a < 1e17))  /* a subnormal lies below 10^K_MIN */
+        return 0;
+    const uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    const int e = biased - 1075;
+    /* k or k - 1, and a power of ten near the next tells which; where it
+     * errs, the truncated digits, which lie in [10^16, 10^17) for the right
+     * k, correct it */
+    int k = floor_log10_pow2(e + 52);
+    if (k < K_MIN - 1)
+        return 0;
+    k += a >= near_pow10[k + 1 - K_MIN];
+    k = k < K_MIN ? K_MIN : k > K_MAX ? K_MAX : k;
+    uint64_t d;
+    int up;
+    for (;;) {
+        const int p = K_MAX - k, s = e + p;
+        /* m 5^p = top 2^64 + low */
+        const u128 lo = (u128)m * (uint64_t)pow5[p];
+        const u128 top = (u128)m * (uint64_t)(pow5[p] >> 64) + (lo >> 64);
+        const uint64_t low = (uint64_t)lo;
+        if (s >= 0) {  /* then m 5^p 2^s, the digits, is below 2^64 */
+            d = low << s;
+            up = 0;
+        } else {
+            /* shift by r: past 64, the low word only tells whether the
+             * remainder lies above a half when its top bits make one */
+            int r = -s;
+            const int sticky = r > 64 && low;
+            const u128 n = r > 64 ? top : top << 64 | low;
+            r -= r > 64 ? 64 : 0;
+            d = (uint64_t)(n >> r);
+            const u128 rest = n & (((u128)1 << r) - 1),
+                       half = (u128)1 << (r - 1);
+            up = rest > half || (rest == half && (sticky || d & 1));
+        }
+        if (d < E16) {
+            if (k == K_MIN)
+                return 0;
+            k--;
+        } else if (d >= 10 * E16) {
+            k++;
+        } else {
+            break;
+        }
+    }
+    d += up;
+    if (d == 10 * E16) {
+        d = E16;
+        k++;
+    }
+    *digits = d;
+    *k_out = k;
+    return 1;
+}
+
+/* The 8 digits of v < 10^8 at o, leading zeros included: two at a time,
+ * in two independent halves. */
+static void put8(char *o, uint32_t v)
+{
+    const uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(o, PAIRS + 2 * (hi / 100), 2);
+    memcpy(o + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(o + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(o + 6, PAIRS + 2 * (lo % 100), 2);
+}
 
 /* "%.17g" % x into out; returns its length, or 0 for a finite nonzero x
- * outside [10^-16, 10^17).  pow5[p] is 5^p. */
-static int format17(double x, char *out, const u128 *pow5)
+ * that digits17 leaves to the caller. */
+static int format17(double x, char *out)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
@@ -378,83 +565,44 @@ static int format17(double x, char *out, const u128 *pow5)
         memcpy(o, biased ? "inf" : "0", len);
         return (int)(o - out) + len;
     }
-    const double a = fabs(x);
-    /* the double 1e-16 lies below 10^-16: the loop below declines it */
-    if (!(a >= 1e-16 && a < 1e17))
-        return 0;
-    const uint64_t m = frac | UINT64_C(1) << 52;  /* a is normal */
-    const int e = biased - 1075;
-    /* log10 can be off by one next to a power of ten: the truncated
-     * digits, which lie in [10^16, 10^17) for the right k, correct it */
-    int k = (int)floor(log10(a));
-    k = k < -16 ? -16 : k > 16 ? 16 : k;
     uint64_t digits;
-    u128 rest, half;
-    for (;;) {
-        const int p = 16 - k, s = e + p;
-        const u128 n = (u128)m * pow5[p];
-        rest = 0;
-        half = 1;  /* above any rest of an exact product */
-        if (s >= 0) {
-            digits = (uint64_t)(n << s);
-        } else {
-            digits = (uint64_t)(n >> -s);
-            rest = n & (((u128)1 << -s) - 1);
-            half = (u128)1 << (-s - 1);
-        }
-        if (digits < E16) {
-            if (k == -16)
-                return 0;
-            k--;
-        } else if (digits >= 10 * E16) {
-            k++;
-        } else {
-            break;
-        }
-    }
-    if (rest > half || (rest == half && digits & 1))
-        digits++;
-    if (digits == 10 * E16) {
-        digits = E16;
-        k++;
-    }
-    char d[17];
-    for (int i = 16; i >= 0; i--) {
-        d[i] = (char)('0' + digits % 10);
-        digits /= 10;
-    }
+    int k;
+    if (!digits17(fabs(x), &digits, &k))
+        return 0;
+    /* the 17 digits, padded for the copies of fixed length below, which
+     * build the text in t; the caller's 24 bytes from out hold t's 23 */
+    char d[33], t[40];
+    const uint64_t head = digits / 100000000;  /* the first 9 digits */
+    d[0] = (char)('0' + head / 100000000);
+    put8(d + 1, (uint32_t)(head % 100000000));
+    put8(d + 9, (uint32_t)(digits % 100000000));
+    memset(d + 17, '0', 16);
     int last = 16;  /* the last digit kept: %g strips trailing zeros */
     while (last > 0 && d[last] == '0')
         last--;
+    int n;
     if (k < -4 || k >= 17) {
-        *o++ = d[0];
-        if (last > 0) {
-            *o++ = '.';
-            memcpy(o, d + 1, last);
-            o += last;
-        }
-        *o++ = 'e';
-        *o++ = k < 0 ? '-' : '+';
-        const int ak = k < 0 ? -k : k;  /* at most 17: two digits */
-        *o++ = (char)('0' + ak / 10);
-        *o++ = (char)('0' + ak % 10);
+        t[0] = d[0];
+        t[1] = '.';
+        memcpy(t + 2, d + 1, 16);
+        n = last > 0 ? last + 2 : 1;
+        t[n] = 'e';
+        t[n + 1] = k < 0 ? '-' : '+';
+        memcpy(t + n + 2, PAIRS + 2 * (k < 0 ? -k : k), 2);  /* |k| <= 39 */
+        n += 4;
     } else if (k < 0) {
-        *o++ = '0';
-        *o++ = '.';
-        for (int i = -1; i > k; i--)
-            *o++ = '0';
-        memcpy(o, d, last + 1);
-        o += last + 1;
+        memcpy(t, "0.000", 5);
+        n = 1 - k;
+        memcpy(t + n, d, 17);
+        n += last + 1;
     } else {
-        memcpy(o, d, k + 1);
-        o += k + 1;
-        if (last > k) {
-            *o++ = '.';
-            memcpy(o, d + k + 1, last - k);
-            o += last - k;
-        }
+        memcpy(t, d, 17);
+        t[k + 1] = '.';
+        memcpy(t + k + 2, d + k + 1, 16);
+        n = last > k ? last + 2 : k + 1;
     }
-    return (int)(o - out);
+    memcpy(o, t, 23);
+    return (int)(o - out) + n;
 }
 
 /* The rows x cols doubles of table (row by row) as CSV lines into out, 25
@@ -464,15 +612,12 @@ static int format17(double x, char *out, const u128 *pow5)
 long ml_format_rows(const double *table, long rows, int cols, char *out,
                     long *done)
 {
-    u128 pow5[33] = {1};
-    for (int p = 1; p < 33; p++)
-        pow5[p] = 5 * pow5[p - 1];
     char *o = out;
     long r = 0;
     for (; r < rows; r++) {
         char *const row = o;
         for (int j = 0; j < cols; j++) {
-            const int len = format17(table[r * cols + j], o, pow5);
+            const int len = format17(table[r * cols + j], o);
             if (!len) {
                 *done = r;
                 return (long)(row - out);
@@ -493,41 +638,185 @@ long ml_format_rows(const double *table, long rows, int cols, char *out,
  * "%.17g" writes; a line holds one field per header name, separated by
  * commas, and ends in a newline.  On any other byte or shape ml_parse_rows
  * declines, and the caller reads the file by numpy.loadtxt, whose errors
- * and accepted inputs stay the only ones.  A kept field is converted by
- * strtod, which rounds correctly as Python's float parser does, and the end
- * of its number must land on the delimiter: under an LC_NUMERIC whose
- * decimal point is not '.' it does not, and the file is declined. */
+ * and accepted inputs stay the only ones.  A kept field is converted to
+ * the double that Python's float parser gives, by a fast path where it can
+ * decide and else by strtod, which rounds correctly as well and whose end
+ * must land on the delimiter.  strtod follows LC_NUMERIC: under a decimal
+ * point other than '.' every text is declined. */
+
+/* A number of the grammar: inf, nan, or the digits [digits, end) with a
+ * point at `point` or none (point == end), times 10^ex; an exponent's digits
+ * past 100000 are dropped, which leaves |ex| beyond any double's. */
+typedef struct {
+    enum { FINITE, INF, NOT_A_NUMBER } kind;
+    int neg, ex;
+    const char *digits, *point, *end;
+} Number;
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
 
-/* The end of the writer's number that starts at s, or s where none does.
- * Reads no further than the next byte outside the grammar. */
-static const char *number_end(const char *s)
+/* The end of the run of digits at p, taken 8 bytes at a time where they
+ * lie before stop and the bytes of a word lie in memory order, lowest
+ * first. */
+static const char *digit_run(const char *p, const char *stop)
+{
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    const uint64_t low7 = UINT64_C(0x7F7F7F7F7F7F7F7F);
+    while (stop - p >= 8) {
+        uint64_t x;
+        memcpy(&x, p, sizeof x);
+        x ^= UINT64_C(0x3030303030303030);  /* a digit's byte is now 0 .. 9 */
+        /* the top bit of each byte that is not: one of 10 .. 127 reaches it
+         * by adding 118, which carries into no other byte */
+        const uint64_t other = (((x & low7) + UINT64_C(0x7676767676767676))
+                                | x) & ~low7;
+        if (other)
+            return p + (__builtin_ctzll(other) >> 3);
+        p += 8;
+    }
+#else
+    (void)stop;
+#endif
+    while (is_digit(*p))
+        p++;
+    return p;
+}
+
+/* The end of the writer's number that starts at s, read into *num, or s
+ * where none does.  Reads no further than the next byte outside the
+ * grammar, and 8 bytes at once only where they lie before stop. */
+static const char *scan(const char *s, const char *stop, Number *num)
 {
     const char *p = s + (*s == '-'), *d;
-    if (p[0] == 'i' && p[1] == 'n' && p[2] == 'f')
+    *num = (Number){.kind = FINITE, .neg = p != s};
+    if (p[0] == 'i' && p[1] == 'n' && p[2] == 'f') {
+        num->kind = INF;
         return p + 3;
-    if (p == s && p[0] == 'n' && p[1] == 'a' && p[2] == 'n')
+    }
+    if (p == s && p[0] == 'n' && p[1] == 'a' && p[2] == 'n') {
+        num->kind = NOT_A_NUMBER;
         return p + 3;
-    for (d = p; is_digit(*p); p++)
-        ;
-    if (p == d)
+    }
+    num->digits = p;
+    p = digit_run(p, stop);
+    if (p == num->digits)
         return s;
+    num->point = p;
     if (*p == '.') {
-        for (d = ++p; is_digit(*p); p++)
-            ;
+        d = ++p;
+        p = digit_run(p, stop);
         if (p == d)
             return s;
     }
+    num->end = p;
     if (*p == 'e') {
-        if (*++p != '+' && *p != '-')
+        const int neg = *++p == '-';
+        if (!neg && *p != '+')
             return s;
+        int ex = 0;
         for (d = ++p; is_digit(*p); p++)
-            ;
+            ex = ex < 100000 ? 10 * ex + (*p - '0') : ex;
         if (p == d)
             return s;
+        num->ex = neg ? -ex : ex;
     }
     return p;
+}
+
+#ifdef __SIZEOF_INT128__
+/* 10^0 .. 10^22, exact doubles */
+static const double TENS[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* |num| into *x where the fast path decides it, returning 1; 0 where
+ * strtod must.  With w the nd significant digits and q the exponent of the
+ * last, it decides a zero; w 10^q with w <= 2^53 and |q| <= 22, one
+ * correctly rounded operation on exact operands (Clinger's fast path); and
+ * w 10^q with nd <= 17 in the range of digits17, as the double near it,
+ * stepped by one ulp towards it, whose 17 digits are its digits: "%.17g" is
+ * injective on doubles and strtod reads its text back to the double, so
+ * that double is strtod's. */
+static int fast(const Number *num, double *x)
+{
+    const char *p = num->digits, *f;
+    while (p < num->point && *p == '0')
+        p++;
+    uint64_t w = 0;  /* wraps past 19 digits, where it is not used */
+    for (f = p; p < num->point; p++)
+        w = 10 * w + (uint64_t)(*p - '0');
+    int nd = (int)(p - f), q = num->ex;
+    if (num->point < num->end) {
+        p = num->point + 1;
+        q -= (int)(num->end - p);
+        while (nd == 0 && p < num->end && *p == '0')
+            p++;
+        for (f = p; p < num->end; p++)
+            w = 10 * w + (uint64_t)(*p - '0');
+        nd += (int)(p - f);
+    }
+    if (nd == 0) {
+        *x = 0.0;
+        return 1;
+    }
+    if (nd <= 17 && w <= UINT64_C(1) << 53 && q >= -22 && q <= 22) {
+        *x = q < 0 ? (double)w / TENS[-q] : (double)w * TENS[q];
+        return 1;
+    }
+    const int k = q + nd - 1;
+    if (nd > 17 || k < K_MIN || k > K_MAX)
+        return 0;
+    const uint64_t want = w * (uint64_t)TENS[17 - nd];
+    double y = (double)w;  /* within 2 ulp of w 10^q after the scaling */
+    if (q >= 0) {
+        y *= TENS[q];
+    } else {
+        int r = -q;
+        for (; r > 22; r -= 22)
+            y /= TENS[22];
+        y /= TENS[r];
+    }
+    for (int tries = 0; tries < 4; tries++) {
+        uint64_t d, bits;
+        int kd;
+        if (!digits17(y, &d, &kd))
+            return 0;
+        if (kd == k && d == want) {
+            *x = y;
+            return 1;
+        }
+        memcpy(&bits, &y, sizeof bits);
+        bits += kd < k || (kd == k && d < want) ? 1 : -1;
+        memcpy(&y, &bits, sizeof y);
+    }
+    return 0;
+}
+#else
+static int fast(const Number *num, double *x)
+{
+    (void)num;
+    (void)x;
+    return 0;
+}
+#endif
+
+/* The value of the number num that spans [s, end) into *x; returns 0 where
+ * strtod ends elsewhere. */
+static int convert(const Number *num, const char *s, const char *end,
+                   double *x)
+{
+    if (num->kind == NOT_A_NUMBER) {
+        *x = NAN;
+    } else if (num->kind == INF) {
+        *x = num->neg ? -HUGE_VAL : HUGE_VAL;
+    } else if (fast(num, x)) {
+        *x = num->neg ? -*x : *x;
+    } else {
+        char *e;
+        *x = strtod(s, &e);
+        return e == end;
+    }
+    return 1;
 }
 
 /* The complete lines of text[0 .. len) as rows of out, each line `fields`
@@ -537,6 +826,9 @@ static const char *number_end(const char *s)
 long ml_parse_rows(const char *text, long len, int fields, const int *slot,
                    int kept, double *out, long cap, long *used)
 {
+    const char *point = localeconv()->decimal_point;
+    if (point[0] != '.' || point[1])
+        return -1;
     long end = len;  /* after the last newline: every line below ends in one */
     while (end > 0 && text[end - 1] != '\n')
         end--;
@@ -546,23 +838,13 @@ long ml_parse_rows(const char *text, long len, int fields, const int *slot,
         if (r == cap)
             return -1;
         for (int j = 0; j < fields; j++) {
-            const char *q = number_end(p);
+            Number num;
+            const char *q = scan(p, stop, &num);
             if (q == p || *q != (j + 1 < fields ? ',' : '\n'))
                 return -1;
-            if (slot[j] >= 0) {
-                double x;
-                if (q[-1] == 'f') {
-                    x = *p == '-' ? -HUGE_VAL : HUGE_VAL;
-                } else if (q[-1] == 'n') {
-                    x = NAN;
-                } else {
-                    char *e;
-                    x = strtod(p, &e);
-                    if (e != q)
-                        return -1;
-                }
-                out[r * kept + slot[j]] = x;
-            }
+            if (slot[j] >= 0
+                    && !convert(&num, p, q, &out[r * kept + slot[j]]))
+                return -1;
             p = q + 1;
         }
     }

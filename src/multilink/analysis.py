@@ -290,9 +290,15 @@ class FiniteInertiaPrediction:
 
     @property
     def crossover_time(self) -> float:
-        """Time at which the law's v1 reaches crossover_speed."""
+        """Time at which the law's v1 reaches crossover_speed; a
+        ValueError where its cube overflows."""
         v = self.crossover_speed
-        lhs = self.static_moment ** 2 * v ** 3 / 3.0 \
+        try:
+            cube = v ** 3
+        except OverflowError:
+            raise ValueError(f"the crossover speed J Omega / b = {v:.6g} "
+                             "overflows when cubed") from None
+        lhs = self.static_moment ** 2 * cube / 3.0 \
             + self.inertia_frequency ** 2 * v
         return (lhs - self.offset) / self.drive
 

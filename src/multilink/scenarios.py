@@ -314,15 +314,16 @@ def _crossover_line(traj: Trajectory, pred, p, d, rotor, window) -> str:
     try:
         law = analysis.finite_inertia_prediction(
             p, d, rotor, float(traj.times[k]), float(traj.v1[k]), pred)
+        crossover = law.crossover_time
     except ValueError as e:
         return f"crossover time not available: {e}"
-    if window[1] < law.crossover_time:
+    if window[1] < crossover:
         where = ('the window ends before it, so the "predicted" values are '
                  "the t -> inf limit, not what this window should show")
     else:
         where = "the window ends after it"
     return (f"crossover time (b v1 = J Omega) by the finite-inertia law "
-            f"anchored at t={traj.times[k]:g}: {law.crossover_time:.4g}; "
+            f"anchored at t={traj.times[k]:g}: {crossover:.4g}; "
             + where)
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from . import _compiled
+
 _PALETTE = ("#c0392b", "#2956b2", "#222222", "#1e8449", "#8e44ad", "#b9770e")
 _ZERO = ord("0")
 # viewBox size in pixels, and about the most points a series keeps
@@ -35,8 +37,12 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     integer is a float, so fl(100 |v|) lies on the same side of each half
     as 100 |v| and rounds to the same count, unless it is a half itself.
     Those values, non-finite ones and |v| >= 1e12 go through _fmt one by
-    one.
+    one.  Where the compiled library is loaded, its formatter writes the
+    same bytes value by value.
     """
+    text = _compiled.points(xs, ys)
+    if text is not None:
+        return text
     xy = np.empty(2 * xs.size)
     xy[0::2] = xs
     xy[1::2] = ys
@@ -79,8 +85,14 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return text[:-1]
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.4g}"
+def _tick_label(v: float, scale: float = 1.0) -> str:
+    """The label of the tick at v / scale, which beyond the doubles is
+    formatted from its exact decimal value."""
+    if math.isinf(v / scale):
+        from decimal import Decimal  # which import multilink leaves out
+
+        return f"{Decimal(v) / Decimal(scale):.4g}"
+    return f"{v / scale:.4g}"
 
 
 def _span(lo, hi):
@@ -124,7 +136,7 @@ class LinePlot:
                    radius: float = 4.0):
         self._markers.append((float(x), float(y), color, radius))
 
-    def _limits(self):
+    def _limits(self, scale):
         xs = [s[0] for s in self._series if s[0].size] + \
              [np.array([m[0]]) for m in self._markers]
         ys = [s[1] for s in self._series if s[1].size] + \
@@ -135,28 +147,47 @@ class LinePlot:
         x_hi = max(float(a.max()) for a in xs)
         y_lo = min(float(a.min()) for a in ys)
         y_hi = max(float(a.max()) for a in ys)
-        x_lo, x_hi = _span(x_lo, x_hi)
-        y_lo, y_hi = _span(y_lo, y_hi)
+        x_lo, x_hi = (scale * v for v in _span(x_lo, x_hi))
+        y_lo, y_hi = (scale * v for v in _span(y_lo, y_hi))
         pad_x = 0.04 * (x_hi - x_lo)
         pad_y = 0.04 * (y_hi - y_lo)
         return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y
 
-    def render(self) -> str:
-        ml, mr, mt, mb = 64, 16, 34, 46
-        pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
-        x_lo, x_hi, y_lo, y_hi = self._limits()
+    def _frame(self, pw, ph, scale):
+        """The axis limits of the data times scale: padded, and widened to
+        equal aspect where asked."""
+        x_lo, x_hi, y_lo, y_hi = self._limits(scale)
         if self.equal_aspect:
             sx, sy = pw / (x_hi - x_lo), ph / (y_hi - y_lo)
             s = min(sx, sy)
             cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
             x_lo, x_hi = cx - 0.5 * pw / s, cx + 0.5 * pw / s
             y_lo, y_hi = cy - 0.5 * ph / s, cy + 0.5 * ph / s
+        return x_lo, x_hi, y_lo, y_hi
+
+    def render(self) -> str:
+        ml, mr, mt, mb = 64, 16, 34, 46
+        pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
+        # Near the largest doubles the spans, the centre or the widened
+        # limits can overflow; the frame is then that of the data times
+        # 2^-4, an exact scaling that keeps every one of them finite.
+        scale = 1.0
+        x_lo, x_hi, y_lo, y_hi = frame = self._frame(pw, ph, scale)
+        if not all(map(math.isfinite, frame)):
+            scale = 0.0625
+            x_lo, x_hi, y_lo, y_hi = self._frame(pw, ph, scale)
+
+        def fx(u):  # a frame coordinate, the data times scale, in pixels
+            return ml + (u - x_lo) / (x_hi - x_lo) * pw
+
+        def fy(u):
+            return mt + (y_hi - u) / (y_hi - y_lo) * ph
 
         def px(x):
-            return ml + (x - x_lo) / (x_hi - x_lo) * pw
+            return fx(x if scale == 1.0 else x * scale)
 
         def py(y):
-            return mt + (y_hi - y) / (y_hi - y_lo) * ph
+            return fy(y if scale == 1.0 else y * scale)
 
         out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
                f'viewBox="0 0 {WIDTH} {HEIGHT}" '
@@ -169,14 +200,14 @@ class LinePlot:
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             xv = x_lo + frac * (x_hi - x_lo)
             yv = y_lo + frac * (y_hi - y_lo)
-            out.append(f'<text x="{_fmt(px(xv))}" y="{HEIGHT - mb + 16}" '
-                       f'text-anchor="middle">{_tick_label(xv)}</text>')
-            out.append(f'<text x="{ml - 6}" y="{_fmt(py(yv) + 4)}" '
-                       f'text-anchor="end">{_tick_label(yv)}</text>')
-            out.append(f'<line x1="{_fmt(px(xv))}" y1="{mt + ph}" '
-                       f'x2="{_fmt(px(xv))}" y2="{mt + ph + 4}" stroke="#555555"/>')
-            out.append(f'<line x1="{ml - 4}" y1="{_fmt(py(yv))}" '
-                       f'x2="{ml}" y2="{_fmt(py(yv))}" stroke="#555555"/>')
+            out.append(f'<text x="{_fmt(fx(xv))}" y="{HEIGHT - mb + 16}" '
+                       f'text-anchor="middle">{_tick_label(xv, scale)}</text>')
+            out.append(f'<text x="{ml - 6}" y="{_fmt(fy(yv) + 4)}" '
+                       f'text-anchor="end">{_tick_label(yv, scale)}</text>')
+            out.append(f'<line x1="{_fmt(fx(xv))}" y1="{mt + ph}" '
+                       f'x2="{_fmt(fx(xv))}" y2="{mt + ph + 4}" stroke="#555555"/>')
+            out.append(f'<line x1="{ml - 4}" y1="{_fmt(fy(yv))}" '
+                       f'x2="{ml}" y2="{_fmt(fy(yv))}" stroke="#555555"/>')
         if self.xlabel:
             out.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" '
                        f'text-anchor="middle">{self.xlabel}</text>')

@@ -86,6 +86,14 @@ SUMMARY["fixed_points"] = FIXED_POINTS_STDOUT.rsplit("\n", 2)[0]
 EDGES = [
     # a y so large that y - 1 == y: the paths plot's y range had no span
     ("inertial", {"initial": {"y": 8.84e37}}, 0, None),
+    # paths at the largest doubles: the equal-aspect centre and limits of
+    # the paths plot overflowed to NaN coordinates
+    ("inertial", {"initial": {"x": -1.7976931348623157e308,
+                              "y": 1.7976931348623157e308}}, 0, None),
+    # the finite-inertia law's crossover speed overflows when cubed: the
+    # report says so
+    ("speedup", {"vehicle": {"a0": 1.2e-223}, "integrator": {"t_end": 2.0}},
+     0, None),
     # a balanced sleigh has a zero eigenvalue: no node/saddle classification
     ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
     # the manifold's energy level overflows
@@ -193,4 +201,8 @@ def test_edge_documents_run_or_fail_typed(tmp_path, capsys, scenario, edits,
         assert err.startswith(f"error: {named} ") and not out.exists()
     else:
         assert err == ""
-        assert sorted(os.listdir(out)) == sorted(TABLE[0][2])
+        names = next(n for s, f, n in TABLE if s == scenario and f is None)
+        assert sorted(os.listdir(out)) == sorted(names)
+        for name in names:
+            if name.endswith(".svg"):
+                assert "nan" not in (out / name).read_text()

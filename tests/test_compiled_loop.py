@@ -13,20 +13,25 @@ its numpy.loadtxt read.
 
 import ctypes
 import ctypes.util
+import decimal
 import importlib.resources
+import inspect
 import io
 import json
 import locale
 import math
 import os
+import re
 import shlex
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import sysconfig
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,7 +459,30 @@ def _bits(n, exponents=(0, 2048)):
     return (bits & ~np.uint64(0x7FF << 52) | field).view(float)
 
 
-_POWERS = [float(f"1e{k}") for k in range(-20, 21)]
+_POWERS = [float(f"1e{k}") for k in range(-325, 309)]
+
+
+def _least_double_at_or_above(power):
+    """The least double >= 10^power."""
+    x = float(f"1e{power}")
+    while Fraction(x) < Fraction(10) ** power:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# the compiled formatter writes the finite nonzero values of [10^-39, 10^17)
+FORMAT_LOW = _least_double_at_or_above(-39)
+
+
+def _every_binade():
+    """The least, the greatest and a random significand of every binade,
+    subnormals included."""
+    rng = np.random.default_rng(417)
+    fields = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    frac = np.uint64((1 << 52) - 1)
+    return np.concatenate([fields | np.uint64(1), fields | frac,
+                           fields | rng.integers(0, 1 << 52, 2047,
+                                                 dtype=np.uint64)]).view(float)
 
 FORMAT_INPUTS = {
     "random-bits": _bits(10_000),
@@ -475,9 +503,12 @@ FORMAT_INPUTS = {
              *[2.0 ** 50 + i + f for i in (0, 1, 12345) for f in (0.25, 0.75)]],
     "near-2^53": [float(2 ** 53 + i) for i in range(-4, 5)]
                  + [float(2 ** 54 + i) for i in (-2, 0, 4)],
-    "range-edges": [y for x in (1e-16, 1e17) for y in
+    "range-edges": [y for x in (1e-39, FORMAT_LOW, 1e-16, 1e17) for y in
                     (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
                    + [99999999999999984.0, 9.9999999999999998e-17],
+    "every-binade": _every_binade(),
+    "below-1e-16": 10.0 ** np.random.default_rng(418).uniform(-39.5, -16, 20_000),
+    "subnormals": _bits(2_000, (0, 1)),
 }
 
 
@@ -487,11 +518,31 @@ def test_formatter_matches_python(compiled, values):
     table = np.reshape(values, (-1, 1))
     text, handed = compiled_text(table)
     assert text == python_text(table)
-    # only finite nonzero values outside [10^-16, 10^17) are left to Python;
-    # the double 1e-16 lies below 10^-16, the next one above it
+    # only finite nonzero values outside [10^-39, 10^17) are left to Python
     a = np.abs(table[:, 0])
-    kept = ~np.isfinite(a) | (a == 0.0) | ((a > 1e-16) & (a < 1e17))
+    kept = ~np.isfinite(a) | (a == 0.0) | ((a >= FORMAT_LOW) & (a < 1e17))
     assert len(handed) == np.count_nonzero(~kept)
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any bit pattern, a binade near 10^-39 .. 10^17 and the powers of ten
+ANY_DOUBLE = (st.integers(0, 2 ** 64 - 1).map(_double)
+              | st.tuples(st.integers(895, 1081), st.integers(0, 2 ** 52 - 1),
+                          st.booleans()).map(
+                  lambda t: _double(t[2] << 63 | t[0] << 52 | t[1]))
+              | st.sampled_from(_POWERS).flatmap(
+                  lambda x: st.sampled_from([math.nextafter(x, 0.0), x,
+                                             math.nextafter(x, math.inf)])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(ANY_DOUBLE, min_size=1, max_size=40))
+def test_formatter_matches_python_on_any_double(compiled, values):
+    table = np.reshape(values, (-1, 1))
+    assert compiled_text(table, chunk=7)[0] == python_text(table)
 
 
 def test_formatter_hands_rows_across_chunks(compiled):
@@ -522,22 +573,78 @@ def test_speedup_csv_same_bytes_without_library(compiled, tmp_path,
         == (tmp_path / "slow.csv").read_bytes()
 
 
-@pytest.mark.parametrize("define", [[], ["-U__SIZEOF_INT128__"]],
-                         ids=["int128", "no-int128"])
-def test_c_source_compiles_without_warnings(define, tmp_path):
-    # the one flag set must stay warning-free through the optimizer, whose
-    # passes give some warnings; without 128-bit integers the loop and the
-    # parser still build, and the writer takes the Python rows
+def build_loop(tmp_path, *options):
+    """_loop.c built with the library's flags and the options given, its
+    functions declared as _compiled declares them; skipped where no compiler
+    is installed."""
     cc = sysconfig.get_config_var("CC")
     if not cc or not shutil.which(shlex.split(cc)[0]):
         pytest.skip("no C compiler")
     source = importlib.resources.files("multilink") / "_loop.c"
     with importlib.resources.as_file(source) as path:
         proc = subprocess.run(
-            [*shlex.split(cc), *_compiled.FLAGS, "-Wall", "-Wextra", "-Werror",
-             *define, str(path), "-o", str(tmp_path / "_loop.so"), "-lm"],
+            [*shlex.split(cc), *_compiled.FLAGS, *options, str(path), "-o",
+             str(tmp_path / "_loop.so"), "-lm"],
             capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    lib = ctypes.CDLL(str(tmp_path / "_loop.so"))
+    declared = _compiled.load()
+    for name in EXPORTED:
+        if declared and hasattr(lib, name):
+            getattr(lib, name).argtypes = getattr(declared, name).argtypes
+            getattr(lib, name).restype = getattr(declared, name).restype
+    return lib
+
+
+@pytest.mark.parametrize("define", [[], ["-U__SIZEOF_INT128__"]],
+                         ids=["int128", "no-int128"])
+def test_c_source_compiles_without_warnings(define, tmp_path):
+    # the one flag set must stay warning-free through the optimizer, whose
+    # passes give some warnings; without 128-bit integers the loop, the
+    # points and the parser still build, the writer takes the Python rows
+    # and the parser converts every field by strtod, to the same bits
+    lib = build_loop(tmp_path, "-Wall", "-Wextra", "-Werror", *define)
+    assert hasattr(lib, "ml_format_rows") == (define == [])
+    assert all(hasattr(lib, name) for name in EXPORTED
+               if name != "ml_format_rows")
+    if not _compiled.load():
+        return
+    values = np.concatenate((_bits(500), _bits(500, (895, 1081))))
+    table = values.reshape(-1, 2)
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"t,v1\n" + python_text(table).encode())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "_lib", lib)
+        got = parsed(path, [0, 1])
+        if define == []:
+            assert compiled_text(table)[0] == python_text(table)
+        else:
+            assert _compiled.write_rows(io.BytesIO(), table, 64, None) is None
+    assert got.tobytes() == table.tobytes()
+
+
+# the definitions of the functions that _loop.c exports: each one's return
+# type, name and parameters
+DEFINITIONS = re.findall(r"^(?!static\b)([A-Za-z_][\w \t]*?\**)\s*\b(\w+)"
+                         r"\(([^;{)]*)\)\s*\{",
+                         (importlib.resources.files("multilink")
+                          / "_loop.c").read_text(), re.M)
+EXPORTED = [name for _, name, _ in DEFINITIONS]
+
+
+def test_every_exported_function_is_declared(compiled):
+    # an undeclared function takes ctypes' defaults, which pass a Python int
+    # as a C int and cut a long return to an int
+    build = inspect.getsource(_compiled._build)
+    restypes = {"void": None, "int": ctypes.c_int, "long": ctypes.c_long}
+    assert {"ml_run", "ml_residual_max", "ml_format_points", "ml_format_rows",
+            "ml_parse_rows"} <= set(EXPORTED)
+    for restype, name, params in DEFINITIONS:
+        assert f"lib.{name}.argtypes = " in build
+        assert f"lib.{name}.restype = " in build
+        function = getattr(compiled, name)
+        assert len(function.argtypes) == len(params.split(",")), name
+        assert function.restype is restypes[restype.strip()], name
 
 
 # --- the CSV row parser -----------------------------------------------------------
@@ -654,6 +761,152 @@ def test_parser_matches_loadtxt_on_random_doubles(compiled, both_readers,
     assert parsed(path, [0, 1]) is not None
     fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
     assert fast == slow
+
+
+def _halfway(x):
+    """The exact decimal halfway between the double x and the next one up."""
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    with decimal.localcontext(decimal.Context(prec=1100)):
+        return format(decimal.Decimal(mid.numerator) / mid.denominator, "e")
+
+
+# a field as the writer writes it, or in its grammar as it never does: fewer
+# digits, 18 to 20 digits, integers past 2^53 and exact halfway cases
+FIELD = (ANY_DOUBLE.map(lambda x: "%.17g" % x)
+         | st.tuples(st.integers(1, 16), ANY_DOUBLE).map(lambda t: "%.*g" % t)
+         | st.tuples(st.integers(17, 19), ANY_DOUBLE).map(lambda t: "%.*e" % t)
+         | st.integers(-10 ** 20, 10 ** 20).map(str)
+         | st.sampled_from(["9007199254740993", "-9007199254740995",
+                            "4.9406564584124654e-324"])
+         | ANY_DOUBLE.filter(lambda x: 0.0 < x < math.inf).map(_halfway))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fields=st.lists(FIELD, min_size=2, max_size=60).filter(
+    lambda f: len(f) % 2 == 0))
+def test_parser_matches_float(compiled, both_readers, tmp_path_factory,
+                              fields):
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    body = "".join(f"{a},{b}\n" for a, b in zip(fields[::2], fields[1::2]))
+    path.write_bytes(b"t,v1\n" + body.encode())
+    assert parsed(path, [0, 1]) is not None
+    fast, slow = both_readers(lambda: scenarios.read_trajectory_csv(str(path)))
+    assert fast == slow
+    expected = np.array([float(x) for x in fields]).reshape(-1, 2)
+    assert [a for _, _, _, a in fast] \
+        == [expected[:, 0].tobytes(), expected[:, 1].tobytes()]
+
+
+COUNTED_STRTOD = """#include <stdlib.h>
+long strtod_calls;
+double counted_strtod(const char *s, char **end)
+{
+    strtod_calls++;
+    return strtod(s, end);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def counting(compiled, tmp_path_factory):
+    """The library built with every strtod call counted: (lib, count), where
+    count() is the number of calls since the last count()."""
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    tmp = tmp_path_factory.mktemp("counted")
+    (tmp / "count.c").write_text(COUNTED_STRTOD)
+    subprocess.run([*cc, "-fPIC", "-c", str(tmp / "count.c"), "-o",
+                    str(tmp / "count.o")], check=True)
+    lib = build_loop(tmp, "-Dstrtod=counted_strtod", str(tmp / "count.o"))
+    calls = ctypes.c_long.in_dll(lib, "strtod_calls")
+
+    def count():
+        n, calls.value = calls.value, 0
+        return n
+
+    return lib, count
+
+
+def test_counting_library_counts(counting, tmp_path):
+    lib, count = counting
+    path = csv_file(tmp_path, b"0.1,1e-400,3\n12345678901234567890,2,1\n")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "_lib", lib)
+        assert parsed(path, [0, 1, 2]).tolist() \
+            == [[0.1, 0.0, 3.0], [12345678901234567890.0, 2.0, 1.0]]
+    assert count() == 2
+
+
+def stays_in_c(counting, paths):
+    """The rows of the CSVs at paths that their writing left to Python (the
+    writes are those of the calls that follow), and the strtod calls and
+    values of reading them back."""
+    lib, count = counting
+    reads = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "_lib", lib)
+        for path in paths:
+            reads.append(scenarios.read_trajectory_csv(str(path)))
+    return count(), reads
+
+
+def count_python_rows(monkeypatch):
+    """The rows that write_trajectory_csv leaves to its Python rows from
+    now on."""
+    handed = []
+    write_rows = _compiled.write_rows
+
+    def counted(f, table, chunk, python_rows):
+        return write_rows(f, table, chunk, lambda rows: handed.extend(
+            rows.tolist()) or python_rows(rows))
+
+    monkeypatch.setattr(_compiled, "write_rows", counted)
+    return handed
+
+
+def test_benchmark_csvs_stay_in_c(compiled, counting, both_readers, tmp_path,
+                                  monkeypatch):
+    # the scenario-pipeline's three CSVs at seed 410: every row formatted in
+    # C, every field converted without strtod, to loadtxt's bits
+    from test_benchmark_contract import load_perfbench
+
+    workload = load_perfbench("workloads").ScenarioPipeline(410, str(tmp_path))
+    handed = count_python_rows(monkeypatch)
+    paths = []
+    for item in workload.items:
+        if item.name in ("inertial", "manifold", "speedup"):
+            code, stdout = item.run(None)
+            assert code == 0
+            paths += [line[6:] for line in stdout.splitlines()
+                      if line.startswith("wrote ") and line.endswith(".csv")]
+    assert len(paths) == 3 and handed == []
+    calls, reads = stays_in_c(counting, paths)
+    assert calls == 0
+    for path, read in zip(paths, reads):
+        fast, slow = both_readers(
+            lambda: scenarios.read_trajectory_csv(str(path)))
+        assert fast == slow
+        assert [a.tobytes() for a in read.values()] == [a for *_, a in fast]
+
+
+def test_shipped_speedup_csv_stays_in_c(compiled, counting, tmp_path,
+                                        monkeypatch):
+    # the shipped speedup run to t=2e4: 130,005 rows, thousands of them with
+    # a residual_max below 1e-16
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "speedup.json")) as f:
+        cfg = config.parse_config(f.read())
+    traj = simulate(cfg.vehicle, cfg.derived, cfg.rotor, cfg.initial,
+                    cfg.pose, cfg.integrator)
+    tiny = traj.residual_max[traj.residual_max != 0.0]
+    assert np.count_nonzero(tiny < 1e-16) > 1000
+    handed = count_python_rows(monkeypatch)
+    path = tmp_path / "speedup_trajectory.csv"
+    scenarios.write_trajectory_csv(str(path), traj)
+    assert handed == []
+    calls, (read,) = stays_in_c(counting, [path])
+    assert calls == 0
+    assert read["residual_max"].tobytes() == traj.residual_max.tobytes()
+    assert read["t"].tobytes() == traj.times.tobytes()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

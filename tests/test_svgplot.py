@@ -1,5 +1,6 @@
-"""The polyline formatter against the per-value one it replaces, and the
-one rule by which a series is thinned."""
+"""The polyline formatter against the per-value one it replaces, the
+compiled formatter against the numpy one, and the one rule by which a
+series is thinned."""
 
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multilink import _compiled
 from multilink.dynamics import Trajectory
 from multilink.model import random_vehicle
 from multilink.scenarios import _attachment_plot, _series_plot
@@ -71,6 +73,49 @@ def test_points_match_per_value_format_bulk():
     assert len(got) == len(want) == xs.size
     bad = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not bad, [(xs[k], ys[k], got[k], want[k]) for k in bad[:5]]
+
+
+@pytest.fixture(scope="module")
+def both_points():
+    """both(xs, ys) -> (compiled, numpy): _points with the compiled library
+    loaded and with _compiled._lib False; skipped without a compiler."""
+    lib = _compiled.load()
+    if not lib:
+        pytest.skip("no C compiler")
+
+    def both(xs, ys):
+        assert _compiled.points(xs, ys) is not None
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_compiled, "_lib", lib)
+            fast = _points(xs, ys)
+            m.setattr(_compiled, "_lib", False)
+            slow = _points(xs, ys)
+        return fast, slow
+
+    return both
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(VALUES, VALUES), max_size=40))
+def test_compiled_points_match_numpy(both_points, pairs):
+    # half hundredths, signed zeros, values about 1e12, non-finite ones and
+    # no points at all: the same bytes, value by value
+    xs = np.array([a for a, _ in pairs], dtype=float)
+    ys = np.array([b for _, b in pairs], dtype=float)
+    fast, slow = both_points(xs, ys)
+    assert fast == slow
+
+
+def test_compiled_points_match_numpy_bulk(both_points):
+    rng = np.random.default_rng(419)
+    halves = (rng.integers(0, 10 ** 13, 20_000) + 0.5) / 100.0
+    values = np.concatenate([halves, -np.nextafter(halves, 0.0),
+                             rng.uniform(-800.0, 800.0, 20_000),
+                             rng.integers(-2 ** 63, 2 ** 63, 20_000,
+                                          dtype=np.int64).view(float)])
+    rng.shuffle(values)
+    fast, slow = both_points(values[0::2], values[1::2])
+    assert fast.split(" ") == slow.split(" ")
 
 
 def test_points_examples():
