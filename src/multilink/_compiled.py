@@ -1,8 +1,8 @@
 """The compiled C of ``_loop.c``: the adaptive loop with the vehicle
-kernel, the constraint-residual maximum, the trajectory CSV's row
-formatter and parser, and the SVG polyline points.  This module alone owns
-the library: whether it is loaded, who may build it, and which inputs each
-of its functions takes.
+kernel, the constraint-residual maximum, the window and per-period envelope
+of a power-law fit, the trajectory CSV's row formatter and parser, and the
+SVG polyline points.  This module alone owns the library: whether it is
+loaded, who may build it, and which inputs each of its functions takes.
 
 Each consumer makes one call here, which returns a result, or None where
 the consumer does the work in Python, to the same bits and bytes:
@@ -10,7 +10,9 @@ the consumer does the work in Python, to the same bits and bytes:
 only a vehicle field, one that carries ``vehicle``),
 :func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
 :func:`multilink.dynamics.trajectory_from_solution` calls
-:func:`diagnostics`, :func:`multilink.scenarios.write_trajectory_csv` and
+:func:`diagnostics`, :func:`multilink.analysis.fit_power_law` calls
+:func:`fit_points` (and runs its Python checks wherever one could fail),
+:func:`multilink.scenarios.write_trajectory_csv` and
 ``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`, and
 ``multilink.svgplot._points`` calls :func:`points`.  The C code performs
 the Python code's operations in their order, calling one sincos where
@@ -182,6 +184,10 @@ def _build():
     lib.ml_parse_rows.argtypes = [c_void_p, c_long, c_int, POINTER(c_int),
                                   c_int, c_void_p, c_long, POINTER(c_long)]
     lib.ml_parse_rows.restype = c_long
+    lib.ml_fit_points.argtypes = [c_void_p, c_long, c_void_p, c_long, c_long,
+                                  c_double, c_double, c_int, c_double,
+                                  c_void_p, c_void_p, POINTER(c_long)]
+    lib.ml_fit_points.restype = c_long
     return lib
 
 
@@ -307,6 +313,35 @@ def _residual_max(rows, n, v1, omega, phi, psi, stride, phi_stride, c, sin2):
     _lib.ml_residual_max(rows, n, v1, omega, phi, psi, stride, phi_stride,
                          out + 8 * rows, out + 8 * (rows + n), out, sin2)
     return block[:rows]
+
+
+def fit_points(times, values, t_lo, t_hi, period=None):
+    """The points of ``analysis.fit_power_law``, by ml_fit_points: the
+    samples of the float64 vectors times and values of one length whose time
+    lies in [t_lo, t_hi], or, with a period, their per-period maxima of
+    |value| as ``analysis.envelope_points`` gives them.  Returns the times
+    and values of the points, the number of samples in the window, and
+    whether every point is positive and finite; None where the library is
+    not loaded, or the vectors are not such vectors (aligned, any stride),
+    or the window ends or the period are not floats."""
+    scalars = (t_lo, t_hi, 0.0 if period is None else period)
+    if not _lib or not (isinstance(times, np.ndarray)
+                        and isinstance(values, np.ndarray)
+                        and times.dtype == values.dtype == np.float64
+                        and times.ndim == values.ndim == 1
+                        and times.size == values.size
+                        and times.flags.aligned and values.flags.aligned
+                        and all(isinstance(x, float) for x in scalars)):
+        return None
+    n = times.size
+    out = np.empty(2 * n)
+    info = (c_long * 2)()
+    base = out.ctypes.data
+    k = _lib.ml_fit_points(times.ctypes.data, times.strides[0] // 8,
+                           values.ctypes.data, values.strides[0] // 8, n,
+                           t_lo, t_hi, period is not None, scalars[2], base,
+                           base + 8 * n, info)
+    return out[:k], out[n:n + k], info[0], bool(info[1])
 
 
 def write_rows(f, table, chunk, python_rows):

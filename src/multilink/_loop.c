@@ -1,28 +1,30 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
  * multilink.dynamics, as C, the per-sample constraint-residual maximum of
  * multilink.dynamics.residual_max_series with the sin(theta)^2 of its
- * energy_series, the row formatter and row parser of the trajectory CSV of
- * multilink.scenarios, and the polyline points of multilink.svgplot.
+ * energy_series, the window and per-period envelope of the points that
+ * multilink.analysis.fit_power_law fits, the row formatter and row parser
+ * of the trajectory CSV of multilink.scenarios, and the polyline points of
+ * multilink.svgplot.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
  * fused multiply-add, no sin or cos that the compiler folds or fuses) and
- * calls ml_run, ml_residual_max, ml_format_points, ml_format_rows and
- * ml_parse_rows through ctypes.  The text functions give the bytes of
- * Python's formatting and the bits of its float parser: the parser takes
- * strtod only where its exact fast path cannot decide.
+ * calls ml_run, ml_residual_max, ml_fit_points, ml_format_points,
+ * ml_format_rows and ml_parse_rows through ctypes.  The text functions give
+ * the bytes of Python's formatting and the bits of its float parser: the
+ * parser takes strtod only where its exact fast path cannot decide.
  * Every floating-point operation is the one the emitted Python step and
- * kernel, or the numpy diagnostics, perform, in the same order and through
- * the same libm sin, cos, pow and sqrt, so both give the same bits: zero
- * tableau coefficients are skipped, a linear combination starts from its
- * first non-zero term, sums run left to right, and max(a, b) keeps a unless
- * b > a, as Python's builtins do.  Where the Python code takes the sin and
- * the cos of one argument, this file calls glibc's sincos once, which
- * computes both with the routines of sin and cos and so gives their bits
- * (tests/test_compiled_loop.py::test_sincos_matches_sin_and_cos checks the
- * libm at hand).  Where Python raises, the same case is caught here: sin or
- * cos of an infinity gives NaN rates, as the kernel's except clause does,
- * and a degenerate shape ends the run with a status.
+ * kernel, or the numpy diagnostics and envelope, perform, in the same order
+ * and through the same libm sin, cos, pow and sqrt, so both give the same
+ * bits: zero tableau coefficients are skipped, a linear combination starts
+ * from its first non-zero term, sums run left to right, and max(a, b) keeps
+ * a unless b > a, as Python's builtins do.  Where the Python code takes the
+ * sin and the cos of one argument, this file calls glibc's sincos once,
+ * which computes both with the routines of sin and cos and so gives their
+ * bits (tests/test_compiled_loop.py::test_sincos_matches_sin_and_cos checks
+ * the libm at hand).  Where Python raises, the same case is caught here: sin
+ * or cos of an infinity gives NaN rates, as the kernel's except clause
+ * does, and a degenerate shape ends the run with a status.
  *
  * ml_run keeps no state of its own: everything lives in the caller's Run
  * and work memory, and a call returns after filling the sample buffer or
@@ -343,6 +345,55 @@ void ml_residual_max(long rows, int n, const double *v1, const double *om,
         }
         out[r] = max;
     }
+}
+
+
+/* The points that analysis.fit_power_law fits, in one pass over the n
+ * samples (t[i * t_stride], v[i * v_stride]): the samples with t in [t_lo,
+ * t_hi] as they are, or where envelope is not 0 the per-period maxima of
+ * analysis.envelope_points over those samples: each run of consecutive kept
+ * samples in one bin floor(t / period) gives its first maximum of |v| and
+ * that sample's t, the first NaN winning, as np.maximum.reduceat and the
+ * first hit do.  Writes the points to t_out and v_out (n each at most), sets
+ * info[0] to the number of kept samples and info[1] to 1 where every point
+ * has a positive and finite t and v, else 0, and returns the number of
+ * points. */
+long ml_fit_points(const double *t, long t_stride, const double *v,
+                   long v_stride, long n, double t_lo, double t_hi,
+                   int envelope, double period, double *t_out, double *v_out,
+                   long *info)
+{
+    long kept = 0, k = 0;
+    double bin = 0.0;
+    for (long i = 0; i < n; i++) {
+        const double ti = t[i * t_stride];
+        if (!(ti >= t_lo && ti <= t_hi))
+            continue;
+        const double vi = v[i * v_stride];
+        if (!envelope) {
+            t_out[k] = ti;
+            v_out[k++] = vi;
+        } else {
+            const double b = floor(ti / period), a = fabs(vi);
+            if (kept == 0 || b != bin) {  /* a new run: NaN != NaN */
+                bin = b;
+                t_out[k] = ti;
+                v_out[k++] = a;
+            } else if (!isnan(v_out[k - 1])
+                       && (a > v_out[k - 1] || isnan(a))) {
+                t_out[k - 1] = ti;
+                v_out[k - 1] = a;
+            }
+        }
+        kept++;
+    }
+    int good = 1;
+    for (long j = 0; j < k; j++)
+        good &= t_out[j] > 0.0 && v_out[j] > 0.0 && isfinite(t_out[j])
+                && isfinite(v_out[j]);
+    info[0] = kept;
+    info[1] = good;
+    return k;
 }
 
 

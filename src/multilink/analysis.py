@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _compiled
 from .integrator import IntegratorOptions, integrate
 from .model import DerivedParams, RotorProfile, VehicleParams, phi_from_theta
 
@@ -29,7 +30,7 @@ class DegenerateSpectrumError(ValueError):
 
 class NoSpeedupError(ValueError):
     """Raised when the speedup constant is undefined (balanced sleigh or a
-    rotor with constant momentum)."""
+    rotor with constant momentum), or the law's coefficients overflow."""
 
 
 class PeriodError(ValueError):
@@ -243,9 +244,15 @@ def asymptotic_prediction(p: VehicleParams, d: DerivedParams,
     kmax = rotor.max_abs_rate()
     v1_coeff = cube_rate ** (1.0 / 3.0)
     omega_coeff = kmax / (b * v1_coeff)
-    theta_coeffs = p.c * kmax / b * cube_rate ** (-2.0 / 3.0)
     chain = p.c + 2.0 * np.concatenate(([0.0], np.cumsum(p.c)[:-1]))
-    phi_coeffs = chain * kmax / b * cube_rate ** (-2.0 / 3.0)
+    # kmax / b can overflow where the coefficients would not: named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_coeffs = p.c * kmax / b * cube_rate ** (-2.0 / 3.0)
+        phi_coeffs = chain * kmax / b * cube_rate ** (-2.0 / 3.0)
+    if not (math.isfinite(cube_rate) and np.all(np.isfinite(phi_coeffs))
+            and np.all(np.isfinite(theta_coeffs))):
+        raise NoSpeedupError(f"the speedup law's coefficients overflow for "
+                             f"static moment b = {b:.6g}")
     return AsymptoticPrediction(cube_rate, v1_coeff, omega_coeff,
                                 theta_coeffs, phi_coeffs, msr, kmax)
 
@@ -360,7 +367,8 @@ def finite_inertia_prediction(p: VehicleParams, d: DerivedParams,
     Anchor on a simulated sample after the start-up transient of omega has
     decayed (a few multiples of J / (b v1)); anchoring at t = 0 puts that
     transient's energy into the offset.  pred, if given, is
-    asymptotic_prediction(p, d, rotor), which is not computed again.
+    asymptotic_prediction(p, d, rotor), which is not computed again.  A
+    ValueError where the law's terms overflow at the anchor.
     """
     if pred is None:
         pred = asymptotic_prediction(p, d, rotor)
@@ -370,8 +378,13 @@ def finite_inertia_prediction(p: VehicleParams, d: DerivedParams,
     frequency = rotor.freq
     inertia_frequency = d.inertia * frequency
     drive = b * pred.mean_sq_rate / d.mass
-    offset = b * b * v1_anchor ** 3 / 3.0 \
-        + inertia_frequency ** 2 * v1_anchor - drive * t_anchor
+    try:
+        offset = b * b * v1_anchor ** 3 / 3.0 \
+            + inertia_frequency ** 2 * v1_anchor - drive * t_anchor
+    except OverflowError:
+        raise ValueError(f"the law overflows at its anchor: v1 = "
+                         f"{v1_anchor:.6g}, J Omega = {inertia_frequency:.6g}"
+                         ) from None
     return FiniteInertiaPrediction(b, inertia_frequency, frequency, drive,
                                    offset, pred.max_rate, p.c)
 
@@ -385,6 +398,9 @@ class PowerLawFit:
     prefactor: float
     r_squared: float
     n_points: int
+
+
+_EPS = np.finfo(float).eps
 
 
 def envelope_points(times, values, period: float):
@@ -431,6 +447,24 @@ def fit_power_law(times, values, window, mode: str = "raw",
     t_lo, t_hi = window
     if t_lo <= 0:
         raise ValueError("fit window must start at positive time")
+    found = None
+    if mode == "raw" or (mode == "envelope" and period is not None):
+        found = _compiled.fit_points(times, values, t_lo, t_hi,
+                                     None if mode == "raw" else period)
+    if found is not None:
+        t, v, kept, good = found
+        # the compiled points stand where no check of _window_points fails
+        if not (kept >= 30 and t.size >= 2 and good
+                and (mode == "raw" or period > 0.0
+                     and math.isfinite(t_hi / period))):
+            found = None
+    if found is None:
+        t, v = _window_points(times, values, t_lo, t_hi, mode, period)
+    return _fit_line(t, v, t_lo, t_hi)
+
+
+def _window_points(times, values, t_lo, t_hi, mode, period):
+    """The points of :func:`fit_power_law` in Python, with its checks."""
     mask = (times >= t_lo) & (times <= t_hi)
     if np.count_nonzero(mask) < 30:
         raise ValueError(
@@ -455,14 +489,34 @@ def fit_power_law(times, values, window, mode: str = "raw",
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(t))):
         raise ValueError("power-law fit needs finite times and values "
                          "(NaN or infinite sample in window)")
+    return t, v
+
+
+def _fit_line(t, v, t_lo, t_hi) -> PowerLawFit:
+    """The fit of log v against log t for the positive and finite points
+    (t, v) of the window [t_lo, t_hi].  The line is np.polyfit(lt, lv, 1)'s,
+    by its own operations without its argument checks: the Vandermonde
+    matrix [lt, 1], its columns scaled to unit norm, np.linalg.lstsq with
+    rcond = n eps, and the division by the scale; where every t is 1, which
+    np.polyfit fails on with NaN, the rank is 1."""
     lt, lv = np.log(t), np.log(v)
-    (slope, intercept), _, rank, _, _ = np.polyfit(lt, lv, 1, full=True)
+    lhs = np.empty((lt.size, 2))
+    lhs[:, 0] = lt
+    lhs[:, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    rank = 1  # where log t is 0 throughout, np.polyfit divides 0 by 0
+    if scale[0] != 0.0:
+        lhs /= scale
+        c, _, rank, _ = np.linalg.lstsq(lhs, lv, lt.size * _EPS)
+        slope, intercept = c / scale
     if rank < 2:
         raise ValueError(f"window [{t_lo}, {t_hi}] spans too little of log t "
                          f"for a fit")
+    # np.sum and lv.mean(), as the reductions they make
+    total = np.add.reduce
     resid = lv - (slope * lt + intercept)
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    ss_tot = float(total((lv - total(lv) / lv.size) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(total(resid ** 2)) / ss_tot
     try:
         prefactor = math.exp(intercept)
     except OverflowError:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import NoSpeedupError, asymptotic_prediction
 from .dynamics import PoseState, ReducedState, energy
 from .integrator import IntegratorOptions
 from .model import (
@@ -250,6 +251,12 @@ def parse_config(text: str) -> ScenarioConfig:
             "no node/saddle classification"
         raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the sleigh "
                           f"(static moment m0 a0 = 0): {outcome}")
+    if scenario == "speedup":
+        # past the two predicates above, the law's coefficients can overflow
+        try:
+            asymptotic_prediction(vehicle, derived, rotor)
+        except NoSpeedupError as e:
+            raise ConfigError(f"'vehicle.a0' {vehicle.a0:g}: {e}") from None
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
     # the speedup scenario's step cap: see the module docstring

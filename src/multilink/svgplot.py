@@ -18,6 +18,9 @@ _ZERO = ord("0")
 # viewBox size in pixels, and about the most points a series keeps
 WIDTH, HEIGHT = 760, 480
 MAX_POINTS = 4000
+# below this, an equal-aspect frame is that of the data times 2^64
+_TINY = 2.0 ** -900
+_NORMAL_MIN = 2.0 ** -1022
 
 
 def _fmt(v: float) -> str:
@@ -86,13 +89,15 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def _tick_label(v: float, scale: float = 1.0) -> str:
-    """The label of the tick at v / scale, which beyond the doubles is
-    formatted from its exact decimal value."""
-    if math.isinf(v / scale):
+    """The label of the tick at v / scale, which beyond the doubles, or
+    below their normal range where it is scaled, is formatted from its exact
+    decimal value."""
+    q = v / scale
+    if math.isinf(q) or (scale != 1.0 and v and abs(q) < _NORMAL_MIN):
         from decimal import Decimal  # which import multilink leaves out
 
         return f"{Decimal(v) / Decimal(scale):.4g}"
-    return f"{v / scale:.4g}"
+    return f"{q:.4g}"
 
 
 def _span(lo, hi):
@@ -170,11 +175,20 @@ class LinePlot:
         pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
         # Near the largest doubles the spans, the centre or the widened
         # limits can overflow; the frame is then that of the data times
-        # 2^-4, an exact scaling that keeps every one of them finite.
+        # 2^-4, an exact scaling that keeps every one of them finite.  Its
+        # upward twin: where both spans lie below pw / DBL_MAX, about
+        # 2^-1013, an equal-aspect frame's pixel scale overflows and its
+        # limits coincide.  Such data lie within about 2^-960 of 0 (a span
+        # is at least the spacing of doubles at its ends), so the data times
+        # 2^64, exact again, span at least 2^-1010 and stay far from
+        # overflow.
         scale = 1.0
         x_lo, x_hi, y_lo, y_hi = frame = self._frame(pw, ph, scale)
         if not all(map(math.isfinite, frame)):
             scale = 0.0625
+        elif (x_lo == x_hi or y_lo == y_hi) and max(map(abs, frame)) < _TINY:
+            scale = 2.0 ** 64
+        if scale != 1.0:
             x_lo, x_hi, y_lo, y_hi = self._frame(pw, ph, scale)
 
         def fx(u):  # a frame coordinate, the data times scale, in pixels

@@ -225,6 +225,11 @@ def test_asymptotic_prediction_errors(reference_vehicle):
     d = derive_params(reference_vehicle)
     with pytest.raises(NoSpeedupError):
         asymptotic_prediction(reference_vehicle, d, zero_rotor())
+    # kmax / b overflows: named, with no numpy warning
+    tiny = VehicleParams(masses=[1.0, 1.0], inertias=[1.0, 1.0], a0=1e-310,
+                         a=[0.1], c=[1.0])
+    with pytest.raises(NoSpeedupError, match="coefficients overflow"):
+        asymptotic_prediction(tiny, derive_params(tiny), sine_rotor(0.05, 1.0))
 
 
 def test_finite_inertia_law_solves_averaged_ode(reference_vehicle,
@@ -299,6 +304,14 @@ def test_finite_inertia_law_errors(reference_vehicle, reference_derived):
     law = finite_inertia_prediction(p, d, sine_rotor(0.05, 1.0), 0.0, 1.0)
     with pytest.raises(ValueError):
         law.v1(-1e9)
+    # (J Omega)^2 and v1^3 past the float range
+    heavy = VehicleParams(masses=[1.0, 1.0], inertias=[1e300, 1.0], a0=0.5,
+                          a=[0.1], c=[1.0])
+    with pytest.raises(ValueError, match="overflows at its anchor"):
+        finite_inertia_prediction(heavy, derive_params(heavy),
+                                  sine_rotor(0.05, 1.0), 0.0, 10.0)
+    with pytest.raises(ValueError, match="overflows at its anchor"):
+        finite_inertia_prediction(p, d, sine_rotor(0.05, 1.0), 0.0, 1e200)
 
 
 def test_fit_power_law_exact():
@@ -338,10 +351,12 @@ def test_fit_envelope_period_errors(period):
     if period != 1e3:
         with pytest.raises(PeriodError, match="period"):
             envelope_points(t, v, period)
-    # raw mode takes no period; one time repeated spans no log t
+    # raw mode takes no period; one time repeated spans no log t, and
+    # t = 1 throughout (log t 0, where np.polyfit divided 0 by 0) neither
     fit_power_law(t, t, (1.0, 10.0), period=period)
-    with pytest.raises(ValueError, match="spans too little of log t"):
-        fit_power_law(np.full(40, 5.0), np.ones(40), (1.0, 10.0))
+    for one in (5.0, 1.0):
+        with pytest.raises(ValueError, match="spans too little of log t"):
+            fit_power_law(np.full(40, one), np.ones(40), (1.0, 10.0))
 
 
 @pytest.mark.parametrize("period", [5e-324, 1e-308])

@@ -94,6 +94,11 @@ EDGES = [
     # report says so
     ("speedup", {"vehicle": {"a0": 1.2e-223}, "integrator": {"t_end": 2.0}},
      0, None),
+    # the finite-inertia law's (J Omega)^2 overflows: the report says so
+    ("speedup", {"vehicle": {"I": [1e300, 2.0, 2.0]},
+                 "integrator": {"t_end": 2.0}}, 0, None),
+    # a static moment so small that the speedup law's coefficients overflow
+    ("speedup", {"vehicle": {"a0": 1e-310}}, 2, "'vehicle.a0'"),
     # a balanced sleigh has a zero eigenvalue: no node/saddle classification
     ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
     # the manifold's energy level overflows

@@ -1,14 +1,16 @@
 """The compiled loop against the emitted Python steps, the compiled
 constraint residuals against numpy, the compiled CSV row formatter against
-Python's "%.17g", and the compiled CSV row parser against numpy.loadtxt.
+Python's "%.17g", the compiled CSV row parser against numpy.loadtxt, and
+the compiled window and envelope of a power-law fit against
+analysis.envelope_points and the fit's Python path.
 
 integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
 through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
 run takes the Python loop.  Setting ``_compiled._lib`` to False forces the
-Python loop, the numpy residuals, the Python rows of the trajectory CSV and
-its numpy.loadtxt read.
+Python loop, the numpy residuals, the Python rows of the trajectory CSV,
+its numpy.loadtxt read and the fit's numpy points.
 """
 
 import ctypes
@@ -40,7 +42,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import multilink
-from multilink import _compiled, cli, config, scenarios
+from multilink import _compiled, analysis, cli, config, scenarios
 from multilink.dynamics import (
     Trajectory,
     energy_series,
@@ -1277,3 +1279,241 @@ def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
     expected = residual_max_series(v1, om, phi, psi, p)
     assert proc.stdout == expected.tobytes().hex() + "\n"
     assert os.listdir(tmp_path / "tmp") == []
+
+
+# --- the fit's window and per-period envelope -----------------------------------
+
+# times on a grid of quarters, where ties and bin edges are common, and
+# values that tie in magnitude, with a few of the values a fit must decline
+FIT_TIMES = st.sampled_from([k / 4.0 for k in range(-4, 49)]
+                            + [math.nan, math.inf, -math.inf, -0.0])
+FIT_VALUES = st.one_of(
+    st.sampled_from([1.0, 2.0, -2.0, 0.5, 3.0, -3.0, 0.0, -0.0, 1.5, -1.5] * 3
+                    + [math.nan, -math.nan, math.inf, -math.inf, 5e-324]),
+    st.floats(-1e3, 1e3))
+# a few values, where runs hold ties, signed zeros and more than one NaN
+FEW_VALUES = st.sampled_from([2.0, -2.0, 0.0, -0.0, math.nan])
+
+
+def laid_out(draw, times, values):
+    """The lists times and values as float64 vectors: contiguous, columns
+    of one block or reversed views."""
+    layout = draw(st.sampled_from(["plain", "column", "reversed"]))
+    if layout == "column":
+        block = np.array([times, values, values]).T
+        return block[:, 0], block[:, 2]
+    if layout == "reversed":
+        return (np.array(times[::-1])[::-1], np.array(values[::-1])[::-1])
+    return np.array(times), np.array(values)
+
+
+def fit_input(draw, n_max):
+    """Times and values drawn to one length, mostly sorted, and window ends,
+    mostly in order, that are often sample times."""
+    n = draw(st.integers(0, n_max))
+    times = draw(st.lists(FIT_TIMES, min_size=n, max_size=n))
+    values = draw(st.lists(draw(st.sampled_from([FIT_VALUES, FEW_VALUES])),
+                           min_size=n, max_size=n))
+    if draw(st.integers(0, 2)):
+        times.sort(key=lambda t: (math.isnan(t), t))
+    ends = st.one_of(st.sampled_from([-math.inf, 0.25, 12.0, math.inf]),
+                     FIT_TIMES, st.sampled_from(times or [1.0]))
+    t_lo, t_hi = draw(ends), draw(ends)
+    if draw(st.integers(0, 3)) and t_lo > t_hi:
+        t_lo, t_hi = t_hi, t_lo
+    return (*laid_out(draw, times, values), t_lo, t_hi)
+
+
+@st.composite
+def pass_inputs(draw):
+    return (*fit_input(draw, 45),
+            draw(st.sampled_from([None, 0.25, 0.7, 1.0, 3.0, 1e6])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(args=pass_inputs())
+def test_fit_pass_matches_envelope_points(compiled, args):
+    # the compiled pass gives the samples of the window, or their per-period
+    # maxima as envelope_points gives them from the masked samples, to the
+    # bit, with the window count and whether every point is positive and
+    # finite
+    times, values, t_lo, t_hi, period = args
+    t, v, kept, good = _compiled.fit_points(times, values, t_lo, t_hi, period)
+    mask = (times >= t_lo) & (times <= t_hi)
+    want_t, want_v = times[mask], values[mask]
+    if period is not None:
+        want_t, want_v = analysis.envelope_points(want_t, want_v, period)
+    assert kept == np.count_nonzero(mask)
+    assert t.tobytes() == want_t.tobytes() and v.tobytes() == want_v.tobytes()
+    assert good == bool(np.all((want_t > 0) & (want_v > 0)
+                               & np.isfinite(want_t) & np.isfinite(want_v)))
+
+
+def fit_outcome(run):
+    """The four fields of a fit, as bits, or the type and text of its
+    error."""
+    try:
+        fit = run()
+    except Exception as e:
+        return type(e), str(e)
+    return (struct.pack("<3d", fit.exponent, fit.prefactor, fit.r_squared),
+            fit.n_points, type(fit.n_points))
+
+
+@st.composite
+def fit_inputs(draw):
+    """The arguments of fit_power_law: mostly a rotor-like power law from
+    t = 0.25 to 12 with a few drawn values, whose fits pass every check
+    but for those values, else the draws of fit_input."""
+    times, values, t_lo, t_hi = fit_input(draw, 80)
+    if draw(st.integers(0, 3)) < 3:
+        n = draw(st.integers(25, 80))
+        times = np.linspace(0.25, 12.0, n)
+        values = (1.5 + np.cos(2.0 * math.pi * times)) \
+            * times ** draw(st.sampled_from([-0.5, 1.0 / 3.0]))
+        for i, x in draw(st.lists(st.tuples(st.integers(0, 79), FIT_VALUES),
+                                  max_size=2)):
+            values[i % n] = x
+        times, values = laid_out(draw, times.tolist(), values.tolist())
+        t_lo = draw(st.sampled_from([0.25, 1, 3.0, 0.25, 1, 3.0, 9.5, t_lo]))
+        t_hi = draw(st.sampled_from([12.0, 12, 12.0, 12, 9.5, math.inf,
+                                     t_hi]))
+    mode = draw(st.sampled_from(["envelope", "raw"] * 4 + ["bogus"]))
+    period = draw(st.sampled_from([1.0, 0.7, 3.0, 2] * 4 + [
+        None, 1e6, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e-308]))
+    t_lo = draw(st.sampled_from([t_lo] * 9 + [0.0, -1.0, 2 ** 60]))
+    t_hi = draw(st.sampled_from([t_hi] * 9 + [2 ** 60]))
+    return times, values, (t_lo, t_hi), mode, period
+
+
+def both_fits(times, values, window, mode, period):
+    """The outcome of fit_power_law with the library loaded and with
+    _compiled._lib False."""
+    def run():
+        return analysis.fit_power_law(times, values, window, mode=mode,
+                                      period=period)
+
+    loaded = fit_outcome(run)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "_lib", False)
+        return loaded, fit_outcome(run)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(args=fit_inputs())
+def test_fit_power_law_compiled_matches_python(compiled, args):
+    # with the library loaded and without it, every fit gives the same
+    # fields to the bit, and every error the same type and message
+    loaded, unloaded = both_fits(*args)
+    assert loaded == unloaded
+
+
+@pytest.mark.parametrize("window", [(1.5, 30.0), (1.0, 30.0)],
+                         ids=["29-samples", "30-samples"])
+@pytest.mark.parametrize("mode, period", [("raw", None), ("envelope", 0.5),
+                                          ("envelope", 1e6),
+                                          ("envelope", 1e-308)],
+                         ids=["raw", "envelope", "one-bin", "t/period-inf"])
+def test_fit_window_edges_compiled_matches_python(compiled, window, mode,
+                                                  period):
+    # a period of 1e-308 leaves two bins, t / period finite and infinite,
+    # which envelope_points declines by name
+    t = np.arange(1.0, 31.0)
+    loaded, unloaded = both_fits(t, t ** 0.5, window, mode, period)
+    assert loaded == unloaded
+    assert isinstance(loaded[0], bytes) == (window[0] == 1.0
+                                            and period in (None, 0.5))
+
+
+@pytest.mark.parametrize("mode, period", [("raw", None), ("envelope", 1.0)])
+def test_fit_power_law_takes_the_compiled_pass(compiled, mode, period):
+    # a fit whose checks all pass takes the pass once, and gives the bits
+    # of the Python path
+    t = np.linspace(1.0, 50.0, 2001)
+    block = np.column_stack((t, 4.0 + np.cos(2 * math.pi * t) * t ** 0.3))
+    calls = []
+    fast = compiled.ml_fit_points
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(compiled, "ml_fit_points",
+                  lambda *args: calls.append(None) or fast(*args))
+        loaded = fit_outcome(lambda: analysis.fit_power_law(
+            block[:, 0], block[:, 1], (5.0, 50.0), mode=mode, period=period))
+        m.setattr(_compiled, "_lib", False)
+        unloaded = fit_outcome(lambda: analysis.fit_power_law(
+            block[:, 0], block[:, 1], (5.0, 50.0), mode=mode, period=period))
+    assert calls == [None]
+    assert isinstance(loaded[0], bytes) and loaded == unloaded
+
+
+def old_fit_tail(t, v):
+    """The fit of log v against log t by np.polyfit and numpy's sum and
+    mean, the code that the shared tail of fit_power_law writes out: its
+    exponent, prefactor and r^2, or None where its rank is below 2."""
+    lt, lv = np.log(t), np.log(v)
+    try:
+        with np.errstate(invalid="ignore"):  # log t 0 throughout: 0 / 0
+            (slope, intercept), _, rank, _, _ = np.polyfit(lt, lv, 1,
+                                                           full=True)
+    except np.linalg.LinAlgError:
+        return None
+    if rank < 2:
+        return None
+    resid = lv - (slope * lt + intercept)
+    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    try:
+        return struct.pack("<3d", slope, math.exp(intercept), r2)
+    except OverflowError:
+        return "overflow"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=arrays(np.float64, st.integers(2, 80),
+                elements=st.floats(1e-300, 1e300)),
+       v=st.data())
+def test_fit_tail_is_polyfit(t, v):
+    # the written-out polyfit gives np.polyfit's line, and the fit its
+    # r^2, to the bit; one log t is rank 1, and log t 0 throughout, where
+    # np.polyfit fails, is rank 1 too
+    v = v.draw(arrays(np.float64, t.size, elements=st.floats(1e-300, 1e300)))
+    if t.size % 3 == 0:
+        t[:] = t[0]
+    if t.size % 5 == 0:
+        t[:] = 1.0
+    expected = old_fit_tail(t, v)
+    try:
+        fit = analysis._fit_line(t, v, 1.0, 2.0)
+    except ValueError as e:
+        assert ("spans too little" in str(e)) == (expected is None)
+        assert expected is None or ("prefactor" in str(e)
+                                    and expected == "overflow")
+    else:
+        assert struct.pack("<3d", fit.exponent, fit.prefactor,
+                           fit.r_squared) == expected
+        assert fit.n_points == t.size
+
+
+def test_fresh_fit_builds_nothing(tmp_path):
+    # only integrate builds the library: a fit in a fresh process takes the
+    # Python path and starts no compiler
+    code = ("import subprocess\n"
+            "import numpy as np\n"
+            "from multilink import _compiled, analysis\n"
+            "def no_process(*args, **kwargs):\n"
+            "    raise AssertionError(f'a process was started: {args}')\n"
+            "subprocess.Popen = no_process\n"
+            "t = np.linspace(1.0, 9.0, 300)\n"
+            "f = analysis.fit_power_law(t, 1.5 + np.cos(6.0 * t), (2.0, 9.0),\n"
+            "                           mode='envelope', period=1.0)\n"
+            "assert _compiled._lib is None\n"
+            "print(f.exponent.hex(), f.prefactor.hex(), f.r_squared.hex())\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    t = np.linspace(1.0, 9.0, 300)
+    f = analysis.fit_power_law(t, 1.5 + np.cos(6.0 * t), (2.0, 9.0),
+                               mode="envelope", period=1.0)
+    assert proc.stdout.split() == [f.exponent.hex(), f.prefactor.hex(),
+                                   f.r_squared.hex()]

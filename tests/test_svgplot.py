@@ -1,6 +1,6 @@
 """The polyline formatter against the per-value one it replaces, the
-compiled formatter against the numpy one, and the one rule by which a
-series is thinned."""
+compiled formatter against the numpy one, the one rule by which a series is
+thinned, and the equal-aspect frame of data with subnormal spans."""
 
 import math
 import re
@@ -163,3 +163,23 @@ def test_attachment_paths_thin_as_a_series_does(n):
 
     assert counts(_attachment_plot(traj, p)) == [THINNED[n]] * 3
     assert counts(_series_plot(traj)) == [THINNED[n]] * 2
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 5e-324], [0.0, 1e-323]),
+    ([-2.0 ** -972, -2.0 ** -972 + 2.0 ** -1022],
+     [2.0 ** -970, 2.0 ** -970 + 2.0 ** -1021]),
+], ids=["subnormal", "near-zero"])
+def test_equal_aspect_subnormal_spans(x, y):
+    # both spans below pw / DBL_MAX: the equal-aspect frame is that of the
+    # data times 2^64, with finite pixels in the frame and exact tick labels
+    plot = LinePlot(equal_aspect=True)
+    plot.add_series(x, y)
+    svg = plot.render()
+    points = re.search(r'points="([^"]*)"', svg).group(1)
+    pixels = [float(v) for pair in points.split(" ") for v in pair.split(",")]
+    assert len(pixels) == 4 and all(64 <= p <= 744 for p in pixels[0::2])
+    assert all(34 <= p <= 434 for p in pixels[1::2])
+    assert pixels[0] < pixels[2] and pixels[1] > pixels[3]
+    labels = re.findall(r'anchor="(?:middle|end)">([^<]*)<', svg)
+    assert len(labels) == 10 and "-0" not in labels and "0" not in labels
