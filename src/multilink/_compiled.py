@@ -11,7 +11,7 @@ only a vehicle field, one that carries ``vehicle``),
 :func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
 :func:`multilink.dynamics.trajectory_from_solution` calls
 :func:`diagnostics`, :func:`multilink.analysis.fit_power_law` calls
-:func:`fit_points` (and runs its Python checks wherever one could fail),
+:func:`fit_points` (and runs its checks on the points),
 :func:`multilink.scenarios.write_trajectory_csv` and
 ``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`, and
 ``multilink.svgplot._points`` calls :func:`points`.  The C code performs
@@ -320,10 +320,10 @@ def fit_points(times, values, t_lo, t_hi, period=None):
     samples of the float64 vectors times and values of one length whose time
     lies in [t_lo, t_hi], or, with a period, their per-period maxima of
     |value| as ``analysis.envelope_points`` gives them.  Returns the times
-    and values of the points, the number of samples in the window, and
-    whether every point is positive and finite; None where the library is
-    not loaded, or the vectors are not such vectors (aligned, any stride),
-    or the window ends or the period are not floats."""
+    and values of the points and the number of samples in the window; None
+    where the library is not loaded, or the vectors are not such vectors
+    (aligned, any stride), or the window ends or the period are not
+    floats."""
     scalars = (t_lo, t_hi, 0.0 if period is None else period)
     if not _lib or not (isinstance(times, np.ndarray)
                         and isinstance(values, np.ndarray)
@@ -335,13 +335,13 @@ def fit_points(times, values, t_lo, t_hi, period=None):
         return None
     n = times.size
     out = np.empty(2 * n)
-    info = (c_long * 2)()
+    kept = c_long()
     base = out.ctypes.data
     k = _lib.ml_fit_points(times.ctypes.data, times.strides[0] // 8,
                            values.ctypes.data, values.strides[0] // 8, n,
                            t_lo, t_hi, period is not None, scalars[2], base,
-                           base + 8 * n, info)
-    return out[:k], out[n:n + k], info[0], bool(info[1])
+                           base + 8 * n, kept)
+    return out[:k], out[n:n + k], kept.value
 
 
 def write_rows(f, table, chunk, python_rows):

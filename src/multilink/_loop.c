@@ -355,15 +355,13 @@ void ml_residual_max(long rows, int n, const double *v1, const double *om,
  * samples in one bin floor(t / period) gives its first maximum of |v| and
  * that sample's t, the first NaN winning, as np.maximum.reduceat and the
  * first hit do.  Writes the points to t_out and v_out (n each at most), sets
- * info[0] to the number of kept samples and info[1] to 1 where every point
- * has a positive and finite t and v, else 0, and returns the number of
- * points. */
+ * *kept to the number of kept samples and returns the number of points. */
 long ml_fit_points(const double *t, long t_stride, const double *v,
                    long v_stride, long n, double t_lo, double t_hi,
                    int envelope, double period, double *t_out, double *v_out,
-                   long *info)
+                   long *kept)
 {
-    long kept = 0, k = 0;
+    long m = 0, k = 0;
     double bin = 0.0;
     for (long i = 0; i < n; i++) {
         const double ti = t[i * t_stride];
@@ -375,7 +373,7 @@ long ml_fit_points(const double *t, long t_stride, const double *v,
             v_out[k++] = vi;
         } else {
             const double b = floor(ti / period), a = fabs(vi);
-            if (kept == 0 || b != bin) {  /* a new run: NaN != NaN */
+            if (m == 0 || b != bin) {  /* a new run: NaN != NaN */
                 bin = b;
                 t_out[k] = ti;
                 v_out[k++] = a;
@@ -385,14 +383,9 @@ long ml_fit_points(const double *t, long t_stride, const double *v,
                 v_out[k - 1] = a;
             }
         }
-        kept++;
+        m++;
     }
-    int good = 1;
-    for (long j = 0; j < k; j++)
-        good &= t_out[j] > 0.0 && v_out[j] > 0.0 && isfinite(t_out[j])
-                && isfinite(v_out[j]);
-    info[0] = kept;
-    info[1] = good;
+    *kept = m;
     return k;
 }
 

@@ -30,7 +30,8 @@ class DegenerateSpectrumError(ValueError):
 
 class NoSpeedupError(ValueError):
     """Raised when the speedup constant is undefined (balanced sleigh or a
-    rotor with constant momentum), or the law's coefficients overflow."""
+    rotor with constant momentum), or it or the law's coefficients leave
+    the float range."""
 
 
 class PeriodError(ValueError):
@@ -240,19 +241,30 @@ def asymptotic_prediction(p: VehicleParams, d: DerivedParams,
     msr = rotor.mean_sq_rate()
     if msr <= 0.0:
         raise NoSpeedupError("rotor momentum is constant: no speedup")
-    cube_rate = 3.0 * (msr / (b * m))
+    # b m can round to 0 or to inf, and so the constant to inf or to 0
+    bm = b * m
+    cube_rate = 3.0 * (msr / bm) if bm != 0.0 else math.inf
+    if not 0.0 < cube_rate < math.inf:
+        raise NoSpeedupError(
+            f"the speedup constant 3 <rate^2> / (b m) is {cube_rate:g}: "
+            f"<rate^2> = {msr:.6g}, static moment b = {b:.6g}, "
+            f"mass m = {m:.6g}")
     kmax = rotor.max_abs_rate()
     v1_coeff = cube_rate ** (1.0 / 3.0)
-    omega_coeff = kmax / (b * v1_coeff)
+    bv = b * v1_coeff  # which can round to 0 as well
+    omega_coeff = kmax / bv if bv != 0.0 else math.inf
     chain = p.c + 2.0 * np.concatenate(([0.0], np.cumsum(p.c)[:-1]))
     # kmax / b can overflow where the coefficients would not: named below
     with np.errstate(over="ignore", invalid="ignore"):
         theta_coeffs = p.c * kmax / b * cube_rate ** (-2.0 / 3.0)
         phi_coeffs = chain * kmax / b * cube_rate ** (-2.0 / 3.0)
-    if not (math.isfinite(cube_rate) and np.all(np.isfinite(phi_coeffs))
+    if not (math.isfinite(omega_coeff) and np.all(np.isfinite(phi_coeffs))
             and np.all(np.isfinite(theta_coeffs))):
-        raise NoSpeedupError(f"the speedup law's coefficients overflow for "
-                             f"static moment b = {b:.6g}")
+        raise NoSpeedupError(
+            f"the speedup law's envelope coefficients overflow: max |rate| "
+            f"= {kmax:.6g}, static moment b = {b:.6g}, speedup constant "
+            f"{cube_rate:.6g}, largest link length c = "
+            f"{np.max(p.c, initial=0.0):.6g}")
     return AsymptoticPrediction(cube_rate, v1_coeff, omega_coeff,
                                 theta_coeffs, phi_coeffs, msr, kmax)
 
@@ -447,34 +459,39 @@ def fit_power_law(times, values, window, mode: str = "raw",
     t_lo, t_hi = window
     if t_lo <= 0:
         raise ValueError("fit window must start at positive time")
-    found = None
-    if mode == "raw" or (mode == "envelope" and period is not None):
-        found = _compiled.fit_points(times, values, t_lo, t_hi,
-                                     None if mode == "raw" else period)
-    if found is not None:
-        t, v, kept, good = found
-        # the compiled points stand where no check of _window_points fails
-        if not (kept >= 30 and t.size >= 2 and good
-                and (mode == "raw" or period > 0.0
-                     and math.isfinite(t_hi / period))):
-            found = None
-    if found is None:
-        t, v = _window_points(times, values, t_lo, t_hi, mode, period)
+    t, v = _window_points(times, values, t_lo, t_hi, mode, period)
     return _fit_line(t, v, t_lo, t_hi)
 
 
 def _window_points(times, values, t_lo, t_hi, mode, period):
-    """The points of :func:`fit_power_law` in Python, with its checks."""
-    mask = (times >= t_lo) & (times <= t_hi)
-    if np.count_nonzero(mask) < 30:
+    """The points of :func:`fit_power_law`, with its checks.  One compiled
+    pass selects the window, and in envelope mode takes its per-period
+    maxima, where the library is loaded and the period is positive and
+    finite with t_hi / period finite, so that envelope_points would take it
+    for every t in the window; numpy does elsewhere."""
+    found = None
+    if mode == "raw":
+        found = _compiled.fit_points(times, values, t_lo, t_hi)
+    elif (mode == "envelope" and isinstance(period, float)
+          and isinstance(t_hi, float) and 0.0 < period < math.inf
+          and math.isfinite(float(t_hi) / float(period))):
+        found = _compiled.fit_points(times, values, t_lo, t_hi, period)
+    if found is None:
+        mask = (times >= t_lo) & (times <= t_hi)
+        kept = np.count_nonzero(mask)
+    else:
+        t, v, kept = found
+    if kept < 30:
         raise ValueError(
             f"need at least 30 samples in window [{t_lo}, {t_hi}], "
-            f"got {np.count_nonzero(mask)}")
-    t, v = times[mask], values[mask]
+            f"got {kept}")
+    if found is None:
+        t, v = times[mask], values[mask]
     if mode == "envelope":
         if period is None:
             raise PeriodError("envelope mode needs the rotor period")
-        t, v = envelope_points(t, v, period)
+        if found is None:
+            t, v = envelope_points(t, v, period)
         if t.size < 2:
             raise PeriodError(
                 f"period {period!r} leaves {t.size} per-period maximum in "

@@ -26,7 +26,9 @@ which a per-period maximum reads at most 1 - cos(pi/13) ~ 3% low.
 
 Every number must be finite: NaN and Infinity, which Python's json
 accepts, are rejected (an unbounded hmax is the default, not a value).
-So are a "speedup" rotor whose mean squared rate is 0 and a balanced sleigh.
+So are a "speedup" rotor whose mean squared rate is 0, a balanced sleigh,
+and a "speedup" vehicle and rotor whose law's constant or coefficients
+leave the float range.
 """
 
 from __future__ import annotations
@@ -252,11 +254,13 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the sleigh "
                           f"(static moment m0 a0 = 0): {outcome}")
     if scenario == "speedup":
-        # past the two predicates above, the law's coefficients can overflow
+        # past the two predicates above, the law's constant and coefficients
+        # can leave the float range, by the vehicle's fields or the rotor's
         try:
             asymptotic_prediction(vehicle, derived, rotor)
         except NoSpeedupError as e:
-            raise ConfigError(f"'vehicle.a0' {vehicle.a0:g}: {e}") from None
+            raise ConfigError(f"'vehicle' and 'rotor' give no speedup law: "
+                              f"{e}") from None
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
     # the speedup scenario's step cap: see the module docstring

@@ -225,11 +225,20 @@ def test_asymptotic_prediction_errors(reference_vehicle):
     d = derive_params(reference_vehicle)
     with pytest.raises(NoSpeedupError):
         asymptotic_prediction(reference_vehicle, d, zero_rotor())
-    # kmax / b overflows: named, with no numpy warning
-    tiny = VehicleParams(masses=[1.0, 1.0], inertias=[1.0, 1.0], a0=1e-310,
-                         a=[0.1], c=[1.0])
-    with pytest.raises(NoSpeedupError, match="coefficients overflow"):
-        asymptotic_prediction(tiny, derive_params(tiny), sine_rotor(0.05, 1.0))
+    # the constant or the coefficients past the float range: named, with
+    # no numpy warning; b m rounds to 0 at the subnormal b, to inf at the
+    # heavy sleigh
+    for masses, a0, amp, name in [
+            ([1.0, 1.0], 1e-310, 0.05, "constant .* is inf"),
+            ([0.4, 0.02], 1e-323, 0.05, "constant .* is inf"),
+            ([1e300, 1.0], 1.0, 0.05, "constant .* is 0"),
+            ([0.2, 0.2], 0.5, 1e153, "constant .* is inf"),
+            ([1.0, 1e300], 1e-300, 1e12, "envelope coefficients overflow")]:
+        p = VehicleParams(masses=masses, inertias=[1.0, 1.0], a0=a0,
+                          a=[0.1], c=[1.0])
+        rotor = sine_rotor(amp, 1.0)
+        with pytest.raises(NoSpeedupError, match=name):
+            asymptotic_prediction(p, derive_params(p), rotor)
 
 
 def test_finite_inertia_law_solves_averaged_ode(reference_vehicle,
@@ -331,8 +340,13 @@ def test_fit_power_law_constant():
 
 def test_fit_power_law_domain_errors():
     t = np.linspace(1.0, 100.0, 200)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive values"):
         fit_power_law(t, np.sin(t), (1.0, 100.0))  # negative values, raw mode
+    for bad, name in [(0.0, "positive values"), (math.nan, "finite")]:
+        v = t.copy()
+        v[100] = bad
+        with pytest.raises(ValueError, match=name):
+            fit_power_law(t, v, (1.0, 100.0))
     with pytest.raises(ValueError):
         fit_power_law(t, t, (-1.0, 100.0))  # window into t <= 0
     with pytest.raises(ValueError):

@@ -97,8 +97,17 @@ EDGES = [
     # the finite-inertia law's (J Omega)^2 overflows: the report says so
     ("speedup", {"vehicle": {"I": [1e300, 2.0, 2.0]},
                  "integrator": {"t_end": 2.0}}, 0, None),
-    # a static moment so small that the speedup law's coefficients overflow
-    ("speedup", {"vehicle": {"a0": 1e-310}}, 2, "'vehicle.a0'"),
+    # the speedup constant 3 <kdot^2> / (b m) past the float range: a static
+    # moment so small that it overflows, b m rounding to 0, b m rounding to
+    # inf, and a rotor amplitude whose mean square rate is finite but not
+    # once divided by a light sleigh's b m
+    ("speedup", {"vehicle": {"a0": 1e-310}}, 2, "'vehicle' and 'rotor'"),
+    ("speedup", {"vehicle": {"m": [0.4, 0.01, 0.01], "a0": 1e-323}}, 2,
+     "'vehicle' and 'rotor'"),
+    ("speedup", {"vehicle": {"m": [1e300, 1.2, 1.2]}}, 2,
+     "'vehicle' and 'rotor'"),
+    ("speedup", {"vehicle": {"m": [0.2, 0.2, 0.2]},
+                 "rotor": {"amplitude": 1e153}}, 2, "'vehicle' and 'rotor'"),
     # a balanced sleigh has a zero eigenvalue: no node/saddle classification
     ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
     # the manifold's energy level overflows

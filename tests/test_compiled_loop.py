@@ -1335,18 +1335,15 @@ def pass_inputs(draw):
 def test_fit_pass_matches_envelope_points(compiled, args):
     # the compiled pass gives the samples of the window, or their per-period
     # maxima as envelope_points gives them from the masked samples, to the
-    # bit, with the window count and whether every point is positive and
-    # finite
+    # bit, with the window count
     times, values, t_lo, t_hi, period = args
-    t, v, kept, good = _compiled.fit_points(times, values, t_lo, t_hi, period)
+    t, v, kept = _compiled.fit_points(times, values, t_lo, t_hi, period)
     mask = (times >= t_lo) & (times <= t_hi)
     want_t, want_v = times[mask], values[mask]
     if period is not None:
         want_t, want_v = analysis.envelope_points(want_t, want_v, period)
     assert kept == np.count_nonzero(mask)
     assert t.tobytes() == want_t.tobytes() and v.tobytes() == want_v.tobytes()
-    assert good == bool(np.all((want_t > 0) & (want_v > 0)
-                               & np.isfinite(want_t) & np.isfinite(want_v)))
 
 
 def fit_outcome(run):
@@ -1412,17 +1409,36 @@ def test_fit_power_law_compiled_matches_python(compiled, args):
                          ids=["29-samples", "30-samples"])
 @pytest.mark.parametrize("mode, period", [("raw", None), ("envelope", 0.5),
                                           ("envelope", 1e6),
-                                          ("envelope", 1e-308)],
-                         ids=["raw", "envelope", "one-bin", "t/period-inf"])
+                                          ("envelope", 1e-308),
+                                          ("envelope", math.inf),
+                                          ("envelope", math.nan),
+                                          ("envelope", 0.0),
+                                          ("envelope", -1.0)],
+                         ids=["raw", "envelope", "one-bin", "t/period-inf",
+                              "inf", "nan", "zero", "negative"])
 def test_fit_window_edges_compiled_matches_python(compiled, window, mode,
                                                   period):
     # a period of 1e-308 leaves two bins, t / period finite and infinite,
-    # which envelope_points declines by name
+    # which envelope_points declines by name, as it does the periods that
+    # are not positive and finite
     t = np.arange(1.0, 31.0)
     loaded, unloaded = both_fits(t, t ** 0.5, window, mode, period)
     assert loaded == unloaded
     assert isinstance(loaded[0], bytes) == (window[0] == 1.0
                                             and period in (None, 0.5))
+
+
+def test_fit_numpy_period_past_the_window_warns_nothing(compiled):
+    # t_hi / period past the float range with a numpy period: the fit
+    # declines the pass with no numpy overflow warning, and the Python path
+    # bins every t of the window
+    t = np.linspace(1.0, 50.0, 2001)
+    v = 4.0 + np.cos(2 * math.pi * t) * t ** 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, unloaded = both_fits(t, v, (5.0, 1e308), "envelope",
+                                     np.float64(1e-10))
+    assert isinstance(loaded[0], bytes) and loaded == unloaded
 
 
 @pytest.mark.parametrize("mode, period", [("raw", None), ("envelope", 1.0)])
@@ -1493,9 +1509,9 @@ def test_fit_tail_is_polyfit(t, v):
         assert fit.n_points == t.size
 
 
-def test_fresh_fit_builds_nothing(tmp_path):
-    # only integrate builds the library: a fit in a fresh process takes the
-    # Python path and starts no compiler
+def test_fresh_envelope_fit_builds_nothing(tmp_path):
+    # only integrate builds the library: an envelope fit in a fresh process
+    # takes the Python path and starts no compiler
     code = ("import subprocess\n"
             "import numpy as np\n"
             "from multilink import _compiled, analysis\n"
