@@ -2,22 +2,17 @@
 a Chaplygin sleigh towing a chain of hinged trailer platforms."""
 
 from .analysis import (
-    AsymptoticPrediction,
-    AveragedLawReport,
     Classification,
     DegenerateSpectrumError,
-    FiniteInertiaPrediction,
     FixedPoint,
     FixedPointBlock,
     FixedPointKind,
     NoSpeedupError,
     PeriodError,
     PowerLawFit,
-    asymptotic_prediction,
-    averaged_law_check,
+    SpeedupLaw,
     classify_fixed_point,
     enumerate_fixed_points,
-    finite_inertia_prediction,
     fit_power_law,
     linearization_matrix,
 )

@@ -5,13 +5,15 @@ All straight-line motions of the fixed-energy angle system come in two
 families (sleigh moving forward or backward) and 2^N trailer fold patterns
 each; the linearization at any of them is lower triangular, so the spectrum
 is read off the diagonal.  With a periodic rotor the vehicle speeds up
-without bound: v1 grows like (cube_rate * t)^(1/3) and the angular
-oscillations decay with known envelopes, which :func:`fit_power_law`
-extracts from simulated trajectories.
+without bound by one period-averaged law, :class:`SpeedupLaw`: v1 grows
+like (cube_rate * t)^(1/3) and the angular oscillations decay with known
+envelopes, which :func:`fit_power_law` extracts from simulated
+trajectories.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _compiled
-from .integrator import IntegratorOptions, integrate
+from .integrator import integrate  # noqa: F401 (perfbench/tracing.py wraps it)
 from .model import DerivedParams, RotorProfile, VehicleParams, phi_from_theta
 
 
@@ -29,9 +31,15 @@ class DegenerateSpectrumError(ValueError):
 
 
 class NoSpeedupError(ValueError):
-    """Raised when the speedup constant is undefined (balanced sleigh or a
-    rotor with constant momentum), or it or the law's coefficients leave
-    the float range."""
+    """Raised by :meth:`SpeedupLaw.of` where the speedup constant is
+    undefined (a rotor with constant momentum or a balanced sleigh), or it
+    or the law's coefficients leave the float range.  field names the input
+    the error blames, "rotor.amplitude" or "vehicle.a0", and is None where
+    the vehicle and the rotor are at fault together."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class PeriodError(ValueError):
@@ -116,16 +124,19 @@ class FixedPointBlock:
 @dataclass(frozen=True)
 class Classification:
     """Node/saddle type and spectrum of one equilibrium, or of a block:
-    then kind is an object array of :class:`FixedPointKind` and
-    eigenvalues has one row per point."""
+    then code and kind are arrays and eigenvalues has one row per point.
+    code is the index of kind in :class:`FixedPointKind`: 0 stable node,
+    1 unstable node, 2 saddle."""
 
-    kind: FixedPointKind | np.ndarray
+    code: np.ndarray
     eigenvalues: np.ndarray
 
+    @property
+    def kind(self) -> FixedPointKind | np.ndarray:
+        return _KINDS[self.code]
 
-# kind codes 0, 1, 2 of classify_fixed_point
-_KINDS = np.array([FixedPointKind.STABLE_NODE, FixedPointKind.UNSTABLE_NODE,
-                   FixedPointKind.SADDLE], dtype=object)
+
+_KINDS = np.array(list(FixedPointKind), dtype=object)
 # the text of an angle 0 and pi in FixedPointBlock.describe
 _ANGLE_TEXT = np.array(["0", "pi"], dtype=object)
 
@@ -147,7 +158,7 @@ def enumerate_fixed_points(n: int) -> FixedPointBlock:
     v_sign = patterns[:, 0]
     theta_signs = patterns[:, 1:]
     theta_units = (1 - theta_signs) // 2  # 0 or 1 units of pi
-    phi_units = phi_from_theta(theta_units) % 2
+    phi_units = phi_from_theta(theta_units).astype(np.int64) & 1
     return FixedPointBlock(v_sign, theta_signs,
                            np.where(v_sign > 0, 0.0, math.pi),
                            theta_units * math.pi, phi_units * math.pi)
@@ -193,33 +204,128 @@ def classify_fixed_point(fp: FixedPoint | FixedPointBlock, p: VehicleParams,
                           -(s0 / p.c) * fp.theta_signs), axis=-1)
     code = np.where((eig < 0).all(axis=-1), 0,
                     np.where((eig > 0).all(axis=-1), 1, 2))
-    return Classification(_KINDS[code], eig)
+    return Classification(code, eig)
 
 
-# --- speedup asymptotics ------------------------------------------------------
+# --- the speedup law ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AsymptoticPrediction:
-    """Late-time envelopes of the rotor-driven accelerating trajectory.
+class SpeedupLaw:
+    """The period-averaged speedup law of a vehicle and a periodic rotor,
+    built by :meth:`of`.
 
-    v1 grows as v1_coeff * t^(1/3) where v1_coeff = cube_rate^(1/3);
-    |omega| is enveloped by omega_coeff * t^(-1/3); the theta and
-    relative angles are enveloped by theta_coeffs / phi_coeffs times
-    t^(-2/3).  Envelope coefficients use the rotor's peak momentum rate.
+    With v1 frozen over a rotor period, J omega' = -b v1 omega - kdot
+    responds with amplitude max|kdot| / sqrt((b v1)^2 + (J Omega)^2),
+    Omega = 2 pi / period.  Putting its mean square into m v1' = b <omega^2>
+    and integrating gives the monotone cubic
+
+        b^2 v1^3 / 3 + (J Omega)^2 v1 = offset + drive * t,
+        drive = b <kdot^2> / m,
+
+    with offset fixed by one anchor point (t, v1) of a trajectory
+    (:meth:`anchored`).  The theta angles of the trailers follow omega
+    through the linearized lower-triangular system (i Omega + v1/c_i)
+    Theta_i = -2 v1 sum_{j<i} Theta_j/c_j - W, W the complex omega
+    amplitude; the relative angles follow by the exact integer phi <- theta
+    map.
+
+    The rotor rate, amplitude * Omega * cos(Omega t), is the one harmonic
+    of amplitude max|kdot| at frequency Omega that the law takes.  While
+    b v1 < J Omega (before crossover_time) the response is inertia-limited
+    and v1 grows more slowly than t^(1/3).  As t -> inf every amplitude
+    tends to its envelope, which needs no anchor: v1 grows as
+    v1_coeff * t^(1/3), v1_coeff = cube_rate^(1/3) with
+    cube_rate = 3 <kdot^2> / (b m); |omega| is enveloped by
+    omega_coeff * t^(-1/3); the theta and relative angles by theta_coeffs
+    and phi_coeffs times t^(-2/3).
     """
 
+    static_moment: float
+    inertia_frequency: float  # J * Omega
+    frequency: float  # Omega
+    drive: float
+    mean_sq_rate: float
+    max_rate: float
+    c: np.ndarray
     cube_rate: float
     v1_coeff: float
     omega_coeff: float
     theta_coeffs: np.ndarray
     phi_coeffs: np.ndarray
-    mean_sq_rate: float
-    max_rate: float
+    offset: float | None = None  # None until anchored
 
     V1_EXPONENT = 1.0 / 3.0
     OMEGA_EXPONENT = -1.0 / 3.0
     ANGLE_EXPONENT = -2.0 / 3.0
+
+    @classmethod
+    def of(cls, p: VehicleParams, d: DerivedParams,
+           rotor: RotorProfile) -> SpeedupLaw:
+        """The law of vehicle p (d = derive_params(p)) and rotor; a
+        NoSpeedupError where there is none, or where its constant or
+        coefficients leave the float range."""
+        b, m = d.static_moment, d.mass
+        msr = rotor.mean_sq_rate()
+        if msr <= 0.0:
+            raise NoSpeedupError("rotor momentum is constant: no speedup",
+                                 "rotor.amplitude")
+        if b == 0.0:
+            raise NoSpeedupError("balanced sleigh (static moment 0): no "
+                                 "speedup", "vehicle.a0")
+        # b m can round to 0 or to inf, and so the constant to inf or to 0
+        bm = b * m
+        cube_rate = 3.0 * (msr / bm) if bm != 0.0 else math.inf
+        if not 0.0 < cube_rate < math.inf:
+            raise NoSpeedupError(
+                f"the speedup constant 3 <rate^2> / (b m) is {cube_rate:g}: "
+                f"<rate^2> = {msr:.6g}, static moment b = {b:.6g}, "
+                f"mass m = {m:.6g}")
+        kmax = rotor.max_abs_rate()
+        v1_coeff = cube_rate ** (1.0 / 3.0)
+        bv = b * v1_coeff  # which can round to 0 as well
+        omega_coeff = kmax / bv if bv != 0.0 else math.inf
+        chain = p.c + 2.0 * np.concatenate(([0.0], np.cumsum(p.c)[:-1]))
+        # kmax / b can overflow where the coefficients would not: named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta_coeffs = p.c * kmax / b * cube_rate ** (-2.0 / 3.0)
+            phi_coeffs = chain * kmax / b * cube_rate ** (-2.0 / 3.0)
+        if not (math.isfinite(omega_coeff) and np.all(np.isfinite(phi_coeffs))
+                and np.all(np.isfinite(theta_coeffs))):
+            raise NoSpeedupError(
+                f"the speedup law's envelope coefficients overflow: max "
+                f"|rate| = {kmax:.6g}, static moment b = {b:.6g}, speedup "
+                f"constant {cube_rate:.6g}, largest link length c = "
+                f"{np.max(p.c, initial=0.0):.6g}")
+        return cls(b, d.inertia * rotor.freq, rotor.freq, b * msr / m, msr,
+                   kmax, p.c, cube_rate, v1_coeff, omega_coeff, theta_coeffs,
+                   phi_coeffs)
+
+    def anchored(self, t: float, v1: float) -> SpeedupLaw:
+        """The law through the sample (t, v1).
+
+        Anchor on a simulated sample after the start-up transient of omega
+        has decayed (a few multiples of J / (b v1)); anchoring at t = 0 puts
+        that transient's energy into the offset.  A ValueError where v1 is
+        not positive or the law's terms overflow at the anchor.
+        """
+        t, v1 = float(t), float(v1)  # whose powers raise OverflowError
+        if not v1 > 0.0:
+            raise ValueError(f"anchor speed must be positive, got {v1}")
+        b = self.static_moment
+        try:
+            offset = b * b * v1 ** 3 / 3.0 \
+                + self.inertia_frequency ** 2 * v1 - self.drive * t
+        except OverflowError:
+            raise ValueError(f"the law overflows at its anchor: v1 = "
+                             f"{v1:.6g}, J Omega = "
+                             f"{self.inertia_frequency:.6g}") from None
+        return dataclasses.replace(self, offset=offset)
+
+    def _offset(self) -> float:
+        if self.offset is None:
+            raise ValueError("the law has no anchor: see SpeedupLaw.anchored")
+        return self.offset
 
     def v1_envelope(self, t):
         return self.v1_coeff * np.asarray(t) ** self.V1_EXPONENT
@@ -230,78 +336,6 @@ class AsymptoticPrediction:
     def phi_envelope(self, i: int, t):
         return self.phi_coeffs[i] * np.asarray(t) ** self.ANGLE_EXPONENT
 
-
-def asymptotic_prediction(p: VehicleParams, d: DerivedParams,
-                          rotor: RotorProfile) -> AsymptoticPrediction:
-    """Speedup constant cube_rate = 3 <rate^2> / (b m) and the envelope
-    coefficients of the accelerating trajectory."""
-    b, m = d.static_moment, d.mass
-    if b == 0.0:
-        raise NoSpeedupError("balanced sleigh (static moment 0): no speedup")
-    msr = rotor.mean_sq_rate()
-    if msr <= 0.0:
-        raise NoSpeedupError("rotor momentum is constant: no speedup")
-    # b m can round to 0 or to inf, and so the constant to inf or to 0
-    bm = b * m
-    cube_rate = 3.0 * (msr / bm) if bm != 0.0 else math.inf
-    if not 0.0 < cube_rate < math.inf:
-        raise NoSpeedupError(
-            f"the speedup constant 3 <rate^2> / (b m) is {cube_rate:g}: "
-            f"<rate^2> = {msr:.6g}, static moment b = {b:.6g}, "
-            f"mass m = {m:.6g}")
-    kmax = rotor.max_abs_rate()
-    v1_coeff = cube_rate ** (1.0 / 3.0)
-    bv = b * v1_coeff  # which can round to 0 as well
-    omega_coeff = kmax / bv if bv != 0.0 else math.inf
-    chain = p.c + 2.0 * np.concatenate(([0.0], np.cumsum(p.c)[:-1]))
-    # kmax / b can overflow where the coefficients would not: named below
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_coeffs = p.c * kmax / b * cube_rate ** (-2.0 / 3.0)
-        phi_coeffs = chain * kmax / b * cube_rate ** (-2.0 / 3.0)
-    if not (math.isfinite(omega_coeff) and np.all(np.isfinite(phi_coeffs))
-            and np.all(np.isfinite(theta_coeffs))):
-        raise NoSpeedupError(
-            f"the speedup law's envelope coefficients overflow: max |rate| "
-            f"= {kmax:.6g}, static moment b = {b:.6g}, speedup constant "
-            f"{cube_rate:.6g}, largest link length c = "
-            f"{np.max(p.c, initial=0.0):.6g}")
-    return AsymptoticPrediction(cube_rate, v1_coeff, omega_coeff,
-                                theta_coeffs, phi_coeffs, msr, kmax)
-
-
-@dataclass(frozen=True)
-class FiniteInertiaPrediction:
-    """Period-averaged speedup law that keeps the sleigh's yaw inertia.
-
-    With v1 frozen over a rotor period, J omega' = -b v1 omega - kdot
-    responds with amplitude max|kdot| / sqrt((b v1)^2 + (J Omega)^2),
-    Omega = 2 pi / period.  Putting its mean square into m v1' = b <omega^2>
-    and integrating gives the monotone cubic
-
-        b^2 v1^3 / 3 + (J Omega)^2 v1 = offset + drive * t,
-        drive = b <kdot^2> / m,
-
-    with offset fixed by one anchor point (t, v1) of a trajectory.  The
-    theta angles of the trailers follow omega through the linearized
-    lower-triangular system (i Omega + v1/c_i) Theta_i
-    = -2 v1 sum_{j<i} Theta_j/c_j - W, W the complex omega amplitude; the
-    relative angles follow by the exact integer phi <- theta map.
-
-    The rotor rate, amplitude * Omega * cos(Omega t), is the one harmonic
-    of amplitude max|kdot| at frequency Omega that the law takes.  While
-    b v1 < J Omega (before crossover_time) the response is inertia-limited
-    and v1 grows more slowly than t^(1/3); as t -> inf every amplitude tends
-    to the corresponding envelope of :func:`asymptotic_prediction`.
-    """
-
-    static_moment: float
-    inertia_frequency: float  # J * Omega
-    frequency: float  # Omega
-    drive: float
-    offset: float
-    max_rate: float
-    c: np.ndarray
-
     @property
     def crossover_speed(self) -> float:
         """Speed at which b v1 = J Omega."""
@@ -309,7 +343,7 @@ class FiniteInertiaPrediction:
 
     @property
     def crossover_time(self) -> float:
-        """Time at which the law's v1 reaches crossover_speed; a
+        """Time at which the anchored law's v1 reaches crossover_speed; a
         ValueError where its cube overflows."""
         v = self.crossover_speed
         try:
@@ -319,14 +353,15 @@ class FiniteInertiaPrediction:
                              "overflows when cubed") from None
         lhs = self.static_moment ** 2 * cube / 3.0 \
             + self.inertia_frequency ** 2 * v
-        return (lhs - self.offset) / self.drive
+        return (lhs - self._offset()) / self.drive
 
     def v1(self, t) -> np.ndarray:
-        """Root of the cubic law, by Newton's method from above."""
-        target = self.offset + self.drive * np.asarray(t, dtype=float)
+        """Root of the anchored cubic law, by Newton's method from above."""
+        offset = self._offset()
+        target = offset + self.drive * np.asarray(t, dtype=float)
         if np.any(target <= 0.0):
             raise ValueError("the law gives v1 <= 0 before t = "
-                             f"{-self.offset / self.drive:.6g}")
+                             f"{-offset / self.drive:.6g}")
         cube = self.static_moment ** 2 / 3.0
         lin = self.inertia_frequency ** 2
         # each term alone bounds the root from above; the cubic is convex
@@ -367,38 +402,6 @@ class FiniteInertiaPrediction:
         # the unit vectors give the exact matrix of the back-substitution
         back = phi_from_theta(np.eye(self.c.size))
         return np.abs(self._theta_response(t) @ back)
-
-
-def finite_inertia_prediction(p: VehicleParams, d: DerivedParams,
-                              rotor: RotorProfile, t_anchor: float,
-                              v1_anchor: float,
-                              pred: AsymptoticPrediction | None = None
-                              ) -> FiniteInertiaPrediction:
-    """The finite-inertia averaged law through (t_anchor, v1_anchor).
-
-    Anchor on a simulated sample after the start-up transient of omega has
-    decayed (a few multiples of J / (b v1)); anchoring at t = 0 puts that
-    transient's energy into the offset.  pred, if given, is
-    asymptotic_prediction(p, d, rotor), which is not computed again.  A
-    ValueError where the law's terms overflow at the anchor.
-    """
-    if pred is None:
-        pred = asymptotic_prediction(p, d, rotor)
-    if not v1_anchor > 0.0:
-        raise ValueError(f"anchor speed must be positive, got {v1_anchor}")
-    b = d.static_moment
-    frequency = rotor.freq
-    inertia_frequency = d.inertia * frequency
-    drive = b * pred.mean_sq_rate / d.mass
-    try:
-        offset = b * b * v1_anchor ** 3 / 3.0 \
-            + inertia_frequency ** 2 * v1_anchor - drive * t_anchor
-    except OverflowError:
-        raise ValueError(f"the law overflows at its anchor: v1 = "
-                         f"{v1_anchor:.6g}, J Omega = {inertia_frequency:.6g}"
-                         ) from None
-    return FiniteInertiaPrediction(b, inertia_frequency, frequency, drive,
-                                   offset, pred.max_rate, p.c)
 
 
 # --- power-law fitting ---------------------------------------------------------
@@ -541,52 +544,6 @@ def _fit_line(t, v, t_lo, t_hi) -> PowerLawFit:
             f"power-law prefactor exp({intercept:.6g}) overflows: window "
             f"[{t_lo}, {t_hi}] is too narrow in log t for a fit") from None
     return PowerLawFit(float(slope), prefactor, r2, t.size)
-
-
-# --- averaged speedup law -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AveragedLawReport:
-    """Consistency report for the averaged slowdown law of p = 1/v1.
-
-    substitution_residual: coefficient defect of the closed form
-        p(t) = cube_rate^(-1/3) t^(-1/3) inserted into
-        dp/dt = -gain p^4, gain = <rate^2>/(b m).  The closed form solves the
-        equation exactly when cube_rate = 3 gain, so this is zero up to the
-        arithmetic of that identity.
-    ode_error: |p_numeric - p_closed| at t_end for the scalar averaged ODE
-        started on the closed form at t_start.
-    final_ratio: p * (cube_rate * t)^(1/3) at the last trajectory sample
-        (None when no trajectory is supplied); tends to 1 on accelerating
-        runs.
-    """
-
-    substitution_residual: float
-    ode_error: float
-    final_ratio: float | None
-
-
-def averaged_law_check(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
-                       trajectory=None, t_start: float = 1e3,
-                       t_end: float = 1e5) -> AveragedLawReport:
-    pred = asymptotic_prediction(p, d, rotor)
-    gain = pred.mean_sq_rate / (d.static_moment * d.mass)
-    delta = 3.0 * gain
-    substitution_residual = abs(gain - delta / 3.0)
-
-    p0 = delta ** (-1.0 / 3.0) * t_start ** (-1.0 / 3.0)
-    opts = IntegratorOptions(t_end=t_end, rtol=1e-12, atol=1e-16, h0=1.0)
-    sol = integrate(lambda t, y: [-gain * y[0] ** 4], [p0], opts, t0=t_start)
-    p_closed = delta ** (-1.0 / 3.0) * t_end ** (-1.0 / 3.0)
-    ode_error = abs(float(sol.states[-1, 0]) - p_closed)
-
-    final_ratio = None
-    if trajectory is not None:
-        t_last = float(trajectory.times[-1])
-        v_last = float(trajectory.v1[-1])
-        final_ratio = (delta * t_last) ** (1.0 / 3.0) / v_last
-    return AveragedLawReport(substitution_residual, ode_error, final_ratio)
 
 
 def wrap_angles(x) -> np.ndarray:

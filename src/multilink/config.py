@@ -26,8 +26,9 @@ which a per-period maximum reads at most 1 - cos(pi/13) ~ 3% low.
 
 Every number must be finite: NaN and Infinity, which Python's json
 accepts, are rejected (an unbounded hmax is the default, not a value).
-So are a "speedup" rotor whose mean squared rate is 0, a balanced sleigh,
-and a "speedup" vehicle and rotor whose law's constant or coefficients
+So are a "fixed_points" balanced sleigh, and a "speedup" vehicle and rotor
+that have no speedup law (analysis.SpeedupLaw): a rotor whose mean squared
+rate is 0, a balanced sleigh, or a law whose constant or coefficients
 leave the float range.
 """
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NoSpeedupError, asymptotic_prediction
+from .analysis import NoSpeedupError, SpeedupLaw
 from .dynamics import PoseState, ReducedState, energy
 from .integrator import IntegratorOptions
 from .model import (
@@ -54,6 +55,8 @@ from .model import (
 
 SCENARIOS = ("inertial", "manifold", "speedup", "fixed_points")
 FORMATS = ("csv", "svg", "report")
+# the fault of a speedup or fixed_points document with a0 = 0
+_BALANCED = "'vehicle.a0' {:g} balances the sleigh (static moment m0 a0 = 0): {}"
 
 
 class ConfigError(ValueError):
@@ -71,6 +74,7 @@ class ScenarioConfig:
     scenario: str
     vehicle: VehicleParams
     derived: DerivedParams  # derive_params(vehicle)
+    law: SpeedupLaw | None  # SpeedupLaw.of(vehicle, derived, rotor), speedup only
     rotor: RotorProfile  # zero_rotor() where the document has no rotor block
     initial: ReducedState
     pose: PoseState
@@ -239,28 +243,23 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing required field 'vehicle'")
     vehicle, derived = _parse_vehicle(doc["vehicle"])
     rotor = _parse_rotor(doc["rotor"]) if "rotor" in doc else zero_rotor()
+    law = None
     if scenario == "speedup":
         if "rotor" not in doc:
             raise ConfigError("scenario 'speedup' requires a 'rotor' block")
-        # the predicates of analysis.asymptotic_prediction
-        if rotor.mean_sq_rate() <= 0.0:
-            raise ConfigError(f"'rotor.amplitude' {rotor.amplitude:g} leaves "
-                              f"the rotor momentum constant: no speedup")
-    if scenario in ("speedup", "fixed_points") and derived.static_moment == 0.0:
-        # a predicate of analysis.asymptotic_prediction and of
-        # analysis.classify_fixed_point
-        outcome = "no speedup" if scenario == "speedup" else \
-            "no node/saddle classification"
-        raise ConfigError(f"'vehicle.a0' {vehicle.a0:g} balances the sleigh "
-                          f"(static moment m0 a0 = 0): {outcome}")
-    if scenario == "speedup":
-        # past the two predicates above, the law's constant and coefficients
-        # can leave the float range, by the vehicle's fields or the rotor's
         try:
-            asymptotic_prediction(vehicle, derived, rotor)
-        except NoSpeedupError as e:
-            raise ConfigError(f"'vehicle' and 'rotor' give no speedup law: "
-                              f"{e}") from None
+            law = SpeedupLaw.of(vehicle, derived, rotor)
+        except NoSpeedupError as e:  # named by the field it blames
+            raise ConfigError({
+                "rotor.amplitude": f"'rotor.amplitude' {rotor.amplitude:g} "
+                f"leaves the rotor momentum constant: no speedup",
+                "vehicle.a0": _BALANCED.format(vehicle.a0, "no speedup"),
+            }.get(e.field, f"'vehicle' and 'rotor' give no speedup law: {e}")
+            ) from None
+    elif scenario == "fixed_points" and derived.static_moment == 0.0:
+        # the predicate of analysis.classify_fixed_point
+        raise ConfigError(_BALANCED.format(vehicle.a0,
+                                           "no node/saddle classification"))
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
     # the speedup scenario's step cap: see the module docstring
@@ -292,5 +291,5 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"'initial' has energy {h}: the manifold "
                               f"scenario needs a finite one")
     outputs = _parse_outputs(doc.get("outputs", {}))
-    return ScenarioConfig(scenario, vehicle, derived, rotor, initial, pose,
-                          integrator, outputs, sign)
+    return ScenarioConfig(scenario, vehicle, derived, law, rotor, initial,
+                          pose, integrator, outputs, sign)

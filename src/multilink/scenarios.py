@@ -143,28 +143,28 @@ def _attachment_plot(traj: Trajectory, p) -> str:
     return plot.render()
 
 
-def _series_plot(traj: Trajectory, pred=None) -> str:
+def _series_plot(traj: Trajectory, law=None) -> str:
     plot = svgplot.LinePlot(title="velocities", xlabel="t")
     plot.add_series(traj.times, traj.v1, label="v1")
     plot.add_series(traj.times, traj.omega, label="omega")
-    if pred is not None:
+    if law is not None:
         t = traj.times[traj.times > 0]
-        plot.add_series(t, pred.v1_envelope(t), dashed=True, color="#777777",
+        plot.add_series(t, law.v1_envelope(t), dashed=True, color="#777777",
                         label="v1 envelope")
-        plot.add_series(t, pred.omega_envelope(t), dashed=True, color="#bbbbbb")
-        plot.add_series(t, -pred.omega_envelope(t), dashed=True, color="#bbbbbb",
+        plot.add_series(t, law.omega_envelope(t), dashed=True, color="#bbbbbb")
+        plot.add_series(t, -law.omega_envelope(t), dashed=True, color="#bbbbbb",
                         label="omega envelope")
     return plot.render()
 
 
-def _angles_plot(traj: Trajectory, pred=None) -> str:
+def _angles_plot(traj: Trajectory, law=None) -> str:
     plot = svgplot.LinePlot(title="trailer angles", xlabel="t")
     for i in range(traj.n_links):
         plot.add_series(traj.times, traj.phi[:, i], label=f"phi_{i + 1}")
-    if pred is not None:
+    if law is not None:
         t = traj.times[traj.times > 0]
         for i in range(traj.n_links):
-            env = pred.phi_envelope(i, t)
+            env = law.phi_envelope(i, t)
             plot.add_series(t, env, dashed=True, color="#999999")
             plot.add_series(t, -env, dashed=True, color="#999999")
     return plot.render()
@@ -220,13 +220,11 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | None = None,
 
 def _run_trajectory(cfg: ScenarioConfig):
     """The inertial and speedup scenarios: one simulated trajectory, its CSV,
-    three figures and a report.  A speedup run adds the predicted
-    asymptotics, the fits of its report and the envelopes of its figures."""
-    p, d = cfg.vehicle, cfg.derived
-    pred = analysis.asymptotic_prediction(p, d, cfg.rotor) \
-        if cfg.scenario == "speedup" else None
+    three figures and a report.  A speedup run adds its config's speedup
+    law: the fits of its report and the envelopes of its figures."""
+    p, d, law = cfg.vehicle, cfg.derived, cfg.law
     traj = simulate(p, d, cfg.rotor, cfg.initial, cfg.pose, cfg.integrator)
-    if pred is None:
+    if law is None:
         e = traj.energy
         drift = float(np.max(np.abs(e - e[0])) / abs(e[0])) if e[0] != 0 \
             else 0.0
@@ -238,31 +236,30 @@ def _run_trajectory(cfg: ScenarioConfig):
     else:
         window = (DEFAULT_FIT_WINDOW[0],
                   min(DEFAULT_FIT_WINDOW[1], cfg.integrator.t_end))
-        report, summary = speedup_report(traj, pred, p, d, cfg.rotor, window)
+        report, summary = speedup_report(traj, law, cfg.rotor.period, window)
     name = cfg.scenario
     return summary, {
         f"{name}_trajectory.csv": lambda: traj,
-        f"{name}_velocities.svg": lambda: _series_plot(traj, pred),
-        f"{name}_angles.svg": lambda: _angles_plot(traj, pred),
+        f"{name}_velocities.svg": lambda: _series_plot(traj, law),
+        f"{name}_angles.svg": lambda: _angles_plot(traj, law),
         f"{name}_paths.svg": lambda: _attachment_plot(traj, p),
         f"{name}_report.txt": lambda: report,
     }
 
 
-def speedup_report(traj: Trajectory, pred, p, d, rotor,
+def speedup_report(traj: Trajectory, law: analysis.SpeedupLaw, period: float,
                    window) -> tuple[str, str]:
     """Fit the speedup power laws on a trajectory and compare with the
-    predicted asymptotics, stating how densely the samples cover a rotor
-    period and where the finite-inertia law puts the crossover into the
-    asymptotic regime."""
-    period = rotor.period
+    law's asymptotics, stating how densely the samples cover a rotor period
+    and where the anchored law puts the crossover into the asymptotic
+    regime."""
     lines = ["speedup asymptotics report",
              "==========================",
-             f"cube growth rate of v1: {pred.cube_rate:.6g} "
-             f"(mean squared momentum rate {pred.mean_sq_rate:.6g})",
+             f"cube growth rate of v1: {law.cube_rate:.6g} "
+             f"(mean squared momentum rate {law.mean_sq_rate:.6g})",
              f"fit window: [{window[0]:g}, {window[1]:g}]",
              _sampling_line(traj.times, period, window),
-             _crossover_line(traj, pred, p, d, rotor, window), ""]
+             _crossover_line(traj, law, window), ""]
 
     def one(name, fit, exp_expect, coeff_expect):
         lines.append(f"{name}: exponent {fit.exponent:+.4f} "
@@ -273,17 +270,17 @@ def speedup_report(traj: Trajectory, pred, p, d, rotor,
     fits = {}
     try:
         fits["v1"] = analysis.fit_power_law(traj.times, traj.v1, window)
-        one("v1 (raw)", fits["v1"], pred.V1_EXPONENT, pred.v1_coeff)
+        one("v1 (raw)", fits["v1"], law.V1_EXPONENT, law.v1_coeff)
         fits["omega"] = analysis.fit_power_law(traj.times, traj.omega, window,
                                                mode="envelope", period=period)
-        one("omega (envelope)", fits["omega"], pred.OMEGA_EXPONENT,
-            pred.omega_coeff)
+        one("omega (envelope)", fits["omega"], law.OMEGA_EXPONENT,
+            law.omega_coeff)
         for i in range(traj.n_links):
             fits[f"phi_{i + 1}"] = analysis.fit_power_law(
                 traj.times, traj.phi[:, i], window, mode="envelope",
                 period=period)
             one(f"phi_{i + 1} (envelope)", fits[f"phi_{i + 1}"],
-                pred.ANGLE_EXPONENT, pred.phi_coeffs[i])
+                law.ANGLE_EXPONENT, law.phi_coeffs[i])
     except ValueError as e:
         lines.append(f"fit skipped: {e}")
     summary = ("speedup fits: " + ", ".join(
@@ -307,14 +304,12 @@ def _sampling_line(times, period: float, window) -> str:
             f"{100.0 * undershoot:.3g}% below the peak (1 - cos(pi/n))")
 
 
-def _crossover_line(traj: Trajectory, pred, p, d, rotor, window) -> str:
-    """Crossover time b v1 = J Omega of the finite-inertia law anchored on
-    the last sample at or before the window start."""
+def _crossover_line(traj: Trajectory, law, window) -> str:
+    """Crossover time b v1 = J Omega of the law anchored on the last sample
+    at or before the window start."""
     k = int(np.searchsorted(traj.times, window[0], side="right")) - 1
     try:
-        law = analysis.finite_inertia_prediction(
-            p, d, rotor, float(traj.times[k]), float(traj.v1[k]), pred)
-        crossover = law.crossover_time
+        crossover = law.anchored(traj.times[k], traj.v1[k]).crossover_time
     except ValueError as e:
         return f"crossover time not available: {e}"
     if window[1] < crossover:
@@ -406,11 +401,11 @@ def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     p, d = cfg.vehicle, cfg.derived
     points = analysis.enumerate_fixed_points(p.n_links)
     cls = analysis.classify_fixed_point(points, p, d)
-    kinds = cls.kind.tolist()
+    kinds = list(analysis.FixedPointKind)  # in the order of their codes
     # each row is "%-40s %-14s [%+.6f, ...]" of (where, kind, *eigenvalues);
     # a column's distinct values, told apart by their bits, and the kind
     # names are formatted once
-    padded = {k: "%-14s" % k.value for k in analysis.FixedPointKind}
+    padded = np.array(["%-14s" % k.value for k in kinds], dtype=object)
     columns = []
     for column in cls.eigenvalues.T:
         bits, index = np.unique(column.view(np.uint64), return_inverse=True)
@@ -419,22 +414,22 @@ def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
     lines += map("%-40s %s [%s]".__mod__, zip(
-        points.describe(), map(padded.__getitem__, kinds),
+        points.describe(), padded[cls.code].tolist(),
         map(", ".join, zip(*columns))))
     lines.append("-" * 72)
-    lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
-                                        for k in analysis.FixedPointKind))
+    counts = np.bincount(cls.code, minlength=len(kinds)).tolist()
+    lines.append("counts: " + ", ".join(f"{k.value}={n}"
+                                        for k, n in zip(kinds, counts)))
 
     if draws > 0:
         rng = np.random.default_rng(seed)
         ok = 0
         for _ in range(draws):
             rp = random_vehicle(rng, p.n_links)
-            kinds = analysis.classify_fixed_point(
-                points, rp, derive_params(rp)).kind.tolist()
-            stable = kinds.count(analysis.FixedPointKind.STABLE_NODE)
-            unstable = kinds.count(analysis.FixedPointKind.UNSTABLE_NODE)
-            if stable == 1 and unstable == 1:
+            code = analysis.classify_fixed_point(points, rp,
+                                                 derive_params(rp)).code
+            # one stable node (code 0) and one unstable node (code 1)
+            if np.bincount(code, minlength=2)[:2].tolist() == [1, 1]:
                 ok += 1
         lines.append(f"random-parameter suite (seed={seed}): {ok}/{draws} "
                      f"draws with exactly one stable and one unstable node")

@@ -190,6 +190,13 @@ class LinePlot:
             scale = 2.0 ** 64
         if scale != 1.0:
             x_lo, x_hi, y_lo, y_hi = self._frame(pw, ph, scale)
+        # Spans of an ulp or so at a normal magnitude, which no scaling
+        # widens: an equal-aspect half-width can round away on the centre,
+        # and the limits are then padded by an ulp of it either side.
+        if x_lo == x_hi:
+            x_lo, x_hi = x_lo - math.ulp(x_lo), x_hi + math.ulp(x_hi)
+        if y_lo == y_hi:
+            y_lo, y_hi = y_lo - math.ulp(y_lo), y_hi + math.ulp(y_hi)
 
         def fx(u):  # a frame coordinate, the data times scale, in pixels
             return ml + (u - x_lo) / (x_hi - x_lo) * pw

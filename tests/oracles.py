@@ -3,7 +3,9 @@
 ``constraint_residuals`` gives one state's wheel-constraint residuals with
 the rates rebuilt from the reduced equations; ``AngleSystemState`` and
 ``make_angle_system_rhs`` are the fixed-energy angle system in rescaled
-time, the oracle of :func:`multilink.analysis.linearization_matrix`.
+time, the oracle of :func:`multilink.analysis.linearization_matrix`;
+``averaged_law_check`` checks the closed form of the averaged slowdown law
+behind :class:`multilink.analysis.SpeedupLaw`.
 """
 
 import math
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from multilink.analysis import SpeedupLaw
 from multilink.dynamics import (
     PoseState,
     ReducedState,
@@ -19,7 +22,13 @@ from multilink.dynamics import (
     angle_rates,
     residuals_from_rates,
 )
-from multilink.model import DegenerateShapeError, DerivedParams, VehicleParams
+from multilink.integrator import IntegratorOptions, integrate
+from multilink.model import (
+    DegenerateShapeError,
+    DerivedParams,
+    RotorProfile,
+    VehicleParams,
+)
 
 
 def constraint_residuals(pose: PoseState, state: ReducedState,
@@ -101,3 +110,46 @@ def make_angle_system_rhs(p: VehicleParams, d: DerivedParams):
         return [-(b / inertia) * sin_a, *[r - drift for r in rates]]
 
     return rhs
+
+
+@dataclass(frozen=True)
+class AveragedLawReport:
+    """Consistency report for the averaged slowdown law of p = 1/v1.
+
+    substitution_residual: coefficient defect of the closed form
+        p(t) = cube_rate^(-1/3) t^(-1/3) inserted into
+        dp/dt = -gain p^4, gain = <rate^2>/(b m).  The closed form solves the
+        equation exactly when cube_rate = 3 gain, so this is zero up to the
+        arithmetic of that identity.
+    ode_error: |p_numeric - p_closed| at t_end for the scalar averaged ODE
+        started on the closed form at t_start.
+    final_ratio: p * (cube_rate * t)^(1/3) at the last trajectory sample
+        (None when no trajectory is supplied); tends to 1 on accelerating
+        runs.
+    """
+
+    substitution_residual: float
+    ode_error: float
+    final_ratio: float | None
+
+
+def averaged_law_check(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
+                       trajectory=None, t_start: float = 1e3,
+                       t_end: float = 1e5) -> AveragedLawReport:
+    law = SpeedupLaw.of(p, d, rotor)
+    gain = law.mean_sq_rate / (d.static_moment * d.mass)
+    delta = 3.0 * gain
+    substitution_residual = abs(gain - delta / 3.0)
+
+    p0 = delta ** (-1.0 / 3.0) * t_start ** (-1.0 / 3.0)
+    opts = IntegratorOptions(t_end=t_end, rtol=1e-12, atol=1e-16, h0=1.0)
+    sol = integrate(lambda t, y: [-gain * y[0] ** 4], [p0], opts, t0=t_start)
+    p_closed = delta ** (-1.0 / 3.0) * t_end ** (-1.0 / 3.0)
+    ode_error = abs(float(sol.states[-1, 0]) - p_closed)
+
+    final_ratio = None
+    if trajectory is not None:
+        t_last = float(trajectory.times[-1])
+        v_last = float(trajectory.v1[-1])
+        final_ratio = (delta * t_last) ** (1.0 / 3.0) / v_last
+    return AveragedLawReport(substitution_residual, ode_error, final_ratio)

@@ -12,12 +12,10 @@ from multilink.analysis import (
     FixedPointKind,
     NoSpeedupError,
     PeriodError,
-    asymptotic_prediction,
-    averaged_law_check,
+    SpeedupLaw,
     classify_fixed_point,
     enumerate_fixed_points,
     envelope_points,
-    finite_inertia_prediction,
     fit_power_law,
     linearization_matrix,
     wrap_angles,
@@ -33,7 +31,7 @@ from multilink.model import (
     theta_from_phi,
     zero_rotor,
 )
-from oracles import make_angle_system_rhs
+from oracles import averaged_law_check, make_angle_system_rhs
 
 MEAN_SQ_RATE = (0.1 * math.pi) ** 2 / 2  # <kdot^2> of 0.05 sin(2 pi t)
 
@@ -200,8 +198,8 @@ def test_block_census_matches_point_oracle(n, seed):
 
 
 def test_asymptotic_prediction_values(reference_vehicle, reference_derived):
-    pred = asymptotic_prediction(reference_vehicle, reference_derived,
-                                 sine_rotor(0.05, 1.0))
+    pred = SpeedupLaw.of(reference_vehicle, reference_derived,
+                         sine_rotor(0.05, 1.0))
     cube_rate = 3.0 * MEAN_SQ_RATE / (0.7 * 3.4)
     assert pred.cube_rate == pytest.approx(cube_rate, rel=1e-12)
     assert pred.cube_rate == pytest.approx(0.0622, abs=2e-4)
@@ -216,15 +214,37 @@ def test_asymptotic_prediction_values(reference_vehicle, reference_derived):
         pred.max_rate / (0.7 * pred.v1_coeff), rel=1e-12)
 
 
+def test_reference_law_bits(reference_vehicle, reference_derived):
+    # recorded as float.hex before the asymptotic and the finite-inertia
+    # law were one value: the report, the SVG envelopes and criterion 4
+    # print from these bits
+    law = SpeedupLaw.of(reference_vehicle, reference_derived,
+                        sine_rotor(0.05, 1.0))
+    assert [law.cube_rate.hex(), law.v1_coeff.hex(), law.omega_coeff.hex()] \
+        == ["0x1.fd91f639e8ed8p-5", "0x1.95bb15694fdcbp-2",
+            "0x1.21f871258d980p+0"]
+    assert [v.hex() for v in law.theta_coeffs.tolist()] \
+        == ["0x1.803735f2030e4p+1", "0x1.9282fb8fd2708p+1"]
+    assert [v.hex() for v in law.phi_coeffs.tolist()] \
+        == ["0x1.803735f2030e4p+1", "0x1.24bc59dcf6234p+3"]
+    assert law.anchored(100.0, 11.0).crossover_time.hex() \
+        == "0x1.5796644f6317ep+17"
+
+
 def test_asymptotic_prediction_errors(reference_vehicle):
     balanced = VehicleParams(masses=[1.0, 1.0], inertias=[1.0, 1.0], a0=0.0,
                              a=[0.1], c=[1.0])
-    with pytest.raises(NoSpeedupError):
-        asymptotic_prediction(balanced, derive_params(balanced),
-                              sine_rotor(0.05, 1.0))
+    with pytest.raises(NoSpeedupError) as e:
+        SpeedupLaw.of(balanced, derive_params(balanced), sine_rotor(0.05, 1.0))
+    assert e.value.field == "vehicle.a0"
     d = derive_params(reference_vehicle)
-    with pytest.raises(NoSpeedupError):
-        asymptotic_prediction(reference_vehicle, d, zero_rotor())
+    with pytest.raises(NoSpeedupError) as e:
+        SpeedupLaw.of(reference_vehicle, d, zero_rotor())
+    assert e.value.field == "rotor.amplitude"
+    # with both at fault, the rotor is named, as the config names it
+    with pytest.raises(NoSpeedupError) as e:
+        SpeedupLaw.of(balanced, derive_params(balanced), zero_rotor())
+    assert e.value.field == "rotor.amplitude"
     # the constant or the coefficients past the float range: named, with
     # no numpy warning; b m rounds to 0 at the subnormal b, to inf at the
     # heavy sleigh
@@ -237,16 +257,17 @@ def test_asymptotic_prediction_errors(reference_vehicle):
         p = VehicleParams(masses=masses, inertias=[1.0, 1.0], a0=a0,
                           a=[0.1], c=[1.0])
         rotor = sine_rotor(amp, 1.0)
-        with pytest.raises(NoSpeedupError, match=name):
-            asymptotic_prediction(p, derive_params(p), rotor)
+        with pytest.raises(NoSpeedupError, match=name) as e:
+            SpeedupLaw.of(p, derive_params(p), rotor)
+        assert e.value.field is None
 
 
 def test_finite_inertia_law_solves_averaged_ode(reference_vehicle,
                                                 reference_derived):
     # m v1' = b <kdot^2> / ((b v1)^2 + (J Omega)^2), integrated directly
     rotor = sine_rotor(0.05, 1.0)
-    law = finite_inertia_prediction(reference_vehicle, reference_derived,
-                                    rotor, 100.0, 11.0)
+    law = SpeedupLaw.of(reference_vehicle, reference_derived,
+                        rotor).anchored(100.0, 11.0)
     b, m = reference_derived.static_moment, reference_derived.mass
     j_omega = reference_derived.inertia * 2.0 * math.pi
 
@@ -270,8 +291,8 @@ def test_finite_inertia_law_limit_is_asymptotics(n):
                       a0=0.7, a=[0.1, 0.2, 0.2][:n], c=[1.05, 1.10, 1.10][:n])
     d = derive_params(p)
     rotor = sine_rotor(0.05, 1.0)
-    law = finite_inertia_prediction(p, d, rotor, 100.0, 11.0)
-    pred = asymptotic_prediction(p, d, rotor)
+    pred = SpeedupLaw.of(p, d, rotor)
+    law = pred.anchored(100.0, 11.0)
     t = 1e15
     assert law.v1(t) == pytest.approx(pred.v1_envelope(t), rel=1e-4)
     assert law.omega_amplitude(t) == pytest.approx(pred.omega_envelope(t),
@@ -292,7 +313,7 @@ def test_finite_inertia_law_matches_pinned_run(reference_vehicle,
                                       hmax=1 / 13))
     t, s = sol.times, sol.states
     k = int(np.flatnonzero(t <= 100.0)[-1])
-    law = finite_inertia_prediction(p, d, rotor, float(t[k]), float(s[k, 0]))
+    law = SpeedupLaw.of(p, d, rotor).anchored(float(t[k]), float(s[k, 0]))
     late = t >= 100.0
     assert np.max(np.abs(s[late, 0] / law.v1(t[late]) - 1.0)) < 1e-6
     for col in (1, 2, 3):
@@ -307,20 +328,28 @@ def test_finite_inertia_law_matches_pinned_run(reference_vehicle,
 def test_finite_inertia_law_errors(reference_vehicle, reference_derived):
     p, d = reference_vehicle, reference_derived
     with pytest.raises(NoSpeedupError):
-        finite_inertia_prediction(p, d, zero_rotor(), 0.0, 10.0)
+        SpeedupLaw.of(p, d, zero_rotor())
+    law = SpeedupLaw.of(p, d, sine_rotor(0.05, 1.0))
     with pytest.raises(ValueError):
-        finite_inertia_prediction(p, d, sine_rotor(0.05, 1.0), 0.0, 0.0)
-    law = finite_inertia_prediction(p, d, sine_rotor(0.05, 1.0), 0.0, 1.0)
+        law.anchored(0.0, 0.0)
+    # the curve needs an anchor; the envelopes do not
+    for curve in (law.v1, law.omega_amplitude, law.phi_amplitudes):
+        with pytest.raises(ValueError, match="no anchor"):
+            curve(1.0)
+    with pytest.raises(ValueError, match="no anchor"):
+        law.crossover_time
+    assert law.v1_envelope(1.0) == law.v1_coeff
     with pytest.raises(ValueError):
-        law.v1(-1e9)
+        law.anchored(0.0, 1.0).v1(-1e9)
     # (J Omega)^2 and v1^3 past the float range
     heavy = VehicleParams(masses=[1.0, 1.0], inertias=[1e300, 1.0], a0=0.5,
                           a=[0.1], c=[1.0])
+    heavy_law = SpeedupLaw.of(heavy, derive_params(heavy),
+                              sine_rotor(0.05, 1.0))
     with pytest.raises(ValueError, match="overflows at its anchor"):
-        finite_inertia_prediction(heavy, derive_params(heavy),
-                                  sine_rotor(0.05, 1.0), 0.0, 10.0)
+        heavy_law.anchored(0.0, 10.0)
     with pytest.raises(ValueError, match="overflows at its anchor"):
-        finite_inertia_prediction(p, d, sine_rotor(0.05, 1.0), 0.0, 1e200)
+        law.anchored(0.0, 1e200)
 
 
 def test_fit_power_law_exact():
@@ -529,8 +558,7 @@ def test_speedup_asymptotics_in_regime(reference_vehicle, reference_derived,
     envelopes: exponents 1/3, -1/3, -2/3 and late-time coefficients."""
     run = strong_rotor_run
     t, s = run["times"], run["states"]
-    pred = asymptotic_prediction(reference_vehicle, reference_derived,
-                                 run["rotor"])
+    pred = SpeedupLaw.of(reference_vehicle, reference_derived, run["rotor"])
     window = (1e3, 1e4)
     fit_v1 = fit_power_law(t, s[:, 0], window)
     assert fit_v1.exponent == pytest.approx(1.0 / 3.0, abs=0.05)
@@ -558,8 +586,7 @@ def test_omega_tracks_rotor_rate(reference_vehicle, reference_derived,
     # omega * b * (cube_rate t)^(1/3) follows -kdot at large times
     run = strong_rotor_run
     t, s = run["times"], run["states"]
-    pred = asymptotic_prediction(reference_vehicle, reference_derived,
-                                 run["rotor"])
+    pred = SpeedupLaw.of(reference_vehicle, reference_derived, run["rotor"])
     late = t > 0.8 * t[-1]
     tt, om = t[late], s[late, 1]
     scaled = om * reference_derived.static_moment * pred.v1_coeff \

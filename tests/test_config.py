@@ -236,7 +236,10 @@ def test_rotor_peak_rate_overflow_rejected(rotor):
     ({"rotor": {"kind": "sine", "amplitude": 1e-200}}, "'rotor.amplitude'"),
     ({"rotor": {"kind": "sine", "amplitude": 0.05},
       "vehicle": dict(BASE["vehicle"], a0=0.0)}, "'vehicle.a0'"),
-], ids=["amplitude-0", "amplitude-1e-200", "a0-0"])
+    # both at fault: the rotor is named first
+    ({"rotor": {"kind": "sine", "amplitude": 0.0},
+      "vehicle": dict(BASE["vehicle"], a0=0.0)}, "'rotor.amplitude'"),
+], ids=["amplitude-0", "amplitude-1e-200", "a0-0", "amplitude-0+a0-0"])
 def test_speedup_without_speedup_rejected(extra, field):
     # each used to pass here and end the run in NoSpeedupError
     with pytest.raises(ConfigError, match=f"{field}.*no speedup"):

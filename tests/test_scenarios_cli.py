@@ -377,17 +377,19 @@ def test_speedup_report_and_fit(tmp_path):
 
 
 def test_speedup_run_predicts_once(tmp_path, monkeypatch):
-    # the report's crossover line reuses the run's asymptotic prediction
+    # the config builds the speedup law; the run's report, crossover line
+    # and figures reuse it
     calls = []
-    predict = analysis.asymptotic_prediction
-    monkeypatch.setattr(analysis, "asymptotic_prediction",
-                        lambda *a: calls.append(a) or predict(*a))
+    build = analysis.SpeedupLaw.of
+    monkeypatch.setattr(analysis.SpeedupLaw, "of",
+                        lambda *a: calls.append(a) or build(*a))
     cfg = parse_config(make_config(
         tmp_path, scenario="speedup",
         rotor={"kind": "sine", "amplitude": 0.05, "period": 1.0},
         initial={"v1": 10.0, "omega": 1.0, "phi": [0.5, 0.5]},
-        integrator={"t_end": 5.0}, outputs={"formats": ["report"]},
+        integrator={"t_end": 5.0},
     ).read_text())
+    assert len(calls) == 1 and cfg.law is not None
     run_scenario(cfg, output_dir=str(tmp_path / "o"))
     report = (tmp_path / "o" / "speedup_report.txt").read_text()
     assert "crossover time (b v1 = J Omega) by the finite-inertia law" in report

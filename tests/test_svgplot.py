@@ -183,3 +183,21 @@ def test_equal_aspect_subnormal_spans(x, y):
     assert pixels[0] < pixels[2] and pixels[1] > pixels[3]
     labels = re.findall(r'anchor="(?:middle|end)">([^<]*)<', svg)
     assert len(labels) == 10 and "-0" not in labels and "0" not in labels
+
+
+@pytest.mark.parametrize("v", [3.0, 1.5, -0.75, 5e300, 1e-300])
+def test_equal_aspect_one_ulp_span(v):
+    # a span of one ulp on both axes: the equal-aspect half-width on the
+    # shorter axis is half an ulp, and both limits used to round back to the
+    # centre; the frame is padded by an ulp of its centre, with the series
+    # drawn inside it
+    u = math.nextafter(v, math.inf)
+    plot = LinePlot(equal_aspect=True)
+    plot.add_series([v, u], [v, u])
+    svg = plot.render()
+    points = re.search(r'points="([^"]*)"', svg).group(1)
+    pixels = [float(v) for pair in points.split(" ") for v in pair.split(",")]
+    assert len(pixels) == 4 and all(64 <= p <= 744 for p in pixels[0::2])
+    assert all(34 <= p <= 434 for p in pixels[1::2])
+    assert pixels[0] < pixels[2] and pixels[1] > pixels[3]
+    assert "nan" not in svg and "inf" not in svg
