@@ -171,6 +171,8 @@ def _build():
     lib.ml_run.argtypes = [POINTER(Pair), POINTER(Vehicle), POINTER(Run),
                            c_void_p, c_void_p, c_void_p, c_long]
     lib.ml_run.restype = c_int
+    lib.ml_row.argtypes = [c_int]
+    lib.ml_row.restype = c_int
     lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 4, c_long,
                                     c_long, *[c_void_p] * 4]
     lib.ml_residual_max.restype = None
@@ -224,10 +226,14 @@ def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
     n = len(c)
     stops = [] if targets is None else targets
     # One block: c, mu and the targets; y, the stages, the two error rows
-    # and the new state; then CHUNK sample times and CHUNK states.
+    # and the new state, rows of ml_row(dim) doubles whose lanes past dim
+    # are zero (the packed sums then meet no stray subnormal or NaN); then
+    # CHUNK sample times and CHUNK states.
     head = 2 * n + len(stops)
-    size = head + (pair.stages + 4) * dim
+    row = _lib.ml_row(dim)
+    size = head + (pair.stages + 4) * row
     block = np.empty(size + CHUNK * (1 + dim))
+    block[head + dim:size] = 0.0
     block[:head + dim] = c + mu + stops + y
     base = _address(block)
     vehicle = Vehicle(n, CHARTS.index(chart), base, base + 8 * n, *constants)
@@ -250,7 +256,7 @@ def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
     if status == START:
         return None
     if status != DONE:
-        _fail(status, run, rhs, block[size - dim:size])
+        _fail(status, run, rhs, block[size - row:size - row + dim])
     if len(times) > 1:
         times, states = np.concatenate(times), np.concatenate(states)
     else:

@@ -28,7 +28,10 @@
  *
  * ml_run keeps no state of its own: everything lives in the caller's Run
  * and work memory, and a call returns after filling the sample buffer or
- * after max_steps step attempts, to be called again to go on.
+ * after max_steps step attempts, to be called again to go on.  Its work rows
+ * are padded with zeros to a multiple of LANES doubles (ml_row), and a step
+ * combines each tableau row one block of LANES components at a time, the
+ * block's partial sums held in registers and stored once.
  */
 #define _GNU_SOURCE  /* sincos */
 #include <locale.h>
@@ -134,43 +137,62 @@ nan:  /* Python's sin and cos raise on an infinity; the kernel returns NaN */
     return 0;
 }
 
-/* The combination of the stages k by sparse row `row` into out, one
- * coefficient at a time over all components: each component still sums its
- * terms left to right, from the first non-zero one. */
-static void comb(const Pair *p, int row, const double *restrict k, int dim,
-                 double *restrict out)
+/* The lanes of a work row: ml_run's rows hold dim values and then zeros up
+ * to the next multiple of LANES, so that a stage combination runs over whole
+ * blocks of LANES components. */
+enum { LANES = 4 };
+
+/* The doubles of a work row of dim values: dim rounded up to a multiple of
+ * LANES.  multilink._compiled sizes the work block with it. */
+int ml_row(int dim)
 {
-    int q = p->row_start[row];
-    const int end = p->row_start[row + 1];
-    const double *kq = k + p->col[q] * dim;
-    double a = p->val[q];
-    for (int i = 0; i < dim; i++)
-        out[i] = a * kq[i];
-    while (++q < end) {
-        kq = k + p->col[q] * dim;
-        a = p->val[q];
-        for (int i = 0; i < dim; i++)
-            out[i] += a * kq[i];
-    }
+    return (dim + LANES - 1) / LANES * LANES;
 }
 
 static double max2(double a, double b) { return b > a ? b : a; }
 
 /* One step of size h from (t, y), whose derivative is k[0]: fills the
- * stages k[1 ..], the two error rows e and the new state yn, and sets *err
- * to the error norm, NaN where a stage or the new state is not finite.
- * Returns 0, or the status of a failed step. */
-static int step(const Pair *p, const Vehicle *v, Run *r, double h,
+ * stages k[1 ..], the two error rows e and the new state yn, rows `row`
+ * doubles apart, and sets *err to the error norm, NaN where a stage or the
+ * new state is not finite.  Each sparse row is combined one block of LANES
+ * components at a time, its partial sums held in acc and stored once: each
+ * component still sums its terms left to right, from the first non-zero
+ * one, and a stage input is y + h * sum.  The zero lanes past dim stay zero
+ * in every stage and are never read as values.  Returns 0, or the status of
+ * a failed step. */
+static int step(const Pair *p, const Vehicle *v, Run *r, int row, double h,
                 const double *y, double *k, double *e, double *yn,
                 double *err)
 {
     const int dim = r->dim, s_end = p->stages;
-    for (int s = 1; s < s_end; s++) {
-        comb(p, s - 1, k, dim, yn);
-        for (int i = 0; i < dim; i++)
-            yn[i] = y[i] + h * yn[i];
+    /* sparse row s - 1: the input of stage s into yn, then from s = s_end
+     * the 5th- and 3rd-order error rows into e */
+    for (int s = 1; s <= s_end + 1; s++) {
+        const int first = p->row_start[s - 1], end = p->row_start[s];
+        const int stage = s < s_end;
+        double *const out = stage ? yn : e + (s - s_end) * row;
+        for (int b = 0; b < row; b += LANES) {
+            const double *kq = k + p->col[first] * row + b;
+            double a = p->val[first], acc[LANES];
+            for (int l = 0; l < LANES; l++)
+                acc[l] = a * kq[l];
+            for (int q = first + 1; q < end; q++) {
+                kq = k + p->col[q] * row + b;
+                a = p->val[q];
+                for (int l = 0; l < LANES; l++)
+                    acc[l] += a * kq[l];
+            }
+            if (stage)
+                for (int l = 0; l < LANES; l++)
+                    out[b + l] = y[b + l] + h * acc[l];
+            else
+                for (int l = 0; l < LANES; l++)
+                    out[b + l] = acc[l];
+        }
+        if (!stage)
+            continue;
         const double ts = r->t + p->c[s] * h;
-        if (rates(v, ts, yn, k + s * dim, &r->m_eff)) {
+        if (rates(v, ts, yn, k + s * row, &r->m_eff)) {
             r->stage_t = ts;
             return RUN_DEGENERATE;
         }
@@ -179,16 +201,14 @@ static int step(const Pair *p, const Vehicle *v, Run *r, double h,
     for (int q = 0; q < p->n_silent; q++) {
         double sum = 0.0;
         for (int i = 0; i < dim; i++)
-            sum += k[p->silent[q] * dim + i];
+            sum += k[p->silent[q] * row + i];
         silent += sum;
     }
-    comb(p, s_end - 1, k, dim, e);  /* the 5th- and 3rd-order error rows */
-    comb(p, s_end, k, dim, e + dim);
     double sum = 0.0, e5 = 0.0, e3 = 0.0;
     for (int i = 0; i < dim; i++) {
         const double sc = r->atol + r->rtol * max2(fabs(y[i]), fabs(yn[i]));
         const double x5 = fabs(e[i]) / sc;
-        const double x3 = fabs(e[dim + i]) / sc;
+        const double x3 = fabs(e[row + i]) / sc;
         sum += x5;
         e5 = i == 0 ? x5 : max2(e5, x5);
         e3 = i == 0 ? x3 : max2(e3, x3);
@@ -218,14 +238,15 @@ static void emit(Run *r, const double *y, double *t_out, double *y_out)
 }
 
 /* work: the state y, the stages k (k[0] its derivative, which the first
- * call takes, n_evals being 0), the two error rows e and the new state, dim
- * doubles each; t_out and y_out hold cap samples. */
+ * call takes, n_evals being 0), the two error rows e and the new state, each
+ * a row of ml_row(dim) doubles whose lanes past dim the caller zeroes; t_out
+ * and y_out hold cap samples of dim values. */
 int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
            double *t_out, double *y_out, long cap)
 {
-    const int dim = r->dim, last = p->stages - 1;
-    double *y = work, *k = work + dim, *e = k + p->stages * dim,
-           *yn = e + 2 * dim;
+    const int dim = r->dim, row = ml_row(dim), last = p->stages - 1;
+    double *y = work, *k = work + row, *e = k + p->stages * row,
+           *yn = e + 2 * row;
     r->n_out = 0;
     if (r->n_evals == 0) {
         if (r->dim != dim_of(v) || rates(v, r->t, y, k, &r->m_eff))
@@ -254,7 +275,7 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
             return RUN_UNDERFLOW;
         }
         double err;
-        const int status = step(p, v, r, h, y, k, e, yn, &err);
+        const int status = step(p, v, r, row, h, y, k, e, yn, &err);
         if (status)
             return status;
         r->n_evals += last;
@@ -275,7 +296,7 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
         r->n_acc++;
         r->t = h == gap ? target : r->t + h;
         memcpy(y, yn, dim * sizeof *y);
-        memcpy(k, k + last * dim, dim * sizeof *k);
+        memcpy(k, k + last * row, dim * sizeof *k);
         double factor = 5.0;
         if (err != 0.0) {
             factor = max2(0.2, 0.9 * pow(err, p->exponent));

@@ -112,6 +112,16 @@ def _span(lo, hi):
     return lo - step, hi + step
 
 
+def _around(lo, hi, data_lo, data_hi):
+    """The axis limits lo and hi, each moved out an ulp at a time while it
+    lies inside the data limits data_lo and data_hi."""
+    while lo > data_lo:
+        lo = math.nextafter(lo, -math.inf)
+    while hi < data_hi:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
 class LinePlot:
     """Collects series/markers, then renders one SVG document."""
 
@@ -142,33 +152,41 @@ class LinePlot:
         self._markers.append((float(x), float(y), color, radius))
 
     def _limits(self, scale):
+        """The limits of the data times scale, each axis widened by _span;
+        None without data."""
         xs = [s[0] for s in self._series if s[0].size] + \
              [np.array([m[0]]) for m in self._markers]
         ys = [s[1] for s in self._series if s[1].size] + \
              [np.array([m[1]]) for m in self._markers]
         if not xs:
-            return -1.0, 1.0, -1.0, 1.0
+            return None
         x_lo = min(float(a.min()) for a in xs)
         x_hi = max(float(a.max()) for a in xs)
         y_lo = min(float(a.min()) for a in ys)
         y_hi = max(float(a.max()) for a in ys)
-        x_lo, x_hi = (scale * v for v in _span(x_lo, x_hi))
-        y_lo, y_hi = (scale * v for v in _span(y_lo, y_hi))
-        pad_x = 0.04 * (x_hi - x_lo)
-        pad_y = 0.04 * (y_hi - y_lo)
-        return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y
+        return (*(scale * v for v in _span(x_lo, x_hi)),
+                *(scale * v for v in _span(y_lo, y_hi)))
 
     def _frame(self, pw, ph, scale):
-        """The axis limits of the data times scale: padded, and widened to
-        equal aspect where asked."""
-        x_lo, x_hi, y_lo, y_hi = self._limits(scale)
+        """The limits of the data times scale, and the axis limits: those
+        padded, or -1 and 1 on both axes without data, and widened to equal
+        aspect where asked."""
+        data = self._limits(scale)
+        if data is None:
+            x_lo, x_hi, y_lo, y_hi = data = -1.0, 1.0, -1.0, 1.0
+        else:
+            x_lo, x_hi, y_lo, y_hi = data
+            pad_x = 0.04 * (x_hi - x_lo)
+            pad_y = 0.04 * (y_hi - y_lo)
+            x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
+            y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
         if self.equal_aspect:
             sx, sy = pw / (x_hi - x_lo), ph / (y_hi - y_lo)
             s = min(sx, sy)
             cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
             x_lo, x_hi = cx - 0.5 * pw / s, cx + 0.5 * pw / s
             y_lo, y_hi = cy - 0.5 * ph / s, cy + 0.5 * ph / s
-        return x_lo, x_hi, y_lo, y_hi
+        return data, (x_lo, x_hi, y_lo, y_hi)
 
     def render(self) -> str:
         ml, mr, mt, mb = 64, 16, 34, 46
@@ -183,20 +201,19 @@ class LinePlot:
         # 2^64, exact again, span at least 2^-1010 and stay far from
         # overflow.
         scale = 1.0
-        x_lo, x_hi, y_lo, y_hi = frame = self._frame(pw, ph, scale)
+        data, frame = self._frame(pw, ph, scale)
+        x_lo, x_hi, y_lo, y_hi = frame
         if not all(map(math.isfinite, frame)):
             scale = 0.0625
         elif (x_lo == x_hi or y_lo == y_hi) and max(map(abs, frame)) < _TINY:
             scale = 2.0 ** 64
         if scale != 1.0:
-            x_lo, x_hi, y_lo, y_hi = self._frame(pw, ph, scale)
+            data, frame = self._frame(pw, ph, scale)
         # Spans of an ulp or so at a normal magnitude, which no scaling
-        # widens: an equal-aspect half-width can round away on the centre,
-        # and the limits are then padded by an ulp of it either side.
-        if x_lo == x_hi:
-            x_lo, x_hi = x_lo - math.ulp(x_lo), x_hi + math.ulp(x_hi)
-        if y_lo == y_hi:
-            y_lo, y_hi = y_lo - math.ulp(y_lo), y_hi + math.ulp(y_hi)
+        # widens: the equal-aspect centre and half-width round, which can
+        # leave a limit inside the data, or both limits on one value.
+        x_lo, x_hi = _around(*frame[:2], *data[:2])
+        y_lo, y_hi = _around(*frame[2:], *data[2:])
 
         def fx(u):  # a frame coordinate, the data times scale, in pixels
             return ml + (u - x_lo) / (x_hi - x_lo) * pw

@@ -63,6 +63,7 @@ from multilink.integrator import (
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
+    VehicleParams,
     derive_params,
     random_vehicle,
     sine_rotor,
@@ -170,6 +171,29 @@ def test_pinned_run_matches_python_loop(compiled, pair, reference_vehicle,
     assert fast == slow and fast[5] > 0
 
 
+@pytest.mark.parametrize("chart, n", [(chart, n) for chart in _compiled.CHARTS
+                                      for n in range(chart == "manifold", 13)])
+def test_every_state_dimension_matches(compiled, chart, n):
+    # state dimensions 1 .. 17: the compiled loop's work rows are padded to
+    # a multiple of 4 doubles, so these cross every 4-lane boundary and fill
+    # the last block of a row from one lane to all four
+    rng = np.random.default_rng(n)
+    p = random_vehicle(rng, n)
+    if chart == "manifold":
+        rhs = make_manifold_rhs(p, -1)
+        y0 = list(rng.uniform(-math.pi, math.pi, n))
+    else:
+        rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(
+            p, derive_params(p), sine_rotor(0.3, 1.0))
+        y0 = [rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0),
+              *rng.uniform(-math.pi, math.pi, n)]
+        y0 += list(rng.uniform(-1.0, 1.0, 3)) * (chart == "full")
+    opts = IntegratorOptions(t_end=0.5, rtol=1e-9, atol=1e-11)
+    fast, slow = both_loops(rhs, y0, opts)
+    assert fast == slow
+    assert isinstance(fast[0], bytes) and fast[3][1] == len(y0)
+
+
 @pytest.mark.parametrize("stride", [2 ** 63 - 1, 2 ** 63, 2 ** 70 + 3])
 def test_stride_beyond_c_long_matches(compiled, stride, reference_vehicle,
                                       reference_derived):
@@ -239,6 +263,34 @@ def test_degenerate_shape_matches(compiled, pair, chart, reference_vehicle):
     assert fast == slow
     assert fast[0] is DegenerateShapeError
     assert fast[1].startswith("effective longitudinal inertia -")
+
+
+@pytest.mark.parametrize("n, chart", [(1, make_reduced_rhs),
+                                      (2, make_full_rhs)])
+def test_degenerate_stage_matches_on_padded_rows(compiled, n, chart,
+                                                 reference_vehicle):
+    # as above, on state dimensions 3 and 7, which the compiled loop's work
+    # rows pad to 4 and 8: the stage input that m_eff <= 0 stops at is read
+    # at its padded row and handed to the Python field, which raises the
+    # Python loop's error
+    ref = reference_vehicle
+    p = VehicleParams(masses=ref.masses[:n + 1], inertias=ref.inertias[:n + 1],
+                      a0=ref.a0, a=ref.a[:n], c=ref.c[:n])
+    bad = DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
+                        coupling=[-3.0, 0.0][:n])
+    rhs = chart(p, bad, sine_rotor(0.3, 1.0))
+    y0 = [0.1, -10.0, 0.3, 0.0][:n + 2] + [0.0] * 3 * (chart is make_full_rhs)
+    opts = IntegratorOptions(t_end=1.0, h0=0.5)
+    stages = []
+    fail = _compiled._fail
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "_fail",
+                  lambda *args: stages.append(args[3]) or fail(*args))
+        fast, slow = both_loops(rhs, y0, opts, t0=0.25)
+    assert fast == slow
+    assert fast[0] is DegenerateShapeError
+    assert fast[1].startswith("effective longitudinal inertia -")
+    assert len(stages) == 1 and stages[0].size == len(y0)
 
 
 @pytest.mark.parametrize("chart", [make_reduced_rhs, make_full_rhs])

@@ -185,12 +185,13 @@ def test_equal_aspect_subnormal_spans(x, y):
     assert len(labels) == 10 and "-0" not in labels and "0" not in labels
 
 
-@pytest.mark.parametrize("v", [3.0, 1.5, -0.75, 5e300, 1e-300])
+@pytest.mark.parametrize("v", [3.0, 1.5, -0.75, 5e300, 1e-300, 1.0, 2.0, 0.5])
 def test_equal_aspect_one_ulp_span(v):
     # a span of one ulp on both axes: the equal-aspect half-width on the
     # shorter axis is half an ulp, and both limits used to round back to the
-    # centre; the frame is padded by an ulp of its centre, with the series
-    # drawn inside it
+    # centre; just above a power of two the centre rounds down and the upper
+    # limit used to stay an ulp inside the data.  A limit inside the data
+    # moves out an ulp at a time, with the series drawn inside the frame
     u = math.nextafter(v, math.inf)
     plot = LinePlot(equal_aspect=True)
     plot.add_series([v, u], [v, u])
