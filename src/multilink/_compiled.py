@@ -13,15 +13,18 @@ only a vehicle field, one that carries ``vehicle``),
 :func:`diagnostics`, :func:`multilink.analysis.fit_power_law` calls
 :func:`fit_points` (and runs its checks on the points),
 :func:`multilink.scenarios.write_trajectory_csv` and
-``read_trajectory_csv`` call :func:`write_rows` and :func:`read_csv`, and
-``multilink.svgplot._points`` calls :func:`points`.  The C code performs
-the Python code's operations in their order, calling one sincos where
-Python takes the sin and the cos of one argument (glibc gives their bits;
-test_sincos_matches_sin_and_cos).  Its text comes from integer arithmetic:
-the formatters write the bytes of "%.17g" and of svgplot's two decimals,
-and the parser converts a field by an exact fast path (checked against the
-digits that "%.17g" gives) or else by strtod, and declines every file
-outside the writer's grammar and shape, which numpy.loadtxt reads.
+``read_trajectory_csv`` call :func:`format_rows` (once per chunk of rows)
+and :func:`read_csv`, and ``multilink.svgplot._points`` calls
+:func:`points`.  The C code performs the Python code's operations in their
+order, calling one sincos where Python takes the sin and the cos of one
+argument (glibc gives their bits; test_sincos_matches_sin_and_cos).  Its
+text comes from integer arithmetic: the formatters write the bytes of
+"%.17g" and of svgplot's two decimals, and the parser converts a field by
+an exact fast path (checked against the digits that "%.17g" gives) or else
+by strtod.  Each text function does a whole unit or declines it: a chunk
+of rows or a polyline holding a value that the C leaves to Python, and a
+file outside the writer's grammar and shape (which numpy.loadtxt reads),
+are done by the Python path whole.
 
 Only :func:`integrate` builds the library (:func:`load`): once per process,
 with the compiler Python was built with (sysconfig ``CC``), into a
@@ -41,7 +44,7 @@ import os
 import shutil
 import stat
 import tempfile
-from ctypes import POINTER, c_char_p, c_double, c_int, c_long, c_void_p
+from ctypes import POINTER, c_double, c_int, c_long, c_void_p
 from itertools import accumulate
 
 import numpy as np
@@ -99,8 +102,7 @@ class Run(ctypes.Structure):
                   ("stride", "n_targets", "next_target", "max_steps")],
                 ("targets", c_void_p),
                 *[(name, c_double) for name in
-                  ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol",
-                   "last_t")],
+                  ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol")],
                 *[(name, c_long) for name in
                   ("n_acc", "n_rej", "n_evals", "n_out")],
                 *[(name, c_double) for name in ("h", "m_eff", "stage_t")]]
@@ -176,12 +178,10 @@ def _build():
     lib.ml_residual_max.argtypes = [c_long, c_int, *[c_void_p] * 4, c_long,
                                     c_long, *[c_void_p] * 4]
     lib.ml_residual_max.restype = None
-    lib.ml_format_points.argtypes = [c_void_p, c_void_p, c_long, c_void_p,
-                                     c_void_p, POINTER(c_long)]
+    lib.ml_format_points.argtypes = [c_void_p, c_void_p, c_long, c_void_p]
     lib.ml_format_points.restype = c_long
     if hasattr(lib, "ml_format_rows"):
-        lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_char_p,
-                                       POINTER(c_long)]
+        lib.ml_format_rows.argtypes = [c_void_p, c_long, c_int, c_void_p]
         lib.ml_format_rows.restype = c_long
     lib.ml_parse_rows.argtypes = [c_void_p, c_long, c_int, POINTER(c_int),
                                   c_int, c_void_p, c_long, POINTER(c_long)]
@@ -243,7 +243,7 @@ def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
               n_targets=len(stops), targets=base + 16 * n,
               max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
               h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
-              atol=opts.atol, last_t=t0)
+              atol=opts.atol)
     t_out, y_out = size, size + CHUNK
     times, states = [], []
     status = MORE
@@ -350,61 +350,31 @@ def fit_points(times, values, t_lo, t_hi, period=None):
     return out[:k], out[n:n + k], kept.value
 
 
-def write_rows(f, table, chunk, python_rows):
-    """Write the rows of the float array table to the binary file f as CSV
-    lines, each value the bytes of "%.17g" % v, chunk rows at a time through
-    one buffer, and return True; None, writing nothing, where the library
-    is not loaded or has no formatter.  A row holding a value that
-    ml_format_rows leaves to the caller is written as python_rows(rows) ->
-    bytes."""
+def format_rows(rows):
+    """The rows of the float array rows as CSV lines, each value the bytes
+    of "%.17g" % v; None where the library is not loaded or has no
+    formatter, or ml_format_rows leaves a value to the caller."""
     if not _lib or not hasattr(_lib, "ml_format_rows"):
         return None
-    table = np.ascontiguousarray(table, dtype=float)
-    n_rows, cols = table.shape
-    out = ctypes.create_string_buffer(chunk * cols * VALUE_BYTES)
-    view = memoryview(out)
-    done = c_long()
-    address, stride = table.ctypes.data, table.strides[0]
-    start = 0
-    while start < n_rows:
-        count = min(chunk, n_rows - start)
-        size = _lib.ml_format_rows(address + start * stride, count, cols, out,
-                                   done)
-        f.write(view[:size])
-        start += done.value
-        if done.value < count:
-            f.write(python_rows(table[start:start + 1]))
-            start += 1
-    return True
+    rows = np.ascontiguousarray(rows, dtype=float)
+    out = np.empty(rows.size * VALUE_BYTES, dtype=np.uint8)
+    size = _lib.ml_format_rows(_address(rows), *rows.shape, _address(out))
+    return None if size < 0 else out[:size].tobytes()
 
 
 def points(xs, ys):
     """The points attribute of ``multilink.svgplot._points`` for the
-    vectors xs and ys of one length; None where the library is not loaded
-    or they are not two such vectors.  The values that ml_format_points
-    leaves to svgplot are formatted by its ``_fmt``."""
+    vectors xs and ys of one length; None where the library is not loaded,
+    they are not two such vectors, or ml_format_points leaves a value to
+    svgplot."""
     if not _lib:
         return None
     xy = [np.ascontiguousarray(a, dtype=float) for a in (xs, ys)]
     if xy[0].ndim != 1 or xy[0].shape != xy[1].shape:
         return None
-    n = xy[0].size
-    if n == 0:
-        return ""
-    out = np.empty(2 * n * POINT_BYTES, dtype=np.uint8)
-    handed = np.empty(2 * n, dtype=c_long)
-    count = c_long()
-    size = _lib.ml_format_points(*map(_address, xy), n, _address(out),
-                                 _address(handed), count)
-    text = str(memoryview(out)[:size], "ascii")
-    if not count.value:
-        return text
-    from .svgplot import _fmt  # which imports this module
-
-    pieces = text.split("\0")
-    for j, i in enumerate(handed[:count.value].tolist()):
-        pieces[j] += _fmt(float(xy[i % 2][i // 2]))
-    return "".join(pieces)
+    out = np.empty(2 * xy[0].size * POINT_BYTES, dtype=np.uint8)
+    size = _lib.ml_format_points(*map(_address, xy), xy[0].size, _address(out))
+    return None if size < 0 else str(memoryview(out)[:size], "ascii")
 
 
 def read_csv(path, columns):

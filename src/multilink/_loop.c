@@ -12,7 +12,10 @@
  * calls ml_run, ml_residual_max, ml_fit_points, ml_format_points,
  * ml_format_rows and ml_parse_rows through ctypes.  The text functions give
  * the bytes of Python's formatting and the bits of its float parser: the
- * parser takes strtod only where its exact fast path cannot decide.
+ * parser takes strtod only where its exact fast path cannot decide.  Each
+ * one takes a whole unit (a polyline's series, a chunk of CSV rows, a CSV
+ * file) or declines it with -1, and the caller then does that unit in
+ * Python; none hands single values back.
  * Every floating-point operation is the one the emitted Python step and
  * kernel, or the numpy diagnostics and envelope, perform, in the same order
  * and through the same libm sin, cos, pow and sqrt, so both give the same
@@ -75,7 +78,7 @@ typedef struct {
                                        first: emit the start */
     long stride, n_targets, next_target, max_steps;
     const double *targets;
-    double t, t_end, h_prop, hmax, h_floor, rtol, atol, last_t;
+    double t, t_end, h_prop, hmax, h_floor, rtol, atol;
     long n_acc, n_rej, n_evals, n_out;
     double h, m_eff, stage_t;       /* the failing step or stage */
 } Run;
@@ -234,7 +237,6 @@ static void emit(Run *r, const double *y, double *t_out, double *y_out)
     t_out[r->n_out] = r->t;
     memcpy(y_out + r->n_out * r->dim, y, r->dim * sizeof *y);
     r->n_out++;
-    r->last_t = r->t;
 }
 
 /* work: the state y, the stages k (k[0] its derivative, which the first
@@ -316,8 +318,6 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
         if (r->n_out == cap)
             return RUN_MORE;
     }
-    if (!r->landing && r->last_t != r->t)
-        emit(r, y, t_out, y_out);
     return RUN_DONE;
 }
 
@@ -447,9 +447,11 @@ static char *digits_before(char *end, uint64_t v)
 /* One value of a polyline's points at o, as svgplot._fmt writes it: the
  * sign (of signbit), then the units and two decimals of rint(|v| 100), its
  * trailing zeros and a bare point dropped.  Returns the end, or NULL for a
- * value that svgplot formats on its own: a non-finite one, one of 1e12 or
+ * value that it leaves to svgplot: a non-finite one, one of 1e12 or
  * more, or one whose fl(100 |v|) is a half integer, which rint(fl(100 |v|))
- * need not round as "%.2f" rounds v. */
+ * need not round as "%.2f" rounds v.  Rounding is monotonic and every half
+ * integer below 2^52 is a double, so any other fl(100 |v|) lies on the same
+ * side of each half as 100 |v| and rounds to the same count. */
 static char *put_point(char *o, double v)
 {
     const double a = fabs(v), s = a * 100.0;
@@ -477,26 +479,18 @@ static char *put_point(char *o, double v)
 }
 
 /* The points attribute "x,y x,y ..." of the polyline through the n points
- * (xs[i], ys[i]) into out, which holds 17 bytes per value.  A value that
- * put_point leaves to svgplot is written as one NUL byte, and its index, 2i
- * for xs[i] and 2i + 1 for ys[i], goes to handed; sets *n_handed to their
- * number and returns the bytes written. */
-long ml_format_points(const double *xs, const double *ys, long n, char *out,
-                      long *handed, long *n_handed)
+ * (xs[i], ys[i]) into out, which holds 17 bytes per value; returns the
+ * bytes written, or -1 where put_point leaves a value to svgplot, which
+ * then formats the whole series. */
+long ml_format_points(const double *xs, const double *ys, long n, char *out)
 {
     char *o = out;
-    long h = 0;
     for (long i = 0; i < 2 * n; i++) {
-        char *const end = put_point(o, i % 2 ? ys[i / 2] : xs[i / 2]);
-        if (end) {
-            o = end;
-        } else {
-            handed[h++] = i;
-            *o++ = '\0';
-        }
+        o = put_point(o, i % 2 ? ys[i / 2] : xs[i / 2]);
+        if (!o)
+            return -1;
         *o++ = i % 2 ? ' ' : ',';
     }
-    *n_handed = h;
     return n ? (long)(o - out) - 1 : 0;
 }
 
@@ -671,27 +665,20 @@ static int format17(double x, char *out)
 }
 
 /* The rows x cols doubles of table (row by row) as CSV lines into out, 25
- * bytes per value at most.  Stops before the first row holding a value
- * that format17 leaves to the caller; sets *done to the rows written and
- * returns their bytes. */
-long ml_format_rows(const double *table, long rows, int cols, char *out,
-                    long *done)
+ * bytes per value at most; returns the bytes written, or -1 where format17
+ * leaves a value to the caller, which then formats every row. */
+long ml_format_rows(const double *table, long rows, int cols, char *out)
 {
     char *o = out;
-    long r = 0;
-    for (; r < rows; r++) {
-        char *const row = o;
+    for (long r = 0; r < rows; r++) {
         for (int j = 0; j < cols; j++) {
             const int len = format17(table[r * cols + j], o);
-            if (!len) {
-                *done = r;
-                return (long)(row - out);
-            }
+            if (!len)
+                return -1;
             o += len;
             *o++ = j + 1 < cols ? ',' : '\n';
         }
     }
-    *done = r;
     return (long)(o - out);
 }
 #endif

@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a power law to a CSV column")
     fit.add_argument("trajectory")
     fit.add_argument("--column", default="v1")
-    fit.add_argument("--window", default="1e3:1e5",
-                     help="time window 'lo:hi' (default 1e3:1e5)")
+    window = "{:g}:{:g}".format(*scenarios.DEFAULT_FIT_WINDOW)
+    fit.add_argument("--window", default=window,
+                     help=f"time window 'lo:hi' (default {window})")
     fit.add_argument("--mode", choices=("raw", "envelope"), default="raw")
     fit.add_argument("--period", type=float, default=None,
                      help="rotor period (required for envelope mode)")

@@ -61,9 +61,6 @@ class PoseState:
     y: float = 0.0
     psi: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi])
-
 
 # --- the vehicle kernel -------------------------------------------------------
 #

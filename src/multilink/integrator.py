@@ -192,10 +192,6 @@ class _Buffer:
         self._t.append(t)
         self._y.extend(y)
 
-    @property
-    def last_time(self) -> float:
-        return self._t[-1]
-
     def arrays(self):
         times = np.array(self._t)
         return times, np.array(self._y).reshape(times.size, self._dim)
@@ -336,8 +332,6 @@ def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
         elif n_acc % stride == 0 or t >= t_end:
             buf.append(t, y)
 
-    if targets is None and buf.last_time != t:
-        buf.append(t, y)
     return (*buf.arrays(), n_acc, n_rej, n_evals)
 
 

@@ -57,23 +57,21 @@ def csv_header(n_links: int) -> str:
 
 def write_trajectory_csv(path: str, traj: Trajectory):
     """Write traj as CSV, _CSV_CHUNK_ROWS rows at a time, which keeps the
-    text off the memory peak; the compiled and the Python formatter give
-    the same bytes."""
+    text off the memory peak; a chunk that the compiled formatter declines
+    is written by Python, to the same bytes."""
     table = np.column_stack((traj.times, traj.v1, traj.omega, traj.phi, traj.x,
                              traj.y, traj.psi, traj.energy, traj.residual_max,
                              traj.rotor_momentum))
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-
-    def python_rows(rows):
-        return "".join([row % tuple(values)
-                        for values in rows.tolist()]).encode()
-
     with open(path, "wb") as f:
         f.write(f"{csv_header(traj.n_links)}\n".encode())
-        if _compiled.write_rows(f, table, _CSV_CHUNK_ROWS, python_rows):
-            return
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            f.write(python_rows(table[start:start + _CSV_CHUNK_ROWS]))
+            rows = table[start:start + _CSV_CHUNK_ROWS]
+            text = _compiled.format_rows(rows)
+            if text is None:
+                text = "".join([row % tuple(values)
+                                for values in rows.tolist()]).encode()
+            f.write(text)
 
 
 def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:

@@ -14,7 +14,6 @@ import numpy as np
 from . import _compiled
 
 _PALETTE = ("#c0392b", "#2956b2", "#222222", "#1e8449", "#8e44ad", "#b9770e")
-_ZERO = ord("0")
 # viewBox size in pixels, and about the most points a series keeps
 WIDTH, HEIGHT = 760, 480
 MAX_POINTS = 4000
@@ -29,63 +28,13 @@ def _fmt(v: float) -> str:
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points attribute of a polyline: "x,y x,y ...", each value as
-    _fmt writes it.
-
-    Each value is written from its count of hundredths, rint(|v| * 100),
-    computed for the whole series and laid out as a byte matrix with one
-    row per value: sign, integer digits, point, two decimals, separator.
-    The sign (from signbit), the leading zeros and the zeros that _fmt
-    strips (the last one or two decimals, with the point) are dropped by
-    column masks.  Rounding is monotonic and, below 2**52, every half
-    integer is a float, so fl(100 |v|) lies on the same side of each half
-    as 100 |v| and rounds to the same count, unless it is a half itself.
-    Those values, non-finite ones and |v| >= 1e12 go through _fmt one by
-    one.  Where the compiled library is loaded, its formatter writes the
-    same bytes value by value.
-    """
+    _fmt writes it.  Where the compiled library is loaded, its formatter
+    writes the same bytes for a series it takes whole."""
     text = _compiled.points(xs, ys)
-    if text is not None:
-        return text
-    xy = np.empty(2 * xs.size)
-    xy[0::2] = xs
-    xy[1::2] = ys
-    mag = np.abs(xy)
-    exact = mag < 1e12  # False for nan
-    scaled = np.where(exact, mag, 0.0) * 100.0
-    exact &= scaled - np.floor(scaled) != 0.5
-    units, cents = np.divmod(np.rint(scaled).astype(np.int64), 100)
-    digits = len(str(units.max())) if units.size else 1
-    # columns: sign, integer digits, point, two decimals, separator
-    m = np.empty((units.size, digits + 5), np.uint8)
-    keep = np.ones(m.shape, bool)
-    m[:, 0] = ord("-")
-    keep[:, 0] = np.signbit(xy)
-    rest = units
-    for j in range(digits, 0, -1):  # units digit first
-        rest, m[:, j] = np.divmod(rest, 10)
-        if j < digits:
-            keep[:, j] = units >= 10 ** (digits - j)  # no leading zeros
-    m[:, digits + 1] = ord(".")
-    m[:, digits + 2], m[:, digits + 3] = np.divmod(cents, 10)
-    keep[:, digits + 1] = keep[:, digits + 2] = cents != 0
-    keep[:, digits + 3] = m[:, digits + 3] != 0
-    m[:, 1:digits + 1] += _ZERO
-    m[:, digits + 2:digits + 4] += _ZERO
-    m[0::2, digits + 4] = ord(",")
-    m[1::2, digits + 4] = ord(" ")
-    inexact = np.flatnonzero(~exact)
-    keep[inexact, :digits + 4] = False
-    text = m[keep].tobytes().decode()
-    if inexact.size:
-        # each such row left only its separator, at the row's last byte
-        at = np.cumsum(np.count_nonzero(keep, axis=1))[inexact] - 1
-        pieces, prev = [], 0
-        for i, v in zip(at.tolist(), xy[inexact].tolist()):
-            pieces += (text[prev:i], _fmt(v))
-            prev = i
-        pieces.append(text[prev:])
-        text = "".join(pieces)
-    return text[:-1]
+    if text is None:
+        text = " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y
+                         in zip(xs.tolist(), ys.tolist(), strict=True)])
+    return text
 
 
 def _tick_label(v: float, scale: float = 1.0) -> str:

@@ -40,6 +40,8 @@ def test_enumerate_counts():
     assert len(enumerate_fixed_points(2)) == 8
     assert len(enumerate_fixed_points(0)) == 2
     assert len(enumerate_fixed_points(5)) == 64
+    with pytest.raises(ValueError, match="link count must be >= 0"):
+        enumerate_fixed_points(-1)
 
 
 def test_enumerate_aligned_point():

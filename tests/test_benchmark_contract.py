@@ -22,7 +22,9 @@ in its DOP853 oracle, ``model.zero_rotor``, ``dynamics.energy``,
 ``model.angle_coeffs``); the first item of two workloads, run through their
 checks, fails here on a rename of one of them.  The scenario-pipeline items
 that write files and read them back pass their checks with equal
-fingerprints twice, as the benchmark requires of every round.  Both
+fingerprints twice, as the benchmark requires of every round, and traced
+speedup-pinned and conservation-sweep items give the untraced items'
+fingerprints.  Both
 perfbench files are loaded from their paths without writing bytecode next
 to them.
 """
@@ -95,6 +97,31 @@ def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
     assert (sol.n_accepted, sol.n_rejected, sol.n_evals) == (
         inlined.n_accepted, inlined.n_rejected, inlined.n_evals)
     assert tracer.take_stats()["rhs.reduced.calls"] == sol.n_evals
+
+
+def test_traced_rounds_match_untraced(tmp_path):
+    # a traced round runs the Python loop, the tracer wrapping every vector
+    # field, and each fingerprint must equal the untraced round's, which
+    # runs the compiled loop: every speedup-pinned item at seed 410 and the
+    # first conservation-sweep item of each N
+    workloads = load_perfbench("workloads")
+    pinned = workloads.SpeedupPinned(410, str(tmp_path))
+    sweep = workloads.ConservationSweep(410, str(tmp_path))
+    cases = [(pinned, i) for i in range(len(pinned.items))]
+    cases += [(sweep, i) for i, item in enumerate(sweep.items)
+              if item.name.endswith("#0")]
+    assert len(cases) == 8 + len(sweep.links)
+    untraced = [wl.fingerprint(i, wl.items[i].run(None)) for wl, i in cases]
+    tracer = load_perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        traced = [wl.fingerprint(i, wl.items[i].run(tracer))
+                  for wl, i in cases]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    stats = tracer.take_stats()
+    assert stats["rhs.reduced.calls"] > 0 and stats["rhs.full.calls"] > 0
 
 
 def test_traced_census_and_artifact_writers(tmp_path, capsys):

@@ -82,8 +82,12 @@ SUMMARY["fixed_points"] = FIXED_POINTS_STDOUT.rsplit("\n", 2)[0]
 
 
 # shipped configs with edited fields at the edges of the float range: each
-# runs (exit 0), or its config fails with an error naming the field (exit 2)
+# runs (exit 0, its summary holding the text given), or its config fails with
+# an error naming the field (exit 2)
 EDGES = [
+    # at rest the energy is 0: the relative drift is reported as 0
+    ("inertial", {"initial": {"v1": 0.0, "omega": 0.0}}, 0,
+     "relative energy drift 0.000e+00,"),
     # a y so large that y - 1 == y: the paths plot's y range had no span
     ("inertial", {"initial": {"y": 8.84e37}}, 0, None),
     # paths at the largest doubles: the equal-aspect centre and limits of
@@ -209,12 +213,12 @@ def test_edge_documents_run_or_fail_typed(tmp_path, capsys, scenario, edits,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(["simulate", str(path), "--output-dir", str(out)])
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     assert rc == code
     if code:
         assert err.startswith(f"error: {named} ") and not out.exists()
     else:
-        assert err == ""
+        assert err == "" and (named or "") in stdout
         names = next(n for s, f, n in TABLE if s == scenario and f is None)
         assert sorted(os.listdir(out)) == sorted(names)
         for name in names:

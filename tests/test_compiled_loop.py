@@ -18,7 +18,6 @@ import ctypes.util
 import decimal
 import importlib.resources
 import inspect
-import io
 import json
 import locale
 import math
@@ -490,19 +489,26 @@ def python_text(table):
                    for row in table.tolist())
 
 
-def compiled_text(table, chunk=1024):
-    """The CSV rows of table through the compiled formatter, and the rows
-    it left to the Python one."""
-    handed = []
+def written_by_c(values):
+    """Whether the compiled formatter writes each of values: all but the
+    finite nonzero ones outside [10^-39, 10^17), which it leaves to
+    Python."""
+    a = np.abs(values)
+    return ~np.isfinite(a) | (a == 0.0) | ((a >= FORMAT_LOW) & (a < 1e17))
 
-    def python_rows(rows):
-        handed.extend(rows.tolist())
-        return python_text(rows).encode()
 
-    f = io.BytesIO()
-    assert _compiled.write_rows(f, np.asarray(table, dtype=float), chunk,
-                                python_rows)
-    return f.getvalue().decode(), handed
+def check_chunks(table, chunk):
+    """Each chunk of rows of table as the writer passes it: formatted by C
+    to Python's bytes, or declined whole where it holds a value that C
+    leaves to Python."""
+    table = np.asarray(table, dtype=float)
+    for start in range(0, len(table), chunk):
+        rows = table[start:start + chunk]
+        text = _compiled.format_rows(rows)
+        if written_by_c(rows).all():
+            assert text == python_text(rows).encode()
+        else:
+            assert text is None, rows
 
 
 def _bits(n, exponents=(0, 2048)):
@@ -570,12 +576,11 @@ FORMAT_INPUTS = {
                          ids=FORMAT_INPUTS.keys())
 def test_formatter_matches_python(compiled, values):
     table = np.reshape(values, (-1, 1))
-    text, handed = compiled_text(table)
-    assert text == python_text(table)
-    # only finite nonzero values outside [10^-39, 10^17) are left to Python
-    a = np.abs(table[:, 0])
-    kept = ~np.isfinite(a) | (a == 0.0) | ((a >= FORMAT_LOW) & (a < 1e17))
-    assert len(handed) == np.count_nonzero(~kept)
+    kept = written_by_c(table[:, 0])
+    check_chunks(table[kept], 1024)
+    # each value left to Python declines its row, and any chunk holding it
+    check_chunks(table[~kept], 1)
+    check_chunks(table, 64)
 
 
 def _double(bits):
@@ -595,16 +600,26 @@ ANY_DOUBLE = (st.integers(0, 2 ** 64 - 1).map(_double)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=st.lists(ANY_DOUBLE, min_size=1, max_size=40))
 def test_formatter_matches_python_on_any_double(compiled, values):
-    table = np.reshape(values, (-1, 1))
-    assert compiled_text(table, chunk=7)[0] == python_text(table)
+    check_chunks(np.reshape(values, (-1, 1)), 7)
 
 
-def test_formatter_hands_rows_across_chunks(compiled):
-    table = np.arange(30.0).reshape(10, 3) + 0.1
-    table[[0, 4, 5, 9], [1, 0, 2, 2]] = [1e-300, -1e300, 5e-324, 1e17]
-    text, handed = compiled_text(table, chunk=3)
-    assert text == python_text(table)
-    assert handed == table[[0, 4, 5, 9]].tolist()
+def test_formatter_hands_rows_across_chunks(compiled, tmp_path, monkeypatch):
+    # rows 0, 4, 5 and 9 each hold a value left to Python: the writer's
+    # chunks of 3 rows that hold them are written by Python, the others by
+    # C, to the bytes of the Python writer
+    table = np.arange(100.0).reshape(10, 10) + 0.1
+    table[[0, 4, 5, 9], [1, 0, 2, 9]] = [1e-300, -1e300, 5e-324, 1e17]
+    texts = [_compiled.format_rows(table[i:i + 3]) for i in range(0, 10, 3)]
+    assert [text is None for text in texts] == [True, True, False, True]
+    check_chunks(table, 3)
+    columns = list(table.T)
+    traj = Trajectory(*columns[:3], table[:, 3:4], *columns[4:])
+    monkeypatch.setattr(scenarios, "_CSV_CHUNK_ROWS", 3)
+    scenarios.write_trajectory_csv(tmp_path / "fast.csv", traj)
+    monkeypatch.setattr(_compiled, "_lib", False)
+    scenarios.write_trajectory_csv(tmp_path / "slow.csv", traj)
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_speedup_csv_same_bytes_without_library(compiled, tmp_path,
@@ -671,9 +686,9 @@ def test_c_source_compiles_without_warnings(define, tmp_path):
         m.setattr(_compiled, "_lib", lib)
         got = parsed(path, [0, 1])
         if define == []:
-            assert compiled_text(table)[0] == python_text(table)
+            check_chunks(table, 1024)
         else:
-            assert _compiled.write_rows(io.BytesIO(), table, 64, None) is None
+            assert _compiled.format_rows(table) is None
     assert got.tobytes() == table.tobytes()
 
 
@@ -891,9 +906,8 @@ def test_counting_library_counts(counting, tmp_path):
 
 
 def stays_in_c(counting, paths):
-    """The rows of the CSVs at paths that their writing left to Python (the
-    writes are those of the calls that follow), and the strtod calls and
-    values of reading them back."""
+    """The strtod calls and the values of reading the CSVs at paths back
+    through the counting library."""
     lib, count = counting
     reads = []
     with pytest.MonkeyPatch.context() as m:
@@ -904,16 +918,18 @@ def stays_in_c(counting, paths):
 
 
 def count_python_rows(monkeypatch):
-    """The rows that write_trajectory_csv leaves to its Python rows from
-    now on."""
+    """The rows of the chunks that the compiled formatter declines from now
+    on, which write_trajectory_csv writes in Python."""
     handed = []
-    write_rows = _compiled.write_rows
+    format_rows = _compiled.format_rows
 
-    def counted(f, table, chunk, python_rows):
-        return write_rows(f, table, chunk, lambda rows: handed.extend(
-            rows.tolist()) or python_rows(rows))
+    def counted(rows):
+        text = format_rows(rows)
+        if text is None:
+            handed.extend(rows.tolist())
+        return text
 
-    monkeypatch.setattr(_compiled, "write_rows", counted)
+    monkeypatch.setattr(_compiled, "format_rows", counted)
     return handed
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -549,6 +550,18 @@ def test_momentum_column_is_rotor_momentum():
     traj = simulate(p, d, zero_rotor(), cfg.initial, cfg.pose,
                     IntegratorOptions(t_end=5.0))
     assert traj.rotor_momentum.tobytes() == bytes(8 * traj.n_samples)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,)])
+def test_trajectory_from_solution_rejects_other_shapes(reference_vehicle,
+                                                       reference_derived,
+                                                       shape):
+    sol = Solution(np.zeros(3), np.zeros(shape), 0, 0, 0)
+    with pytest.raises(ValueError, match=rf"^states have shape "
+                       rf"{re.escape(str(shape))}, expected \(samples, 7\) "
+                       rf"for the full chart of N = 2$"):
+        trajectory_from_solution(sol, reference_vehicle, reference_derived,
+                                 zero_rotor())
 
 
 @pytest.mark.parametrize("n", [65, 100])

@@ -107,6 +107,11 @@ def test_t_eval_validation():
     with pytest.raises(ValueError):
         integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0),
                   t_eval=[0.5, 2.0])
+    for t_eval in ([], [[0.5]]):
+        with pytest.raises(ValueError,
+                           match="^t_eval must be a non-empty 1-d array$"):
+            integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0),
+                      t_eval=t_eval)
 
 
 @pytest.mark.parametrize("t_eval", [[math.nan], [0.5, math.nan],

@@ -60,6 +60,7 @@ def test_zero_coupling_condition():
     dict(masses=[1.0, 1.0], inertias=[1.0, 1.0], a0=-0.1, a=[0.1], c=[1.0]),
     dict(masses=[1.0, 1.0], inertias=[1.0], a0=0.1, a=[0.1], c=[1.0]),
     dict(masses=[1.0, 1.0, 1.0], inertias=[1.0, 1.0, 1.0], a0=0.1, a=[0.1], c=[1.0, 1.0]),
+    dict(masses=[[1.0, 1.0]], inertias=[1.0, 1.0], a0=0.1, a=[0.1], c=[1.0]),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(InvalidParameterError):
@@ -96,6 +97,19 @@ def test_derived_params_reject_2d_coupling():
                        match=r"^coupling must be 1-d, got shape \(1, 2\)"):
         DerivedParams(mass=1.0, inertia=1.0, static_moment=0.5,
                       coupling=[[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("mass", 0.0, "total mass and sleigh inertia must be positive"),
+    ("inertia", -1.0, "total mass and sleigh inertia must be positive"),
+    ("static_moment", -1.0, "static moment must be non-negative"),
+])
+def test_derived_params_reject_out_of_range(field, bad, message):
+    kwargs = dict(mass=3.4, inertia=1.99, static_moment=0.7,
+                  coupling=[1.6, 1.26])
+    kwargs[field] = bad
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        DerivedParams(**kwargs)
 
 
 def test_trailer_array_shapes_reported():

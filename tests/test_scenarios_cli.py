@@ -31,6 +31,7 @@ from multilink.model import (
     random_vehicle,
 )
 from multilink.scenarios import (
+    DEFAULT_FIT_WINDOW,
     csv_header,
     manifold_trajectory,
     read_trajectory_csv,
@@ -461,6 +462,9 @@ def test_cli_simulate_and_fit(tmp_path, capsys):
                    "--window", "1:20"])
     assert rc == 0
     assert "v1 ~" in capsys.readouterr().out
+    # without --window, fit takes the speedup report's window
+    args = cli.build_parser().parse_args(["fit", str(csv_path)])
+    assert tuple(map(float, args.window.split(":"))) == DEFAULT_FIT_WINDOW
 
 
 def test_cli_calls_in_one_process_repeat(tmp_path, capsys):
@@ -520,6 +524,16 @@ def test_cli_negative_draws_exit_code(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: --draws must be a non-negative integer, got -3\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_fixed_points_rejects_other_scenario(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "inertial.json")
+    assert cli.main(["fixed-points", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config declares scenario 'inertial'; "
+                            "expected 'fixed_points'\n")
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The polyline formatter against the per-value one it replaces, the
-compiled formatter against the numpy one, the one rule by which a series is
-thinned, and the equal-aspect frame of data with subnormal spans."""
+"""The polyline formatter against the per-value one, the compiled
+formatter against the Python one and the series it declines, the one rule
+by which a series is thinned, and the equal-aspect frame of data with
+subnormal spans."""
 
 import math
 import re
@@ -75,16 +76,29 @@ def test_points_match_per_value_format_bulk():
     assert not bad, [(xs[k], ys[k], got[k], want[k]) for k in bad[:5]]
 
 
+def left_to_svgplot(values):
+    """Which of values the compiled formatter leaves to svgplot: the
+    non-finite ones, those of 1e12 or more, and those whose fl(100 |v|) is
+    a half integer."""
+    a = np.abs(values)
+    near = a < 1e12  # False for nan
+    scaled = np.where(near, a, 0.0) * 100.0
+    return ~near | (scaled - np.floor(scaled) == 0.5)
+
+
 @pytest.fixture(scope="module")
 def both_points():
-    """both(xs, ys) -> (compiled, numpy): _points with the compiled library
-    loaded and with _compiled._lib False; skipped without a compiler."""
+    """both(xs, ys) -> (compiled, python): _points with the compiled library
+    loaded and with _compiled._lib False, after checking that the library
+    declines the series exactly where it holds a value left to svgplot;
+    skipped without a compiler."""
     lib = _compiled.load()
     if not lib:
         pytest.skip("no C compiler")
 
     def both(xs, ys):
-        assert _compiled.points(xs, ys) is not None
+        declined = _compiled.points(xs, ys) is None
+        assert declined == left_to_svgplot(np.concatenate((xs, ys))).any()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_compiled, "_lib", lib)
             fast = _points(xs, ys)
@@ -99,7 +113,7 @@ def both_points():
 @given(st.lists(st.tuples(VALUES, VALUES), max_size=40))
 def test_compiled_points_match_numpy(both_points, pairs):
     # half hundredths, signed zeros, values about 1e12, non-finite ones and
-    # no points at all: the same bytes, value by value
+    # no points at all: the same bytes, or the whole series declined
     xs = np.array([a for a, _ in pairs], dtype=float)
     ys = np.array([b for _, b in pairs], dtype=float)
     fast, slow = both_points(xs, ys)
@@ -116,6 +130,13 @@ def test_compiled_points_match_numpy_bulk(both_points):
     rng.shuffle(values)
     fast, slow = both_points(values[0::2], values[1::2])
     assert fast.split(" ") == slow.split(" ")
+    # the values that C writes, as one series, and each value it leaves to
+    # svgplot as a point of its own, which it declines
+    left = left_to_svgplot(values)
+    taken = values[~left][:2 * (np.count_nonzero(~left) // 2)]
+    fast, slow = both_points(taken[0::2], taken[1::2])
+    assert fast.split(" ") == slow.split(" ")
+    assert all(_compiled.points([v], [0.0]) is None for v in values[left])
 
 
 def test_points_examples():
@@ -163,6 +184,15 @@ def test_attachment_paths_thin_as_a_series_does(n):
 
     assert counts(_attachment_plot(traj, p)) == [THINNED[n]] * 3
     assert counts(_series_plot(traj)) == [THINNED[n]] * 2
+
+
+def test_empty_plot_draws_unit_frame():
+    # no data: the frame runs from -1 to 1 on both axes, with no polyline
+    svg = LinePlot().render()
+    labels = re.findall(r'anchor="(?:middle|end)">([^<]*)<', svg)
+    assert labels == ["-1", "-1", "-0.5", "-0.5", "0", "0", "0.5", "0.5",
+                      "1", "1"]
+    assert "<polyline" not in svg
 
 
 @pytest.mark.parametrize("x, y", [
