@@ -99,10 +99,12 @@ class Pair(ctypes.Structure):
 class Run(ctypes.Structure):
     _fields_ = [("dim", c_int), ("landing", c_int), ("first", c_int),
                 *[(name, c_long) for name in
-                  ("stride", "n_targets", "next_target", "max_steps")],
+                  ("stride", "n_targets", "next_target", "next_point",
+                   "max_steps")],
                 ("targets", c_void_p),
                 *[(name, c_double) for name in
-                  ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol")],
+                  ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol",
+                   "t0", "interval")],
                 *[(name, c_long) for name in
                   ("n_acc", "n_rej", "n_evals", "n_out")],
                 *[(name, c_double) for name in ("h", "m_eff", "stage_t")]]
@@ -240,10 +242,10 @@ def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
     work = base + 8 * head
     run = Run(dim=dim, landing=targets is not None, first=first,
               stride=min(opts.sample_stride, LONG_MAX),
-              n_targets=len(stops), targets=base + 16 * n,
+              n_targets=len(stops), targets=base + 16 * n, next_point=1,
               max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
               h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
-              atol=opts.atol)
+              atol=opts.atol, t0=t0, interval=opts.sample_interval)
     t_out, y_out = size, size + CHUNK
     times, states = [], []
     status = MORE
@@ -342,12 +344,19 @@ def fit_points(times, values, t_lo, t_hi, period=None):
     n = times.size
     out = np.empty(2 * n)
     kept = c_long()
-    base = out.ctypes.data
-    k = _lib.ml_fit_points(times.ctypes.data, times.strides[0] // 8,
-                           values.ctypes.data, values.strides[0] // 8, n,
-                           t_lo, t_hi, period is not None, scalars[2], base,
-                           base + 8 * n, kept)
+    base = _address(out)
+    k = _lib.ml_fit_points(_vector_address(times), times.strides[0] // 8,
+                           _vector_address(values), values.strides[0] // 8,
+                           n, t_lo, t_hi, period is not None, scalars[2],
+                           base, base + 8 * n, kept)
     return out[:k], out[n:n + k], kept.value
+
+
+def _vector_address(a):
+    """The address of the float64 vector a's first element: by
+    :func:`_address` where it is contiguous, else (a strided column) by
+    a.ctypes.data, which spares the failed try."""
+    return _address(a) if a.strides[0] == 8 else a.ctypes.data
 
 
 def format_rows(rows):

@@ -72,13 +72,15 @@ typedef struct {
     const int *silent;
 } Pair;
 
-/* The loop's settings and its state between calls. */
+/* The loop's settings and its state between calls.  A positive interval
+ * emits the grid t0 + k * interval (k = next_point, from 1) below t_end and
+ * then t_end, a step landing on each point. */
 typedef struct {
     int dim, landing, first;        /* landing: emit at targets only;
                                        first: emit the start */
-    long stride, n_targets, next_target, max_steps;
+    long stride, n_targets, next_target, next_point, max_steps;
     const double *targets;
-    double t, t_end, h_prop, hmax, h_floor, rtol, atol;
+    double t, t_end, h_prop, hmax, h_floor, rtol, atol, t0, interval;
     long n_acc, n_rej, n_evals, n_out;
     double h, m_eff, stage_t;       /* the failing step or stage */
 } Run;
@@ -265,8 +267,14 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
     for (long attempts = 0; r->t < r->t_end; attempts++) {
         if (attempts == r->max_steps)
             return RUN_MORE;
-        const double target = r->next_target < r->n_targets
-            ? r->targets[r->next_target] : r->t_end;
+        double target = r->t_end;
+        if (r->interval > 0.0) {
+            const double point = r->t0 + (double)r->next_point * r->interval;
+            if (point < r->t_end)
+                target = point;
+        } else if (r->next_target < r->n_targets) {
+            target = r->targets[r->next_target];
+        }
         const double gap = target - r->t;
         double h = r->hmax < r->h_prop ? r->hmax : r->h_prop;
         if (gap <= h / 0.9 && gap <= r->hmax)
@@ -306,7 +314,12 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
         }
         r->h_prop = clamped ? max2(r->h_prop, h * factor) : h * factor;
 
-        if (r->landing) {
+        if (r->interval > 0.0) {
+            if (r->t == target) {
+                emit(r, y, t_out, y_out);
+                r->next_point++;
+            }
+        } else if (r->landing) {
             if (r->next_target < r->n_targets
                     && r->t == r->targets[r->next_target]) {
                 emit(r, y, t_out, y_out);

@@ -13,16 +13,21 @@ rejected everywhere):
                      "x": (0.0), "y": (0.0), "psi": (0.0)},
       "integrator": {"t_end": x, "rtol": (1e-10), "atol": (1e-12),
                      "h0": (min(1e-3, hmax), the first trial step),
-                     "hmax": (inf, see below), "sample_stride": (1)},
+                     "hmax": (inf), "sample_stride": (1, see below)},
       "outputs":    {"directory": ("out"), "formats": (["csv","svg","report"])}
     }
 
-The step cap hmax is unbounded, except in the "speedup" scenario, where it
-defaults to rotor.period / 13: its envelope fits take per-period maxima of
-the emitted samples, and at the tolerances that scenario needs the
-Dormand-Prince 8(5,3) pair's own steps come too few per rotor period for
-those maxima (at rtol = atol = 1e-8 about 7).  The cap makes it 13, at
-which a per-period maximum reads at most 1 - cos(pi/13) ~ 3% low.
+The "speedup" scenario samples on the rotor's phase grid: its envelope fits
+take per-period maxima of the emitted samples, and at the tolerances that
+scenario needs the Dormand-Prince 8(5,3) pair's own steps come too few per
+rotor period for those maxima (at rtol = atol = 1e-8 about 7).  So its
+sample_stride k means one sample every k thirteenths of a period, each
+landed on by a step (IntegratorOptions.sample_interval = k * period / 13),
+the steps between samples being the pair's own.  n = 13 / k samples per
+period put a per-period maximum at most 1 - cos(pi / n) below the peak:
+about 2.9% at k = 1, 11.5% at the shipped k = 2.  An interval beyond t_end
+samples t = 0 and t_end only; one below the step floor is rejected.  An
+explicit hmax still caps the steps.
 
 Every number must be finite: NaN and Infinity, which Python's json
 accepts, are rejected (an unbounded hmax is the default, not a value).
@@ -36,13 +41,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analysis import NoSpeedupError, SpeedupLaw
 from .dynamics import PoseState, ReducedState, energy
-from .integrator import IntegratorOptions
+from .integrator import _STEP_FLOOR, IntegratorOptions
 from .model import (
     DerivedParams,
     InvalidParameterError,
@@ -189,12 +194,12 @@ def _parse_initial(block, n: int) -> tuple[ReducedState, PoseState]:
     return ReducedState(v1, omega, np.array(phi)), pose
 
 
-def _parse_integrator(block, default_hmax: float) -> IntegratorOptions:
+def _parse_integrator(block) -> IntegratorOptions:
     if not isinstance(block, dict):
         raise ConfigError("'integrator' must be an object")
     allowed = ("rtol", "atol", "h0", "hmax", "t_end", "sample_stride")
     _check_keys(block, allowed, "'integrator'")
-    hmax = _number(block, "hmax", "'integrator'", default=default_hmax)
+    hmax = _number(block, "hmax", "'integrator'", default=math.inf)
     try:
         return IntegratorOptions(
             t_end=_number(block, "t_end", "'integrator'", required=True),
@@ -206,6 +211,24 @@ def _parse_integrator(block, default_hmax: float) -> IntegratorOptions:
         )
     except ValueError as e:
         raise ConfigError(f"invalid 'integrator' block: {e}") from e
+
+
+def _phase_grid(opts: IntegratorOptions, period: float) -> IntegratorOptions:
+    """The speedup scenario's options: its sample_stride as a sample grid of
+    rotor phase (see the module docstring)."""
+    try:
+        interval = opts.sample_stride * period / 13
+    except OverflowError:  # a stride beyond the float range
+        interval = math.inf
+    # any grid wider than the run samples t = 0 and t_end only
+    interval = min(interval, opts.t_end)
+    floor = _STEP_FLOOR * opts.t_end
+    if not interval >= floor:
+        raise ConfigError(
+            f"'rotor.period' {period:g} puts the samples {interval:g} apart "
+            f"(sample_stride * period / 13), below the step floor "
+            f"{_STEP_FLOOR:g} * t_end = {floor:g}")
+    return replace(opts, sample_stride=1, sample_interval=interval)
 
 
 def _parse_outputs(block) -> OutputOptions:
@@ -262,10 +285,9 @@ def parse_config(text: str) -> ScenarioConfig:
                                            "no node/saddle classification"))
     if "integrator" not in doc:
         raise ConfigError("missing required field 'integrator'")
-    # the speedup scenario's step cap: see the module docstring
-    integrator = _parse_integrator(
-        doc["integrator"],
-        rotor.period / 13 if scenario == "speedup" else math.inf)
+    integrator = _parse_integrator(doc["integrator"])
+    if scenario == "speedup":
+        integrator = _phase_grid(integrator, rotor.period)
 
     sign = None
     if scenario == "manifold":

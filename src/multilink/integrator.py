@@ -15,8 +15,9 @@ holds its source under a name like ``<_step_dop853_4>``, so tracebacks and
 ``inspect.getsource`` show the code that runs.
 
 The pair's long steps can sample a periodic forcing thinly; a run that
-needs samples throughout a period caps the step with ``hmax``, as the
-speedup scenario does by default (:mod:`multilink.config`).
+needs samples throughout a period sets ``sample_interval``, which lands a
+step on every point of an even grid of times, as the speedup scenario does
+by default (:mod:`multilink.config`), or caps the step with ``hmax``.
 
 Right-hand-side contract: ``rhs(t, y)`` receives the state as a list of
 floats, which it must not modify, and returns a sequence of floats of the
@@ -134,10 +135,14 @@ class IntegratorOptions:
     """Stepper configuration.
 
     t_end is the integration horizon (integration starts at t0 passed to
-    :func:`integrate`, 0 by default).  sample_stride decimates the emitted samples: every k-th accepted step is
-    recorded (first and last always are).  h0 is the first trial step,
-    raised to the step floor 1e-14 * t_end on long horizons; steps never
-    exceed hmax, which must not lie below that floor.
+    :func:`integrate`, 0 by default).  sample_stride decimates the emitted
+    samples: every k-th accepted step is recorded (first and last always
+    are).  A positive sample_interval emits a grid instead: t0, each
+    t0 + k * sample_interval (k = 1, 2, ...) below t_end, and t_end, a step
+    landing on each; it takes sample_stride 1, no t_eval, and must not lie
+    below the step floor.  h0 is the first trial step, raised to the step
+    floor 1e-14 * t_end on long horizons; steps never exceed hmax, which
+    must not lie below that floor.
     """
 
     t_end: float
@@ -146,11 +151,12 @@ class IntegratorOptions:
     h0: float = 1e-3
     hmax: float = np.inf
     sample_stride: int = 1
+    sample_interval: float = 0.0
 
     def __post_init__(self):
         # a NaN would pass a failing comparison: a NaN t_end ends the run
         # after 0 steps, a NaN h0 is rejected and shrunk forever
-        for name in ("t_end", "rtol", "atol", "h0"):
+        for name in ("t_end", "rtol", "atol", "h0", "sample_interval"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rtol <= 0 or self.atol <= 0:
@@ -167,6 +173,17 @@ class IntegratorOptions:
             raise ValueError(f"sample_stride must be an integer, got {stride!r}")
         if stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        interval = self.sample_interval
+        if interval < 0:
+            raise ValueError(f"sample_interval must not be negative, got "
+                             f"{interval}")
+        if interval and interval < _STEP_FLOOR * self.t_end:
+            raise ValueError(f"sample_interval {interval} is below the step "
+                             f"floor {_STEP_FLOOR} * t_end = "
+                             f"{_STEP_FLOOR * self.t_end}")
+        if interval and stride != 1:
+            raise ValueError(f"sample_interval {interval} takes sample_stride "
+                             f"1, got {stride}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +246,8 @@ def _prepare(y0, opts, t0, t_eval):
             raise ValueError("t_eval must be strictly increasing")
         if t_eval[0] < t0 or t_eval[-1] > opts.t_end:
             raise ValueError("t_eval must lie within [t0, t_end]")
+        if opts.sample_interval:
+            raise ValueError("t_eval and a sample_interval exclude each other")
         t_eval = t_eval.tolist()
     if t_eval is None:
         return y, None, True
@@ -251,9 +270,10 @@ def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
     """Integrate dy/dt = rhs(t, y) from t0 to opts.t_end.
 
     rhs follows the contract in the module docstring.  If t_eval is given,
-    exactly those times are emitted (the stepper lands on them); otherwise
-    the accepted-step grid decimated by opts.sample_stride is emitted,
-    always including the first and last points.
+    exactly those times are emitted (the stepper lands on them), and with
+    opts.sample_interval its grid (see :class:`IntegratorOptions`);
+    otherwise the accepted-step grid decimated by opts.sample_stride is
+    emitted, always including the first and last points.
     """
     y, targets, first = _prepare(y0, opts, t0, t_eval)
     h_floor = _STEP_FLOOR * opts.t_end
@@ -287,11 +307,18 @@ def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
     stride = opts.sample_stride
     n_targets = 0 if targets is None else len(targets)
     next_target = 0
+    # the sample grid: its origin and the index of its next point
+    grid, t0, k = opts.sample_interval, t, 1
     n_acc = n_rej = 0
     n_evals = 1  # the derivative at t0, the first stage of the first step
 
     while t < t_end:
-        target = targets[next_target] if next_target < n_targets else t_end
+        if grid:
+            target = t0 + k * grid
+            if not target < t_end:
+                target = t_end
+        else:
+            target = targets[next_target] if next_target < n_targets else t_end
         gap = target - t
         h = min(h_prop, hmax)
         if gap <= h / 0.9 and gap <= hmax:
@@ -325,7 +352,11 @@ def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
             min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT))
         h_prop = max(h_prop, h * factor) if clamped else h * factor
 
-        if targets is not None:
+        if grid:
+            if t == target:
+                buf.append(t, y)
+                k += 1
+        elif targets is not None:
             if next_target < n_targets and t == targets[next_target]:
                 buf.append(t, y)
                 next_target += 1

@@ -43,7 +43,7 @@ def strong_rotor_run(reference_vehicle, reference_derived):
     y0 = np.array([10.0, 1.0, 0.5, 0.5])
     # atol 1e-8: absolute floor well under the angle/omega envelopes, keeps
     # the error control from chasing their zero crossings; steps capped at
-    # period / 13, as in the speedup scenario, for per-period maxima of
+    # period / 13, 13 step samples per period, for per-period maxima of
     # step samples
     opts = IntegratorOptions(t_end=1e4, rtol=1e-8, atol=1e-8, hmax=1 / 13)
     sol = integrate(rhs, y0, opts)

@@ -156,9 +156,9 @@ def faithful_speedup_run():
 
     rtol 1e-8 per the long-run default; atol 1e-8 keeps the per-component
     error floor well below the omega/angle envelopes (~1e-2) without
-    chasing their zero crossings.  Steps capped at period / 13, as in the
-    speedup scenario: the envelopes are per-period maxima of the step
-    samples.
+    chasing their zero crossings.  Steps capped at period / 13, 13 step
+    samples per period, as in the speedup scenario's sample grid at stride
+    1: the envelopes are per-period maxima of the step samples.
     """
     p = vehicle_with_links(2)
     d = derive_params(p)

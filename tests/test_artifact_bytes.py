@@ -36,13 +36,13 @@ FIXED_POINTS_REPORT_SHA256 = {
 
 SPEEDUP_ARTIFACT_SHA256 = {
     "speedup_trajectory.csv":
-        "45dd7cb715c26c02dabe8e231f247060e502ba72192fada0f7ce9130885cfc67",
+        "787f9068919a1ac8728436a3b279acdb91d6e5b7c37a18bceaead62d563f27ec",
     "speedup_velocities.svg":
-        "ab077f5190e101e8699ad1d2449e05cb3d5cc4d8a3c57304f9e90655251d1525",
+        "7299255edc189947265f381c5f3517bdace98f0dbf91b47622008c94f5108f8f",
     "speedup_angles.svg":
-        "6be05b1da829317113d80f54c2288cbc4839a400f412d5ef4b2471e673b0ff25",
+        "0124f688be3024a5d55447556e844debf3e04199d704c19180d608cc51b34a31",
     "speedup_paths.svg":
-        "7dea663a644fe788e147c62e3cd198a409516feb57d5410cf7824542cf154eb5",
+        "db15f1a49018df437b269f619047424233ccecb1a8511f2f5da5d169f5009437",
     "speedup_report.txt":
         "16c426944ef61239005af370c82691faf77986bff149847ebbc5305affed426f",
 }
@@ -90,7 +90,7 @@ def on_both_paths(run):
 def test_speedup_artifact_bytes(tmp_path, capsys):
     with open(os.path.join(CONFIGS, "speedup.json")) as f:
         doc = json.load(f)
-    # about 5,200 samples at 13 steps per rotor period: six CSV chunks, and
+    # 5,201 samples at 13 per rotor period: six CSV chunks, and
     # every plot thins its series
     doc["integrator"].update(t_end=400.0, sample_stride=1)
     path = tmp_path / "speedup.json"

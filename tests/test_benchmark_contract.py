@@ -23,8 +23,8 @@ in its DOP853 oracle, ``model.zero_rotor``, ``dynamics.energy``,
 checks, fails here on a rename of one of them.  The scenario-pipeline items
 that write files and read them back pass their checks with equal
 fingerprints twice, as the benchmark requires of every round, and traced
-speedup-pinned and conservation-sweep items give the untraced items'
-fingerprints.  Both
+speedup-pinned, conservation-sweep and scenario-pipeline simulate items
+give the untraced items' fingerprints.  Both
 perfbench files are loaded from their paths without writing bytecode next
 to them.
 """
@@ -102,15 +102,20 @@ def test_traced_reduced_rhs_matches_inlined_run(reference_vehicle,
 def test_traced_rounds_match_untraced(tmp_path):
     # a traced round runs the Python loop, the tracer wrapping every vector
     # field, and each fingerprint must equal the untraced round's, which
-    # runs the compiled loop: every speedup-pinned item at seed 410 and the
-    # first conservation-sweep item of each N
+    # runs the compiled loop: every speedup-pinned item at seed 410, the
+    # first conservation-sweep item of each N, and the scenario-pipeline
+    # simulate items (their stdout and files), which sample the speedup run
+    # on its phase grid
     workloads = load_perfbench("workloads")
     pinned = workloads.SpeedupPinned(410, str(tmp_path))
     sweep = workloads.ConservationSweep(410, str(tmp_path))
+    pipeline = workloads.ScenarioPipeline(410, str(tmp_path / "pipeline"))
     cases = [(pinned, i) for i in range(len(pinned.items))]
     cases += [(sweep, i) for i, item in enumerate(sweep.items)
               if item.name.endswith("#0")]
-    assert len(cases) == 8 + len(sweep.links)
+    cases += [(pipeline, i) for i, item in enumerate(pipeline.items)
+              if item.name in ("inertial", "manifold", "speedup")]
+    assert len(cases) == 8 + len(sweep.links) + 3
     untraced = [wl.fingerprint(i, wl.items[i].run(None)) for wl, i in cases]
     tracer = load_perfbench("tracing").Tracer()
     tracer.install()
@@ -122,6 +127,7 @@ def test_traced_rounds_match_untraced(tmp_path):
     assert traced == untraced
     stats = tracer.take_stats()
     assert stats["rhs.reduced.calls"] > 0 and stats["rhs.full.calls"] > 0
+    assert stats["rhs.manifold.calls"] > 0
 
 
 def test_traced_census_and_artifact_writers(tmp_path, capsys):

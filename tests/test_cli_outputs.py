@@ -22,8 +22,8 @@ SUMMARY = {
                 "1.390e-11, max constraint residual 4.140e-16",
     "manifold": "manifold flow (forward) to tau=90: final angles "
                 "[6.283185e+00 7.480628e-14]",
-    "speedup": "speedup fits: v1 -> t^+0.005, omega -> t^-0.099, "
-               "phi_1 -> t^-0.698, phi_2 -> t^-0.169",
+    "speedup": "speedup fits: v1 -> t^+0.005, omega -> t^-0.103, "
+               "phi_1 -> t^-0.696, phi_2 -> t^-0.176",
 }
 
 # formats (None: the default, all three), files in the order written
@@ -112,6 +112,14 @@ EDGES = [
      "'vehicle' and 'rotor'"),
     ("speedup", {"vehicle": {"m": [0.2, 0.2, 0.2]},
                  "rotor": {"amplitude": 1e153}}, 2, "'vehicle' and 'rotor'"),
+    # a rotor period whose sample grid (sample_stride * period / 13) lies
+    # below the step floor: the error names the period, not an hmax
+    ("speedup", {"rotor": {"period": 1e-20}, "integrator": {"t_end": 1.0}}, 2,
+     "'rotor.period'"),
+    # a stride whose grid (beyond the float range) is wider than the run:
+    # the samples at t = 0 and t_end only, none to fit
+    ("speedup", {"integrator": {"sample_stride": 10 ** 400}}, 0,
+     "fits not available"),
     # a balanced sleigh has a zero eigenvalue: no node/saddle classification
     ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
     # the manifold's energy level overflows

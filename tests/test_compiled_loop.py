@@ -205,6 +205,48 @@ def test_stride_beyond_c_long_matches(compiled, stride, reference_vehicle,
     assert fast == slow and fast[2] == (2,)
 
 
+def grid_times(t0, interval, t_end):
+    """The sample grid of IntegratorOptions.sample_interval: t0, each
+    t0 + k * interval below t_end, and t_end."""
+    k = np.arange(1.0, math.ceil((t_end - t0) / interval) + 1)
+    points = t0 + k * interval
+    return np.array([t0, *points[points < t_end], t_end])
+
+
+@pytest.mark.parametrize("chart, t0, t_end, interval, hmax, chunk, budget", [
+    # 5,001 samples: the grid crosses a chunk of the compiled loop
+    ("reduced", 0.0, 50.0, 0.01, math.inf, _compiled.CHUNK,
+     _compiled.STEPS_PER_CALL),
+    # t0 != 0 and t_end off the grid, resumed after every 3 samples and
+    # every 5 step attempts, which carries the grid index across calls
+    ("full", 0.25, 3.1, 0.2, math.inf, 3, 5),
+    ("reduced", -1.5, 7.0, 1 / 13, math.inf, 3, 5),
+    # an interval of at least t_end - t0: t0 and t_end only
+    ("reduced", 1.0, 3.0, 2.0, math.inf, _compiled.CHUNK,
+     _compiled.STEPS_PER_CALL),
+    ("full", 1.0, 3.0, 5.0, math.inf, _compiled.CHUNK,
+     _compiled.STEPS_PER_CALL),
+    # an explicit hmax smaller than the interval still caps the steps
+    ("full", 0.0, 4.0, 0.3, 0.05, _compiled.CHUNK, _compiled.STEPS_PER_CALL),
+])
+def test_sample_grid_matches(compiled, chart, t0, t_end, interval, hmax, chunk,
+                             budget, reference_vehicle, reference_derived):
+    rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(
+        reference_vehicle, reference_derived, sine_rotor(0.05, 1.0))
+    y0 = [10.0, 1.0, 0.5, 0.5] + [0.1, 0.2, 0.3] * (chart == "full")
+    opts = IntegratorOptions(t_end=t_end, rtol=1e-8, atol=1e-8, hmax=hmax,
+                             h0=min(1e-3, hmax), sample_interval=interval)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_compiled, "CHUNK", chunk)
+        m.setattr(_compiled, "STEPS_PER_CALL", budget)
+        fast, slow = both_loops(rhs, y0, opts, t0=t0)
+    assert fast == slow
+    times = np.frombuffer(fast[0])
+    assert np.array_equal(times, grid_times(t0, interval, t_end))
+    if hmax < interval:  # capped steps between the samples
+        assert fast[4] >= (t_end - t0) / hmax > times.size
+
+
 # --- typed errors ----------------------------------------------------------------
 
 

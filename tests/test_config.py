@@ -43,13 +43,13 @@ def test_minimal_inertial_config():
 @pytest.mark.parametrize("scenario, extra, hmax", [
     ("inertial", {}, math.inf),
     ("manifold", {"sign": "plus"}, math.inf),
-    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}}, 1.0 / 13),
-    # a step cap under the default first step lowers that too
+    # the speedup scenario samples on a grid of rotor phase instead of
+    # capping the steps (test_speedup_samples_on_the_phase_grid)
+    ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05}}, math.inf),
     ("speedup", {"rotor": {"kind": "sine", "amplitude": 0.05, "period": 0.01}},
-     0.01 / 13),
+     math.inf),
 ])
 def test_default_hmax_per_scenario(scenario, extra, hmax):
-    # the speedup scenario's envelope fits need 13 steps per rotor period
     cfg = parse_config(cfg_text(scenario=scenario, **extra))
     assert cfg.integrator.hmax == hmax
     assert cfg.integrator.h0 == min(1e-3, hmax)
@@ -61,6 +61,52 @@ def test_default_hmax_per_scenario(scenario, extra, hmax):
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['method'\]"):
         parse_config(cfg_text(scenario=scenario, **extra, integrator={
             "t_end": 1.0, "method": "adaptive-dop853"}))
+
+
+SPEEDUP = {"scenario": "speedup",
+           "rotor": {"kind": "sine", "amplitude": 0.05, "period": 0.01}}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_speedup_samples_on_the_phase_grid(stride):
+    # sample_stride k: one sample every k thirteenths of a rotor period, a
+    # step landing on each; the steps between are the pair's own
+    cfg = parse_config(cfg_text(**SPEEDUP, integrator={
+        "t_end": 100.0, "sample_stride": stride}))
+    opts = cfg.integrator
+    assert opts.sample_interval == stride * 0.01 / 13
+    assert opts.sample_stride == 1 and opts.hmax == math.inf
+    # an explicit hmax still caps the steps, the grid staying the same
+    cfg = parse_config(cfg_text(**SPEEDUP, integrator={
+        "t_end": 100.0, "sample_stride": stride, "hmax": 1e-4}))
+    assert cfg.integrator.hmax == 1e-4
+    assert cfg.integrator.sample_interval == stride * 0.01 / 13
+    # the other scenarios keep their stride
+    cfg = parse_config(cfg_text(integrator={"t_end": 100.0,
+                                            "sample_stride": stride}))
+    assert cfg.integrator.sample_stride == stride
+    assert cfg.integrator.sample_interval == 0.0
+
+
+@pytest.mark.parametrize("stride", [10 ** 3, 10 ** 400])
+def test_speedup_phase_grid_beyond_t_end(stride):
+    # a grid no wider than t_end: the run samples t = 0 and t_end only, and
+    # a stride beyond the float range does not overflow
+    cfg = parse_config(cfg_text(**SPEEDUP, integrator={
+        "t_end": 0.5, "sample_stride": stride}))
+    assert cfg.integrator.sample_interval == 0.5
+    assert cfg.integrator.sample_stride == 1
+
+
+@pytest.mark.parametrize("period", [1e-20, 1e-13])
+def test_speedup_phase_grid_below_the_step_floor(period):
+    # the derived interval blames the rotor period, not an hmax the
+    # document never wrote
+    with pytest.raises(ConfigError, match=r"^'rotor.period' .* below the "
+                                          r"step floor"):
+        parse_config(cfg_text(scenario="speedup", rotor={
+            "kind": "sine", "amplitude": 0.05, "period": period},
+            integrator={"t_end": 1.0}))
 
 
 def test_speedup_requires_rotor():

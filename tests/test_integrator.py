@@ -148,6 +148,44 @@ def test_sample_stride():
     assert tenth.times[0] == 0.0 and tenth.times[-1] == 1.0
 
 
+def test_sample_interval_grid():
+    # t0, every t0 + k * interval below t_end, and t_end, each landed on by
+    # a step; the steps between are the pair's own
+    t0, interval = 0.25, 0.1
+    sol = integrate(decay_rhs, [1.0],
+                    IntegratorOptions(t_end=1.28, rtol=1e-10, atol=1e-12,
+                                      sample_interval=interval), t0=t0)
+    k = np.arange(1, 11)
+    assert np.array_equal(sol.times, [t0, *(t0 + k * interval), 1.28])
+    exact = [decay_exact(1.0, t - t0) for t in sol.times]
+    assert np.allclose(sol.states[:, 0], exact, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(sample_interval=0.1, sample_stride=2),
+     "sample_interval 0.1 takes sample_stride 1, got 2"),
+    (dict(t_end=100.0, sample_interval=1e-13),
+     r"sample_interval 1e-13 is below the step floor 1e-14 \* t_end"),
+    (dict(sample_interval=-0.5), "sample_interval must not be negative"),
+    (dict(sample_interval=math.inf), "sample_interval must be finite"),
+    (dict(sample_interval=math.nan), "sample_interval must be finite"),
+])
+def test_sample_interval_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        IntegratorOptions(**{"t_end": 1.0, **kwargs})
+
+
+def test_sample_interval_excludes_t_eval(reference_vehicle, reference_derived):
+    # one check for both loops
+    field = make_reduced_rhs(reference_vehicle, reference_derived,
+                             sine_rotor(0.05, 1.0))
+    opts = IntegratorOptions(t_end=1.0, sample_interval=0.1)
+    for rhs, y0 in ((decay_rhs, [1.0]), (field, [10.0, 1.0, 0.5, 0.5])):
+        with pytest.raises(ValueError,
+                           match="t_eval and a sample_interval exclude"):
+            integrate(rhs, y0, opts, t_eval=[0.5, 1.0])
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         IntegratorOptions(t_end=-1.0)

@@ -22,7 +22,13 @@ from multilink.analysis import (
     fit_power_law,
 )
 from multilink.config import ConfigError, parse_config
-from multilink.dynamics import Trajectory, angle_coeffs_at_phi, energy
+from multilink.dynamics import (
+    Trajectory,
+    angle_coeffs_at_phi,
+    energy,
+    make_reduced_rhs,
+)
+from multilink.integrator import IntegratorOptions, integrate
 from multilink.model import (
     DegenerateShapeError,
     DerivedParams,
@@ -32,6 +38,7 @@ from multilink.model import (
 )
 from multilink.scenarios import (
     DEFAULT_FIT_WINDOW,
+    _sampling_line,
     csv_header,
     manifold_trajectory,
     read_trajectory_csv,
@@ -375,6 +382,54 @@ def test_speedup_report_and_fit(tmp_path):
     assert float(line[1]) == pytest.approx(n, rel=1e-3)
     assert float(line[2]) == pytest.approx(
         100.0 * (1.0 - math.cos(math.pi / n)), rel=1e-2)
+
+
+def vehicle_doc(p):
+    return {"m": p.masses.tolist(), "I": p.inertias.tolist(),
+            "a0": float(p.a0), "a": p.a.tolist(), "c": p.c.tolist()}
+
+
+@pytest.mark.parametrize("vehicle, initial", [
+    (VEHICLE, {"v1": 10.0, "omega": 1.0, "phi": [0.5, 0.5]}),
+    *[(vehicle_doc(random_vehicle(np.random.default_rng(seed), 2)),
+       {"v1": 5.0}) for seed in range(3)],
+], ids=["pinned", "seed0", "seed1", "seed2"])
+def test_phase_grid_maxima_within_the_sampling_bound(vehicle, initial):
+    # the speedup scenario's samples, on its grid of rotor phase (sample
+    # stride 1 and the shipped 2), against a reference stepped at period /
+    # 520 with rtol = atol = 1e-10: each per-period maximum of |omega| and
+    # |phi_i| over periods 100 to 298 reads at most the bound that the
+    # report's sampling line prints below the reference's
+    doc = {"scenario": "speedup", "vehicle": vehicle, "initial": initial,
+           "rotor": {"kind": "sine", "amplitude": 0.05, "period": 1.0}}
+    window = (100.0, 299.0)
+
+    def parse(stride):
+        return parse_config(json.dumps({**doc, "integrator": {
+            "t_end": 300.0, "rtol": 1e-8, "atol": 1e-8,
+            "sample_stride": stride}}))
+
+    def maxima(sol):
+        inside = (sol.times >= window[0]) & (sol.times < window[1])
+        return [analysis.envelope_points(sol.times[inside],
+                                         sol.states[inside, col], 1.0)[1]
+                for col in range(1, sol.states.shape[1])]
+
+    cfg = parse(1)
+    rhs = make_reduced_rhs(cfg.vehicle, cfg.derived, cfg.rotor)
+    y0 = cfg.initial.as_array()
+    # every step of the reference is a sample: no grid
+    ref = integrate(rhs, y0, IntegratorOptions(t_end=300.0, rtol=1e-10,
+                                               atol=1e-10, hmax=1 / 520))
+    assert ref.times.size > 520 * 300
+    ref = maxima(ref)
+    for stride in (1, 2):
+        sol = integrate(rhs, y0, parse(stride).integrator)
+        line = _sampling_line(sol.times, 1.0, window)
+        bound = float(re.search(r"up to (\S+)% below", line)[1]) / 100.0
+        for got, want in zip(maxima(sol), ref):
+            assert got.size == want.size == 199
+            assert np.max(1.0 - got / want) <= bound, (stride, line)
 
 
 def test_speedup_run_predicts_once(tmp_path, monkeypatch):
