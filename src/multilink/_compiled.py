@@ -97,11 +97,9 @@ class Pair(ctypes.Structure):
 
 
 class Run(ctypes.Structure):
-    _fields_ = [("dim", c_int), ("landing", c_int), ("first", c_int),
+    _fields_ = [("dim", c_int),
                 *[(name, c_long) for name in
-                  ("stride", "n_targets", "next_target", "next_point",
-                   "max_steps")],
-                ("targets", c_void_p),
+                  ("stride", "next_point", "max_steps")],
                 *[(name, c_double) for name in
                   ("t", "t_end", "h_prop", "hmax", "h_floor", "rtol", "atol",
                    "t0", "interval")],
@@ -211,39 +209,35 @@ def _pair():
                 _array(c_int, silent))
 
 
-def integrate(rhs, y, targets, first, opts, t0, h_prop, h_floor):
+def integrate(rhs, y, opts, t0, h_prop, h_floor):
     """integrate's loop for a vehicle field, building the library on the
-    first call: the sample times and states (the first sample at t0 where
-    first is true) and the accepted, rejected and evaluation counts; None
-    where rhs carries no ``vehicle``, the library cannot be built, or the
-    start fails: a state of another dimension than the chart's, or a
-    derivative at t0 that is not finite or meets a degenerate shape, whose
-    error the Python loop raises.  The field's couplings have one entry per
-    link."""
+    first call: the sample times and states (the first at t0) and the
+    accepted, rejected and evaluation counts; None where rhs carries no
+    ``vehicle``, the library cannot be built, or the start fails: a state
+    of another dimension than the chart's, or a derivative at t0 that is
+    not finite or meets a degenerate shape, whose error the Python loop
+    raises.  The field's couplings have one entry per link."""
     if getattr(rhs, "vehicle", None) is None or not load():
         return None
     dim = len(y)
     pair = _pair()
     chart, c, mu, *constants = rhs.vehicle
     n = len(c)
-    stops = [] if targets is None else targets
-    # One block: c, mu and the targets; y, the stages, the two error rows
-    # and the new state, rows of ml_row(dim) doubles whose lanes past dim
-    # are zero (the packed sums then meet no stray subnormal or NaN); then
-    # CHUNK sample times and CHUNK states.
-    head = 2 * n + len(stops)
+    # One block: c and mu; y, the stages, the two error rows and the new
+    # state, rows of ml_row(dim) doubles whose lanes past dim are zero (the
+    # packed sums then meet no stray subnormal or NaN); then CHUNK sample
+    # times and CHUNK states.
+    head = 2 * n
     row = _lib.ml_row(dim)
     size = head + (pair.stages + 4) * row
     block = np.empty(size + CHUNK * (1 + dim))
     block[head + dim:size] = 0.0
-    block[:head + dim] = c + mu + stops + y
+    block[:head + dim] = c + mu + y
     base = _address(block)
     vehicle = Vehicle(n, CHARTS.index(chart), base, base + 8 * n, *constants)
     work = base + 8 * head
-    run = Run(dim=dim, landing=targets is not None, first=first,
-              stride=min(opts.sample_stride, LONG_MAX),
-              n_targets=len(stops), targets=base + 16 * n, next_point=1,
-              max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
+    run = Run(dim=dim, stride=min(opts.sample_stride, LONG_MAX),
+              next_point=1, max_steps=STEPS_PER_CALL, t=t0, t_end=opts.t_end,
               h_prop=h_prop, hmax=opts.hmax, h_floor=h_floor, rtol=opts.rtol,
               atol=opts.atol, t0=t0, interval=opts.sample_interval)
     t_out, y_out = size, size + CHUNK

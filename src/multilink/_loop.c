@@ -72,14 +72,13 @@ typedef struct {
     const int *silent;
 } Pair;
 
-/* The loop's settings and its state between calls.  A positive interval
- * emits the grid t0 + k * interval (k = next_point, from 1) below t_end and
- * then t_end, a step landing on each point. */
+/* The loop's settings and its state between calls.  The start is always
+ * emitted.  A positive interval emits the grid t0 + k * interval (k =
+ * next_point, from 1) below t_end and then t_end, a step landing on each
+ * point; without one, every stride-th accepted step and t_end are. */
 typedef struct {
-    int dim, landing, first;        /* landing: emit at targets only;
-                                       first: emit the start */
-    long stride, n_targets, next_target, next_point, max_steps;
-    const double *targets;
+    int dim;
+    long stride, next_point, max_steps;
     double t, t_end, h_prop, hmax, h_floor, rtol, atol, t0, interval;
     long n_acc, n_rej, n_evals, n_out;
     double h, m_eff, stage_t;       /* the failing step or stage */
@@ -259,8 +258,7 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
             if (!isfinite(k[i]))
                 return RUN_START;
         r->n_evals = 1;
-        if (r->first)
-            emit(r, y, t_out, y_out);
+        emit(r, y, t_out, y_out);
         if (r->n_out == cap)
             return RUN_MORE;
     }
@@ -272,18 +270,18 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
             const double point = r->t0 + (double)r->next_point * r->interval;
             if (point < r->t_end)
                 target = point;
-        } else if (r->next_target < r->n_targets) {
-            target = r->targets[r->next_target];
         }
         const double gap = target - r->t;
         double h = r->hmax < r->h_prop ? r->hmax : r->h_prop;
-        if (gap <= h / 0.9 && gap <= r->hmax)
+        if (gap <= h / 0.9 && gap <= r->hmax) {
             h = gap;
-        const int clamped = h < r->h_prop;
-        if (h < r->h_floor && h != gap) {  /* a landing step ends on target */
+        } else if (h < r->h_floor || r->t + h == r->t) {
+            /* a step that does not land must be no shorter than the floor
+             * and must move t */
             r->h = h;
             return RUN_UNDERFLOW;
         }
+        const int clamped = h < r->h_prop;
         double err;
         const int status = step(p, v, r, row, h, y, k, e, yn, &err);
         if (status)
@@ -318,12 +316,6 @@ int ml_run(const Pair *p, const Vehicle *v, Run *r, double *work,
             if (r->t == target) {
                 emit(r, y, t_out, y_out);
                 r->next_point++;
-            }
-        } else if (r->landing) {
-            if (r->next_target < r->n_targets
-                    && r->t == r->targets[r->next_target]) {
-                emit(r, y, t_out, y_out);
-                r->next_target++;
             }
         } else if (r->n_acc % r->stride == 0 || r->t >= r->t_end) {
             emit(r, y, t_out, y_out);

@@ -337,13 +337,13 @@ def residual_max_series(v1, omega, phi, psi, p: VehicleParams) -> np.ndarray:
 
 
 def simulate(p: VehicleParams, d: DerivedParams, rotor: RotorProfile,
-             initial: ReducedState, pose: PoseState, opts: IntegratorOptions,
-             t_eval=None) -> Trajectory:
+             initial: ReducedState, pose: PoseState,
+             opts: IntegratorOptions) -> Trajectory:
     """Integrate the reduced system together with the planar pose and collect
-    per-sample diagnostics."""
+    per-sample diagnostics at the samples that opts asks for."""
     y0 = [initial.v1, initial.omega, *initial.phi.tolist(), pose.x, pose.y,
           pose.psi]
-    sol = integrate(make_full_rhs(p, d, rotor), y0, opts, t_eval=t_eval)
+    sol = integrate(make_full_rhs(p, d, rotor), y0, opts)
     return trajectory_from_solution(sol, p, d, rotor)
 
 

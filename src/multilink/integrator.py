@@ -2,11 +2,16 @@
 
 A driver loop runs the pair's step, a function that advances the state by
 one step of a given size and returns an error norm; the driver owns
-everything else: landing on output times, sample emission, the step-size
+everything else: landing on sample times, sample emission, the step-size
 controller and the typed errors.  The local error per step is controlled
-against atol + rtol * |y| (max-norm scale), and requested output times are
-hit exactly by clamping the step, so emitted samples need no interpolation
-and runs are bit-reproducible.
+against atol + rtol * |y| (max-norm scale).  Each loop has one landing
+rule: a step is stretched or truncated to end exactly on the next grid
+point below t_end (with a ``sample_interval``), else on t_end.  It has two
+emit rules: on each landing with a grid; without one, on every
+``sample_stride``-th accepted step and at t_end.  Emitted samples need no
+interpolation and runs are bit-reproducible.  A step that does not land
+underflows (:class:`StepUnderflowError`) where it is shorter than the step
+floor or cannot move t at all, as at a t0 far below -t_end.
 
 The step is emitted from the tableau, which is data, once per state
 dimension, with every component of the state and the stages a local float
@@ -108,8 +113,8 @@ _EXPONENT = -1 / 8
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
-# A step shorter than this fraction of t_end underflows.  The first trial
-# step is raised to it, and an hmax below it is rejected.
+# A step shorter than this fraction of t_end underflows, unless it lands.
+# The first trial step is raised to it, and an hmax below it is rejected.
 _STEP_FLOOR = 1e-14
 
 
@@ -139,10 +144,10 @@ class IntegratorOptions:
     samples: every k-th accepted step is recorded (first and last always
     are).  A positive sample_interval emits a grid instead: t0, each
     t0 + k * sample_interval (k = 1, 2, ...) below t_end, and t_end, a step
-    landing on each; it takes sample_stride 1, no t_eval, and must not lie
-    below the step floor.  h0 is the first trial step, raised to the step
-    floor 1e-14 * t_end on long horizons; steps never exceed hmax, which
-    must not lie below that floor.
+    landing on each; it takes sample_stride 1 and must not lie below the
+    step floor.  h0 is the first trial step, raised to the step floor
+    1e-14 * t_end on long horizons; steps never exceed hmax, which must not
+    lie below that floor.
     """
 
     t_end: float
@@ -222,38 +227,16 @@ def _listed(rhs):
     return f
 
 
-def _prepare(y0, opts, t0, t_eval):
-    """Validate the inputs; return the initial state as a list, the output
-    times still ahead as a list (or None), and whether the first sample, at
-    t0, is emitted."""
+def _prepare(y0, opts, t0):
+    """Validate the inputs; return the initial state as a list."""
     if not (math.isfinite(t0) and t0 < opts.t_end):
         raise ValueError(f"t0 must be finite and below t_end, got {t0}")
     if type(y0) is list and y0 and all(type(v) is float for v in y0):
-        y = y0.copy()  # the common case: already the state the loops take
-    else:
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        if y0.ndim != 1 or y0.size == 0:
-            raise ValueError(f"y0 must be non-empty and 1-d, got shape "
-                             f"{y0.shape}")
-        y = y0.tolist()
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or t_eval.size == 0:
-            raise ValueError("t_eval must be a non-empty 1-d array")
-        if not np.all(np.isfinite(t_eval)):
-            raise ValueError("t_eval must be finite")
-        if np.any(np.diff(t_eval) <= 0):
-            raise ValueError("t_eval must be strictly increasing")
-        if t_eval[0] < t0 or t_eval[-1] > opts.t_end:
-            raise ValueError("t_eval must lie within [t0, t_end]")
-        if opts.sample_interval:
-            raise ValueError("t_eval and a sample_interval exclude each other")
-        t_eval = t_eval.tolist()
-    if t_eval is None:
-        return y, None, True
-    if t_eval[0] == t0:
-        return y, t_eval[1:], True
-    return y, t_eval, False
+        return y0.copy()  # the common case: already the state the loops take
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y0.ndim != 1 or y0.size == 0:
+        raise ValueError(f"y0 must be non-empty and 1-d, got shape {y0.shape}")
+    return y0.tolist()
 
 
 def _underflow(h, t):
@@ -265,27 +248,25 @@ def _diverged(t):
     return DivergenceError(f"right-hand side or state not finite near t={t!r}", t)
 
 
-def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0,
-              t_eval=None) -> Solution:
+def integrate(rhs, y0, opts: IntegratorOptions, t0: float = 0.0) -> Solution:
     """Integrate dy/dt = rhs(t, y) from t0 to opts.t_end.
 
-    rhs follows the contract in the module docstring.  If t_eval is given,
-    exactly those times are emitted (the stepper lands on them), and with
-    opts.sample_interval its grid (see :class:`IntegratorOptions`);
-    otherwise the accepted-step grid decimated by opts.sample_stride is
-    emitted, always including the first and last points.
+    rhs follows the contract in the module docstring.  With
+    opts.sample_interval the samples are its grid (see
+    :class:`IntegratorOptions`); otherwise the accepted-step grid decimated
+    by opts.sample_stride is emitted, always including the first and last
+    points.
     """
-    y, targets, first = _prepare(y0, opts, t0, t_eval)
+    y = _prepare(y0, opts, t0)
     h_floor = _STEP_FLOOR * opts.t_end
     h_prop = max(min(opts.h0, opts.hmax, opts.t_end - t0), h_floor)
-    out = _compiled.integrate(rhs, y, targets, first, opts, t0, h_prop,
-                              h_floor)
+    out = _compiled.integrate(rhs, y, opts, t0, h_prop, h_floor)
     if out is None:
-        out = _python_steps(rhs, y, targets, first, opts, t0, h_prop, h_floor)
+        out = _python_steps(rhs, y, opts, t0, h_prop, h_floor)
     return Solution(*out)
 
 
-def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
+def _python_steps(rhs, y, opts, t, h_prop, h_floor):
     """The driver loop over the emitted step: the sample times and states
     and the accepted, rejected and evaluation counts."""
     f = rhs(t, y)
@@ -298,36 +279,32 @@ def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
     if not all(map(math.isfinite, f)):
         raise DivergenceError(f"right-hand side not finite at t={t}", t)
     buf = _Buffer(len(y))
-    if first:
-        buf.append(t, y)
+    buf.append(t, y)
     evals = len(_DOP853_A)  # each stage but the first, the last step's FSAL
     step = _emit_step(len(y))
     t_end, hmax = opts.t_end, opts.hmax
     rtol, atol = opts.rtol, opts.atol
     stride = opts.sample_stride
-    n_targets = 0 if targets is None else len(targets)
-    next_target = 0
     # the sample grid: its origin and the index of its next point
     grid, t0, k = opts.sample_interval, t, 1
     n_acc = n_rej = 0
     n_evals = 1  # the derivative at t0, the first stage of the first step
 
     while t < t_end:
-        if grid:
-            target = t0 + k * grid
-            if not target < t_end:
-                target = t_end
-        else:
-            target = targets[next_target] if next_target < n_targets else t_end
+        target = t0 + k * grid if grid else t_end
+        if not target < t_end:
+            target = t_end
         gap = target - t
         h = min(h_prop, hmax)
         if gap <= h / 0.9 and gap <= hmax:
             # stretch/truncate to land exactly; avoids creeping up to the
             # target in vanishing increments
             h = gap
-        clamped = h < h_prop
-        if h < h_floor and h != gap:  # a landing step ends on the target
+        elif h < h_floor or t + h == t:
+            # a step that does not land must be no shorter than the floor
+            # and must move t
             raise _underflow(h, t)
+        clamped = h < h_prop
 
         y_new, f_new, err = step(rhs, t, h, y, f, atol, rtol)
         n_evals += evals
@@ -356,10 +333,6 @@ def _python_steps(rhs, y, targets, first, opts, t, h_prop, h_floor):
             if t == target:
                 buf.append(t, y)
                 k += 1
-        elif targets is not None:
-            if next_target < n_targets and t == targets[next_target]:
-                buf.append(t, y)
-                next_target += 1
         elif n_acc % stride == 0 or t >= t_end:
             buf.append(t, y)
 

@@ -282,16 +282,18 @@ def test_criterion_6_decoupling(decoupled_vehicle):
                           abs(quad_cross))
 
     y0 = np.array([0.8, 0.7, 0.4, -0.6])
-    t_eval = np.linspace(0.0, 20.0, 2001)
-    opts = IntegratorOptions(t_end=20.0, rtol=1e-12, atol=1e-14)
-    full = integrate(make_reduced_rhs(p, d, zero_rotor()), y0, opts,
-                     t_eval=t_eval)
+    # samples at 0, 0.01, ..., 20, on both runs
+    opts = IntegratorOptions(t_end=20.0, rtol=1e-12, atol=1e-14,
+                             sample_interval=0.01)
+    full = integrate(make_reduced_rhs(p, d, zero_rotor()), y0, opts)
     b, mass, inertia = d.static_moment, d.mass, d.inertia
 
     def sleigh_only(t, y):
         return np.array([b * y[1] * y[1] / mass, -b * y[1] * y[0] / inertia])
 
-    alone = integrate(sleigh_only, y0[:2], opts, t_eval=t_eval)
+    alone = integrate(sleigh_only, y0[:2], opts)
+    assert np.array_equal(full.times, np.linspace(0.0, 20.0, 2001))
+    assert np.array_equal(alone.times, full.times)
     worst_traj = float(np.max(np.abs(full.states[:, :2] - alone.states)))
     ok = worst_coeff < 1e-14 and worst_traj < 1e-10
     assert report("6 (decoupled velocity subsystem)", ok,
@@ -306,11 +308,11 @@ def test_criterion_7_angle_variable(reference_vehicle, reference_derived):
     # map a rotor-free reduced trajectory into the velocity angle and check
     # the rescaled decoupled equation by central differences
     dt = 5e-4
-    t_eval = np.arange(0.0, 5.0 + dt / 2, dt)
     sol = integrate(make_reduced_rhs(p, d, zero_rotor()),
                     np.array([1.0, 0.5, 0.3, -0.4]),
-                    IntegratorOptions(t_end=5.0, rtol=1e-12, atol=1e-14),
-                    t_eval=t_eval)
+                    IntegratorOptions(t_end=5.0, rtol=1e-12, atol=1e-14,
+                                      sample_interval=dt))
+    assert np.array_equal(sol.times, np.arange(0.0, 5.0 + dt / 2, dt))
     v1s, oms, phis = sol.states[:, 0], sol.states[:, 1], sol.states[:, 2:]
     m_eff = np.array([angle_coeffs_at_phi(ph, p, d)[0] for ph in phis])
     h = 0.5 * (m_eff[0] * v1s[0] ** 2 + d.inertia * oms[0] ** 2)
@@ -323,9 +325,9 @@ def test_criterion_7_angle_variable(reference_vehicle, reference_derived):
     # the decoupled angle equation against its closed form
     ratio = d.static_moment / d.inertia
     ang0 = 2.1
+    # every sample of the run
     sol2 = integrate(lambda t, y: -ratio * np.sin(y), [ang0],
-                     IntegratorOptions(t_end=6.0, rtol=1e-12, atol=1e-14),
-                     t_eval=np.array([1.0, 3.0, 6.0]))
+                     IntegratorOptions(t_end=6.0, rtol=1e-12, atol=1e-14))
     closed = 2.0 * np.arctan(math.tan(ang0 / 2.0)
                              * np.exp(-ratio * sol2.times))
     worst_closed = float(np.max(np.abs(sol2.states[:, 0] - closed)))

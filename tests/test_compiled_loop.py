@@ -119,13 +119,14 @@ def both_loops(rhs, y0, opts, **kwargs):
 @given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
        chart=st.sampled_from(["reduced", "full", "manifold"]),
        sine=st.booleans(),
-       stride=st.integers(1, 3), landing=st.booleans(),
+       stride=st.integers(1, 3),
+       interval=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
        hmax=st.sampled_from([math.inf, 0.05, 0.3]),
        t0=st.sampled_from([0.0, -1.5, 2.25]),
        chunk=st.sampled_from([3, _compiled.CHUNK]),
        budget=st.sampled_from([5, _compiled.STEPS_PER_CALL]))
 def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, sine,
-                                           stride, landing, hmax, t0, chunk,
+                                           stride, interval, hmax, t0, chunk,
                                            budget):
     rng = np.random.default_rng(seed)
     p = random_vehicle(rng, n)
@@ -140,21 +141,17 @@ def test_compiled_loop_matches_python_loop(compiled, n, seed, chart, sine,
         rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(p, d, rotor)
         y0 = [rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0), *phi]
         y0 += list(rng.uniform(-1.0, 1.0, 3)) * (chart == "full")
-    t_end = t0 + 3.0
-    opts = IntegratorOptions(t_end=t_end, rtol=1e-9, atol=1e-11,
-                             hmax=hmax, h0=min(1e-3, hmax), sample_stride=stride)
-    kwargs = {}
-    if landing:
-        # with the start or not, and the end or not
-        k = 4 + seed % 9
-        t_eval = np.sort(rng.uniform(t0, t_end, k))
-        kwargs["t_eval"] = np.unique(np.concatenate(
-            ([t0] * (seed % 2), t_eval, [t_end] * (seed % 3 == 0))))
+    # a sample grid, its interval up to wider than the span 3.0, takes
+    # stride 1
+    opts = IntegratorOptions(t_end=t0 + 3.0, rtol=1e-9, atol=1e-11,
+                             hmax=hmax, h0=min(1e-3, hmax),
+                             sample_stride=1 if interval else stride,
+                             sample_interval=interval)
     with pytest.MonkeyPatch.context() as m:
         # a short buffer and step budget make the loop resume from its state
         m.setattr(_compiled, "CHUNK", chunk)
         m.setattr(_compiled, "STEPS_PER_CALL", budget)
-        fast, slow = both_loops(rhs, y0, opts, t0=t0, **kwargs)
+        fast, slow = both_loops(rhs, y0, opts, t0=t0)
     assert fast == slow
     assert isinstance(fast[0], bytes)
 
@@ -266,16 +263,50 @@ def test_step_underflow_matches(compiled, pair, reference_vehicle,
 def test_landing_step_below_the_floor_matches(compiled, chart,
                                               reference_vehicle,
                                               reference_derived):
-    # landing steps shorter than the step floor 1e-14 * t_end: to t_end, and
-    # between two output times; both loops used to underflow
+    # landing steps shorter than the step floor 1e-14 * t_end: to t_end from
+    # a t0 just below it, and from the last grid point, 2e-15 below t_end;
+    # both loops used to underflow
     rhs = (make_full_rhs if chart == "full" else make_reduced_rhs)(
         reference_vehicle, reference_derived, sine_rotor(0.05, 1.0))
     y0 = [10.0, 1.0, 0.5, 0.5] + [0.1, 0.2, 0.3] * (chart == "full")
     opts = IntegratorOptions(t_end=1.0)
     fast, slow = both_loops(rhs, y0, opts, t0=1.0 - 1e-15)
     assert fast == slow and fast[2] == (2,)
-    fast, slow = both_loops(rhs, y0, opts, t_eval=[0.5, 0.5 + 2e-15, 1.0])
+    opts = IntegratorOptions(t_end=1.0, sample_interval=1.0 - 2e-15)
+    fast, slow = both_loops(rhs, y0, opts)
     assert fast == slow and fast[2] == (3,)
+
+
+def test_step_that_cannot_move_t_underflows(compiled):
+    # at t0 = -1e20 a step of 1e-3 leaves t where it is; both loops used to
+    # take such steps forever, so the run is a child process with a time
+    # limit (its stride keeps a loop that does hang from filling memory)
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_compiled_loop import both_loops, outcome\n"
+            "from multilink import _compiled, dynamics, integrator, model\n"
+            "p = model.VehicleParams([1.0, 1.2, 1.2], [1.5, 2.0, 2.0], 0.7,\n"
+            "                        [0.1, 0.2], [1.05, 1.10])\n"
+            "rhs = dynamics.make_reduced_rhs(p, model.derive_params(p),\n"
+            "                                model.sine_rotor(0.05))\n"
+            "assert _compiled.load()\n"
+            "opts = integrator.IntegratorOptions(t_end=1.0,\n"
+            "                                    sample_stride=1000)\n"
+            "y0 = [10.0, 1.0, 0.5, 0.5]\n"
+            "runs = [*both_loops(rhs, y0, opts, t0=-1e20),\n"
+            "        outcome(lambda: integrator.integrate(\n"
+            "            lambda t, y: [-y[0]], [1.0], opts, t0=-1e20))]\n"
+            "print(json.dumps([[e.__name__, m, t] for e, m, t in runs]))\n")
+    src = os.path.dirname(os.path.dirname(multilink.__file__))
+    # the time limit covers the build of the library, 0.3 to 0.4 s
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message = ("step size 1.000e-03 underflowed at t=-1e+20 (tolerances "
+               "unreachable here)")
+    assert json.loads(proc.stdout) == [["StepUnderflowError", message,
+                                        -1e20]] * 3
 
 
 @one_pair
@@ -482,8 +513,9 @@ def test_compiler_timeout_kills_its_process_group(monkeypatch, tmp_path):
 
 
 def test_interrupt_stops_a_long_compiled_run(compiled):
-    # to t = 1e7 with two output times: no sample fills the buffer, so only
-    # the step budget of a call returns control to Python
+    # to t = 1e7 on a grid wider than the span, which emits t0 and t_end
+    # only: no sample fills the buffer, so only the step budget of a call
+    # returns control to Python
     code = ("from multilink import _compiled, dynamics, integrator, model\n"
             "p = model.VehicleParams([1.0, 1.2, 1.2], [1.5, 2.0, 2.0], 0.7,\n"
             "                        [0.1, 0.2], [1.05, 1.10])\n"
@@ -492,8 +524,8 @@ def test_interrupt_stops_a_long_compiled_run(compiled):
             "assert _compiled.load()\n"
             "print('running', flush=True)\n"
             "integrator.integrate(rhs, [10.0, 1.0, 0.5, 0.5],\n"
-            "                     integrator.IntegratorOptions(t_end=1e7),\n"
-            "                     t_eval=[0.0, 1e7])\n")
+            "                     integrator.IntegratorOptions(\n"
+            "                         t_end=1e7, sample_interval=1e7))\n")
     src = os.path.dirname(os.path.dirname(multilink.__file__))
     proc = subprocess.Popen([sys.executable, "-c", code],
                             env={**os.environ, "PYTHONPATH": src},

@@ -51,10 +51,11 @@ def test_cross_method_agreement(reference_vehicle, reference_derived):
     rotor = sine_rotor(0.05, 1.0)
     rhs = make_reduced_rhs(reference_vehicle, reference_derived, rotor)
     y0 = np.array([10.0, 1.0, 0.5, 0.5])
-    t_eval = np.linspace(0.0, 10.0, 501)
-    adaptive = integrate(rhs, y0, IntegratorOptions(t_end=10.0, rtol=1e-10,
-                                                    atol=1e-12), t_eval=t_eval)
-    ref = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", t_eval=t_eval,
+    times = np.linspace(0.0, 10.0, 501)
+    adaptive = integrate(rhs, y0, IntegratorOptions(
+        t_end=10.0, rtol=1e-10, atol=1e-12, sample_interval=0.02))
+    assert np.array_equal(adaptive.times, times)
+    ref = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", t_eval=times,
                     rtol=1e-12, atol=1e-12)
     assert ref.success
     assert np.max(np.abs(adaptive.states - ref.y.T)) < 1e-6
@@ -92,38 +93,17 @@ def test_divergence_error():
                   IntegratorOptions(t_end=1.0))
 
 
-def test_t_eval_hit_exactly():
-    t_eval = np.array([0.0, 0.1, 0.25, 1 / 3, 0.9999, 1.0])
-    sol = integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0, rtol=1e-9,
-                                                        atol=1e-12),
-                    t_eval=t_eval)
-    assert np.array_equal(sol.times, t_eval)
-
-
-def test_t_eval_validation():
-    with pytest.raises(ValueError):
-        integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0),
-                  t_eval=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0),
-                  t_eval=[0.5, 2.0])
-    for t_eval in ([], [[0.5]]):
-        with pytest.raises(ValueError,
-                           match="^t_eval must be a non-empty 1-d array$"):
-            integrate(decay_rhs, [1.0], IntegratorOptions(t_end=1.0),
-                      t_eval=t_eval)
-
-
-@pytest.mark.parametrize("t_eval", [[math.nan], [0.5, math.nan],
-                                    [-math.inf, 0.5], [0.5, math.inf]])
-def test_t_eval_must_be_finite(t_eval, reference_vehicle, reference_derived):
-    # a NaN passes the order and range checks and used to give no samples;
-    # both loops share the check
-    field = make_reduced_rhs(reference_vehicle, reference_derived,
-                             sine_rotor(0.05, 1.0))
-    for rhs, y0 in ((decay_rhs, [1.0]), (field, [10.0, 1.0, 0.5, 0.5])):
-        with pytest.raises(ValueError, match="t_eval must be finite"):
-            integrate(rhs, y0, IntegratorOptions(t_end=1.0), t_eval=t_eval)
+def test_grid_hit_exactly():
+    # each point is t0 + k * interval, not a running sum (6 * 0.1 is
+    # 0.6000000000000001, a sum of six 0.1 is 0.6), then t_end: 10 * 0.1 is
+    # 1.0, so no point lies just below it, but 10 * 0.0999 leaves a last gap
+    # of 1e-3
+    for interval, last in ((0.1, 9), (0.0999, 10)):
+        sol = integrate(decay_rhs, [1.0],
+                        IntegratorOptions(t_end=1.0, rtol=1e-9, atol=1e-12,
+                                          sample_interval=interval))
+        k = np.arange(1, last + 1)
+        assert np.array_equal(sol.times, [0.0, *(k * interval), 1.0])
 
 
 def test_nonzero_start_time():
@@ -173,17 +153,6 @@ def test_sample_interval_grid():
 def test_sample_interval_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):
         IntegratorOptions(**{"t_end": 1.0, **kwargs})
-
-
-def test_sample_interval_excludes_t_eval(reference_vehicle, reference_derived):
-    # one check for both loops
-    field = make_reduced_rhs(reference_vehicle, reference_derived,
-                             sine_rotor(0.05, 1.0))
-    opts = IntegratorOptions(t_end=1.0, sample_interval=0.1)
-    for rhs, y0 in ((decay_rhs, [1.0]), (field, [10.0, 1.0, 0.5, 0.5])):
-        with pytest.raises(ValueError,
-                           match="t_eval and a sample_interval exclude"):
-            integrate(rhs, y0, opts, t_eval=[0.5, 1.0])
 
 
 def test_options_validation():
@@ -245,7 +214,8 @@ def test_long_horizon_starts_at_the_step_floor():
 
 def test_landing_step_below_the_step_floor():
     # t_end - t0 lies below the step floor 1e-14 * t_end, and so does the
-    # gap between two output times, but one step lands on each exactly;
+    # gap between the last grid point and t_end, but one step lands on each
+    # exactly;
     # such runs used to underflow (a vehicle field on both loops:
     # test_compiled_loop.py::test_landing_step_below_the_floor_matches)
     t0 = 1.0 - 1e-15
@@ -253,14 +223,27 @@ def test_landing_step_below_the_step_floor():
                     t0=t0)
     assert sol.times.tolist() == [t0, 1.0] and sol.n_accepted == 1
     assert sol.states[-1, 0] == pytest.approx(1.0 - t0, rel=1e-12)
-    t_eval = [0.5, 0.5 + 2e-15, 1.0]
-    sol = integrate(lambda t, y: [1.0], [0.0], IntegratorOptions(t_end=1.0),
-                    t_eval=t_eval)
-    assert sol.times.tolist() == t_eval
+    interval = 1.0 - 2e-15
+    sol = integrate(lambda t, y: [1.0], [0.0],
+                    IntegratorOptions(t_end=1.0, sample_interval=interval))
+    assert sol.times.tolist() == [0.0, interval, 1.0]
     # a step that would not land still underflows
     with pytest.raises(StepUnderflowError):
         integrate(lambda t, y: [1.0 / (0.5 - t)], [0.0],
                   IntegratorOptions(t_end=1.0), t0=0.5 - 1e-12)
+
+
+def test_far_negative_start_runs():
+    # a step of the step floor's scale still moves t at t0 = -1e3 (the ulp
+    # there is 1.1e-13); a t0 whose steps cannot move t underflows
+    # (test_compiled_loop.py::test_step_that_cannot_move_t_underflows)
+    sol = integrate(lambda t, y: [-y[0]], [1.0], IntegratorOptions(t_end=1.0),
+                    t0=-1e3)
+    assert sol.times[0] == -1e3 and sol.times[-1] == 1.0
+    assert sol.n_accepted == 199 and sol.times.size == 200
+    # within 10 * atol once the state has decayed to the run's atol 1e-12
+    assert np.allclose(sol.states[:, 0], np.exp(-1e3 - sol.times), rtol=1e-7,
+                       atol=1e-11)
 
 
 def test_hmax_below_the_step_floor_rejected():
@@ -328,13 +311,14 @@ def test_rhs_contract():
 
 @pytest.mark.parametrize("pair", ["adaptive-dop853"])
 def test_adaptive_pairs_closed_form(pair):
-    t_eval = np.linspace(0.0, 3.0, 7)
-    opts = IntegratorOptions(t_end=3.0, rtol=1e-10, atol=1e-12)
-    sol = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
-    assert np.array_equal(sol.times, t_eval)
-    exact = [decay_exact(math.pi / 2, t) for t in t_eval]
+    times = np.linspace(0.0, 3.0, 7)
+    opts = IntegratorOptions(t_end=3.0, rtol=1e-10, atol=1e-12,
+                             sample_interval=0.5)
+    sol = integrate(decay_rhs, [math.pi / 2], opts)
+    assert np.array_equal(sol.times, times)
+    exact = [decay_exact(math.pi / 2, t) for t in times]
     assert np.max(np.abs(sol.states[:, 0] - exact)) < 1e-9
-    again = integrate(decay_rhs, [math.pi / 2], opts, t_eval=t_eval)
+    again = integrate(decay_rhs, [math.pi / 2], opts)
     assert np.array_equal(again.states, sol.states)
     assert sol.n_evals == 1 + CALLS_PER_ATTEMPT * (
         sol.n_accepted + sol.n_rejected)

@@ -133,7 +133,7 @@ def hand_dop853(rhs, t, h, y, k1, atol, rtol):
 one_pair = pytest.mark.parametrize("pair", ["adaptive-dop853"])
 
 
-def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
+def hand_run(monkeypatch, rhs, y0, opts):
     """integrate with the hand-written step in place of the emitted one, on
     the Python loop, checking that it made every step."""
     calls = []
@@ -145,24 +145,23 @@ def hand_run(monkeypatch, rhs, y0, opts, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(_compiled, "_lib", False)
         m.setattr(integrator, "_emit_step", lambda dim: step)
-        sol = integrate(rhs, y0, opts, **kwargs)
+        sol = integrate(rhs, y0, opts)
     assert len(calls) == sol.n_accepted + sol.n_rejected > 0
     return sol
 
 
-def assert_bit_identical(monkeypatch, rhs, y0, opts, **kwargs):
+def assert_bit_identical(monkeypatch, rhs, y0, opts):
     """The runs of a vehicle field on the compiled loop (where it builds)
     and on the emitted step, and the run of the same field behind a plain
     function, against the hand-written step."""
     def called(t, y):
         return rhs(t, y)
 
-    hand = hand_run(monkeypatch, rhs, y0, opts, **kwargs)
-    runs = [integrate(rhs, y0, opts, **kwargs),
-            integrate(called, y0, opts, **kwargs)]
+    hand = hand_run(monkeypatch, rhs, y0, opts)
+    runs = [integrate(rhs, y0, opts), integrate(called, y0, opts)]
     with monkeypatch.context() as m:
         m.setattr(_compiled, "_lib", False)  # the emitted step
-        runs.append(integrate(rhs, y0, opts, **kwargs))
+        runs.append(integrate(rhs, y0, opts))
     for sol in runs:
         assert np.array_equal(sol.times, hand.times)
         assert np.array_equal(sol.states, hand.states)
@@ -197,13 +196,13 @@ def test_emitted_step_matches_hand_written_random_vehicles(monkeypatch, pair,
 @one_pair
 def test_emitted_step_matches_hand_written_t_eval_and_hmax(
         monkeypatch, pair, reference_vehicle, reference_derived):
+    # evaluation times on the grid of sample_interval, and capped steps
     rhs = make_reduced_rhs(reference_vehicle, reference_derived,
                            sine_rotor(0.05, 1.0))
-    t_eval = np.linspace(0.0, 5.0, 37)
-    opts = IntegratorOptions(t_end=5.0, rtol=1e-9, atol=1e-11, hmax=0.05)
-    sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts,
-                               t_eval=t_eval)
-    assert np.array_equal(sol.times, t_eval)
+    opts = IntegratorOptions(t_end=5.0, rtol=1e-9, atol=1e-11, hmax=0.05,
+                             sample_interval=5.0 / 36)
+    sol = assert_bit_identical(monkeypatch, rhs, [10.0, 1.0, 0.5, 0.5], opts)
+    assert np.array_equal(sol.times, np.linspace(0.0, 5.0, 37))
 
 
 def test_emitted_step_matches_hand_written_underflowing_norm(
