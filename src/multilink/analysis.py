@@ -111,15 +111,6 @@ class FixedPointBlock:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def describe(self) -> list[str]:
-        """:meth:`FixedPoint.describe` of every point."""
-        heads = np.where(self.v_sign > 0, "forward", "backward").tolist()
-        if not self.phi.shape[1]:
-            return heads
-        # every angle is one of two shared strings, picked by index
-        angles = _ANGLE_TEXT[(self.phi != 0.0).view(np.uint8)].tolist()
-        return [f"{d}, phi=({', '.join(a)})" for d, a in zip(heads, angles)]
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -137,8 +128,6 @@ class Classification:
 
 
 _KINDS = np.array(list(FixedPointKind), dtype=object)
-# the text of an angle 0 and pi in FixedPointBlock.describe
-_ANGLE_TEXT = np.array(["0", "pi"], dtype=object)
 
 
 def enumerate_fixed_points(n: int) -> FixedPointBlock:

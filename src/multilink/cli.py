@@ -30,9 +30,10 @@ def _load_config(path: str):
 def _cmd_run(args) -> int:
     """simulate and fixed-points: run the scenario, print its summary and the
     files written; fixed-points runs only a fixed_points config."""
-    if args.draws < 0:
-        raise ConfigError(f"--draws must be a non-negative integer, "
-                          f"got {args.draws}")
+    for name, value in (("draws", args.draws), ("seed", args.seed)):
+        if value is not None and value < 0:
+            raise ConfigError(f"--{name} must be a non-negative integer, "
+                              f"got {value}")
     cfg = _load_config(args.config)
     if args.command == "fixed-points" and cfg.scenario != "fixed_points":
         raise ConfigError(

@@ -400,26 +400,36 @@ def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     points = analysis.enumerate_fixed_points(p.n_links)
     cls = analysis.classify_fixed_point(points, p, d)
     kinds = list(analysis.FixedPointKind)  # in the order of their codes
-    # each row is "%-40s %-14s [%+.6f, ...]" of (where, kind, *eigenvalues);
-    # a column's distinct values, told apart by their bits, and the kind
-    # names are formatted once
-    padded = np.array(["%-14s" % k.value for k in kinds], dtype=object)
-    columns = []
-    for column in cls.eigenvalues.T:
-        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
-        text = ["%+.6f" % v for v in bits.view(float).tolist()]
-        columns.append(np.array(text, dtype=object)[index].tolist())
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
-    lines += map("%-40s %s [%s]".__mod__, zip(
-        points.describe(), padded[cls.code].tolist(),
-        map(", ".join, zip(*columns))))
+    padded = ["%-14s" % k.value for k in kinds]
+    # rows "%-40s %-14s [%+.6f, ...]" of (describe(), kind, *eigenvalues).
+    # In each half (forward, then backward) the theta signs run in product
+    # order, and column i and phi_i's 0/pi follow theta_i's sign alone: so a
+    # half is built by doubling, with the texts off its first and last rows
+    half = len(points) // 2
+    for lo, hi in ((0, half - 1), (half, 2 * half - 1)):
+        ends = points.phi[[lo, hi]].tolist()
+        eig = cls.eigenvalues[[lo, hi]].tolist()
+        where = ["forward" if points.v_sign[lo] > 0 else "backward"]
+        values = ["%+.6f" % eig[0][0]]
+        for i in range(p.n_links):
+            lead = ", " if i else ", phi=("
+            tail = ")" if i == p.n_links - 1 else ""
+            angles = [lead + ("pi" if e[i] else "0") + tail for e in ends]
+            where = [w + a for w in where for a in angles]
+            column = [", %+.6f" % e[i + 1] for e in eig]
+            values = [v + c for v in values for c in column]
+        lines += map("%-40s %s [%s]".__mod__, zip(
+            where, [padded[c] for c in cls.code[lo:hi + 1].tolist()], values))
     lines.append("-" * 72)
     counts = np.bincount(cls.code, minlength=len(kinds)).tolist()
     lines.append("counts: " + ", ".join(f"{k.value}={n}"
                                         for k, n in zip(kinds, counts)))
 
     if draws > 0:
+        if seed is None:  # drawn here and named in the report, to re-run
+            seed = np.random.SeedSequence().entropy
         rng = np.random.default_rng(seed)
         ok = 0
         for _ in range(draws):

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -245,7 +245,8 @@ def census_report_oracle(p, seed, draws):
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
     lines += [row % (where, kind.value, *eig) for where, kind, eig
-              in zip(points.describe(), kinds, cls.eigenvalues.tolist())]
+              in zip([fp.describe() for fp in points], kinds,
+                     cls.eigenvalues.tolist())]
     lines.append("-" * 72)
     lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
                                         for k in FixedPointKind))
@@ -267,6 +268,11 @@ def census_report_oracle(p, seed, draws):
 @given(n=st.integers(0, 10), vehicle_seed=st.integers(0, 2 ** 32 - 1),
        tiny_moment=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
        draws=st.integers(0, 3))
+# N = 9: the all-zero forward where-text is 40 characters, the %-40s width;
+# N = 11 and 12 lie past the drawn range, and a config accepts any N >= 1
+@example(n=9, vehicle_seed=9, tiny_moment=False, seed=9, draws=1)
+@example(n=11, vehicle_seed=11, tiny_moment=True, seed=11, draws=1)
+@example(n=12, vehicle_seed=12, tiny_moment=False, seed=12, draws=2)
 def test_census_report_matches_row_oracle(tmp_path_factory, n, vehicle_seed,
                                           tiny_moment, seed, draws):
     p = random_vehicle(np.random.default_rng(vehicle_seed), n)
@@ -569,16 +575,37 @@ def test_cli_fixed_points(tmp_path, capsys):
     assert "3/3 draws" in out
 
 
-def test_cli_negative_draws_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("argv, name, value", [
     # used to exit 0 after running no draws
+    (["--draws", "-3"], "--draws", -3),
+    # used to exit 1 with numpy's error on the seed
+    (["--seed", "-1", "--draws", "1"], "--seed", -1),
+], ids=["draws", "seed"])
+def test_cli_negative_draws_exit_code(tmp_path, capsys, argv, name, value):
     path = make_config(tmp_path, scenario="fixed_points",
                        integrator={"t_end": 1.0},
                        outputs={"directory": str(tmp_path / "o")})
-    assert cli.main(["fixed-points", str(path), "--draws", "-3"]) == 2
+    assert cli.main(["fixed-points", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --draws must be a non-negative integer, got -3\n"
+    assert captured.err == (f"error: {name} must be a non-negative integer, "
+                            f"got {value}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_unseeded_draws_print_their_seed(tmp_path, capsys):
+    path = make_config(tmp_path, scenario="fixed_points",
+                       integrator={"t_end": 1.0},
+                       outputs={"formats": ["report"]})
+    report = tmp_path / "o" / "fixed_points_report.txt"
+    argv = ["fixed-points", str(path), "--output-dir", str(tmp_path / "o"),
+            "--draws", "3"]
+    assert cli.main(argv) == 0
+    first = report.read_bytes()
+    seed = re.search(r"random-parameter suite \(seed=(\d+)\)",
+                     capsys.readouterr().out).group(1)
+    assert cli.main([*argv, "--seed", seed]) == 0
+    assert report.read_bytes() == first
 
 
 def test_cli_fixed_points_rejects_other_scenario(capsys):
