@@ -1,7 +1,7 @@
 """The compiled C of ``_loop.c``: the adaptive loop with the vehicle
-kernel, the constraint-residual maximum, the window and per-period envelope
-of a power-law fit, the trajectory CSV's row formatter and parser, and the
-SVG polyline points.  This module alone owns the library: whether it is
+kernel, the constraint-residual maximum, a power-law fit (window, envelope,
+logs and line), the trajectory CSV's row formatter and parser, and the SVG
+polyline points.  This module alone owns the library: whether it is
 loaded, who may build it, and which inputs each of its functions takes.
 
 Each consumer makes one call here, which returns a result, or None where
@@ -11,7 +11,7 @@ only a vehicle field, one that carries ``vehicle``),
 :func:`multilink.dynamics.residual_max_series` calls :func:`residual_max`,
 :func:`multilink.dynamics.trajectory_from_solution` calls
 :func:`diagnostics`, :func:`multilink.analysis.fit_power_law` calls
-:func:`fit_points` (and runs its checks on the points),
+:func:`fit`,
 :func:`multilink.scenarios.write_trajectory_csv` and
 ``read_trajectory_csv`` call :func:`format_rows` (once per chunk of rows)
 and :func:`read_csv`, and ``multilink.svgplot._points`` calls
@@ -21,10 +21,10 @@ argument (glibc gives their bits; test_sincos_matches_sin_and_cos).  Its
 text comes from integer arithmetic: the formatters write the bytes of
 "%.17g" and of svgplot's two decimals, and the parser converts a field by
 an exact fast path (checked against the digits that "%.17g" gives) or else
-by strtod.  Each text function does a whole unit or declines it: a chunk
-of rows or a polyline holding a value that the C leaves to Python, and a
-file outside the writer's grammar and shape (which numpy.loadtxt reads),
-are done by the Python path whole.
+by strtod.  Each text function and the fit do a whole unit or decline it:
+a chunk of rows or a polyline holding a value that the C leaves to Python,
+a file outside the writer's grammar and shape (numpy.loadtxt reads it) and
+a fit that one of its checks rejects are done by the Python path whole.
 
 Only :func:`integrate` builds the library (:func:`load`): once per process,
 with the compiler Python was built with (sysconfig ``CC``), into a
@@ -186,10 +186,10 @@ def _build():
     lib.ml_parse_rows.argtypes = [c_void_p, c_long, c_int, POINTER(c_int),
                                   c_int, c_void_p, c_long, POINTER(c_long)]
     lib.ml_parse_rows.restype = c_long
-    lib.ml_fit_points.argtypes = [c_void_p, c_long, c_void_p, c_long, c_long,
-                                  c_double, c_double, c_int, c_double,
-                                  c_void_p, c_void_p, POINTER(c_long)]
-    lib.ml_fit_points.restype = c_long
+    lib.ml_fit.argtypes = [c_void_p, c_long, c_void_p, c_long, c_long,
+                           c_double, c_double, c_int, c_double, c_void_p,
+                           c_void_p, c_void_p, POINTER(c_long)]
+    lib.ml_fit.restype = c_long
     return lib
 
 
@@ -317,15 +317,14 @@ def _residual_max(rows, n, v1, omega, phi, psi, stride, phi_stride, c, sin2):
     return block[:rows]
 
 
-def fit_points(times, values, t_lo, t_hi, period=None):
-    """The points of ``analysis.fit_power_law``, by ml_fit_points: the
-    samples of the float64 vectors times and values of one length whose time
-    lies in [t_lo, t_hi], or, with a period, their per-period maxima of
-    |value| as ``analysis.envelope_points`` gives them.  Returns the times
-    and values of the points and the number of samples in the window; None
-    where the library is not loaded, or the vectors are not such vectors
-    (aligned, any stride), or the window ends or the period are not
-    floats."""
+def fit(times, values, t_lo, t_hi, period=None):
+    """The fit of ``analysis.fit_power_law`` by one call of ml_fit, to the
+    bits of ``analysis._fit_line`` on the points that numpy selects: the
+    slope, the intercept, r^2, the number of points and the window's sample
+    count.  None where the library is not loaded, times and values are not
+    aligned float64 vectors of one length (any stride), the window ends or
+    the period are not floats, or ml_fit declines a fit that a check
+    rejects."""
     scalars = (t_lo, t_hi, 0.0 if period is None else period)
     if not _lib or not (isinstance(times, np.ndarray)
                         and isinstance(values, np.ndarray)
@@ -336,14 +335,16 @@ def fit_points(times, values, t_lo, t_hi, period=None):
                         and all(isinstance(x, float) for x in scalars)):
         return None
     n = times.size
-    out = np.empty(2 * n)
+    work = np.empty(2 * n + 3)  # x, y, then slope, intercept and r^2
     kept = c_long()
-    base = _address(out)
-    k = _lib.ml_fit_points(_vector_address(times), times.strides[0] // 8,
-                           _vector_address(values), values.strides[0] // 8,
-                           n, t_lo, t_hi, period is not None, scalars[2],
-                           base, base + 8 * n, kept)
-    return out[:k], out[n:n + k], kept.value
+    base = _address(work)
+    k = _lib.ml_fit(_vector_address(times), times.strides[0] // 8,
+                    _vector_address(values), values.strides[0] // 8, n,
+                    t_lo, t_hi, period is not None, scalars[2], base,
+                    base + 8 * n, base + 16 * n, kept)
+    if k < 0:
+        return None
+    return (*work[2 * n:].tolist(), k, kept.value)
 
 
 def _vector_address(a):

@@ -1,31 +1,32 @@
 /* The adaptive loop of multilink.integrator and the vehicle kernel of
  * multilink.dynamics, as C, the per-sample constraint-residual maximum of
  * multilink.dynamics.residual_max_series with the sin(theta)^2 of its
- * energy_series, the window and per-period envelope of the points that
- * multilink.analysis.fit_power_law fits, the row formatter and row parser
- * of the trajectory CSV of multilink.scenarios, and the polyline points of
- * multilink.svgplot.
+ * energy_series, the power-law fit of multilink.analysis.fit_power_law
+ * (its window, per-period envelope, logs and line), the row formatter and
+ * row parser of the trajectory CSV of multilink.scenarios, and the
+ * polyline points of multilink.svgplot.
  *
  * multilink._compiled builds this file once per process with -O2
  * -ffp-contract=off -fno-builtin-sin -fno-builtin-cos (no fast-math, no
  * fused multiply-add, no sin or cos that the compiler folds or fuses) and
- * calls ml_run, ml_residual_max, ml_fit_points, ml_format_points,
+ * calls ml_run, ml_residual_max, ml_fit, ml_format_points,
  * ml_format_rows and ml_parse_rows through ctypes.  The text functions give
  * the bytes of Python's formatting and the bits of its float parser: the
  * parser takes strtod only where its exact fast path cannot decide.  Each
- * one takes a whole unit (a polyline's series, a chunk of CSV rows, a CSV
- * file) or declines it with -1, and the caller then does that unit in
- * Python; none hands single values back.
+ * of them, and the fit, takes a whole unit (a polyline's series, a chunk of
+ * CSV rows, a CSV file, a fit) or declines it with -1, and the caller then
+ * does that unit in Python; none hands single values back.
  * Every floating-point operation is the one the emitted Python step and
- * kernel, or the numpy diagnostics and envelope, perform, in the same order
- * and through the same libm sin, cos, pow and sqrt, so both give the same
- * bits: zero tableau coefficients are skipped, a linear combination starts
- * from its first non-zero term, sums run left to right, and max(a, b) keeps
- * a unless b > a, as Python's builtins do.  Where the Python code takes the
- * sin and the cos of one argument, this file calls glibc's sincos once,
- * which computes both with the routines of sin and cos and so gives their
- * bits (tests/test_compiled_loop.py::test_sincos_matches_sin_and_cos checks
- * the libm at hand).  Where Python raises, the same case is caught here: sin
+ * kernel, the numpy diagnostics or the fit's Python line perform, in the
+ * same order and through the same libm sin, cos, pow, log and sqrt, so both
+ * give the same bits: zero tableau coefficients are skipped, a linear
+ * combination starts from its first non-zero term, sums run left to right,
+ * and max(a, b) keeps a unless b > a, as Python's builtins do.  Where the
+ * Python code takes the sin and the cos of one argument, this file calls
+ * glibc's sincos once, which computes both with the routines of sin and cos
+ * and so gives their bits
+ * (tests/test_compiled_loop.py::test_sincos_matches_sin_and_cos checks the
+ * libm at hand).  Where Python raises, the same case is caught here: sin
  * or cos of an infinity gives NaN rates, as the kernel's except clause
  * does, and a degenerate shape ends the run with a status.
  *
@@ -37,6 +38,7 @@
  * block's partial sums held in registers and stored once.
  */
 #define _GNU_SOURCE  /* sincos */
+#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
@@ -374,44 +376,96 @@ void ml_residual_max(long rows, int n, const double *v1, const double *om,
 }
 
 
-/* The points that analysis.fit_power_law fits, in one pass over the n
- * samples (t[i * t_stride], v[i * v_stride]): the samples with t in [t_lo,
- * t_hi] as they are, or where envelope is not 0 the per-period maxima of
- * analysis.envelope_points over those samples: each run of consecutive kept
- * samples in one bin floor(t / period) gives its first maximum of |v| and
- * that sample's t, the first NaN winning, as np.maximum.reduceat and the
- * first hit do.  Writes the points to t_out and v_out (n each at most), sets
- * *kept to the number of kept samples and returns the number of points. */
-long ml_fit_points(const double *t, long t_stride, const double *v,
-                   long v_stride, long n, double t_lo, double t_hi,
-                   int envelope, double period, double *t_out, double *v_out,
-                   long *kept)
+/* The power-law fit of analysis.fit_power_law, whole or declined, in one
+ * call over the n samples (t[i * t_stride], v[i * v_stride]).  Its points
+ * are the samples with t in [t_lo, t_hi] as they are, or where envelope is
+ * not 0 their per-period maxima as analysis.envelope_points gives them:
+ * each run of consecutive kept samples in one bin floor(t / period) gives
+ * its first maximum of |v| and that sample's t.  The line of log v against
+ * log t is analysis._fit_line's, by its operations in its order: libm log
+ * of each point; the means of x = log t and y = log v, each the first
+ * point's plus the left-to-right sum of the others' differences from it
+ * over k (exact for a constant series); the sum of x^2; the centered sums
+ * Sxx, Sxy and Syy of dx = x - mean(x) and dy = y - mean(y); slope Sxy /
+ * Sxx and intercept mean(y) - slope mean(x); and r^2 = 1 - Srr / Syy over
+ * the residuals dy - slope dx, or 1 where Syy is 0.  A sum starts from
+ * -0.0, which adding a first term leaves that term's bits (sign of zero
+ * included), as numpy's cumsum does.
+ *
+ * Writes the slope, the intercept and r^2 to fit[0 .. 2] and the window
+ * count to *kept, and returns the number of points; x and y (n doubles each)
+ * are its work.  Returns -1, and the caller fits in Python and raises the
+ * check's error, wherever a check of the fit would fail: a window sample
+ * whose t is not positive and finite or whose v is not finite, a period
+ * that is not positive and finite or a t / period that overflows, fewer
+ * than 30 samples or 2 points, a point that is not positive, or no spread
+ * in log t: sqrt(Sxx) <= 2 k eps sqrt(sum x^2) over the k points. */
+long ml_fit(const double *t, long t_stride, const double *v, long v_stride,
+            long n, double t_lo, double t_hi, int envelope, double period,
+            double *x, double *y, double *fit, long *kept)
 {
+    if (envelope && !(period > 0.0 && period < INFINITY))
+        return -1;
     long m = 0, k = 0;
     double bin = 0.0;
     for (long i = 0; i < n; i++) {
         const double ti = t[i * t_stride];
         if (!(ti >= t_lo && ti <= t_hi))
             continue;
-        const double vi = v[i * v_stride];
-        if (!envelope) {
-            t_out[k] = ti;
-            v_out[k++] = vi;
-        } else {
-            const double b = floor(ti / period), a = fabs(vi);
-            if (m == 0 || b != bin) {  /* a new run: NaN != NaN */
-                bin = b;
-                t_out[k] = ti;
-                v_out[k++] = a;
-            } else if (!isnan(v_out[k - 1])
-                       && (a > v_out[k - 1] || isnan(a))) {
-                t_out[k - 1] = ti;
-                v_out[k - 1] = a;
-            }
-        }
+        const double vi = v[i * v_stride], a = fabs(vi);
+        if (!(ti > 0.0 && ti < INFINITY && a < INFINITY))
+            return -1;
         m++;
+        if (!envelope) {
+            x[k] = ti;
+            y[k++] = vi;
+            continue;
+        }
+        const double b = floor(ti / period);
+        if (b == INFINITY)
+            return -1;
+        if (k == 0 || b != bin) {
+            bin = b;
+            x[k] = ti;
+            y[k++] = a;
+        } else if (a > y[k - 1]) {
+            x[k - 1] = ti;
+            y[k - 1] = a;
+        }
     }
     *kept = m;
+    if (m < 30 || k < 2)
+        return -1;
+    double sx = -0.0, sy = -0.0, sx2 = -0.0;
+    for (long i = 0; i < k; i++) {
+        if (!(y[i] > 0.0))
+            return -1;
+        x[i] = log(x[i]);
+        y[i] = log(y[i]);
+        sx += x[i] - x[0];
+        sy += y[i] - y[0];
+        sx2 += x[i] * x[i];
+    }
+    const double mx = x[0] + sx / k, my = y[0] + sy / k;
+    double sxx = -0.0, sxy = -0.0, syy = -0.0;
+    for (long i = 0; i < k; i++) {
+        x[i] -= mx;
+        y[i] -= my;
+        sxx += x[i] * x[i];
+        sxy += x[i] * y[i];
+        syy += y[i] * y[i];
+    }
+    if (!(sqrt(sxx) > 2.0 * k * DBL_EPSILON * sqrt(sx2)))
+        return -1;
+    const double slope = sxy / sxx;
+    double srr = -0.0;
+    for (long i = 0; i < k; i++) {
+        const double r = y[i] - slope * x[i];
+        srr += r * r;
+    }
+    fit[0] = slope;
+    fit[1] = my - slope * mx;
+    fit[2] = syy == 0.0 ? 1.0 : 1.0 - srr / syy;
     return k;
 }
 

@@ -135,9 +135,9 @@ def enumerate_fixed_points(n: int) -> FixedPointBlock:
     in the order of itertools.product((1, -1), repeat=n + 1) over
     (v_sign, theta_signs...).
 
-    The relative angles are recovered from the theta angles in units of pi,
-    where the integer unimodular chart change is exact on the small integers
-    held in floats, so every entry is exactly 0.0 or pi.
+    Every entry of the angles is exactly 0.0 or pi.  The relative angles
+    equal the theta angles: theta = 2 cumsum(alt phi) - alt phi, so theta_i
+    and phi_i agree modulo 2 in units of pi.
     """
     if n < 0:
         raise ValueError("link count must be >= 0")
@@ -146,11 +146,9 @@ def enumerate_fixed_points(n: int) -> FixedPointBlock:
     patterns = 1 - 2 * ((index >> np.arange(n, -1, -1)) & 1)
     v_sign = patterns[:, 0]
     theta_signs = patterns[:, 1:]
-    theta_units = (1 - theta_signs) // 2  # 0 or 1 units of pi
-    phi_units = phi_from_theta(theta_units).astype(np.int64) & 1
+    theta = (1 - theta_signs) // 2 * math.pi  # 0 or 1 units of pi
     return FixedPointBlock(v_sign, theta_signs,
-                           np.where(v_sign > 0, 0.0, math.pi),
-                           theta_units * math.pi, phi_units * math.pi)
+                           np.where(v_sign > 0, 0.0, math.pi), theta, theta)
 
 
 def linearization_matrix(fp: FixedPoint, p: VehicleParams,
@@ -404,7 +402,9 @@ class PowerLawFit:
     n_points: int
 
 
-_EPS = np.finfo(float).eps
+def _check_period(period):
+    if not (period > 0.0 and math.isfinite(period)):
+        raise PeriodError(f"period must be positive and finite, got {period!r}")
 
 
 def envelope_points(times, values, period: float):
@@ -416,8 +416,7 @@ def envelope_points(times, values, period: float):
     np.argmax.  The period must be positive and finite, and large enough
     that t / period is finite for every finite t (PeriodError).
     """
-    if not (period > 0.0 and math.isfinite(period)):
-        raise PeriodError(f"period must be positive and finite, got {period!r}")
+    _check_period(period)
     times = np.asarray(times, dtype=float)
     latest = float(np.max(np.abs(times), where=np.isfinite(times), initial=0.0))
     if latest / period == math.inf:
@@ -442,56 +441,58 @@ def fit_power_law(times, values, window, mode: str = "raw",
 
     mode "raw" fits the samples as-is and requires them positive; mode
     "envelope" first reduces to per-period maxima of |value|, which needs a
-    period that leaves at least 2 of them (PeriodError otherwise).  The
-    window must start at positive time and contain at least 30 samples, all
-    finite.
+    positive and finite period that leaves at least 2 of them (PeriodError
+    otherwise).  The window needs 0 < t_lo < t_hi, checked with the mode and
+    the period before any sample is counted, and at least 30 samples; the
+    points must be finite and spread in log t.  One compiled call
+    (:func:`multilink._compiled.fit`) does the fit, or declines it where a
+    check would fail; then, or without the library, numpy selects the
+    points and :func:`_fit_line` fits them, to the same bits.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t_lo, t_hi = window
-    if t_lo <= 0:
-        raise ValueError("fit window must start at positive time")
-    t, v = _window_points(times, values, t_lo, t_hi, mode, period)
-    return _fit_line(t, v, t_lo, t_hi)
-
-
-def _window_points(times, values, t_lo, t_hi, mode, period):
-    """The points of :func:`fit_power_law`, with its checks.  One compiled
-    pass selects the window, and in envelope mode takes its per-period
-    maxima, where the library is loaded and the period is positive and
-    finite with t_hi / period finite, so that envelope_points would take it
-    for every t in the window; numpy does elsewhere."""
-    found = None
+    if mode not in ("raw", "envelope"):
+        raise ValueError(f"unknown fit mode {mode!r}")
+    if not 0.0 < t_lo < t_hi:
+        raise ValueError(f"fit window [{t_lo}, {t_hi}] must have "
+                         f"0 < t_lo < t_hi")
     if mode == "raw":
-        found = _compiled.fit_points(times, values, t_lo, t_hi)
-    elif (mode == "envelope" and isinstance(period, float)
-          and isinstance(t_hi, float) and 0.0 < period < math.inf
-          and math.isfinite(float(t_hi) / float(period))):
-        found = _compiled.fit_points(times, values, t_lo, t_hi, period)
-    if found is None:
-        mask = (times >= t_lo) & (times <= t_hi)
-        kept = np.count_nonzero(mask)
+        period = None
+    elif period is None:
+        raise PeriodError("envelope mode needs the rotor period")
     else:
-        t, v, kept = found
+        _check_period(period)
+    found = _compiled.fit(times, values, t_lo, t_hi, period)
+    if found is None:
+        found = _fit_line(*_window_points(times, values, t_lo, t_hi, period),
+                          t_lo, t_hi)
+    slope, intercept, r2, n_points = found[:4]
+    try:
+        prefactor = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(
+            f"power-law prefactor exp({intercept:.6g}) overflows: window "
+            f"[{t_lo}, {t_hi}] is too narrow in log t for a fit") from None
+    return PowerLawFit(slope, prefactor, r2, n_points)
+
+
+def _window_points(times, values, t_lo, t_hi, period):
+    """The points of :func:`fit_power_law` by numpy, with its checks: the
+    samples in the window, or with a period their per-period maxima."""
+    mask = (times >= t_lo) & (times <= t_hi)
+    kept = np.count_nonzero(mask)
     if kept < 30:
         raise ValueError(
             f"need at least 30 samples in window [{t_lo}, {t_hi}], "
             f"got {kept}")
-    if found is None:
-        t, v = times[mask], values[mask]
-    if mode == "envelope":
-        if period is None:
-            raise PeriodError("envelope mode needs the rotor period")
-        if found is None:
-            t, v = envelope_points(t, v, period)
+    t, v = times[mask], values[mask]
+    if period is not None:
+        t, v = envelope_points(t, v, period)
         if t.size < 2:
             raise PeriodError(
                 f"period {period!r} leaves {t.size} per-period maximum in "
                 f"window [{t_lo}, {t_hi}]; an envelope fit needs at least 2")
-    elif mode == "raw":
-        pass
-    else:
-        raise ValueError(f"unknown fit mode {mode!r}")
     if np.any(v <= 0):
         raise ValueError("power-law fit needs positive values "
                          "(zero or negative sample in window)")
@@ -501,38 +502,34 @@ def _window_points(times, values, t_lo, t_hi, mode, period):
     return t, v
 
 
-def _fit_line(t, v, t_lo, t_hi) -> PowerLawFit:
-    """The fit of log v against log t for the positive and finite points
-    (t, v) of the window [t_lo, t_hi].  The line is np.polyfit(lt, lv, 1)'s,
-    by its own operations without its argument checks: the Vandermonde
-    matrix [lt, 1], its columns scaled to unit norm, np.linalg.lstsq with
-    rcond = n eps, and the division by the scale; where every t is 1, which
-    np.polyfit fails on with NaN, the rank is 1."""
-    lt, lv = np.log(t), np.log(v)
-    lhs = np.empty((lt.size, 2))
-    lhs[:, 0] = lt
-    lhs[:, 1] = 1.0
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    rank = 1  # where log t is 0 throughout, np.polyfit divides 0 by 0
-    if scale[0] != 0.0:
-        lhs /= scale
-        c, _, rank, _ = np.linalg.lstsq(lhs, lv, lt.size * _EPS)
-        slope, intercept = c / scale
-    if rank < 2:
+def _total(a) -> float:
+    """The sum of a from left to right, as ml_fit sums: np.sum sums
+    pairwise, and the builtin sum is compensated from Python 3.12."""
+    return float(np.cumsum(a)[-1])
+
+
+def _fit_line(t, v, t_lo, t_hi):
+    """The slope, intercept and r^2 of log v against log t, and the number
+    of points, for the positive and finite points (t, v) of the window [t_lo,
+    t_hi]: centered two-pass sums about means shifted by the first point, by
+    ml_fit's operations in its order.  The window spans too little of log t
+    where sqrt(Sxx) <= 2 n eps sqrt(sum x^2), np.polyfit's rank < 2 at rcond
+    n eps (README, Numerical notes)."""
+    n = t.size
+    x = np.fromiter(map(math.log, t.tolist()), float, n)
+    y = np.fromiter(map(math.log, v.tolist()), float, n)
+    x0, y0 = float(x[0]), float(y[0])
+    mx, my = x0 + _total(x - x0) / n, y0 + _total(y - y0) / n
+    dx, dy = x - mx, y - my
+    sxx = _total(dx * dx)
+    if not math.sqrt(sxx) > 2.0 * n * math.ulp(1.0) * math.sqrt(_total(x * x)):
         raise ValueError(f"window [{t_lo}, {t_hi}] spans too little of log t "
                          f"for a fit")
-    # np.sum and lv.mean(), as the reductions they make
-    total = np.add.reduce
-    resid = lv - (slope * lt + intercept)
-    ss_tot = float(total((lv - total(lv) / lv.size) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(total(resid ** 2)) / ss_tot
-    try:
-        prefactor = math.exp(intercept)
-    except OverflowError:
-        raise ValueError(
-            f"power-law prefactor exp({intercept:.6g}) overflows: window "
-            f"[{t_lo}, {t_hi}] is too narrow in log t for a fit") from None
-    return PowerLawFit(float(slope), prefactor, r2, t.size)
+    slope = _total(dx * dy) / sxx
+    syy = _total(dy * dy)
+    res = dy - slope * dx
+    r2 = 1.0 if syy == 0.0 else 1.0 - _total(res * res) / syy
+    return slope, my - slope * mx, r2, n
 
 
 def wrap_angles(x) -> np.ndarray:

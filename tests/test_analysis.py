@@ -77,6 +77,18 @@ def test_enumerate_census_property(n):
     assert np.all(np.minimum(gap, 2.0 * math.pi - gap) < 1e-12)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_census_phi_is_phi_from_theta(n):
+    # theta = 2 cumsum(alt phi) - alt phi, so phi_i and theta_i agree modulo
+    # 2 in units of pi and the census takes the theta angles for phi: at
+    # every point, the exact integer map phi_from_theta gives the same
+    block = enumerate_fixed_points(n)
+    units = (block.theta / math.pi).astype(np.int64)
+    want = (phi_from_theta(units).astype(np.int64) & 1) * math.pi
+    assert block.phi.shape == (2 ** (n + 1), n)
+    assert block.phi.tobytes() == want.tobytes()
+
+
 def test_linearization_reference_eigenvalues(reference_vehicle,
                                              reference_derived):
     pts = enumerate_fixed_points(2)
@@ -384,6 +396,37 @@ def test_fit_power_law_domain_errors():
         fit_power_law(t[:10], t[:10], (1.0, 100.0))  # too few samples
     with pytest.raises(ValueError):
         fit_power_law(t, t, (1.0, 100.0), mode="envelope")  # missing period
+
+
+@pytest.mark.parametrize("window", [(math.nan, 10.0), (1.0, math.nan),
+                                    (5.0, 2.0), (3.0, 3.0), (0.0, 5.0),
+                                    (-1.0, 5.0), (math.inf, math.inf)])
+def test_fit_window_must_be_ordered_and_positive(window):
+    # named before any sample is counted: a NaN end, reversed or equal ends
+    # and a start at or below 0 (these used to read "got 0" samples)
+    t = np.linspace(1.0, 100.0, 200)
+    with pytest.raises(ValueError, match=rf"fit window \[{window[0]}, "
+                                         rf"{window[1]}\] must have 0 < t_lo"):
+        fit_power_law(t, t, window)
+
+
+def test_fit_argument_errors_come_before_the_window_count():
+    # ten samples: the window count would fail, but the arguments fail first
+    t = np.linspace(1.0, 10.0, 10)
+    with pytest.raises(ValueError, match="unknown fit mode 'bogus'"):
+        fit_power_law(t, t, (1.0, 10.0), mode="bogus")
+    with pytest.raises(PeriodError,
+                       match="^envelope mode needs the rotor period$"):
+        fit_power_law(t, t, (1.0, 10.0), mode="envelope")
+    with pytest.raises(PeriodError, match="positive and finite, got nan"):
+        fit_power_law(t, t, (1.0, 10.0), mode="envelope", period=math.nan)
+    with pytest.raises(ValueError, match="at least 30 samples"):
+        fit_power_law(t, t, (1.0, 10.0), mode="envelope", period=1.0)
+    # an open window end stays valid
+    t = np.linspace(1.0, 100.0, 200)
+    fit = fit_power_law(t, 2.0 * t, (1.0, math.inf))
+    assert fit.n_points == 200
+    assert fit.exponent == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, 1e3])

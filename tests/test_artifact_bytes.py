@@ -44,7 +44,7 @@ SPEEDUP_ARTIFACT_SHA256 = {
     "speedup_paths.svg":
         "db15f1a49018df437b269f619047424233ccecb1a8511f2f5da5d169f5009437",
     "speedup_report.txt":
-        "16c426944ef61239005af370c82691faf77986bff149847ebbc5305affed426f",
+        "b7bbd7a96637437e5bb904d2409f963686fc44bcb0589be58d9a6bd6d0e33a30",
 }
 
 MANIFOLD_PORTRAIT_SHA256 = \

@@ -1,8 +1,8 @@
 """The compiled loop against the emitted Python steps, the compiled
 constraint residuals against numpy, the compiled CSV row formatter against
 Python's "%.17g", the compiled CSV row parser against numpy.loadtxt, and
-the compiled window and envelope of a power-law fit against
-analysis.envelope_points and the fit's Python path.
+the compiled power-law fit against the fit's Python path (with
+analysis.envelope_points) and np.polyfit.
 
 integrate runs the vector fields of multilink.dynamics through the C loop of
 multilink/_loop.c, built once per process, and every other right-hand side
@@ -10,7 +10,7 @@ through the emitted Python steps.  Both must give the same times, states and
 counts to the last bit, and the same typed errors; without a compiler every
 run takes the Python loop.  Setting ``_compiled._lib`` to False forces the
 Python loop, the numpy residuals, the Python rows of the trajectory CSV,
-its numpy.loadtxt read and the fit's numpy points.
+its numpy.loadtxt read and the fit's Python path.
 """
 
 import ctypes
@@ -1423,7 +1423,7 @@ def test_fresh_diagnostics_build_nothing(compiled, tmp_path):
     assert os.listdir(tmp_path / "tmp") == []
 
 
-# --- the fit's window and per-period envelope -----------------------------------
+# --- the power-law fit: window, per-period envelope, logs and line -----------
 
 # times on a grid of quarters, where ties and bin edges are common, and
 # values that tie in magnitude, with a few of the values a fit must decline
@@ -1449,10 +1449,10 @@ def laid_out(draw, times, values):
     return np.array(times), np.array(values)
 
 
-def fit_input(draw, n_max):
+def fit_input(draw, n_max, n_min=0):
     """Times and values drawn to one length, mostly sorted, and window ends,
     mostly in order, that are often sample times."""
-    n = draw(st.integers(0, n_max))
+    n = draw(st.integers(n_min, n_max))
     times = draw(st.lists(FIT_TIMES, min_size=n, max_size=n))
     values = draw(st.lists(draw(st.sampled_from([FIT_VALUES, FEW_VALUES])),
                            min_size=n, max_size=n))
@@ -1466,26 +1466,50 @@ def fit_input(draw, n_max):
     return (*laid_out(draw, times, values), t_lo, t_hi)
 
 
+# nonzero values that tie in magnitude, where a window's points are a fit's
+TIED_VALUES = st.sampled_from([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
+
+
 @st.composite
 def pass_inputs(draw):
-    return (*fit_input(draw, 45),
+    """The draws of fit_input, 40 to 80 samples or any up to 80, or those
+    with values that tie in magnitude and are all finite and nonzero (or,
+    for a raw fit, all positive), whose windows a fit often takes; and a
+    period or None."""
+    times, values, t_lo, t_hi = fit_input(draw, 80,
+                                          draw(st.sampled_from([40, 0])))
+    fill = draw(st.sampled_from(["as drawn", "tied", "positive"]))
+    if fill != "as drawn":
+        # in place, which keeps the layout
+        values[:] = draw(st.lists(TIED_VALUES, min_size=values.size,
+                                  max_size=values.size))
+        t_lo = draw(st.sampled_from([0.25, 1.0, 2.5, t_lo]))
+        t_hi = draw(st.sampled_from([12.0, 9.5, t_hi]))
+    if fill == "positive":
+        values[:] = np.abs(values)
+    return (times, values, t_lo, t_hi,
             draw(st.sampled_from([None, 0.25, 0.7, 1.0, 3.0, 1e6])))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(args=pass_inputs())
 def test_fit_pass_matches_envelope_points(compiled, args):
-    # the compiled pass gives the samples of the window, or their per-period
-    # maxima as envelope_points gives them from the masked samples, to the
-    # bit, with the window count
+    # the compiled fit is the Python line through the samples of the
+    # window, or their per-period maxima as envelope_points gives them from
+    # the masked samples, to the bit, with the window count; it declines
+    # where the Python path raises
     times, values, t_lo, t_hi, period = args
-    t, v, kept = _compiled.fit_points(times, values, t_lo, t_hi, period)
-    mask = (times >= t_lo) & (times <= t_hi)
-    want_t, want_v = times[mask], values[mask]
-    if period is not None:
-        want_t, want_v = analysis.envelope_points(want_t, want_v, period)
-    assert kept == np.count_nonzero(mask)
-    assert t.tobytes() == want_t.tobytes() and v.tobytes() == want_v.tobytes()
+    found = _compiled.fit(times, values, t_lo, t_hi, period)
+    try:
+        points = analysis._window_points(times, values, t_lo, t_hi, period)
+        want = analysis._fit_line(*points, t_lo, t_hi)
+    except ValueError:  # which a window into t <= 0 raises from math.log
+        assert found is None
+        return
+    assert found is not None
+    assert struct.pack("<3d", *found[:3]) == struct.pack("<3d", *want[:3])
+    assert found[3:] == (want[3], np.count_nonzero((times >= t_lo)
+                                                   & (times <= t_hi)))
 
 
 def fit_outcome(run):
@@ -1585,14 +1609,14 @@ def test_fit_numpy_period_past_the_window_warns_nothing(compiled):
 
 @pytest.mark.parametrize("mode, period", [("raw", None), ("envelope", 1.0)])
 def test_fit_power_law_takes_the_compiled_pass(compiled, mode, period):
-    # a fit whose checks all pass takes the pass once, and gives the bits
+    # a fit whose checks all pass is one call of ml_fit, and gives the bits
     # of the Python path
     t = np.linspace(1.0, 50.0, 2001)
     block = np.column_stack((t, 4.0 + np.cos(2 * math.pi * t) * t ** 0.3))
     calls = []
-    fast = compiled.ml_fit_points
+    fast = compiled.ml_fit
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(compiled, "ml_fit_points",
+        m.setattr(compiled, "ml_fit",
                   lambda *args: calls.append(None) or fast(*args))
         loaded = fit_outcome(lambda: analysis.fit_power_law(
             block[:, 0], block[:, 1], (5.0, 50.0), mode=mode, period=period))
@@ -1603,52 +1627,138 @@ def test_fit_power_law_takes_the_compiled_pass(compiled, mode, period):
     assert isinstance(loaded[0], bytes) and loaded == unloaded
 
 
-def old_fit_tail(t, v):
-    """The fit of log v against log t by np.polyfit and numpy's sum and
-    mean, the code that the shared tail of fit_power_law writes out: its
-    exponent, prefactor and r^2, or None where its rank is below 2."""
-    lt, lv = np.log(t), np.log(v)
-    try:
-        with np.errstate(invalid="ignore"):  # log t 0 throughout: 0 / 0
-            (slope, intercept), _, rank, _, _ = np.polyfit(lt, lv, 1,
-                                                           full=True)
-    except np.linalg.LinAlgError:
-        return None
-    if rank < 2:
-        return None
-    resid = lv - (slope * lt + intercept)
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    try:
-        return struct.pack("<3d", slope, math.exp(intercept), r2)
-    except OverflowError:
-        return "overflow"
+def test_fit_sums_left_to_right(compiled):
+    # points whose sums differ by order: the fit's from left to right, as
+    # the C sums, against math.fsum (what the builtin sum gives from Python
+    # 3.12) and np.sum (pairwise), each of which moves the line's bits; the
+    # Python path keeps the C's
+    k = np.arange(40)
+    t = 1.0 + 25.0 * k
+    v = t ** 0.3 * (1.0 + 0.1 * np.sin(7.0 * k))
+    loaded, unloaded = both_fits(t, v, (1.0, 1e3), "raw", None)
+    assert isinstance(loaded[0], bytes) and loaded == unloaded
+    for other in (math.fsum, np.sum):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_compiled, "_lib", False)
+            m.setattr(analysis, "_total", lambda a: float(other(a)))
+            moved = fit_outcome(lambda: analysis.fit_power_law(
+                t, v, (1.0, 1e3)))
+        assert moved[0] != loaded[0]
+
+
+@st.composite
+def line_inputs(draw):
+    """Times and values in [1e-300, 1e300], 2 to 80 of them: any, one time
+    repeated, t = 1 throughout, or times a few ulps to 1e-12 apart; and at
+    times one value that is 0, negative or NaN."""
+    n = draw(st.integers(30, 80) | st.integers(2, 80))
+    t = draw(arrays(np.float64, n, elements=st.floats(1e-300, 1e300)))
+    v = draw(arrays(np.float64, n, elements=st.floats(1e-300, 1e300)))
+    kind = draw(st.sampled_from(["any"] * 3 + ["one t", "t = 1", "near"]))
+    if kind == "one t":
+        t[:] = t[0]
+    elif kind == "t = 1":
+        t[:] = 1.0
+    elif kind == "near":
+        step = draw(st.sampled_from([1e-16, 1e-15, 1e-14, 1e-13, 1e-12]))
+        k = draw(arrays(np.int64, n, elements=st.integers(-n * n, n * n)))
+        t = t[0] * (1.0 + k * step)
+    if draw(st.integers(0, 3)) == 3:
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [0.0, -0.0, -1.0, math.nan]))
+    return t, v
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(t=arrays(np.float64, st.integers(2, 80),
-                elements=st.floats(1e-300, 1e300)),
-       v=st.data())
-def test_fit_tail_is_polyfit(t, v):
-    # the written-out polyfit gives np.polyfit's line, and the fit its
-    # r^2, to the bit; one log t is rank 1, and log t 0 throughout, where
-    # np.polyfit fails, is rank 1 too
-    v = v.draw(arrays(np.float64, t.size, elements=st.floats(1e-300, 1e300)))
-    if t.size % 3 == 0:
-        t[:] = t[0]
-    if t.size % 5 == 0:
-        t[:] = 1.0
-    expected = old_fit_tail(t, v)
+@given(args=line_inputs())
+def test_fit_line_compiled_matches_python(compiled, args):
+    # over every sample (a window from half the least time to inf), the
+    # compiled fit and the Python path give the same bits, or the same
+    # error: fewer than 30 samples, a value that is not positive or not
+    # finite, or no spread in log t
+    t, v = args
+    loaded, unloaded = both_fits(t, v, (0.5 * float(np.min(t)), math.inf),
+                                 "raw", None)
+    assert loaded == unloaded
+
+
+def logs_and_polyfit(t, v):
+    """math.log of the points, and np.polyfit's line through them, or None
+    where its rank is below 2; log t 0 throughout, where np.polyfit divides
+    0 by 0, counts as rank 1."""
+    x = np.array(list(map(math.log, t.tolist())))
+    y = np.array(list(map(math.log, v.tolist())))
+    if not np.any(x):
+        return x, y, None
+    (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    return x, y, (slope, intercept) if rank == 2 else None
+
+
+def python_line(t, v):
+    """The Python fit's slope and intercept, or None where it finds no
+    spread in log t."""
     try:
-        fit = analysis._fit_line(t, v, 1.0, 2.0)
+        return analysis._fit_line(t, v, 1.0, 2.0)[:2]
     except ValueError as e:
-        assert ("spans too little" in str(e)) == (expected is None)
-        assert expected is None or ("prefactor" in str(e)
-                                    and expected == "overflow")
-    else:
-        assert struct.pack("<3d", fit.exponent, fit.prefactor,
-                           fit.r_squared) == expected
-        assert fit.n_points == t.size
+        assert "spans too little of log t" in str(e)
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=line_inputs())
+def test_fit_line_no_spread_is_polyfit_rank_1(args):
+    # the fit declines a line for no spread in log t exactly where
+    # np.polyfit's rank (at its rcond n eps) is below 2
+    t, v = args
+    if np.all(v > 0) and np.all(np.isfinite(v)):
+        assert (python_line(t, v) is None) == (logs_and_polyfit(t, v)[2]
+                                               is None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=line_inputs())
+def test_fit_line_agrees_with_polyfit(args):
+    """The line agrees with np.polyfit's within the first-order bound for
+    a relative backward error eta of each of the columns [x, 1, y].
+
+    The least-squares solution theta = (s, b) of A theta ~ y, A = [x, 1],
+    moves by (A^T A)^-1 [A^T (dy - dA theta) + dA^T r] under perturbations
+    dA, dy, r the residual; with |dx| <= eta |x|, |d1| <= eta sqrt(n) and
+    |dy| <= eta |y| (2-norms), Cauchy-Schwarz on the rows of A^+ and of
+    (A^T A)^-1 (Sxx the centered sum of squares, m the mean of x) bounds
+
+        |ds| <= eta (D / sqrt(Sxx) + sqrt(1 + m^2) |A| |r| / Sxx),
+        |db| <= eta (sqrt(|x|^2 / (n Sxx)) D
+                     + sqrt(m^2 + (|x|^2 / n)^2) |A| |r| / Sxx),
+
+    D = |y| + |s| |x| + |b| sqrt(n), |A| = sqrt(|x|^2 + n).  The centered
+    two-pass line is within eta = 2 n u of the exact one (u = 2^-53: the
+    sums' rounding, and the means' rounding, which shifts every centered
+    term by one constant that the exact centered sums cancel to first
+    order); np.polyfit's column-scaled SVD solve is normwise backward
+    stable with an error of that order.  So they agree within eta = 4 n u.
+    """
+    t, v = args
+    if not (np.all(v > 0) and np.all(np.isfinite(v))):
+        return
+    x, y, want = logs_and_polyfit(t, v)
+    got = python_line(t, v)
+    if got is None or want is None:
+        return
+    n = t.size
+    s, b = got
+    m = float(np.mean(x))
+    sxx = float(np.sum((x - m) ** 2))
+    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    nr = float(np.linalg.norm(y - (s * x + b)))
+    d = ny + abs(s) * nx + abs(b) * math.sqrt(n)
+    na = math.sqrt(nx * nx + n)
+    eta = 4 * n * 2.0 ** -53
+    assert abs(s - want[0]) <= eta * (d / math.sqrt(sxx) + math.sqrt(
+        1 + m * m) * na * nr / sxx)
+    assert abs(b - want[1]) <= eta * (math.sqrt(nx * nx / (n * sxx)) * d
+                                      + math.sqrt(m * m + (nx * nx / n) ** 2)
+                                      * na * nr / sxx)
 
 
 def test_fresh_envelope_fit_builds_nothing(tmp_path):

@@ -702,6 +702,24 @@ def test_cli_fit_bad_column(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rc, err", [
+    (["--window", "100:101", "--mode", "envelope"], 2,
+     "error: --period: envelope mode needs the rotor period\n"),
+    (["--window", "5:2"], 1,
+     "error: fit window [5.0, 2.0] must have 0 < t_lo < t_hi\n"),
+    (["--window", "nan:101"], 1,
+     "error: fit window [nan, 101.0] must have 0 < t_lo < t_hi\n"),
+], ids=["no-period", "reversed", "nan"])
+def test_cli_fit_argument_errors_before_the_window_count(tmp_path, capsys,
+                                                         argv, rc, err):
+    # a window with no sample in it: the arguments are named first
+    path = tmp_path / "series.csv"
+    path.write_text("t,v1\n"
+                    + "".join(f"{k}.0,{k + 1}.0\n" for k in range(40)))
+    assert cli.main(["fit", str(path), *argv]) == rc
+    assert capsys.readouterr() == ("", err)
+
+
 def test_cli_integration_failure_exit_code(tmp_path, capsys):
     # unreachable tolerance horizon: finite-time blowup inside t_end
     path = make_config(
