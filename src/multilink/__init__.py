@@ -2,6 +2,7 @@
 a Chaplygin sleigh towing a chain of hinged trailer platforms."""
 
 from .analysis import (
+    CensusTable,
     Classification,
     DegenerateSpectrumError,
     FixedPoint,

@@ -75,6 +75,10 @@ class FixedPoint:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def n_links(self) -> int:
+        return self.theta_signs.size
+
     def describe(self) -> str:
         d = "forward" if self.v_sign > 0 else "backward"
         angles = ", ".join("pi" if v else "0" for v in self.phi != 0.0)
@@ -83,51 +87,53 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class FixedPointBlock:
-    """The 2^(N+1) straight-line equilibria of one link count, as arrays
-    along a leading point axis (the fields of :class:`FixedPoint`, stacked).
+    """The 2^(N+1) straight-line equilibria of N = n_links links, in the
+    order of itertools.product((1, -1), repeat=N + 1) over (v_sign,
+    theta_signs...): bit N - j of item i is set where column j's sign is -1.
 
-    Sized, indexable and iterable: item i is the i-th :class:`FixedPoint`.
+    Sized (up to N = 62, past which len() overflows), indexable and
+    iterable (by index, up to the IndexError past the last item): item i is
+    the :class:`FixedPoint` that its index bits give, decoded on demand.
     """
 
-    v_sign: np.ndarray
-    theta_signs: np.ndarray
-    velocity_angle: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v_sign", "theta_signs", "velocity_angle", "theta", "phi"):
-            getattr(self, name).flags.writeable = False
+    n_links: int
 
     def __len__(self) -> int:
-        return self.v_sign.size
+        return 2 ** (self.n_links + 1)
 
     def __getitem__(self, i: int) -> FixedPoint:
-        i = range(len(self))[i]
-        return FixedPoint(int(self.v_sign[i]), self.theta_signs[i],
-                          float(self.velocity_angle[i]), self.theta[i],
-                          self.phi[i])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        n = self.n_links
+        i = range(2 ** (n + 1))[i]
+        signs = np.array([1 - 2 * (i >> k & 1) for k in range(n, -1, -1)])
+        theta = (1 - signs[1:]) // 2 * math.pi  # 0 or 1 units of pi
+        return FixedPoint(int(signs[0]), signs[1:],
+                          0.0 if signs[0] > 0 else math.pi, theta, theta)
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Node/saddle type and spectrum of one equilibrium, or of a block:
-    then code and kind are arrays and eigenvalues has one row per point.
-    code is the index of kind in :class:`FixedPointKind`: 0 stable node,
-    1 unstable node, 2 saddle."""
+    """Node/saddle type and triangular spectrum of one equilibrium."""
 
-    code: np.ndarray
+    kind: FixedPointKind
     eigenvalues: np.ndarray
 
-    @property
-    def kind(self) -> FixedPointKind | np.ndarray:
-        return _KINDS[self.code]
 
+@dataclass(frozen=True)
+class CensusTable:
+    """The spectra of a :class:`FixedPointBlock` by columns.  The
+    linearization is lower triangular, so eigenvalue 0 depends on the
+    velocity sign alone and eigenvalue i on it and the sign of theta_i.
 
-_KINDS = np.array(list(FixedPointKind), dtype=object)
+    velocity[v] is eigenvalue 0 at v_sign (1, -1)[v], and links[v, i] the
+    pair of eigenvalue i + 1 there with theta_{i+1} aligned and folded.
+    counts maps each kind, in :class:`FixedPointKind` order, to its number
+    of points (a Python int): a point's kind follows from its column
+    choices, so a count is a sum over v of products over the columns.
+    """
+
+    velocity: np.ndarray
+    links: np.ndarray
+    counts: dict[FixedPointKind, int]
 
 
 def enumerate_fixed_points(n: int) -> FixedPointBlock:
@@ -141,14 +147,13 @@ def enumerate_fixed_points(n: int) -> FixedPointBlock:
     """
     if n < 0:
         raise ValueError("link count must be >= 0")
-    # bit n - j of the point index selects the sign of column j
-    index = np.arange(2 ** (n + 1))[:, None]
-    patterns = 1 - 2 * ((index >> np.arange(n, -1, -1)) & 1)
-    v_sign = patterns[:, 0]
-    theta_signs = patterns[:, 1:]
-    theta = (1 - theta_signs) // 2 * math.pi  # 0 or 1 units of pi
-    return FixedPointBlock(v_sign, theta_signs,
-                           np.where(v_sign > 0, 0.0, math.pi), theta, theta)
+    return FixedPointBlock(n)
+
+
+def _check_links(fp: FixedPoint | FixedPointBlock, p: VehicleParams):
+    if fp.n_links != p.n_links:
+        raise ValueError(f"an equilibrium of N = {fp.n_links} links against "
+                         f"a vehicle of N = {p.n_links}")
 
 
 def linearization_matrix(fp: FixedPoint, p: VehicleParams,
@@ -158,6 +163,7 @@ def linearization_matrix(fp: FixedPoint, p: VehicleParams,
 
     Lower triangular by construction, so its eigenvalues are the diagonal.
     """
+    _check_links(fp, p)
     n = p.n_links
     s0 = float(fp.v_sign)
     a = np.zeros((n + 1, n + 1))
@@ -174,24 +180,37 @@ def linearization_matrix(fp: FixedPoint, p: VehicleParams,
 
 
 def classify_fixed_point(fp: FixedPoint | FixedPointBlock, p: VehicleParams,
-                         d: DerivedParams) -> Classification:
-    """Node/saddle type from the triangular spectrum, of one equilibrium or
-    of a whole block along its leading axis.
+                         d: DerivedParams) -> Classification | CensusTable:
+    """Node/saddle type from the triangular spectrum: of one equilibrium a
+    :class:`Classification`, of a whole block its :class:`CensusTable`.
 
     The forward-aligned point is the unique stable node, the
     backward-aligned one the unique unstable node; every other sign pattern
     mixes eigenvalue signs and is a saddle.
     """
+    _check_links(fp, p)
     if d.static_moment == 0.0:
         raise DegenerateSpectrumError(
             "balanced sleigh (static moment 0) has a zero eigenvalue; "
             "node/saddle classification does not apply")
-    s0 = np.asarray(fp.v_sign, dtype=float)[..., None]
-    eig = np.concatenate((-(d.static_moment / d.inertia) * s0,
-                          -(s0 / p.c) * fp.theta_signs), axis=-1)
-    code = np.where((eig < 0).all(axis=-1), 0,
-                    np.where((eig > 0).all(axis=-1), 1, 2))
-    return Classification(code, eig)
+    if isinstance(fp, FixedPointBlock):
+        s0 = np.array([1.0, -1.0])
+        velocity = -(d.static_moment / d.inertia) * s0
+        links = -(s0[:, None, None] / p.c[:, None]) * np.array([1, -1])
+
+        def nodes(side):  # the points whose eigenvalues all have side's sign
+            return sum(math.prod([side * e0 > 0] + [
+                (side * a > 0) + (side * f > 0) for a, f in pairs])
+                for e0, pairs in zip(velocity.tolist(), links.tolist()))
+
+        stable, unstable = nodes(-1.0), nodes(1.0)
+        return CensusTable(velocity, links, dict(zip(FixedPointKind, (
+            stable, unstable, 2 ** (fp.n_links + 1) - stable - unstable))))
+    s0 = float(fp.v_sign)
+    eig = np.append(-(d.static_moment / d.inertia) * s0,
+                    -(s0 / p.c) * fp.theta_signs)
+    return Classification(list(FixedPointKind)[
+        0 if (eig < 0).all() else 1 if (eig > 0).all() else 2], eig)
 
 
 # --- the speedup law ------------------------------------------------------------
@@ -407,6 +426,17 @@ def _check_period(period):
         raise PeriodError(f"period must be positive and finite, got {period!r}")
 
 
+def _samples(times, values):
+    """times and values as float arrays, which must be 1-d and of one
+    length (a ValueError naming both shapes)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError(f"times and values must be 1-d and of one length, "
+                         f"got shapes {times.shape} and {values.shape}")
+    return times, values
+
+
 def envelope_points(times, values, period: float):
     """Per-period maxima of |values|: one (time-of-max, max) pair per full
     rotor period covered by the samples.
@@ -414,15 +444,16 @@ def envelope_points(times, values, period: float):
     Each run of consecutive samples in the same period bin gives one pair;
     within a run the first maximum wins (the first NaN, if any), as with
     np.argmax.  The period must be positive and finite, and large enough
-    that t / period is finite for every finite t (PeriodError).
+    that t / period is finite for every finite t (PeriodError); times and
+    values must be 1-d and of one length.
     """
     _check_period(period)
-    times = np.asarray(times, dtype=float)
+    times, values = _samples(times, values)
     latest = float(np.max(np.abs(times), where=np.isfinite(times), initial=0.0))
     if latest / period == math.inf:
         raise PeriodError(f"period {period!r} is too small: t / period "
                           f"overflows at |t| = {latest!r}")
-    mags = np.abs(np.asarray(values, dtype=float))
+    mags = np.abs(values)
     bins = np.floor(times / period)  # as floats: int64 wraps past 2**63
     new_bin = np.empty(bins.size, dtype=bool)
     new_bin[:1] = True
@@ -443,8 +474,9 @@ def fit_power_law(times, values, window, mode: str = "raw",
     "envelope" first reduces to per-period maxima of |value|, which needs a
     positive and finite period that leaves at least 2 of them (PeriodError
     otherwise).  The window needs 0 < t_lo < t_hi, checked with the mode and
-    the period before any sample is counted, and at least 30 samples; the
-    points must be finite and spread in log t.  One compiled call
+    the period before any sample is counted, and at least 30 samples of the
+    1-d times and values, which have one length; the points must be finite
+    and spread in log t.  One compiled call
     (:func:`multilink._compiled.fit`) does the fit, or declines it where a
     check would fail; then, or without the library, numpy selects the
     points and :func:`_fit_line` fits them, to the same bits.
@@ -480,6 +512,7 @@ def fit_power_law(times, values, window, mode: str = "raw",
 def _window_points(times, values, t_lo, t_hi, period):
     """The points of :func:`fit_power_law` by numpy, with its checks: the
     samples in the window, or with a period their per-period maxima."""
+    times, values = _samples(times, values)
     mask = (times >= t_lo) & (times <= t_hi)
     kept = np.count_nonzero(mask)
     if kept < 30:

@@ -34,7 +34,9 @@ accepts, are rejected (an unbounded hmax is the default, not a value).
 So are a "fixed_points" balanced sleigh, and a "speedup" vehicle and rotor
 that have no speedup law (analysis.SpeedupLaw): a rotor whose mean squared
 rate is 0, a balanced sleigh, or a law whose constant or coefficients
-leave the float range.
+leave the float range.  A "fixed_points" document may leave out the
+integrator block, which the census never reads, and lists at most
+CENSUS_MAX_LINKS trailer links.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ from .model import (
 
 SCENARIOS = ("inertial", "manifold", "speedup", "fixed_points")
 FORMATS = ("csv", "svg", "report")
+# the most links of a fixed_points document: its report lists 2^(N+1) rows,
+# 131,072 rows (35 MB) at N = 16
+CENSUS_MAX_LINKS = 16
 # the fault of a speedup or fixed_points document with a0 = 0
 _BALANCED = "'vehicle.a0' {:g} balances the sleigh (static moment m0 a0 = 0): {}"
 
@@ -83,7 +88,7 @@ class ScenarioConfig:
     rotor: RotorProfile  # zero_rotor() where the document has no rotor block
     initial: ReducedState
     pose: PoseState
-    integrator: IntegratorOptions
+    integrator: IntegratorOptions | None  # None: fixed_points without one
     outputs: OutputOptions = field(default_factory=OutputOptions)
     sign: int | None = None  # +1 / -1 on manifold runs
 
@@ -283,9 +288,15 @@ def parse_config(text: str) -> ScenarioConfig:
         # the predicate of analysis.classify_fixed_point
         raise ConfigError(_BALANCED.format(vehicle.a0,
                                            "no node/saddle classification"))
-    if "integrator" not in doc:
+    if scenario == "fixed_points" and vehicle.n_links > CENSUS_MAX_LINKS:
+        raise ConfigError(f"'vehicle' has N = {vehicle.n_links} links: a "
+                          f"fixed_points report lists all 2^(N+1) equilibria,"
+                          f" so N must be at most {CENSUS_MAX_LINKS}")
+    integrator = None  # which the census never reads
+    if "integrator" in doc:
+        integrator = _parse_integrator(doc["integrator"])
+    elif scenario != "fixed_points":
         raise ConfigError("missing required field 'integrator'")
-    integrator = _parse_integrator(doc["integrator"])
     if scenario == "speedup":
         integrator = _phase_grid(integrator, rotor.period)
 

@@ -396,36 +396,34 @@ def _portrait_svg(cfg: ScenarioConfig, p) -> str:
 def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
     from .model import random_vehicle
 
-    p, d = cfg.vehicle, cfg.derived
-    points = analysis.enumerate_fixed_points(p.n_links)
-    cls = analysis.classify_fixed_point(points, p, d)
-    kinds = list(analysis.FixedPointKind)  # in the order of their codes
-    lines = [f"straight-line equilibria for N={p.n_links} "
-             f"({len(points)} points)", "-" * 72]
-    padded = ["%-14s" % k.value for k in kinds]
+    p, d, n = cfg.vehicle, cfg.derived, cfg.vehicle.n_links
+    points = analysis.enumerate_fixed_points(n)
+    table = analysis.classify_fixed_point(points, p, d)
+    lines = [f"straight-line equilibria for N={n} ({len(points)} points)",
+             "-" * 72]
+    padded = ["%-14s" % k.value for k in analysis.FixedPointKind]
     # rows "%-40s %-14s [%+.6f, ...]" of (describe(), kind, *eigenvalues).
     # In each half (forward, then backward) the theta signs run in product
     # order, and column i and phi_i's 0/pi follow theta_i's sign alone: so a
-    # half is built by doubling, with the texts off its first and last rows
-    half = len(points) // 2
-    for lo, hi in ((0, half - 1), (half, 2 * half - 1)):
-        ends = points.phi[[lo, hi]].tolist()
-        eig = cls.eigenvalues[[lo, hi]].tolist()
-        where = ["forward" if points.v_sign[lo] > 0 else "backward"]
-        values = ["%+.6f" % eig[0][0]]
-        for i in range(p.n_links):
+    # half is built by doubling over the table's columns, each row's text
+    # beside its flags "all eigenvalues negative" and "all positive"
+    for where, e0, pairs in zip((["forward"], ["backward"]),
+                                table.velocity.tolist(), table.links.tolist()):
+        values, neg, pos = ["%+.6f" % e0], [e0 < 0], [e0 > 0]
+        for i, pair in enumerate(pairs):
             lead = ", " if i else ", phi=("
-            tail = ")" if i == p.n_links - 1 else ""
-            angles = [lead + ("pi" if e[i] else "0") + tail for e in ends]
+            tail = ")" if i == n - 1 else ""
+            angles = [lead + "0" + tail, lead + "pi" + tail]
             where = [w + a for w in where for a in angles]
-            column = [", %+.6f" % e[i + 1] for e in eig]
+            column = [", %+.6f" % e for e in pair]
             values = [v + c for v in values for c in column]
-        lines += map("%-40s %s [%s]".__mod__, zip(
-            where, [padded[c] for c in cls.code[lo:hi + 1].tolist()], values))
+            neg = [f and e < 0 for f in neg for e in pair]
+            pos = [f and e > 0 for f in pos for e in pair]
+        kinds = [padded[0 if a else 1 if b else 2] for a, b in zip(neg, pos)]
+        lines += map("%-40s %s [%s]".__mod__, zip(where, kinds, values))
     lines.append("-" * 72)
-    counts = np.bincount(cls.code, minlength=len(kinds)).tolist()
-    lines.append("counts: " + ", ".join(f"{k.value}={n}"
-                                        for k, n in zip(kinds, counts)))
+    lines.append("counts: " + ", ".join(f"{k.value}={c}"
+                                        for k, c in table.counts.items()))
 
     if draws > 0:
         if seed is None:  # drawn here and named in the report, to re-run
@@ -433,12 +431,10 @@ def _run_fixed_points(cfg: ScenarioConfig, seed, draws: int):
         rng = np.random.default_rng(seed)
         ok = 0
         for _ in range(draws):
-            rp = random_vehicle(rng, p.n_links)
-            code = analysis.classify_fixed_point(points, rp,
-                                                 derive_params(rp)).code
-            # one stable node (code 0) and one unstable node (code 1)
-            if np.bincount(code, minlength=2)[:2].tolist() == [1, 1]:
-                ok += 1
+            rp = random_vehicle(rng, n)
+            # one stable node and one unstable node, the first two kinds
+            ok += list(analysis.classify_fixed_point(
+                points, rp, derive_params(rp)).counts.values())[:2] == [1, 1]
         lines.append(f"random-parameter suite (seed={seed}): {ok}/{draws} "
                      f"draws with exactly one stable and one unstable node")
 

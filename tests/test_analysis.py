@@ -83,10 +83,12 @@ def test_census_phi_is_phi_from_theta(n):
     # 2 in units of pi and the census takes the theta angles for phi: at
     # every point, the exact integer map phi_from_theta gives the same
     block = enumerate_fixed_points(n)
-    units = (block.theta / math.pi).astype(np.int64)
-    want = (phi_from_theta(units).astype(np.int64) & 1) * math.pi
-    assert block.phi.shape == (2 ** (n + 1), n)
-    assert block.phi.tobytes() == want.tobytes()
+    assert len(block) == 2 ** (n + 1)
+    for fp in block:
+        units = (fp.theta / math.pi).astype(np.int64)
+        want = (phi_from_theta(units).astype(np.int64) & 1) * math.pi
+        assert fp.phi.shape == (n,)
+        assert fp.phi.tobytes() == want.tobytes()
 
 
 def test_linearization_reference_eigenvalues(reference_vehicle,
@@ -163,6 +165,35 @@ def test_classification_balanced_sleigh_rejected():
         classify_fixed_point(enumerate_fixed_points(1), p, d)
 
 
+@pytest.mark.parametrize("points", [
+    # a block of fewer links once returned four kinds, a block of two links
+    # raised numpy's broadcast error
+    enumerate_fixed_points(1),
+    enumerate_fixed_points(2),
+    # a point of another link count
+    enumerate_fixed_points(1)[3],
+    enumerate_fixed_points(4)[5],
+], ids=["block-1", "block-2", "point-1", "point-4"])
+def test_classify_rejects_other_link_count(points):
+    p = random_vehicle(np.random.default_rng(34), 3)
+    with pytest.raises(ValueError, match=r"N = \d links against a vehicle "
+                                         r"of N = 3"):
+        classify_fixed_point(points, p, derive_params(p))
+
+
+@pytest.mark.parametrize("points, n", [
+    # an IndexError once: the point has fewer theta signs than the vehicle
+    (enumerate_fixed_points(1), 3),
+    # a 2 x 2 matrix once, read off the point's first theta sign
+    (enumerate_fixed_points(3), 1),
+], ids=["point-1-vehicle-3", "point-3-vehicle-1"])
+def test_linearization_rejects_other_link_count(points, n):
+    p = random_vehicle(np.random.default_rng(35), n)
+    with pytest.raises(ValueError, match=f"N = {points.n_links} links "
+                                         f"against a vehicle of N = {n}"):
+        linearization_matrix(points[1], p, derive_params(p))
+
+
 def census_oracle(n, p, d):
     """The census one point at a time: the equilibria in
     itertools.product order and the triangular spectrum of each."""
@@ -193,21 +224,37 @@ def test_block_census_matches_point_oracle(n, seed):
     p = random_vehicle(np.random.default_rng(seed), n)
     d = derive_params(p)
     block = enumerate_fixed_points(n)
-    cls = classify_fixed_point(block, p, d)
+    table = classify_fixed_point(block, p, d)
     oracle = census_oracle(n, p, d)
     assert len(block) == len(oracle) == 2 ** (n + 1)
-    assert cls.eigenvalues.shape == (len(oracle), n + 1)
-    assert cls.kind.tolist() == [row[6] for row in oracle]
-    assert cls.eigenvalues.tobytes() == np.array(
-        [row[5] for row in oracle]).reshape(-1, n + 1).tobytes()
+    assert table.velocity.shape == (2,) and table.links.shape == (2, n, 2)
+    # the tally of the oracle's kinds, in FixedPointKind order
+    kinds = [row[6] for row in oracle]
+    assert list(table.counts.items()) == [(k, kinds.count(k))
+                                          for k in FixedPointKind]
+    assert all(type(c) is int for c in table.counts.values())
     for k, (fp, row) in enumerate(zip(block, oracle)):
         v_sign, signs, angle, theta, phi, eig, kind = row
         assert (fp.v_sign, fp.velocity_angle) == (v_sign, angle)
         assert fp.theta_signs.tobytes() == signs.tobytes()
         assert fp.theta.tobytes() == theta.tobytes()
         assert fp.phi.tobytes() == phi.tobytes()
+        # the spectrum is the point's column choices from the table
+        v, folded = int(v_sign < 0), (signs < 0).astype(int)
+        choices = np.concatenate(([table.velocity[v]],
+                                  table.links[v, np.arange(n), folded]))
+        assert choices.tobytes() == eig.tobytes()
         one = classify_fixed_point(block[k], p, d)
         assert one.kind is kind and one.eigenvalues.tobytes() == eig.tobytes()
+
+
+def test_census_table_at_100_links():
+    # 2^101 points: the counts are products over the table's columns
+    p = random_vehicle(np.random.default_rng(36), 100)
+    table = classify_fixed_point(enumerate_fixed_points(100), p,
+                                 derive_params(p))
+    assert list(table.counts.values()) == [1, 1, 2 ** 101 - 2]
+    assert table.links.shape == (2, 100, 2)
 
 
 def test_asymptotic_prediction_values(reference_vehicle, reference_derived):
@@ -427,6 +474,46 @@ def test_fit_argument_errors_come_before_the_window_count():
     fit = fit_power_law(t, 2.0 * t, (1.0, math.inf))
     assert fit.n_points == 200
     assert fit.exponent == pytest.approx(1.0, abs=1e-12)
+
+
+T200 = np.linspace(1.0, 100.0, 200)
+
+
+@pytest.mark.parametrize("times, values", [
+    # an IndexError once
+    (T200, T200[:199]),
+    (T200[:199], T200),
+    # a TypeError from math.log once
+    (T200, np.column_stack((T200, T200))),
+    (T200[:, None], T200[:, None]),
+], ids=["values-short", "times-short", "values-2d", "both-2d"])
+@pytest.mark.parametrize("mode", ["raw", "envelope"])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_fit_rejects_misshapen_samples(monkeypatch, times, values, mode,
+                                       loaded):
+    # the compiled fit declines these inputs, so both paths give the check
+    if loaded:
+        analysis._compiled.load()
+    else:
+        monkeypatch.setattr(analysis._compiled, "_lib", False)
+    with pytest.raises(ValueError) as e:
+        fit_power_law(times, values, (1.0, 100.0), mode=mode, period=1.0)
+    assert str(e.value) == ("times and values must be 1-d and of one length, "
+                            f"got shapes {times.shape} and {values.shape}")
+
+
+@pytest.mark.parametrize("times, values", [
+    # returned a point once
+    ([0.0, 0.5], [1.0]),
+    ([0.0, 0.5], [[1.0, 2.0]]),
+    ([[0.0, 0.5]], [[1.0, 2.0]]),
+], ids=["values-short", "values-2d", "both-2d"])
+def test_envelope_points_rejects_misshapen_samples(times, values):
+    shapes = f"{np.shape(times)} and {np.shape(values)}"
+    with pytest.raises(ValueError) as e:
+        envelope_points(times, values, 1.0)
+    assert str(e.value) == ("times and values must be 1-d and of one length, "
+                            f"got shapes {shapes}")
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, 1e3])

@@ -122,6 +122,15 @@ EDGES = [
      "fits not available"),
     # a balanced sleigh has a zero eigenvalue: no node/saddle classification
     ("fixed_points", {"vehicle": {"a0": 0.0}}, 2, "'vehicle.a0'"),
+    # a report lists 2^(N+1) rows, so a census takes at most 16 links; at
+    # N = 22 the block's arrays once ended in numpy's _ArrayMemoryError, and
+    # N = 40 asked for 16 TiB
+    ("fixed_points", {"vehicle": {"m": [1.0] * 18, "I": [1.5] * 18,
+                                  "a": [0.1] * 17, "c": [1.05] * 17}}, 2,
+     "'vehicle'"),
+    ("fixed_points", {"vehicle": {"N": 40, "m": [1.0] * 41, "I": [1.5] * 41,
+                                  "a": [0.1] * 40, "c": [1.05] * 40}}, 2,
+     "'vehicle'"),
     # the manifold's energy level overflows
     ("manifold", {"initial": {"omega": 3.6e168}}, 2, "'initial'"),
 ]

@@ -355,8 +355,8 @@ FIELDS = st.sampled_from([(key,) for key in (*FULL, "sign")]) | st.sampled_from(
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.sampled_from(["inertial", "manifold", "sine", "plus", "minus", "csv",
-                       "svg"]),
+    | st.sampled_from(["inertial", "manifold", "fixed_points", "sine", "plus",
+                       "minus", "csv", "svg"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8)
@@ -390,4 +390,51 @@ def test_any_document_parses_or_raises_config_error(text):
         cfg = parse_config(text)
     except ConfigError:
         return
+    if cfg.integrator is None:  # which only a census may leave out
+        assert cfg.scenario == "fixed_points"
+        return
     assert 0 < cfg.integrator.h0 <= cfg.integrator.hmax
+
+
+def test_fixed_points_integrator_block_optional(tmp_path, capsys):
+    # the census never reads the block: a document may leave it out
+    doc = {k: v for k, v in BASE.items() if k != "integrator"}
+    cfg = parse_config(json.dumps({**doc, "scenario": "fixed_points"}))
+    assert cfg.integrator is None
+    reports = []
+    for extra in ({}, {"integrator": {"t_end": 1.0}}):
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({**doc, "scenario": "fixed_points",
+                                    **extra}))
+        out = tmp_path / f"o{len(reports)}"
+        assert cli.main(["fixed-points", str(path), "--output-dir", str(out),
+                         "--draws", "1", "--seed", "3"]) == 0
+        reports.append((out / "fixed_points_report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+    # a block that is there is still validated
+    with pytest.raises(ConfigError, match="'t_end' in 'integrator'"):
+        parse_config(cfg_text(scenario="fixed_points", integrator={}))
+    # and every other scenario still needs one
+    for scenario, extra in (("inertial", {}), ("manifold", {"sign": "plus"}),
+                            ("speedup", {"rotor": {"kind": "sine",
+                                                   "amplitude": 0.05}})):
+        with pytest.raises(ConfigError,
+                           match="missing required field 'integrator'"):
+            parse_config(json.dumps({**doc, "scenario": scenario, **extra}))
+
+
+def test_fixed_points_link_bound():
+    # the report lists 2^(N+1) rows: N = 16 is the most a document may have
+    def census(n):
+        return cfg_text(scenario="fixed_points", initial={}, vehicle={
+            "m": [1.0] * (n + 1), "I": [1.5] * (n + 1), "a0": 0.7,
+            "a": [0.1] * n, "c": [1.05] * n})
+
+    assert parse_config(census(16)).vehicle.n_links == 16
+    with pytest.raises(ConfigError, match=r"^'vehicle' has N = 17 .* at most "
+                                          r"16$"):
+        parse_config(census(17))
+    # the other scenarios take any N
+    assert parse_config(cfg_text(initial={}, vehicle=json.loads(census(17))[
+        "vehicle"])).vehicle.n_links == 17

@@ -236,17 +236,19 @@ def test_fixed_points_report(tmp_path):
 
 def census_report_oracle(p, seed, draws):
     """The fixed-point report written row by row with one format per row,
-    every draw enumerating its own equilibria."""
+    every point classified alone and every draw enumerating its own
+    equilibria."""
     d = derive_params(p)
     points = enumerate_fixed_points(p.n_links)
-    cls = classify_fixed_point(points, p, d)
-    kinds = cls.kind.tolist()
     row = "%-40s %-14s [" + ", ".join(["%+.6f"] * (p.n_links + 1)) + "]"
     lines = [f"straight-line equilibria for N={p.n_links} "
              f"({len(points)} points)", "-" * 72]
-    lines += [row % (where, kind.value, *eig) for where, kind, eig
-              in zip([fp.describe() for fp in points], kinds,
-                     cls.eigenvalues.tolist())]
+    kinds = []
+    for fp in points:
+        cls = classify_fixed_point(fp, p, d)
+        kinds.append(cls.kind)
+        lines.append(row % (fp.describe(), cls.kind.value,
+                            *cls.eigenvalues.tolist()))
     lines.append("-" * 72)
     lines.append("counts: " + ", ".join(f"{k.value}={kinds.count(k)}"
                                         for k in FixedPointKind))
@@ -255,8 +257,9 @@ def census_report_oracle(p, seed, draws):
         ok = 0
         for _ in range(draws):
             rp = random_vehicle(rng, p.n_links)
-            kinds = classify_fixed_point(enumerate_fixed_points(rp.n_links), rp,
-                                         derive_params(rp)).kind.tolist()
+            rd = derive_params(rp)
+            kinds = [classify_fixed_point(fp, rp, rd).kind
+                     for fp in enumerate_fixed_points(rp.n_links)]
             ok += (kinds.count(FixedPointKind.STABLE_NODE) == 1
                    and kinds.count(FixedPointKind.UNSTABLE_NODE) == 1)
         lines.append(f"random-parameter suite (seed={seed}): {ok}/{draws} "

@@ -37,4 +37,5 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block[1], "README.md", "exec"), {})
-    assert "(8, 3) stable_node" in out.getvalue()
+    assert "{'stable_node': 1, 'unstable_node': 1, 'saddle': 6}" \
+        in out.getvalue()
