@@ -21,10 +21,13 @@ argument (glibc gives their bits; test_sincos_matches_sin_and_cos).  Its
 text comes from integer arithmetic: the formatters write the bytes of
 "%.17g" and of svgplot's two decimals, and the parser converts a field by
 an exact fast path (checked against the digits that "%.17g" gives) or else
-by strtod.  Each text function and the fit do a whole unit or decline it:
-a chunk of rows or a polyline holding a value that the C leaves to Python,
-a file outside the writer's grammar and shape (numpy.loadtxt reads it) and
-a fit that one of its checks rejects are done by the Python path whole.
+by strtod.  The parser holds the fields it converts, and each line's last,
+to the writer's grammar; it only scans the others for bytes that
+numpy.loadtxt, which does not convert them either, would treat apart.
+Each text function and the fit do a whole unit or decline it: a chunk of
+rows or a polyline holding a value that the C leaves to Python, a file
+outside the writer's grammar and shape (numpy.loadtxt reads it) and a fit
+that one of its checks rejects are done by the Python path whole.
 
 Only :func:`integrate` builds the library (:func:`load`): once per process,
 with the compiler Python was built with (sysconfig ``CC``), into a
@@ -108,6 +111,9 @@ class Run(ctypes.Structure):
                 *[(name, c_double) for name in ("h", "m_eff", "stage_t")]]
 
 
+_FitOut = c_double * 4
+
+
 def _array(ctype, values):
     return (ctype * len(values))(*values)
 
@@ -187,8 +193,7 @@ def _build():
                                   c_int, c_void_p, c_long, POINTER(c_long)]
     lib.ml_parse_rows.restype = c_long
     lib.ml_fit.argtypes = [c_void_p, c_long, c_void_p, c_long, c_long,
-                           c_double, c_double, c_int, c_double, c_void_p,
-                           c_void_p, c_void_p, POINTER(c_long)]
+                           c_double, c_double, c_int, c_double, c_void_p]
     lib.ml_fit.restype = c_long
     return lib
 
@@ -325,26 +330,20 @@ def fit(times, values, t_lo, t_hi, period=None):
     aligned float64 vectors of one length (any stride), the window ends or
     the period are not floats, or ml_fit declines a fit that a check
     rejects."""
-    scalars = (t_lo, t_hi, 0.0 if period is None else period)
-    if not _lib or not (isinstance(times, np.ndarray)
-                        and isinstance(values, np.ndarray)
-                        and times.dtype == values.dtype == np.float64
-                        and times.ndim == values.ndim == 1
-                        and times.size == values.size
-                        and times.flags.aligned and values.flags.aligned
-                        and all(isinstance(x, float) for x in scalars)):
+    if not (_lib and isinstance(times, np.ndarray)
+            and isinstance(values, np.ndarray)
+            and times.dtype == values.dtype == np.float64
+            and times.ndim == values.ndim == 1 and times.size == values.size
+            and times.flags.aligned and values.flags.aligned
+            and isinstance(t_lo, float) and isinstance(t_hi, float)
+            and (period is None or isinstance(period, float))):
         return None
-    n = times.size
-    work = np.empty(2 * n + 3)  # x, y, then slope, intercept and r^2
-    kept = c_long()
-    base = _address(work)
+    out = _FitOut()  # slope, intercept, r^2, window count
     k = _lib.ml_fit(_vector_address(times), times.strides[0] // 8,
-                    _vector_address(values), values.strides[0] // 8, n,
-                    t_lo, t_hi, period is not None, scalars[2], base,
-                    base + 8 * n, base + 16 * n, kept)
-    if k < 0:
-        return None
-    return (*work[2 * n:].tolist(), k, kept.value)
+                    _vector_address(values), values.strides[0] // 8,
+                    times.size, t_lo, t_hi, period is not None,
+                    0.0 if period is None else period, out)
+    return None if k < 0 else (*out[:3], k, int(out[3]))
 
 
 def _vector_address(a):

@@ -392,17 +392,18 @@ void ml_residual_max(long rows, int n, const double *v1, const double *om,
  * -0.0, which adding a first term leaves that term's bits (sign of zero
  * included), as numpy's cumsum does.
  *
- * Writes the slope, the intercept and r^2 to fit[0 .. 2] and the window
- * count to *kept, and returns the number of points; x and y (n doubles each)
- * are its work.  Returns -1, and the caller fits in Python and raises the
- * check's error, wherever a check of the fit would fail: a window sample
- * whose t is not positive and finite or whose v is not finite, a period
- * that is not positive and finite or a t / period that overflows, fewer
- * than 30 samples or 2 points, a point that is not positive, or no spread
- * in log t: sqrt(Sxx) <= 2 k eps sqrt(sum x^2) over the k points. */
-long ml_fit(const double *t, long t_stride, const double *v, long v_stride,
-            long n, double t_lo, double t_hi, int envelope, double period,
-            double *x, double *y, double *fit, long *kept)
+ * Writes the slope, the intercept, r^2 and the window count to fit[0 .. 3]
+ * and returns the number of points; x and y (n doubles each) are its work.
+ * Returns -1, and the caller fits in Python and raises the check's error,
+ * wherever a check of the fit would fail: a window sample whose t is not
+ * positive and finite or whose v is not finite, a period that is not
+ * positive and finite or a t / period that overflows, fewer than 30
+ * samples or 2 points, a point that is not positive, or no spread in log
+ * t: sqrt(Sxx) <= 2 k eps sqrt(sum x^2) over the k points. */
+static long fit_line(const double *t, long t_stride, const double *v,
+                     long v_stride, long n, double t_lo, double t_hi,
+                     int envelope, double period, double *x, double *y,
+                     double *fit)
 {
     if (envelope && !(period > 0.0 && period < INFINITY))
         return -1;
@@ -433,7 +434,7 @@ long ml_fit(const double *t, long t_stride, const double *v, long v_stride,
             y[k - 1] = a;
         }
     }
-    *kept = m;
+    fit[3] = (double)m;
     if (m < 30 || k < 2)
         return -1;
     double sx = -0.0, sy = -0.0, sx2 = -0.0;
@@ -466,6 +467,20 @@ long ml_fit(const double *t, long t_stride, const double *v, long v_stride,
     fit[0] = slope;
     fit[1] = my - slope * mx;
     fit[2] = syy == 0.0 ? 1.0 : 1.0 - srr / syy;
+    return k;
+}
+
+/* fit_line with its work allocated here; -1 also where that fails. */
+long ml_fit(const double *t, long t_stride, const double *v, long v_stride,
+            long n, double t_lo, double t_hi, int envelope, double period,
+            double *fit)
+{
+    double *x = malloc(sizeof *x * 2 * (size_t)(n > 0 ? n : 1));
+    if (!x)
+        return -1;
+    const long k = fit_line(t, t_stride, v, v_stride, n, t_lo, t_hi,
+                            envelope, period, x, x + n, fit);
+    free(x);
     return k;
 }
 
@@ -747,13 +762,17 @@ long ml_format_rows(const double *table, long rows, int cols, char *out)
  *
  * A field is -?digits(.digits)?(e[+-]digits)?, inf, -inf or nan, the forms
  * "%.17g" writes; a line holds one field per header name, separated by
- * commas, and ends in a newline.  On any other byte or shape ml_parse_rows
- * declines, and the caller reads the file by numpy.loadtxt, whose errors
- * and accepted inputs stay the only ones.  A kept field is converted to
- * the double that Python's float parser gives, by a fast path where it can
- * decide and else by strtod, which rounds correctly as well and whose end
- * must land on the delimiter.  strtod follows LC_NUMERIC: under a decimal
- * point other than '.' every text is declined. */
+ * commas, and ends in a newline.  A field that the read neither converts
+ * nor checks, an unkept one other than the last (which numpy.loadtxt
+ * converts where it reads a subset), is only scanned: it must be non-empty
+ * and hold field bytes alone (is_field_byte), and loadtxt, which does not
+ * convert it either, accepts it as well.  On any other byte or shape
+ * ml_parse_rows declines, and the caller reads the file by numpy.loadtxt,
+ * whose errors and accepted inputs stay the only ones.  A kept field is
+ * converted to the double that Python's float parser gives, by a fast path
+ * where it can decide and else by strtod, which rounds correctly as well
+ * and whose end must land on the delimiter.  strtod follows LC_NUMERIC:
+ * under a decimal point other than '.' every text is declined. */
 
 /* A number of the grammar: inf, nan, or the digits [digits, end) with a
  * point at `point` or none (point == end), times 10^ex; an exponent's digits
@@ -789,6 +808,43 @@ static const char *digit_run(const char *p, const char *stop)
     (void)stop;
 #endif
     while (is_digit(*p))
+        p++;
+    return p;
+}
+
+/* A byte that a field may hold where the read neither converts nor checks
+ * it: 0x2B ('+') .. 0x7E, except the comma.  Every byte that numpy.loadtxt
+ * or the text-mode read around it treats apart lies outside: a newline or
+ * carriage return, a space, '#', a quote, a control byte, non-ASCII. */
+static int is_field_byte(char c)
+{
+    return (unsigned char)c >= 0x2B && (unsigned char)c < 0x7F && c != ',';
+}
+
+/* The end of the run of field bytes at p, taken 8 bytes at a time as in
+ * digit_run.  The text's last newline, at stop - 1 or before, ends it. */
+static const char *field_run(const char *p, const char *stop)
+{
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    const uint64_t ones = UINT64_C(0x0101010101010101), low7 = 0x7F * ones;
+    while (stop - p >= 8) {
+        uint64_t x;
+        memcpy(&x, p, sizeof x);
+        const uint64_t a = x & low7, comma = a ^ (0x2C * ones);
+        /* the top bit of each byte outside: non-ASCII (x), 0x7F (a + 1
+         * reaches 0x80), below 0x2B (a + 0x55 stays below 0x80) or a comma
+         * (comma + 0x7F stays below 0x80); no sum carries into the next
+         * byte */
+        const uint64_t other = (x | (a + ones) | ~(a + 0x55 * ones)
+                                | ~(comma + low7)) & ~low7;
+        if (other)
+            return p + (__builtin_ctzll(other) >> 3);
+        p += 8;
+    }
+#else
+    (void)stop;
+#endif
+    while (is_field_byte(*p))
         p++;
     return p;
 }
@@ -949,13 +1005,20 @@ long ml_parse_rows(const char *text, long len, int fields, const int *slot,
         if (r == cap)
             return -1;
         for (int j = 0; j < fields; j++) {
-            Number num;
-            const char *q = scan(p, stop, &num);
-            if (q == p || *q != (j + 1 < fields ? ',' : '\n'))
-                return -1;
-            if (slot[j] >= 0
-                    && !convert(&num, p, q, &out[r * kept + slot[j]]))
-                return -1;
+            const char *q;
+            if (slot[j] < 0 && j + 1 < fields) {
+                q = field_run(p, stop);
+                if (q == p || *q != ',')
+                    return -1;
+            } else {
+                Number num;
+                q = scan(p, stop, &num);
+                if (q == p || *q != (j + 1 < fields ? ',' : '\n'))
+                    return -1;
+                if (slot[j] >= 0
+                        && !convert(&num, p, q, &out[r * kept + slot[j]]))
+                    return -1;
+            }
             p = q + 1;
         }
     }

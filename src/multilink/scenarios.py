@@ -5,7 +5,8 @@ CSV schema (fixed): t, v1, omega, phi_1..phi_N, x, y, psi, energy,
 residual_max, k.  Each value is written as the bytes of ``"%.17g" % v``, so
 a re-read reproduces the samples bit-exactly.  Where the compiled library
 is loaded, the writer and the reader go through it with the same bytes and
-bits (:mod:`multilink._compiled`); neither builds it.
+bits (:mod:`multilink._compiled`); neither builds it.  Every artifact is
+written in place by :func:`write_artifact`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -63,15 +65,37 @@ def write_trajectory_csv(path: str, traj: Trajectory):
                              traj.y, traj.psi, traj.energy, traj.residual_max,
                              traj.rotor_momentum))
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "wb") as f:
-        f.write(f"{csv_header(traj.n_links)}\n".encode())
+
+    def chunks():
+        yield f"{csv_header(traj.n_links)}\n".encode()
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
             rows = table[start:start + _CSV_CHUNK_ROWS]
             text = _compiled.format_rows(rows)
             if text is None:
                 text = "".join([row % tuple(values)
                                 for values in rows.tolist()]).encode()
-            f.write(text)
+            yield text
+
+    write_artifact(path, chunks())
+
+
+def write_artifact(path: str, parts):
+    """Write the bytes of parts, an iterable of bytes objects, to path in
+    place: the file (made with the permissions of open's "w") is not
+    truncated when opened, and a regular one is cut at the end of the new
+    bytes afterwards, also when a write fails.  It then holds the new
+    bytes, or the prefix written before the failure, as with "w"; only a
+    process killed mid-write leaves an old tail behind.  Truncating to zero
+    first costs several times more where the filesystem then frees the
+    blocks and starts writeback at close, as ext4 mounted with discard
+    does (README, "Outputs")."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        try:
+            for part in parts:
+                f.write(part)
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
 
 
 def read_trajectory_csv(path: str, columns=None) -> dict[str, np.ndarray]:
@@ -208,8 +232,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | None = None,
         if isinstance(content, Trajectory):
             write_trajectory_csv(path, content)
         else:
-            with open(path, "w") as f:
-                f.write(content)
+            write_artifact(path, [content.encode()])
     for reason in skipped:
         print(f"warning: {reason}")
     return ScenarioResult(cfg.scenario, out_dir,
